@@ -54,7 +54,9 @@ DistributedGraph build_distributed(const EdgeList& g, sim::ClusterSpec spec,
 
   out.locals_.resize(static_cast<std::size_t>(p));
   const LocalId d = out.delegates_.count();
-  util::parallel_for(0, static_cast<std::size_t>(p), [&](std::size_t gi) {
+  // One coarse task per GPU: parallel_for's element cutoff would run these
+  // few heavy builds on one thread.
+  util::parallel_tasks(static_cast<std::size_t>(p), [&](std::size_t gi) {
     const auto coord = spec.coord_of(static_cast<int>(gi));
     out.locals_[gi] = LocalGraph(spec, coord, g.num_vertices, d,
                                  std::move(dist.gpus[gi]));

@@ -5,9 +5,7 @@
 namespace dsbfs::graph {
 
 HostCsr build_host_csr(const EdgeList& g) {
-  std::vector<std::uint64_t> rows(g.src.begin(), g.src.end());
-  return HostCsr::from_edges(g.num_vertices, std::span<const VertexId>(g.dst),
-                             std::span<const std::uint64_t>(rows));
+  return HostCsr::from_edges(g.num_vertices, g.dst, g.src);
 }
 
 WeightedHostCsr build_weighted_host_csr(const EdgeList& g) {
@@ -16,11 +14,9 @@ WeightedHostCsr build_weighted_host_csr(const EdgeList& g) {
     out.csr = build_host_csr(g);
     return out;
   }
-  std::vector<std::uint64_t> rows(g.src.begin(), g.src.end());
-  out.csr = HostCsr::from_edges(
-      g.num_vertices, std::span<const VertexId>(g.dst),
-      std::span<const std::uint64_t>(rows),
-      std::span<const std::uint32_t>(g.weights), out.weights);
+  out.csr = HostCsr::from_edges(g.num_vertices, g.dst, g.src,
+                                std::span<const std::uint32_t>(g.weights),
+                                out.weights);
   return out;
 }
 

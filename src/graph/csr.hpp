@@ -1,6 +1,8 @@
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <ranges>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -15,6 +17,12 @@
 /// reference graph uses 64-bit everywhere.
 namespace dsbfs::graph {
 
+/// A contiguous array of unsigned row indices (vector or span, any width).
+template <typename Rows>
+concept RowArray =
+    std::ranges::contiguous_range<Rows> && std::ranges::sized_range<Rows> &&
+    std::unsigned_integral<std::ranges::range_value_t<Rows>>;
+
 template <typename Col, typename Off>
 class Csr {
  public:
@@ -22,9 +30,13 @@ class Csr {
 
   /// Build from rows: `row_of[i]`, `col_of[i]` pairs, with `num_rows` rows.
   /// Entries need not be sorted; within a row, input order is preserved for
-  /// equal rows after the counting sort.
+  /// equal rows after the counting sort.  `row_of` is any contiguous array of
+  /// unsigned row indices: 64-bit for host graphs, 32-bit (LocalId) for the
+  /// distributor's staging rows.  The span default keeps `{}` callable.
+  template <typename Rows = std::span<const std::uint64_t>>
+    requires RowArray<Rows>
   static Csr from_edges(std::size_t num_rows, std::span<const Col> col_of,
-                        std::span<const std::uint64_t> row_of) {
+                        const Rows& row_of) {
     Csr out;
     std::vector<Off> cursor = out.count_rows(num_rows, col_of, row_of);
     for (std::size_t i = 0; i < col_of.size(); ++i) {
@@ -38,9 +50,10 @@ class Csr {
   /// `payload_out[e]` belongs to the edge at `cols()[e]`.  The payload rides
   /// the identical counting sort, so `row(r)` and the payload slice
   /// `[row_begin(r), row_end(r))` stay aligned.
-  template <typename Payload>
+  template <typename Payload, typename Rows>
+    requires RowArray<Rows>
   static Csr from_edges(std::size_t num_rows, std::span<const Col> col_of,
-                        std::span<const std::uint64_t> row_of,
+                        const Rows& row_of,
                         std::span<const Payload> payload_of,
                         std::vector<Payload>& payload_out) {
     if (payload_of.size() != col_of.size()) {
@@ -85,10 +98,11 @@ class Csr {
  private:
   /// Shared first half of the counting sort: validate, histogram the rows
   /// into offsets_, size cols_, and return the per-row write cursors.
+  template <typename Rows>
   std::vector<Off> count_rows(std::size_t num_rows,
                               std::span<const Col> col_of,
-                              std::span<const std::uint64_t> row_of) {
-    if (col_of.size() != row_of.size()) {
+                              const Rows& row_of) {
+    if (col_of.size() != std::ranges::size(row_of)) {
       throw std::invalid_argument("csr: row/col arrays differ in length");
     }
     offsets_.assign(num_rows + 1, 0);

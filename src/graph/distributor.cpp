@@ -1,8 +1,7 @@
 #include "graph/distributor.hpp"
 
+#include <algorithm>
 #include <array>
-#include <atomic>
-#include <thread>
 
 #include "util/parallel.hpp"
 
@@ -41,8 +40,9 @@ DistributedEdges distribute_edges(const EdgeList& g,
   const int p = spec.total_gpus();
   const std::uint32_t th = delegates.threshold();
 
-  // Pass 1: per-chunk (gpu, kind) counts so pass 2 can write without locks
-  // and the output order stays deterministic (edge-index order).
+  // Edges split into one contiguous chunk per worker.  Pass 1 counts
+  // (gpu, kind) per chunk so pass 2 can write without locks, and the output
+  // order stays edge-index order whatever the worker count.
   const std::size_t workers = std::max<std::size_t>(1, util::parallel_worker_count());
   const std::size_t chunk = (m + workers - 1) / workers;
   const std::size_t chunks = m == 0 ? 0 : (m + chunk - 1) / chunk;
@@ -51,16 +51,12 @@ DistributedEdges distribute_edges(const EdgeList& g,
   std::vector<std::array<std::uint64_t, 4>> zero(static_cast<std::size_t>(p));
   std::vector<std::vector<std::array<std::uint64_t, 4>>> counts(chunks, zero);
 
-  util::parallel_for_chunks(0, chunks, [&](std::size_t c0, std::size_t c1) {
-    for (std::size_t c = c0; c < c1; ++c) {
-      const std::size_t lo = c * chunk;
-      const std::size_t hi = std::min(m, lo + chunk);
-      auto& local = counts[c];
-      for (std::size_t i = lo; i < hi; ++i) {
-        const EdgeRoute r = route_edge(g.src[i], g.dst[i], degrees, th, spec);
-        local[static_cast<std::size_t>(r.gpu)]
-             [static_cast<std::size_t>(r.kind)] += 1;
-      }
+  util::parallel_tasks(chunks, [&](std::size_t c) {
+    const std::size_t hi = std::min(m, (c + 1) * chunk);
+    auto& local = counts[c];
+    for (std::size_t i = c * chunk; i < hi; ++i) {
+      const EdgeRoute r = route_edge(g.src[i], g.dst[i], degrees, th, spec);
+      local[static_cast<std::size_t>(r.gpu)][static_cast<std::size_t>(r.kind)] += 1;
     }
   });
 
@@ -105,43 +101,48 @@ DistributedEdges distribute_edges(const EdgeList& g,
     out.edd += t[3];
   }
 
+  // Dense vertex -> delegate id table (kInvalidLocal for normals), so pass 2
+  // looks ids up directly instead of binary-searching the delegate list.
+  std::vector<LocalId> delegate_of(g.num_vertices, kInvalidLocal);
+  const std::vector<VertexId>& delegate_vertices = delegates.vertices();
+  for (std::size_t t = 0; t < delegate_vertices.size(); ++t) {
+    delegate_of[delegate_vertices[t]] = static_cast<LocalId>(t);
+  }
+
   // Pass 2: translate to local encodings and write at the reserved offsets.
-  util::parallel_for_chunks(0, chunks, [&](std::size_t c0, std::size_t c1) {
-    for (std::size_t c = c0; c < c1; ++c) {
-      const std::size_t lo = c * chunk;
-      const std::size_t hi = std::min(m, lo + chunk);
-      auto cursor = counts[c];  // copy: running write positions
-      for (std::size_t i = lo; i < hi; ++i) {
-        const VertexId u = g.src[i];
-        const VertexId v = g.dst[i];
-        const EdgeRoute r = route_edge(u, v, degrees, th, spec);
-        auto& sets = out.gpus[static_cast<std::size_t>(r.gpu)];
-        std::uint64_t& pos = cursor[static_cast<std::size_t>(r.gpu)]
-                                   [static_cast<std::size_t>(r.kind)];
-        switch (r.kind) {
-          case EdgeKind::kNN:
-            sets.nn_rows[pos] = spec.local_index(u);
-            sets.nn_cols[pos] = v;
-            if (weighted) sets.nn_weights[pos] = g.weights[i];
-            break;
-          case EdgeKind::kND:
-            sets.nd_rows[pos] = spec.local_index(u);
-            sets.nd_cols[pos] = delegates.delegate_id(v);
-            if (weighted) sets.nd_weights[pos] = g.weights[i];
-            break;
-          case EdgeKind::kDN:
-            sets.dn_rows[pos] = delegates.delegate_id(u);
-            sets.dn_cols[pos] = static_cast<LocalId>(spec.local_index(v));
-            if (weighted) sets.dn_weights[pos] = g.weights[i];
-            break;
-          case EdgeKind::kDD:
-            sets.dd_rows[pos] = delegates.delegate_id(u);
-            sets.dd_cols[pos] = delegates.delegate_id(v);
-            if (weighted) sets.dd_weights[pos] = g.weights[i];
-            break;
-        }
-        ++pos;
+  util::parallel_tasks(chunks, [&](std::size_t c) {
+    const std::size_t hi = std::min(m, (c + 1) * chunk);
+    auto cursor = counts[c];  // copy: running write positions
+    for (std::size_t i = c * chunk; i < hi; ++i) {
+      const VertexId u = g.src[i];
+      const VertexId v = g.dst[i];
+      const EdgeRoute r = route_edge(u, v, degrees, th, spec);
+      auto& sets = out.gpus[static_cast<std::size_t>(r.gpu)];
+      std::uint64_t& pos = cursor[static_cast<std::size_t>(r.gpu)]
+                                 [static_cast<std::size_t>(r.kind)];
+      switch (r.kind) {
+        case EdgeKind::kNN:
+          sets.nn_rows[pos] = static_cast<LocalId>(spec.local_index(u));
+          sets.nn_cols[pos] = v;
+          if (weighted) sets.nn_weights[pos] = g.weights[i];
+          break;
+        case EdgeKind::kND:
+          sets.nd_rows[pos] = static_cast<LocalId>(spec.local_index(u));
+          sets.nd_cols[pos] = delegate_of[v];
+          if (weighted) sets.nd_weights[pos] = g.weights[i];
+          break;
+        case EdgeKind::kDN:
+          sets.dn_rows[pos] = delegate_of[u];
+          sets.dn_cols[pos] = static_cast<LocalId>(spec.local_index(v));
+          if (weighted) sets.dn_weights[pos] = g.weights[i];
+          break;
+        case EdgeKind::kDD:
+          sets.dd_rows[pos] = delegate_of[u];
+          sets.dd_cols[pos] = delegate_of[v];
+          if (weighted) sets.dd_weights[pos] = g.weights[i];
+          break;
       }
+      ++pos;
     }
   });
 

@@ -24,18 +24,19 @@ enum class EdgeKind : std::uint8_t { kNN = 0, kND = 1, kDN = 2, kDD = 3 };
 /// Edges routed to one GPU, already translated to local encodings:
 /// rows of nn/nd are local normal indices; rows of dn/dd are delegate ids;
 /// nn columns are global vertex ids; nd/dd columns are delegate ids; dn
-/// columns are local normal indices.  On weighted inputs the per-subgraph
-/// weight arrays are parallel to the row/col arrays (each edge carries its
-/// stored weight to the one GPU that owns it); unweighted inputs leave them
-/// empty and `weighted` false.
+/// columns are local normal indices.  Every row space is a 32-bit LocalId
+/// (build_distributed rejects n/p >= 2^32), so only nn columns are 64-bit.
+/// On weighted inputs the per-subgraph weight arrays are parallel to the
+/// row/col arrays (each edge carries its stored weight to the one GPU that
+/// owns it); unweighted inputs leave them empty and `weighted` false.
 struct GpuEdgeSets {
-  std::vector<std::uint64_t> nn_rows;
+  std::vector<LocalId> nn_rows;
   std::vector<VertexId> nn_cols;
-  std::vector<std::uint64_t> nd_rows;
+  std::vector<LocalId> nd_rows;
   std::vector<LocalId> nd_cols;
-  std::vector<std::uint64_t> dn_rows;
+  std::vector<LocalId> dn_rows;
   std::vector<LocalId> dn_cols;
-  std::vector<std::uint64_t> dd_rows;
+  std::vector<LocalId> dd_rows;
   std::vector<LocalId> dd_cols;
   std::vector<std::uint32_t> nn_weights;
   std::vector<std::uint32_t> nd_weights;
@@ -62,7 +63,12 @@ EdgeRoute route_edge(VertexId u, VertexId v,
                      const std::vector<std::uint32_t>& degrees,
                      std::uint32_t threshold, const sim::ClusterSpec& spec);
 
-/// Distribute all edges (parallel two-pass, deterministic output order).
+/// Distribute all edges in two passes over one contiguous edge chunk per
+/// worker, each chunk its own task (util::parallel_tasks): pass 1 counts
+/// (gpu, kind) per chunk, an exclusive prefix over chunks reserves every
+/// chunk's write range, and pass 2 writes the local encodings there.  The
+/// output keeps edge-index order within each array, so it is bit-identical
+/// for every worker count.
 DistributedEdges distribute_edges(const EdgeList& g,
                                   const std::vector<std::uint32_t>& degrees,
                                   const DelegateInfo& delegates,

@@ -1,8 +1,17 @@
 #include "graph/local_graph.hpp"
 
 #include <stdexcept>
+#include <type_traits>
 
 namespace dsbfs::graph {
+
+namespace {
+/// Free a vector's storage (clear() keeps the capacity).
+template <typename T>
+void release(std::vector<T>& v) {
+  std::vector<T>().swap(v);
+}
+}  // namespace
 
 std::uint64_t local_normal_count(const sim::ClusterSpec& spec, sim::GpuCoord me,
                                  VertexId num_vertices) {
@@ -28,30 +37,31 @@ LocalGraph::LocalGraph(sim::ClusterSpec spec, sim::GpuCoord me,
         "local normal count exceeds 32-bit local id space; use more GPUs");
   }
 
+  // Build the subgraphs one at a time and free each one's staging arrays
+  // right after, so the staging copy of the whole GPU never coexists with
+  // all four finished CSRs.
   weighted_ = edges.weighted;
-  if (weighted_) {
-    nn_ = LocalCsrU64::from_edges(
-        num_local_, std::span<const VertexId>(edges.nn_cols),
-        std::span<const std::uint64_t>(edges.nn_rows),
-        std::span<const std::uint32_t>(edges.nn_weights), nn_w_);
-    nd_ = LocalCsrU32::from_edges(
-        num_local_, std::span<const LocalId>(edges.nd_cols),
-        std::span<const std::uint64_t>(edges.nd_rows),
-        std::span<const std::uint32_t>(edges.nd_weights), nd_w_);
-    dn_ = LocalCsrU32::from_edges(
-        num_delegates_, std::span<const LocalId>(edges.dn_cols),
-        std::span<const std::uint64_t>(edges.dn_rows),
-        std::span<const std::uint32_t>(edges.dn_weights), dn_w_);
-    dd_ = LocalCsrU32::from_edges(
-        num_delegates_, std::span<const LocalId>(edges.dd_cols),
-        std::span<const std::uint64_t>(edges.dd_rows),
-        std::span<const std::uint32_t>(edges.dd_weights), dd_w_);
-  } else {
-    nn_ = LocalCsrU64::from_edges(num_local_, edges.nn_cols, edges.nn_rows);
-    nd_ = LocalCsrU32::from_edges(num_local_, edges.nd_cols, edges.nd_rows);
-    dn_ = LocalCsrU32::from_edges(num_delegates_, edges.dn_cols, edges.dn_rows);
-    dd_ = LocalCsrU32::from_edges(num_delegates_, edges.dd_cols, edges.dd_rows);
-  }
+  const auto build = [this](auto& csr, std::uint64_t num_rows, auto& rows,
+                            auto& cols, std::vector<std::uint32_t>& weights,
+                            std::vector<std::uint32_t>& weights_out) {
+    using CsrT = std::remove_reference_t<decltype(csr)>;
+    if (weighted_) {
+      csr = CsrT::from_edges(num_rows, cols, rows,
+                             std::span<const std::uint32_t>(weights),
+                             weights_out);
+    } else {
+      csr = CsrT::from_edges(num_rows, cols, rows);
+    }
+    release(rows);
+    release(cols);
+    release(weights);
+  };
+  build(nn_, num_local_, edges.nn_rows, edges.nn_cols, edges.nn_weights, nn_w_);
+  build(nd_, num_local_, edges.nd_rows, edges.nd_cols, edges.nd_weights, nd_w_);
+  build(dn_, num_delegates_, edges.dn_rows, edges.dn_cols, edges.dn_weights,
+        dn_w_);
+  build(dd_, num_delegates_, edges.dd_rows, edges.dd_cols, edges.dd_weights,
+        dd_w_);
 
   // Direction-optimization helpers (Section IV-B).
   nd_source_mask_.resize(num_local_);

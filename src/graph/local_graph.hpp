@@ -47,7 +47,8 @@ class LocalGraph {
  public:
   LocalGraph() = default;
 
-  /// Build from the distributor's output for this GPU.
+  /// Build from the distributor's output for this GPU.  Consumes `edges`:
+  /// each subgraph's staging arrays are freed once its CSR is built.
   LocalGraph(sim::ClusterSpec spec, sim::GpuCoord me, VertexId num_vertices,
              LocalId num_delegates, GpuEdgeSets&& edges);
 

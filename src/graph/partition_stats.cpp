@@ -6,42 +6,65 @@
 
 namespace dsbfs::graph {
 
-PartitionStatsSweeper::PartitionStatsSweeper(const EdgeList& g) {
-  num_vertices_ = g.num_vertices;
+PartitionStatsSweeper::PartitionStatsSweeper(const EdgeList& g)
+    : num_vertices_(g.num_vertices), num_edges_(g.size()) {
   const std::vector<std::uint32_t> degrees = out_degrees(g);
-  sorted_degrees_ = degrees;
-  std::sort(sorted_degrees_.begin(), sorted_degrees_.end());
+  const std::uint32_t max_degree =
+      degrees.empty() ? 0 : *std::max_element(degrees.begin(), degrees.end());
+  const std::size_t bins = static_cast<std::size_t>(max_degree) + 1;
 
+  // One contiguous edge chunk per worker, each filling its own min- and
+  // max-endpoint-degree histograms.
   const std::size_t m = g.size();
-  min_degree_.resize(m);
-  max_degree_.resize(m);
-  util::parallel_for(0, m, [&](std::size_t i) {
-    const std::uint32_t du = degrees[g.src[i]];
-    const std::uint32_t dv = degrees[g.dst[i]];
-    min_degree_[i] = std::min(du, dv);
-    max_degree_[i] = std::max(du, dv);
+  const std::size_t workers = std::max<std::size_t>(1, util::parallel_worker_count());
+  const std::size_t chunk = (m + workers - 1) / workers;
+  const std::size_t chunks = m == 0 ? 0 : (m + chunk - 1) / chunk;
+  std::vector<std::vector<std::uint64_t>> min_hist(chunks);
+  std::vector<std::vector<std::uint64_t>> max_hist(chunks);
+  util::parallel_tasks(chunks, [&](std::size_t c) {
+    std::vector<std::uint64_t>& lo = min_hist[c];
+    std::vector<std::uint64_t>& hi = max_hist[c];
+    lo.assign(bins, 0);
+    hi.assign(bins, 0);
+    const std::size_t end = std::min(m, (c + 1) * chunk);
+    for (std::size_t i = c * chunk; i < end; ++i) {
+      const std::uint32_t du = degrees[g.src[i]];
+      const std::uint32_t dv = degrees[g.dst[i]];
+      ++lo[std::min(du, dv)];
+      ++hi[std::max(du, dv)];
+    }
   });
-  std::sort(min_degree_.begin(), min_degree_.end());
-  std::sort(max_degree_.begin(), max_degree_.end());
+  std::vector<std::uint64_t> vertex_hist(bins, 0);
+  for (const std::uint32_t d : degrees) ++vertex_hist[d];
+
+  // Entry k of a suffix count sums bins > k; entry k of a prefix count sums
+  // bins <= k.
+  delegates_above_.assign(bins, 0);
+  dd_above_.assign(bins, 0);
+  nn_at_most_.assign(bins, 0);
+  for (std::size_t k = bins - 1; k-- > 0;) {
+    std::uint64_t dd = 0;
+    for (const auto& h : min_hist) dd += h[k + 1];
+    delegates_above_[k] = delegates_above_[k + 1] + vertex_hist[k + 1];
+    dd_above_[k] = dd_above_[k + 1] + dd;
+  }
+  std::uint64_t nn = 0;
+  for (std::size_t k = 0; k < bins; ++k) {
+    for (const auto& h : max_hist) nn += h[k];
+    nn_at_most_[k] = nn;
+  }
 }
 
 PartitionStats PartitionStatsSweeper::at(std::uint32_t threshold) const {
+  const std::size_t k =
+      std::min<std::size_t>(threshold, nn_at_most_.size() - 1);
   PartitionStats s;
   s.threshold = threshold;
   s.num_vertices = num_vertices_;
-  s.num_edges = min_degree_.size();
-
-  // delegates: degree > TH
-  s.delegates = sorted_degrees_.end() -
-                std::upper_bound(sorted_degrees_.begin(), sorted_degrees_.end(),
-                                 threshold);
-  // dd: both endpoints delegate  <=>  min degree > TH
-  s.dd_edges = min_degree_.end() - std::upper_bound(min_degree_.begin(),
-                                                    min_degree_.end(), threshold);
-  // nn: both normal  <=>  max degree <= TH
-  s.nn_edges = std::upper_bound(max_degree_.begin(), max_degree_.end(),
-                                threshold) -
-               max_degree_.begin();
+  s.num_edges = num_edges_;
+  s.delegates = delegates_above_[k];   // degree > TH
+  s.dd_edges = dd_above_[k];           // both endpoints delegate
+  s.nn_edges = nn_at_most_[k];         // both endpoints normal
   s.dn_nd_edges = s.num_edges - s.dd_edges - s.nn_edges;
   return s;
 }

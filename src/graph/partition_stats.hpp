@@ -8,9 +8,14 @@
 /// Degree-threshold analytics behind Figures 5, 7 and 12.
 ///
 /// For a given TH the edge population splits into dd / dn / nd / nn by the
-/// delegate-ness of each endpoint, and a delegate fraction follows.  The
-/// sweeper pre-sorts min/max endpoint degrees once so a whole TH sweep is
-/// O(m log m + #TH * log m) instead of O(#TH * m).
+/// delegate-ness of each endpoint, and a delegate fraction follows.  An edge
+/// is dd iff its min endpoint degree exceeds TH and nn iff its max endpoint
+/// degree does not, so the sweeper makes one parallel pass over the edges
+/// into per-worker min- and max-degree histograms (plus a vertex-degree
+/// histogram) and keeps their suffix / prefix sums.  Construction is
+/// O(n + m / workers + workers * D) time for max degree D, memory is O(D)
+/// kept (O(workers * D) while building), and each at() is O(1); a whole TH
+/// sweep costs O(#TH) instead of O(#TH * m).
 namespace dsbfs::graph {
 
 struct PartitionStats {
@@ -43,17 +48,19 @@ class PartitionStatsSweeper {
  public:
   explicit PartitionStatsSweeper(const EdgeList& g);
 
-  /// Stats at a specific threshold (O(log m)).
+  /// Stats at a specific threshold (O(1)).
   PartitionStats at(std::uint32_t threshold) const;
 
   std::uint64_t num_vertices() const noexcept { return num_vertices_; }
-  std::uint64_t num_edges() const noexcept { return min_degree_.size(); }
+  std::uint64_t num_edges() const noexcept { return num_edges_; }
 
  private:
   std::uint64_t num_vertices_ = 0;
-  std::vector<std::uint32_t> sorted_degrees_;  // per vertex
-  std::vector<std::uint32_t> min_degree_;      // per edge: min endpoint degree
-  std::vector<std::uint32_t> max_degree_;      // per edge: max endpoint degree
+  std::uint64_t num_edges_ = 0;
+  // Indexed by degree k in [0, D]; a threshold above D reads entry D.
+  std::vector<std::uint64_t> delegates_above_;  // vertices with degree > k
+  std::vector<std::uint64_t> dd_above_;    // edges with min endpoint degree > k
+  std::vector<std::uint64_t> nn_at_most_;  // edges with max endpoint degree <= k
 };
 
 struct ThresholdPolicy {

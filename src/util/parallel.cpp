@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <mutex>
 
 namespace dsbfs::util {
 
@@ -44,6 +46,31 @@ void parallel_for_chunks(std::size_t begin, std::size_t end,
     threads.emplace_back([&fn, lo, hi] { fn(lo, hi); });
   }
   for (auto& t : threads) t.join();
+}
+
+void parallel_tasks(std::size_t n, const std::function<void(std::size_t)>& task) {
+  const std::size_t workers = std::min(parallel_worker_count(), n);
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < n; ++i) task(i);
+    return;
+  }
+  std::mutex error_mutex;
+  std::exception_ptr error;  // guarded by error_mutex
+  auto run_worker = [&](std::size_t w) {
+    try {
+      for (std::size_t i = w; i < n; i += workers) task(i);
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (!error) error = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> threads;  // join on scope exit, throw or not
+    threads.reserve(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) threads.emplace_back(run_worker, w);
+    run_worker(0);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace dsbfs::util

@@ -25,6 +25,16 @@ void set_parallel_worker_count(std::size_t n) noexcept;
 void parallel_for_chunks(std::size_t begin, std::size_t end,
                          const std::function<void(std::size_t, std::size_t)>& fn);
 
+/// Coarse-task parallel for: run task(i) once for every i in [0, n) on
+/// min(n, parallel_worker_count()) threads, the calling thread included.
+/// Unlike parallel_for_chunks there is no element cutoff, so a handful of
+/// heavy tasks (one per edge chunk, one per GPU) really run concurrently.
+/// Task i runs on worker i mod workers.  With one worker every task runs
+/// inline, in index order.  Blocks until every worker is done.  A task that
+/// throws skips its worker's later tasks; the first exception is rethrown
+/// here after every thread has joined.
+void parallel_tasks(std::size_t n, const std::function<void(std::size_t)>& task);
+
 /// Element-wise parallel for.
 template <typename Fn>
 void parallel_for(std::size_t begin, std::size_t end, Fn&& fn) {

@@ -4,6 +4,7 @@
 
 #include "graph/generators.hpp"
 #include "graph/rmat.hpp"
+#include "util/parallel.hpp"
 
 namespace dsbfs::graph {
 namespace {
@@ -98,6 +99,63 @@ TEST(Builder, DegreesExposed) {
   EXPECT_EQ(dg.degrees()[5], 1u);
   EXPECT_EQ(dg.num_delegates(), 1u);
   EXPECT_TRUE(dg.delegates().is_delegate(0));
+}
+
+template <typename Csr>
+void expect_same_csr(const Csr& a, const Csr& b) {
+  EXPECT_EQ(a.offsets(), b.offsets());
+  EXPECT_EQ(a.cols(), b.cols());
+}
+
+void expect_same_mask(const util::AtomicBitset& a, const util::AtomicBitset& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a.test(i), b.test(i)) << "bit " << i;
+  }
+}
+
+TEST(Builder, LocalGraphsIndependentOfWorkerCount) {
+  // Per-GPU builds run as concurrent tasks; every CSR, weight array and
+  // source mask must match the one-worker build bit for bit.
+  for (const bool weighted : {false, true}) {
+    EdgeList g = rmat_graph500({.scale = 12, .seed = 6});
+    if (weighted) assign_uniform_weights(g, 255, 6);
+    auto run = [&](std::size_t workers) {
+      util::set_parallel_worker_count(workers);
+      DistributedGraph dg = build_distributed(g, spec_of(2, 2), 16);
+      util::set_parallel_worker_count(0);
+      return dg;
+    };
+    const DistributedGraph ref = run(1);
+    ASSERT_GT(ref.edd(), 0u);
+    for (const std::size_t workers : {2u, 3u, 4u, 7u}) {
+      SCOPED_TRACE(testing::Message() << "weighted=" << weighted
+                                      << " workers=" << workers);
+      const DistributedGraph got = run(workers);
+      EXPECT_EQ(got.enn(), ref.enn());
+      EXPECT_EQ(got.end(), ref.end());
+      EXPECT_EQ(got.edn(), ref.edn());
+      EXPECT_EQ(got.edd(), ref.edd());
+      ASSERT_EQ(got.num_locals(), ref.num_locals());
+      for (int gpu = 0; gpu < static_cast<int>(ref.num_locals()); ++gpu) {
+        const LocalGraph& a = ref.local(gpu);
+        const LocalGraph& b = got.local(gpu);
+        expect_same_csr(a.nn(), b.nn());
+        expect_same_csr(a.nd(), b.nd());
+        expect_same_csr(a.dn(), b.dn());
+        expect_same_csr(a.dd(), b.dd());
+        EXPECT_EQ(b.weighted(), weighted);
+        EXPECT_EQ(a.nn_weights(), b.nn_weights());
+        EXPECT_EQ(a.nd_weights(), b.nd_weights());
+        EXPECT_EQ(a.dn_weights(), b.dn_weights());
+        EXPECT_EQ(a.dd_weights(), b.dd_weights());
+        EXPECT_EQ(a.nd_source_list(), b.nd_source_list());
+        expect_same_mask(a.nd_source_mask(), b.nd_source_mask());
+        expect_same_mask(a.dd_source_mask(), b.dd_source_mask());
+        expect_same_mask(a.dn_source_mask(), b.dn_source_mask());
+      }
+    }
+  }
 }
 
 }  // namespace

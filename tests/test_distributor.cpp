@@ -7,6 +7,7 @@
 
 #include "graph/generators.hpp"
 #include "graph/rmat.hpp"
+#include "util/parallel.hpp"
 
 namespace dsbfs::graph {
 namespace {
@@ -160,6 +161,55 @@ TEST(Distributor, DeterministicOutput) {
   for (std::size_t gpu = 0; gpu < a.gpus.size(); ++gpu) {
     EXPECT_EQ(a.gpus[gpu].nn_cols, b.gpus[gpu].nn_cols);
     EXPECT_EQ(a.gpus[gpu].dd_cols, b.gpus[gpu].dd_cols);
+  }
+}
+
+TEST(Distributor, OutputIndependentOfWorkerCount) {
+  // Every staging array must be bit-identical to the one-worker build,
+  // whatever the chunking, on weighted and unweighted inputs.
+  for (const bool weighted : {false, true}) {
+    EdgeList g = rmat_graph500({.scale = 12, .seed = 9});
+    if (weighted) assign_uniform_weights(g, 255, 9);
+    const auto degrees = out_degrees(g);
+    const auto delegates = DelegateInfo::select(degrees, 16);
+    const sim::ClusterSpec spec = spec_of(2, 2);
+    auto run = [&](std::size_t workers) {
+      util::set_parallel_worker_count(workers);
+      DistributedEdges d = distribute_edges(g, degrees, delegates, spec);
+      util::set_parallel_worker_count(0);
+      return d;
+    };
+    const DistributedEdges ref = run(1);
+    ASSERT_GT(ref.edd, 0u);
+    ASSERT_GT(ref.enn, 0u);
+    for (const std::size_t workers : {2u, 3u, 4u, 7u}) {
+      SCOPED_TRACE(testing::Message() << "weighted=" << weighted
+                                      << " workers=" << workers);
+      const DistributedEdges got = run(workers);
+      EXPECT_EQ(got.enn, ref.enn);
+      EXPECT_EQ(got.end, ref.end);
+      EXPECT_EQ(got.edn, ref.edn);
+      EXPECT_EQ(got.edd, ref.edd);
+      ASSERT_EQ(got.gpus.size(), ref.gpus.size());
+      for (std::size_t gpu = 0; gpu < ref.gpus.size(); ++gpu) {
+        const GpuEdgeSets& a = ref.gpus[gpu];
+        const GpuEdgeSets& b = got.gpus[gpu];
+        EXPECT_EQ(b.weighted, weighted);
+        EXPECT_EQ(b.nn_rows, a.nn_rows);
+        EXPECT_EQ(b.nn_cols, a.nn_cols);
+        EXPECT_EQ(b.nd_rows, a.nd_rows);
+        EXPECT_EQ(b.nd_cols, a.nd_cols);
+        EXPECT_EQ(b.dn_rows, a.dn_rows);
+        EXPECT_EQ(b.dn_cols, a.dn_cols);
+        EXPECT_EQ(b.dd_rows, a.dd_rows);
+        EXPECT_EQ(b.dd_cols, a.dd_cols);
+        EXPECT_EQ(b.nn_weights, a.nn_weights);
+        EXPECT_EQ(b.nd_weights, a.nd_weights);
+        EXPECT_EQ(b.dn_weights, a.dn_weights);
+        EXPECT_EQ(b.dd_weights, a.dd_weights);
+        EXPECT_EQ(b.nn_weights.empty(), !weighted);
+      }
+    }
   }
 }
 

@@ -4,6 +4,9 @@
 
 #include <atomic>
 #include <numeric>
+#include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace dsbfs::util {
@@ -63,6 +66,73 @@ TEST(Parallel, ResultIndependentOfWorkerCount) {
     return out;
   };
   EXPECT_EQ(run(1), run(7));
+}
+
+
+/// Runs parallel_tasks(n) with `workers` workers; returns each task's thread.
+std::vector<std::thread::id> task_threads(std::size_t n, std::size_t workers) {
+  std::vector<std::atomic<int>> runs(n);
+  std::vector<std::thread::id> ids(n);
+  set_parallel_worker_count(workers);
+  parallel_tasks(n, [&](std::size_t i) {
+    runs[i].fetch_add(1, std::memory_order_relaxed);
+    ids[i] = std::this_thread::get_id();
+  });
+  set_parallel_worker_count(0);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "task " << i;
+  }
+  return ids;
+}
+
+TEST(ParallelTasks, RunsEveryTaskOnceOnSeveralThreads) {
+  // No element cutoff: even two tasks get two threads.  This guards the
+  // coarse loops (edge chunks, per-GPU builds) against silently running
+  // serially the way parallel_for_chunks does below its cutoff.
+  for (const std::size_t workers : {2u, 3u, 4u, 7u}) {
+    for (const std::size_t n : {2u, 5u, 64u}) {
+      const auto ids = task_threads(n, workers);
+      const std::set<std::thread::id> distinct(ids.begin(), ids.end());
+      EXPECT_EQ(distinct.size(), std::min(n, workers))
+          << "workers=" << workers << " n=" << n;
+      EXPECT_GE(distinct.size(), 2u);
+    }
+  }
+}
+
+TEST(ParallelTasks, OneWorkerRunsInlineInOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  set_parallel_worker_count(1);
+  parallel_tasks(6, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  set_parallel_worker_count(0);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(ParallelTasks, ZeroTasksIsNoop) {
+  bool called = false;
+  parallel_tasks(0, [&](std::size_t) { called = true; });
+  EXPECT_FALSE(called);
+}
+
+TEST(ParallelTasks, RethrowsAfterEveryWorkerJoins) {
+  set_parallel_worker_count(4);
+  std::vector<std::atomic<int>> runs(8);
+  EXPECT_THROW(parallel_tasks(8,
+                              [&](std::size_t i) {
+                                runs[i].fetch_add(1, std::memory_order_relaxed);
+                                if (i == 1) throw std::runtime_error("task 1");
+                              }),
+               std::runtime_error);
+  set_parallel_worker_count(0);
+  // Worker w runs tasks w, w + 4, ...; a throw ends only its own worker,
+  // so every task outside worker 1's remainder (task 5) still ran.
+  for (const std::size_t i : {0u, 1u, 2u, 3u, 4u, 6u, 7u}) {
+    EXPECT_EQ(runs[i].load(), 1) << "task " << i;
+  }
 }
 
 }  // namespace

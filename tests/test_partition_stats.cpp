@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "graph/degree.hpp"
 #include "graph/distributor.hpp"
+#include "graph/generators.hpp"
 #include "graph/rmat.hpp"
 
 namespace dsbfs::graph {
@@ -44,6 +48,66 @@ TEST(PartitionStats, SweeperMatchesBruteForce) {
     EXPECT_EQ(fast.nn_edges, slow.nn_edges) << "th=" << th;
     EXPECT_EQ(fast.dn_nd_edges, slow.dn_nd_edges) << "th=" << th;
   }
+}
+
+void expect_matches_brute_force(const EdgeList& g, std::uint32_t th) {
+  const PartitionStats fast = PartitionStatsSweeper(g).at(th);
+  const PartitionStats slow = brute_force(g, th);
+  EXPECT_EQ(fast.threshold, th);
+  EXPECT_EQ(fast.num_vertices, slow.num_vertices) << "th=" << th;
+  EXPECT_EQ(fast.num_edges, slow.num_edges) << "th=" << th;
+  EXPECT_EQ(fast.delegates, slow.delegates) << "th=" << th;
+  EXPECT_EQ(fast.dd_edges, slow.dd_edges) << "th=" << th;
+  EXPECT_EQ(fast.nn_edges, slow.nn_edges) << "th=" << th;
+  EXPECT_EQ(fast.dn_nd_edges, slow.dn_nd_edges) << "th=" << th;
+}
+
+/// Thresholds around the histogram's edge: 0, 1, max degree - 1, max
+/// degree, max degree + 1 and UINT32_MAX.
+std::vector<std::uint32_t> edge_thresholds(const EdgeList& g) {
+  const auto degrees = out_degrees(g);
+  const std::uint32_t dmax =
+      degrees.empty() ? 0 : *std::max_element(degrees.begin(), degrees.end());
+  std::vector<std::uint32_t> ths{0, 1, dmax, dmax + 1,
+                                 std::numeric_limits<std::uint32_t>::max()};
+  if (dmax > 0) ths.push_back(dmax - 1);
+  return ths;
+}
+
+TEST(PartitionStats, SweeperMatchesBruteForceOnStar) {
+  // Hub degree n - 1, every leaf degree 1: at th = 1 the hub alone is a
+  // delegate and every edge is dn/nd.
+  const EdgeList g = star_graph(100);
+  for (const std::uint32_t th : edge_thresholds(g)) {
+    expect_matches_brute_force(g, th);
+  }
+  const PartitionStats s = PartitionStatsSweeper(g).at(1);
+  EXPECT_EQ(s.delegates, 1u);
+  EXPECT_EQ(s.dn_nd_edges, g.size());
+}
+
+TEST(PartitionStats, SweeperHandlesEmptyEdgeList) {
+  for (const std::uint64_t n : {0u, 7u}) {
+    EdgeList g;
+    g.num_vertices = n;
+    const PartitionStatsSweeper sweeper(g);
+    EXPECT_EQ(sweeper.num_edges(), 0u);
+    for (const std::uint32_t th : edge_thresholds(g)) {
+      expect_matches_brute_force(g, th);
+    }
+    // Every vertex has degree 0, so only th = 0 is below it: no delegates.
+    EXPECT_EQ(sweeper.at(0).delegates, 0u);
+  }
+}
+
+TEST(PartitionStats, SweeperMatchesBruteForceWithIsolatedVertices) {
+  EdgeList g = rmat_graph500({.scale = 9, .seed = 29});
+  g.num_vertices += 50;  // trailing degree-0 vertices
+  ASSERT_GE(count_zero_degree(out_degrees(g)), 50u);
+  for (const std::uint32_t th : edge_thresholds(g)) {
+    expect_matches_brute_force(g, th);
+  }
+  for (std::uint32_t th = 0; th < 40; ++th) expect_matches_brute_force(g, th);
 }
 
 TEST(PartitionStats, MonotoneInThreshold) {
