@@ -9,24 +9,52 @@
 #include "sim/perf_model.hpp"
 #include "util/types.hpp"
 
-/// Batched distributed delta-stepping: up to 64 SSSP sources advance in
+/// Distributed delta-stepping (Meyer & Sanders) for up to 64 sources in
 /// lockstep on one engine run, the value-lane analogue of
-/// core::DistributedBatchBfs.
+/// core::DistributedBatchBfs.  The single-source facade
+/// core::DistributedDeltaSssp is this engine's W = 1 instance at 64-bit
+/// values.
+///
+/// ## Mapping onto the iterative engine
+///
+/// Bucket `b` (tentative distances in [b*delta, (b+1)*delta)) is processed
+/// as a loop of light-edge rounds until no slot remains in `b`, then one
+/// heavy-edge round over everything settled in `b`.  Each engine iteration
+/// is one such round:
+///
+///   * the previsit agrees cluster-wide on what the round is -- a
+///     next-bucket MIN allreduce when the previous bucket closed, or a
+///     light-work SUM allreduce that decides "another light sub-round" vs
+///     "the heavy round" (`GpuIterationCounters::bucket_coordination`; the
+///     perf model charges it as a small collective gating the round);
+///   * the visit relaxes the phase's edge class of the round's active set,
+///     reading a precomputed per-subgraph light/heavy `core::EdgePartition`
+///     so light rounds touch light edge mass only;
+///   * `reduce` / `exchange` / termination are inherited from the engine:
+///     delegate distance candidates MIN-reduce on the delegate stream
+///     concurrently with the (id, lane word) update exchange on the normal
+///     stream, min-coalesced per bin and optionally compressed -- with
+///     `bucket_bias`, compressed values ride the wire biased by the open
+///     bucket's base distance.
+///
+/// Slots wait in per-GPU `core::BucketState` queues (delegate buckets are
+/// replicated and stay identical on every GPU because delegate distances
+/// come out of the global reduction).
 ///
 /// ## Lane-valued frontier substrate
 ///
-/// Each vertex carries W packed tentative distances in a
-/// util::LaneValueSlab (`value_bits` wide each; the all-ones sentinel is
-/// that width's infinity).  One (vertex, lane) pair is a *slot*; the
-/// per-GPU core::BucketState queues are keyed by slot, so every lane rides
-/// the identical lazy bucket structure single-source delta-stepping uses.
-/// The light/heavy core::EdgePartition split is computed once per run and
-/// shared by all lanes -- edge weights do not depend on the source.
+/// Each vertex carries W packed tentative distances in the
+/// util::LaneValueSlab word layout (`value_bits` wide each; the all-ones
+/// value is that width's infinity).  One (vertex, lane) pair is a *slot*;
+/// the bucket queues are keyed by slot, so every lane rides the identical
+/// lazy bucket structure.  The light/heavy core::EdgePartition split is
+/// computed once per run and shared by all lanes -- edge weights do not
+/// depend on the source.
 ///
 /// ## What batching amortizes
 ///
-/// The relax kernels group the round's fresh slots by vertex and sweep each
-/// active vertex's edge list *once*, serving every active lane of that
+/// The relax kernels group the round's active slots by vertex and sweep
+/// each active vertex's edge list *once*, serving every active lane of that
 /// vertex from the same weight lookup: the modeled edge traffic per round
 /// is per active *vertex*, not per active slot.  The wire carries one
 /// record per (destination, lane group) -- W * value_bits bits of payload
@@ -40,15 +68,14 @@
 ///
 /// The per-round agreement collective is shared too: the cluster agrees on
 /// the minimum bucket over *all* slots of *all* lanes (one MIN allreduce
-/// per bucket open, one SUM per light sub-round -- exactly the
-/// single-source cadence, independent of W).  A lane with no work in the
-/// agreed bucket simply contributes no fresh slots; since the global
-/// bucket sequence is monotone and every lane's own buckets appear in it,
-/// each lane settles exactly as it would under its private schedule, and
-/// converged per-lane distances are bit-identical to
+/// per bucket open, one SUM per light sub-round, independent of W).  A
+/// lane with no work in the agreed bucket simply contributes no fresh
+/// slots; since the global bucket sequence is monotone and every lane's own
+/// buckets appear in it, each lane settles exactly as it would under its
+/// private schedule, and converged per-lane distances are bit-identical to
 /// baseline::serial_delta_sssp per source.  At W = 1 with value_bits = 64
-/// the records, reductions and counters reproduce
-/// core::DistributedDeltaSssp exactly.
+/// every record is a bare (id, distance) pair and the delegate reduction is
+/// a d-word MIN.
 namespace dsbfs::core {
 
 struct BatchSsspOptions {
@@ -60,8 +87,8 @@ struct BatchSsspOptions {
   /// Packed distance width in bits, one of {8, 16, 32, 64}.  Every final
   /// distance must be strictly below the all-ones sentinel of this width or
   /// the run throws std::overflow_error; util::value_width_for picks the
-  /// smallest safe width from a distance bound.  64 reproduces the
-  /// single-source wire format at W = 1.
+  /// smallest safe width from a distance bound.  64 at W = 1 is the
+  /// single-source run (DistributedDeltaSssp).
   int value_bits = 32;
   /// Two-stream overlap: delegate candidate reduction concurrent with the
   /// lane-word update exchange.

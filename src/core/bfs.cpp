@@ -1,5 +1,6 @@
 #include "core/bfs.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 
@@ -301,6 +302,12 @@ VertexId sample_traversal_source(const graph::DistributedGraph& graph,
                                  std::uint64_t k) {
   const VertexId n = graph.num_vertices();
   const auto& degrees = graph.degrees();
+  // The draw loop below only ends on a vertex with an out-edge.
+  if (std::none_of(degrees.begin(), degrees.end(),
+                   [](auto deg) { return deg > 0; })) {
+    throw std::invalid_argument(
+        "sample_traversal_source: no vertex has an out-edge");
+  }
   for (std::uint64_t attempt = 0;; ++attempt) {
     const VertexId v = util::splitmix64(util::hash_combine(k, attempt)) % n;
     if (degrees[v] > 0) return v;

@@ -21,7 +21,8 @@ namespace dsbfs::core {
 
 /// The k-th deterministic pseudo-random vertex with at least one out-edge
 /// (Graph500-style source sampling).  Shared by every traversal facade so
-/// single-source and batched runs draw from the identical pool.
+/// single-source and batched runs draw from the identical pool.  Throws
+/// std::invalid_argument when no vertex has an out-edge (or n == 0).
 VertexId sample_traversal_source(const graph::DistributedGraph& graph,
                                  std::uint64_t k);
 
@@ -47,7 +48,8 @@ class DistributedBfs {
   BfsResult run(VertexId source);
 
   /// Pick the k-th deterministic pseudo-random source with at least one
-  /// out-edge (Graph500-style source sampling).
+  /// out-edge (Graph500-style source sampling).  Throws
+  /// std::invalid_argument when the graph has no edge.
   VertexId sample_source(std::uint64_t k) const;
 
  private:

@@ -1,6 +1,5 @@
 #include "core/bucket.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace dsbfs::core {
@@ -15,15 +14,6 @@ void BucketState::insert(LocalId v, std::uint64_t dist) {
   buckets_[bucket_of(dist)].push_back(v);
   ++entries_;
   ++inserted_;
-}
-
-std::vector<LocalId> BucketState::take(std::uint64_t b,
-                                       std::span<const std::uint64_t> dist) {
-  return take_with(b, [&](LocalId v) { return dist[v]; });
-}
-
-std::uint64_t BucketState::min_bucket(std::span<const std::uint64_t> dist) {
-  return min_bucket_with([&](LocalId v) { return dist[v]; });
 }
 
 }  // namespace dsbfs::core

@@ -10,7 +10,7 @@
 
 /// Bucketed-frontier substrate for delta-stepping traversals (Meyer &
 /// Sanders' delta-stepping SSSP mapped onto the degree-separated engine --
-/// see core/delta_sssp.hpp for the distributed driver).
+/// see core/batch_sssp.hpp for the distributed engine).
 ///
 /// Two pieces, both per GPU:
 ///
@@ -62,20 +62,10 @@ class BucketState {
   void insert(LocalId v, std::uint64_t dist);
 
   /// Remove bucket `b` and return its valid entries, deduplicated and
-  /// sorted.  An entry is valid when `dist[its vertex]` still maps to `b`.
-  std::vector<LocalId> take(std::uint64_t b,
-                            std::span<const std::uint64_t> dist);
-
-  /// Smallest bucket holding at least one valid entry, or kNoBucket.
-  /// Prunes stale entries and empty buckets encountered on the way, so
-  /// repeated calls stay cheap and entry_count() tightens toward the truth.
-  std::uint64_t min_bucket(std::span<const std::uint64_t> dist);
-
-  /// Accessor-based variants for queues whose ids are not plain array
-  /// indices -- the batched traversals key buckets by (vertex, lane) *slot*
-  /// and read tentative distances out of a util::LaneValueSlab, so the
-  /// distance of entry `id` comes from a callable instead of a span.
-  /// Semantics are identical to the span overloads (which delegate here).
+  /// sorted.  An entry `id` is valid when `dist_of(id)` still maps to `b`.
+  /// The distance comes from a callable because queue ids need not be plain
+  /// array indices: the delta-stepping engine keys buckets by (vertex, lane)
+  /// *slot* and reads tentative distances out of packed lane words.
   template <typename DistFn>
   std::vector<LocalId> take_with(std::uint64_t b, DistFn&& dist_of) {
     std::vector<LocalId> out;
@@ -91,6 +81,9 @@ class BucketState {
     return out;
   }
 
+  /// Smallest bucket holding at least one valid entry, or kNoBucket.
+  /// Prunes stale entries and empty buckets encountered on the way, so
+  /// repeated calls stay cheap and entry_count() tightens toward the truth.
   template <typename DistFn>
   std::uint64_t min_bucket_with(DistFn&& dist_of) {
     for (auto it = buckets_.begin(); it != buckets_.end();) {

@@ -1,496 +1,52 @@
 #include "core/delta_sssp.hpp"
 
-#include <algorithm>
-#include <memory>
-#include <span>
-#include <stdexcept>
-
-#include "core/bucket.hpp"
-#include "core/metrics.hpp"
-#include "engine/iterative_engine.hpp"
-#include "util/hash.hpp"
+#include <utility>
 
 namespace dsbfs::core {
 
 namespace {
 
-/// Delta-stepping as engine phases (see delta_sssp.hpp).  The communication
-/// structure is core::sssp's -- min-combine over delegate candidates,
-/// (id, distance) exchange for normals -- but the active set per round is a
-/// bucketed frontier, and the previsit runs one small cluster-wide
-/// agreement collective that decides what the round is (open the next
-/// bucket / another light sub-round / the heavy round).  Every mode
-/// transition is a pure function of globally-agreed values, so all GPUs
-/// move through identical (bucket, phase) sequences in lockstep.
-class DeltaSsspAlgorithm {
- public:
-  static constexpr const char* kStateLabel = "delta_sssp.state";
-
-  /// Cluster-global round state machine.  kOpenBucket previsits run the
-  /// next-bucket MIN; kLight previsits run the light-work SUM (zero means
-  /// this round is the bucket's heavy round); kDone rounds do nothing and
-  /// contribute zero, terminating the engine.
-  enum class Mode { kOpenBucket, kLight, kDone };
-
-  struct State {
-    std::vector<std::uint64_t> dist_normal;    // per local normal
-    std::vector<std::uint64_t> dist_delegate;  // per delegate, replicated
-    std::vector<std::uint64_t> delegate_cand;  // this round's candidates
-    BucketState normal_buckets;
-    BucketState delegate_buckets;  // replicated, identical on every GPU
-    std::vector<LocalId> fresh_normals;    // this light round's input
-    std::vector<LocalId> fresh_delegates;
-    std::vector<LocalId> next_normals;     // improvements this round
-    std::vector<LocalId> next_delegates;
-    std::vector<LocalId> settled_normals;  // relaxed in the open bucket
-    std::vector<LocalId> settled_delegates;
-    std::vector<std::uint64_t> settled_epoch_normal;    // dedup stamps
-    std::vector<std::uint64_t> settled_epoch_delegate;
-    std::uint64_t epoch = 0;  // bucket-open counter (= settled stamp)
-    std::uint64_t current_bucket = kNoBucket;
-    Mode mode = Mode::kOpenBucket;
-    bool heavy_round = false;     // this round relaxes heavy edges
-    std::uint64_t value_bias = 0; // wire bias for this round's exchange
-    // Light/heavy edge-index split of the four subgraphs for this delta.
-    EdgePartition part_nn, part_nd, part_dn, part_dd;
-    std::vector<std::vector<comm::VertexUpdate>> bins;
-    sim::GpuIterationCounters iter;
-  };
-
-  DeltaSsspAlgorithm(const graph::DistributedGraph& graph,
-                     const DeltaSsspOptions& options, VertexId source)
-      : graph_(graph), options_(options), source_(source) {}
-
-  std::unique_ptr<State> init(engine::GpuContext& ctx) {
-    const sim::ClusterSpec& spec = graph_.spec();
-    const graph::LocalGraph& lg = graph_.local(ctx.gpu);
-    const graph::DelegateInfo& delegates = graph_.delegates();
-    const LocalId d = graph_.num_delegates();
-    const std::uint64_t n_local = lg.num_local_normals();
-
-    auto state = std::make_unique<State>();
-    State& s = *state;
-    s.dist_normal.assign(n_local, kInfiniteDistance);
-    s.dist_delegate.assign(d, kInfiniteDistance);
-    s.delegate_cand.assign(d, kInfiniteDistance);
-    s.settled_epoch_normal.assign(n_local, 0);
-    s.settled_epoch_delegate.assign(d, 0);
-    s.normal_buckets = BucketState(options_.delta);
-    s.delegate_buckets = BucketState(options_.delta);
-    s.bins.resize(static_cast<std::size_t>(ctx.total_gpus));
-
-    // Light/heavy partitions per subgraph; the hashed fallback recomputes
-    // the same endpoint-pair weight the relax kernels will read.
-    const auto global_of = [&](LocalId v) {
-      return spec.global_vertex(ctx.me.rank, ctx.me.gpu, v);
-    };
-    const std::uint64_t delta = options_.delta;
-    s.part_nn = EdgePartition::build(
-        lg.nn(), delta, [&](std::size_t r, std::uint64_t e) {
-          return weight(lg.nn_weights(), e,
-                        global_of(static_cast<LocalId>(r)), lg.nn().col(e));
-        });
-    s.part_nd = EdgePartition::build(
-        lg.nd(), delta, [&](std::size_t r, std::uint64_t e) {
-          return weight(lg.nd_weights(), e,
-                        global_of(static_cast<LocalId>(r)),
-                        delegates.vertex_of(lg.nd().col(e)));
-        });
-    s.part_dn = EdgePartition::build(
-        lg.dn(), delta, [&](std::size_t r, std::uint64_t e) {
-          return weight(lg.dn_weights(), e,
-                        delegates.vertex_of(static_cast<LocalId>(r)),
-                        global_of(lg.dn().col(e)));
-        });
-    s.part_dd = EdgePartition::build(
-        lg.dd(), delta, [&](std::size_t r, std::uint64_t e) {
-          return weight(lg.dd_weights(), e,
-                        delegates.vertex_of(static_cast<LocalId>(r)),
-                        delegates.vertex_of(lg.dd().col(e)));
-        });
-
-    // Seed the source into bucket 0: a delegate activates on every GPU
-    // (replicated buckets); a normal vertex on its owner only.
-    const LocalId src_delegate = delegates.delegate_id(source_);
-    if (src_delegate != kInvalidLocal) {
-      s.dist_delegate[src_delegate] = 0;
-      s.delegate_buckets.insert(src_delegate, 0);
-    } else if (spec.owner_global_gpu(source_) == ctx.gpu) {
-      const LocalId local = static_cast<LocalId>(spec.local_index(source_));
-      s.dist_normal[local] = 0;
-      s.normal_buckets.insert(local, 0);
-    }
-    return state;
-  }
-
-  std::uint64_t state_bytes(const engine::GpuContext& ctx,
-                            const State& s) const {
-    // Distance + candidate + settled-stamp arrays, plus the edge partitions.
-    return (2 * graph_.local(ctx.gpu).num_local_normals() +
-            3ULL * graph_.num_delegates()) *
-               8 +
-           s.part_nn.bytes() + s.part_nd.bytes() + s.part_dn.bytes() +
-           s.part_dd.bytes();
-  }
-
-  /// Epoch checkpoint: the state is value-typed (buckets, partitions and
-  /// all), so a copy is the snapshot.
-  using Snapshot = State;
-  Snapshot snapshot(engine::GpuContext&, const State& s) const { return s; }
-  void restore(engine::GpuContext&, State& s, const Snapshot& snap) {
-    s = snap;
-  }
-
-  void previsit(engine::GpuContext& ctx, State& s, int iteration) {
-    s.iter = sim::GpuIterationCounters{};
-    std::copy(s.dist_delegate.begin(), s.dist_delegate.end(),
-              s.delegate_cand.begin());
-    s.next_normals.clear();
-    s.next_delegates.clear();
-    s.heavy_round = false;
-
-    if (s.mode == Mode::kOpenBucket) {
-      // Cluster-wide agreement on the next bucket: min of every GPU's
-      // smallest valid bucket (kNoBucket when a GPU is drained).
-      std::uint64_t word =
-          std::min(s.normal_buckets.min_bucket(s.dist_normal),
-                   s.delegate_buckets.min_bucket(s.dist_delegate));
-      ctx.comm.allreduce_min_words(
-          ctx.gpu, std::span<std::uint64_t>(&word, 1),
-          engine::TagBlocks::user(iteration));
-      s.iter.bucket_coordination = true;
-      if (word == kNoBucket) {
-        s.mode = Mode::kDone;
-      } else {
-        s.current_bucket = word;
-        ++s.epoch;
-        s.fresh_normals = s.normal_buckets.take(word, s.dist_normal);
-        s.fresh_delegates = s.delegate_buckets.take(word, s.dist_delegate);
-        s.settled_normals.clear();
-        s.settled_delegates.clear();
-        s.mode = Mode::kLight;
-      }
-    } else if (s.mode == Mode::kLight) {
-      // Light loop continuation test: any vertex anywhere re-entered the
-      // open bucket?  Zero promotes this round to the bucket's heavy round.
-      const std::uint64_t mine =
-          s.fresh_normals.size() + s.fresh_delegates.size();
-      const std::uint64_t total = ctx.comm.allreduce_sum(
-          ctx.gpu, mine, engine::TagBlocks::user(iteration));
-      s.iter.bucket_coordination = true;
-      s.heavy_round = (total == 0);
-    }
-
-    const bool open = s.mode == Mode::kLight;
-    s.iter.bucket_plus_one = open ? s.current_bucket + 1 : 0;
-    s.iter.heavy_phase = s.heavy_round;
-    s.value_bias = (open && options_.compress && options_.bucket_bias)
-                       ? s.normal_buckets.bucket_base(s.current_bucket)
-                       : 0;
-    const auto& active_d = s.heavy_round ? s.settled_delegates : s.fresh_delegates;
-    const auto& active_n = s.heavy_round ? s.settled_normals : s.fresh_normals;
-    s.iter.dprev_vertices = open ? active_d.size() : 0;
-    s.iter.nprev_vertices = open ? active_n.size() : 0;
-  }
-
-  void visit(engine::GpuContext& ctx, State& s, int) {
-    if (s.mode != Mode::kLight) return;  // kDone: nothing left to relax
-    const sim::ClusterSpec& spec = graph_.spec();
-    const graph::LocalGraph& lg = graph_.local(ctx.gpu);
-    const graph::DelegateInfo& delegates = graph_.delegates();
-    const std::uint64_t p = static_cast<std::uint64_t>(ctx.total_gpus);
-    const bool heavy = s.heavy_round;
-    const auto global_of = [&](LocalId v) {
-      return spec.global_vertex(ctx.me.rank, ctx.me.gpu, v);
-    };
-    const auto span_of = [heavy](const EdgePartition& part, LocalId row) {
-      return heavy ? part.heavy(row) : part.light(row);
-    };
-    std::uint64_t& phase_edges = heavy ? s.iter.heavy_edges : s.iter.light_edges;
-
-    const std::vector<LocalId>& active_normals =
-        heavy ? s.settled_normals : s.fresh_normals;
-    const std::vector<LocalId>& active_delegates =
-        heavy ? s.settled_delegates : s.fresh_delegates;
-
-    // Light rounds settle their inputs: anything relaxed while the bucket
-    // is open gets exactly one heavy round at its (then final) distance.
-    if (!heavy) {
-      for (const LocalId v : active_normals) {
-        if (s.settled_epoch_normal[v] != s.epoch) {
-          s.settled_epoch_normal[v] = s.epoch;
-          s.settled_normals.push_back(v);
-        }
-      }
-      for (const LocalId t : active_delegates) {
-        if (s.settled_epoch_delegate[t] != s.epoch) {
-          s.settled_epoch_delegate[t] = s.epoch;
-          s.settled_delegates.push_back(t);
-        }
-      }
-    }
-
-    // ---- nn relaxations: candidates travel to the owner. -----------------
-    {
-      sim::KernelCounters& k = s.iter.nn;
-      k.launched = !active_normals.empty();
-      for (const LocalId v : active_normals) {
-        const std::uint64_t dist = s.dist_normal[v];
-        const VertexId v_global = global_of(v);
-        for (const EdgeId e : span_of(s.part_nn, v)) {
-          const VertexId dst = lg.nn().col(e);
-          const std::uint64_t cand =
-              dist + weight(lg.nn_weights(), e, v_global, dst);
-          s.bins[static_cast<std::size_t>(spec.owner_global_gpu(dst))]
-              .push_back(
-                  comm::VertexUpdate{static_cast<LocalId>(dst / p), cand});
-          ++k.edges;
-        }
-      }
-      k.vertices = active_normals.size();
-      phase_edges += k.edges;
-    }
-
-    // ---- nd relaxations: normals push into the replicated candidates. ----
-    {
-      sim::KernelCounters& k = s.iter.nd;
-      k.launched = !active_normals.empty();
-      for (const LocalId v : active_normals) {
-        const std::uint64_t dist = s.dist_normal[v];
-        const VertexId v_global = global_of(v);
-        for (const EdgeId e : span_of(s.part_nd, v)) {
-          const LocalId c = lg.nd().col(e);
-          const std::uint64_t cand =
-              dist +
-              weight(lg.nd_weights(), e, v_global, delegates.vertex_of(c));
-          if (cand < s.delegate_cand[c]) s.delegate_cand[c] = cand;
-          ++k.edges;
-        }
-      }
-      k.vertices = active_normals.size();
-      phase_edges += k.edges;
-    }
-
-    // ---- dd relaxations: delegates push into the candidates. -------------
-    {
-      sim::KernelCounters& k = s.iter.dd;
-      k.launched = !active_delegates.empty();
-      for (const LocalId t : active_delegates) {
-        const std::uint64_t dist = s.dist_delegate[t];
-        const VertexId t_global = delegates.vertex_of(t);
-        for (const EdgeId e : span_of(s.part_dd, t)) {
-          const LocalId c = lg.dd().col(e);
-          const std::uint64_t cand =
-              dist +
-              weight(lg.dd_weights(), e, t_global, delegates.vertex_of(c));
-          if (cand < s.delegate_cand[c]) s.delegate_cand[c] = cand;
-          ++k.edges;
-        }
-      }
-      k.vertices = active_delegates.size();
-      phase_edges += k.edges;
-    }
-
-    // ---- dn relaxations: delegates push into local normal distances. -----
-    {
-      sim::KernelCounters& k = s.iter.dn;
-      k.launched = !active_delegates.empty();
-      for (const LocalId t : active_delegates) {
-        const std::uint64_t dist = s.dist_delegate[t];
-        const VertexId t_global = delegates.vertex_of(t);
-        for (const EdgeId e : span_of(s.part_dn, t)) {
-          const LocalId v = lg.dn().col(e);
-          const std::uint64_t cand =
-              dist + weight(lg.dn_weights(), e, t_global, global_of(v));
-          if (cand < s.dist_normal[v]) {
-            s.dist_normal[v] = cand;
-            s.next_normals.push_back(v);
-          }
-          ++k.edges;
-        }
-      }
-      k.vertices = active_delegates.size();
-      phase_edges += k.edges;
-    }
-  }
-
-  void reduce(engine::GpuContext& ctx, State& s, int iteration) {
-    // Global delegate distance min-reduction (d x 8 bytes); every GPU then
-    // derives the identical improved-delegate set, keeping the replicated
-    // delegate buckets in lockstep.
-    const LocalId d = graph_.num_delegates();
-    ctx.comm.value_reducer().reduce(
-        ctx.me, std::span<std::uint64_t>(s.delegate_cand.data(), d),
-        comm::ValueReducer::Op::kMin, iteration);
-    s.iter.delegate_update = true;
-    for (LocalId t = 0; t < d; ++t) {
-      if (s.delegate_cand[t] < s.dist_delegate[t]) {
-        s.dist_delegate[t] = s.delegate_cand[t];
-        s.next_delegates.push_back(t);
-      }
-    }
-  }
-
-  void exchange(engine::GpuContext& ctx, State& s, int iteration) {
-    // Runs on the normal stream, concurrent with `reduce` on the delegate
-    // stream: touches only normal-distance state.
-    const auto updates = ctx.comm.exchange_value_updates(
-        ctx.me, s.bins, iteration,
-        {.combine = options_.uniquify ? comm::UpdateCombine::kMin
-                                      : comm::UpdateCombine::kNone,
-         .compress = options_.compress,
-         .value_bias = s.value_bias,
-         .topology = options_.exchange_topology,
-         .retry = options_.resilience.retry},
-        s.iter);
-    for (const comm::VertexUpdate& u : updates) {
-      if (u.value < s.dist_normal[u.vertex]) {
-        s.dist_normal[u.vertex] = u.value;
-        s.next_normals.push_back(u.vertex);
-      }
-    }
-  }
-
-  std::uint64_t contribution(engine::GpuContext& ctx, State& s, int) {
-    // Join the overlapped reduce/exchange: both feed the control word.
-    ctx.delegate_stream.synchronize();
-    ctx.normal_stream.synchronize();
-    // Remaining work: this round's improvements, everything still queued in
-    // buckets (stale entries only delay termination by the final pruning
-    // round), and the open bucket's pending heavy round.
-    const std::uint64_t heavy_pending =
-        (s.mode == Mode::kLight && !s.heavy_round) ? 1 : 0;
-    return s.next_normals.size() + s.next_delegates.size() +
-           s.normal_buckets.entry_count() + s.delegate_buckets.entry_count() +
-           heavy_pending;
-  }
-
-  void post_reduce(engine::GpuContext&, State&, int, std::uint64_t) {}
-
-  bool end_iteration(engine::GpuContext&, State& s, int,
-                     std::uint64_t control) {
-    if (s.mode == Mode::kLight) {
-      // Classify this round's improvements: back into the open bucket
-      // (the next light sub-round's input) or into a future bucket.
-      // A vertex may improve several times in one round; dedup first.
-      std::sort(s.next_normals.begin(), s.next_normals.end());
-      s.next_normals.erase(
-          std::unique(s.next_normals.begin(), s.next_normals.end()),
-          s.next_normals.end());
-      s.fresh_normals.clear();
-      s.fresh_delegates.clear();
-      for (const LocalId v : s.next_normals) {
-        const std::uint64_t b = s.normal_buckets.bucket_of(s.dist_normal[v]);
-        if (!s.heavy_round && b == s.current_bucket) {
-          s.fresh_normals.push_back(v);
-        } else {
-          s.normal_buckets.insert(v, s.dist_normal[v]);
-        }
-      }
-      for (const LocalId t : s.next_delegates) {
-        const std::uint64_t b =
-            s.delegate_buckets.bucket_of(s.dist_delegate[t]);
-        if (!s.heavy_round && b == s.current_bucket) {
-          s.fresh_delegates.push_back(t);
-        } else {
-          s.delegate_buckets.insert(t, s.dist_delegate[t]);
-        }
-      }
-      // The heavy round closes the bucket; the next previsit agrees on the
-      // next one.
-      if (s.heavy_round) s.mode = Mode::kOpenBucket;
-    }
-    s.next_normals.clear();
-    s.next_delegates.clear();
-    return control == 0;
-  }
-
-  bool collect_counters() const { return options_.collect_counters; }
-  sim::GpuIterationCounters iteration_counters(const State& s) const {
-    return s.iter;
-  }
-
-  void finalize(engine::GpuContext&, State&, int) {}
-
- private:
-  /// Weight of subgraph edge `e`: the stored per-edge array when the graph
-  /// carries weights, otherwise the deterministic endpoint-pair hash.
-  std::uint32_t weight(const std::vector<std::uint32_t>& stored,
-                       std::uint64_t e, VertexId u, VertexId v) const {
-    return stored.empty() ? util::edge_weight(u, v, options_.max_weight)
-                          : stored[e];
-  }
-
-  const graph::DistributedGraph& graph_;
-  const DeltaSsspOptions& options_;
-  VertexId source_;
-};
+/// The single-source options as the W = 1 batched run at 64-bit values.
+BatchSsspOptions batch_options(const DeltaSsspOptions& o) {
+  return {.delta = o.delta,
+          .max_weight = o.max_weight,
+          .value_bits = 64,
+          .overlap = o.overlap,
+          .uniquify = o.uniquify,
+          .compress = o.compress,
+          .bucket_bias = o.bucket_bias,
+          .exchange_topology = o.exchange_topology,
+          .collect_counters = o.collect_counters,
+          .device_model = o.device_model,
+          .net_model = o.net_model,
+          .resilience = o.resilience};
+}
 
 }  // namespace
 
 DistributedDeltaSssp::DistributedDeltaSssp(
     const graph::DistributedGraph& graph, sim::Cluster& cluster,
     DeltaSsspOptions options)
-    : graph_(graph), cluster_(cluster), options_(options) {
-  engine::check_specs_match(graph, cluster);
-  if (options_.delta == 0) {
-    throw std::invalid_argument("delta_sssp delta must be at least 1");
-  }
-  if (options_.max_weight == 0) {
-    throw std::invalid_argument("delta_sssp max_weight must be at least 1");
-  }
-}
+    : options_(options), batch_(graph, cluster, batch_options(options)) {}
 
 DeltaSsspResult DistributedDeltaSssp::run(VertexId source) {
-  if (source >= graph_.num_vertices()) {
-    throw std::out_of_range("delta_sssp source out of range");
-  }
-  const sim::ClusterSpec spec = graph_.spec();
-  const int p = spec.total_gpus();
-  const LocalId d = graph_.num_delegates();
-
-  DeltaSsspAlgorithm algo(graph_, options_, source);
-  engine::IterativeEngine<DeltaSsspAlgorithm> engine(
-      graph_, cluster_,
-      {.overlap = options_.overlap, .resilience = options_.resilience});
-  auto run = engine.run(algo);
-
-  // ---- Gather. ----------------------------------------------------------
-  DeltaSsspResult result;
-  result.measured_ms = run.measured_ms;
-  result.iterations = run.iterations;
-  result.distances.assign(graph_.num_vertices(), kInfiniteDistance);
-  for (int g = 0; g < p; ++g) {
-    const auto& s = run.state(g);
-    const sim::GpuCoord me = spec.coord_of(g);
-    for (std::uint64_t v = 0; v < s.dist_normal.size(); ++v) {
-      result.distances[spec.global_vertex(me.rank, me.gpu, v)] =
-          s.dist_normal[v];
-    }
-  }
-  const auto& s0 = run.state(0);
-  for (LocalId t = 0; t < d; ++t) {
-    result.distances[graph_.delegates().vertex_of(t)] = s0.dist_delegate[t];
-  }
-
-  // ---- Model. ------------------------------------------------------------
-  if (options_.collect_counters) {
-    ValueAppMetrics vm = assemble_value_app_metrics(
-        graph_, run.histories, options_.overlap, options_.device_model,
-        options_.net_model);
-    result.update_bytes_remote = vm.update_bytes_remote;
-    result.reduce_bytes = vm.reduce_bytes;
-    result.buckets_processed = vm.buckets_processed;
-    result.light_iterations = vm.light_iterations;
-    result.heavy_iterations = vm.heavy_iterations;
-    result.light_relaxations = vm.light_relaxations;
-    result.heavy_relaxations = vm.heavy_relaxations;
-    result.modeled = vm.modeled;
-    result.modeled_ms = vm.modeled_ms;
-    result.counters = std::move(vm.counters);
-  }
-  result.fault = run.fault;
-  return result;
+  BatchSsspResult b = batch_.run({source});
+  DeltaSsspResult r;
+  r.distances = std::move(b.distances[0]);
+  r.iterations = b.iterations;
+  r.buckets_processed = b.buckets_processed;
+  r.light_iterations = b.light_iterations;
+  r.heavy_iterations = b.heavy_iterations;
+  r.light_relaxations = b.light_relaxations;
+  r.heavy_relaxations = b.heavy_relaxations;
+  r.measured_ms = b.measured_ms;
+  r.modeled_ms = b.modeled_ms;
+  r.modeled = b.modeled;
+  r.update_bytes_remote = b.update_bytes_remote;
+  r.reduce_bytes = b.reduce_bytes;
+  r.fault = std::move(b.fault);
+  r.counters = std::move(b.counters);
+  return r;
 }
 
 }  // namespace dsbfs::core

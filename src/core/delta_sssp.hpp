@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/batch_sssp.hpp"
 #include "core/config.hpp"
 #include "graph/builder.hpp"
 #include "sim/cluster.hpp"
@@ -13,37 +14,20 @@
 /// degree-separated substrate -- the bucketed bridge between the paper's
 /// frontier-based BFS and the label-correcting Bellman-Ford of core::sssp.
 ///
-/// ## Mapping onto the iterative engine
-///
 /// Delta-stepping partitions tentative distances into buckets of width
 /// `delta` and edges into *light* (weight <= delta) and *heavy* (weight >
 /// delta) classes; bucket `b` is processed as a loop of light-edge rounds
 /// until no vertex remains in `b`, then one heavy-edge round over
-/// everything settled in `b`.  Each engine iteration is one such round:
+/// everything settled in `b`.  A single-source run is the W = 1 instance of
+/// the batched engine (core/batch_sssp.hpp, which documents the mapping onto
+/// the iterative engine) at 64-bit values: every record is a bare
+/// (id, distance) pair, and the delegate reduction is a d-word MIN.
 ///
-///   * the previsit agrees cluster-wide on what the round is -- a
-///     next-bucket MIN allreduce when the previous bucket closed, or a
-///     light-work SUM allreduce that decides "another light sub-round" vs
-///     "the heavy round" (`GpuIterationCounters::bucket_coordination`; the
-///     perf model charges it as a small collective gating the round);
-///   * the visit relaxes the phase's edge class of the round's active set,
-///     reading a precomputed per-subgraph light/heavy `core::EdgePartition`
-///     so light rounds touch light edge mass only;
-///   * `reduce` / `exchange` / termination are inherited unchanged from the
-///     engine: delegate distance candidates MIN-reduce on the delegate
-///     stream concurrently with the (id, tentative distance) update
-///     exchange on the normal stream, min-coalesced per bin and optionally
-///     compressed -- with `bucket_bias`, compressed values ride the wire
-///     biased by the open bucket's base distance, which is where bucketed
-///     frontiers make the varint payloads smallest.
-///
-/// Vertices wait in per-GPU `core::BucketState` queues (delegate buckets
-/// are replicated and stay identical on every GPU because delegate
-/// distances come out of the global reduction).  Converged distances are
-/// the unique shortest paths: bit-identical to `core::sssp`, to
-/// `baseline::serial_delta_sssp`, and to serial Bellman-Ford for every
-/// delta.  `delta == kInfiniteDistance` degenerates to a single bucket and
-/// no heavy edges, i.e. exactly the Bellman-Ford round structure.
+/// Converged distances are the unique shortest paths: bit-identical to
+/// `core::sssp`, to `baseline::serial_delta_sssp`, and to serial
+/// Bellman-Ford for every delta.  `delta == kInfiniteDistance` degenerates
+/// to a single bucket and no heavy edges, i.e. exactly the Bellman-Ford
+/// round structure.
 ///
 /// Weight sources follow core::sssp: stored per-edge arrays when the graph
 /// `weighted()`, the hashed endpoint-pair fallback otherwise.  Relaxation
@@ -126,9 +110,8 @@ class DistributedDeltaSssp {
   DeltaSsspResult run(VertexId source);
 
  private:
-  const graph::DistributedGraph& graph_;
-  sim::Cluster& cluster_;
   DeltaSsspOptions options_;
+  DistributedBatchSssp batch_;  // the W = 1, 64-bit instance
 };
 
 }  // namespace dsbfs::core

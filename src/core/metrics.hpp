@@ -42,7 +42,6 @@ struct RunMetrics {
   std::uint64_t exchange_remote_bytes = 0;
   std::uint64_t exchange_local_bytes = 0;
   std::uint64_t mask_reduce_bytes = 0;  // modeled volume: 2 * d/8 * prank * S'
-  std::uint64_t duplicates_removed = 0;
 
   /// Hardened-wire recovery work, summed over GPUs and iterations (all zero
   /// on a clean transport).

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -220,6 +221,32 @@ TEST(BatchBfs, DuplicateSourcesProduceIdenticalLanes) {
   ASSERT_EQ(r.distances.size(), 3u);
   EXPECT_EQ(r.distances[0], r.distances[1]);
   EXPECT_EQ(r.distances[0], r.distances[2]);
+}
+
+TEST(BatchBfs, SampleSourceRejectsGraphsWithoutEdges) {
+  // Source sampling draws until it hits a vertex with an out-edge; with
+  // none to hit it must fail loudly instead of drawing forever.
+  graph::EdgeList g;
+  g.num_vertices = 8;
+  sim::ClusterSpec spec;
+  spec.num_ranks = 2;
+  spec.gpus_per_rank = 1;
+  sim::Cluster cluster(spec);
+  const graph::DistributedGraph dg = build_distributed(g, spec, 16);
+  EXPECT_THROW(DistributedBfs(dg, cluster).sample_source(1),
+               std::invalid_argument);
+  EXPECT_THROW(DistributedBatchBfs(dg, cluster, {}).sample_source(1),
+               std::invalid_argument);
+
+  // One edge is enough: every draw lands on one of its endpoints.
+  g.add(2, 5);
+  g.add(5, 2);
+  const graph::DistributedGraph one_edge = build_distributed(g, spec, 16);
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    const VertexId s = DistributedBfs(one_edge, cluster).sample_source(k);
+    EXPECT_TRUE(s == 2 || s == 5) << s;
+    EXPECT_EQ(DistributedBatchBfs(one_edge, cluster, {}).sample_source(k), s);
+  }
 }
 
 TEST(BatchBfs, UniquifyCutsWireBytesAndStaysBitExact) {

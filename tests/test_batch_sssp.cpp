@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "baseline/host_apps.hpp"
-#include "core/delta_sssp.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/rmat.hpp"
@@ -96,34 +95,6 @@ INSTANTIATE_TEST_SUITE_P(
         BatchCase{"w8_butterfly", 8, sim::ExchangeTopology::kButterfly},
         BatchCase{"w64_butterfly", 64, sim::ExchangeTopology::kButterfly}),
     [](const auto& info) { return info.param.name; });
-
-TEST(BatchSssp, WidthOneAt64BitsReproducesSingleSourceRun) {
-  // W = 1 with full-width lanes is the single-source algorithm on the
-  // batched substrate: same union schedule (one lane's schedule *is* the
-  // union), same wire records, same counters.
-  const graph::EdgeList g = graph::rmat_graph500({.scale = 8, .seed = 21});
-  const auto spec = spec_of(2, 2);
-  sim::Cluster cluster(spec);
-  const graph::DistributedGraph dg = graph::build_distributed(g, spec, 16);
-  const VertexId source = 1;
-
-  const DeltaSsspResult single =
-      DistributedDeltaSssp(dg, cluster, {.delta = 5}).run(source);
-  const BatchSsspResult batched =
-      DistributedBatchSssp(dg, cluster, {.delta = 5, .value_bits = 64})
-          .run({source});
-
-  ASSERT_EQ(batched.distances.size(), 1u);
-  ASSERT_EQ(batched.distances[0], single.distances);
-  EXPECT_EQ(batched.iterations, single.iterations);
-  EXPECT_EQ(batched.buckets_processed, single.buckets_processed);
-  EXPECT_EQ(batched.light_iterations, single.light_iterations);
-  EXPECT_EQ(batched.heavy_iterations, single.heavy_iterations);
-  EXPECT_EQ(batched.light_relaxations, single.light_relaxations);
-  EXPECT_EQ(batched.heavy_relaxations, single.heavy_relaxations);
-  EXPECT_EQ(batched.update_bytes_remote, single.update_bytes_remote);
-  EXPECT_EQ(batched.reduce_bytes, single.reduce_bytes);
-}
 
 TEST(BatchSssp, NarrowLanesMatchWideLanesAndCompressIsBitExact) {
   // value_bits only changes the wire/packing, never the distances; the

@@ -37,38 +37,43 @@ TEST(BucketState, RejectsZeroDelta) {
 TEST(BucketState, TakeReturnsSortedUniqueValidEntries) {
   BucketState b(10);
   std::vector<std::uint64_t> dist = {5, 7, 25, kInfiniteDistance};
+  const auto dist_of = [&](LocalId v) { return dist[v]; };
   b.insert(1, dist[1]);
   b.insert(0, dist[0]);
   b.insert(1, dist[1]);  // duplicate insert of the same vertex
   b.insert(2, dist[2]);
   EXPECT_EQ(b.entry_count(), 4u);
 
-  const auto got = b.take(0, dist);
+  const auto got = b.take_with(0, dist_of);
   EXPECT_EQ(got, (std::vector<LocalId>{0, 1}));
-  EXPECT_EQ(b.take(0, dist), std::vector<LocalId>{});  // bucket consumed
-  EXPECT_EQ(b.take(2, dist), std::vector<LocalId>{2});
+  EXPECT_EQ(b.take_with(0, dist_of),
+            std::vector<LocalId>{});  // bucket consumed
+  EXPECT_EQ(b.take_with(2, dist_of), std::vector<LocalId>{2});
   EXPECT_EQ(b.entry_count(), 0u);
 }
 
 TEST(BucketState, StaleEntriesAreDroppedAgainstCurrentDistances) {
   BucketState b(10);
   std::vector<std::uint64_t> dist = {35, 0};
+  const auto dist_of = [&](LocalId v) { return dist[v]; };
   b.insert(0, dist[0]);  // queued in bucket 3...
   dist[0] = 12;          // ...then improved into bucket 1 behind its back
   b.insert(0, dist[0]);
-  EXPECT_EQ(b.min_bucket(dist), 1u);
-  EXPECT_EQ(b.take(1, dist), std::vector<LocalId>{0});
-  // The bucket-3 entry is now stale; min_bucket prunes it and reports empty.
-  EXPECT_EQ(b.min_bucket(dist), kNoBucket);
+  EXPECT_EQ(b.min_bucket_with(dist_of), 1u);
+  EXPECT_EQ(b.take_with(1, dist_of), std::vector<LocalId>{0});
+  // The bucket-3 entry is now stale; min_bucket_with prunes it and reports
+  // empty.
+  EXPECT_EQ(b.min_bucket_with(dist_of), kNoBucket);
   EXPECT_EQ(b.entry_count(), 0u);
 }
 
 TEST(BucketState, MinBucketFindsSmallestValidAndCountsInserts) {
   BucketState b(2);
   std::vector<std::uint64_t> dist = {9, 4, 2};
+  const auto dist_of = [&](LocalId v) { return dist[v]; };
   b.insert(0, dist[0]);
   b.insert(2, dist[2]);
-  EXPECT_EQ(b.min_bucket(dist), 1u);
+  EXPECT_EQ(b.min_bucket_with(dist_of), 1u);
   EXPECT_EQ(b.inserted_total(), 2u);
 }
 

@@ -251,6 +251,53 @@ TEST(DeltaSssp, ExchangeOptionsAreBitExactAndBiasShrinksWire) {
   EXPECT_LE(r2.update_bytes_remote, r1.update_bytes_remote);
 }
 
+/// Every result scalar of one fixed run per exchange variant, pinned: the
+/// facade is the W = 1, 64-bit instance of the batched engine, and these
+/// values are the ones the dedicated single-source engine produced before
+/// it was folded into it.  A change here is a change of the algorithm's
+/// rounds, relaxations, wire or model.
+TEST(DeltaSssp, GoldenCountersAcrossExchangeVariants) {
+  struct Golden {
+    const char* name;
+    DeltaSsspOptions options;
+    std::uint64_t update_bytes_remote;
+    double modeled_ms;
+  };
+  const Golden goldens[] = {
+      {"default", {.delta = 5}, 564, 0.83735765028507281},
+      {"compress_bucket_bias",
+       {.delta = 5, .compress = true, .bucket_bias = true},
+       94,
+       0.84697513230698085},
+      {"butterfly",
+       {.delta = 5, .exchange_topology = sim::ExchangeTopology::kButterfly},
+       1068,
+       1.2495481243780335},
+  };
+  const graph::EdgeList g = graph::rmat_graph500({.scale = 8, .seed = 21});
+  const auto spec = spec_of(2, 2);
+  sim::Cluster cluster(spec);
+  const graph::DistributedGraph dg = graph::build_distributed(g, spec, 16);
+  const auto oracle =
+      baseline::serial_delta_sssp(graph::build_host_csr(g), 1, 5);
+  for (const Golden& gold : goldens) {
+    SCOPED_TRACE(gold.name);
+    const DeltaSsspResult r =
+        DistributedDeltaSssp(dg, cluster, gold.options).run(1);
+    ASSERT_EQ(r.distances, oracle);
+    EXPECT_EQ(r.iterations, 14);
+    EXPECT_EQ(r.buckets_processed, 4u);
+    EXPECT_EQ(r.light_iterations, 10);
+    EXPECT_EQ(r.heavy_iterations, 4);
+    EXPECT_EQ(r.light_relaxations, 2797u);
+    EXPECT_EQ(r.heavy_relaxations, 5472u);
+    EXPECT_EQ(r.update_bytes_remote, gold.update_bytes_remote);
+    EXPECT_EQ(r.reduce_bytes, 41216u);
+    // A floating-point sum over the replayed timeline: pinned to rounding.
+    EXPECT_NEAR(r.modeled_ms, gold.modeled_ms, 1e-12 * gold.modeled_ms);
+  }
+}
+
 TEST(DeltaSssp, UnreachableVerticesReportInfinity) {
   graph::EdgeList g;
   g.num_vertices = 8;
