@@ -88,10 +88,9 @@ void BM_MaskReduce(benchmark::State& state) {
 }
 BENCHMARK(BM_MaskReduce)->Range(1 << 10, 1 << 20);
 
-void BM_NormalExchange(benchmark::State& state) {
+void BM_IdExchange(benchmark::State& state) {
   const auto spec = spec_of(2, 2);
   comm::Transport t(spec);
-  comm::NormalExchange ex(t, spec);
   const std::size_t per_bin = static_cast<std::size_t>(state.range(0));
   const bool use_l = state.range(1) != 0;
   int iteration = 0;
@@ -104,8 +103,9 @@ void BM_NormalExchange(benchmark::State& state) {
           bin.assign(per_bin, static_cast<LocalId>(g));
         }
         comm::ExchangeCounters counters;
-        benchmark::DoNotOptimize(ex.exchange(spec.coord_of(g), bins, iteration,
-                                             {use_l, use_l}, counters));
+        benchmark::DoNotOptimize(comm::exchange_ids(
+            t, spec, spec.coord_of(g), bins, iteration, {use_l, use_l},
+            counters));
       });
     }
     for (auto& th : threads) th.join();
@@ -115,7 +115,7 @@ void BM_NormalExchange(benchmark::State& state) {
                           static_cast<std::int64_t>(per_bin) * 16);
   state.SetLabel(use_l ? "local-all2all + uniquify" : "direct");
 }
-BENCHMARK(BM_NormalExchange)
+BENCHMARK(BM_IdExchange)
     ->Args({1 << 10, 0})
     ->Args({1 << 10, 1})
     ->Args({1 << 16, 0})

@@ -12,30 +12,6 @@ namespace dsbfs::comm {
 
 namespace {
 
-/// Pack 32-bit ids two per 64-bit word with a count header.  The 4-bytes-
-/// per-vertex wire format is what makes the paper's 4|Enn| communication
-/// volume hold; tests check the transport byte counters against it.
-std::vector<std::uint64_t> pack_ids(const std::vector<LocalId>& ids) {
-  std::vector<std::uint64_t> out;
-  out.reserve(1 + (ids.size() + 1) / 2);
-  out.push_back(ids.size());
-  for (std::size_t i = 0; i + 1 < ids.size(); i += 2) {
-    out.push_back(static_cast<std::uint64_t>(ids[i]) |
-                  (static_cast<std::uint64_t>(ids[i + 1]) << 32));
-  }
-  if (ids.size() % 2 == 1) {
-    out.push_back(static_cast<std::uint64_t>(ids.back()));
-  }
-  return out;
-}
-
-std::uint64_t uniquify_bin(std::vector<LocalId>& bin) {
-  const std::size_t before = bin.size();
-  std::sort(bin.begin(), bin.end());
-  bin.erase(std::unique(bin.begin(), bin.end()), bin.end());
-  return before - bin.size();
-}
-
 /// Coalesce candidates sharing a destination vertex with the bin's combine;
 /// leaves the bin sorted by vertex id.  Returns the number removed.
 /// `lane_value_bits` is the sub-lane width of the kLaneMin/kLaneSum packed
@@ -129,7 +105,7 @@ std::vector<std::uint64_t> pack_updates_compressed(
 // Ids still travel as zigzag varint deltas (the same id stream the
 // delta+varint encoder ships), written before the byte-aligned value bit
 // stream, so the [count, byte_count, bytes LE] header -- and with it the
-// hop traits and the adaptive flag word -- carry over unchanged.
+// hop accounting and the adaptive flag word -- carry over unchanged.
 
 struct BitWriter {
   std::vector<std::uint8_t>& bytes;
@@ -241,47 +217,125 @@ std::vector<std::uint64_t> pack_updates_raw(
   return words;
 }
 
-/// Per-bin coalesce with the historic counter charges; no-op for kNone.
-std::uint64_t coalesce_with_counters(std::vector<VertexUpdate>& bin,
-                                     const UpdateExchangeOptions& options,
-                                     std::uint64_t record_bytes,
-                                     ExchangeCounters& counters) {
-  if (options.combine == UpdateCombine::kNone) return 0;
-  counters.uniquify_vertices += bin.size();
-  counters.uniquify_bytes += bin.size() * record_bytes;
-  const std::uint64_t removed =
-      coalesce_bin(bin, options.combine, options.lane_value_bits);
-  counters.duplicates_removed += removed;
-  return removed;
-}
-
 struct EncodedBin {
   std::vector<std::uint64_t> words;
   /// Logical payload bytes by the historic counting rules (encoded byte
   /// count when compressed, records * record_bytes raw; the adaptive flag
-  /// word is not counted, matching the flat exchange).
+  /// word is not counted).
   std::uint64_t payload_bytes = 0;
 };
 
-/// Encode one (already coalesced) update bin exactly like the flat
-/// exchange: raw pairs, delta+varint, or the adaptive raw-vs-encoded choice
-/// behind a flag word.  Charges the encode/adaptive counters.  Shared by
-/// the flat path and the per-hop re-encoders of the multi-hop topologies so
-/// the wire format cannot drift between them.
-EncodedBin encode_update_payload(const std::vector<VertexUpdate>& bin,
-                                 const UpdateExchangeOptions& options,
-                                 std::uint64_t record_bytes,
-                                 ExchangeCounters& counters) {
-  EncodedBin out;
-  if (options.compress && options.adaptive) {
-    // Trial-encode, ship whichever representation is smaller; a one-word
-    // header flags the choice for the receiver.  The encode kernel ran
-    // either way, so it is charged either way.
-    counters.encode_bytes += bin.size() * record_bytes;
-    const std::uint64_t raw_bytes = bin.size() * record_bytes;
+// ---- record kinds ---------------------------------------------------------
+// One exchange implementation (flat with optional local all2all, or
+// multi-hop) serves both record kinds; a kind owns everything that depends
+// on the record: the per-bin merge, the payload encoding, its decoder, and
+// the header reads the hop accounting needs.
+
+/// Bare destination-local ids, packed two per 64-bit word behind a count
+/// header.  The 4-bytes-per-vertex wire format is what makes the paper's
+/// 4|Enn| communication volume hold; tests check the byte counters against
+/// it.  The merge is the U option's uniquify.
+struct IdRecords {
+  using Record = LocalId;
+  const ExchangeOptions& opt;
+
+  bool local_all2all() const { return opt.local_all2all; }
+  std::uint64_t record_bytes() const { return 4; }
+  bool coalesces() const { return opt.uniquify; }
+  bool mergeable() const { return opt.uniquify; }
+
+  std::uint64_t merge(std::vector<LocalId>& ids) const {
+    const std::size_t before = ids.size();
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    return before - ids.size();
+  }
+
+  EncodedBin encode(const std::vector<LocalId>& ids, ExchangeCounters&) const {
+    EncodedBin out;
+    out.words.reserve(1 + (ids.size() + 1) / 2);
+    out.words.push_back(ids.size());
+    for (std::size_t i = 0; i + 1 < ids.size(); i += 2) {
+      out.words.push_back(static_cast<std::uint64_t>(ids[i]) |
+                          (static_cast<std::uint64_t>(ids[i + 1]) << 32));
+    }
+    if (ids.size() % 2 == 1) {
+      out.words.push_back(static_cast<std::uint64_t>(ids.back()));
+    }
+    out.payload_bytes = ids.size() * 4;
+    return out;
+  }
+
+  /// Decode the payload starting at words[pos], advance pos past it, and
+  /// return its logical bytes.
+  std::uint64_t decode(std::span<const std::uint64_t> words, std::size_t& pos,
+                       std::vector<LocalId>& out) const {
+    const std::size_t before = out.size();
+    decode_ids(words, pos, out);
+    return (out.size() - before) * 4;
+  }
+
+  std::uint64_t record_count(const std::vector<std::uint64_t>& words) const {
+    return words.empty() ? 0 : words[0];
+  }
+
+  std::uint64_t logical_bytes(const std::vector<std::uint64_t>& words) const {
+    return record_count(words) * 4;
+  }
+};
+
+/// (id, value) updates: merged by the caller's combine, shipped as raw
+/// pairs, delta+varint or Gorilla, or the adaptive per-bin choice behind a
+/// flag word.  Cross-source merging at forwarding hops runs only for the
+/// order-insensitive combines -- kSumDouble's IEEE addition is not
+/// associative and kNone promises every candidate, so those forward
+/// per-source segments intact.
+struct UpdateRecords {
+  using Record = VertexUpdate;
+  const UpdateExchangeOptions& opt;
+
+  bool local_all2all() const { return false; }
+  /// Wire width of one uncompressed update: 4-byte id + the value field.
+  /// value_bytes = 8 is the historic (id, 64-bit value) record; lane-word
+  /// senders narrow it to their batch width (0 at W = 1).
+  std::uint64_t record_bytes() const {
+    return 4 + static_cast<std::uint64_t>(opt.value_bytes);
+  }
+  bool coalesces() const { return opt.combine != UpdateCombine::kNone; }
+  bool mergeable() const {
+    return opt.combine == UpdateCombine::kMin ||
+           opt.combine == UpdateCombine::kOr ||
+           opt.combine == UpdateCombine::kLaneMin ||
+           opt.combine == UpdateCombine::kLaneSum;
+  }
+
+  std::uint64_t merge(std::vector<VertexUpdate>& bin) const {
+    return coalesce_bin(bin, opt.combine, opt.lane_value_bits);
+  }
+
+  /// Raw pairs, delta+varint, or the adaptive raw-vs-encoded choice behind
+  /// a flag word.  Charges the encode/adaptive counters.
+  EncodedBin encode(const std::vector<VertexUpdate>& bin,
+                    ExchangeCounters& counters) const {
+    EncodedBin out;
+    const std::uint64_t raw_bytes = bin.size() * record_bytes();
+    if (!opt.compress) {
+      out.words = pack_updates_raw(bin);
+      out.payload_bytes = raw_bytes;
+      return out;
+    }
+    // The encode kernel runs either way, so it is charged either way.
+    counters.encode_bytes += raw_bytes;
     std::vector<std::uint64_t> body =
-        options.gorilla ? pack_updates_gorilla(bin)
-                        : pack_updates_compressed(bin, options.value_bias);
+        opt.gorilla ? pack_updates_gorilla(bin)
+                    : pack_updates_compressed(bin, opt.value_bias);
+    if (!opt.adaptive) {
+      out.payload_bytes = body[1];  // encoded byte count
+      out.words = std::move(body);
+      return out;
+    }
+    // Trial-encode, ship whichever representation is smaller; a one-word
+    // header flags the choice for the receiver.
     const bool encoded_wins = body[1] < raw_bytes;
     if (encoded_wins) {
       out.payload_bytes = body[1];
@@ -295,48 +349,110 @@ EncodedBin encode_update_payload(const std::vector<VertexUpdate>& bin,
     out.words.reserve(body.size() + 1);
     out.words.push_back(encoded_wins ? 1 : 0);
     out.words.insert(out.words.end(), body.begin(), body.end());
-  } else if (options.compress) {
-    counters.encode_bytes += bin.size() * record_bytes;
-    out.words = options.gorilla
-                    ? pack_updates_gorilla(bin)
-                    : pack_updates_compressed(bin, options.value_bias);
-    out.payload_bytes = out.words[1];  // encoded byte count
-  } else {
-    out.words = pack_updates_raw(bin);
-    out.payload_bytes = bin.size() * record_bytes;
+    return out;
   }
-  return out;
+
+  /// Decode the payload starting at words[pos] (with the adaptive flag word
+  /// when the options call for it), advance pos past it, and return its
+  /// logical bytes.
+  std::uint64_t decode(std::span<const std::uint64_t> words, std::size_t& pos,
+                       std::vector<VertexUpdate>& out) const {
+    std::span<const std::uint64_t> body = words.subspan(pos);
+    bool encoded = opt.compress;
+    if (opt.compress && opt.adaptive) {
+      if (body.empty()) {
+        throw DecodeError("adaptive update payload missing its flag word");
+      }
+      if (body[0] > 1) {
+        throw DecodeError("adaptive update payload has an invalid flag word");
+      }
+      encoded = body[0] == 1;
+      body = body.subspan(1);
+      ++pos;
+    }
+    // The headers give the payload's length; a length past the end is
+    // clamped, so the decoder below sees the truncation and rejects it.
+    std::size_t len = body.size();
+    if (encoded && len >= 2) {
+      len = std::min<std::uint64_t>(len, 2 + body[1] / 8 + (body[1] % 8 != 0));
+    } else if (!encoded && len >= 1 && body[0] <= (len - 1) / 2) {
+      len = 1 + 2 * body[0];
+    }
+    body = body.first(len);
+    pos += len;
+    const std::size_t before = out.size();
+    if (encoded && opt.gorilla) {
+      decode_updates_gorilla(body, out);
+    } else if (encoded) {
+      decode_updates_compressed(body, opt.value_bias, out);
+    } else {
+      decode_updates_raw(body, out);
+    }
+    // body[1] is the validated encoded byte count.
+    return encoded ? body[1] : (out.size() - before) * record_bytes();
+  }
+
+  std::uint64_t record_count(const std::vector<std::uint64_t>& words) const {
+    if (opt.compress && opt.adaptive) {
+      if (words.size() < 2) {
+        throw DecodeError("adaptive update segment shorter than its headers");
+      }
+      return words[1];
+    }
+    if (words.empty()) {
+      throw DecodeError("update segment missing its count header");
+    }
+    return words[0];
+  }
+
+  std::uint64_t logical_bytes(const std::vector<std::uint64_t>& words) const {
+    if (opt.compress && opt.adaptive) {
+      if (words.size() < 2) {
+        throw DecodeError("adaptive update segment shorter than its headers");
+      }
+      if (words[0] == 1) {
+        if (words.size() < 3) {
+          throw DecodeError("compressed update segment missing its headers");
+        }
+        return words[2];  // encoded byte count
+      }
+      return words[1] * record_bytes();
+    }
+    if (opt.compress) {
+      if (words.size() < 2) {
+        throw DecodeError("compressed update segment missing its headers");
+      }
+      return words[1];
+    }
+    if (words.empty()) {
+      throw DecodeError("update segment missing its count header");
+    }
+    return words[0] * record_bytes();
+  }
+};
+
+/// Per-bin merge with the uniquify counter charges (U for ids, the
+/// combine's coalescing for updates); leaves the bin sorted by vertex id.
+template <class Kind>
+void coalesce(const Kind& kind, std::vector<typename Kind::Record>& recs,
+              ExchangeCounters& counters) {
+  counters.uniquify_vertices += recs.size();
+  counters.uniquify_bytes += recs.size() * kind.record_bytes();
+  counters.duplicates_removed += kind.merge(recs);
 }
 
-/// Decode one update payload (with the adaptive flag word when the options
-/// call for it); appends to `out` and returns the logical payload bytes by
-/// the historic counting rules.
-std::uint64_t decode_update_payload(std::span<const std::uint64_t> body,
-                                    const UpdateExchangeOptions& options,
-                                    std::uint64_t record_bytes,
-                                    std::vector<VertexUpdate>& out) {
-  bool encoded = options.compress;
-  if (options.compress && options.adaptive) {
-    if (body.empty()) {
-      throw DecodeError("adaptive update payload missing its flag word");
-    }
-    if (body[0] > 1) {
-      throw DecodeError("adaptive update payload has an invalid flag word");
-    }
-    encoded = body[0] == 1;
-    body = body.subspan(1);
+/// Decode a message (or hop segment) holding exactly one payload; returns
+/// its logical bytes.
+template <class Kind>
+std::uint64_t decode_payload(const Kind& kind,
+                             std::span<const std::uint64_t> words,
+                             std::vector<typename Kind::Record>& out) {
+  std::size_t pos = 0;
+  const std::uint64_t bytes = kind.decode(words, pos, out);
+  if (pos != words.size()) {
+    throw DecodeError("exchange payload has trailing words");
   }
-  const std::size_t before = out.size();
-  if (encoded && options.gorilla) {
-    decode_updates_gorilla(body, out);
-  } else if (encoded) {
-    decode_updates_compressed(body, options.value_bias, out);
-  } else {
-    decode_updates_raw(body, out);
-  }
-  // body[1] is the validated encoded byte count; raw records are
-  // record_bytes each.
-  return encoded ? body[1] : (out.size() - before) * record_bytes;
+  return bytes;
 }
 
 // ---- hardened wire helpers ------------------------------------------------
@@ -493,152 +609,24 @@ std::vector<Segment> unpack_segments(std::span<const std::uint64_t> words,
   return segs;
 }
 
-/// Record-type plumbing of the multi-hop router for the bare-id exchange.
-/// Segment payloads are pack_ids format; cross-source merging is the U
-/// option's uniquify, so it only runs when the caller asked for uniquify.
-struct IdHopTraits {
-  using Record = LocalId;
-  const ExchangeOptions& opt;
-
-  bool mergeable() const { return opt.uniquify; }
-
-  std::vector<std::uint64_t> encode_origin(std::vector<LocalId>& bin,
-                                           ExchangeCounters& c) const {
-    if (opt.uniquify) {
-      c.uniquify_vertices += bin.size();
-      c.uniquify_bytes += bin.size() * 4;
-      c.duplicates_removed += uniquify_bin(bin);
-    }
-    return pack_ids(bin);
-  }
-
-  std::uint64_t merge_records(std::vector<LocalId>& recs,
-                              ExchangeCounters& c) const {
-    c.uniquify_vertices += recs.size();
-    c.uniquify_bytes += recs.size() * 4;
-    const std::uint64_t removed = uniquify_bin(recs);
-    c.duplicates_removed += removed;
-    return removed;
-  }
-
-  std::vector<std::uint64_t> encode_records(const std::vector<LocalId>& recs,
-                                            ExchangeCounters&) const {
-    return pack_ids(recs);
-  }
-
-  void decode(std::span<const std::uint64_t> words,
-              std::vector<LocalId>& out) const {
-    std::size_t pos = 0;
-    decode_ids(words, pos, out);
-    if (pos != words.size()) {
-      throw DecodeError("id segment has trailing words");
-    }
-  }
-
-  std::uint64_t record_count(const std::vector<std::uint64_t>& words) const {
-    return words.empty() ? 0 : words[0];
-  }
-
-  std::uint64_t logical_bytes(const std::vector<std::uint64_t>& words) const {
-    return record_count(words) * 4;
-  }
-};
-
-/// Record-type plumbing for the value-update exchange.  Segment payloads
-/// are the flat exchange's raw/compressed/adaptive bin encodings;
-/// cross-source merging runs only for the order-insensitive combines
-/// (kMin, kOr) -- kSumDouble's IEEE addition is not associative and kNone
-/// promises every candidate, so those forward per-source segments intact.
-struct UpdateHopTraits {
-  using Record = VertexUpdate;
-  const UpdateExchangeOptions& opt;
-  std::uint64_t record_bytes;
-
-  bool mergeable() const {
-    return opt.combine == UpdateCombine::kMin ||
-           opt.combine == UpdateCombine::kOr ||
-           opt.combine == UpdateCombine::kLaneMin ||
-           opt.combine == UpdateCombine::kLaneSum;
-  }
-
-  std::vector<std::uint64_t> encode_origin(std::vector<VertexUpdate>& bin,
-                                           ExchangeCounters& c) const {
-    coalesce_with_counters(bin, opt, record_bytes, c);
-    return encode_update_payload(bin, opt, record_bytes, c).words;
-  }
-
-  std::uint64_t merge_records(std::vector<VertexUpdate>& recs,
-                              ExchangeCounters& c) const {
-    return coalesce_with_counters(recs, opt, record_bytes, c);
-  }
-
-  std::vector<std::uint64_t> encode_records(
-      const std::vector<VertexUpdate>& recs, ExchangeCounters& c) const {
-    return encode_update_payload(recs, opt, record_bytes, c).words;
-  }
-
-  void decode(std::span<const std::uint64_t> words,
-              std::vector<VertexUpdate>& out) const {
-    decode_update_payload(words, opt, record_bytes, out);
-  }
-
-  std::uint64_t record_count(const std::vector<std::uint64_t>& words) const {
-    if (opt.compress && opt.adaptive) {
-      if (words.size() < 2) {
-        throw DecodeError("adaptive update segment shorter than its headers");
-      }
-      return words[1];
-    }
-    if (words.empty()) {
-      throw DecodeError("update segment missing its count header");
-    }
-    return words[0];
-  }
-
-  std::uint64_t logical_bytes(const std::vector<std::uint64_t>& words) const {
-    if (opt.compress && opt.adaptive) {
-      if (words.size() < 2) {
-        throw DecodeError("adaptive update segment shorter than its headers");
-      }
-      if (words[0] == 1) {
-        if (words.size() < 3) {
-          throw DecodeError("compressed update segment missing its headers");
-        }
-        return words[2];  // encoded byte count
-      }
-      return words[1] * record_bytes;
-    }
-    if (opt.compress) {
-      if (words.size() < 2) {
-        throw DecodeError("compressed update segment missing its headers");
-      }
-      return words[1];
-    }
-    if (words.empty()) {
-      throw DecodeError("update segment missing its count header");
-    }
-    return words[0] * record_bytes;
-  }
-};
-
 /// Wire bytes of one hop message by the historic counting rules: an 8-byte
 /// segment-count word plus, per segment, 16 bytes of routing header and the
 /// flat exchange's logical payload bytes.  The headers are counted because
 /// they are the real price of aggregation; the lossy-transport frame
 /// overhead is charged to the legacy counters separately, like flat does.
-template <class Traits>
+template <class Kind>
 std::uint64_t message_logical_bytes(const std::vector<Segment>& segs,
-                                    const Traits& traits) {
+                                    const Kind& kind) {
   std::uint64_t bytes = 8;
-  for (const Segment& s : segs) bytes += 16 + traits.logical_bytes(s.words);
+  for (const Segment& s : segs) bytes += 16 + kind.logical_bytes(s.words);
   return bytes;
 }
 
-template <class Traits>
+template <class Kind>
 std::uint64_t message_records(const std::vector<Segment>& segs,
-                              const Traits& traits) {
+                              const Kind& kind) {
   std::uint64_t records = 0;
-  for (const Segment& s : segs) records += traits.record_count(s.words);
+  for (const Segment& s : segs) records += kind.record_count(s.words);
   return records;
 }
 
@@ -648,14 +636,14 @@ std::uint64_t message_records(const std::vector<Segment>& segs,
 /// This is the per-hop reapplication of the uniquify/compress machinery;
 /// the coalesce/encode kernels are charged to the same counters the origin
 /// pass uses, because the work really reruns on the forwarding GPU.
-template <class Traits>
-void rebin_segments(std::vector<Segment>& segs, const Traits& traits,
+template <class Kind>
+void rebin_segments(std::vector<Segment>& segs, const Kind& kind,
                     sim::HopCounters& hop, ExchangeCounters& counters) {
   std::stable_sort(segs.begin(), segs.end(),
                    [](const Segment& a, const Segment& b) {
                      return a.dest != b.dest ? a.dest < b.dest : a.src < b.src;
                    });
-  if (!traits.mergeable()) return;
+  if (!kind.mergeable()) return;
   std::vector<Segment> out;
   out.reserve(segs.size());
   for (std::size_t i = 0; i < segs.size();) {
@@ -664,17 +652,17 @@ void rebin_segments(std::vector<Segment>& segs, const Traits& traits,
     if (j == i + 1) {
       out.push_back(std::move(segs[i]));  // already coalesced upstream
     } else {
-      std::vector<typename Traits::Record> recs;
+      std::vector<typename Kind::Record> recs;
       for (std::size_t k = i; k < j; ++k) {
-        traits.decode(segs[k].words, recs);
+        decode_payload(kind, segs[k].words, recs);
       }
       const std::uint64_t before = recs.size();
-      traits.merge_records(recs, counters);
+      coalesce(kind, recs, counters);
       hop.merged += before - recs.size();
       Segment merged;
       merged.dest = segs[i].dest;
       merged.src = kMergedSrc;
-      merged.words = traits.encode_records(recs, counters);
+      merged.words = kind.encode(recs, counters).words;
       out.push_back(std::move(merged));
     }
     i = j;
@@ -698,12 +686,11 @@ void rebin_segments(std::vector<Segment>& segs, const Traits& traits,
 /// All tags sit in the faultable window, so the hardened wire's
 /// NACK/retransmit protects each link of each hop independently (hop-local
 /// recovery, never end-to-end).
-template <class Traits>
-std::vector<typename Traits::Record> multi_hop_exchange(
+template <class Kind>
+std::vector<typename Kind::Record> multi_hop_exchange(
     Transport& transport, const sim::ClusterSpec& spec, sim::GpuCoord me,
-    std::vector<std::vector<typename Traits::Record>>& bins, int iteration,
-    sim::ExchangeTopology topology, const sim::RetryPolicy& retry,
-    const Traits& traits, ExchangeCounters& counters) {
+    std::vector<std::vector<typename Kind::Record>>& bins, int iteration,
+    const Kind& kind, ExchangeCounters& counters) {
   const int p = spec.total_gpus();
   const int me_global = spec.global_gpu(me);
   const int nodes = spec.num_nodes();
@@ -712,7 +699,8 @@ std::vector<typename Traits::Record> multi_hop_exchange(
   const bool is_leader = me_global == leader;
   const int gpn = spec.gpus_per_node(my_node);
   const bool lossy = transport.lossy();
-  const bool butterfly = topology == sim::ExchangeTopology::kButterfly;
+  const bool butterfly = kind.opt.topology == sim::ExchangeTopology::kButterfly;
+  const sim::RetryPolicy& retry = kind.opt.retry;
 
   int inter_hops = 0;
   if (nodes > 1) {
@@ -745,11 +733,11 @@ std::vector<typename Traits::Record> multi_hop_exchange(
 
   const auto charge_send = [&](sim::HopCounters& hop,
                                const std::vector<Segment>& segs) {
-    const std::uint64_t bytes = message_logical_bytes(segs, traits);
+    const std::uint64_t bytes = message_logical_bytes(segs, kind);
     hop.send_bytes += bytes;
     ++hop.partners;
     hop.bins += static_cast<int>(segs.size());
-    hop.records += message_records(segs, traits);
+    hop.records += message_records(segs, kind);
     if (hop.internode) {
       counters.send_bytes_remote += bytes + (lossy ? kFrameOverheadBytes : 0);
       ++counters.send_dest_ranks;
@@ -760,7 +748,7 @@ std::vector<typename Traits::Record> multi_hop_exchange(
   };
   const auto charge_recv = [&](sim::HopCounters& hop,
                                const std::vector<Segment>& segs) {
-    const std::uint64_t bytes = message_logical_bytes(segs, traits);
+    const std::uint64_t bytes = message_logical_bytes(segs, kind);
     hop.recv_bytes += bytes;
     if (hop.internode) {
       counters.recv_bytes_remote += bytes + (lossy ? kFrameOverheadBytes : 0);
@@ -769,7 +757,7 @@ std::vector<typename Traits::Record> multi_hop_exchange(
 
   // ---- origin: encode every bin once, exactly like the flat sender ------
   for (const auto& bin : bins) counters.bin_vertices += bin.size();
-  std::vector<typename Traits::Record> received =
+  std::vector<typename Kind::Record> received =
       std::move(bins[static_cast<std::size_t>(me_global)]);
   bins[static_cast<std::size_t>(me_global)].clear();
 
@@ -783,7 +771,8 @@ std::vector<typename Traits::Record> multi_hop_exchange(
     Segment s;
     s.dest = static_cast<std::uint32_t>(dest);
     s.src = static_cast<std::uint32_t>(me_global);
-    s.words = traits.encode_origin(bin, counters);
+    if (kind.coalesces()) coalesce(kind, bin, counters);
+    s.words = kind.encode(bin, counters).words;
     bin.clear();
     if (spec.node_of(dest) == my_node) {
       to_peer[static_cast<std::size_t>(dest - leader)].push_back(std::move(s));
@@ -846,7 +835,7 @@ std::vector<typename Traits::Record> multi_hop_exchange(
       for (int m = 0; m < nodes; ++m) {
         if (m == my_node) continue;
         auto& segs = per_node[static_cast<std::size_t>(m)];
-        rebin_segments(segs, traits, hops[1], counters);
+        rebin_segments(segs, kind, hops[1], counters);
         charge_send(hops[1], segs);
         transport.send(me_global, spec.node_leader(m), tag_inter(0),
                        maybe_frame(transport, pack_segments(segs), counters));
@@ -880,7 +869,7 @@ std::vector<typename Traits::Record> multi_hop_exchange(
               .push_back(std::move(s));
         }
         pool = std::move(keep);
-        rebin_segments(outgoing, traits, hops[static_cast<std::size_t>(1 + h)],
+        rebin_segments(outgoing, kind, hops[static_cast<std::size_t>(1 + h)],
                        counters);
         charge_send(hops[static_cast<std::size_t>(1 + h)], outgoing);
         transport.send(
@@ -927,7 +916,7 @@ std::vector<typename Traits::Record> multi_hop_exchange(
         const int peer = leader + j;
         if (peer == me_global) continue;
         auto& segs = per_gpu[static_cast<std::size_t>(j)];
-        rebin_segments(segs, traits, hop, counters);
+        rebin_segments(segs, kind, hop, counters);
         charge_send(hop, segs);
         transport.send(me_global, peer, tag_scatter,
                        maybe_frame(transport, pack_segments(segs), counters));
@@ -956,8 +945,120 @@ std::vector<typename Traits::Record> multi_hop_exchange(
                    [](const Segment& a, const Segment& b) {
                      return a.src < b.src;
                    });
-  for (const Segment& s : inbox) traits.decode(s.words, received);
+  for (const Segment& s : inbox) decode_payload(kind, s.words, received);
   counters.hops.insert(counters.hops.end(), hops.begin(), hops.end());
+  return received;
+}
+
+/// Local all2all (L, paper Section V-B): hand every bin bound for another
+/// local GPU's column (GPU index lg of any rank) to local GPU lg over
+/// NVLink, one message per peer holding [rank, payload] per rank, and fold
+/// the peers' contributions to my column into my own column's bins.
+/// Afterwards only my column's bins hold records, so the remote stage talks
+/// to num_ranks - 1 peers instead of p - 1 (p^2 -> p^2/pgpu pairs).
+template <class Kind>
+void gather_column(Transport& transport, const sim::ClusterSpec& spec,
+                   sim::GpuCoord me,
+                   std::vector<std::vector<typename Kind::Record>>& bins,
+                   int iteration, const Kind& kind,
+                   ExchangeCounters& counters) {
+  const int me_global = spec.global_gpu(me);
+  const int tag = kTagExchangeLocal + iteration * kTagBlock;
+  for (int lg = 0; lg < spec.gpus_per_rank; ++lg) {
+    if (lg == me.gpu) continue;
+    std::vector<std::uint64_t> payload;
+    for (int r = 0; r < spec.num_ranks; ++r) {
+      auto& bin = bins[static_cast<std::size_t>(
+          spec.global_gpu(sim::GpuCoord{r, lg}))];
+      EncodedBin encoded = kind.encode(bin, counters);
+      payload.push_back(static_cast<std::uint64_t>(r));
+      payload.insert(payload.end(), encoded.words.begin(), encoded.words.end());
+      counters.local_bytes += encoded.payload_bytes;
+      bin.clear();
+    }
+    if (transport.lossy()) counters.local_bytes += kFrameOverheadBytes;
+    transport.send(me_global, spec.global_gpu(sim::GpuCoord{me.rank, lg}), tag,
+                   maybe_frame(transport, std::move(payload), counters));
+  }
+  for (int lg = 0; lg < spec.gpus_per_rank; ++lg) {
+    if (lg == me.gpu) continue;
+    const auto words =
+        recv_reliable(transport, me_global,
+                      spec.global_gpu(sim::GpuCoord{me.rank, lg}), tag,
+                      kind.opt.retry, counters);
+    const std::span<const std::uint64_t> span(words);
+    std::size_t pos = 0;
+    while (pos < span.size()) {
+      const std::uint64_t r = span[pos++];
+      if (r >= static_cast<std::uint64_t>(spec.num_ranks)) {
+        throw DecodeError("local all2all rank header out of range");
+      }
+      kind.decode(span, pos,
+                  bins[static_cast<std::size_t>(spec.global_gpu(
+                      sim::GpuCoord{static_cast<int>(r), me.gpu}))]);
+    }
+  }
+}
+
+/// The exchange shared by both record kinds.  Multi-hop topologies go
+/// through the router above; the flat one sends one message per partner
+/// GPU: every other GPU, or with L (after the gather) the same-index GPU of
+/// every other rank.  Each outbound bin is merged (U / the combine) and
+/// encoded; the loopback bin never hits a wire, so it is left to the
+/// receiver's fold.  Received records land after the loopback bin's, in
+/// partner order.
+template <class Kind>
+std::vector<typename Kind::Record> exchange_records(
+    Transport& transport, const sim::ClusterSpec& spec, sim::GpuCoord me,
+    std::vector<std::vector<typename Kind::Record>>& bins, int iteration,
+    const Kind& kind, ExchangeCounters& counters) {
+  if (kind.opt.topology != sim::ExchangeTopology::kFlat) {
+    return multi_hop_exchange(transport, spec, me, bins, iteration, kind,
+                              counters);
+  }
+  const int me_global = spec.global_gpu(me);
+  const int tag = kTagExchangeRemote + iteration * kTagBlock;
+  const std::uint64_t frame_bytes =
+      transport.lossy() ? kFrameOverheadBytes : 0;
+  for (const auto& bin : bins) counters.bin_vertices += bin.size();
+
+  std::vector<int> partners;
+  if (kind.local_all2all()) {
+    gather_column(transport, spec, me, bins, iteration, kind, counters);
+    for (int r = 0; r < spec.num_ranks; ++r) {
+      if (r != me.rank) partners.push_back(spec.global_gpu({r, me.gpu}));
+    }
+  } else {
+    for (int g = 0; g < spec.total_gpus(); ++g) {
+      if (g != me_global) partners.push_back(g);
+    }
+  }
+
+  for (const int g : partners) {
+    auto& bin = bins[static_cast<std::size_t>(g)];
+    if (kind.coalesces()) coalesce(kind, bin, counters);
+    EncodedBin encoded = kind.encode(bin, counters);
+    if (spec.coord_of(g).rank != me.rank) {
+      counters.send_bytes_remote += encoded.payload_bytes + frame_bytes;
+      ++counters.send_dest_ranks;
+    } else {
+      counters.local_bytes += encoded.payload_bytes + frame_bytes;
+    }
+    transport.send(me_global, g, tag,
+                   maybe_frame(transport, std::move(encoded.words), counters));
+    bin.clear();
+  }
+  std::vector<typename Kind::Record> received =
+      std::move(bins[static_cast<std::size_t>(me_global)]);
+  bins[static_cast<std::size_t>(me_global)].clear();
+  for (const int g : partners) {
+    const auto words =
+        recv_reliable(transport, me_global, g, tag, kind.opt.retry, counters);
+    const std::uint64_t bytes = decode_payload(kind, words, received);
+    if (spec.coord_of(g).rank != me.rank) {
+      counters.recv_bytes_remote += bytes + frame_bytes;
+    }
+  }
   return received;
 }
 
@@ -1018,7 +1119,11 @@ void decode_ids(std::span<const std::uint64_t> words, std::size_t& pos,
   for (std::uint64_t i = 0; i < count; i += 2) {
     const std::uint64_t w = words[pos++];
     out.push_back(static_cast<LocalId>(w & 0xffffffffULL));
-    if (i + 1 < count) out.push_back(static_cast<LocalId>(w >> 32));
+    if (i + 1 < count) {
+      out.push_back(static_cast<LocalId>(w >> 32));
+    } else if ((w >> 32) != 0) {
+      throw DecodeError("id segment padding half is not zero");
+    }
   }
 }
 
@@ -1178,227 +1283,22 @@ void decode_updates_gorilla(std::span<const std::uint64_t> words,
   }
 }
 
-NormalExchange::NormalExchange(Transport& transport, sim::ClusterSpec spec)
-    : transport_(transport), spec_(spec) {}
-
-std::vector<LocalId> NormalExchange::exchange(
-    sim::GpuCoord me, std::vector<std::vector<LocalId>>& bins, int iteration,
-    const ExchangeOptions& options, ExchangeCounters& counters) {
-  if (options.topology != sim::ExchangeTopology::kFlat) {
-    const IdHopTraits traits{options};
-    return multi_hop_exchange(transport_, spec_, me, bins, iteration,
-                              options.topology, options.retry, traits,
-                              counters);
-  }
-  const int p = spec_.total_gpus();
-  const int me_global = spec_.global_gpu(me);
-  const int local_tag = kTagExchangeLocal + iteration * kTagBlock;
-  const int remote_tag = kTagExchangeRemote + iteration * kTagBlock;
-  const bool lossy = transport_.lossy();
-
-  for (const auto& bin : bins) counters.bin_vertices += bin.size();
-
-  std::vector<LocalId> received;
-
-  if (!options.local_all2all) {
-    // Direct pattern: every GPU exchanges with every other GPU (p^2 pairs).
-    if (options.uniquify) {
-      for (int g = 0; g < p; ++g) {
-        if (g == me_global) continue;
-        auto& bin = bins[static_cast<std::size_t>(g)];
-        counters.uniquify_vertices += bin.size();
-        counters.uniquify_bytes += bin.size() * 4;
-        counters.duplicates_removed += uniquify_bin(bin);
-      }
-    }
-    for (int g = 0; g < p; ++g) {
-      if (g == me_global) continue;
-      auto& bin = bins[static_cast<std::size_t>(g)];
-      const std::uint64_t payload_bytes =
-          bin.size() * 4 + (lossy ? kFrameOverheadBytes : 0);
-      if (spec_.coord_of(g).rank != me.rank) {
-        counters.send_bytes_remote += payload_bytes;
-        ++counters.send_dest_ranks;
-      } else {
-        counters.local_bytes += payload_bytes;
-      }
-      transport_.send(me_global, g, remote_tag,
-                      maybe_frame(transport_, pack_ids(bin), counters));
-      bin.clear();
-    }
-    received = std::move(bins[static_cast<std::size_t>(me_global)]);
-    bins[static_cast<std::size_t>(me_global)].clear();
-    for (int g = 0; g < p; ++g) {
-      if (g == me_global) continue;
-      const auto words = recv_reliable(transport_, me_global, g, remote_tag,
-                                       options.retry, counters);
-      const std::uint64_t count = words.empty() ? 0 : words[0];
-      if (spec_.coord_of(g).rank != me.rank) {
-        counters.recv_bytes_remote +=
-            count * 4 + (lossy ? kFrameOverheadBytes : 0);
-      }
-      const std::span<const std::uint64_t> span(words);
-      std::size_t pos = 0;
-      decode_ids(span, pos, received);
-      if (pos != span.size()) {
-        throw DecodeError("id message has trailing words");
-      }
-    }
-    return received;
-  }
-
-  // ---- Local all2all: gather my column (GPU index me.gpu of every rank) --
-  // Phase A: hand bins for other local GPUs' columns to those GPUs, framed
-  // per destination rank.
-  for (int lg = 0; lg < spec_.gpus_per_rank; ++lg) {
-    if (lg == me.gpu) continue;
-    std::vector<std::uint64_t> payload;
-    for (int r = 0; r < spec_.num_ranks; ++r) {
-      const int dest = spec_.global_gpu(sim::GpuCoord{r, lg});
-      auto& bin = bins[static_cast<std::size_t>(dest)];
-      payload.push_back(static_cast<std::uint64_t>(r));
-      const auto packed = pack_ids(bin);
-      payload.insert(payload.end(), packed.begin(), packed.end());
-      counters.local_bytes += bin.size() * 4;
-      bin.clear();
-    }
-    if (lossy) counters.local_bytes += kFrameOverheadBytes;
-    transport_.send(me_global, spec_.global_gpu(sim::GpuCoord{me.rank, lg}),
-                    local_tag,
-                    maybe_frame(transport_, std::move(payload), counters));
-  }
-
-  // My own column bins stay local.
-  std::vector<std::vector<LocalId>> column(
-      static_cast<std::size_t>(spec_.num_ranks));
-  for (int r = 0; r < spec_.num_ranks; ++r) {
-    const int dest = spec_.global_gpu(sim::GpuCoord{r, me.gpu});
-    column[static_cast<std::size_t>(r)] =
-        std::move(bins[static_cast<std::size_t>(dest)]);
-    bins[static_cast<std::size_t>(dest)].clear();
-  }
-
-  // Receive the other local GPUs' contributions to my column.
-  for (int lg = 0; lg < spec_.gpus_per_rank; ++lg) {
-    if (lg == me.gpu) continue;
-    const int peer = spec_.global_gpu(sim::GpuCoord{me.rank, lg});
-    const auto words = recv_reliable(transport_, me_global, peer, local_tag,
-                                     options.retry, counters);
-    const std::span<const std::uint64_t> span(words);
-    std::size_t pos = 0;
-    while (pos < span.size()) {
-      const std::uint64_t r = span[pos++];
-      if (r >= static_cast<std::uint64_t>(spec_.num_ranks)) {
-        throw DecodeError("local all2all rank header out of range");
-      }
-      decode_ids(span, pos, column[static_cast<std::size_t>(r)]);
-    }
-  }
-
-  // Loopback: my own rank's slice is already home.
-  received = std::move(column[static_cast<std::size_t>(me.rank)]);
-
-  // Uniquify concentrates on the gathered per-rank bins (the point of L).
-  if (options.uniquify) {
-    for (int r = 0; r < spec_.num_ranks; ++r) {
-      if (r == me.rank) continue;
-      auto& bin = column[static_cast<std::size_t>(r)];
-      counters.uniquify_vertices += bin.size();
-      counters.uniquify_bytes += bin.size() * 4;
-      counters.duplicates_removed += uniquify_bin(bin);
-    }
-  }
-
-  // Phase B: remote exchange strictly within the GPU column.
-  for (int r = 0; r < spec_.num_ranks; ++r) {
-    if (r == me.rank) continue;
-    auto& bin = column[static_cast<std::size_t>(r)];
-    counters.send_bytes_remote +=
-        bin.size() * 4 + (lossy ? kFrameOverheadBytes : 0);
-    ++counters.send_dest_ranks;
-    transport_.send(me_global, spec_.global_gpu(sim::GpuCoord{r, me.gpu}),
-                    remote_tag,
-                    maybe_frame(transport_, pack_ids(bin), counters));
-    bin.clear();
-  }
-  for (int r = 0; r < spec_.num_ranks; ++r) {
-    if (r == me.rank) continue;
-    const int peer = spec_.global_gpu(sim::GpuCoord{r, me.gpu});
-    const auto words = recv_reliable(transport_, me_global, peer, remote_tag,
-                                     options.retry, counters);
-    counters.recv_bytes_remote += (words.empty() ? 0 : words[0]) * 4 +
-                                  (lossy ? kFrameOverheadBytes : 0);
-    const std::span<const std::uint64_t> span(words);
-    std::size_t pos = 0;
-    decode_ids(span, pos, received);
-    if (pos != span.size()) {
-      throw DecodeError("id message has trailing words");
-    }
-  }
-  return received;
+std::vector<LocalId> exchange_ids(Transport& transport,
+                                  const sim::ClusterSpec& spec,
+                                  sim::GpuCoord me,
+                                  std::vector<std::vector<LocalId>>& bins,
+                                  int iteration, const ExchangeOptions& options,
+                                  ExchangeCounters& counters) {
+  return exchange_records(transport, spec, me, bins, iteration,
+                          IdRecords{options}, counters);
 }
 
 std::vector<VertexUpdate> exchange_updates(
     Transport& transport, const sim::ClusterSpec& spec, sim::GpuCoord me,
     std::vector<std::vector<VertexUpdate>>& bins, int iteration,
     const UpdateExchangeOptions& options, ExchangeCounters& counters) {
-  const int p = spec.total_gpus();
-  const int me_global = spec.global_gpu(me);
-  const int tag = kTagExchangeRemote + iteration * kTagBlock;
-  const bool lossy = transport.lossy();
-
-  // Wire width of one uncompressed update: 4-byte id + the value field.
-  // value_bytes = 8 is the historic (id, 64-bit value) record; lane-word
-  // senders narrow it to their batch width (0 at W = 1, where the record
-  // degenerates to the id exchange's bare 4-byte id).
-  const std::uint64_t record_bytes =
-      4 + static_cast<std::uint64_t>(options.value_bytes);
-
-  if (options.topology != sim::ExchangeTopology::kFlat) {
-    const UpdateHopTraits traits{options, record_bytes};
-    return multi_hop_exchange(transport, spec, me, bins, iteration,
-                              options.topology, options.retry, traits,
-                              counters);
-  }
-
-  for (int dest = 0; dest < p; ++dest) {
-    if (dest == me_global) continue;
-    auto& bin = bins[static_cast<std::size_t>(dest)];
-    counters.bin_vertices += bin.size();
-    // Coalesce duplicates before the send (the loopback bin never hits a
-    // wire, so it is left to the receiver's fold, like the id exchange's U).
-    coalesce_with_counters(bin, options, record_bytes, counters);
-    EncodedBin encoded =
-        encode_update_payload(bin, options, record_bytes, counters);
-    std::vector<std::uint64_t> words = std::move(encoded.words);
-    std::uint64_t payload = encoded.payload_bytes;
-    if (lossy) payload += kFrameOverheadBytes;
-    if (spec.coord_of(dest).rank != me.rank) {
-      counters.send_bytes_remote += payload;
-      ++counters.send_dest_ranks;
-    } else {
-      counters.local_bytes += payload;
-    }
-    transport.send(me_global, dest, tag,
-                   maybe_frame(transport, std::move(words), counters));
-    bin.clear();
-  }
-  std::vector<VertexUpdate> received =
-      std::move(bins[static_cast<std::size_t>(me_global)]);
-  counters.bin_vertices += received.size();
-  bins[static_cast<std::size_t>(me_global)].clear();
-  for (int src = 0; src < p; ++src) {
-    if (src == me_global) continue;
-    const auto words =
-        recv_reliable(transport, me_global, src, tag, options.retry, counters);
-    const std::uint64_t payload_bytes =
-        decode_update_payload(words, options, record_bytes, received);
-    if (spec.coord_of(src).rank != me.rank) {
-      counters.recv_bytes_remote +=
-          payload_bytes + (lossy ? kFrameOverheadBytes : 0);
-    }
-  }
-  return received;
+  return exchange_records(transport, spec, me, bins, iteration,
+                          UpdateRecords{options}, counters);
 }
 
 }  // namespace dsbfs::comm

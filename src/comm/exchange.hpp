@@ -13,15 +13,19 @@
 /// Normal-vertex exchange (paper Section V-B).
 ///
 /// Destinations of nn-edge visits are normal vertices owned by other GPUs.
-/// Senders bin newly visited vertices by destination GPU and convert the
-/// 64-bit global ids to the destination's 32-bit local ids (the owner's
-/// local index is v / p, computable anywhere); receivers fold the ids into
-/// the next input frontier.  Two optional optimizations from the paper:
-///   * local all2all (L): vertices bound for GPU j of any rank are first
-///     gathered on the local GPU j over NVLink, cutting the remote pair
-///     count from p^2 to p^2/pgpu;
-///   * uniquify (U): duplicate removal inside each outbound bin (only
-///     worthwhile after L concentrates duplicates).
+/// Senders bin records by destination GPU, keyed by the destination's
+/// 32-bit local id (the owner's local index is v / p, computable anywhere);
+/// receivers fold them into the next round.  One pipeline serves both
+/// record kinds -- bare ids (exchange_ids, 4 bytes each) and (id, value)
+/// updates (exchange_updates): bin, merge, encode, route, decode.
+///   * merge: uniquify (U) for ids, the algorithm's combine for updates --
+///     duplicate removal inside each outbound bin;
+///   * local all2all (L, ids): vertices bound for GPU j of any rank are
+///     first gathered on the local GPU j over NVLink, cutting the remote
+///     pair count from p^2 to p^2/pgpu (U then concentrates on the
+///     gathered bins);
+///   * routing: the flat all-to-all, or the multi-hop hierarchical and
+///     butterfly topologies (sim/topology.hpp), which re-merge per hop.
 namespace dsbfs::comm {
 
 struct ExchangeOptions {
@@ -137,23 +141,16 @@ struct ExchangeCounters {
   std::vector<sim::HopCounters> hops;
 };
 
-class NormalExchange {
- public:
-  NormalExchange(Transport& transport, sim::ClusterSpec spec);
-
-  /// Collective: every GPU calls once per iteration with its outbound bins
-  /// (indexed by destination global GPU, holding destination-local 32-bit
-  /// ids).  Returns the ids received by this GPU, including its own
-  /// loopback bin.  Bins are consumed.
-  std::vector<LocalId> exchange(sim::GpuCoord me,
-                                std::vector<std::vector<LocalId>>& bins,
-                                int iteration, const ExchangeOptions& options,
-                                ExchangeCounters& counters);
-
- private:
-  Transport& transport_;
-  sim::ClusterSpec spec_;
-};
+/// Collective exchange of bare-id bins (indexed by destination global GPU,
+/// holding destination-local 32-bit ids; packed two per wire word).
+/// Returns the ids received by this GPU, its own loopback bin first.  Bins
+/// are consumed.  All GPUs must pass identical `options`.
+std::vector<LocalId> exchange_ids(Transport& transport,
+                                  const sim::ClusterSpec& spec,
+                                  sim::GpuCoord me,
+                                  std::vector<std::vector<LocalId>>& bins,
+                                  int iteration, const ExchangeOptions& options,
+                                  ExchangeCounters& counters);
 
 /// How the update exchange coalesces several candidates for the same
 /// destination vertex inside one outbound bin (the value-carrying analogue
@@ -186,10 +183,9 @@ struct UpdateExchangeOptions {
   /// after decoding -- bit-exact for any bias, strictly smaller varints
   /// when all values of the round are >= the bias.  Bucketed senders
   /// (delta-stepping) set it to the open bucket's base distance; flat SSSP
-  /// derives a per-round floor from a min-allreduce of active distances
-  /// (SsspOptions::auto_value_bias).  Ignored without `compress`; like
-  /// every field here it defines the wire format, so all GPUs must pass
-  /// the identical value each round.
+  /// derives a per-round floor from a min-allreduce of active distances.
+  /// Ignored without `compress`; like every field here it defines the wire
+  /// format, so all GPUs must pass the identical value each round.
   std::uint64_t value_bias = 0;
   /// Uncompressed wire width of the value field, in bytes.  The historic
   /// (id, 64-bit value) updates are 4 + 8 bytes; lane-word updates carry

@@ -241,7 +241,7 @@ class BatchSsspAlgorithm {
     const bool open = s.mode == Mode::kLight;
     s.iter.bucket_plus_one = open ? s.current_bucket + 1 : 0;
     s.iter.heavy_phase = s.heavy_round;
-    s.value_bias = (open && options_.compress && options_.bucket_bias)
+    s.value_bias = (open && options_.compress)
                        ? util::LaneValueSlab::replicate(
                              s.normal_buckets.bucket_base(s.current_bucket),
                              kBits)

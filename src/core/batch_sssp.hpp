@@ -33,9 +33,8 @@
 ///   * `reduce` / `exchange` / termination are inherited from the engine:
 ///     delegate distance candidates MIN-reduce on the delegate stream
 ///     concurrently with the (id, lane word) update exchange on the normal
-///     stream, min-coalesced per bin and optionally compressed -- with
-///     `bucket_bias`, compressed values ride the wire biased by the open
-///     bucket's base distance.
+///     stream, min-coalesced per bin and optionally compressed -- compressed
+///     values ride the wire biased by the open bucket's base distance.
 ///
 /// Slots wait in per-GPU `core::BucketState` queues (delegate buckets are
 /// replicated and stay identical on every GPU because delegate distances
@@ -95,12 +94,10 @@ struct BatchSsspOptions {
   bool overlap = true;
   /// Min-coalesce outbound lane-word records per bin before the send.
   bool uniquify = true;
-  /// Delta+varint-encode the (id, lane word) wire payload.
+  /// Delta+varint-encode the (id, lane word) wire payload, values biased
+  /// by the open bucket's base distance replicated into every lane
+  /// position (util::LaneValueSlab::replicate); bit-exact.
   bool compress = false;
-  /// Bias compressed values by the open bucket's base distance, replicated
-  /// into every lane position (util::LaneValueSlab::replicate); bit-exact,
-  /// wire bytes only, `compress` only.
-  bool bucket_bias = true;
   /// Exchange routing mode; bit-exact across all three (kLaneMin re-merges
   /// at intermediate hops).
   sim::ExchangeTopology exchange_topology = sim::ExchangeTopology::kFlat;

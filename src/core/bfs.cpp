@@ -127,22 +127,8 @@ class BfsAlgorithm {
                                       .uniquify = options_.uniquify,
                                       .topology = options_.exchange_topology,
                                       .retry = options_.resilience.retry};
-    GpuState& gs = s.gpu;
-    comm::ExchangeCounters ec;
-    gs.received = ctx.comm.normal_exchange().exchange(ctx.me, gs.bins,
-                                                      iteration, xopts, ec);
-    gs.iter.bin_vertices = ec.bin_vertices;
-    gs.iter.uniquify_vertices = ec.uniquify_vertices;
-    gs.iter.uniquify_bytes = ec.uniquify_bytes;
-    gs.iter.local_all2all_bytes = ec.local_bytes;
-    gs.iter.send_bytes_remote = ec.send_bytes_remote;
-    gs.iter.recv_bytes_remote = ec.recv_bytes_remote;
-    gs.iter.send_dest_ranks = ec.send_dest_ranks;
-    gs.iter.retries = ec.retries;
-    gs.iter.corrupt_bins = ec.corrupt_bins;
-    gs.iter.recovery_ns = ec.recovery_ns;
-    gs.iter.checksum_bytes = ec.checksum_bytes;
-    gs.iter.hops.insert(gs.iter.hops.end(), ec.hops.begin(), ec.hops.end());
+    s.gpu.received = ctx.comm.exchange_ids(ctx.me, s.gpu.bins, iteration,
+                                           xopts, s.gpu.iter);
   }
 
   std::uint64_t contribution(engine::GpuContext& ctx, State& s, int) {

@@ -14,7 +14,6 @@ BatchSsspOptions batch_options(const DeltaSsspOptions& o) {
           .overlap = o.overlap,
           .uniquify = o.uniquify,
           .compress = o.compress,
-          .bucket_bias = o.bucket_bias,
           .exchange_topology = o.exchange_topology,
           .collect_counters = o.collect_counters,
           .device_model = o.device_model,

@@ -49,12 +49,10 @@ struct DeltaSsspOptions {
   bool overlap = true;
   /// Min-coalesce outbound distance candidates per bin before the send.
   bool uniquify = true;
-  /// Delta+varint-encode the (id, distance) wire payload.
-  bool compress = false;
-  /// Bias compressed values by the open bucket's base distance (the
+  /// Delta+varint-encode the (id, distance) wire payload.  Compressed
+  /// values ride the wire biased by the open bucket's base distance (the
   /// bucket-tagged exchange, comm::UpdateExchangeOptions::value_bias).
-  /// Bit-exact; only affects wire bytes, and only with `compress`.
-  bool bucket_bias = true;
+  bool compress = false;
 
   /// Exchange routing mode (sim/topology.hpp): flat per-bin all-to-all
   /// (historic default), hierarchical node-leader aggregation, or butterfly

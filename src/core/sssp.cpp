@@ -106,13 +106,15 @@ class SsspAlgorithm {
     s.next_normals.clear();
     s.next_delegates.clear();
 
-    // Automatic wire bias (compress only): every candidate this round is an
-    // active distance plus a positive weight, so the cluster-wide minimum
-    // active distance is a true floor.  One small min-allreduce makes it
+    // Wire bias (compress only; comm::UpdateExchangeOptions::value_bias):
+    // every candidate this round is an active distance plus a positive
+    // weight, so the cluster-wide minimum active distance is a true floor
+    // -- the generalization of delta-stepping's bucket-base bias to the
+    // flat label-correcting rounds.  One small min-allreduce makes it
     // identical on every GPU -- the same agreement-collective shape (and
     // modeled cost) as delta-stepping's bucket coordination.
     s.value_bias = 0;
-    if (options_.compress && options_.auto_value_bias) {
+    if (options_.compress) {
       std::uint64_t floor = kInfiniteDistance;
       for (const LocalId v : s.active_normals) {
         floor = std::min(floor, s.dist_normal[v]);

@@ -98,15 +98,6 @@ struct SsspOptions {
   /// recursive halving.  Bit-exact across all three; wire pattern, byte
   /// counters and modeled NIC/NVLink occupancy differ.
   sim::ExchangeTopology exchange_topology = sim::ExchangeTopology::kFlat;
-  /// With `compress`: derive the wire bias automatically each round.  Every
-  /// candidate this round is dist[active] + w >= the minimum active
-  /// distance, so a one-word min-allreduce of the active distances at the
-  /// previsit yields a cluster-agreed floor -- the generalization of
-  /// delta-stepping's bucket-base bias to the flat label-correcting rounds
-  /// (comm::UpdateExchangeOptions::value_bias).  Bit-exact for any floor;
-  /// the collective is charged by the perf model like the delta-stepping
-  /// bucket agreement.
-  bool auto_value_bias = true;
   bool collect_counters = true;
   sim::DeviceModelConfig device_model{};
   sim::NetModelConfig net_model{};

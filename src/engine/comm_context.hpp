@@ -15,7 +15,7 @@
 /// Shared communication context for distributed algorithms.
 ///
 /// Every algorithm on the cluster needs the same bundle: a Transport, the
-/// two reducers, the normal exchange, and the `everyone` participant list
+/// two reducers, the normal exchanges, and the `everyone` participant list
 /// for whole-cluster collectives.  CommContext owns all of them for the
 /// duration of one algorithm run so drivers stop hand-rolling the bundle,
 /// and TagBlocks centralizes the tag arithmetic that used to be scattered
@@ -60,7 +60,6 @@ class CommContext {
   comm::Transport& transport() noexcept { return transport_; }
   comm::MaskReducer& mask_reducer() noexcept { return mask_reducer_; }
   comm::ValueReducer& value_reducer() noexcept { return value_reducer_; }
-  comm::NormalExchange& normal_exchange() noexcept { return normal_exchange_; }
 
   /// All global GPU indices, the participant list of whole-cluster
   /// collectives (`me_index` == global GPU index).
@@ -80,11 +79,16 @@ class CommContext {
   /// (e.g. the serving scheduler's one-word lane-drain agreement).
   void allreduce_or_words(int gpu, std::span<std::uint64_t> words, int tag);
 
-  /// Shared exchange-hook body for the value algorithms: run the update
-  /// exchange with the algorithm's coalesce/compress/bias choice and record
-  /// the exchange counters into the iteration row.  Returns the received
-  /// updates; `bins` are consumed.  `options` define the wire format and
-  /// must be identical on every GPU in a round.
+  /// Shared exchange-hook bodies: run the id exchange (BFS) or the update
+  /// exchange (the value algorithms, with their coalesce/compress/bias
+  /// choice) and record the exchange counters into the iteration row.
+  /// Return the received records; `bins` are consumed.  `options` define
+  /// the wire format and must be identical on every GPU in a round.
+  std::vector<LocalId> exchange_ids(sim::GpuCoord me,
+                                    std::vector<std::vector<LocalId>>& bins,
+                                    int iteration,
+                                    const comm::ExchangeOptions& options,
+                                    sim::GpuIterationCounters& iter);
   std::vector<comm::VertexUpdate> exchange_value_updates(
       sim::GpuCoord me, std::vector<std::vector<comm::VertexUpdate>>& bins,
       int iteration, const comm::UpdateExchangeOptions& options,
@@ -95,7 +99,6 @@ class CommContext {
   comm::Transport transport_;
   comm::MaskReducer mask_reducer_;
   comm::ValueReducer value_reducer_;
-  comm::NormalExchange normal_exchange_;
   std::vector<int> everyone_;
 };
 

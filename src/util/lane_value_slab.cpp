@@ -1,49 +1,8 @@
 #include "util/lane_value_slab.hpp"
 
-#include <cassert>
+#include <initializer_list>
 
 namespace dsbfs::util {
-
-void LaneValueSlab::resize(std::size_t items, int lanes, int value_bits) {
-  assert(lanes >= 1 && lanes <= 64);
-  assert(value_bits == 8 || value_bits == 16 || value_bits == 32 ||
-         value_bits == 64);
-  items_ = items;
-  lanes_ = lanes;
-  value_bits_ = value_bits;
-  lanes_per_word_ = 64 / value_bits;
-  groups_ = (static_cast<std::size_t>(lanes) +
-             static_cast<std::size_t>(lanes_per_word_) - 1) /
-            static_cast<std::size_t>(lanes_per_word_);
-  value_mask_ =
-      value_bits == 64 ? ~0ULL : ((1ULL << value_bits) - 1);
-  words_.assign(items_ * groups_, Word{});
-}
-
-void LaneValueSlab::fill(std::uint64_t value) noexcept {
-  const std::uint64_t pattern = replicate(value, value_bits_);
-  for (auto& w : words_) w.v.store(pattern, std::memory_order_relaxed);
-}
-
-std::uint64_t LaneValueSlab::min_word(std::size_t w,
-                                      std::uint64_t incoming) noexcept {
-  auto& slot = words_[w].v;
-  std::uint64_t cur = slot.load(std::memory_order_relaxed);
-  for (;;) {
-    const std::uint64_t next = lane_min_word(cur, incoming, value_bits_);
-    if (next == cur) return 0;
-    if (slot.compare_exchange_weak(cur, next, std::memory_order_relaxed)) {
-      std::uint64_t improved = 0;
-      for (int l = 0; l < lanes_per_word_; ++l) {
-        const int s = l * value_bits_;
-        if (((next >> s) & value_mask_) < ((cur >> s) & value_mask_)) {
-          improved |= 1ULL << l;
-        }
-      }
-      return improved;
-    }
-  }
-}
 
 std::uint64_t LaneValueSlab::lane_min_word(std::uint64_t a, std::uint64_t b,
                                            int value_bits) noexcept {
@@ -76,17 +35,6 @@ std::uint64_t LaneValueSlab::replicate(std::uint64_t value,
   std::uint64_t out = 0;
   for (int s = 0; s < 64; s += value_bits) out |= value << s;
   return out;
-}
-
-bool LaneValueSlab::operator==(const LaneValueSlab& other) const noexcept {
-  if (items_ != other.items_ || lanes_ != other.lanes_ ||
-      value_bits_ != other.value_bits_) {
-    return false;
-  }
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    if (word(w) != other.word(w)) return false;
-  }
-  return true;
 }
 
 int value_width_for(std::uint64_t max_value) noexcept {

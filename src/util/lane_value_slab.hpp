@@ -1,158 +1,32 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <vector>
 
-#include "util/types.hpp"
-
-/// Concurrent fixed-size *value-lane* slab: W packed narrow values per item.
+/// The *value-lane* word layout: W packed narrow values per item.
 ///
 /// util::LaneBitset generalized the paper's 1-bit visited mask to W 1-bit
-/// lanes; LaneValueSlab takes the next step the ROADMAP calls the
-/// lane-valued substrate: W concurrent sources each own a `value_bits`-wide
-/// *value* (a tentative distance, a shortest-path count) of every item.
-/// Batched delta-stepping relaxes all W sources' distances in one edge
-/// sweep, and the exchange ships one wire record per storage word instead of
-/// one per (vertex, source) pair -- W * value_bits bits of payload per
-/// vertex, exactly the `value_bytes = W * value_width` accounting
-/// comm::UpdateExchangeOptions expects.
+/// lanes; this layout takes the next step, the lane-valued substrate: W
+/// concurrent sources each own a `value_bits`-wide *value* (a tentative
+/// distance, a shortest-path count) of every item.  Batched delta-stepping
+/// relaxes all W sources' distances in one edge sweep, and the exchange
+/// ships one wire record per storage word instead of one per (vertex,
+/// source) pair -- W * value_bits bits of payload per vertex, exactly the
+/// `value_bytes = W * value_width` accounting comm::UpdateExchangeOptions
+/// expects.
 ///
 /// Layout: `value_bits` in {8, 16, 32, 64}; 64/value_bits lanes share one
 /// storage word (a *lane group*), and every item starts word-aligned at
-/// `groups_per_item()` words, so a record id maps to (item, group) by
+/// ceil(W / lanes-per-word) words, so a record id maps to (item, group) by
 /// div/mod and a value never straddles a storage word.  The all-ones value
-/// (`value_mask()`) is the reserved sentinel: "infinity", the identity of
-/// the per-lane MIN combine -- mirroring kInfiniteDistance at value_bits=64.
+/// is the reserved sentinel: "infinity", the identity of the per-lane MIN
+/// combine -- mirroring kInfiniteDistance at value_bits=64.
 ///
-/// Access patterns mirror LaneBitset:
-///   * concurrent per-lane `min_lane()` / `add_lane()` from visit kernels
-///     (CAS loops, relaxed),
-///   * word-level bulk operations (`word`/`set_word`/`min_word`) for
-///     reductions and exchange folds -- lane-width agnostic,
-///   * read-only `get()` from pull kernels against a stable snapshot.
+/// The owners of such words (core/batch_sssp.cpp, the reducers and the
+/// exchange folds) keep them in plain vectors; LaneValueSlab holds the
+/// lane-wise word arithmetic they share.
 namespace dsbfs::util {
 
-class LaneValueSlab {
- public:
-  LaneValueSlab() = default;
-  /// `items` entries of `lanes` values, each `value_bits` wide.  `lanes` in
-  /// [1, 64]; value_bits in {8, 16, 32, 64}.
-  LaneValueSlab(std::size_t items, int lanes, int value_bits) {
-    resize(items, lanes, value_bits);
-  }
-
-  LaneValueSlab(const LaneValueSlab& other) { copy_from(other); }
-  LaneValueSlab& operator=(const LaneValueSlab& other) {
-    if (this != &other) copy_from(other);
-    return *this;
-  }
-  LaneValueSlab(LaneValueSlab&&) noexcept = default;
-  LaneValueSlab& operator=(LaneValueSlab&&) noexcept = default;
-
-  /// Reallocates and fills every lane with 0.  Min-combined slabs should
-  /// `fill(value_mask())` afterwards (infinity identity); sum-combined slabs
-  /// keep the zero identity.
-  void resize(std::size_t items, int lanes, int value_bits);
-
-  std::size_t items() const noexcept { return items_; }
-  int lanes() const noexcept { return lanes_; }
-  int value_bits() const noexcept { return value_bits_; }
-  /// All-ones mask of one value -- also the reserved "infinity" sentinel.
-  std::uint64_t value_mask() const noexcept { return value_mask_; }
-  /// Values sharing one storage word (64 / value_bits).
-  int lanes_per_word() const noexcept { return lanes_per_word_; }
-  /// Storage words per item: ceil(lanes / lanes_per_word).  Items are
-  /// word-aligned, so word `g` of item `v` is storage word
-  /// `v * groups_per_item() + g`.
-  std::size_t groups_per_item() const noexcept { return groups_; }
-  std::size_t word_count() const noexcept { return items_ * groups_; }
-  /// Bytes a word-level reduction/exchange of the whole slab transmits.
-  std::size_t byte_size() const noexcept { return word_count() * 8; }
-
-  // ---- per-lane interface ------------------------------------------------
-
-  /// Value of (item, lane), zero-extended to 64 bits.
-  std::uint64_t get(std::size_t item, int lane) const noexcept {
-    const std::uint64_t w =
-        words_[word_index(item, lane)].v.load(std::memory_order_relaxed);
-    return (w >> shift(lane)) & value_mask_;
-  }
-
-  /// True when (item, lane) holds the infinity sentinel.
-  bool is_infinite(std::size_t item, int lane) const noexcept {
-    return get(item, lane) == value_mask_;
-  }
-
-  /// Non-atomic store for single-threaded phases; `value` must fit.
-  void set(std::size_t item, int lane, std::uint64_t value) noexcept {
-    auto& w = words_[word_index(item, lane)].v;
-    const int s = shift(lane);
-    const std::uint64_t cur = w.load(std::memory_order_relaxed);
-    w.store((cur & ~(value_mask_ << s)) | (value << s),
-            std::memory_order_relaxed);
-  }
-
-  /// Atomically lower (item, lane) to min(current, value).  Returns true
-  /// when this call improved the stored value.
-  bool min_lane(std::size_t item, int lane, std::uint64_t value) noexcept {
-    auto& w = words_[word_index(item, lane)].v;
-    const int s = shift(lane);
-    std::uint64_t cur = w.load(std::memory_order_relaxed);
-    while (((cur >> s) & value_mask_) > value) {
-      const std::uint64_t next =
-          (cur & ~(value_mask_ << s)) | (value << s);
-      if (w.compare_exchange_weak(cur, next, std::memory_order_relaxed)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Atomically add `value` to (item, lane) (wraps within the lane; callers
-  /// guard against overflow).  Used for lane-valued accumulations such as
-  /// Brandes sigma counts.
-  void add_lane(std::size_t item, int lane, std::uint64_t value) noexcept {
-    auto& w = words_[word_index(item, lane)].v;
-    const int s = shift(lane);
-    std::uint64_t cur = w.load(std::memory_order_relaxed);
-    for (;;) {
-      const std::uint64_t lane_val = ((cur >> s) & value_mask_) + value;
-      const std::uint64_t next =
-          (cur & ~(value_mask_ << s)) | ((lane_val & value_mask_) << s);
-      if (w.compare_exchange_weak(cur, next, std::memory_order_relaxed)) {
-        return;
-      }
-    }
-  }
-
-  /// Set every lane of every item to `value` (single-threaded sweeps).
-  void fill(std::uint64_t value) noexcept;
-
-  // ---- word-level interface ----------------------------------------------
-
-  std::uint64_t word(std::size_t w) const noexcept {
-    return words_[w].v.load(std::memory_order_relaxed);
-  }
-  void set_word(std::size_t w, std::uint64_t value) noexcept {
-    words_[w].v.store(value, std::memory_order_relaxed);
-  }
-
-  /// Atomically fold the per-lane MIN of `incoming` into storage word `w`.
-  /// Returns a right-aligned bitmask of the lanes (within this word) whose
-  /// stored value this call lowered -- what an exchange fold uses to derive
-  /// the newly improved (item, lane) slots.
-  std::uint64_t min_word(std::size_t w, std::uint64_t incoming) noexcept;
-
-  /// Word `g` of item `v` (see groups_per_item()).
-  std::uint64_t item_word(std::size_t item, std::size_t g) const noexcept {
-    return word(item * groups_ + g);
-  }
-  std::uint64_t min_item_word(std::size_t item, std::size_t g,
-                              std::uint64_t incoming) noexcept {
-    return min_word(item * groups_ + g, incoming);
-  }
-
+struct LaneValueSlab {
   /// Per-lane MIN of two packed words at width `value_bits`.
   static std::uint64_t lane_min_word(std::uint64_t a, std::uint64_t b,
                                      int value_bits) noexcept;
@@ -164,48 +38,6 @@ class LaneValueSlab {
   /// 64-bit subtraction of a replicated bias is per-lane exact as long as
   /// every lane is >= the bias, which bucket bases guarantee).
   static std::uint64_t replicate(std::uint64_t value, int value_bits) noexcept;
-
-  bool operator==(const LaneValueSlab& other) const noexcept;
-
- private:
-  // std::atomic is not copyable; wrap it so vector works, and copy manually.
-  struct Word {
-    std::atomic<std::uint64_t> v{0};
-    Word() = default;
-    Word(std::uint64_t x) : v(x) {}
-    Word(const Word& o) : v(o.v.load(std::memory_order_relaxed)) {}
-    Word(Word&& o) noexcept : v(o.v.load(std::memory_order_relaxed)) {}
-    Word& operator=(const Word& o) {
-      v.store(o.v.load(std::memory_order_relaxed), std::memory_order_relaxed);
-      return *this;
-    }
-  };
-
-  std::size_t word_index(std::size_t item, int lane) const noexcept {
-    return item * groups_ +
-           static_cast<std::size_t>(lane / lanes_per_word_);
-  }
-  int shift(int lane) const noexcept {
-    return (lane % lanes_per_word_) * value_bits_;
-  }
-
-  void copy_from(const LaneValueSlab& other) {
-    items_ = other.items_;
-    lanes_ = other.lanes_;
-    value_bits_ = other.value_bits_;
-    lanes_per_word_ = other.lanes_per_word_;
-    groups_ = other.groups_;
-    value_mask_ = other.value_mask_;
-    words_ = other.words_;
-  }
-
-  std::size_t items_ = 0;
-  int lanes_ = 1;
-  int value_bits_ = 64;
-  int lanes_per_word_ = 1;
-  std::size_t groups_ = 1;
-  std::uint64_t value_mask_ = ~0ULL;
-  std::vector<Word> words_;
 };
 
 /// Smallest supported value width ({8, 16, 32, 64}) representing distances

@@ -5,6 +5,7 @@
 #include "baseline/serial_bfs.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
+#include "graph/rmat.hpp"
 
 namespace dsbfs::core {
 namespace {
@@ -187,6 +188,50 @@ TEST(BfsSmall, SampleSourceAlwaysHasEdges) {
   for (std::uint64_t k = 0; k < 20; ++k) {
     const VertexId s = bfs.sample_source(k);
     EXPECT_TRUE(s == 7 || s == 8);
+  }
+}
+
+TEST(BfsSmall, LocalAll2AllGoldenCounters) {
+  // Local all2all (L) gathers same-column traffic over NVLink before the
+  // remote send: with 2 GPUs per rank every GPU talks to one remote peer
+  // instead of two.  Pinned so that a build which ignores L (232 local
+  // bytes, 48 send ranks) fails here.
+  struct Golden {
+    bool uniquify;
+    std::uint64_t remote_bytes, local_bytes, send_dest_ranks, uniquified;
+    double modeled_ms;
+  };
+  const Golden goldens[] = {
+      {false, 376, 432, 24, 0, 0.34363582622103322},
+      {true, 344, 432, 24, 94, 0.35064416644362656},
+  };
+  const graph::EdgeList g = graph::rmat_graph500({.scale = 10, .seed = 5});
+  const auto spec = spec_of(2, 2);
+  sim::Cluster cluster(spec);
+  const graph::DistributedGraph dg = build_distributed(g, spec, 16);
+  for (const Golden& gold : goldens) {
+    SCOPED_TRACE(gold.uniquify ? "uniquify" : "no uniquify");
+    BfsOptions options;
+    options.local_all2all = true;
+    options.uniquify = gold.uniquify;
+    DistributedBfs bfs(dg, cluster, options);
+    const VertexId source = bfs.sample_source(1);
+    const BfsResult r = bfs.run(source);
+    EXPECT_EQ(r.distances,
+              baseline::serial_bfs(graph::build_host_csr(g), source));
+    std::uint64_t send_dest_ranks = 0, uniquified = 0;
+    for (const auto& it : r.metrics.counters.iterations) {
+      for (const auto& c : it.gpu) {
+        send_dest_ranks += static_cast<std::uint64_t>(c.send_dest_ranks);
+        uniquified += c.uniquify_vertices;
+      }
+    }
+    EXPECT_EQ(r.metrics.exchange_remote_bytes, gold.remote_bytes);
+    EXPECT_EQ(r.metrics.exchange_local_bytes, gold.local_bytes);
+    EXPECT_EQ(send_dest_ranks, gold.send_dest_ranks);
+    EXPECT_EQ(uniquified, gold.uniquified);
+    EXPECT_NEAR(r.metrics.modeled_ms, gold.modeled_ms,
+                1e-12 * gold.modeled_ms);
   }
 }
 

@@ -319,77 +319,6 @@ TEST(LaneBitset, LaneWidthForQuantizesToSupportedWidths) {
   EXPECT_EQ(lane_width_for(64), 64);
 }
 
-TEST(LaneValueSlab, ResizePacksLanesAndFillRaisesToInfinity) {
-  LaneValueSlab s;
-  s.resize(10, 12, 16);  // 12 lanes of 16 bits: 4 lanes/word, 3 words/item
-  EXPECT_EQ(s.items(), 10u);
-  EXPECT_EQ(s.lanes(), 12);
-  EXPECT_EQ(s.value_bits(), 16);
-  EXPECT_EQ(s.lanes_per_word(), 4);
-  EXPECT_EQ(s.groups_per_item(), 3u);
-  EXPECT_EQ(s.value_mask(), 0xFFFFu);
-  EXPECT_EQ(s.word_count(), 30u);
-  EXPECT_EQ(s.byte_size(), 240u);
-  // resize zero-fills (the sum identity); min-combined users raise to the
-  // sentinel explicitly.
-  EXPECT_EQ(s.get(0, 0), 0u);
-  s.fill(s.value_mask());
-  for (std::size_t i = 0; i < 10; ++i) {
-    for (int lane = 0; lane < 12; ++lane) {
-      EXPECT_TRUE(s.is_infinite(i, lane));
-      EXPECT_EQ(s.get(i, lane), s.value_mask());
-    }
-  }
-}
-
-TEST(LaneValueSlab, MinLaneKeepsSmallestAndReportsImprovement) {
-  LaneValueSlab s;
-  s.resize(4, 8, 8);
-  s.fill(s.value_mask());
-  EXPECT_TRUE(s.min_lane(2, 3, 100));
-  EXPECT_FALSE(s.min_lane(2, 3, 100));  // equal is not an improvement
-  EXPECT_FALSE(s.min_lane(2, 3, 200));
-  EXPECT_TRUE(s.min_lane(2, 3, 99));
-  EXPECT_EQ(s.get(2, 3), 99u);
-  // Neighboring lanes in the same word are untouched.
-  EXPECT_TRUE(s.is_infinite(2, 2));
-  EXPECT_TRUE(s.is_infinite(2, 4));
-}
-
-TEST(LaneValueSlab, AddLaneWrapsWithinTheLaneWidth) {
-  LaneValueSlab s;
-  s.resize(2, 4, 16);
-  s.add_lane(0, 1, 70000);  // wraps mod 2^16
-  EXPECT_EQ(s.get(0, 1), 70000u & 0xFFFF);
-  // Neighboring lanes in the same word keep their zero identity.
-  EXPECT_EQ(s.get(0, 0), 0u);
-  EXPECT_EQ(s.get(0, 2), 0u);
-}
-
-TEST(LaneValueSlab, WordLevelMinMatchesLaneLevel) {
-  LaneValueSlab a, b;
-  a.resize(3, 8, 8);
-  b.resize(3, 8, 8);
-  a.fill(a.value_mask());
-  b.fill(b.value_mask());
-  for (int lane = 0; lane < 8; ++lane) {
-    a.set(1, lane, static_cast<std::uint64_t>(10 + lane));
-    b.min_lane(1, lane, static_cast<std::uint64_t>(10 + lane));
-  }
-  // Folding a's packed word into a fresh slab reproduces per-lane mins,
-  // and the improved-lane mask flags exactly the lanes that moved.
-  LaneValueSlab c;
-  c.resize(3, 8, 8);
-  c.fill(c.value_mask());
-  c.set(1, 2, 5);  // already better than a's 12
-  const std::uint64_t improved = c.min_item_word(1, 0, a.word(1 * 1));
-  EXPECT_EQ(improved, 0xFFu & ~(1u << 2));
-  for (int lane = 0; lane < 8; ++lane) {
-    EXPECT_EQ(c.get(1, lane), lane == 2 ? 5u : 10u + lane);
-  }
-  EXPECT_EQ(a, b);
-}
-
 TEST(LaneValueSlab, StaticLaneMinAndAddOperateLaneWise) {
   const std::uint64_t x = LaneValueSlab::replicate(7, 16);
   const std::uint64_t y = LaneValueSlab::replicate(9, 16);
@@ -402,21 +331,6 @@ TEST(LaneValueSlab, StaticLaneMinAndAddOperateLaneWise) {
   // Replicate masks wide inputs down to the lane width.
   EXPECT_EQ(LaneValueSlab::replicate(0x1FFFF, 16),
             LaneValueSlab::replicate(0xFFFF, 16));
-}
-
-TEST(LaneValueSlab, FillAndEqualityCoverAllWidths) {
-  for (const int bits : {8, 16, 32, 64}) {
-    LaneValueSlab s;
-    s.resize(5, 3, bits);
-    s.fill(1);
-    for (std::size_t i = 0; i < 5; ++i) {
-      for (int lane = 0; lane < 3; ++lane) EXPECT_EQ(s.get(i, lane), 1u);
-    }
-    LaneValueSlab t = s;  // copyable despite atomic words
-    EXPECT_EQ(s, t);
-    t.set(4, 2, 2);
-    EXPECT_FALSE(s == t);
-  }
 }
 
 }  // namespace

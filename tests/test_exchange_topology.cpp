@@ -65,7 +65,6 @@ std::vector<std::vector<LocalId>> run_id_exchange(
     const std::function<void(int, std::vector<std::vector<LocalId>>&)>& fill) {
   const int p = spec.total_gpus();
   comm::Transport t(spec);
-  comm::NormalExchange ex(t, spec);
   std::vector<std::vector<LocalId>> received(static_cast<std::size_t>(p));
   std::vector<ExchangeCounters> counters(static_cast<std::size_t>(p));
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(p));
@@ -76,8 +75,9 @@ std::vector<std::vector<LocalId>> run_id_exchange(
         std::vector<std::vector<LocalId>> bins(static_cast<std::size_t>(p));
         fill(g, bins);
         received[static_cast<std::size_t>(g)] =
-            ex.exchange(spec.coord_of(g), bins, /*iteration=*/0, options,
-                        counters[static_cast<std::size_t>(g)]);
+            comm::exchange_ids(t, spec, spec.coord_of(g), bins,
+                               /*iteration=*/0, options,
+                               counters[static_cast<std::size_t>(g)]);
       } catch (...) {
         errors[static_cast<std::size_t>(g)] = std::current_exception();
       }
