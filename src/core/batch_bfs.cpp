@@ -1,5 +1,6 @@
 #include "core/batch_bfs.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <memory>
 #include <stdexcept>
@@ -11,6 +12,7 @@
 #include "core/visit.hpp"
 #include "engine/iterative_engine.hpp"
 #include "sim/stream.hpp"
+#include "util/parallel.hpp"
 
 namespace dsbfs::core {
 
@@ -27,8 +29,9 @@ class BatchBfsAlgorithm {
   static constexpr const char* kStateLabel = "batch_bfs.state";
 
   struct State {
-    State(const graph::LocalGraph& lg, int total_gpus, int lane_bits)
-        : gpu(lg, total_gpus, lane_bits) {}
+    State(const graph::LocalGraph& lg, int total_gpus, int lane_bits,
+          bool record_parents)
+        : gpu(lg, total_gpus, lane_bits, record_parents) {}
 
     LaneState gpu;
     sim::Event bins_ready;
@@ -47,10 +50,9 @@ class BatchBfsAlgorithm {
     const sim::ClusterSpec& spec = graph_.spec();
     auto state =
         std::make_unique<State>(graph_.local(ctx.gpu), ctx.total_gpus,
-                                lane_bits_);
+                                lane_bits_, options_.compute_parents);
     LaneState& s = state->gpu;
     const graph::LocalGraph& lg = s.graph();
-    s.record_parents = options_.compute_parents;
     s.direction_optimized = options_.direction == TraversalDirection::kHybrid;
     s.adaptive_direction = options_.adaptive_direction;
     s.dd_seed = options_.dd_factors;
@@ -166,46 +168,16 @@ class BatchBfsAlgorithm {
     // running on the normal stream through the control allreduce.
     ctx.delegate_stream.synchronize();
     s.bins_ready.wait();
-    const bool delegate_updates = !s.gpu.delegate_out.none();
-    return (delegate_updates ? kDelegateFlagUnit : 0) +
+    return (s.gpu.has_delegate_updates() ? kDelegateFlagUnit : 0) +
            static_cast<std::uint64_t>(s.gpu.next_local.size()) + s.bins_total;
   }
 
   void post_reduce(engine::GpuContext& ctx, State& s, int iteration,
                    std::uint64_t control) {
-    LaneState& gs = s.gpu;
-    // Delegate lane-mask reduction (overlaps the normal exchange): the
-    // two-phase OR reduce is word-wise, so the lane masks ride it
-    // unchanged -- only the payload scales (d*W/8 bytes).
-    if (control >= kDelegateFlagUnit) {
-      gs.iter.delegate_update = true;
-      util::LaneBitset reduced = gs.delegate_visited;
-      reduced.or_with(gs.delegate_out);
-      ctx.comm.mask_reducer().reduce(ctx.me, reduced, iteration,
-                                     options_.reduce_mode);
-      util::LaneBitset::diff_into(reduced, gs.delegate_visited,
-                                  gs.delegate_new);
-
-      // Assign depths and maintain the all-lane unvisited pools before the
-      // old visited mask is overwritten: a delegate leaves a pool when its
-      // first lane anywhere becomes visited (== the single-source pool
-      // decrement at W = 1).
-      const graph::LocalGraph& lg = gs.graph();
-      const Depth next_depth = gs.depth + 1;
-      gs.delegate_new.for_each_nonzero_lanes(
-          [&](std::size_t t, std::uint64_t w) {
-            if (gs.delegate_visited.lanes(t) == 0) {
-              if (lg.dd_source_mask().test(t)) --gs.unvisited_dd_sources;
-              if (lg.dn_source_mask().test(t)) --gs.unvisited_dn_sources;
-            }
-            for (std::uint64_t b = w; b != 0; b &= b - 1) {
-              gs.depth_delegate[gs.slot(t, std::countr_zero(b))] = next_depth;
-            }
-          });
-      gs.delegate_visited = reduced;
-    } else {
-      gs.delegate_new.clear_all();
-    }
+    // Delegate lane-mask reduction (overlaps the normal exchange).
+    s.gpu.reduce_delegate_updates(ctx.comm.mask_reducer(), ctx.me, iteration,
+                                  options_.reduce_mode,
+                                  control >= kDelegateFlagUnit);
   }
 
   bool end_iteration(engine::GpuContext& ctx, State& s, int,
@@ -364,32 +336,51 @@ BatchBfsResult DistributedBatchBfs::run(std::span<const VertexId> sources) {
         num_lanes, std::vector<VertexId>(graph_.num_vertices(),
                                          kInvalidVertex));
   }
+  // Normal vertices, in parallel over tiles of each GPU's local vertices.
+  // A tile transposes its slot-major rows (v*W + lane) into the lane-major
+  // result one lane at a time: the tile's rows stay in cache while each
+  // lane's column is written in order (writing all lanes of one vertex
+  // instead touches W columns whose equal offsets collide in the cache
+  // sets).  Never-visited slots still hold kUnvisited / kParentNone, the
+  // result's own defaults, so no visited-mask test is needed; tiles write
+  // disjoint global ids.
+  constexpr std::uint64_t kGatherTile = 128;
+  struct GatherTile {
+    int gpu;
+    std::uint64_t begin, end;
+  };
+  std::vector<GatherTile> tiles;
   for (int g = 0; g < p; ++g) {
-    const LaneState& s = run.state(g).gpu;
-    const sim::GpuCoord me = spec.coord_of(g);
     const std::uint64_t n_local = graph_.local(g).num_local_normals();
-    for (std::uint64_t v = 0; v < n_local; ++v) {
-      const std::uint64_t lanes = s.seen_normal.lanes(v);
-      if (lanes == 0) continue;
-      const VertexId global = spec.global_vertex(me.rank, me.gpu, v);
-      for (std::uint64_t b = lanes; b != 0; b &= b - 1) {
-        const int lane = std::countr_zero(b);
-        if (static_cast<std::size_t>(lane) >= num_lanes) continue;
-        const std::size_t sl = s.slot(v, lane);
-        result.distances[static_cast<std::size_t>(lane)][global] =
-            s.depth_normal[sl];
-        if (options_.compute_parents) {
-          VertexId enc = s.parent_normal[sl];
-          if ((enc & kParentDelegateTag) != 0 && enc != kParentNone &&
-              enc != kParentViaNn) {
-            enc = graph_.delegates().vertex_of(
-                static_cast<LocalId>(enc & ~kParentDelegateTag));
-          }
-          result.parents[static_cast<std::size_t>(lane)][global] = enc;
-        }
-      }
+    for (std::uint64_t v = 0; v < n_local; v += kGatherTile) {
+      tiles.push_back({g, v, std::min(n_local, v + kGatherTile)});
     }
   }
+  util::parallel_tasks(tiles.size(), [&](std::size_t i) {
+    const GatherTile& tile = tiles[i];
+    const LaneState& s = run.state(tile.gpu).gpu;
+    const sim::GpuCoord me = spec.coord_of(tile.gpu);
+    for (std::size_t lane = 0; lane < num_lanes; ++lane) {
+      const int l = static_cast<int>(lane);
+      std::vector<Depth>& distances = result.distances[lane];
+      for (std::uint64_t v = tile.begin; v < tile.end; ++v) {
+        distances[spec.global_vertex(me.rank, me.gpu, v)] =
+            s.depth_normal[s.slot(v, l)];
+      }
+      if (!options_.compute_parents) continue;
+      std::vector<VertexId>& parents = result.parents[lane];
+      for (std::uint64_t v = tile.begin; v < tile.end; ++v) {
+        VertexId enc = s.parent_normal[s.slot(v, l)];
+        if ((enc & kParentDelegateTag) != 0 && enc != kParentNone &&
+            enc != kParentViaNn) {
+          enc = graph_.delegates().vertex_of(
+              static_cast<LocalId>(enc & ~kParentDelegateTag));
+        }
+        parents[spec.global_vertex(me.rank, me.gpu, v)] = enc;
+      }
+    }
+  });
+  // Delegates: the replicated state of GPU 0 overlays the normal gather.
   const LaneState& s0 = run.state(0).gpu;
   for (LocalId t = 0; t < graph_.num_delegates(); ++t) {
     const std::uint64_t lanes = s0.delegate_visited.lanes(t);

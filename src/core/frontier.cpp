@@ -1,5 +1,7 @@
 #include "core/frontier.hpp"
 
+#include <bit>
+
 namespace dsbfs::core {
 
 GpuState::GpuState(const graph::LocalGraph& graph, int total_gpus)
@@ -110,8 +112,8 @@ void GpuState::restore(const GpuSnapshot& s) {
 }
 
 LaneState::LaneState(const graph::LocalGraph& graph, int total_gpus,
-                     int lane_bits)
-    : graph_(&graph), lane_bits_(lane_bits) {
+                     int lane_bits, bool record_parents)
+    : record_parents(record_parents), graph_(&graph), lane_bits_(lane_bits) {
   const std::uint64_t n_local = graph.num_local_normals();
   const LocalId d = graph.num_delegates();
   const auto w = static_cast<std::size_t>(lane_bits);
@@ -122,15 +124,18 @@ LaneState::LaneState(const graph::LocalGraph& graph, int total_gpus,
   depth_normal.assign(n_local * w, kUnvisited);
 
   delegate_visited.resize(d, lane_bits);
-  delegate_out.resize(d, lane_bits);
   delegate_new.resize(d, lane_bits);
+  delegate_out_dd.resize(d, lane_bits);
+  delegate_out_nd.resize(d, lane_bits);
   depth_delegate.assign(static_cast<std::size_t>(d) * w, kUnvisited);
 
-  parent_normal.assign(n_local * w, kParentNone);
-  parent_delegate =
-      std::make_unique<std::atomic<VertexId>[]>(static_cast<std::size_t>(d) * w);
-  for (std::size_t i = 0; i < static_cast<std::size_t>(d) * w; ++i) {
-    parent_delegate[i].store(kParentNone, std::memory_order_relaxed);
+  if (record_parents) {
+    parent_normal.assign(n_local * w, kParentNone);
+    const std::size_t slots = static_cast<std::size_t>(d) * w;
+    parent_delegate = std::make_unique<std::atomic<VertexId>[]>(slots);
+    for (std::size_t i = 0; i < slots; ++i) {
+      parent_delegate[i].store(kParentNone, std::memory_order_relaxed);
+    }
   }
 
   unvisited_nd_sources = graph.nd_source_count();
@@ -150,7 +155,39 @@ void LaneState::begin_iteration() {
 void LaneState::end_iteration() {
   // next_local and received carry the next iteration's frontier inputs; the
   // next normal previsit consumes and clears them.
-  delegate_out.clear_all();
+  delegate_out_dd.clear_all();
+  delegate_out_nd.clear_all();
+}
+
+void LaneState::reduce_delegate_updates(comm::MaskReducer& reducer,
+                                        sim::GpuCoord me, int iteration,
+                                        comm::ReduceMode mode,
+                                        bool any_updates) {
+  if (!any_updates) {
+    delegate_new.clear_all();
+    return;
+  }
+  iter.delegate_update = true;
+  // The two-phase OR reduce is word-wise, so the lane masks ride it
+  // unchanged -- only the payload scales (d*W/8 bytes).
+  util::LaneBitset reduced = delegate_visited;
+  reduced.or_with(delegate_out_dd);
+  reduced.or_with(delegate_out_nd);
+  reducer.reduce(me, reduced, iteration, mode);
+  util::LaneBitset::diff_into(reduced, delegate_visited, delegate_new);
+
+  // Depths and pools are settled before the old visited mask is replaced.
+  const Depth next_depth = depth + 1;
+  delegate_new.for_each_nonzero_lanes([&](std::size_t t, std::uint64_t w) {
+    if (direction_optimized && delegate_visited.lanes(t) == 0) {
+      if (graph_->dd_source_mask().test(t)) --unvisited_dd_sources;
+      if (graph_->dn_source_mask().test(t)) --unvisited_dn_sources;
+    }
+    for (std::uint64_t b = w; b != 0; b &= b - 1) {
+      depth_delegate[slot(t, std::countr_zero(b))] = next_depth;
+    }
+  });
+  delegate_visited = std::move(reduced);
 }
 
 LaneSnapshot LaneState::save() const {
@@ -163,8 +200,9 @@ LaneSnapshot LaneState::save() const {
   s.received = received;
   s.depth_normal = depth_normal;
   s.delegate_visited = delegate_visited;
-  s.delegate_out = delegate_out;
   s.delegate_new = delegate_new;
+  s.delegate_out_dd = delegate_out_dd;
+  s.delegate_out_nd = delegate_out_nd;
   s.depth_delegate = depth_delegate;
   s.delegate_queue = delegate_queue;
   s.dir_dd = dir_dd;
@@ -180,12 +218,12 @@ LaneSnapshot LaneState::save() const {
   s.fv_dd = fv_dd; s.fv_dn = fv_dn; s.fv_nd = fv_nd;
   s.bv_dd = bv_dd; s.bv_dn = bv_dn; s.bv_nd = bv_nd;
   s.bins = bins;
-  s.parent_normal = parent_normal;
-  const std::size_t slots = static_cast<std::size_t>(graph_->num_delegates()) *
-                            static_cast<std::size_t>(lane_bits_);
-  s.parent_delegate.resize(slots);
-  for (std::size_t i = 0; i < slots; ++i) {
-    s.parent_delegate[i] = parent_delegate[i].load(std::memory_order_relaxed);
+  if (record_parents) {
+    s.parent_normal = parent_normal;
+    s.parent_delegate.resize(depth_delegate.size());
+    for (std::size_t i = 0; i < s.parent_delegate.size(); ++i) {
+      s.parent_delegate[i] = parent_delegate[i].load(std::memory_order_relaxed);
+    }
   }
   s.depth = depth;
   return s;
@@ -200,8 +238,9 @@ void LaneState::restore(const LaneSnapshot& s) {
   received = s.received;
   depth_normal = s.depth_normal;
   delegate_visited = s.delegate_visited;
-  delegate_out = s.delegate_out;
   delegate_new = s.delegate_new;
+  delegate_out_dd = s.delegate_out_dd;
+  delegate_out_nd = s.delegate_out_nd;
   depth_delegate = s.depth_delegate;
   delegate_queue = s.delegate_queue;
   dir_dd = s.dir_dd;
@@ -218,9 +257,7 @@ void LaneState::restore(const LaneSnapshot& s) {
   bv_dd = s.bv_dd; bv_dn = s.bv_dn; bv_nd = s.bv_nd;
   bins = s.bins;
   parent_normal = s.parent_normal;
-  const std::size_t slots = static_cast<std::size_t>(graph_->num_delegates()) *
-                            static_cast<std::size_t>(lane_bits_);
-  for (std::size_t i = 0; i < slots; ++i) {
+  for (std::size_t i = 0; i < s.parent_delegate.size(); ++i) {
     parent_delegate[i].store(s.parent_delegate[i], std::memory_order_relaxed);
   }
   depth = s.depth;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "comm/exchange.hpp"
+#include "comm/mask_reduce.hpp"
 #include "core/direction.hpp"
 #include "graph/local_graph.hpp"
 #include "sim/perf_model.hpp"
@@ -153,28 +154,15 @@ class GpuState {
   std::unique_ptr<std::atomic<Depth>[]> level_normal_;
 };
 
-/// Per-GPU state of a batched multi-source traversal (MS-BFS style): the
-/// lane-generalized GpuState.  Lane l of every mask and per-lane array
-/// belongs to source l of the batch; all lanes advance in lockstep through
-/// the same level-synchronous iterations, so one sweep of the
-/// degree-separated subgraphs (and one mask reduction, and one exchange)
-/// serves every source at once.
-///
-/// The single-source level arrays generalize to (item, lane)-indexed depth
-/// arrays plus visited lane masks; the bit-claim that GpuState expresses as
-/// a level CAS becomes an atomic lane-word fetch_or whose return value
-/// identifies the newly claimed lanes.  The same stable-snapshot rule
-/// applies: `seen_normal` and `delegate_visited` only change between
-/// iterations (previsit / post-reduce), never during visits, which write
-/// `next_normal` / `delegate_out` instead.
 /// Value copy of everything a batched-traversal iteration mutates in a
 /// LaneState (lane-generalized GpuSnapshot).
 struct LaneSnapshot {
-  util::LaneBitset seen_normal, frontier_normal, next_normal;
+  util::PlainLaneBitset seen_normal, frontier_normal, next_normal;
   std::vector<LocalId> frontier, next_local;
   std::vector<comm::VertexUpdate> received;
   std::vector<Depth> depth_normal;
-  util::LaneBitset delegate_visited, delegate_out, delegate_new;
+  util::LaneBitset delegate_visited, delegate_new;
+  util::PlainLaneBitset delegate_out_dd, delegate_out_nd;
   std::vector<Depth> depth_delegate;
   std::vector<LocalId> delegate_queue;
   DirectionState dir_dd, dir_dn, dir_nd;
@@ -186,14 +174,47 @@ struct LaneSnapshot {
   double fv_dd = 0, fv_dn = 0, fv_nd = 0;
   double bv_dd = 0, bv_dn = 0, bv_nd = 0;
   std::vector<std::vector<comm::VertexUpdate>> bins;
+  /// Empty unless the state records parents.
   std::vector<VertexId> parent_normal;
   std::vector<VertexId> parent_delegate;
   Depth depth = 0;
 };
 
+/// Per-GPU state of a batched multi-source traversal (MS-BFS style): the
+/// lane-generalized GpuState.  Lane l of every mask and per-lane array
+/// belongs to source l of the batch; all lanes advance in lockstep through
+/// the same level-synchronous iterations, so one sweep of the
+/// degree-separated subgraphs (and one mask reduction, and one exchange)
+/// serves every source at once.
+///
+/// The single-source level arrays generalize to (item, lane)-indexed depth
+/// arrays plus visited lane masks; the bit-claim that GpuState expresses as
+/// a level CAS becomes a lane-word OR whose previous value identifies the
+/// newly claimed lanes.  The same stable-snapshot rule applies:
+/// `seen_normal` and `delegate_visited` only change between iterations
+/// (previsit / post-reduce), never during visits, which write
+/// `next_normal` / `delegate_out_*` instead.
+///
+/// Every mask the visits or previsits write has exactly one writer per
+/// phase, so those masks are util::PlainLaneBitset (plain words, no locked
+/// read-modify-write; ThreadSanitizer reports a second writer):
+///   * `seen_normal` and `frontier_normal` -- the normal previsit, on the
+///     GPU thread while both streams are idle;
+///   * `next_normal` -- the dn visit, on the delegate stream;
+///   * `delegate_out_dd` -- the dd visit, on the delegate stream;
+///   * `delegate_out_nd` -- the nd visit, on the normal stream;
+///   * seeding and lane recycling write between iterations, with both
+///     streams idle.
+/// The delegate out-mask is split per stream because dd and nd run
+/// concurrently; `has_delegate_updates` tests both and
+/// `reduce_delegate_updates` ORs both into the reduced mask.  The delegate
+/// visited masks stay util::LaneBitset: they are what the mask reducer
+/// combines, and visits only read them.
 class LaneState {
  public:
-  LaneState(const graph::LocalGraph& graph, int total_gpus, int lane_bits);
+  /// The parent arrays are allocated only when `record_parents` is set.
+  LaneState(const graph::LocalGraph& graph, int total_gpus, int lane_bits,
+            bool record_parents);
 
   const graph::LocalGraph& graph() const noexcept { return *graph_; }
   int lane_bits() const noexcept { return lane_bits_; }
@@ -205,11 +226,11 @@ class LaneState {
   }
 
   // --- normal vertices -------------------------------------------------
-  util::LaneBitset seen_normal;      // visited lanes; stable within an iter
-  util::LaneBitset frontier_normal;  // lanes expanded this iteration
-  util::LaneBitset next_normal;      // dn-visit discoveries (depth + 1)
-  std::vector<LocalId> frontier;     // items with nonzero frontier lanes
-  std::vector<LocalId> next_local;   // items first touched by the dn visit
+  util::PlainLaneBitset seen_normal;      // visited; stable within an iter
+  util::PlainLaneBitset frontier_normal;  // lanes expanded this iteration
+  util::PlainLaneBitset next_normal;      // dn-visit discoveries (depth + 1)
+  std::vector<LocalId> frontier;    // items with nonzero frontier lanes
+  std::vector<LocalId> next_local;  // items first touched by the dn visit
   /// Exchange arrivals: (destination-local id, lane word) updates, folded
   /// into the frontier at the next normal previsit.
   std::vector<comm::VertexUpdate> received;
@@ -217,8 +238,10 @@ class LaneState {
 
   // --- delegates --------------------------------------------------------
   util::LaneBitset delegate_visited;  // stable within an iteration
-  util::LaneBitset delegate_out;      // this iteration's updates
   util::LaneBitset delegate_new;      // lanes that became visited at reduce
+  // This iteration's updates, one mask per writing stream.
+  util::PlainLaneBitset delegate_out_dd;  // dd visit (delegate stream)
+  util::PlainLaneBitset delegate_out_nd;  // nd visit (normal stream)
   std::vector<Depth> depth_delegate;  // indexed by slot(t, lane)
   std::vector<LocalId> delegate_queue;
 
@@ -247,13 +270,15 @@ class LaneState {
   std::vector<std::vector<comm::VertexUpdate>> bins;  // per dest global GPU
 
   // --- BFS trees (optional; one per lane) --------------------------------
-  bool record_parents = false;
-  /// Per (local normal, lane): encoded parent (kParent* conventions).
+  const bool record_parents;
+  /// Per (local normal, lane): encoded parent (kParent* conventions);
+  /// empty unless record_parents.
   std::vector<VertexId> parent_normal;
   /// Per (delegate, lane): locally-known candidate (kParentDelegateTag
   /// encoding); min-reduced across GPUs at the end of the run.  Atomic for
   /// the same reason as GpuState's: the dd (delegate-stream) and nd
   /// (normal-stream) visits may both record a candidate for the same slot.
+  /// Null unless record_parents.
   std::unique_ptr<std::atomic<VertexId>[]> parent_delegate;
 
   void set_delegate_parent(LocalId delegate, int lane,
@@ -274,9 +299,28 @@ class LaneState {
 
   /// Reset iteration-scoped scratch (bins stay allocated).
   void begin_iteration();
-  /// Close the iteration (clears the delegate out-mask; `iter` stays valid
+  /// Close the iteration (clears the delegate out-masks; `iter` stays valid
   /// until the next begin_iteration so the engine can snapshot it).
   void end_iteration();
+
+  /// True when this GPU's dd or nd visit produced delegate lane updates
+  /// (call once both streams have joined).
+  bool has_delegate_updates() const noexcept {
+    return !delegate_out_dd.none() || !delegate_out_nd.none();
+  }
+
+  /// Post-control delegate step.  With `any_updates` (some GPU set the
+  /// delegate flag of the control word): OR both per-stream out-masks into
+  /// a copy of `delegate_visited`, reduce it across GPUs, extract the newly
+  /// visited lanes into `delegate_new`, assign them depth + 1 and adopt the
+  /// reduced mask.  Under direction optimization it also takes a delegate
+  /// out of the all-lane unvisited pools at its first visited lane (the
+  /// single-source pool decrement at W = 1).  Without updates it only
+  /// clears `delegate_new`.  Runs on the GPU thread; the normal stream may
+  /// still be exchanging, which touches none of these fields.
+  void reduce_delegate_updates(comm::MaskReducer& reducer, sim::GpuCoord me,
+                               int iteration, comm::ReduceMode mode,
+                               bool any_updates);
 
   /// Epoch checkpoint / rollback restore (taken at iteration boundaries,
   /// when no visit kernels are in flight).

@@ -136,7 +136,7 @@ class ServingAlgorithm {
 
   struct State {
     State(const graph::LocalGraph& lg, int total_gpus, int lane_bits)
-        : gpu(lg, total_gpus, lane_bits) {}
+        : gpu(lg, total_gpus, lane_bits, /*record_parents=*/false) {}
 
     LaneState gpu;
     sim::Event bins_ready;
@@ -160,7 +160,6 @@ class ServingAlgorithm {
     auto state = std::make_unique<State>(graph_.local(ctx.gpu),
                                          ctx.total_gpus, lane_bits_);
     LaneState& s = state->gpu;
-    s.record_parents = false;
     s.direction_optimized = false;  // forced push (see the header comment)
     s.batch_mask = 0;               // tracks occupied lanes as queries admit
 
@@ -245,33 +244,15 @@ class ServingAlgorithm {
   std::uint64_t contribution(engine::GpuContext& ctx, State& s, int) {
     ctx.delegate_stream.synchronize();
     s.bins_ready.wait();
-    const bool delegate_updates = !s.gpu.delegate_out.none();
-    return (delegate_updates ? kDelegateFlagUnit : 0) +
+    return (s.gpu.has_delegate_updates() ? kDelegateFlagUnit : 0) +
            static_cast<std::uint64_t>(s.gpu.next_local.size()) + s.bins_total;
   }
 
   void post_reduce(engine::GpuContext& ctx, State& s, int iteration,
                    std::uint64_t control) {
-    LaneState& gs = s.gpu;
-    if (control >= kDelegateFlagUnit) {
-      gs.iter.delegate_update = true;
-      util::LaneBitset reduced = gs.delegate_visited;
-      reduced.or_with(gs.delegate_out);
-      ctx.comm.mask_reducer().reduce(ctx.me, reduced, iteration,
-                                     options_.reduce_mode);
-      util::LaneBitset::diff_into(reduced, gs.delegate_visited,
-                                  gs.delegate_new);
-      const Depth next_depth = gs.depth + 1;
-      gs.delegate_new.for_each_nonzero_lanes(
-          [&](std::size_t t, std::uint64_t w) {
-            for (std::uint64_t b = w; b != 0; b &= b - 1) {
-              gs.depth_delegate[gs.slot(t, std::countr_zero(b))] = next_depth;
-            }
-          });
-      gs.delegate_visited = reduced;
-    } else {
-      gs.delegate_new.clear_all();
-    }
+    s.gpu.reduce_delegate_updates(ctx.comm.mask_reducer(), ctx.me, iteration,
+                                  options_.reduce_mode,
+                                  control >= kDelegateFlagUnit);
   }
 
   bool end_iteration(engine::GpuContext& ctx, State& s, int iteration,

@@ -151,9 +151,11 @@ void visit_nd(GpuState& s) {
 // ---- lane-generalized visits (batched MS-BFS traversals) -----------------
 // One row traversal serves every lane of the frontier word at once.
 // Forward push: the single-source "unvisited? claim" test becomes
-// `word & ~visited_lanes` followed by an atomic lane-word OR whose return
-// value identifies the freshly claimed lanes (MS-BFS's visitNext |= visit &
-// ~seen).  Backward pull reuses the same claim detection in reverse: an item
+// `word & ~visited_lanes` followed by a lane-word OR whose previous value
+// identifies the freshly claimed lanes (MS-BFS's visitNext |= visit &
+// ~seen).  Each mask a kernel ORs into has that kernel as its only writer
+// (LaneState's single-writer rules), so the OR is a plain load-OR-store.
+// Backward pull reuses the same claim detection in reverse: an item
 // unvisited in some live lanes (`miss = batch_mask & ~visited`) probes its
 // in-edges and claims itself in every lane whose visited word intersects a
 // neighbor's (`hit = miss & visited(neighbor)`), clearing hit lanes from
@@ -187,7 +189,7 @@ void visit_dd_lanes(LaneState& s) {
         ++k.edges;
         const std::uint64_t hit = miss & s.delegate_visited.lanes(c);
         if (hit == 0) continue;
-        s.delegate_out.or_lanes(t, hit);
+        s.delegate_out_dd.or_lanes(t, hit);
         if (s.record_parents) {
           // Record for every hit lane, not only freshly claimed ones: the
           // claim split between the delegate and normal streams is racy, so
@@ -214,7 +216,7 @@ void visit_dd_lanes(LaneState& s) {
     for (const LocalId c : row) {
       const std::uint64_t rem = f & ~s.delegate_visited.lanes(c);
       if (rem == 0) continue;
-      s.delegate_out.or_lanes(c, rem);
+      s.delegate_out_dd.or_lanes(c, rem);
       if (s.record_parents) {
         // All candidates feed the CAS-min (see the dd pull above).
         for (std::uint64_t b = rem; b != 0; b &= b - 1) {
@@ -309,7 +311,7 @@ void visit_nd_lanes(LaneState& s) {
         ++k.edges;
         const std::uint64_t hit = miss & s.seen_normal.lanes(v);
         if (hit == 0) continue;
-        s.delegate_out.or_lanes(t, hit);
+        s.delegate_out_nd.or_lanes(t, hit);
         if (s.record_parents) {
           // All candidates feed the CAS-min (see the dd pull above).
           const VertexId v_global = spec.global_vertex(me.rank, me.gpu, v);
@@ -333,7 +335,7 @@ void visit_nd_lanes(LaneState& s) {
     for (const LocalId c : row) {
       const std::uint64_t rem = f & ~s.delegate_visited.lanes(c);
       if (rem == 0) continue;
-      s.delegate_out.or_lanes(c, rem);
+      s.delegate_out_nd.or_lanes(c, rem);
       if (s.record_parents) {
         // All candidates feed the CAS-min (see the dd pull above).
         const VertexId v_global = spec.global_vertex(me.rank, me.gpu, v);

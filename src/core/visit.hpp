@@ -12,7 +12,8 @@
 /// unvisited vertex's parent list only until the first visited parent.
 ///
 /// Write discipline (safe under delegate/normal stream concurrency):
-///   * dd/nd write only `delegate_out` (atomic OR bitset);
+///   * dd/nd write only `delegate_out` (atomic OR bitset; the lane kernels
+///     below split it into one single-writer mask per stream);
 ///   * dn writes `level_normal` via CAS with depth+1 and appends to the
 ///     single-writer `next_local`;
 ///   * nn writes only this GPU's outbound bins;
@@ -43,12 +44,15 @@ void visit_nn(GpuState& s, const sim::ClusterSpec& spec);
 // the single-source kernels: backward pulls sweep the reverse subgraph once
 // for the whole union frontier, each candidate clearing its still-unvisited
 // lane word (`miss`) against neighbors' visited words and early-exiting
-// when every live lane has a parent.  nn is always forward.  The same write
-// discipline holds with `next_normal` (atomic lane OR + single-writer
-// next_local) in place of the level CAS.
+// when every live lane has a parent.  nn is always forward.  The write
+// discipline becomes one writer per mask per phase (see LaneState): dd ORs
+// into `delegate_out_dd` on the delegate stream, nd into `delegate_out_nd`
+// on the normal stream, and dn claims lanes in `next_normal` (plus the
+// single-writer next_local) in place of the level CAS -- all plain
+// load-OR-stores, no atomic read-modify-write.
 
-/// delegate -> delegate, lane words into `delegate_out`; backward pull runs
-/// over dd itself (locally symmetric).
+/// delegate -> delegate, lane words into `delegate_out_dd`; backward pull
+/// runs over dd itself (locally symmetric).
 void visit_dd_lanes(LaneState& s);
 
 /// delegate -> normal: claims (vertex, lane) pairs in `next_normal`,
@@ -57,8 +61,8 @@ void visit_dd_lanes(LaneState& s);
 /// list.
 void visit_dn_lanes(LaneState& s);
 
-/// normal -> delegate, lane words into `delegate_out`; backward pull runs
-/// over the dn subgraph from its source mask.
+/// normal -> delegate, lane words into `delegate_out_nd`; backward pull
+/// runs over the dn subgraph from its source mask.
 void visit_nd_lanes(LaneState& s);
 
 /// normal -> normal: fills per-destination-GPU bins with (32-bit

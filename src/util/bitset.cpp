@@ -5,25 +5,18 @@
 
 namespace dsbfs::util {
 
-void LaneBitset::resize(std::size_t items, int lane_bits) {
+template <typename Word>
+void BasicLaneBitset<Word>::resize(std::size_t items, int lane_bits) {
   assert(lane_bits > 0 && lane_bits <= 64 && 64 % lane_bits == 0 &&
          "lane width must divide the 64-bit storage word");
   items_ = items;
   lane_bits_ = lane_bits;
   lane_mask_ = lane_bits == 64 ? ~0ULL : (1ULL << lane_bits) - 1;
-  words_.assign(word_count(), Word{0});
+  words_.assign(word_count(), Word{});
 }
 
-void LaneBitset::or_with(const LaneBitset& other) noexcept {
-  assert(items_ == other.items_ && lane_bits_ == other.lane_bits_);
-  const std::size_t nw = word_count();
-  for (std::size_t w = 0; w < nw; ++w) {
-    const std::uint64_t v = other.word(w);
-    if (v != 0) words_[w].v.fetch_or(v, std::memory_order_relaxed);
-  }
-}
-
-std::size_t LaneBitset::clear_lanes(std::uint64_t bits) noexcept {
+template <typename Word>
+std::size_t BasicLaneBitset<Word>::clear_lanes(std::uint64_t bits) noexcept {
   bits &= lane_mask_;
   if (bits == 0) return 0;
   // Replicate the lane word across the storage word: one AND-NOT per word
@@ -36,16 +29,17 @@ std::size_t LaneBitset::clear_lanes(std::uint64_t bits) noexcept {
   std::size_t cleared = 0;
   const std::size_t nw = word_count();
   for (std::size_t w = 0; w < nw; ++w) {
-    const std::uint64_t old = words_[w].v.load(std::memory_order_relaxed);
+    const std::uint64_t old = word(w);
     const std::uint64_t hit = old & pattern;
     if (hit == 0) continue;
     cleared += static_cast<std::size_t>(std::popcount(hit));
-    words_[w].v.store(old & ~pattern, std::memory_order_relaxed);
+    set_word(w, old & ~pattern);
   }
   return cleared;
 }
 
-std::size_t LaneBitset::count() const noexcept {
+template <typename Word>
+std::size_t BasicLaneBitset<Word>::count() const noexcept {
   std::size_t total = 0;
   const std::size_t nw = word_count();
   for (std::size_t w = 0; w < nw; ++w) {
@@ -54,13 +48,15 @@ std::size_t LaneBitset::count() const noexcept {
   return total;
 }
 
-std::size_t LaneBitset::count_nonzero_items() const noexcept {
+template <typename Word>
+std::size_t BasicLaneBitset<Word>::count_nonzero_items() const noexcept {
   std::size_t total = 0;
   for_each_nonzero_lanes([&total](std::size_t, std::uint64_t) { ++total; });
   return total;
 }
 
-bool LaneBitset::none() const noexcept {
+template <typename Word>
+bool BasicLaneBitset<Word>::none() const noexcept {
   const std::size_t nw = word_count();
   for (std::size_t w = 0; w < nw; ++w) {
     if (word(w) != 0) return false;
@@ -68,8 +64,10 @@ bool LaneBitset::none() const noexcept {
   return true;
 }
 
-void LaneBitset::diff_into(const LaneBitset& next, const LaneBitset& prev,
-                           LaneBitset& out) noexcept {
+template <typename Word>
+void BasicLaneBitset<Word>::diff_into(const BasicLaneBitset& next,
+                                      const BasicLaneBitset& prev,
+                                      BasicLaneBitset& out) noexcept {
   assert(next.items_ == prev.items_ && next.items_ == out.items_);
   assert(next.lane_bits_ == prev.lane_bits_ &&
          next.lane_bits_ == out.lane_bits_);
@@ -79,7 +77,9 @@ void LaneBitset::diff_into(const LaneBitset& next, const LaneBitset& prev,
   }
 }
 
-bool LaneBitset::operator==(const LaneBitset& other) const noexcept {
+template <typename Word>
+bool BasicLaneBitset<Word>::operator==(
+    const BasicLaneBitset& other) const noexcept {
   if (items_ != other.items_ || lane_bits_ != other.lane_bits_) return false;
   const std::size_t nw = word_count();
   for (std::size_t w = 0; w < nw; ++w) {
@@ -87,6 +87,9 @@ bool LaneBitset::operator==(const LaneBitset& other) const noexcept {
   }
   return true;
 }
+
+template class BasicLaneBitset<detail::AtomicLaneWord>;
+template class BasicLaneBitset<std::uint64_t>;
 
 int lane_width_for(std::size_t lanes) noexcept {
   // The traversal substrate quantizes to the widths whose per-vertex state

@@ -1,12 +1,13 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
 #include "util/types.hpp"
 
-/// Concurrent fixed-size lane bitset used for delegate visited masks and,
+/// Fixed-size lane bitset used for delegate visited masks and,
 /// more generally, any per-item W-bit state that is communicated by
 /// word-level OR reduction.
 ///
@@ -22,30 +23,69 @@
 /// single-source mask (AtomicBitset remains as an alias for that use).
 ///
 /// Three access patterns coexist:
-///   * concurrent per-bit `set()` / per-item `or_lanes()` from visit kernels
-///     (relaxed atomic fetch_or),
+///   * per-bit `set()` / per-item `or_lanes()` from visit kernels,
 ///   * word-level bulk operations for reduction/broadcast (or_with, diff) --
 ///     lane-width agnostic, which is what keeps the two-phase mask reduce
 ///     unchanged across widths,
 ///   * read-only tests from backward-pull kernels against a *stable*
 ///     snapshot.
+///
+/// Two storage flavours share that interface.  LaneBitset keeps relaxed
+/// atomic words, so concurrent writers from both streams of one GPU merge
+/// losslessly (the single-source delegate out-mask, and every mask the
+/// reducers touch).  PlainLaneBitset keeps plain words for masks with one
+/// writer per phase (the batched traversal's normal-side masks and its
+/// per-stream delegate out-masks): `or_lanes` is then an ordinary
+/// load-OR-store with no locked read-modify-write, and a second concurrent
+/// writer is a data race that ThreadSanitizer reports.
 namespace dsbfs::util {
 
-class LaneBitset {
- public:
-  LaneBitset() = default;
-  /// `items` entries of `lane_bits` bits each; lane_bits must divide 64.
-  explicit LaneBitset(std::size_t items, int lane_bits = 1) {
-    resize(items, lane_bits);
-  }
+namespace detail {
 
-  LaneBitset(const LaneBitset& other) { copy_from(other); }
-  LaneBitset& operator=(const LaneBitset& other) {
-    if (this != &other) copy_from(other);
+/// Storage word of LaneBitset: a relaxed atomic that copies by value, so
+/// the word vector (and the bitset) stays copyable.
+struct AtomicLaneWord {
+  std::atomic<std::uint64_t> v{0};
+  AtomicLaneWord() = default;
+  AtomicLaneWord(std::uint64_t x) : v(x) {}
+  AtomicLaneWord(const AtomicLaneWord& o)
+      : v(o.v.load(std::memory_order_relaxed)) {}
+  AtomicLaneWord& operator=(const AtomicLaneWord& o) {
+    v.store(o.v.load(std::memory_order_relaxed), std::memory_order_relaxed);
     return *this;
   }
-  LaneBitset(LaneBitset&&) noexcept = default;
-  LaneBitset& operator=(LaneBitset&&) noexcept = default;
+};
+
+inline std::uint64_t load_word(const AtomicLaneWord& w) noexcept {
+  return w.v.load(std::memory_order_relaxed);
+}
+inline std::uint64_t load_word(const std::uint64_t& w) noexcept { return w; }
+inline void store_word(AtomicLaneWord& w, std::uint64_t x) noexcept {
+  w.v.store(x, std::memory_order_relaxed);
+}
+inline void store_word(std::uint64_t& w, std::uint64_t x) noexcept { w = x; }
+/// OR `x` into `w`; returns the previous word.
+inline std::uint64_t fetch_or_word(AtomicLaneWord& w,
+                                   std::uint64_t x) noexcept {
+  return w.v.fetch_or(x, std::memory_order_relaxed);
+}
+inline std::uint64_t fetch_or_word(std::uint64_t& w,
+                                   std::uint64_t x) noexcept {
+  const std::uint64_t prev = w;
+  w = prev | x;
+  return prev;
+}
+
+}  // namespace detail
+
+template <typename Word>
+class BasicLaneBitset {
+ public:
+  BasicLaneBitset() = default;
+  /// `items` entries of `lane_bits` bits each; lane_bits must divide 64.
+  explicit BasicLaneBitset(std::size_t items, int lane_bits = 1) {
+    resize(items, lane_bits);
+  }
 
   void resize(std::size_t items, int lane_bits = 1);
 
@@ -66,20 +106,17 @@ class LaneBitset {
   /// Set bit i.  Returns true when this call flipped it from 0 to 1.
   bool set(std::size_t i) noexcept {
     const std::uint64_t mask = 1ULL << (i & 63);
-    const std::uint64_t prev =
-        words_[i >> 6].v.fetch_or(mask, std::memory_order_relaxed);
-    return (prev & mask) == 0;
+    return (detail::fetch_or_word(words_[i >> 6], mask) & mask) == 0;
   }
 
-  /// Non-atomic set for single-threaded construction phases.
+  /// Unlocked set for single-threaded construction phases.
   void set_unsynchronized(std::size_t i) noexcept {
-    words_[i >> 6].v.store(
-        words_[i >> 6].v.load(std::memory_order_relaxed) | (1ULL << (i & 63)),
-        std::memory_order_relaxed);
+    Word& w = words_[i >> 6];
+    detail::store_word(w, detail::load_word(w) | (1ULL << (i & 63)));
   }
 
   bool test(std::size_t i) const noexcept {
-    return (words_[i >> 6].v.load(std::memory_order_relaxed) >> (i & 63)) & 1;
+    return (detail::load_word(words_[i >> 6]) >> (i & 63)) & 1;
   }
 
   // ---- lane interface ----------------------------------------------------
@@ -87,22 +124,22 @@ class LaneBitset {
   /// Item v's lane word (bits [v*W, (v+1)*W) right-aligned).
   std::uint64_t lanes(std::size_t v) const noexcept {
     const std::size_t bit = v * static_cast<std::size_t>(lane_bits_);
-    return (words_[bit >> 6].v.load(std::memory_order_relaxed) >> (bit & 63)) &
-           lane_mask_;
+    return (detail::load_word(words_[bit >> 6]) >> (bit & 63)) & lane_mask_;
   }
 
-  /// Atomically OR `bits` (right-aligned, must fit the lane) into item v's
-  /// lane word; returns the lane word *before* the OR, so callers can
-  /// compute newly-set bits (`bits & ~prev`) and first-touch (`prev == 0`).
+  /// OR `bits` (right-aligned, must fit the lane) into item v's lane word
+  /// (atomically in LaneBitset); returns the lane word *before* the OR, so
+  /// callers can compute newly-set bits (`bits & ~prev`) and first-touch
+  /// (`prev == 0`).
   std::uint64_t or_lanes(std::size_t v, std::uint64_t bits) noexcept {
     const std::size_t bit = v * static_cast<std::size_t>(lane_bits_);
-    const std::uint64_t prev = words_[bit >> 6].v.fetch_or(
-        bits << (bit & 63), std::memory_order_relaxed);
+    const std::uint64_t prev =
+        detail::fetch_or_word(words_[bit >> 6], bits << (bit & 63));
     return (prev >> (bit & 63)) & lane_mask_;
   }
 
   void clear_all() noexcept {
-    for (auto& w : words_) w.v.store(0, std::memory_order_relaxed);
+    for (auto& w : words_) detail::store_word(w, 0);
   }
 
   /// Clear lane `bits` (right-aligned lane word) of *every* item in one
@@ -113,17 +150,23 @@ class LaneBitset {
   std::size_t clear_lanes(std::uint64_t bits) noexcept;
 
   std::uint64_t word(std::size_t w) const noexcept {
-    return words_[w].v.load(std::memory_order_relaxed);
+    return detail::load_word(words_[w]);
   }
   void set_word(std::size_t w, std::uint64_t value) noexcept {
-    words_[w].v.store(value, std::memory_order_relaxed);
+    detail::store_word(words_[w], value);
   }
   void or_word(std::size_t w, std::uint64_t value) noexcept {
-    if (value != 0) words_[w].v.fetch_or(value, std::memory_order_relaxed);
+    if (value != 0) detail::fetch_or_word(words_[w], value);
   }
 
-  /// this |= other  (word-parallel; item counts and widths must match).
-  void or_with(const LaneBitset& other) noexcept;
+  /// this |= other  (word-parallel; item counts and widths must match; the
+  /// other mask may use either storage flavour).
+  template <typename OtherWord>
+  void or_with(const BasicLaneBitset<OtherWord>& other) noexcept {
+    assert(items_ == other.size() && lane_bits_ == other.lane_bits());
+    const std::size_t nw = word_count();
+    for (std::size_t w = 0; w < nw; ++w) or_word(w, other.word(w));
+  }
 
   /// Number of set bits (across all lanes).
   std::size_t count() const noexcept;
@@ -139,8 +182,9 @@ class LaneBitset {
   /// (out = next & ~prev).  All three must share size and width.  This
   /// extracts "newly visited delegates" (or newly occupied lanes) after a
   /// mask reduction.
-  static void diff_into(const LaneBitset& next, const LaneBitset& prev,
-                        LaneBitset& out) noexcept;
+  static void diff_into(const BasicLaneBitset& next,
+                        const BasicLaneBitset& prev,
+                        BasicLaneBitset& out) noexcept;
 
   /// Call `fn(index)` for every set bit (flat bit indices).
   template <typename Fn>
@@ -175,34 +219,22 @@ class LaneBitset {
     }
   }
 
-  bool operator==(const LaneBitset& other) const noexcept;
+  bool operator==(const BasicLaneBitset& other) const noexcept;
 
  private:
-  // std::atomic is not copyable; wrap it so vector works, and copy manually.
-  struct Word {
-    std::atomic<std::uint64_t> v{0};
-    Word() = default;
-    Word(std::uint64_t x) : v(x) {}
-    Word(const Word& o) : v(o.v.load(std::memory_order_relaxed)) {}
-    Word(Word&& o) noexcept : v(o.v.load(std::memory_order_relaxed)) {}
-    Word& operator=(const Word& o) {
-      v.store(o.v.load(std::memory_order_relaxed), std::memory_order_relaxed);
-      return *this;
-    }
-  };
-
-  void copy_from(const LaneBitset& other) {
-    items_ = other.items_;
-    lane_bits_ = other.lane_bits_;
-    lane_mask_ = other.lane_mask_;
-    words_ = other.words_;
-  }
-
   std::size_t items_ = 0;
   int lane_bits_ = 1;
   std::uint64_t lane_mask_ = 1;
   std::vector<Word> words_;
 };
+
+/// Concurrent lane bitset (relaxed atomic words).
+using LaneBitset = BasicLaneBitset<detail::AtomicLaneWord>;
+/// Single-writer lane bitset (plain words; see the header comment).
+using PlainLaneBitset = BasicLaneBitset<std::uint64_t>;
+
+extern template class BasicLaneBitset<detail::AtomicLaneWord>;
+extern template class BasicLaneBitset<std::uint64_t>;
 
 /// Historic name for the 1-bit-per-vertex use (delegate visited masks,
 /// subgraph source masks); every W = 1 call pattern is unchanged.

@@ -9,6 +9,7 @@
 
 #include "baseline/serial_bfs.hpp"
 #include "core/bfs.hpp"
+#include "core/frontier.hpp"
 #include "core/query_scheduler.hpp"
 #include "core/validate.hpp"
 #include "graph/csr.hpp"
@@ -177,6 +178,130 @@ TEST(BatchBfsRegression, WidthOneReproducesSingleSourceCountersExactly) {
                          [](const auto& c) { return c.bin_vertices; }),
             sum_counters(sm.counters,
                          [](const auto& c) { return c.bin_vertices; }));
+}
+
+/// Run-summed per-kernel work: {dd, dn, nd, nn} edges and vertices.
+struct KernelTotals {
+  std::uint64_t edges[4] = {};
+  std::uint64_t vertices[4] = {};
+};
+
+KernelTotals kernel_totals(const sim::RunCounters& counters) {
+  KernelTotals t;
+  for (const auto& ic : counters.iterations) {
+    for (const auto& gc : ic.gpu) {
+      const sim::KernelCounters* kernels[4] = {&gc.dd, &gc.dn, &gc.nd, &gc.nn};
+      for (int i = 0; i < 4; ++i) {
+        t.edges[i] += kernels[i]->edges;
+        t.vertices[i] += kernels[i]->vertices;
+      }
+    }
+  }
+  return t;
+}
+
+TEST(BatchBfsGolden, CountersAndModeledTimeArePinned) {
+  // RMAT-12 on 2x2: full-width forced push, a byte-wide hybrid batch and
+  // full width with parents.  The lane kernels' write discipline and the
+  // lane state layout may change; the traversal they perform may not.
+  struct Golden {
+    const char* name;
+    std::size_t batch;
+    TraversalDirection direction;
+    bool parents;
+    int lane_bits, iterations;
+    std::uint64_t edges[4], vertices[4];  // dd, dn, nd, nn
+    std::uint64_t remote_bytes, mask_bytes;
+    double modeled_ms;
+  };
+  const Golden goldens[] = {
+      {"w64_push", 64, TraversalDirection::kForcedPush, false, 64, 7,
+       {274289, 45255, 42290, 5944}, {8070, 8070, 7076, 7076}, 36300, 100992,
+       0.45064991155990425},
+      {"w8_hybrid", 8, TraversalDirection::kHybrid, false, 8, 7,
+       {104262, 22013, 38376, 4469}, {4868, 5643, 7363, 5204}, 11265, 9468,
+       0.36811980969644742},
+      {"w64_parents", 64, TraversalDirection::kForcedPush, true, 64, 7,
+       {274289, 45255, 42290, 5944}, {8070, 8070, 7076, 7076}, 36300, 100992,
+       0.45064991155990425},
+  };
+  const graph::EdgeList g = graph::rmat_graph500({.scale = 12, .seed = 91});
+  sim::ClusterSpec spec;
+  spec.num_ranks = 2;
+  spec.gpus_per_rank = 2;
+  sim::Cluster cluster(spec);
+  const graph::DistributedGraph dg = build_distributed(g, spec, 32);
+  for (const Golden& gold : goldens) {
+    SCOPED_TRACE(gold.name);
+    BatchBfsOptions options;
+    options.direction = gold.direction;
+    options.compute_parents = gold.parents;
+    DistributedBatchBfs bfs(dg, cluster, options);
+    const BatchBfsResult r = bfs.run(pick_sources(bfs, gold.batch));
+    const RunMetrics& m = r.metrics;
+    EXPECT_EQ(r.lane_bits, gold.lane_bits);
+    EXPECT_EQ(m.iterations, gold.iterations);
+    const KernelTotals k = kernel_totals(m.counters);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(k.edges[i], gold.edges[i]) << "kernel " << i;
+      EXPECT_EQ(k.vertices[i], gold.vertices[i]) << "kernel " << i;
+    }
+    EXPECT_EQ(m.exchange_remote_bytes, gold.remote_bytes);
+    EXPECT_EQ(m.mask_reduce_bytes, gold.mask_bytes);
+    EXPECT_NEAR(m.modeled_ms, gold.modeled_ms, 1e-12 * gold.modeled_ms);
+  }
+}
+
+TEST(BatchBfs, ParentStorageOnlyWhenRecordingParents) {
+  const graph::EdgeList g = graph::rmat_graph500({.scale = 10, .seed = 88});
+  sim::ClusterSpec spec;
+  spec.num_ranks = 2;
+  spec.gpus_per_rank = 1;
+  sim::Cluster cluster(spec);
+  const graph::DistributedGraph dg = build_distributed(g, spec, 16);
+  const graph::LocalGraph& lg = dg.local(0);
+  ASSERT_GT(dg.num_delegates(), 0u);
+
+  const LaneState lean(lg, spec.total_gpus(), 64, /*record_parents=*/false);
+  EXPECT_FALSE(lean.record_parents);
+  EXPECT_TRUE(lean.parent_normal.empty());
+  EXPECT_EQ(lean.parent_delegate, nullptr);
+  const LaneSnapshot snap = lean.save();
+  EXPECT_TRUE(snap.parent_normal.empty());
+  EXPECT_TRUE(snap.parent_delegate.empty());
+
+  const LaneState full(lg, spec.total_gpus(), 64, /*record_parents=*/true);
+  EXPECT_EQ(full.parent_normal.size(), lg.num_local_normals() * 64);
+  EXPECT_NE(full.parent_delegate, nullptr);
+
+  // Parents on or off, the traversal is the same: distances and every
+  // counter the model replays.
+  std::vector<BatchBfsResult> runs;
+  for (const bool parents : {false, true}) {
+    BatchBfsOptions options;
+    options.compute_parents = parents;
+    DistributedBatchBfs bfs(dg, cluster, options);
+    runs.push_back(bfs.run(pick_sources(bfs, 64)));
+  }
+  const RunMetrics& off = runs[0].metrics;
+  const RunMetrics& on = runs[1].metrics;
+  EXPECT_TRUE(runs[0].parents.empty());
+  EXPECT_EQ(runs[1].parents.size(), 64u);
+  EXPECT_EQ(runs[0].distances, runs[1].distances);
+  EXPECT_EQ(off.iterations, on.iterations);
+  EXPECT_EQ(off.delegate_reduce_iterations, on.delegate_reduce_iterations);
+  EXPECT_EQ(off.edges_traversed, on.edges_traversed);
+  const KernelTotals k_off = kernel_totals(off.counters);
+  const KernelTotals k_on = kernel_totals(on.counters);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(k_off.edges[i], k_on.edges[i]) << "kernel " << i;
+    EXPECT_EQ(k_off.vertices[i], k_on.vertices[i]) << "kernel " << i;
+  }
+  EXPECT_EQ(off.exchange_remote_bytes, on.exchange_remote_bytes);
+  EXPECT_EQ(off.exchange_local_bytes, on.exchange_local_bytes);
+  EXPECT_EQ(off.mask_reduce_bytes, on.mask_reduce_bytes);
+  EXPECT_EQ(off.counters.delegate_mask_bytes, on.counters.delegate_mask_bytes);
+  EXPECT_EQ(off.modeled_ms, on.modeled_ms);
 }
 
 TEST(BatchBfs, LaneOccupancyCountersAndScaledMaskBytes) {

@@ -308,6 +308,36 @@ TEST(LaneBitset, ClearLanesFullWidth) {
   EXPECT_EQ(b.lanes(4), 0u);
 }
 
+TEST(PlainLaneBitset, SameLayoutAndClaimsAsTheAtomicFlavour) {
+  // The single-writer flavour keeps LaneBitset's layout and semantics:
+  // or_lanes returns the pre-OR word, and word operations mix flavours.
+  for (const int w : {1, 8, 64}) {
+    PlainLaneBitset plain(100, w);
+    LaneBitset atomic(100, w);
+    EXPECT_EQ(plain.word_count(), atomic.word_count());
+    EXPECT_EQ(plain.byte_size(), atomic.byte_size());
+  }
+  PlainLaneBitset plain(10, 8);
+  EXPECT_EQ(plain.or_lanes(3, 0b0011), 0u);       // first touch
+  EXPECT_EQ(plain.or_lanes(3, 0b0110), 0b0011u);  // previous word back
+  EXPECT_EQ(plain.lanes(3), 0b0111u);
+  EXPECT_EQ(plain.lanes(2), 0u);
+  EXPECT_EQ(plain.lanes(4), 0u);
+  plain.or_lanes(9, 0x80);
+
+  LaneBitset merged(10, 8);
+  merged.or_lanes(3, 0b1000);
+  merged.or_with(plain);
+  EXPECT_EQ(merged.lanes(3), 0b1111u);
+  EXPECT_EQ(merged.lanes(9), 0x80u);
+  EXPECT_EQ(merged.count(), 5u);
+
+  EXPECT_EQ(plain.clear_lanes(0b0001), 1u);
+  EXPECT_EQ(plain.lanes(3), 0b0110u);
+  plain.clear_all();
+  EXPECT_TRUE(plain.none());
+}
+
 TEST(LaneBitset, LaneWidthForQuantizesToSupportedWidths) {
   EXPECT_EQ(lane_width_for(1), 1);
   EXPECT_EQ(lane_width_for(2), 8);

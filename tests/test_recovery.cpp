@@ -88,19 +88,27 @@ TEST_F(RecoveryTest, BatchBfs64SurvivesGpuFailureBitExact) {
       sources.push_back(sampler.sample_source(k));
     }
   }
-  const core::BatchBfsResult clean =
-      core::DistributedBatchBfs(dg_, cluster).run(sources);
-  ASSERT_EQ(clean.lane_bits, 64);
+  // With parents off the snapshots carry no parent arrays at all; with
+  // them on the rollback must restore every lane's tree candidates.
+  for (const bool parents : {false, true}) {
+    SCOPED_TRACE(parents ? "parents" : "no parents");
+    core::BatchBfsOptions options;
+    options.compute_parents = parents;
+    const core::BatchBfsResult clean =
+        core::DistributedBatchBfs(dg_, cluster, options).run(sources);
+    ASSERT_EQ(clean.lane_bits, 64);
 
-  core::BatchBfsOptions options;
-  options.resilience = kill_gpu1_at2();
-  const core::BatchBfsResult hurt =
-      core::DistributedBatchBfs(dg_, cluster, options).run(sources);
+    options.resilience = kill_gpu1_at2();
+    const core::BatchBfsResult hurt =
+        core::DistributedBatchBfs(dg_, cluster, options).run(sources);
 
-  EXPECT_EQ(hurt.distances, clean.distances);
-  EXPECT_EQ(hurt.metrics.iterations,
-            clean.metrics.iterations + hurt.metrics.fault.replayed_iterations);
-  expect_recovered(hurt.metrics.fault);
+    EXPECT_EQ(hurt.distances, clean.distances);
+    EXPECT_EQ(hurt.parents, clean.parents);
+    EXPECT_EQ(hurt.metrics.iterations,
+              clean.metrics.iterations +
+                  hurt.metrics.fault.replayed_iterations);
+    expect_recovered(hurt.metrics.fault);
+  }
 }
 
 TEST_F(RecoveryTest, DeltaSsspSurvivesGpuFailureBitExact) {
