@@ -70,7 +70,7 @@ void BM_DelegatePrevisit(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) {
     state.PauseTiming();
-    core::GpuState s(f.dg.local(0), 1);
+    core::GpuState s(f.dg.local(0), 1, /*record_parents=*/false);
     for (LocalId t = 0; t < f.dg.num_delegates(); t += 4) {
       s.delegate_new.set_unsynchronized(t);
     }
@@ -85,13 +85,13 @@ void BM_VisitDdForward(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) {
     state.PauseTiming();
-    core::GpuState s(f.dg.local(0), 1);
+    core::GpuState s(f.dg.local(0), 1, /*record_parents=*/false);
     for (LocalId t = 0; t < f.dg.num_delegates(); t += 8) {
       s.delegate_queue.push_back(t);
     }
     state.ResumeTiming();
     core::visit_dd(s);
-    benchmark::DoNotOptimize(s.delegate_out);
+    benchmark::DoNotOptimize(s.delegate_out_dd);
   }
   state.SetLabel("merge-class kernel (dd)");
 }
@@ -101,7 +101,7 @@ void BM_VisitDdBackward(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) {
     state.PauseTiming();
-    core::GpuState s(f.dg.local(0), 1);
+    core::GpuState s(f.dg.local(0), 1, /*record_parents=*/false);
     // Mark a quarter of delegates visited; pull the rest.
     for (LocalId t = 0; t < f.dg.num_delegates(); t += 4) {
       s.delegate_visited.set_unsynchronized(t);
@@ -109,7 +109,7 @@ void BM_VisitDdBackward(benchmark::State& state) {
     s.dir_dd.update(1e18, 1.0, true);  // force backward
     state.ResumeTiming();
     core::visit_dd(s);
-    benchmark::DoNotOptimize(s.delegate_out);
+    benchmark::DoNotOptimize(s.delegate_out_dd);
   }
   state.SetLabel("backward pull with early exit");
 }
@@ -120,7 +120,7 @@ void BM_VisitNnForward(benchmark::State& state) {
   const std::uint64_t n_local = f.dg.local(0).num_local_normals();
   for (auto _ : state) {
     state.PauseTiming();
-    core::GpuState s(f.dg.local(0), 1);
+    core::GpuState s(f.dg.local(0), 1, /*record_parents=*/false);
     for (std::uint64_t v = 0; v < n_local; v += 16) {
       s.frontier.push_back(static_cast<LocalId>(v));
     }

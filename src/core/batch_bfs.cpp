@@ -149,18 +149,21 @@ class BatchBfsAlgorithm {
     // post-control mask reduction.  The lane word is the update value: OR
     // coalescing merges candidates for one destination, and the wire width
     // is the lane width (0 extra bytes at W = 1, where the single lane is
-    // implicit and the record matches the id exchange's 4-byte id).
+    // implicit and the record matches the id exchange's 4-byte id).  The
+    // consumed receive buffer becomes the next round's loopback bin.
     LaneState& gs = s.gpu;
-    gs.received = ctx.comm.exchange_value_updates(
-        ctx.me, gs.bins, iteration,
-        {.combine = options_.uniquify ? comm::UpdateCombine::kOr
-                                      : comm::UpdateCombine::kNone,
-         .compress = options_.compress,
-         .value_bytes = lane_bits_ == 1 ? 0 : lane_bits_ / 8,
-         .adaptive = options_.adaptive_compress,
-         .topology = options_.exchange_topology,
-         .retry = options_.resilience.retry},
-        gs.iter);
+    engine::adopt_received(
+        gs.bins, ctx.gpu, gs.received,
+        ctx.comm.exchange_value_updates(
+            ctx.me, gs.bins, iteration,
+            {.combine = options_.uniquify ? comm::UpdateCombine::kOr
+                                          : comm::UpdateCombine::kNone,
+             .compress = options_.compress,
+             .value_bytes = lane_bits_ == 1 ? 0 : lane_bits_ / 8,
+             .adaptive = options_.adaptive_compress,
+             .topology = options_.exchange_topology,
+             .retry = options_.resilience.retry},
+            gs.iter));
   }
 
   std::uint64_t contribution(engine::GpuContext& ctx, State& s, int) {
@@ -209,6 +212,7 @@ class BatchBfsAlgorithm {
     if (!options_.compute_parents) return;
     LaneState& s = state.gpu;
     const sim::ClusterSpec& spec = graph_.spec();
+    const sim::VertexRouter router(spec);
     const int p = ctx.total_gpus;
     const int g = ctx.gpu;
     const sim::GpuCoord me = ctx.me;
@@ -227,13 +231,12 @@ class BatchBfsAlgorithm {
       if (lanes == 0) continue;
       const VertexId v_global = spec.global_vertex(me.rank, me.gpu, v);
       for (const VertexId dst : lg.nn().row(v)) {
-        const int owner = spec.owner_global_gpu(dst);
+        const auto [owner, local] = router.split(dst);
         auto& bin = tuples[static_cast<std::size_t>(owner)];
         for (std::uint64_t b = lanes; b != 0; b &= b - 1) {
           const int lane = std::countr_zero(b);
           bin.push_back(pack_lane_parent_probe(
-              dst / static_cast<std::uint64_t>(p), lane,
-              s.depth_normal[s.slot(v, lane)]));
+              local, lane, s.depth_normal[s.slot(v, lane)]));
           bin.push_back(v_global);
         }
       }

@@ -266,7 +266,7 @@ class BatchSsspAlgorithm {
     const sim::ClusterSpec& spec = graph_.spec();
     const graph::LocalGraph& lg = graph_.local(ctx.gpu);
     const graph::DelegateInfo& delegates = graph_.delegates();
-    const std::uint64_t p = static_cast<std::uint64_t>(ctx.total_gpus);
+    const sim::VertexRouter router(spec);
     const auto global_of = [&](LocalId v) {
       return spec.global_vertex(ctx.me.rank, ctx.me.gpu, v);
     };
@@ -288,10 +288,10 @@ class BatchSsspAlgorithm {
           s.iter.nn, global_of,
           [&](VertexId u, EdgeId e, const auto& active) {
             const VertexId dst = lg.nn().col(e);
+            const auto [owner, local] = router.split(dst);
             relax_to_bin(s, active, weight(lg.nn_weights(), e, u, dst),
-                         static_cast<LocalId>(dst / p),
-                         s.bins[static_cast<std::size_t>(
-                             spec.owner_global_gpu(dst))]);
+                         static_cast<LocalId>(local),
+                         s.bins[static_cast<std::size_t>(owner)]);
           });
     // nd: normals push into the replicated candidates.
     sweep(s, normals, s.dist_normal, s.part_nd,

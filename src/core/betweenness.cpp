@@ -123,7 +123,7 @@ class BcForwardAlgorithm {
   void visit(engine::GpuContext& ctx, State& s, int) {
     const sim::ClusterSpec& spec = graph_.spec();
     const graph::LocalGraph& lg = graph_.local(ctx.gpu);
-    const std::uint64_t p = static_cast<std::uint64_t>(ctx.total_gpus);
+    const sim::VertexRouter router(spec);
     const Depth next_level = s.level + 1;
 
     ++s.group_round;
@@ -144,9 +144,9 @@ class BcForwardAlgorithm {
         const std::uint64_t lanes = s.group_mask_normal[v];
         load_lane_sigma(s.sigma_normal, v, lanes, lane_sigma);
         for (const VertexId dst : lg.nn().row(v)) {
-          const std::size_t owner =
-              static_cast<std::size_t>(spec.owner_global_gpu(dst));
-          const LocalId dst_local = static_cast<LocalId>(dst / p);
+          const auto [owner_gpu, local] = router.split(dst);
+          const auto owner = static_cast<std::size_t>(owner_gpu);
+          const auto dst_local = static_cast<LocalId>(local);
           for (std::uint64_t mm = lanes; mm != 0; mm &= mm - 1) {
             const int lane = std::countr_zero(mm);
             s.bins[owner].push_back(comm::VertexUpdate{
@@ -463,7 +463,7 @@ class BcReverseAlgorithm {
     const sim::ClusterSpec& spec = graph_.spec();
     const graph::LocalGraph& lg = graph_.local(ctx.gpu);
     const graph::DelegateInfo& delegates = graph_.delegates();
-    const std::uint64_t p = static_cast<std::uint64_t>(ctx.total_gpus);
+    const sim::VertexRouter router(spec);
     const std::size_t d_lvl = static_cast<std::size_t>(s.current);
 
     ++s.group_round;
@@ -501,9 +501,9 @@ class BcReverseAlgorithm {
         const VertexId w_global =
             spec.global_vertex(ctx.me.rank, ctx.me.gpu, v);
         for (const VertexId dst : lg.nn().row(v)) {
-          const std::size_t owner =
-              static_cast<std::size_t>(spec.owner_global_gpu(dst));
-          const LocalId dst_local = static_cast<LocalId>(dst / p);
+          const auto [owner_gpu, local] = router.split(dst);
+          const auto owner = static_cast<std::size_t>(owner_gpu);
+          const auto dst_local = static_cast<LocalId>(local);
           for (std::uint64_t mm = lanes; mm != 0; mm &= mm - 1) {
             const int lane = std::countr_zero(mm);
             auto& bin = s.tuples[owner];

@@ -11,6 +11,7 @@
 #include "engine/iterative_engine.hpp"
 #include "sim/stream.hpp"
 #include "util/hash.hpp"
+#include "util/parallel.hpp"
 
 namespace dsbfs::core {
 
@@ -30,7 +31,8 @@ class BfsAlgorithm {
   static constexpr const char* kStateLabel = "bfs.state";
 
   struct State {
-    State(const graph::LocalGraph& lg, int total_gpus) : gpu(lg, total_gpus) {}
+    State(const graph::LocalGraph& lg, int total_gpus, bool record_parents)
+        : gpu(lg, total_gpus, record_parents) {}
 
     GpuState gpu;
     sim::Event bins_ready;
@@ -43,9 +45,9 @@ class BfsAlgorithm {
 
   std::unique_ptr<State> init(engine::GpuContext& ctx) {
     const sim::ClusterSpec& spec = graph_.spec();
-    auto state = std::make_unique<State>(graph_.local(ctx.gpu), ctx.total_gpus);
+    auto state = std::make_unique<State>(graph_.local(ctx.gpu), ctx.total_gpus,
+                                         options_.compute_parents);
     GpuState& s = state->gpu;
-    s.record_parents = options_.compute_parents;
     s.dir_dd = DirectionState(options_.dd_factors);
     s.dir_dn = DirectionState(options_.dn_factors);
     s.dir_nd = DirectionState(options_.nd_factors);
@@ -66,7 +68,7 @@ class BfsAlgorithm {
       }
     } else if (spec.owner_global_gpu(source_) == ctx.gpu) {
       const LocalId local = static_cast<LocalId>(spec.local_index(source_));
-      s.set_normal_level(local, 0);
+      s.level_normal[local] = 0;
       if (s.record_parents) s.parent_normal[local] = source_;
       s.next_local.push_back(local);
     }
@@ -75,7 +77,9 @@ class BfsAlgorithm {
 
   std::uint64_t state_bytes(const engine::GpuContext& ctx,
                             const State& s) const {
-    // Level arrays plus the three delegate masks.
+    // Level arrays plus three delegate masks (the historic figure: visited,
+    // new and one out-mask; it feeds the checkpoint model, so the
+    // per-stream split of the out-mask does not change it).
     return graph_.local(ctx.gpu).num_local_normals() * sizeof(Depth) +
            static_cast<std::uint64_t>(graph_.num_delegates()) * sizeof(Depth) +
            3 * s.gpu.delegate_visited.byte_size();
@@ -122,13 +126,15 @@ class BfsAlgorithm {
 
   void exchange(engine::GpuContext& ctx, State& s, int iteration) {
     // Runs on the normal stream behind the visits (the engine enqueues this
-    // hook there); overlaps the post-control mask reduction.
+    // hook there); overlaps the post-control mask reduction.  The consumed
+    // receive buffer becomes the next round's loopback bin.
     const comm::ExchangeOptions xopts{.local_all2all = options_.local_all2all,
                                       .uniquify = options_.uniquify,
                                       .topology = options_.exchange_topology,
                                       .retry = options_.resilience.retry};
-    s.gpu.received = ctx.comm.exchange_ids(ctx.me, s.gpu.bins, iteration,
-                                           xopts, s.gpu.iter);
+    engine::adopt_received(s.gpu.bins, ctx.gpu, s.gpu.received,
+                           ctx.comm.exchange_ids(ctx.me, s.gpu.bins, iteration,
+                                                 xopts, s.gpu.iter));
   }
 
   std::uint64_t contribution(engine::GpuContext& ctx, State& s, int) {
@@ -136,8 +142,7 @@ class BfsAlgorithm {
     // running on the normal stream through the control allreduce.
     ctx.delegate_stream.synchronize();
     s.bins_ready.wait();
-    const bool delegate_updates = !s.gpu.delegate_out.none();
-    return (delegate_updates ? kDelegateFlagUnit : 0) +
+    return (s.gpu.has_delegate_updates() ? kDelegateFlagUnit : 0) +
            static_cast<std::uint64_t>(s.gpu.next_local.size()) + s.bins_total;
   }
 
@@ -148,7 +153,8 @@ class BfsAlgorithm {
     if (control >= kDelegateFlagUnit) {
       gs.iter.delegate_update = true;
       util::AtomicBitset reduced = gs.delegate_visited;
-      reduced.or_with(gs.delegate_out);
+      reduced.or_with(gs.delegate_out_dd);
+      reduced.or_with(gs.delegate_out_nd);
       ctx.comm.mask_reducer().reduce(ctx.me, reduced, iteration,
                                      options_.reduce_mode);
       util::AtomicBitset::diff_into(reduced, gs.delegate_visited,
@@ -196,6 +202,7 @@ class BfsAlgorithm {
     if (!options_.compute_parents) return;
     GpuState& s = state.gpu;
     const sim::ClusterSpec& spec = graph_.spec();
+    const sim::VertexRouter router(spec);
     const int p = ctx.total_gpus;
     const int g = ctx.gpu;
     const sim::GpuCoord me = ctx.me;
@@ -210,14 +217,13 @@ class BfsAlgorithm {
     // level above it.
     std::vector<std::vector<std::uint64_t>> tuples(static_cast<std::size_t>(p));
     for (std::uint64_t v = 0; v < n_local; ++v) {
-      const Depth lvl = s.normal_level(static_cast<LocalId>(v));
+      const Depth lvl = s.level_normal[v];
       if (lvl == kUnvisited) continue;
       const VertexId v_global = spec.global_vertex(me.rank, me.gpu, v);
       for (const VertexId dst : lg.nn().row(v)) {
-        const int owner = spec.owner_global_gpu(dst);
+        const auto [owner, local] = router.split(dst);
         auto& bin = tuples[static_cast<std::size_t>(owner)];
-        bin.push_back(
-            pack_parent_probe(dst / static_cast<std::uint64_t>(p), lvl));
+        bin.push_back(pack_parent_probe(local, lvl));
         bin.push_back(v_global);
       }
     }
@@ -234,7 +240,7 @@ class BfsAlgorithm {
         // lvl + 1.
         const VertexId cur = s.parent_normal[local];
         if ((cur == kParentViaNn || (cur & kParentDelegateTag) == 0) &&
-            s.normal_level(local) == lvl + 1 && words[i + 1] < cur) {
+            s.level_normal[local] == lvl + 1 && words[i + 1] < cur) {
           s.parent_normal[local] = words[i + 1];
         }
       }
@@ -318,48 +324,55 @@ BfsResult DistributedBfs::run(VertexId source) {
   auto run = engine.run(algo);
 
   // ---- Gather distances and metrics on the host. -----------------------
+  // Normal vertices, in parallel over tiles of each GPU's local vertices.
+  // Never-visited slots hold kUnvisited / kParentNone (== kInvalidVertex),
+  // the result's own defaults, so every slot is copied without a visited
+  // test; tiles write disjoint global ids.
   BfsResult result;
   result.distances.assign(graph_.num_vertices(), kUnvisited);
-  for (int g = 0; g < p; ++g) {
-    const GpuState& s = run.state(g).gpu;
-    const sim::GpuCoord me = spec.coord_of(g);
-    const std::uint64_t n_local = graph_.local(g).num_local_normals();
-    for (std::uint64_t v = 0; v < n_local; ++v) {
-      const Depth lvl = s.normal_level(static_cast<LocalId>(v));
-      if (lvl != kUnvisited) {
-        result.distances[spec.global_vertex(me.rank, me.gpu, v)] = lvl;
-      }
-    }
-  }
-  const GpuState& s0 = run.state(0).gpu;
-  for (LocalId t = 0; t < graph_.num_delegates(); ++t) {
-    if (s0.level_delegate[t] != kUnvisited) {
-      result.distances[graph_.delegates().vertex_of(t)] = s0.level_delegate[t];
-    }
-  }
-
   if (options_.compute_parents) {
     result.parents.assign(graph_.num_vertices(), kInvalidVertex);
-    for (int g = 0; g < p; ++g) {
-      const GpuState& s = run.state(g).gpu;
-      const sim::GpuCoord me = spec.coord_of(g);
-      const std::uint64_t n_local = graph_.local(g).num_local_normals();
-      for (std::uint64_t v = 0; v < n_local; ++v) {
-        if (s.normal_level(static_cast<LocalId>(v)) == kUnvisited) continue;
-        VertexId enc = s.parent_normal[v];
-        if ((enc & kParentDelegateTag) != 0 && enc != kParentNone &&
-            enc != kParentViaNn) {
-          enc = graph_.delegates().vertex_of(
-              static_cast<LocalId>(enc & ~kParentDelegateTag));
-        }
-        result.parents[spec.global_vertex(me.rank, me.gpu, v)] = enc;
-      }
+  }
+  constexpr std::uint64_t kGatherTile = 4096;
+  struct GatherTile {
+    int gpu;
+    std::uint64_t begin, end;
+  };
+  std::vector<GatherTile> tiles;
+  for (int g = 0; g < p; ++g) {
+    const std::uint64_t n_local = graph_.local(g).num_local_normals();
+    for (std::uint64_t v = 0; v < n_local; v += kGatherTile) {
+      tiles.push_back({g, v, std::min(n_local, v + kGatherTile)});
     }
-    for (LocalId t = 0; t < graph_.num_delegates(); ++t) {
-      if (s0.level_delegate[t] != kUnvisited) {
-        result.parents[graph_.delegates().vertex_of(t)] =
-            s0.parent_delegate[t].load(std::memory_order_relaxed);
+  }
+  util::parallel_tasks(tiles.size(), [&](std::size_t i) {
+    const GatherTile& tile = tiles[i];
+    const GpuState& s = run.state(tile.gpu).gpu;
+    const sim::GpuCoord me = spec.coord_of(tile.gpu);
+    for (std::uint64_t v = tile.begin; v < tile.end; ++v) {
+      result.distances[spec.global_vertex(me.rank, me.gpu, v)] =
+          s.level_normal[v];
+    }
+    if (!options_.compute_parents) return;
+    for (std::uint64_t v = tile.begin; v < tile.end; ++v) {
+      VertexId enc = s.parent_normal[v];
+      if ((enc & kParentDelegateTag) != 0 && enc != kParentNone &&
+          enc != kParentViaNn) {
+        enc = graph_.delegates().vertex_of(
+            static_cast<LocalId>(enc & ~kParentDelegateTag));
       }
+      result.parents[spec.global_vertex(me.rank, me.gpu, v)] = enc;
+    }
+  });
+  // Delegates: the replicated state of GPU 0 overlays the normal gather.
+  const GpuState& s0 = run.state(0).gpu;
+  for (LocalId t = 0; t < graph_.num_delegates(); ++t) {
+    if (s0.level_delegate[t] == kUnvisited) continue;
+    const VertexId global = graph_.delegates().vertex_of(t);
+    result.distances[global] = s0.level_delegate[t];
+    if (options_.compute_parents) {
+      result.parents[global] =
+          s0.parent_delegate[t].load(std::memory_order_relaxed);
     }
   }
 

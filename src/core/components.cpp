@@ -81,7 +81,7 @@ class CcAlgorithm {
   void visit(engine::GpuContext& ctx, State& s, int) {
     const sim::ClusterSpec& spec = graph_.spec();
     const graph::LocalGraph& lg = graph_.local(ctx.gpu);
-    const std::uint64_t p = static_cast<std::uint64_t>(ctx.total_gpus);
+    const sim::VertexRouter router(spec);
 
     // Normal pushes: nn updates travel, nd updates land in candidates.
     s.iter.nprev_vertices = s.active_normals.size();
@@ -94,9 +94,9 @@ class CcAlgorithm {
         // Send only improving candidates coarsely: the label might not
         // beat the destination's, the receiver checks.
         if (lbl < dst) {
-          s.bins[static_cast<std::size_t>(spec.owner_global_gpu(dst))]
-              .push_back(comm::VertexUpdate{static_cast<LocalId>(dst / p),
-                                            lbl});
+          const auto [owner, local] = router.split(dst);
+          s.bins[static_cast<std::size_t>(owner)].push_back(
+              comm::VertexUpdate{static_cast<LocalId>(local), lbl});
         }
       }
       const auto nd_row = lg.nd().row(v);

@@ -4,28 +4,28 @@
 
 namespace dsbfs::core {
 
-GpuState::GpuState(const graph::LocalGraph& graph, int total_gpus)
-    : graph_(&graph) {
+GpuState::GpuState(const graph::LocalGraph& graph, int total_gpus,
+                   bool record_parents)
+    : record_parents(record_parents), graph_(&graph) {
   const std::uint64_t n_local = graph.num_local_normals();
-  level_normal_ = std::make_unique<std::atomic<Depth>[]>(n_local);
-  for (std::uint64_t v = 0; v < n_local; ++v) {
-    level_normal_[v].store(kUnvisited, std::memory_order_relaxed);
-  }
-  delegate_visited.resize(graph.num_delegates());
-  delegate_out.resize(graph.num_delegates());
-  delegate_new.resize(graph.num_delegates());
-  level_delegate.assign(graph.num_delegates(), kUnvisited);
+  const LocalId d = graph.num_delegates();
+  level_normal.assign(n_local, kUnvisited);
+  seen_normal.resize(n_local);
+  frontier_normal.resize(n_local);
+  delegate_visited.resize(d);
+  delegate_new.resize(d);
+  delegate_out_dd.resize(d);
+  delegate_out_nd.resize(d);
+  level_delegate.assign(d, kUnvisited);
 
-  parent_normal.assign(n_local, kParentNone);
-  parent_delegate = std::make_unique<std::atomic<VertexId>[]>(
-      graph.num_delegates());
-  for (LocalId t = 0; t < graph.num_delegates(); ++t) {
-    parent_delegate[t].store(kParentNone, std::memory_order_relaxed);
+  if (record_parents) {
+    parent_normal.assign(n_local, kParentNone);
+    parent_delegate = std::make_unique<std::atomic<VertexId>[]>(d);
+    for (LocalId t = 0; t < d; ++t) {
+      parent_delegate[t].store(kParentNone, std::memory_order_relaxed);
+    }
   }
 
-  dir_dd = DirectionState{};
-  dir_dn = DirectionState{};
-  dir_nd = DirectionState{};
   unvisited_nd_sources = graph.nd_source_count();
   unvisited_dd_sources = graph.dd_source_count();
   unvisited_dn_sources = graph.dn_source_count();
@@ -42,22 +42,21 @@ void GpuState::begin_iteration() {
 void GpuState::end_iteration() {
   // next_local and received carry the next iteration's frontier inputs; the
   // next normal previsit consumes and clears them.
-  delegate_out.clear_all();
+  delegate_out_dd.clear_all();
+  delegate_out_nd.clear_all();
 }
 
 GpuSnapshot GpuState::save() const {
   GpuSnapshot s;
-  const std::uint64_t n_local = graph_->num_local_normals();
-  s.level_normal.resize(n_local);
-  for (std::uint64_t v = 0; v < n_local; ++v) {
-    s.level_normal[v] = level_normal_[v].load(std::memory_order_relaxed);
-  }
+  s.level_normal = level_normal;
+  s.seen_normal = seen_normal;
   s.frontier = frontier;
   s.next_local = next_local;
   s.received = received;
   s.delegate_visited = delegate_visited;
-  s.delegate_out = delegate_out;
   s.delegate_new = delegate_new;
+  s.delegate_out_dd = delegate_out_dd;
+  s.delegate_out_nd = delegate_out_nd;
   s.level_delegate = level_delegate;
   s.delegate_queue = delegate_queue;
   s.dir_dd = dir_dd;
@@ -70,27 +69,30 @@ GpuSnapshot GpuState::save() const {
   s.fv_dd = fv_dd; s.fv_dn = fv_dn; s.fv_nd = fv_nd;
   s.bv_dd = bv_dd; s.bv_dn = bv_dn; s.bv_nd = bv_nd;
   s.bins = bins;
-  s.parent_normal = parent_normal;
-  const LocalId d = graph_->num_delegates();
-  s.parent_delegate.resize(d);
-  for (LocalId t = 0; t < d; ++t) {
-    s.parent_delegate[t] = parent_delegate[t].load(std::memory_order_relaxed);
+  if (record_parents) {
+    s.parent_normal = parent_normal;
+    s.parent_delegate.resize(level_delegate.size());
+    for (std::size_t t = 0; t < s.parent_delegate.size(); ++t) {
+      s.parent_delegate[t] = parent_delegate[t].load(std::memory_order_relaxed);
+    }
   }
   s.depth = depth;
   return s;
 }
 
 void GpuState::restore(const GpuSnapshot& s) {
-  const std::uint64_t n_local = graph_->num_local_normals();
-  for (std::uint64_t v = 0; v < n_local; ++v) {
-    level_normal_[v].store(s.level_normal[v], std::memory_order_relaxed);
-  }
+  level_normal = s.level_normal;
+  seen_normal = s.seen_normal;
+  // A rollback may interrupt a previsit between marking and extraction.
+  frontier_normal.clear_all();
+  frontier_words.clear();
   frontier = s.frontier;
   next_local = s.next_local;
   received = s.received;
   delegate_visited = s.delegate_visited;
-  delegate_out = s.delegate_out;
   delegate_new = s.delegate_new;
+  delegate_out_dd = s.delegate_out_dd;
+  delegate_out_nd = s.delegate_out_nd;
   level_delegate = s.level_delegate;
   delegate_queue = s.delegate_queue;
   dir_dd = s.dir_dd;
@@ -104,8 +106,7 @@ void GpuState::restore(const GpuSnapshot& s) {
   bv_dd = s.bv_dd; bv_dn = s.bv_dn; bv_nd = s.bv_nd;
   bins = s.bins;
   parent_normal = s.parent_normal;
-  const LocalId d = graph_->num_delegates();
-  for (LocalId t = 0; t < d; ++t) {
+  for (std::size_t t = 0; t < s.parent_delegate.size(); ++t) {
     parent_delegate[t].store(s.parent_delegate[t], std::memory_order_relaxed);
   }
   depth = s.depth;

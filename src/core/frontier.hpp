@@ -17,9 +17,11 @@
 ///
 /// Level/visited conventions (see DESIGN.md "Iteration/level semantics"):
 /// iteration `depth` expands the distance-`depth` frontier; every discovery
-/// is assigned distance `depth + 1`.  During visits, `delegate_visited` and
-/// `level_normal` entries <= depth form a *stable snapshot*: kernels write
-/// new discoveries to `delegate_out` / CAS `level_normal` with depth+1 only,
+/// is assigned distance `depth + 1`.  During visits, the visited masks
+/// (`seen_normal`, `delegate_visited`) are a *stable snapshot* of
+/// distance <= depth: they change only between iterations (previsit /
+/// post-reduce), while the kernels write new discoveries to the per-stream
+/// delegate out-masks and to `level_normal` / `next_local` with depth + 1,
 /// so backward pulls never observe same-iteration discoveries as parents.
 namespace dsbfs::core {
 
@@ -39,13 +41,16 @@ inline constexpr VertexId kParentViaNn = kInvalidVertex - 1;
 inline constexpr VertexId kParentDelegateTag = 1ULL << 62;
 
 /// Value copy of everything a traversal iteration mutates in a GpuState
-/// (epoch checkpoint for rollback recovery).  The atomic level/parent
-/// arrays are captured as plain vectors; run constants (graph pointer,
-/// record_parents, bins' outer shape) are not part of the snapshot.
+/// (epoch checkpoint for rollback recovery).  Run constants (graph pointer,
+/// record_parents, bins' outer shape) are not part of the snapshot, and
+/// neither is the frontier bitmap, which is all-zero outside the normal
+/// previsit.
 struct GpuSnapshot {
   std::vector<Depth> level_normal;
+  util::PlainLaneBitset seen_normal;
   std::vector<LocalId> frontier, next_local, received;
-  util::AtomicBitset delegate_visited, delegate_out, delegate_new;
+  util::AtomicBitset delegate_visited, delegate_new;
+  util::PlainLaneBitset delegate_out_dd, delegate_out_nd;
   std::vector<Depth> level_delegate;
   std::vector<LocalId> delegate_queue;
   DirectionState dir_dd, dir_dn, dir_nd;
@@ -56,39 +61,56 @@ struct GpuSnapshot {
   double fv_dd = 0, fv_dn = 0, fv_nd = 0;
   double bv_dd = 0, bv_dn = 0, bv_nd = 0;
   std::vector<std::vector<LocalId>> bins;
+  /// Empty unless the state records parents.
   std::vector<VertexId> parent_normal;
   std::vector<VertexId> parent_delegate;
   Depth depth = 0;
 };
 
+/// Per-GPU state of a single-source traversal.
+///
+/// Every array or mask the visits or previsits write has exactly one
+/// writer per phase, so none of them needs a locked read-modify-write
+/// (the same rules as LaneState; ThreadSanitizer reports a second writer):
+///   * `seen_normal` and `frontier_normal` -- the normal previsit, on the
+///     GPU thread while both streams are idle;
+///   * `level_normal` and `next_local` -- the dn visit (delegate stream),
+///     which claims a vertex with a plain load-and-store; the previsit
+///     also writes levels of exchange arrivals, with the streams idle;
+///   * `delegate_out_dd` -- the dd visit (delegate stream);
+///   * `delegate_out_nd` -- the nd visit (normal stream).
+/// The nd visit, which runs concurrently with dn, reads `seen_normal`,
+/// never `level_normal`.  The delegate out-mask is split per stream
+/// because dd and nd run concurrently; `has_delegate_updates` tests both
+/// and the post-control reduction ORs both.  The delegate visited masks
+/// stay util::AtomicBitset: they are what the mask reducer combines, and
+/// visits only read them.
 class GpuState {
  public:
-  GpuState(const graph::LocalGraph& graph, int total_gpus);
+  /// The parent arrays are allocated only when `record_parents` is set.
+  GpuState(const graph::LocalGraph& graph, int total_gpus,
+           bool record_parents);
 
   const graph::LocalGraph& graph() const noexcept { return *graph_; }
 
   // --- normal vertices -------------------------------------------------
-  Depth normal_level(LocalId v) const noexcept {
-    return level_normal_[v].load(std::memory_order_relaxed);
-  }
-  void set_normal_level(LocalId v, Depth d) noexcept {
-    level_normal_[v].store(d, std::memory_order_relaxed);
-  }
-  /// Atomically claim an unvisited vertex; true when this call visited it.
-  bool claim_normal(LocalId v, Depth d) noexcept {
-    Depth expected = kUnvisited;
-    return level_normal_[v].compare_exchange_strong(expected, d,
-                                                    std::memory_order_relaxed);
-  }
-
-  std::vector<LocalId> frontier;    // distance == depth, expanded this iter
+  std::vector<Depth> level_normal;    // distance per local normal
+  util::PlainLaneBitset seen_normal;  // level <= depth; stable within iter
+  /// Frontier bitmap: the normal previsit marks the frontier here and
+  /// extracts it in ascending order, clearing it again (all-zero outside
+  /// the previsit).  `frontier_words` lists the words it turned non-zero.
+  util::PlainLaneBitset frontier_normal;
+  std::vector<std::size_t> frontier_words;
+  std::vector<LocalId> frontier;    // distance == depth, ascending
   std::vector<LocalId> next_local;  // dn-visit discoveries (distance depth+1)
   std::vector<LocalId> received;    // exchange arrivals (marked next previsit)
 
   // --- delegates --------------------------------------------------------
   util::AtomicBitset delegate_visited;  // stable within an iteration
-  util::AtomicBitset delegate_out;      // this iteration's updates
   util::AtomicBitset delegate_new;      // became visited at last extract
+  // This iteration's updates, one mask per writing stream.
+  util::PlainLaneBitset delegate_out_dd;  // dd visit (delegate stream)
+  util::PlainLaneBitset delegate_out_nd;  // nd visit (normal stream)
   std::vector<Depth> level_delegate;
   std::vector<LocalId> delegate_queue;  // delegate frontier this iteration
 
@@ -110,11 +132,13 @@ class GpuState {
   std::vector<std::vector<LocalId>> bins;  // per destination global GPU
 
   // --- BFS tree (optional; see DistributedBfs::run) -----------------------
-  bool record_parents = false;
-  /// Per local normal vertex: encoded parent (kParent* conventions).
+  const bool record_parents;
+  /// Per local normal vertex: encoded parent (kParent* conventions);
+  /// empty unless record_parents.
   std::vector<VertexId> parent_normal;
   /// Per delegate: this GPU's locally-known parent candidate as a *global*
   /// vertex id (UINT64_MAX = none); min-reduced across GPUs at the end.
+  /// Null unless record_parents.
   std::unique_ptr<std::atomic<VertexId>[]> parent_delegate;
 
   void set_delegate_parent(LocalId delegate, VertexId parent_vertex) noexcept {
@@ -140,9 +164,15 @@ class GpuState {
 
   /// Reset iteration-scoped scratch (bins stay allocated).
   void begin_iteration();
-  /// Close the iteration (clears the delegate out-mask; `iter` stays valid
+  /// Close the iteration (clears the delegate out-masks; `iter` stays valid
   /// until the next begin_iteration so the engine can snapshot it).
   void end_iteration();
+
+  /// True when this GPU's dd or nd visit produced delegate updates (call
+  /// once both streams have joined).
+  bool has_delegate_updates() const noexcept {
+    return !delegate_out_dd.none() || !delegate_out_nd.none();
+  }
 
   /// Epoch checkpoint / rollback restore (taken at iteration boundaries,
   /// when no visit kernels are in flight).
@@ -151,7 +181,6 @@ class GpuState {
 
  private:
   const graph::LocalGraph* graph_;
-  std::unique_ptr<std::atomic<Depth>[]> level_normal_;
 };
 
 /// Value copy of everything a batched-traversal iteration mutates in a
@@ -188,9 +217,9 @@ struct LaneSnapshot {
 /// serves every source at once.
 ///
 /// The single-source level arrays generalize to (item, lane)-indexed depth
-/// arrays plus visited lane masks; the bit-claim that GpuState expresses as
-/// a level CAS becomes a lane-word OR whose previous value identifies the
-/// newly claimed lanes.  The same stable-snapshot rule applies:
+/// arrays plus visited lane masks; the claim that GpuState expresses as a
+/// level load-and-store becomes a lane-word OR whose previous value
+/// identifies the newly claimed lanes.  The same stable-snapshot rule applies:
 /// `seen_normal` and `delegate_visited` only change between iterations
 /// (previsit / post-reduce), never during visits, which write
 /// `next_normal` / `delegate_out_*` instead.

@@ -100,7 +100,7 @@ class PagerankAlgorithm {
     const graph::LocalGraph& lg = graph_.local(ctx.gpu);
     const std::uint64_t n_local = lg.num_local_normals();
     const LocalId d = graph_.num_delegates();
-    const std::uint64_t p = static_cast<std::uint64_t>(ctx.total_gpus);
+    const sim::VertexRouter router(spec);
 
     // Normal vertices: full adjacency lives here (nn + nd rows).
     s.iter.nprev_vertices = n_local;
@@ -118,8 +118,9 @@ class PagerankAlgorithm {
       const auto nn_row = lg.nn().row(v);
       s.iter.nn.edges += nn_row.size();
       for (const VertexId dst : nn_row) {
-        s.bins[static_cast<std::size_t>(spec.owner_global_gpu(dst))].push_back(
-            comm::VertexUpdate{static_cast<LocalId>(dst / p),
+        const auto [owner, local] = router.split(dst);
+        s.bins[static_cast<std::size_t>(owner)].push_back(
+            comm::VertexUpdate{static_cast<LocalId>(local),
                                std::bit_cast<std::uint64_t>(share)});
       }
       const auto nd_row = lg.nd().row(v);

@@ -1,5 +1,6 @@
 #include "core/previsit.hpp"
 
+#include <algorithm>
 #include <bit>
 
 namespace dsbfs::core {
@@ -42,33 +43,56 @@ void normal_previsit(GpuState& s, const BfsOptions& options) {
   const graph::LocalGraph& g = s.graph();
   s.iter.nprev_vertices = s.next_local.size() + s.received.size();
 
-  // Locally discovered vertices are already marked (claimed by the dn visit
-  // or seeded as the source); arrivals from the exchange are deduplicated
-  // against the level array here.
-  s.frontier.swap(s.next_local);
+  // Mark the frontier in the bitmap, remembering each word it turns
+  // non-zero, and in the visited mask.  Locally discovered vertices are
+  // already claimed (level set by the dn visit, or seeded as the source);
+  // arrivals from the exchange are deduplicated against the visited mask,
+  // which by then holds every earlier frontier and the marks made so far.
+  const auto mark = [&s](std::size_t w, std::uint64_t bit) {
+    const std::uint64_t word = s.frontier_normal.word(w);
+    if (word == 0) s.frontier_words.push_back(w);
+    s.frontier_normal.set_word(w, word | bit);
+    s.seen_normal.set_word(w, s.seen_normal.word(w) | bit);
+  };
+  for (const LocalId v : s.next_local) mark(v >> 6, 1ULL << (v & 63));
   s.next_local.clear();
+  const Depth depth = s.depth;
   for (const LocalId v : s.received) {
-    if (s.normal_level(v) == kUnvisited) {
-      s.set_normal_level(v, s.depth);
-      // The sender's identity is not transmitted during traversal (4-byte
-      // ids only); the end-of-run parent exchange resolves these.
-      if (s.record_parents) s.parent_normal[v] = kParentViaNn;
-      s.frontier.push_back(v);
-    }
+    const std::size_t w = v >> 6;
+    const std::uint64_t bit = 1ULL << (v & 63);
+    if ((s.seen_normal.word(w) & bit) != 0) continue;
+    mark(w, bit);
+    s.level_normal[v] = depth;
+    // The sender's identity is not transmitted during traversal (4-byte
+    // ids only); the end-of-run parent exchange resolves these.
+    if (s.record_parents) s.parent_normal[v] = kParentViaNn;
   }
   s.received.clear();
 
-  // Newly visited normals leave the unvisited nd-source pool.
-  double fv_nd = 0;
+  // Extract the frontier in ascending order, so the nd and nn visits walk
+  // their CSR rows in order.  Sorting the touched words keeps the cost
+  // proportional to the frontier rather than to n/64.  Newly visited nd
+  // sources leave the unvisited pool.  (Row lengths sum exactly in
+  // integers; the double workload is the same sum.)
+  std::sort(s.frontier_words.begin(), s.frontier_words.end());
+  std::uint64_t nd_edges = 0;
   std::uint64_t newly_in_pool = 0;
-  for (const LocalId v : s.frontier) {
-    fv_nd += g.nd().row_length(v);
-    if (g.nd_source_mask().test(v)) ++newly_in_pool;
+  for (const std::size_t w : s.frontier_words) {
+    const std::uint64_t bits = s.frontier_normal.word(w);
+    s.frontier_normal.set_word(w, 0);
+    newly_in_pool += static_cast<std::uint64_t>(
+        std::popcount(bits & g.nd_source_mask().word(w)));
+    for (std::uint64_t b = bits; b != 0; b &= b - 1) {
+      const auto v = static_cast<LocalId>(w * 64 + std::countr_zero(b));
+      s.frontier.push_back(v);
+      nd_edges += g.nd().row_length(v);
+    }
   }
+  s.frontier_words.clear();
   s.unvisited_nd_sources -= newly_in_pool;
 
   const std::uint64_t q = s.frontier.size();
-  s.fv_nd = fv_nd;
+  s.fv_nd = static_cast<double>(nd_edges);
   // nd: reversed subgraph is dn; pull candidates are unvisited delegates
   // with dn edges, potential parents are normals with nd edges.
   s.bv_nd = backward_workload(s.unvisited_dn_sources, q, s.unvisited_nd_sources);

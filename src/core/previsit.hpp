@@ -11,8 +11,8 @@
 ///     the forward workloads FV for the dd and dn visits, and the backward
 ///     estimates BV from the unvisited-source pools;
 ///   * normal previsit -- merges locally discovered vertices with exchange
-///     arrivals (deduplicating against the level array), forms the normal
-///     frontier, and computes FV/BV for the nd visit.
+///     arrivals (deduplicating against the visited mask), forms the normal
+///     frontier in ascending order, and computes FV/BV for the nd visit.
 /// Both also fix the traversal direction for their stream's visit kernels.
 namespace dsbfs::core {
 
@@ -20,9 +20,11 @@ namespace dsbfs::core {
 /// fv_dd/bv_dd, fv_dn/bv_dn and updates dir_dd / dir_dn.
 void delegate_previsit(GpuState& s, const BfsOptions& options);
 
-/// Normal-stream previsit.  Merges `next_local` + `received` into
-/// `frontier`, marks newly visited arrivals with the current depth, updates
-/// the unvisited pools, computes fv_nd/bv_nd and updates dir_nd.
+/// Normal-stream previsit.  Merges `next_local` + `received` into an
+/// ascending, duplicate-free `frontier` (through the `frontier_normal`
+/// bitmap), assigns newly visited arrivals the current depth, adds the
+/// frontier to `seen_normal`, updates the unvisited pools, computes
+/// fv_nd/bv_nd and updates dir_nd.
 void normal_previsit(GpuState& s, const BfsOptions& options);
 
 // ---- lane-generalized previsits (batched MS-BFS traversals) --------------

@@ -163,7 +163,7 @@ class SsspAlgorithm {
     const sim::ClusterSpec& spec = graph_.spec();
     const graph::LocalGraph& lg = graph_.local(ctx.gpu);
     const graph::DelegateInfo& delegates = graph_.delegates();
-    const std::uint64_t p = static_cast<std::uint64_t>(ctx.total_gpus);
+    const sim::VertexRouter router(spec);
     const auto global_of = [&](LocalId v) {
       return spec.global_vertex(ctx.me.rank, ctx.me.gpu, v);
     };
@@ -181,9 +181,9 @@ class SsspAlgorithm {
           const VertexId dst = lg.nn().col(e);
           const std::uint64_t cand =
               dist + weight(lg.nn_weights(), e, v_global, dst);
-          s.bins[static_cast<std::size_t>(spec.owner_global_gpu(dst))]
-              .push_back(
-                  comm::VertexUpdate{static_cast<LocalId>(dst / p), cand});
+          const auto [owner, local] = router.split(dst);
+          s.bins[static_cast<std::size_t>(owner)].push_back(
+              comm::VertexUpdate{static_cast<LocalId>(local), cand});
           ++k.edges;
         }
       }

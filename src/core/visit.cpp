@@ -17,7 +17,7 @@ void visit_dd(GpuState& s) {
       k.edges += row.size();
       for (const LocalId c : row) {
         if (!s.delegate_visited.test(c)) {
-          s.delegate_out.set(c);
+          s.delegate_out_dd.set(c);
           if (s.record_parents) {
             s.set_delegate_parent(c, kParentDelegateTag | t);
           }
@@ -43,7 +43,7 @@ void visit_dd(GpuState& s) {
     for (const LocalId c : g.dd().row(t)) {
       ++k.edges;
       if (s.delegate_visited.test(c)) {
-        s.delegate_out.set(t);
+        s.delegate_out_dd.set(t);
         if (s.record_parents) s.set_delegate_parent(t, kParentDelegateTag | c);
         break;
       }
@@ -64,10 +64,14 @@ void visit_dn(GpuState& s) {
       const auto row = g.dn().row(t);
       k.edges += row.size();
       for (const LocalId v : row) {
-        if (s.claim_normal(v, next_depth)) {
-          if (s.record_parents) s.parent_normal[v] = kParentDelegateTag | t;
-          s.next_local.push_back(v);
+        // The visited mask filters most targets without touching the
+        // level array; the level test catches this visit's own claims.
+        if (s.seen_normal.test(v) || s.level_normal[v] != kUnvisited) {
+          continue;
         }
+        s.level_normal[v] = next_depth;
+        if (s.record_parents) s.parent_normal[v] = kParentDelegateTag | t;
+        s.next_local.push_back(v);
       }
     }
     k.vertices = s.delegate_queue.size();
@@ -77,19 +81,20 @@ void visit_dn(GpuState& s) {
   // Backward pull over the nd subgraph (reverse of dn on this GPU): each
   // unvisited normal with delegate parents scans them for a visited one.
   // New hits can only come from delegates visited last round -- with an
-  // empty delegate queue the pull is a no-op and is not launched.
+  // empty delegate queue the pull is a no-op and is not launched.  Each
+  // source is probed once, so a vertex outside the visited mask is still
+  // unclaimed here and the claim is a plain store.
   if (s.delegate_queue.empty()) return;
   k.launched = true;
   for (const LocalId v : g.nd_source_list()) {
-    if (s.normal_level(v) != kUnvisited) continue;
+    if (s.seen_normal.test(v)) continue;
     ++k.vertices;
     for (const LocalId c : g.nd().row(v)) {
       ++k.edges;
       if (s.delegate_visited.test(c)) {
-        if (s.claim_normal(v, next_depth)) {
-          if (s.record_parents) s.parent_normal[v] = kParentDelegateTag | c;
-          s.next_local.push_back(v);
-        }
+        s.level_normal[v] = next_depth;
+        if (s.record_parents) s.parent_normal[v] = kParentDelegateTag | c;
+        s.next_local.push_back(v);
         break;
       }
     }
@@ -115,7 +120,7 @@ void visit_nd(GpuState& s) {
       k.edges += row.size();
       for (const LocalId c : row) {
         if (!s.delegate_visited.test(c)) {
-          s.delegate_out.set(c);
+          s.delegate_out_nd.set(c);
           if (s.record_parents) s.set_delegate_parent(c, global_of(v));
         }
       }
@@ -126,21 +131,20 @@ void visit_nd(GpuState& s) {
 
   // Backward pull over the dn subgraph: each unvisited delegate with local
   // normal parents scans them for one visited at distance <= depth (the
-  // stable snapshot; dn-visit writes carry depth+1 and are excluded).  New
-  // hits can only come from normals visited last round -- with an empty
-  // normal frontier the pull is a no-op and is not launched.
+  // stable `seen_normal` snapshot; the concurrent dn visit's discoveries
+  // carry depth+1 and are not in it).  New hits can only come from normals
+  // visited last round -- with an empty normal frontier the pull is a
+  // no-op and is not launched.
   if (s.frontier.empty()) return;
   k.launched = true;
   const LocalId d = g.num_delegates();
-  const Depth depth = s.depth;
   for (LocalId t = 0; t < d; ++t) {
     if (!g.dn_source_mask().test(t) || s.delegate_visited.test(t)) continue;
     ++k.vertices;
     for (const LocalId v : g.dn().row(t)) {
       ++k.edges;
-      const Depth lvl = s.normal_level(v);
-      if (lvl != kUnvisited && lvl <= depth) {
-        s.delegate_out.set(t);
+      if (s.seen_normal.test(v)) {
+        s.delegate_out_nd.set(t);
         if (s.record_parents) s.set_delegate_parent(t, global_of(v));
         break;
       }
@@ -354,15 +358,15 @@ void visit_nn_lanes(LaneState& s, const sim::ClusterSpec& spec) {
   k.backward = false;
   if (s.frontier.empty()) return;
   k.launched = true;
-  const std::uint64_t p = static_cast<std::uint64_t>(spec.total_gpus());
+  const sim::VertexRouter router(spec);
   for (const LocalId v : s.frontier) {
     const std::uint64_t f = s.frontier_normal.lanes(v);
     const auto row = g.nn().row(v);
     k.edges += row.size();
     for (const VertexId dst : row) {
-      const int owner = spec.owner_global_gpu(dst);
+      const auto [owner, local] = router.split(dst);
       s.bins[static_cast<std::size_t>(owner)].push_back(
-          comm::VertexUpdate{static_cast<LocalId>(dst / p), f});
+          comm::VertexUpdate{static_cast<LocalId>(local), f});
     }
   }
   k.vertices = s.frontier.size();
@@ -374,14 +378,14 @@ void visit_nn(GpuState& s, const sim::ClusterSpec& spec) {
   k.backward = false;
   if (s.frontier.empty()) return;
   k.launched = true;
-  const std::uint64_t p = static_cast<std::uint64_t>(spec.total_gpus());
+  const sim::VertexRouter router(spec);
   for (const LocalId v : s.frontier) {
     const auto row = g.nn().row(v);
     k.edges += row.size();
     for (const VertexId dst : row) {
-      const int owner = spec.owner_global_gpu(dst);
+      const auto [owner, local] = router.split(dst);
       s.bins[static_cast<std::size_t>(owner)].push_back(
-          static_cast<LocalId>(dst / p));
+          static_cast<LocalId>(local));
     }
   }
   k.vertices = s.frontier.size();

@@ -11,14 +11,17 @@
 /// the full neighbor list of each frontier vertex; backward pulls scan an
 /// unvisited vertex's parent list only until the first visited parent.
 ///
-/// Write discipline (safe under delegate/normal stream concurrency):
-///   * dd/nd write only `delegate_out` (atomic OR bitset; the lane kernels
-///     below split it into one single-writer mask per stream);
-///   * dn writes `level_normal` via CAS with depth+1 and appends to the
-///     single-writer `next_local`;
-///   * nn writes only this GPU's outbound bins;
+/// Write discipline (safe under delegate/normal stream concurrency): one
+/// writer per mask per phase, so every write is a plain store (see
+/// GpuState):
+///   * dd writes only `delegate_out_dd` (delegate stream), nd only
+///     `delegate_out_nd` (normal stream);
+///   * dn claims a vertex with a load-and-store of `level_normal` (depth+1)
+///     and appends it to `next_local`; it is the only visit that touches
+///     `level_normal`;
+///   * nn writes only this GPU's outbound bins, routed by sim::VertexRouter;
 ///   * all reads of visited state go to stable snapshots (delegate_visited,
-///     level_normal <= depth).
+///     seen_normal == {level <= depth}).
 namespace dsbfs::core {
 
 /// delegate -> delegate.  Uses merge-based load balancing on real GPUs
@@ -34,7 +37,8 @@ void visit_dn(GpuState& s);
 void visit_nd(GpuState& s);
 
 /// normal -> normal: forward only; fills per-destination-GPU bins with
-/// 32-bit destination-local ids.
+/// 32-bit destination-local ids.  The frontier is ascending, so the rows
+/// are walked in order and every bin comes out sorted by source.
 void visit_nn(GpuState& s, const sim::ClusterSpec& spec);
 
 // ---- lane-generalized visits (batched MS-BFS traversals) -----------------
@@ -48,7 +52,7 @@ void visit_nn(GpuState& s, const sim::ClusterSpec& spec);
 // discipline becomes one writer per mask per phase (see LaneState): dd ORs
 // into `delegate_out_dd` on the delegate stream, nd into `delegate_out_nd`
 // on the normal stream, and dn claims lanes in `next_normal` (plus the
-// single-writer next_local) in place of the level CAS -- all plain
+// single-writer next_local) in place of the level claim -- all plain
 // load-OR-stores, no atomic read-modify-write.
 
 /// delegate -> delegate, lane words into `delegate_out_dd`; backward pull

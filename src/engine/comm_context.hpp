@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "comm/collectives.hpp"
@@ -48,6 +49,23 @@ struct TagBlocks {
     return iterations + 2 + phase;
   }
 };
+
+/// Exchange-hook helper: keep this round's `fresh` records in `received`
+/// and hand the previous `received` buffer, which the previsit has already
+/// consumed and cleared, back as the loopback bin `bins[me_global]`.  Both
+/// exchange paths move the loopback bin into the records they return, so
+/// without the hand-back every round's loopback bin starts with no
+/// capacity; with it the two buffers alternate and neither reallocates in
+/// steady state.
+template <class Record>
+void adopt_received(std::vector<std::vector<Record>>& bins, int me_global,
+                    std::vector<Record>& received,
+                    std::vector<Record>&& fresh) {
+  std::vector<Record>& loopback = bins[static_cast<std::size_t>(me_global)];
+  loopback = std::move(received);
+  loopback.clear();
+  received = std::move(fresh);
+}
 
 class CommContext {
  public:

@@ -1,5 +1,6 @@
 #include "sim/cluster.hpp"
 
+#include <bit>
 #include <cstdio>
 #include <exception>
 #include <thread>
@@ -24,6 +25,27 @@ ClusterSpec ClusterSpec::parse(const std::string& text) {
   spec.gpus_per_rank = gpr;
   spec.ranks_per_node = rpn;
   return spec;
+}
+
+VertexRouter::VertexRouter(const ClusterSpec& spec)
+    : p_(static_cast<std::uint64_t>(spec.total_gpus())) {
+  if (spec.num_ranks <= 0 || spec.gpus_per_rank <= 0) {
+    throw std::invalid_argument("vertex router needs at least one GPU");
+  }
+  // l = ceil(log2 p); magic = floor(2^64 * (2^l - p) / p) + 1 fits 64 bits
+  // for every p >= 1 (it is 1 for powers of two, where the add step alone
+  // shifts v right by l).
+  const int l = std::bit_width(p_ - 1);
+  magic_ = static_cast<std::uint64_t>(
+               ((static_cast<unsigned __int128>((1ULL << l) - p_)) << 64) /
+               p_) +
+           1;
+  shift1_ = l < 1 ? l : 1;
+  shift2_ = l > 1 ? l - 1 : 0;
+  owner_.resize(static_cast<std::size_t>(p_));
+  for (std::uint64_t r = 0; r < p_; ++r) {
+    owner_[static_cast<std::size_t>(r)] = spec.owner_global_gpu(r);
+  }
 }
 
 Cluster::Cluster(ClusterSpec spec, const DeviceMemoryConfig& mem) : spec_(spec) {

@@ -90,6 +90,39 @@ struct ClusterSpec {
   }
 };
 
+/// Division-free vertex routing for the nn sweeps: `split(v)` equals
+/// {owner_global_gpu(v), local_index(v)} (the ClusterSpec formulas stay the
+/// reference) for every 64-bit v, at the cost of one 128-bit multiply-high
+/// instead of four 64-bit divisions.  The quotient q = v / p uses the
+/// round-up reciprocal with an add step (Granlund-Montgomery, "Division by
+/// invariant integers using multiplication", Fig. 4.1), exact over the
+/// whole 64-bit range; the owner depends only on v - q*p (P(v) and G(v)
+/// are both functions of v mod p), so it comes from a p-entry table.
+/// Cheap to build (p entries); build one per kernel.
+class VertexRouter {
+ public:
+  struct Split {
+    int owner;            // owner global GPU
+    std::uint64_t local;  // owner-local index
+  };
+
+  /// Throws std::invalid_argument for a spec without GPUs.
+  explicit VertexRouter(const ClusterSpec& spec);
+
+  Split split(std::uint64_t v) const noexcept {
+    const auto t = static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(magic_) * v) >> 64);
+    const std::uint64_t q = (t + ((v - t) >> shift1_)) >> shift2_;
+    return {owner_[static_cast<std::size_t>(v - q * p_)], q};
+  }
+
+ private:
+  std::uint64_t p_ = 1;
+  std::uint64_t magic_ = 1;
+  int shift1_ = 0, shift2_ = 0;
+  std::vector<int> owner_;  // owner global GPU by v mod p
+};
+
 /// A set of simulated GPUs matching a ClusterSpec.  Owns the Device objects;
 /// `run` executes one callable per GPU, each on its own OS thread, which is
 /// how every distributed phase in the library runs.

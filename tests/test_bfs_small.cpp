@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
+
 #include "baseline/serial_bfs.hpp"
+#include "core/frontier.hpp"
+#include "core/previsit.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/rmat.hpp"
+#include "util/hash.hpp"
 
 namespace dsbfs::core {
 namespace {
@@ -233,6 +240,241 @@ TEST(BfsSmall, LocalAll2AllGoldenCounters) {
     EXPECT_NEAR(r.metrics.modeled_ms, gold.modeled_ms,
                 1e-12 * gold.modeled_ms);
   }
+}
+
+/// Run-summed per-kernel work: {dd, dn, nd, nn} edges, vertices and the
+/// number of (iteration, GPU) launches that pulled.
+struct KernelTotals {
+  std::uint64_t edges[4] = {};
+  std::uint64_t vertices[4] = {};
+  std::uint64_t backward[4] = {};
+};
+
+KernelTotals kernel_totals(const sim::RunCounters& counters) {
+  KernelTotals t;
+  for (const auto& ic : counters.iterations) {
+    for (const auto& gc : ic.gpu) {
+      const sim::KernelCounters* kernels[4] = {&gc.dd, &gc.dn, &gc.nd, &gc.nn};
+      for (int i = 0; i < 4; ++i) {
+        t.edges[i] += kernels[i]->edges;
+        t.vertices[i] += kernels[i]->vertices;
+        t.backward[i] += kernels[i]->backward ? 1 : 0;
+      }
+    }
+  }
+  return t;
+}
+
+template <typename T>
+std::uint64_t digest(const std::vector<T>& values) {
+  std::uint64_t h = values.size();
+  for (const T v : values) {
+    h = util::hash_combine(h, static_cast<std::uint64_t>(v));
+  }
+  return h;
+}
+
+TEST(BfsGolden, CountersAndModeledTimeArePinned) {
+  // RMAT-12 on 2x2 at TH 32: the default hybrid, forced push and hybrid
+  // with parents.  How the kernels route, order and mark their work may
+  // change; the traversal they perform, the bytes they move and the time
+  // the model charges for it may not.
+  struct Golden {
+    const char* name;
+    bool direction_optimized, parents;
+    int iterations;
+    std::uint64_t edges[4], vertices[4], backward[4];  // dd, dn, nd, nn
+    std::uint64_t remote_bytes, mask_bytes;
+    std::uint64_t distance_digest, parent_digest;
+    double modeled_ms;
+  };
+  const Golden goldens[] = {
+      {"hybrid", true, false, 6,
+       {6384, 2858, 7384, 2172}, {137, 1779, 1453, 2556}, {16, 16, 19, 0},
+       4424, 1188, 0x893c40b21137e6adULL, 0x0000000000000000ULL,
+       0.3792468134354901},
+      {"push", false, false, 6,
+       {97164, 15867, 15867, 2172}, {2986, 2986, 2556, 2556}, {0, 0, 0, 0},
+       4424, 1188, 0x893c40b21137e6adULL, 0x0000000000000000ULL,
+       0.30707070052007474},
+      {"hybrid_parents", true, true, 6,
+       {6384, 2858, 7384, 2172}, {137, 1779, 1453, 2556}, {16, 16, 19, 0},
+       4424, 1188, 0x893c40b21137e6adULL, 0x3f289557c1071d51ULL,
+       0.3792468134354901},
+  };
+  const graph::EdgeList g = graph::rmat_graph500({.scale = 12, .seed = 19});
+  const auto spec = spec_of(2, 2);
+  sim::Cluster cluster(spec);
+  const graph::DistributedGraph dg = build_distributed(g, spec, 32);
+  for (const Golden& gold : goldens) {
+    SCOPED_TRACE(gold.name);
+    BfsOptions options;
+    options.direction_optimized = gold.direction_optimized;
+    options.compute_parents = gold.parents;
+    DistributedBfs bfs(dg, cluster, options);
+    const BfsResult r = bfs.run(bfs.sample_source(3));
+    const RunMetrics& m = r.metrics;
+    const KernelTotals k = kernel_totals(m.counters);
+    EXPECT_EQ(m.iterations, gold.iterations);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(k.edges[i], gold.edges[i]) << "kernel " << i;
+      EXPECT_EQ(k.vertices[i], gold.vertices[i]) << "kernel " << i;
+      EXPECT_EQ(k.backward[i], gold.backward[i]) << "kernel " << i;
+    }
+    EXPECT_EQ(m.exchange_remote_bytes, gold.remote_bytes);
+    EXPECT_EQ(m.mask_reduce_bytes, gold.mask_bytes);
+    EXPECT_EQ(digest(r.distances), gold.distance_digest);
+    EXPECT_EQ(digest(r.parents), gold.parent_digest);
+    EXPECT_NEAR(m.modeled_ms, gold.modeled_ms, 1e-12 * gold.modeled_ms);
+  }
+}
+
+/// Checks the normal previsit's output against the inputs it consumed:
+/// the frontier is the ascending, duplicate-free union of `local` (already
+/// claimed at `s.depth`) and the unseen `arrivals`; the visited mask is
+/// exactly {v : level <= depth}; the frontier bitmap is clean again.
+void expect_previsit_output(const GpuState& s,
+                            const std::vector<LocalId>& local,
+                            const std::vector<LocalId>& arrivals,
+                            const std::set<LocalId>& seen_before) {
+  std::set<LocalId> expected(local.begin(), local.end());
+  for (const LocalId v : arrivals) {
+    if (seen_before.count(v) == 0) expected.insert(v);
+  }
+  EXPECT_TRUE(std::adjacent_find(s.frontier.begin(), s.frontier.end(),
+                                 std::greater_equal<LocalId>()) ==
+              s.frontier.end())
+      << "frontier not strictly ascending";
+  EXPECT_EQ(std::set<LocalId>(s.frontier.begin(), s.frontier.end()),
+            expected);
+  EXPECT_EQ(s.frontier.size(), expected.size());
+  for (const LocalId v : expected) {
+    EXPECT_EQ(s.level_normal[v], s.depth) << "vertex " << v;
+  }
+  std::uint64_t mismatches = 0;
+  for (std::size_t v = 0; v < s.level_normal.size(); ++v) {
+    const Depth level = s.level_normal[v];
+    const bool visited = level != kUnvisited && level <= s.depth;
+    if (s.seen_normal.test(v) != visited && ++mismatches <= 5) {
+      ADD_FAILURE() << "seen_normal disagrees with level at " << v;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_TRUE(s.frontier_normal.none());
+  EXPECT_TRUE(s.frontier_words.empty());
+  EXPECT_TRUE(s.next_local.empty());
+  EXPECT_TRUE(s.received.empty());
+}
+
+/// One previsit at the state's current depth: `local` plays the dn
+/// visit's claims (level already set), `arrivals` the exchange's ids.
+void run_previsit(GpuState& s, const std::vector<LocalId>& local,
+                  const std::vector<LocalId>& arrivals) {
+  std::set<LocalId> seen_before;
+  for (std::size_t v = 0; v < s.level_normal.size(); ++v) {
+    if (s.seen_normal.test(v)) seen_before.insert(static_cast<LocalId>(v));
+  }
+  for (const LocalId v : local) s.level_normal[v] = s.depth;
+  s.next_local = local;
+  s.received = arrivals;
+  s.begin_iteration();
+  normal_previsit(s, BfsOptions{});
+  expect_previsit_output(s, local, arrivals, seen_before);
+}
+
+TEST(NormalPrevisit, FrontierIsAscendingAndSeenIsExactlyTheVisitedLevels) {
+  const graph::EdgeList g = graph::rmat_graph500({.scale = 12, .seed = 23});
+  const auto spec = spec_of(2, 1);
+  const graph::DistributedGraph dg = build_distributed(g, spec, 32);
+  const graph::LocalGraph& lg = dg.local(1);
+  const auto n_local = static_cast<LocalId>(lg.num_local_normals());
+  GpuState s(lg, spec.total_gpus(), /*record_parents=*/false);
+
+  // Three rounds of shuffled claims and duplicate-laden arrivals; arrivals
+  // repeat claimed, earlier-visited and each other's ids.
+  std::mt19937 rng(7);
+  std::vector<LocalId> order(n_local);
+  for (LocalId v = 0; v < n_local; ++v) order[v] = v;
+  std::shuffle(order.begin(), order.end(), rng);
+  std::size_t next = 0;
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(round);
+    std::vector<LocalId> local(order.begin() + next,
+                               order.begin() + next + 200);
+    next += 200;
+    std::vector<LocalId> arrivals(order.begin() + next,
+                                  order.begin() + next + 300);
+    next += 300;
+    for (int i = 0; i < 200; ++i) {
+      arrivals.push_back(order[rng() % next]);  // claimed or already seen
+    }
+    std::shuffle(arrivals.begin(), arrivals.end(), rng);
+    run_previsit(s, local, arrivals);
+    s.depth += 1;
+  }
+}
+
+TEST(NormalPrevisit, SparseFrontierOnALargeGraph) {
+  // A long path on one GPU: a handful of far-apart vertices, each arriving
+  // more than once, extracted in order without disturbing the rest.
+  const auto spec = spec_of(1, 1);
+  const graph::DistributedGraph dg =
+      build_distributed(graph::path_graph(1 << 20), spec, 8);
+  const graph::LocalGraph& lg = dg.local(0);
+  GpuState s(lg, spec.total_gpus(), /*record_parents=*/false);
+  const auto last = static_cast<LocalId>(lg.num_local_normals() - 1);
+  run_previsit(s, {last}, {});
+  s.depth += 1;
+  run_previsit(s, {700000, 3}, {last, 524287, 64, 524287, 3, 65});
+  s.depth += 1;
+  run_previsit(s, {}, {0, 1 << 19, 64, 1 << 19});
+  EXPECT_EQ(s.frontier, (std::vector<LocalId>{0, 1 << 19}));
+}
+
+TEST(NormalPrevisit, ParentStorageOnlyWhenRecordingParents) {
+  const graph::EdgeList g = graph::rmat_graph500({.scale = 11, .seed = 29});
+  const auto spec = spec_of(2, 2);
+  sim::Cluster cluster(spec);
+  const graph::DistributedGraph dg = build_distributed(g, spec, 16);
+  ASSERT_GT(dg.num_delegates(), 0u);
+
+  const GpuState lean(dg.local(0), spec.total_gpus(), false);
+  EXPECT_TRUE(lean.parent_normal.empty());
+  EXPECT_EQ(lean.parent_delegate, nullptr);
+  const GpuSnapshot snap = lean.save();
+  EXPECT_TRUE(snap.parent_normal.empty());
+  EXPECT_TRUE(snap.parent_delegate.empty());
+  const GpuState full(dg.local(0), spec.total_gpus(), true);
+  EXPECT_EQ(full.parent_normal.size(), dg.local(0).num_local_normals());
+  EXPECT_NE(full.parent_delegate, nullptr);
+
+  // Parents on or off, the traversal is the same: distances and every
+  // counter the model replays.
+  std::vector<BfsResult> runs;
+  for (const bool parents : {false, true}) {
+    BfsOptions options;
+    options.compute_parents = parents;
+    DistributedBfs bfs(dg, cluster, options);
+    runs.push_back(bfs.run(bfs.sample_source(2)));
+  }
+  const RunMetrics& off = runs[0].metrics;
+  const RunMetrics& on = runs[1].metrics;
+  EXPECT_TRUE(runs[0].parents.empty());
+  EXPECT_EQ(runs[1].parents.size(), dg.num_vertices());
+  EXPECT_EQ(runs[0].distances, runs[1].distances);
+  EXPECT_EQ(off.iterations, on.iterations);
+  EXPECT_EQ(off.delegate_reduce_iterations, on.delegate_reduce_iterations);
+  const KernelTotals k_off = kernel_totals(off.counters);
+  const KernelTotals k_on = kernel_totals(on.counters);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(k_off.edges[i], k_on.edges[i]) << "kernel " << i;
+    EXPECT_EQ(k_off.vertices[i], k_on.vertices[i]) << "kernel " << i;
+    EXPECT_EQ(k_off.backward[i], k_on.backward[i]) << "kernel " << i;
+  }
+  EXPECT_EQ(off.exchange_remote_bytes, on.exchange_remote_bytes);
+  EXPECT_EQ(off.exchange_local_bytes, on.exchange_local_bytes);
+  EXPECT_EQ(off.mask_reduce_bytes, on.mask_reduce_bytes);
+  EXPECT_EQ(off.modeled_ms, on.modeled_ms);
 }
 
 }  // namespace

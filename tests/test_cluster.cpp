@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
+#include <random>
 #include <set>
 #include <thread>
 
@@ -63,6 +65,49 @@ TEST(ClusterSpec, LocalIndexRoundTrip) {
     EXPECT_EQ(s.global_vertex(rank, gpu, local), v);
     EXPECT_LT(local, (200 + 5) / static_cast<std::uint64_t>(s.total_gpus()) + 1);
   }
+}
+
+TEST(VertexRouter, SplitMatchesTheReferenceFormulas) {
+  // Shapes in paper notation, up to the largest run (31x1x4 = 124 GPUs);
+  // ids: a dense prefix, both neighbours of multiples of p, seeded random
+  // 64-bit values and the top of the range.
+  for (const char* shape :
+       {"1x1x1", "2x1x1", "1x1x3", "3x2x5", "16x2x2", "31x1x4"}) {
+    SCOPED_TRACE(shape);
+    const ClusterSpec spec = ClusterSpec::parse(shape);
+    const VertexRouter router(spec);
+    const auto p = static_cast<std::uint64_t>(spec.total_gpus());
+    std::uint64_t mismatches = 0;
+    const auto check = [&](std::uint64_t v) {
+      const VertexRouter::Split got = router.split(v);
+      if (got.owner != spec.owner_global_gpu(v) ||
+          got.local != spec.local_index(v)) {
+        if (++mismatches <= 5) {
+          ADD_FAILURE() << "v " << v << ": {" << got.owner << ", "
+                        << got.local << "} vs {" << spec.owner_global_gpu(v)
+                        << ", " << spec.local_index(v) << "}";
+        }
+      }
+    };
+    for (std::uint64_t v = 0; v < 4096; ++v) check(v);
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    for (std::uint64_t k = 1; k <= 4096; ++k) {
+      check(k * p - 1);
+      check(k * p + 1);
+      const std::uint64_t top = (kMax / p - k) * p;  // multiples near 2^64
+      check(top - 1);
+      check(top);
+      check(top + 1);
+    }
+    std::mt19937_64 rng(20180521);
+    for (int i = 0; i < 100000; ++i) check(rng());
+    check(kMax);
+    check(kMax - 1);
+    EXPECT_EQ(mismatches, 0u);
+  }
+  ClusterSpec empty;
+  empty.num_ranks = 0;
+  EXPECT_THROW(VertexRouter{empty}, std::invalid_argument);
 }
 
 TEST(ClusterSpec, OwnershipBalanced) {

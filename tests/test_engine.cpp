@@ -97,6 +97,46 @@ TEST(CommContext, OwnsTheClusterWideCollectives) {
   for (const std::uint64_t r : results) EXPECT_EQ(r, 10u + 11 + 12 + 13);
 }
 
+TEST(CommContext, ConsumedReceiveBufferBecomesTheNextLoopbackBin) {
+  // Both record kinds, as the BFS (ids) and batched BFS (updates) exchange
+  // hooks use them.  The exchange moves the loopback bin into the records
+  // it returns; adopt_received hands the previous, consumed `received`
+  // buffer back as the loopback bin, so from the second round on the bin
+  // the visit fills keeps its capacity.
+  const auto spec = spec_of(1, 1);
+  const sim::GpuCoord me{0, 0};
+  CommContext comm(spec);
+  sim::GpuIterationCounters iter;
+  const auto check = [&](auto record, auto exchange) {
+    using Record = decltype(record);
+    std::vector<std::vector<Record>> bins(1);
+    std::vector<Record> received;
+    // Round 0: a large loopback bin comes back as the received records.
+    bins[0].assign(1000, record);
+    adopt_received(bins, 0, received, exchange(bins, 0));
+    ASSERT_EQ(received.size(), 1000u);
+    const Record* round0 = received.data();
+    received.clear();  // the next previsit consumes the arrivals
+    // Round 1: round 0's buffer returns as the loopback bin.
+    bins[0].push_back(record);
+    adopt_received(bins, 0, received, exchange(bins, 1));
+    EXPECT_EQ(received.size(), 1u);
+    EXPECT_TRUE(bins[0].empty());
+    EXPECT_GE(bins[0].capacity(), 1000u);
+    EXPECT_EQ(bins[0].data(), round0);
+    // Round 2's visit refills it in place.
+    bins[0].assign(1000, record);
+    EXPECT_EQ(bins[0].data(), round0);
+  };
+  check(LocalId{7}, [&](std::vector<std::vector<LocalId>>& bins, int it) {
+    return comm.exchange_ids(me, bins, it, {}, iter);
+  });
+  check(comm::VertexUpdate{7, 1},
+        [&](std::vector<std::vector<comm::VertexUpdate>>& bins, int it) {
+          return comm.exchange_value_updates(me, bins, it, {}, iter);
+        });
+}
+
 // ---- IterativeEngine with a toy algorithm --------------------------------
 
 /// Countdown: GPU g starts with g + 1 units of work and burns one per

@@ -61,22 +61,31 @@ class RecoveryTest : public ::testing::Test {
 
 TEST_F(RecoveryTest, BfsSurvivesGpuFailureBitExact) {
   sim::Cluster cluster(spec_);
-  const core::BfsResult clean = core::DistributedBfs(dg_, cluster).run(3);
+  // With parents off the snapshots carry no parent arrays at all; with
+  // them on the rollback must restore the tree candidates too.
+  for (const bool parents : {false, true}) {
+    SCOPED_TRACE(parents ? "parents" : "no parents");
+    core::BfsOptions options;
+    options.compute_parents = parents;
+    const core::BfsResult clean =
+        core::DistributedBfs(dg_, cluster, options).run(3);
 
-  core::BfsOptions options;
-  options.resilience = kill_gpu1_at2();
-  const core::BfsResult hurt =
-      core::DistributedBfs(dg_, cluster, options).run(3);
+    options.resilience = kill_gpu1_at2();
+    const core::BfsResult hurt =
+        core::DistributedBfs(dg_, cluster, options).run(3);
 
-  EXPECT_EQ(hurt.distances, clean.distances);
-  // BFS metrics count executed rounds, so the replayed window shows up on
-  // top of the clean iteration count.
-  EXPECT_EQ(hurt.metrics.iterations,
-            clean.metrics.iterations + hurt.metrics.fault.replayed_iterations);
-  expect_recovered(hurt.metrics.fault);
-  // The recovery charge and the replayed rounds must push the modeled time
-  // above the clean run's.
-  EXPECT_GT(hurt.metrics.modeled_ms, clean.metrics.modeled_ms);
+    EXPECT_EQ(hurt.distances, clean.distances);
+    EXPECT_EQ(hurt.parents, clean.parents);
+    // BFS metrics count executed rounds, so the replayed window shows up on
+    // top of the clean iteration count.
+    EXPECT_EQ(hurt.metrics.iterations,
+              clean.metrics.iterations +
+                  hurt.metrics.fault.replayed_iterations);
+    expect_recovered(hurt.metrics.fault);
+    // The recovery charge and the replayed rounds must push the modeled
+    // time above the clean run's.
+    EXPECT_GT(hurt.metrics.modeled_ms, clean.metrics.modeled_ms);
+  }
 }
 
 TEST_F(RecoveryTest, BatchBfs64SurvivesGpuFailureBitExact) {
