@@ -178,8 +178,9 @@ int main(int argc, char** argv) {
     for (const bool overlap : {false, true}) {
       for (const bool compress : {false, true}) {
         core::BatchBfsOptions options;
-        options.overlap = overlap;
-        options.compress = compress;
+        options.run.overlap = overlap;
+        options.codec =
+            compress ? comm::WireCodec::kVarint : comm::WireCodec::kRaw;
         core::DistributedBatchBfs bfs(dg, cluster, options);
         const std::span<const VertexId> sources(pool.data(), batch);
         const core::BatchBfsResult r = bfs.run(sources);

@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
         core::BatchSsspOptions options;
         options.delta = delta;
         options.value_bits = 32;
-        options.exchange_topology = topology;
+        options.run.exchange_topology = topology;
         core::DistributedBatchSssp sssp(dg, cluster, options);
         const std::vector<VertexId> sources(pool.begin(),
                                             pool.begin() + batch);
@@ -258,12 +258,13 @@ int main(int argc, char** argv) {
   // ---- PageRank wire: raw vs adaptive varint vs adaptive Gorilla ---------
   std::uint64_t pr_bytes[3] = {0, 0, 0};
   std::vector<double> pr_ranks[3];
+  constexpr comm::WireCodec kPrCodecs[3] = {comm::WireCodec::kRaw,
+                                            comm::WireCodec::kAdaptive,
+                                            comm::WireCodec::kGorilla};
   for (int mode = 0; mode < 3; ++mode) {
     core::PagerankOptions options;
     options.max_iterations = 10;
-    options.compress = mode >= 1;
-    options.adaptive_compress = mode >= 1;
-    options.gorilla = mode == 2;
+    options.codec = kPrCodecs[mode];
     core::DistributedPagerank pr(dg, cluster, options);
     const core::PagerankResult r = pr.run();
     pr_bytes[mode] = r.update_bytes_remote;

@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
     for (const bool overlap : {true, false}) {
       core::DeltaSsspOptions o;
       o.delta = delta;
-      o.overlap = overlap;
+      o.run.overlap = overlap;
       const core::DeltaSsspResult r =
           core::DistributedDeltaSssp(dg, cluster, o).run(source);
       RunRecord rec;

@@ -1,9 +1,9 @@
 // Ablation of the engine-wide communication levers this repo adds on top of
 // the paper's BFS pipeline: the two-stream reduce/exchange overlap, the
-// per-bin min/sum-uniquify pass in the update exchange, and the opt-in
-// delta+varint payload encoding -- forced per run, or adaptive per bin
-// (each non-empty bin ships the encoding only when it beats the raw
-// payload).  Sweeps {overlap} x {uniquify} x {compress off/on/adaptive}
+// per-bin min/sum-uniquify pass in the update exchange, and the wire codec:
+// raw, delta+varint forced per run, or adaptive per bin (each non-empty bin
+// ships the encoding only when it beats the raw payload).  Sweeps
+// {overlap} x {uniquify} x {codec raw/varint/adaptive}
 // for CC, PageRank and SSSP on an RMAT graph, validates every configuration
 // against the serial references, and emits a JSON report (stdout) with
 // modeled cluster time, exchanged bytes per round, and the adaptive
@@ -49,10 +49,12 @@ namespace {
 
 using namespace dsbfs;
 
+using comm::WireCodec;
+
 struct RunRecord {
   std::string algo;
-  bool overlap = false, uniquify = false, compress = false, adaptive = false;
-  bool gorilla = false;
+  bool overlap = false, uniquify = false;
+  WireCodec codec = WireCodec::kRaw;
   int iterations = 0;
   double modeled_ms = 0;
   std::uint64_t update_bytes_remote = 0;
@@ -63,7 +65,18 @@ struct RunRecord {
   bool valid = false;
 };
 
-/// Sum the adaptive path counters over the whole run.
+/// The report's historic name of each codec (its "compress" field).
+const char* codec_label(WireCodec codec) {
+  switch (codec) {
+    case WireCodec::kRaw: return "off";
+    case WireCodec::kVarint: return "on";
+    case WireCodec::kAdaptive: return "adaptive";
+    case WireCodec::kGorilla: return "gorilla";
+  }
+  return "?";
+}
+
+/// Sum the per-bin codec decision counters over the whole run.
 std::pair<std::uint64_t, std::uint64_t> bin_choices(
     const sim::RunCounters& counters) {
   std::uint64_t enc = 0, raw = 0;
@@ -99,9 +112,7 @@ void emit_json(std::ostream& os, const std::vector<RunRecord>& runs,
     os << "    {\"algo\": \"" << r.algo << "\", \"overlap\": "
        << (r.overlap ? "true" : "false") << ", \"uniquify\": "
        << (r.uniquify ? "true" : "false") << ", \"compress\": \""
-       << (r.gorilla ? "gorilla"
-                     : (r.adaptive ? "adaptive" : (r.compress ? "on" : "off")))
-       << "\", \"iterations\": "
+       << codec_label(r.codec) << "\", \"iterations\": "
        << r.iterations << ", \"modeled_ms\": " << r.modeled_ms
        << ", \"update_bytes_remote\": " << r.update_bytes_remote
        << ", \"reduce_bytes\": " << r.reduce_bytes
@@ -251,12 +262,10 @@ const TopologyRecord& find_topology(const std::vector<TopologyRecord>& runs,
 /// Find a sweep point; the full cross product is always present.
 const RunRecord& find(const std::vector<RunRecord>& runs,
                       const std::string& algo, bool overlap, bool uniquify,
-                      bool compress, bool adaptive = false,
-                      bool gorilla = false) {
+                      WireCodec codec) {
   for (const RunRecord& r : runs) {
     if (r.algo == algo && r.overlap == overlap && r.uniquify == uniquify &&
-        r.compress == compress && r.adaptive == adaptive &&
-        r.gorilla == gorilla) {
+        r.codec == codec) {
       return r;
     }
   }
@@ -305,21 +314,15 @@ int main(int argc, char** argv) {
   std::vector<RunRecord> runs;
   for (const bool overlap : {false, true}) {
     for (const bool uniquify : {false, true}) {
-      // Compression modes: off, forced on, adaptive per bin.
-      for (const int cmode : {0, 1, 2}) {
-        const bool compress = cmode >= 1;
-        const bool adaptive = cmode == 2;
+      for (const WireCodec codec :
+           {WireCodec::kRaw, WireCodec::kVarint, WireCodec::kAdaptive}) {
+        const engine::RunOptions run{.overlap = overlap, .uniquify = uniquify};
         {  // ---- connected components (bit-exact) ----------------------
-          core::CcOptions o;
-          o.overlap = overlap;
-          o.uniquify = uniquify;
-          o.compress = compress;
-          o.adaptive_compress = adaptive;
+          const core::CcOptions o{.run = run, .codec = codec};
           const core::CcResult r =
               core::ConnectedComponents(dg, cluster, o).run();
           const auto [enc_bins, raw_bins] = bin_choices(r.counters);
-          RunRecord rec{"cc", overlap, uniquify, compress, adaptive,
-                        /*gorilla=*/false,
+          RunRecord rec{"cc", overlap, uniquify, codec,
                         r.iterations, r.modeled_ms, r.update_bytes_remote,
                         r.reduce_bytes, enc_bins, raw_bins,
                         round_bytes(r.counters), r.labels == serial_cc};
@@ -327,10 +330,8 @@ int main(int argc, char** argv) {
         }
         {  // ---- PageRank (tolerance) -----------------------------------
           core::PagerankOptions o;
-          o.overlap = overlap;
-          o.uniquify = uniquify;
-          o.compress = compress;
-          o.adaptive_compress = adaptive;
+          o.run = run;
+          o.codec = codec;
           o.max_iterations = 10;
           o.tolerance = 0.0;  // fixed work per configuration
           const core::PagerankResult r =
@@ -340,8 +341,7 @@ int main(int argc, char** argv) {
             valid = std::abs(r.ranks[v] - serial_pr[v]) < 1e-6;
           }
           const auto [enc_bins, raw_bins] = bin_choices(r.counters);
-          RunRecord rec{"pagerank", overlap, uniquify, compress, adaptive,
-                        /*gorilla=*/false,
+          RunRecord rec{"pagerank", overlap, uniquify, codec,
                         r.iterations, r.modeled_ms, r.update_bytes_remote,
                         r.reduce_bytes, enc_bins, raw_bins,
                         round_bytes(r.counters), valid};
@@ -349,15 +349,12 @@ int main(int argc, char** argv) {
         }
         {  // ---- SSSP (bit-exact) ---------------------------------------
           core::SsspOptions o;
-          o.overlap = overlap;
-          o.uniquify = uniquify;
-          o.compress = compress;
-          o.adaptive_compress = adaptive;
+          o.run = run;
+          o.codec = codec;
           const core::SsspResult r =
               core::DistributedSssp(dg, cluster, o).run(source);
           const auto [enc_bins, raw_bins] = bin_choices(r.counters);
-          RunRecord rec{"sssp", overlap, uniquify, compress, adaptive,
-                        /*gorilla=*/false,
+          RunRecord rec{"sssp", overlap, uniquify, codec,
                         r.iterations, r.modeled_ms, r.update_bytes_remote,
                         r.reduce_bytes, enc_bins, raw_bins,
                         round_bytes(r.counters), r.distances == serial_sp};
@@ -371,13 +368,9 @@ int main(int argc, char** argv) {
     // PageRank's bit-cast doubles defeat the varint encode (the adaptive
     // sweep above ships those bins raw); the Gorilla XOR-delta stream is
     // built for exactly that payload.  Run it at the best fixed settings and
-    // record a fourth compress mode.
+    // record a fourth codec.
     core::PagerankOptions o;
-    o.overlap = true;
-    o.uniquify = true;
-    o.compress = true;
-    o.adaptive_compress = true;
-    o.gorilla = true;
+    o.codec = WireCodec::kGorilla;
     o.max_iterations = 10;
     o.tolerance = 0.0;
     const core::PagerankResult r =
@@ -387,7 +380,7 @@ int main(int argc, char** argv) {
       valid = std::abs(r.ranks[v] - serial_pr[v]) < 1e-6;
     }
     const auto [enc_bins, raw_bins] = bin_choices(r.counters);
-    RunRecord rec{"pagerank", true, true, true, true, /*gorilla=*/true,
+    RunRecord rec{"pagerank", true, true, WireCodec::kGorilla,
                   r.iterations, r.modeled_ms, r.update_bytes_remote,
                   r.reduce_bytes, enc_bins, raw_bins,
                   round_bytes(r.counters), valid};
@@ -413,7 +406,7 @@ int main(int argc, char** argv) {
                                 sim::ExchangeTopology::kHierarchical,
                                 sim::ExchangeTopology::kButterfly}) {
       core::BfsOptions o;
-      o.exchange_topology = topology;
+      o.run.exchange_topology = topology;
       const core::BfsResult r =
           core::DistributedBfs(tdg, tcluster, o).run(source);
       const auto [inter_hops, widest] = hop_shape(r.metrics.counters);
@@ -457,13 +450,13 @@ int main(int argc, char** argv) {
     if (!r.valid) {
       std::cerr << "FAIL: " << r.algo << " diverged from the serial baseline"
                 << " (overlap=" << r.overlap << " uniquify=" << r.uniquify
-                << " compress=" << r.compress << ")\n";
+                << " compress=" << codec_label(r.codec) << ")\n";
       ok = false;
     }
   }
   for (const std::string algo : {"cc", "sssp"}) {
-    const auto& with = find(runs, algo, true, true, false);
-    const auto& without = find(runs, algo, true, false, false);
+    const auto& with = find(runs, algo, true, true, WireCodec::kRaw);
+    const auto& without = find(runs, algo, true, false, WireCodec::kRaw);
     if (with.update_bytes_remote >= without.update_bytes_remote) {
       std::cerr << "FAIL: " << algo << " uniquify did not cut update bytes ("
                 << with.update_bytes_remote << " vs "
@@ -472,8 +465,8 @@ int main(int argc, char** argv) {
     }
   }
   for (const std::string algo : {"cc", "pagerank", "sssp"}) {
-    const auto& on = find(runs, algo, true, true, false);
-    const auto& off = find(runs, algo, false, true, false);
+    const auto& on = find(runs, algo, true, true, WireCodec::kRaw);
+    const auto& off = find(runs, algo, false, true, WireCodec::kRaw);
     if (on.modeled_ms >= off.modeled_ms) {
       std::cerr << "FAIL: " << algo << " overlap did not lower modeled time ("
                 << on.modeled_ms << " vs " << off.modeled_ms << " ms)\n";
@@ -485,9 +478,9 @@ int main(int argc, char** argv) {
   // per-bin choice (PageRank's bit-cast doubles should favor raw, the
   // integer-valued algorithms should favor the encode).
   for (const std::string algo : {"cc", "pagerank", "sssp"}) {
-    const auto& adaptive = find(runs, algo, true, true, true, true);
-    const auto& forced = find(runs, algo, true, true, true, false);
-    const auto& off = find(runs, algo, true, true, false, false);
+    const auto& adaptive = find(runs, algo, true, true, WireCodec::kAdaptive);
+    const auto& forced = find(runs, algo, true, true, WireCodec::kVarint);
+    const auto& off = find(runs, algo, true, true, WireCodec::kRaw);
     if (adaptive.update_bytes_remote > forced.update_bytes_remote ||
         adaptive.update_bytes_remote > off.update_bytes_remote) {
       std::cerr << "FAIL: " << algo << " adaptive compression shipped more"
@@ -508,9 +501,10 @@ int main(int argc, char** argv) {
     // must beat the varint-adaptive policy outright (varint degenerates to
     // raw there while the XOR-delta stream compresses the shared exponents).
     const auto& gorilla =
-        find(runs, "pagerank", true, true, true, true, true);
-    const auto& varint = find(runs, "pagerank", true, true, true, true);
-    const auto& raw = find(runs, "pagerank", true, true, false, false);
+        find(runs, "pagerank", true, true, WireCodec::kGorilla);
+    const auto& varint =
+        find(runs, "pagerank", true, true, WireCodec::kAdaptive);
+    const auto& raw = find(runs, "pagerank", true, true, WireCodec::kRaw);
     if (gorilla.update_bytes_remote > raw.update_bytes_remote) {
       std::cerr << "FAIL: pagerank gorilla wire shipped more bytes ("
                 << gorilla.update_bytes_remote << ") than raw ("
@@ -533,7 +527,7 @@ int main(int argc, char** argv) {
     // raw-wins branch needs scattered ids and large values, which this
     // graph's bins do not produce -- test_exchange covers it with a crafted
     // payload.
-    const auto& sp = find(runs, "sssp", true, true, true, true);
+    const auto& sp = find(runs, "sssp", true, true, WireCodec::kAdaptive);
     if (sp.bins_compressed == 0) {
       std::cerr << "FAIL: sssp adaptive compression never chose the encode"
                 << " path\n";

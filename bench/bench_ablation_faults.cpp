@@ -125,7 +125,7 @@ struct Harness {
 
     if (algo == "bfs") {
       core::BfsOptions o;
-      o.resilience = res;
+      o.run.resilience = res;
       const core::BfsResult r = core::DistributedBfs(dg, cluster, o).run(source);
       fold(r.metrics.fault, r.metrics.iterations, r.metrics.modeled_ms,
            r.metrics.exchange_remote_bytes);
@@ -133,8 +133,8 @@ struct Harness {
       if (fill) fill->bfs = r.distances;
     } else if (algo == "batch64") {
       core::BatchBfsOptions o;
-      o.uniquify = true;
-      o.resilience = res;
+      o.run.uniquify = true;
+      o.run.resilience = res;
       const core::BatchBfsResult r =
           core::DistributedBatchBfs(dg, cluster, o).run(batch_sources);
       fold(r.metrics.fault, r.metrics.iterations, r.metrics.modeled_ms,
@@ -144,7 +144,7 @@ struct Harness {
       if (fill) fill->batch = r.distances;
     } else if (algo == "sssp") {
       core::SsspOptions o;
-      o.resilience = res;
+      o.run.resilience = res;
       const core::SsspResult r = core::DistributedSssp(dg, cluster, o).run(source);
       fold(r.fault, r.iterations, r.modeled_ms, r.update_bytes_remote);
       rec.valid =
@@ -152,7 +152,7 @@ struct Harness {
       if (fill) fill->sssp = r.distances;
     } else if (algo == "delta") {
       core::DeltaSsspOptions o;
-      o.resilience = res;
+      o.run.resilience = res;
       const core::DeltaSsspResult r =
           core::DistributedDeltaSssp(dg, cluster, o).run(source);
       fold(r.fault, r.iterations, r.modeled_ms, r.update_bytes_remote);
@@ -161,7 +161,7 @@ struct Harness {
       if (fill) fill->delta = r.distances;
     } else if (algo == "cc") {
       core::CcOptions o;
-      o.resilience = res;
+      o.run.resilience = res;
       const core::CcResult r = core::ConnectedComponents(dg, cluster, o).run();
       fold(r.fault, r.iterations, r.modeled_ms, r.update_bytes_remote);
       rec.valid = clean ? r.labels == clean->cc : r.labels == serial_cc;
@@ -170,7 +170,7 @@ struct Harness {
       core::PagerankOptions o;
       o.max_iterations = 10;
       o.tolerance = 0.0;  // fixed work so every config is comparable
-      o.resilience = res;
+      o.run.resilience = res;
       const core::PagerankResult r =
           core::DistributedPagerank(dg, cluster, o).run();
       fold(r.fault, r.iterations, r.modeled_ms, r.update_bytes_remote);

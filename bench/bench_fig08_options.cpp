@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
       core::BfsOptions options;
       options.direction_optimized = row.direction_optimized;
       options.local_all2all = row.local_all2all;
-      options.uniquify = row.uniquify;
+      options.run.uniquify = row.uniquify;
       options.reduce_mode = row.blocking ? comm::ReduceMode::kBlocking
                                          : comm::ReduceMode::kNonBlocking;
       const auto series = bench::run_series(dg, cluster, options, sources);

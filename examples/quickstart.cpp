@@ -22,11 +22,11 @@ int main(int argc, char** argv) {
   std::uint32_t threshold = static_cast<std::uint32_t>(
       cli.get_int("threshold", 0, "degree threshold (0 = auto-suggest)"));
   core::BfsOptions options;
-  options.resilience.faults.seed = static_cast<std::uint64_t>(
+  options.run.resilience.faults.seed = static_cast<std::uint64_t>(
       cli.get_int("fault-seed", 1, "fault schedule seed"));
-  options.resilience.faults.drop_rate = cli.get_double(
+  options.run.resilience.faults.drop_rate = cli.get_double(
       "fault-drop-rate", 0.0, "per-message drop probability (chaos mode)");
-  options.resilience.faults.corrupt_rate = cli.get_double(
+  options.run.resilience.faults.corrupt_rate = cli.get_double(
       "fault-corrupt-rate", 0.0, "per-message bit-flip probability");
   if (cli.help_requested()) {
     cli.print_help("Quickstart: one DOBFS run on a simulated GPU cluster");
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
               "%.1f ms)\n",
               result.metrics.modeled_ms, result.metrics.modeled_gteps,
               result.metrics.measured_ms);
-  if (options.resilience.faults.enabled()) {
+  if (options.run.resilience.faults.enabled()) {
     std::printf("resilience: %zu injected faults, %llu retransmissions, "
                 "%llu checksum rejects, %.3f ms recovery\n",
                 result.metrics.fault.events.size(),

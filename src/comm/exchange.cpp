@@ -284,12 +284,12 @@ struct IdRecords {
   }
 };
 
-/// (id, value) updates: merged by the caller's combine, shipped as raw
-/// pairs, delta+varint or Gorilla, or the adaptive per-bin choice behind a
-/// flag word.  Cross-source merging at forwarding hops runs only for the
-/// order-insensitive combines -- kSumDouble's IEEE addition is not
-/// associative and kNone promises every candidate, so those forward
-/// per-source segments intact.
+/// (id, value) updates: merged by the caller's combine, shipped in the
+/// caller's WireCodec (raw pairs, delta+varint, or a per-bin choice between
+/// raw and varint or Gorilla behind a flag word).  Cross-source merging at
+/// forwarding hops runs only for the order-insensitive combines --
+/// kSumDouble's IEEE addition is not associative and kNone promises every
+/// candidate, so those forward per-source segments intact.
 struct UpdateRecords {
   using Record = VertexUpdate;
   const UpdateExchangeOptions& opt;
@@ -313,13 +313,20 @@ struct UpdateRecords {
     return coalesce_bin(bin, opt.combine, opt.lane_value_bits);
   }
 
-  /// Raw pairs, delta+varint, or the adaptive raw-vs-encoded choice behind
-  /// a flag word.  Charges the encode/adaptive counters.
+  bool encodes() const { return opt.codec != WireCodec::kRaw; }
+  /// Per-bin raw-vs-encoded choice behind a flag word.
+  bool flagged() const {
+    return opt.codec == WireCodec::kAdaptive ||
+           opt.codec == WireCodec::kGorilla;
+  }
+
+  /// Raw pairs, delta+varint, or the per-bin raw-vs-encoded choice behind a
+  /// flag word.  Charges the encode and per-bin decision counters.
   EncodedBin encode(const std::vector<VertexUpdate>& bin,
                     ExchangeCounters& counters) const {
     EncodedBin out;
     const std::uint64_t raw_bytes = bin.size() * record_bytes();
-    if (!opt.compress) {
+    if (!encodes()) {
       out.words = pack_updates_raw(bin);
       out.payload_bytes = raw_bytes;
       return out;
@@ -327,9 +334,10 @@ struct UpdateRecords {
     // The encode kernel runs either way, so it is charged either way.
     counters.encode_bytes += raw_bytes;
     std::vector<std::uint64_t> body =
-        opt.gorilla ? pack_updates_gorilla(bin)
-                    : pack_updates_compressed(bin, opt.value_bias);
-    if (!opt.adaptive) {
+        opt.codec == WireCodec::kGorilla
+            ? pack_updates_gorilla(bin)
+            : pack_updates_compressed(bin, opt.value_bias);
+    if (!flagged()) {
       out.payload_bytes = body[1];  // encoded byte count
       out.words = std::move(body);
       return out;
@@ -352,14 +360,14 @@ struct UpdateRecords {
     return out;
   }
 
-  /// Decode the payload starting at words[pos] (with the adaptive flag word
-  /// when the options call for it), advance pos past it, and return its
+  /// Decode the payload starting at words[pos] (behind its flag word when
+  /// the codec chooses per bin), advance pos past it, and return its
   /// logical bytes.
   std::uint64_t decode(std::span<const std::uint64_t> words, std::size_t& pos,
                        std::vector<VertexUpdate>& out) const {
     std::span<const std::uint64_t> body = words.subspan(pos);
-    bool encoded = opt.compress;
-    if (opt.compress && opt.adaptive) {
+    bool encoded = encodes();
+    if (flagged()) {
       if (body.empty()) {
         throw DecodeError("adaptive update payload missing its flag word");
       }
@@ -381,7 +389,7 @@ struct UpdateRecords {
     body = body.first(len);
     pos += len;
     const std::size_t before = out.size();
-    if (encoded && opt.gorilla) {
+    if (encoded && opt.codec == WireCodec::kGorilla) {
       decode_updates_gorilla(body, out);
     } else if (encoded) {
       decode_updates_compressed(body, opt.value_bias, out);
@@ -393,7 +401,7 @@ struct UpdateRecords {
   }
 
   std::uint64_t record_count(const std::vector<std::uint64_t>& words) const {
-    if (opt.compress && opt.adaptive) {
+    if (flagged()) {
       if (words.size() < 2) {
         throw DecodeError("adaptive update segment shorter than its headers");
       }
@@ -406,7 +414,7 @@ struct UpdateRecords {
   }
 
   std::uint64_t logical_bytes(const std::vector<std::uint64_t>& words) const {
-    if (opt.compress && opt.adaptive) {
+    if (flagged()) {
       if (words.size() < 2) {
         throw DecodeError("adaptive update segment shorter than its headers");
       }
@@ -418,7 +426,7 @@ struct UpdateRecords {
       }
       return words[1] * record_bytes();
     }
-    if (opt.compress) {
+    if (encodes()) {
       if (words.size() < 2) {
         throw DecodeError("compressed update segment missing its headers");
       }

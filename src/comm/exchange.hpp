@@ -118,12 +118,12 @@ struct ExchangeCounters {
   std::uint64_t local_bytes = 0;         // NVLink payload (L phase + same-rank bins)
   std::uint64_t send_bytes_remote = 0;   // wire payload bytes, cross-rank
   std::uint64_t recv_bytes_remote = 0;
-  /// Raw payload bytes run through the varint encoder (0 = compression off);
+  /// Raw payload bytes run through the encoder (0 under WireCodec::kRaw);
   /// send/recv/local byte counters above hold the *encoded* sizes, so the
   /// perf models replay the reduced volume and charge the encode kernel.
   std::uint64_t encode_bytes = 0;
-  /// Adaptive compression decisions: non-empty outbound bins that shipped
-  /// encoded vs raw this round (both 0 unless `adaptive` was set).
+  /// Per-bin codec decisions: non-empty outbound bins that shipped encoded
+  /// vs raw this round (both 0 unless the codec is kAdaptive or kGorilla).
   std::uint64_t bins_compressed = 0;
   std::uint64_t bins_raw = 0;
   int send_dest_ranks = 0;
@@ -170,22 +170,40 @@ enum class UpdateCombine {
                // order-insensitive like kMin/kOr
 };
 
+/// Wire encoding of an update stream, one choice per exchange.  Ids always
+/// travel as zigzag varint deltas (ascending after coalescing) once a codec
+/// encodes; the codecs differ in how they ship the values.
+enum class WireCodec {
+  kRaw,       // (id, value) pairs as they are
+  kVarint,    // values as plain varints of (value - value_bias); wins on
+              // small integers (distances, labels), loses on bit-cast doubles
+  kAdaptive,  // per non-empty bin, kVarint only when smaller than raw; a
+              // one-word header flags the choice (bins_compressed/bins_raw)
+  kGorilla,   // per-bin choice like kAdaptive, but the encoded form is the
+              // Gorilla float stream (XOR vs previous value, leading/trailing
+              // zeros truncated) built for IEEE-double payloads (PageRank
+              // contributions); never exceeds raw on the wire
+};
+
+/// Whether `codec` subtracts UpdateExchangeOptions::value_bias before
+/// encoding (the varint codecs; raw needs no floor, an XOR window neither).
+constexpr bool uses_value_bias(WireCodec codec) noexcept {
+  return codec == WireCodec::kVarint || codec == WireCodec::kAdaptive;
+}
+
 struct UpdateExchangeOptions {
   /// Per-bin coalescing combine; kNone disables the pass.
   UpdateCombine combine = UpdateCombine::kNone;
-  /// Delta+varint-encode the (id, value) payload: ids as zigzag varint
-  /// deltas (ascending after coalescing), values as plain varints.  Wins
-  /// when values are small integers (distances, labels); bit-cast doubles
-  /// mostly do not shrink, which is why it is opt-in.
-  bool compress = false;
-  /// Bucket tag for the compressed payload: a value floor subtracted
-  /// (mod 2^64) from every value before varint encoding and added back
-  /// after decoding -- bit-exact for any bias, strictly smaller varints
-  /// when all values of the round are >= the bias.  Bucketed senders
+  WireCodec codec = WireCodec::kRaw;
+  /// Bucket tag for the varint codecs: a value floor subtracted (mod 2^64)
+  /// from every value before varint encoding and added back after
+  /// decoding -- bit-exact for any bias, strictly smaller varints when all
+  /// values of the round are >= the bias.  Bucketed senders
   /// (delta-stepping) set it to the open bucket's base distance; flat SSSP
   /// derives a per-round floor from a min-allreduce of active distances.
-  /// Ignored without `compress`; like every field here it defines the wire
-  /// format, so all GPUs must pass the identical value each round.
+  /// Ignored unless uses_value_bias(codec); like every field here it
+  /// defines the wire format, so all GPUs must pass the identical value
+  /// each round.
   std::uint64_t value_bias = 0;
   /// Uncompressed wire width of the value field, in bytes.  The historic
   /// (id, 64-bit value) updates are 4 + 8 bytes; lane-word updates carry
@@ -202,21 +220,6 @@ struct UpdateExchangeOptions {
   /// the wire still subtracts/adds the single 64-bit bias word, which is
   /// per-lane exact as long as every lane is >= its bias lane.
   int lane_value_bits = 64;
-  /// Adaptive per-bin compression: with `compress` also set, each
-  /// non-empty outbound bin ships the delta+varint encoding only when it
-  /// is smaller than the raw payload (a one-word header flags the choice;
-  /// counters record how many bins went each way).  Protects the rounds
-  /// where varints lose -- scattered ids, large biased values -- while
-  /// keeping the wins.
-  bool adaptive = false;
-  /// With `compress` also set, use the Gorilla-style float encoder (XOR vs
-  /// previous value + leading/trailing-zero truncation on the bit-cast
-  /// stream) as the encoded representation instead of delta+varint values.
-  /// Built for IEEE-double payloads (PageRank contributions), where varints
-  /// lose; ids still travel as zigzag varint deltas.  `value_bias` is
-  /// ignored (an XOR window needs no floor).  Combine it with `adaptive`
-  /// and the per-bin trial-encode guarantees the wire never exceeds raw.
-  bool gorilla = false;
   /// Routing mode (see sim/topology.hpp and ExchangeOptions::topology).
   /// The multi-hop modes re-coalesce across gathered sources only for the
   /// order-insensitive combines (kMin, kOr, kLaneMin, kLaneSum); kSumDouble

@@ -61,7 +61,6 @@ class BatchBfsAlgorithm {
     s.dir_dd = DirectionState(options_.dd_factors);
     s.dir_dn = DirectionState(options_.dn_factors);
     s.dir_nd = DirectionState(options_.nd_factors);
-    s.controller = DirectionController(options_.device_model);
     s.batch_mask = sources_.size() >= 64 ? ~0ULL
                                          : (1ULL << sources_.size()) - 1;
 
@@ -156,13 +155,12 @@ class BatchBfsAlgorithm {
         gs.bins, ctx.gpu, gs.received,
         ctx.comm.exchange_value_updates(
             ctx.me, gs.bins, iteration,
-            {.combine = options_.uniquify ? comm::UpdateCombine::kOr
-                                          : comm::UpdateCombine::kNone,
-             .compress = options_.compress,
+            {.combine = options_.run.uniquify ? comm::UpdateCombine::kOr
+                                              : comm::UpdateCombine::kNone,
+             .codec = options_.codec,
              .value_bytes = lane_bits_ == 1 ? 0 : lane_bits_ / 8,
-             .adaptive = options_.adaptive_compress,
-             .topology = options_.exchange_topology,
-             .retry = options_.resilience.retry},
+             .topology = options_.run.exchange_topology,
+             .retry = options_.run.resilience.retry},
             gs.iter));
   }
 
@@ -198,7 +196,6 @@ class BatchBfsAlgorithm {
     return !any_delegate_update && normal_work == 0;
   }
 
-  bool collect_counters() const { return true; }
   sim::GpuIterationCounters iteration_counters(const State& s) const {
     return s.gpu.iter;
   }
@@ -324,9 +321,8 @@ BatchBfsResult DistributedBatchBfs::run(std::span<const VertexId> sources) {
   const std::size_t num_lanes = sources.size();
 
   BatchBfsAlgorithm algo(graph_, options_, sources, lane_bits);
-  engine::IterativeEngine<BatchBfsAlgorithm> engine(
-      graph_, cluster_,
-      {.overlap = options_.overlap, .resilience = options_.resilience});
+  engine::IterativeEngine<BatchBfsAlgorithm> engine(graph_, cluster_,
+                                                    options_.run);
   auto run = engine.run(algo);
 
   // ---- Gather per-lane distances (and parents) on the host. -------------
@@ -403,16 +399,10 @@ BatchBfsResult DistributedBatchBfs::run(std::span<const VertexId> sources) {
   }
 
   // ---- Model: one shared counter history, lane-scaled mask payload. -----
-  BfsOptions equiv;
-  equiv.direction_optimized =
-      options_.direction == TraversalDirection::kHybrid;
-  equiv.overlap = options_.overlap;
-  equiv.reduce_mode = options_.reduce_mode;
-  equiv.collect_per_iteration = options_.collect_per_iteration;
-  equiv.device_model = options_.device_model;
-  equiv.net_model = options_.net_model;
-  result.metrics = assemble_metrics(graph_, equiv, std::move(run.histories),
-                                    run.measured_ms, lane_bits);
+  result.metrics = assemble_metrics(graph_, options_.run.overlap,
+                                    options_.reduce_mode,
+                                    std::move(run.histories), run.measured_ms,
+                                    lane_bits);
   result.metrics.fault = run.fault;
   return result;
 }

@@ -18,7 +18,7 @@
 /// visited state is a W-bit lane word (util::LaneBitset, W in {1, 8, 32,
 /// 64} chosen from the batch size), the delegate mask reduction ORs d*W/8
 /// bytes per round instead of d/8, and the normal exchange ships (id,
-/// lane-word) updates through the same uniquify/compress machinery the
+/// lane-word) updates through the same uniquify/codec machinery the
 /// value algorithms use (UpdateCombine::kOr, W/8-byte values on the wire,
 /// bare 4-byte ids at W = 1).  The payoff is amortization: one sweep of
 /// every adjacency row, one reduction and one exchange serve all W sources,
@@ -42,25 +42,14 @@
 namespace dsbfs::core {
 
 struct BatchBfsOptions {
-  /// Two-stream overlap: delegate-mask reduction concurrent with the
-  /// lane-update exchange (engine::EngineOptions).
-  bool overlap = true;
-  /// OR-coalesce outbound (id, lane-word) updates per bin before the send
-  /// (the lane analogue of the id exchange's U option); bit-exact, strictly
-  /// fewer records whenever several frontier vertices push the same
-  /// destination.
-  bool uniquify = false;
-  /// Delta+varint-encode the (id, lane-word) wire payload.
-  bool compress = false;
-  /// Per-bin raw-vs-encoded choice (needs `compress`); see
-  /// comm::UpdateExchangeOptions::adaptive.
-  bool adaptive_compress = false;
-
-  /// Exchange routing mode (sim/topology.hpp): flat per-bin all-to-all
-  /// (historic default), hierarchical node-leader aggregation, or butterfly
-  /// recursive halving.  Bit-exact across all three; wire pattern, byte
-  /// counters and modeled NIC/NVLink occupancy differ.
-  sim::ExchangeTopology exchange_topology = sim::ExchangeTopology::kFlat;
+  /// Overlap (delegate-mask reduction concurrent with the lane-update
+  /// exchange), routing, resilience, and uniquify: OR-coalesce outbound
+  /// (id, lane-word) updates per bin before the send (the lane analogue of
+  /// the id exchange's U option); bit-exact, strictly fewer records
+  /// whenever several frontier vertices push the same destination.
+  engine::RunOptions run{};
+  /// Wire encoding of the (id, lane-word) payload.
+  comm::WireCodec codec = comm::WireCodec::kRaw;
   /// Blocking vs non-blocking delegate-mask reduction (Section VI-B).
   comm::ReduceMode reduce_mode = comm::ReduceMode::kBlocking;
   /// Traversal direction policy.  kForcedPush keeps the MS-BFS default;
@@ -77,14 +66,6 @@ struct BatchBfsOptions {
   bool adaptive_direction = true;
   /// Also produce one Graph500 BFS tree per lane (BatchBfsResult::parents).
   bool compute_parents = false;
-  /// Record per-iteration statistics.
-  bool collect_per_iteration = true;
-  /// Hardware models used to convert measured counters to cluster time.
-  sim::DeviceModelConfig device_model{};
-  sim::NetModelConfig net_model{};
-  /// Fault schedule, wire retry policy and checkpoint cadence (defaults to
-  /// a clean run; see sim::ResilienceOptions).
-  sim::ResilienceOptions resilience{};
 };
 
 struct BatchBfsResult {

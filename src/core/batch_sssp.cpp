@@ -241,7 +241,7 @@ class BatchSsspAlgorithm {
     const bool open = s.mode == Mode::kLight;
     s.iter.bucket_plus_one = open ? s.current_bucket + 1 : 0;
     s.iter.heavy_phase = s.heavy_round;
-    s.value_bias = (open && options_.compress)
+    s.value_bias = (open && comm::uses_value_bias(options_.codec))
                        ? util::LaneValueSlab::replicate(
                              s.normal_buckets.bucket_base(s.current_bucket),
                              kBits)
@@ -348,13 +348,13 @@ class BatchSsspAlgorithm {
     // lane group), min-coalesced per sub-lane.
     const auto updates = ctx.comm.exchange_value_updates(
         ctx.me, s.bins, iteration,
-        {.combine = options_.uniquify ? comm::UpdateCombine::kLaneMin
-                                      : comm::UpdateCombine::kNone,
-         .compress = options_.compress,
+        {.combine = options_.run.uniquify ? comm::UpdateCombine::kLaneMin
+                                          : comm::UpdateCombine::kNone,
+         .codec = options_.codec,
          .value_bias = s.value_bias,
          .lane_value_bits = kBits,
-         .topology = options_.exchange_topology,
-         .retry = options_.resilience.retry},
+         .topology = options_.run.exchange_topology,
+         .retry = options_.run.resilience.retry},
         s.iter);
     const auto groups = static_cast<LocalId>(groups_);
     for (const comm::VertexUpdate& u : updates) {
@@ -404,7 +404,6 @@ class BatchSsspAlgorithm {
     return control == 0;
   }
 
-  bool collect_counters() const { return options_.collect_counters; }
   sim::GpuIterationCounters iteration_counters(const State& s) const {
     return s.iter;
   }
@@ -665,9 +664,8 @@ BatchSsspResult run_lanes(const graph::DistributedGraph& graph,
   const int w = static_cast<int>(sources.size());
 
   BatchSsspAlgorithm<kBits> algo(graph, options, sources);
-  engine::IterativeEngine<BatchSsspAlgorithm<kBits>> engine(
-      graph, cluster,
-      {.overlap = options.overlap, .resilience = options.resilience});
+  engine::IterativeEngine<BatchSsspAlgorithm<kBits>> engine(graph, cluster,
+                                                            options.run);
   auto run = engine.run(algo);
 
   for (int g = 0; g < p; ++g) {
@@ -707,21 +705,18 @@ BatchSsspResult run_lanes(const graph::DistributedGraph& graph,
   }
 
   // ---- Model. ------------------------------------------------------------
-  if (options.collect_counters) {
-    ValueAppMetrics vm = assemble_value_app_metrics(
-        graph, run.histories, options.overlap, options.device_model,
-        options.net_model, algo.groups_per_item());
-    result.update_bytes_remote = vm.update_bytes_remote;
-    result.reduce_bytes = vm.reduce_bytes;
-    result.buckets_processed = vm.buckets_processed;
-    result.light_iterations = vm.light_iterations;
-    result.heavy_iterations = vm.heavy_iterations;
-    result.light_relaxations = vm.light_relaxations;
-    result.heavy_relaxations = vm.heavy_relaxations;
-    result.modeled = vm.modeled;
-    result.modeled_ms = vm.modeled_ms;
-    result.counters = std::move(vm.counters);
-  }
+  ValueAppMetrics vm = assemble_value_app_metrics(
+      graph, run.histories, options.run.overlap, algo.groups_per_item());
+  result.update_bytes_remote = vm.update_bytes_remote;
+  result.reduce_bytes = vm.reduce_bytes;
+  result.buckets_processed = vm.buckets_processed;
+  result.light_iterations = vm.light_iterations;
+  result.heavy_iterations = vm.heavy_iterations;
+  result.light_relaxations = vm.light_relaxations;
+  result.heavy_relaxations = vm.heavy_relaxations;
+  result.modeled = vm.modeled;
+  result.modeled_ms = vm.modeled_ms;
+  result.counters = std::move(vm.counters);
   result.fault = run.fault;
   return result;
 }

@@ -89,22 +89,15 @@ struct BatchSsspOptions {
   /// smallest safe width from a distance bound.  64 at W = 1 is the
   /// single-source run (DistributedDeltaSssp).
   int value_bits = 32;
-  /// Two-stream overlap: delegate candidate reduction concurrent with the
-  /// lane-word update exchange.
-  bool overlap = true;
-  /// Min-coalesce outbound lane-word records per bin before the send.
-  bool uniquify = true;
-  /// Delta+varint-encode the (id, lane word) wire payload, values biased
-  /// by the open bucket's base distance replicated into every lane
-  /// position (util::LaneValueSlab::replicate); bit-exact.
-  bool compress = false;
-  /// Exchange routing mode; bit-exact across all three (kLaneMin re-merges
-  /// at intermediate hops).
-  sim::ExchangeTopology exchange_topology = sim::ExchangeTopology::kFlat;
-  bool collect_counters = true;
-  sim::DeviceModelConfig device_model{};
-  sim::NetModelConfig net_model{};
-  sim::ResilienceOptions resilience{};
+  /// Overlap (delegate candidate reduction concurrent with the lane-word
+  /// update exchange), routing (bit-exact across all three: kLaneMin
+  /// re-merges at intermediate hops), resilience, and uniquify:
+  /// min-coalesce outbound lane-word records per bin before the send.
+  engine::RunOptions run{.uniquify = true};
+  /// Wire encoding of the (id, lane word) payload.  The varint codecs ship
+  /// values biased by the open bucket's base distance replicated into
+  /// every lane position (util::LaneValueSlab::replicate); bit-exact.
+  comm::WireCodec codec = comm::WireCodec::kRaw;
 };
 
 struct BatchSsspResult {

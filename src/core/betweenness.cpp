@@ -253,11 +253,11 @@ class BcForwardAlgorithm {
   void exchange(engine::GpuContext& ctx, State& s, int iteration) {
     const auto updates = ctx.comm.exchange_value_updates(
         ctx.me, s.bins, iteration,
-        {.combine = options_.uniquify ? comm::UpdateCombine::kLaneSum
-                                      : comm::UpdateCombine::kNone,
+        {.combine = options_.run.uniquify ? comm::UpdateCombine::kLaneSum
+                                          : comm::UpdateCombine::kNone,
          .lane_value_bits = 64,
-         .topology = options_.exchange_topology,
-         .retry = options_.resilience.retry},
+         .topology = options_.run.exchange_topology,
+         .retry = options_.run.resilience.retry},
         s.iter);
     const Depth next_level = s.level + 1;
     for (const comm::VertexUpdate& u : updates) {
@@ -289,7 +289,6 @@ class BcForwardAlgorithm {
     return control == 0;
   }
 
-  bool collect_counters() const { return options_.collect_counters; }
   sim::GpuIterationCounters iteration_counters(const State& s) const {
     return s.iter;
   }
@@ -376,9 +375,8 @@ class BcReverseAlgorithm {
   };
 
   BcReverseAlgorithm(const graph::DistributedGraph& graph,
-                     const BetweennessOptions& options,
                      const ForwardField& fwd, Depth max_depth)
-      : graph_(graph), options_(options), fwd_(fwd), max_depth_(max_depth),
+      : graph_(graph), fwd_(fwd), max_depth_(max_depth),
         lanes_(static_cast<int>(fwd.depth.size())) {}
 
   std::unique_ptr<State> init(engine::GpuContext& ctx) {
@@ -664,7 +662,6 @@ class BcReverseAlgorithm {
     return control == 0;
   }
 
-  bool collect_counters() const { return options_.collect_counters; }
   sim::GpuIterationCounters iteration_counters(const State& s) const {
     return s.iter;
   }
@@ -697,7 +694,6 @@ class BcReverseAlgorithm {
   }
 
   const graph::DistributedGraph& graph_;
-  const BetweennessOptions& options_;
   const ForwardField& fwd_;
   Depth max_depth_;
   int lanes_;
@@ -732,9 +728,8 @@ BetweennessResult BetweennessCentrality::run(
 
   // ---- Run 1: forward MS-BFS lane sweep. --------------------------------
   BcForwardAlgorithm forward(graph_, options_, sources);
-  engine::IterativeEngine<BcForwardAlgorithm> fwd_engine(
-      graph_, cluster_,
-      {.overlap = options_.overlap, .resilience = options_.resilience});
+  engine::IterativeEngine<BcForwardAlgorithm> fwd_engine(graph_, cluster_,
+                                                         options_.run);
   auto fwd_run = fwd_engine.run(forward);
   result.forward_iterations = fwd_run.iterations;
   result.measured_ms += fwd_run.measured_ms;
@@ -782,10 +777,9 @@ BetweennessResult BetweennessCentrality::run(
   result.max_depth = max_depth;
 
   // ---- Run 2: reverse dependency pass. ----------------------------------
-  BcReverseAlgorithm reverse(graph_, options_, fwd, max_depth);
-  engine::IterativeEngine<BcReverseAlgorithm> rev_engine(
-      graph_, cluster_,
-      {.overlap = options_.overlap, .resilience = options_.resilience});
+  BcReverseAlgorithm reverse(graph_, fwd, max_depth);
+  engine::IterativeEngine<BcReverseAlgorithm> rev_engine(graph_, cluster_,
+                                                         options_.run);
   auto rev_run = rev_engine.run(reverse);
   result.reverse_iterations = rev_run.iterations;
   result.measured_ms += rev_run.measured_ms;
@@ -828,19 +822,15 @@ BetweennessResult BetweennessCentrality::run(
   }
 
   // ---- Model: the two replays stitched end to end. ----------------------
-  if (options_.collect_counters) {
-    ValueAppMetrics vf = assemble_value_app_metrics(
-        graph_, fwd_run.histories, options_.overlap, options_.device_model,
-        options_.net_model, static_cast<std::uint64_t>(w));
-    ValueAppMetrics vr = assemble_value_app_metrics(
-        graph_, rev_run.histories, options_.overlap, options_.device_model,
-        options_.net_model, 0);
-    result.update_bytes_remote =
-        vf.update_bytes_remote + vr.update_bytes_remote;
-    result.reduce_bytes = vf.reduce_bytes;
-    result.modeled = sim::compose_breakdowns(vf.modeled, vr.modeled);
-    result.modeled_ms = result.modeled.elapsed_ms;
-  }
+  const ValueAppMetrics vf = assemble_value_app_metrics(
+      graph_, fwd_run.histories, options_.run.overlap,
+      static_cast<std::uint64_t>(w));
+  const ValueAppMetrics vr = assemble_value_app_metrics(
+      graph_, rev_run.histories, options_.run.overlap, 0);
+  result.update_bytes_remote = vf.update_bytes_remote + vr.update_bytes_remote;
+  result.reduce_bytes = vf.reduce_bytes;
+  result.modeled = sim::compose_breakdowns(vf.modeled, vr.modeled);
+  result.modeled_ms = result.modeled.elapsed_ms;
   return result;
 }
 

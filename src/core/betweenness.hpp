@@ -38,17 +38,11 @@
 namespace dsbfs::core {
 
 struct BetweennessOptions {
-  /// Two-stream overlap in the forward run (reduce || exchange).
-  bool overlap = true;
-  /// Sum-coalesce duplicate (slot, sigma) records per bin before the send.
-  bool uniquify = true;
-  /// Exchange routing mode for the forward sigma records.
-  sim::ExchangeTopology exchange_topology = sim::ExchangeTopology::kFlat;
-  bool collect_counters = true;
-  sim::DeviceModelConfig device_model{};
-  sim::NetModelConfig net_model{};
-  /// Fault schedule and checkpoint cadence, applied to both engine runs.
-  sim::ResilienceOptions resilience{};
+  /// Overlap (reduce || exchange) and the fault schedule and checkpoint
+  /// cadence apply to both engine runs.  Routing applies to the forward
+  /// sigma records, and uniquify sum-coalesces duplicate (slot, sigma)
+  /// records per bin before the send.
+  engine::RunOptions run{.uniquify = true};
 };
 
 struct BetweennessResult {

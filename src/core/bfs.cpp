@@ -51,7 +51,6 @@ class BfsAlgorithm {
     s.dir_dd = DirectionState(options_.dd_factors);
     s.dir_dn = DirectionState(options_.dn_factors);
     s.dir_nd = DirectionState(options_.nd_factors);
-    s.controller = DirectionController(options_.device_model);
 
     // Seed the source.
     const LocalId src_delegate = graph_.delegates().delegate_id(source_);
@@ -128,10 +127,11 @@ class BfsAlgorithm {
     // Runs on the normal stream behind the visits (the engine enqueues this
     // hook there); overlaps the post-control mask reduction.  The consumed
     // receive buffer becomes the next round's loopback bin.
+    const engine::RunOptions& run = options_.run;
     const comm::ExchangeOptions xopts{.local_all2all = options_.local_all2all,
-                                      .uniquify = options_.uniquify,
-                                      .topology = options_.exchange_topology,
-                                      .retry = options_.resilience.retry};
+                                      .uniquify = run.uniquify,
+                                      .topology = run.exchange_topology,
+                                      .retry = run.resilience.retry};
     engine::adopt_received(s.gpu.bins, ctx.gpu, s.gpu.received,
                            ctx.comm.exchange_ids(ctx.me, s.gpu.bins, iteration,
                                                  xopts, s.gpu.iter));
@@ -188,7 +188,6 @@ class BfsAlgorithm {
     return !any_delegate_update && normal_work == 0;
   }
 
-  bool collect_counters() const { return true; }
   sim::GpuIterationCounters iteration_counters(const State& s) const {
     return s.gpu.iter;
   }
@@ -318,9 +317,7 @@ BfsResult DistributedBfs::run(VertexId source) {
   const int p = spec.total_gpus();
 
   BfsAlgorithm algo(graph_, options_, source);
-  engine::IterativeEngine<BfsAlgorithm> engine(
-      graph_, cluster_,
-      {.overlap = options_.overlap, .resilience = options_.resilience});
+  engine::IterativeEngine<BfsAlgorithm> engine(graph_, cluster_, options_.run);
   auto run = engine.run(algo);
 
   // ---- Gather distances and metrics on the host. -----------------------
@@ -376,8 +373,9 @@ BfsResult DistributedBfs::run(VertexId source) {
     }
   }
 
-  result.metrics = assemble_metrics(graph_, options_, std::move(run.histories),
-                                    run.measured_ms);
+  result.metrics =
+      assemble_metrics(graph_, options_.run.overlap, options_.reduce_mode,
+                       std::move(run.histories), run.measured_ms);
   result.metrics.fault = run.fault;
   return result;
 }

@@ -149,12 +149,11 @@ class CcAlgorithm {
     // stream: touches only normal-label state.
     const auto updates = ctx.comm.exchange_value_updates(
         ctx.me, s.bins, iteration,
-        {.combine = options_.uniquify ? comm::UpdateCombine::kMin
-                                      : comm::UpdateCombine::kNone,
-         .compress = options_.compress,
-         .adaptive = options_.adaptive_compress,
-         .topology = options_.exchange_topology,
-         .retry = options_.resilience.retry},
+        {.combine = options_.run.uniquify ? comm::UpdateCombine::kMin
+                                          : comm::UpdateCombine::kNone,
+         .codec = options_.codec,
+         .topology = options_.run.exchange_topology,
+         .retry = options_.run.resilience.retry},
         s.iter);
     for (const comm::VertexUpdate& u : updates) {
       if (u.value < s.label_normal[u.vertex]) {
@@ -187,7 +186,6 @@ class CcAlgorithm {
     return control == 0;
   }
 
-  bool collect_counters() const { return options_.collect_counters; }
   sim::GpuIterationCounters iteration_counters(const State& s) const {
     return s.iter;
   }
@@ -214,9 +212,7 @@ CcResult ConnectedComponents::run() {
   const LocalId d = graph_.num_delegates();
 
   CcAlgorithm algo(graph_, options_);
-  engine::IterativeEngine<CcAlgorithm> engine(
-      graph_, cluster_,
-      {.overlap = options_.overlap, .resilience = options_.resilience});
+  engine::IterativeEngine<CcAlgorithm> engine(graph_, cluster_, options_.run);
   auto run = engine.run(algo);
 
   // ---- Gather. ----------------------------------------------------------
@@ -243,16 +239,13 @@ CcResult ConnectedComponents::run() {
   }
 
   // ---- Model. ------------------------------------------------------------
-  if (options_.collect_counters) {
-    ValueAppMetrics vm = assemble_value_app_metrics(
-        graph_, run.histories, options_.overlap, options_.device_model,
-        options_.net_model);
-    result.update_bytes_remote = vm.update_bytes_remote;
-    result.reduce_bytes = vm.reduce_bytes;
-    result.modeled = vm.modeled;
-    result.modeled_ms = vm.modeled_ms;
-    result.counters = std::move(vm.counters);
-  }
+  ValueAppMetrics vm =
+      assemble_value_app_metrics(graph_, run.histories, options_.run.overlap);
+  result.update_bytes_remote = vm.update_bytes_remote;
+  result.reduce_bytes = vm.reduce_bytes;
+  result.modeled = vm.modeled;
+  result.modeled_ms = vm.modeled_ms;
+  result.counters = std::move(vm.counters);
   result.fault = run.fault;
   return result;
 }

@@ -25,29 +25,13 @@
 namespace dsbfs::core {
 
 struct CcOptions {
-  /// Two-stream overlap: delegate label min-reduction concurrent with the
-  /// normal label exchange (engine::EngineOptions).
-  bool overlap = true;
-  /// Min-coalesce outbound label updates per bin before the send (the
-  /// update exchange's U analogue); bit-exact, strictly fewer bytes.
-  bool uniquify = true;
-  /// Delta+varint-encode the (id, label) wire payload.
-  bool compress = false;
-  /// With `compress`: per-bin raw-vs-encoded choice (the encode ships only
-  /// when it is smaller; comm::UpdateExchangeOptions::adaptive).
-  bool adaptive_compress = false;
-
-  /// Exchange routing mode (sim/topology.hpp): flat per-bin all-to-all
-  /// (historic default), hierarchical node-leader aggregation, or butterfly
-  /// recursive halving.  Bit-exact across all three; wire pattern, byte
-  /// counters and modeled NIC/NVLink occupancy differ.
-  sim::ExchangeTopology exchange_topology = sim::ExchangeTopology::kFlat;
-  bool collect_counters = true;
-  sim::DeviceModelConfig device_model{};
-  sim::NetModelConfig net_model{};
-  /// Fault schedule, wire retry policy and checkpoint cadence (defaults to
-  /// a clean run; see sim::ResilienceOptions).
-  sim::ResilienceOptions resilience{};
+  /// Overlap (delegate label min-reduction concurrent with the normal label
+  /// exchange), routing, resilience, and uniquify: min-coalesce outbound
+  /// label updates per bin before the send; bit-exact, strictly fewer
+  /// bytes.
+  engine::RunOptions run{.uniquify = true};
+  /// Wire encoding of the (id, label) payload.
+  comm::WireCodec codec = comm::WireCodec::kRaw;
 };
 
 struct CcResult {
@@ -62,7 +46,7 @@ struct CcResult {
   std::uint64_t reduce_bytes = 0;         // delegate label reductions
   /// Fault log, checkpoint and rollback accounting of the run.
   sim::FaultReport fault;
-  sim::RunCounters counters;  // per-iteration trace (collect_counters on)
+  sim::RunCounters counters;  // per-iteration trace
 };
 
 class ConnectedComponents {

@@ -5,14 +5,14 @@
 #include "comm/exchange.hpp"
 #include "comm/mask_reduce.hpp"
 #include "core/direction.hpp"
-#include "sim/device_model.hpp"
-#include "sim/fault.hpp"
-#include "sim/net_model.hpp"
+#include "engine/iterative_engine.hpp"
 
-/// Run-time options of the distributed (DO)BFS (paper Section VI-B).
-/// DirectionFactors and the tuned per-kernel seed tables live in
-/// core/direction.hpp (the single source of truth shared with SSSP and the
-/// batched BFS).
+/// Run-time options of the distributed (DO)BFS (paper Section VI-B).  The
+/// knobs every facade shares -- overlap, the exchange merge, routing and
+/// resilience -- live in engine::RunOptions, which each facade's options
+/// hold as `run`.  DirectionFactors and the tuned per-kernel seed tables
+/// live in core/direction.hpp (the single source of truth shared with SSSP
+/// and the batched BFS).
 namespace dsbfs::core {
 
 struct BfsOptions {
@@ -20,21 +20,12 @@ struct BfsOptions {
   /// the nn subgraph is not symmetric locally and has tiny in-degrees).
   bool direction_optimized = true;
 
-  /// Two-stream overlap: run the delegate-side phases concurrently with the
-  /// normal exchange (engine::EngineOptions).  Off = sequential baseline.
-  bool overlap = true;
+  /// Overlap, uniquify (U: deduplicate outbound id bins), routing and
+  /// resilience.
+  engine::RunOptions run{};
 
   /// Local all2all (L): gather same-column traffic inside the rank first.
   bool local_all2all = false;
-
-  /// Uniquify (U): deduplicate outbound exchange bins.
-  bool uniquify = false;
-
-  /// Exchange routing mode (sim/topology.hpp): flat per-bin all-to-all
-  /// (historic default), hierarchical node-leader aggregation, or butterfly
-  /// recursive halving.  Results are bit-identical across all three; the
-  /// wire pattern, byte counters and modeled NIC/NVLink occupancy differ.
-  sim::ExchangeTopology exchange_topology = sim::ExchangeTopology::kFlat;
 
   /// Blocking (BR, MPI_Allreduce) vs non-blocking (IR, MPI_Iallreduce)
   /// global delegate-mask reduction.  Functionally identical; the modeled
@@ -57,23 +48,12 @@ struct BfsOptions {
   /// for paper-figure reproduction.
   bool adaptive_direction = true;
 
-  /// Record per-iteration statistics (small overhead; benches keep it on).
-  bool collect_per_iteration = true;
-
   /// Also produce the Graph500 BFS tree (BfsResult::parents).  Parents of
   /// vertices visited through dd/dn/nd edges are recorded locally during
   /// traversal; delegates are resolved by one d-word min-reduction and nn
   /// destinations by one end-of-run parent exchange (Section VI-A3: "the
   /// cost of building such a tree should be low").
   bool compute_parents = false;
-
-  /// Hardware models used to convert measured counters to cluster time.
-  sim::DeviceModelConfig device_model{};
-  sim::NetModelConfig net_model{};
-
-  /// Fault schedule, wire retry policy and checkpoint cadence (defaults to
-  /// a clean run; see sim::ResilienceOptions).
-  sim::ResilienceOptions resilience{};
 };
 
 }  // namespace dsbfs::core

@@ -11,14 +11,8 @@ BatchSsspOptions batch_options(const DeltaSsspOptions& o) {
   return {.delta = o.delta,
           .max_weight = o.max_weight,
           .value_bits = 64,
-          .overlap = o.overlap,
-          .uniquify = o.uniquify,
-          .compress = o.compress,
-          .exchange_topology = o.exchange_topology,
-          .collect_counters = o.collect_counters,
-          .device_model = o.device_model,
-          .net_model = o.net_model,
-          .resilience = o.resilience};
+          .run = o.run,
+          .codec = o.codec};
 }
 
 }  // namespace

@@ -44,27 +44,14 @@ struct DeltaSsspOptions {
   /// Hashed-weight fallback range [1, max_weight] (util::edge_weight);
   /// ignored when the graph stores real weights.
   std::uint32_t max_weight = 15;
-  /// Two-stream overlap: delegate distance min-reduction concurrent with
-  /// the tentative-distance exchange (engine::EngineOptions).
-  bool overlap = true;
-  /// Min-coalesce outbound distance candidates per bin before the send.
-  bool uniquify = true;
-  /// Delta+varint-encode the (id, distance) wire payload.  Compressed
+  /// Overlap (delegate distance min-reduction concurrent with the
+  /// tentative-distance exchange), routing, resilience, and uniquify:
+  /// min-coalesce outbound distance candidates per bin before the send.
+  engine::RunOptions run{.uniquify = true};
+  /// Wire encoding of the (id, distance) payload.  Under the varint codecs
   /// values ride the wire biased by the open bucket's base distance (the
   /// bucket-tagged exchange, comm::UpdateExchangeOptions::value_bias).
-  bool compress = false;
-
-  /// Exchange routing mode (sim/topology.hpp): flat per-bin all-to-all
-  /// (historic default), hierarchical node-leader aggregation, or butterfly
-  /// recursive halving.  Bit-exact across all three; wire pattern, byte
-  /// counters and modeled NIC/NVLink occupancy differ.
-  sim::ExchangeTopology exchange_topology = sim::ExchangeTopology::kFlat;
-  bool collect_counters = true;
-  sim::DeviceModelConfig device_model{};
-  sim::NetModelConfig net_model{};
-  /// Fault schedule, wire retry policy and checkpoint cadence (defaults to
-  /// a clean run; see sim::ResilienceOptions).
-  sim::ResilienceOptions resilience{};
+  comm::WireCodec codec = comm::WireCodec::kRaw;
 };
 
 struct DeltaSsspResult {
@@ -77,7 +64,7 @@ struct DeltaSsspResult {
   /// Distinct buckets opened (equals the number of buckets holding at
   /// least one final distance; deterministic, so it must match
   /// baseline::SerialDeltaStats::buckets_processed).  Like every metric
-  /// below, derived from the per-round trace: collect_counters only.
+  /// below, derived from the per-round trace.
   std::uint64_t buckets_processed = 0;
   /// Round split and relaxation split.
   int light_iterations = 0;
@@ -91,7 +78,7 @@ struct DeltaSsspResult {
   std::uint64_t reduce_bytes = 0;         // delegate distance reductions
   /// Fault log, checkpoint and rollback accounting of the run.
   sim::FaultReport fault;
-  sim::RunCounters counters;  // per-round trace (collect_counters on)
+  sim::RunCounters counters;  // per-round trace
 };
 
 class DistributedDeltaSssp {

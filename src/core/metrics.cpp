@@ -5,7 +5,8 @@
 namespace dsbfs::core {
 
 RunMetrics assemble_metrics(
-    const graph::DistributedGraph& graph, const BfsOptions& options,
+    const graph::DistributedGraph& graph, bool overlap,
+    comm::ReduceMode reduce_mode,
     std::vector<std::vector<sim::GpuIterationCounters>>&& histories,
     double measured_ms, int lane_bits) {
   RunMetrics m;
@@ -22,9 +23,8 @@ RunMetrics assemble_metrics(
            static_cast<std::uint64_t>(lane_bits) +
        7) /
       8;
-  m.counters.blocking_reduce =
-      options.reduce_mode == comm::ReduceMode::kBlocking;
-  m.counters.overlap_comm = options.overlap;
+  m.counters.blocking_reduce = reduce_mode == comm::ReduceMode::kBlocking;
+  m.counters.overlap_comm = overlap;
   m.counters.iterations.resize(iters);
 
   for (std::size_t it = 0; it < iters; ++it) {
@@ -68,13 +68,10 @@ RunMetrics assemble_metrics(
       m.mask_reduce_bytes += 2 * m.counters.delegate_mask_bytes *
                              static_cast<std::uint64_t>(graph.spec().num_ranks);
     }
-    if (options.collect_per_iteration) m.per_iteration.push_back(stats);
+    m.per_iteration.push_back(stats);
   }
 
-  // Replay on the hardware models.
-  const sim::PerfModel model{sim::DeviceModel{options.device_model},
-                             sim::NetModel{options.net_model}};
-  m.modeled = model.replay(m.counters);
+  m.modeled = sim::PerfModel{}.replay(m.counters);
   m.modeled_ms = m.modeled.elapsed_ms;
   if (m.modeled_ms > 0) {
     m.modeled_gteps = static_cast<double>(m.teps_edges) / m.modeled_ms / 1e6;
@@ -88,9 +85,7 @@ RunMetrics assemble_metrics(
 ValueAppMetrics assemble_value_app_metrics(
     const graph::DistributedGraph& graph,
     const std::vector<std::vector<sim::GpuIterationCounters>>& histories,
-    bool overlap, const sim::DeviceModelConfig& device_model,
-    const sim::NetModelConfig& net_model,
-    std::uint64_t delegate_words_per_item) {
+    bool overlap, std::uint64_t delegate_words_per_item) {
   ValueAppMetrics m;
   const int p = graph.spec().total_gpus();
   const std::uint64_t d = graph.num_delegates();
@@ -139,9 +134,7 @@ ValueAppMetrics assemble_value_app_metrics(
                    static_cast<std::uint64_t>(graph.spec().num_ranks) *
                    static_cast<std::uint64_t>(rows);
 
-  const sim::PerfModel model{sim::DeviceModel{device_model},
-                             sim::NetModel{net_model}};
-  m.modeled = model.replay(m.counters);
+  m.modeled = sim::PerfModel{}.replay(m.counters);
   m.modeled_ms = m.modeled.elapsed_ms;
   return m;
 }

@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/config.hpp"
+#include "comm/mask_reduce.hpp"
 #include "graph/builder.hpp"
 #include "sim/perf_model.hpp"
 
@@ -65,19 +65,20 @@ struct RunMetrics {
   sim::RunCounters counters;  // full trace for re-modeling
 };
 
-/// Assemble metrics from the per-GPU iteration histories.  `lane_bits`
-/// scales the delegate-mask payload (d*W/8 bytes per reduction) for batched
-/// traversals; 1 reproduces the historic single-source accounting exactly.
-RunMetrics assemble_metrics(const graph::DistributedGraph& graph,
-                            const BfsOptions& options,
+/// Assemble metrics from the per-GPU iteration histories and replay them on
+/// the default sim::PerfModel.  `lane_bits` scales the delegate-mask payload
+/// (d*W/8 bytes per reduction) for batched traversals; 1 reproduces the
+/// historic single-source accounting exactly.
+RunMetrics assemble_metrics(const graph::DistributedGraph& graph, bool overlap,
+                            comm::ReduceMode reduce_mode,
                             std::vector<std::vector<sim::GpuIterationCounters>>&& histories,
                             double measured_ms, int lane_bits = 1);
 
 /// Host-side assembly shared by the value algorithms (CC, PageRank, SSSP):
 /// the delegate payload is d x 8 bytes of *values* per reduction instead of
 /// the BFS d/8-byte mask, the update exchange's remote bytes are summed,
-/// and the counters are replayed on the hardware models.  Hoisted from the
-/// three `run()` facades that used to duplicate it line for line.
+/// and the counters are replayed on the default sim::PerfModel.  Hoisted
+/// from the three `run()` facades that used to duplicate it line for line.
 struct ValueAppMetrics {
   std::uint64_t update_bytes_remote = 0;  // cross-rank update-exchange bytes
   std::uint64_t reduce_bytes = 0;         // delegate value reductions
@@ -113,8 +114,6 @@ struct ValueAppMetrics {
 ValueAppMetrics assemble_value_app_metrics(
     const graph::DistributedGraph& graph,
     const std::vector<std::vector<sim::GpuIterationCounters>>& histories,
-    bool overlap, const sim::DeviceModelConfig& device_model,
-    const sim::NetModelConfig& net_model,
-    std::uint64_t delegate_words_per_item = 1);
+    bool overlap, std::uint64_t delegate_words_per_item = 1);
 
 }  // namespace dsbfs::core

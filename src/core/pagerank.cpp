@@ -165,13 +165,11 @@ class PagerankAlgorithm {
     // delegate inflow reduction: touches only acc_normal.
     const auto updates = ctx.comm.exchange_value_updates(
         ctx.me, s.bins, iteration,
-        {.combine = options_.uniquify ? comm::UpdateCombine::kSumDouble
-                                      : comm::UpdateCombine::kNone,
-         .compress = options_.compress,
-         .adaptive = options_.adaptive_compress,
-         .gorilla = options_.gorilla,
-         .topology = options_.exchange_topology,
-         .retry = options_.resilience.retry},
+        {.combine = options_.run.uniquify ? comm::UpdateCombine::kSumDouble
+                                          : comm::UpdateCombine::kNone,
+         .codec = options_.codec,
+         .topology = options_.run.exchange_topology,
+         .retry = options_.run.resilience.retry},
         s.iter);
     for (const comm::VertexUpdate& u : updates) {
       s.acc_normal[u.vertex] += std::bit_cast<double>(u.value);
@@ -233,7 +231,6 @@ class PagerankAlgorithm {
     return control == 0;
   }
 
-  bool collect_counters() const { return options_.collect_counters; }
   sim::GpuIterationCounters iteration_counters(const State& s) const {
     return s.iter;
   }
@@ -278,9 +275,8 @@ PagerankResult DistributedPagerank::run() {
   }
 
   PagerankAlgorithm algo(graph_, options_, delegate_inv_degree);
-  engine::IterativeEngine<PagerankAlgorithm> engine(
-      graph_, cluster_,
-      {.overlap = options_.overlap, .resilience = options_.resilience});
+  engine::IterativeEngine<PagerankAlgorithm> engine(graph_, cluster_,
+                                                    options_.run);
   auto run = engine.run(algo);
 
   // ---- Gather. ----------------------------------------------------------
@@ -302,16 +298,13 @@ PagerankResult DistributedPagerank::run() {
   }
 
   // ---- Model. ------------------------------------------------------------
-  if (options_.collect_counters) {
-    ValueAppMetrics vm = assemble_value_app_metrics(
-        graph_, run.histories, options_.overlap, options_.device_model,
-        options_.net_model);
-    result.update_bytes_remote = vm.update_bytes_remote;
-    result.reduce_bytes = vm.reduce_bytes;
-    result.modeled = vm.modeled;
-    result.modeled_ms = vm.modeled_ms;
-    result.counters = std::move(vm.counters);
-  }
+  ValueAppMetrics vm =
+      assemble_value_app_metrics(graph_, run.histories, options_.run.overlap);
+  result.update_bytes_remote = vm.update_bytes_remote;
+  result.reduce_bytes = vm.reduce_bytes;
+  result.modeled = vm.modeled;
+  result.modeled_ms = vm.modeled_ms;
+  result.counters = std::move(vm.counters);
   result.fault = run.fault;
   return result;
 }

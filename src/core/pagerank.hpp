@@ -30,41 +30,19 @@ struct PagerankOptions {
   int max_iterations = 50;
   /// Stop when the L1 rank change drops below this.
   double tolerance = 1e-9;
-  /// Two-stream overlap: delegate inflow sum-reduction concurrent with the
-  /// nn-inflow exchange (engine::EngineOptions).
-  bool overlap = true;
-  /// Sum-coalesce outbound contributions per bin before the send.  The
-  /// receiver sums anyway, so only the floating-point addition order moves
-  /// (well inside the iteration tolerance); dense rounds send far fewer
-  /// (id, share) pairs.
-  bool uniquify = true;
-  /// Delta+varint-encode the (id, share) wire payload.  Bit-cast doubles
-  /// barely shrink, so this mostly demonstrates the opt-in cost.
-  bool compress = false;
-  /// With `compress`: per-bin raw-vs-encoded choice.  PageRank is the case
-  /// adaptivity exists for -- bit-cast doubles varint-encode *larger* than
-  /// raw, so nearly every bin should ship raw and the adaptive run should
-  /// track the uncompressed byte volume.
-  bool adaptive_compress = false;
-  /// With `compress`: XOR-delta (Gorilla) encode the bit-cast double
-  /// payload instead of varint.  Successive rank shares from one source
-  /// share sign/exponent and most mantissa bits, so the XOR stream
-  /// compresses where varint inflates.  Under `adaptive_compress` each bin
-  /// still trial-encodes and ships whichever of raw/gorilla is smaller, so
-  /// the wire volume is never worse than raw.
-  bool gorilla = false;
-
-  /// Exchange routing mode (sim/topology.hpp): flat per-bin all-to-all
-  /// (historic default), hierarchical node-leader aggregation, or butterfly
-  /// recursive halving.  Bit-exact across all three; wire pattern, byte
-  /// counters and modeled NIC/NVLink occupancy differ.
-  sim::ExchangeTopology exchange_topology = sim::ExchangeTopology::kFlat;
-  bool collect_counters = true;
-  sim::DeviceModelConfig device_model{};
-  sim::NetModelConfig net_model{};
-  /// Fault schedule, wire retry policy and checkpoint cadence (defaults to
-  /// a clean run; see sim::ResilienceOptions).
-  sim::ResilienceOptions resilience{};
+  /// Overlap (delegate inflow sum-reduction concurrent with the nn-inflow
+  /// exchange), routing, resilience, and uniquify: sum-coalesce outbound
+  /// contributions per bin before the send.  The receiver sums anyway, so
+  /// only the floating-point addition order moves (well inside the
+  /// iteration tolerance); dense rounds send far fewer (id, share) pairs.
+  engine::RunOptions run{.uniquify = true};
+  /// Wire encoding of the (id, share) payload.  Bit-cast doubles
+  /// varint-encode *larger* than raw, so kVarint mostly shows the cost and
+  /// kAdaptive ships nearly every bin raw.  kGorilla is the codec built
+  /// for them: successive shares from one source share sign, exponent and
+  /// most mantissa bits, so the XOR stream compresses where varint
+  /// inflates, and the per-bin choice keeps the wire never worse than raw.
+  comm::WireCodec codec = comm::WireCodec::kRaw;
 };
 
 struct PagerankResult {
@@ -78,7 +56,7 @@ struct PagerankResult {
   std::uint64_t reduce_bytes = 0;
   /// Fault log, checkpoint and rollback accounting of the run.
   sim::FaultReport fault;
-  sim::RunCounters counters;  // per-iteration trace (collect_counters on)
+  sim::RunCounters counters;  // per-iteration trace
 };
 
 class DistributedPagerank {

@@ -228,17 +228,19 @@ class ServingAlgorithm {
   void reduce(engine::GpuContext&, State&, int) {}  // post-control only
 
   void exchange(engine::GpuContext& ctx, State& s, int iteration) {
+    // The consumed receive buffer becomes the next round's loopback bin.
     LaneState& gs = s.gpu;
-    gs.received = ctx.comm.exchange_value_updates(
-        ctx.me, gs.bins, iteration,
-        {.combine = options_.uniquify ? comm::UpdateCombine::kOr
-                                      : comm::UpdateCombine::kNone,
-         .compress = options_.compress,
-         .value_bytes = lane_bits_ == 1 ? 0 : lane_bits_ / 8,
-         .adaptive = options_.adaptive_compress,
-         .topology = options_.exchange_topology,
-         .retry = options_.resilience.retry},
-        gs.iter);
+    engine::adopt_received(
+        gs.bins, ctx.gpu, gs.received,
+        ctx.comm.exchange_value_updates(
+            ctx.me, gs.bins, iteration,
+            {.combine = options_.run.uniquify ? comm::UpdateCombine::kOr
+                                              : comm::UpdateCombine::kNone,
+             .codec = options_.codec,
+             .value_bytes = lane_bits_ == 1 ? 0 : lane_bits_ / 8,
+             .topology = options_.run.exchange_topology,
+             .retry = options_.run.resilience.retry},
+            gs.iter));
   }
 
   std::uint64_t contribution(engine::GpuContext& ctx, State& s, int) {
@@ -299,7 +301,6 @@ class ServingAlgorithm {
     return done;
   }
 
-  bool collect_counters() const { return true; }
   sim::GpuIterationCounters iteration_counters(const State& s) const {
     return s.gpu.iter;
   }
@@ -468,21 +469,15 @@ SchedulerOutcome QueryScheduler::run(std::span<const QueryArrival> trace) {
   const int lane_bits = util::lane_width_for(options_.width);
 
   ServingAlgorithm algo(graph_, options_, trace, lane_bits);
-  engine::IterativeEngine<ServingAlgorithm> engine(
-      graph_, cluster_,
-      {.overlap = options_.overlap, .resilience = options_.resilience});
+  engine::IterativeEngine<ServingAlgorithm> engine(graph_, cluster_,
+                                                   options_.run);
   auto run = engine.run(algo);
 
   // ---- Model replay first: the per-query timestamps come from it. -------
-  BfsOptions equiv;
-  equiv.direction_optimized = false;
-  equiv.overlap = options_.overlap;
-  equiv.reduce_mode = options_.reduce_mode;
-  equiv.collect_per_iteration = options_.collect_per_iteration;
-  equiv.device_model = options_.device_model;
-  equiv.net_model = options_.net_model;
-  RunMetrics rm = assemble_metrics(graph_, equiv, std::move(run.histories),
-                                   run.measured_ms, lane_bits);
+  RunMetrics rm = assemble_metrics(graph_, options_.run.overlap,
+                                   options_.reduce_mode,
+                                   std::move(run.histories), run.measured_ms,
+                                   lane_bits);
   rm.fault = run.fault;
 
   // ---- Cross-check the replicated control state: every GPU must have

@@ -80,27 +80,13 @@ struct SchedulerOptions {
   /// waiting query at the same boundary.  Off = batch-drain admission (the
   /// ablation baseline): new queries start only once every lane drained.
   bool recycle = true;
-  /// Engine two-stream overlap (engine::EngineOptions).
-  bool overlap = true;
-  /// Wire options of the lane-update exchange (see BatchBfsOptions).
-  bool uniquify = false;
-  bool compress = false;
-  bool adaptive_compress = false;
-
-  /// Exchange routing mode (sim/topology.hpp): flat per-bin all-to-all
-  /// (historic default), hierarchical node-leader aggregation, or butterfly
-  /// recursive halving.  Bit-exact across all three; wire pattern, byte
-  /// counters and modeled NIC/NVLink occupancy differ.
-  sim::ExchangeTopology exchange_topology = sim::ExchangeTopology::kFlat;
+  /// Overlap, routing, resilience and the lane-update exchange's OR
+  /// coalescing (see BatchBfsOptions).
+  engine::RunOptions run{};
+  /// Wire encoding of the (id, lane-word) payload.
+  comm::WireCodec codec = comm::WireCodec::kRaw;
   /// Blocking vs non-blocking delegate-mask reduction.
   comm::ReduceMode reduce_mode = comm::ReduceMode::kBlocking;
-  /// Record per-iteration statistics.
-  bool collect_per_iteration = true;
-  /// Hardware models used to convert measured counters to cluster time.
-  sim::DeviceModelConfig device_model{};
-  sim::NetModelConfig net_model{};
-  /// Fault schedule, wire retry policy and checkpoint cadence.
-  sim::ResilienceOptions resilience{};
 };
 
 /// Replicated audit log of lane ownership transitions: every GPU derives

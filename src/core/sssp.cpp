@@ -66,7 +66,6 @@ class SsspAlgorithm {
     s.dir_dd = DirectionState(options_.dd_factors);
     s.dir_dn = DirectionState(options_.dn_factors);
     s.dir_nd = DirectionState(options_.nd_factors);
-    s.controller = DirectionController(options_.device_model);
     s.dd_pull_edges = lg.dd().num_edges();
     s.dn_pull_edges = lg.nd().num_edges();
     s.nd_pull_edges = lg.dn().num_edges();
@@ -106,7 +105,7 @@ class SsspAlgorithm {
     s.next_normals.clear();
     s.next_delegates.clear();
 
-    // Wire bias (compress only; comm::UpdateExchangeOptions::value_bias):
+    // Wire bias (varint codecs only; comm::UpdateExchangeOptions::value_bias):
     // every candidate this round is an active distance plus a positive
     // weight, so the cluster-wide minimum active distance is a true floor
     // -- the generalization of delta-stepping's bucket-base bias to the
@@ -114,7 +113,7 @@ class SsspAlgorithm {
     // identical on every GPU -- the same agreement-collective shape (and
     // modeled cost) as delta-stepping's bucket coordination.
     s.value_bias = 0;
-    if (options_.compress) {
+    if (comm::uses_value_bias(options_.codec)) {
       std::uint64_t floor = kInfiniteDistance;
       for (const LocalId v : s.active_normals) {
         floor = std::min(floor, s.dist_normal[v]);
@@ -354,13 +353,12 @@ class SsspAlgorithm {
     // stream: touches only normal-distance state.
     const auto updates = ctx.comm.exchange_value_updates(
         ctx.me, s.bins, iteration,
-        {.combine = options_.uniquify ? comm::UpdateCombine::kMin
-                                      : comm::UpdateCombine::kNone,
-         .compress = options_.compress,
+        {.combine = options_.run.uniquify ? comm::UpdateCombine::kMin
+                                          : comm::UpdateCombine::kNone,
+         .codec = options_.codec,
          .value_bias = s.value_bias,
-         .adaptive = options_.adaptive_compress,
-         .topology = options_.exchange_topology,
-         .retry = options_.resilience.retry},
+         .topology = options_.run.exchange_topology,
+         .retry = options_.run.resilience.retry},
         s.iter);
     for (const comm::VertexUpdate& u : updates) {
       if (u.value < s.dist_normal[u.vertex]) {
@@ -398,7 +396,6 @@ class SsspAlgorithm {
     return control == 0;
   }
 
-  bool collect_counters() const { return options_.collect_counters; }
   sim::GpuIterationCounters iteration_counters(const State& s) const {
     return s.iter;
   }
@@ -439,9 +436,8 @@ SsspResult DistributedSssp::run(VertexId source) {
   const LocalId d = graph_.num_delegates();
 
   SsspAlgorithm algo(graph_, options_, source);
-  engine::IterativeEngine<SsspAlgorithm> engine(
-      graph_, cluster_,
-      {.overlap = options_.overlap, .resilience = options_.resilience});
+  engine::IterativeEngine<SsspAlgorithm> engine(graph_, cluster_,
+                                                options_.run);
   auto run = engine.run(algo);
 
   // ---- Gather. ----------------------------------------------------------
@@ -463,17 +459,14 @@ SsspResult DistributedSssp::run(VertexId source) {
   }
 
   // ---- Model. ------------------------------------------------------------
-  if (options_.collect_counters) {
-    ValueAppMetrics vm = assemble_value_app_metrics(
-        graph_, run.histories, options_.overlap, options_.device_model,
-        options_.net_model);
-    result.update_bytes_remote = vm.update_bytes_remote;
-    result.reduce_bytes = vm.reduce_bytes;
-    result.pull_iterations = vm.pull_iterations;
-    result.modeled = vm.modeled;
-    result.modeled_ms = vm.modeled_ms;
-    result.counters = std::move(vm.counters);
-  }
+  ValueAppMetrics vm =
+      assemble_value_app_metrics(graph_, run.histories, options_.run.overlap);
+  result.update_bytes_remote = vm.update_bytes_remote;
+  result.reduce_bytes = vm.reduce_bytes;
+  result.pull_iterations = vm.pull_iterations;
+  result.modeled = vm.modeled;
+  result.modeled_ms = vm.modeled_ms;
+  result.counters = std::move(vm.counters);
   result.fault = run.fault;
   return result;
 }

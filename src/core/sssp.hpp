@@ -81,29 +81,14 @@ struct SsspOptions {
   /// see BfsOptions::adaptive_direction -- identical semantics).  Only
   /// consulted when direction_optimized is on.
   bool adaptive_direction = true;
-  /// Two-stream overlap: delegate distance min-reduction concurrent with
-  /// the tentative-distance exchange (engine::EngineOptions).
-  bool overlap = true;
-  /// Min-coalesce outbound distance candidates per bin before the send;
+  /// Overlap (delegate distance min-reduction concurrent with the
+  /// tentative-distance exchange), routing, resilience, and uniquify:
+  /// min-coalesce outbound distance candidates per bin before the send;
   /// bit-exact, strictly fewer bytes on dense rounds.
-  bool uniquify = true;
-  /// Delta+varint-encode the (id, distance) wire payload.
-  bool compress = false;
-  /// With `compress`: per-bin raw-vs-encoded choice (the encode ships only
-  /// when it is smaller; comm::UpdateExchangeOptions::adaptive).
-  bool adaptive_compress = false;
-
-  /// Exchange routing mode (sim/topology.hpp): flat per-bin all-to-all
-  /// (historic default), hierarchical node-leader aggregation, or butterfly
-  /// recursive halving.  Bit-exact across all three; wire pattern, byte
-  /// counters and modeled NIC/NVLink occupancy differ.
-  sim::ExchangeTopology exchange_topology = sim::ExchangeTopology::kFlat;
-  bool collect_counters = true;
-  sim::DeviceModelConfig device_model{};
-  sim::NetModelConfig net_model{};
-  /// Fault schedule, wire retry policy and checkpoint cadence (defaults to
-  /// a clean run; see sim::ResilienceOptions).
-  sim::ResilienceOptions resilience{};
+  engine::RunOptions run{.uniquify = true};
+  /// Wire encoding of the (id, distance) payload.  The varint codecs ship
+  /// values biased by a per-round floor of the active distances.
+  comm::WireCodec codec = comm::WireCodec::kRaw;
 };
 
 struct SsspResult {
@@ -112,7 +97,7 @@ struct SsspResult {
   std::vector<std::uint64_t> distances;
   int iterations = 0;
   /// Iterations in which at least one GPU ran a relax kernel backward
-  /// (0 with direction_optimized off; collect_counters only).
+  /// (0 with direction_optimized off).
   int pull_iterations = 0;
   double measured_ms = 0;
   double modeled_ms = 0;
@@ -121,7 +106,7 @@ struct SsspResult {
   std::uint64_t reduce_bytes = 0;         // delegate distance reductions
   /// Fault log, checkpoint and rollback accounting of the run.
   sim::FaultReport fault;
-  sim::RunCounters counters;  // per-iteration trace (collect_counters on)
+  sim::RunCounters counters;  // per-iteration trace
 };
 
 class DistributedSssp {

@@ -98,7 +98,7 @@ class CommContext {
   void allreduce_or_words(int gpu, std::span<std::uint64_t> words, int tag);
 
   /// Shared exchange-hook bodies: run the id exchange (BFS) or the update
-  /// exchange (the value algorithms, with their coalesce/compress/bias
+  /// exchange (the value algorithms, with their coalesce/codec/bias
   /// choice) and record the exchange counters into the iteration row.
   /// Return the received records; `bins` are consumed.  `options` define
   /// the wire format and must be identical on every GPU in a round.

@@ -12,6 +12,7 @@
 #include "sim/fault.hpp"
 #include "sim/perf_model.hpp"
 #include "sim/stream.hpp"
+#include "sim/topology.hpp"
 #include "util/timer.hpp"
 
 /// Shared driver skeleton for iterative distributed algorithms.
@@ -35,7 +36,7 @@
 ///
 /// The engine owns a *delegate stream* and a *normal stream* per GPU (the
 /// paper's Fig. 3 pipeline), exposed through the GpuContext.  With
-/// EngineOptions::overlap (the default) the engine enqueues `reduce` on the
+/// RunOptions::overlap (the default) the engine enqueues `reduce` on the
 /// delegate stream and `exchange` on the normal stream, so the delegate-side
 /// value reduction runs concurrently with the normal-vertex exchange on
 /// every algorithm -- `contribution` joins whatever the control word needs
@@ -62,11 +63,22 @@ struct GpuContext {
   sim::Stream& normal_stream;
 };
 
-/// Engine-level scheduling knobs, shared by every algorithm.
-struct EngineOptions {
+/// The run options every facade shares (each holds one as `run`): the
+/// engine's scheduling and fault knobs plus the normal exchange's merge and
+/// routing.  None changes an answer; each moves counters and modeled time.
+struct RunOptions {
   /// Run `reduce` (delegate stream) concurrently with `exchange` (normal
   /// stream).  Off = the historic sequential per-GPU phase order.
   bool overlap = true;
+  /// Merge outbound exchange records per bin before the send: the id
+  /// exchange's uniquify (U) for BFS, the algorithm's combine (MIN, SUM,
+  /// OR) for update records.  Facades set their own default.
+  bool uniquify = false;
+  /// Exchange routing mode (sim/topology.hpp): flat per-bin all-to-all
+  /// (historic default), hierarchical node-leader aggregation, or butterfly
+  /// recursive halving.  Results are bit-identical across all three; the
+  /// wire pattern, byte counters and modeled NIC/NVLink occupancy differ.
+  sim::ExchangeTopology exchange_topology = sim::ExchangeTopology::kFlat;
   /// Fault schedule, wire retry policy and checkpoint cadence.  Defaults to
   /// a clean run with checkpointing off; see sim::ResilienceOptions.
   sim::ResilienceOptions resilience{};
@@ -98,8 +110,6 @@ concept IterativeAlgorithm = requires(
   a.post_reduce(ctx, s, iteration, control);
   /// Close the iteration; true when the cluster has converged.
   { a.end_iteration(ctx, s, iteration, control) } -> std::convertible_to<bool>;
-  /// Whether the engine should record per-iteration counter history.
-  { ca.collect_counters() } -> std::convertible_to<bool>;
   /// The just-ended iteration's counters (engine owns the history).
   { ca.iteration_counters(cs) } -> std::convertible_to<sim::GpuIterationCounters>;
   /// Post-loop work (e.g. the BFS parent exchange); `iteration` here is the
@@ -144,7 +154,7 @@ class IterativeEngine {
 
   /// `graph` and `cluster` must outlive the engine and share their spec.
   IterativeEngine(const graph::DistributedGraph& graph, sim::Cluster& cluster,
-                  EngineOptions options = {})
+                  RunOptions options = {})
       : graph_(graph), cluster_(cluster), options_(options) {
     check_specs_match(graph, cluster);
   }
@@ -289,16 +299,14 @@ class IterativeEngine {
         // before the engine snapshots history and previsit mutates again.
         delegate_stream.synchronize();
         normal_stream.synchronize();
-        if (algo.collect_counters()) {
-          sim::GpuIterationCounters row = algo.iteration_counters(s);
-          row.stall_ns += pending_stall_ns;
-          row.recovery_ns += pending_recovery_ns;
-          row.checkpoint_bytes += pending_checkpoint_bytes;
-          pending_stall_ns = 0;
-          pending_recovery_ns = 0;
-          pending_checkpoint_bytes = 0;
-          history.push_back(row);
-        }
+        sim::GpuIterationCounters row = algo.iteration_counters(s);
+        row.stall_ns += pending_stall_ns;
+        row.recovery_ns += pending_recovery_ns;
+        row.checkpoint_bytes += pending_checkpoint_bytes;
+        pending_stall_ns = 0;
+        pending_recovery_ns = 0;
+        pending_checkpoint_bytes = 0;
+        history.push_back(row);
         ++iteration;
       }
       iterations[gi] = iteration;
@@ -330,7 +338,7 @@ class IterativeEngine {
  private:
   const graph::DistributedGraph& graph_;
   sim::Cluster& cluster_;
-  EngineOptions options_;
+  RunOptions options_;
 };
 
 }  // namespace dsbfs::engine

@@ -32,7 +32,7 @@ struct BatchCase {
   std::uint32_t threshold;
   std::size_t batch;  // number of sources
   bool uniquify = false;
-  bool compress = false;
+  comm::WireCodec codec = comm::WireCodec::kRaw;
 };
 
 graph::EdgeList make_graph(GraphFamily family) {
@@ -68,8 +68,8 @@ TEST_P(BatchBfsProperty, EveryLaneMatchesSerialWithValidParents) {
   const graph::HostCsr csr = graph::build_host_csr(g);
 
   BatchBfsOptions options;
-  options.uniquify = c.uniquify;
-  options.compress = c.compress;
+  options.run.uniquify = c.uniquify;
+  options.codec = c.codec;
   options.compute_parents = true;
   DistributedBatchBfs bfs(dg, cluster, options);
   const std::vector<VertexId> sources = pick_sources(bfs, c.batch);
@@ -112,12 +112,15 @@ std::vector<BatchCase> batch_cases() {
   cases.push_back({"rmat_w64_1x4", GraphFamily::kRmat, 1, 4, 16, 64});
   cases.push_back({"rmat_w64_3x2", GraphFamily::kRmat, 3, 2, 16, 64});
   // Exchange levers must stay bit-exact.
+  using comm::WireCodec;
   cases.push_back({"rmat_w64_u", GraphFamily::kRmat, 2, 2, 16, 64, true,
-                   false});
+                   WireCodec::kRaw});
   cases.push_back({"rmat_w64_uc", GraphFamily::kRmat, 2, 2, 16, 64, true,
-                   true});
+                   WireCodec::kVarint});
   cases.push_back({"rmat_w64_c", GraphFamily::kRmat, 2, 2, 16, 64, false,
-                   true});
+                   WireCodec::kVarint});
+  cases.push_back({"rmat_w64_ua", GraphFamily::kRmat, 2, 2, 16, 64, true,
+                   WireCodec::kAdaptive});
   return cases;
 }
 
@@ -386,7 +389,7 @@ TEST(BatchBfs, UniquifyCutsWireBytesAndStaysBitExact) {
   std::vector<std::vector<Depth>> dist_on, dist_off;
   for (const bool uniquify : {false, true}) {
     BatchBfsOptions options;
-    options.uniquify = uniquify;
+    options.run.uniquify = uniquify;
     DistributedBatchBfs bfs(dg, cluster, options);
     const std::vector<VertexId> sources = pick_sources(bfs, 64);
     const BatchBfsResult r = bfs.run(sources);

@@ -66,7 +66,8 @@ TEST_P(BatchSsspSweep, RmatLanesMatchSerialOracle) {
   const graph::DistributedGraph dg = graph::build_distributed(g, spec, 16);
   const std::vector<VertexId> sources = pick_sources(c.width, g.num_vertices);
   DistributedBatchSssp sssp(
-      dg, cluster, {.delta = 5, .exchange_topology = c.topology});
+      dg, cluster,
+      {.delta = 5, .run = {.uniquify = true, .exchange_topology = c.topology}});
   const BatchSsspResult r = sssp.run(sources);
   expect_lanes_match_serial(g, r, sources, 5, c.name);
   EXPECT_GT(r.iterations, 0);
@@ -81,7 +82,8 @@ TEST_P(BatchSsspSweep, GridLanesMatchSerialOracle) {
   const graph::DistributedGraph dg = graph::build_distributed(g, spec, 4);
   const std::vector<VertexId> sources = pick_sources(c.width, g.num_vertices);
   DistributedBatchSssp sssp(
-      dg, cluster, {.delta = 8, .exchange_topology = c.topology});
+      dg, cluster,
+      {.delta = 8, .run = {.uniquify = true, .exchange_topology = c.topology}});
   const BatchSsspResult r = sssp.run(sources);
   expect_lanes_match_serial(g, r, sources, 8, c.name);
 }
@@ -98,7 +100,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BatchSssp, NarrowLanesMatchWideLanesAndCompressIsBitExact) {
   // value_bits only changes the wire/packing, never the distances; the
-  // bucket-bias variant only changes wire bytes.
+  // codecs (varint with its bucket bias, adaptive, Gorilla) only change
+  // wire bytes.
   const graph::EdgeList g = graph::rmat_graph500({.scale = 8, .seed = 55});
   const auto spec = spec_of(2, 2);
   sim::Cluster cluster(spec);
@@ -111,12 +114,16 @@ TEST(BatchSssp, NarrowLanesMatchWideLanesAndCompressIsBitExact) {
   const BatchSsspResult narrow =
       DistributedBatchSssp(dg, cluster, {.delta = 5, .value_bits = 16})
           .run(sources);
-  const BatchSsspResult packed =
-      DistributedBatchSssp(dg, cluster,
-                           {.delta = 5, .value_bits = 16, .compress = true})
-          .run(sources);
   ASSERT_EQ(wide.distances, narrow.distances);
-  ASSERT_EQ(wide.distances, packed.distances);
+  for (const comm::WireCodec codec :
+       {comm::WireCodec::kVarint, comm::WireCodec::kAdaptive,
+        comm::WireCodec::kGorilla}) {
+    const BatchSsspResult packed =
+        DistributedBatchSssp(dg, cluster,
+                             {.delta = 5, .value_bits = 16, .codec = codec})
+            .run(sources);
+    ASSERT_EQ(wide.distances, packed.distances) << static_cast<int>(codec);
+  }
   // 16-bit lanes pack four distances per word: less update traffic than
   // one word per (vertex, lane).
   EXPECT_LT(narrow.update_bytes_remote, wide.update_bytes_remote);

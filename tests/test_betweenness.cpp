@@ -131,8 +131,9 @@ TEST(Betweenness, GridScoresMatchAndTopologySweepIsBitExact) {
   for (const auto topology :
        {sim::ExchangeTopology::kFlat, sim::ExchangeTopology::kHierarchical,
         sim::ExchangeTopology::kButterfly}) {
-    BetweennessCentrality bc(dg, cluster,
-                             {.exchange_topology = topology});
+    BetweennessOptions options;
+    options.run.exchange_topology = topology;
+    BetweennessCentrality bc(dg, cluster, options);
     const BetweennessResult r = bc.run(sources);
     expect_scores_bit_exact(g, r, sources, "grid");
     if (first.empty()) {

@@ -68,7 +68,7 @@ TEST_P(BfsProperty, MatchesSerialAndValidates) {
   BfsOptions options;
   options.direction_optimized = c.direction_optimized;
   options.local_all2all = c.local_all2all;
-  options.uniquify = c.uniquify;
+  options.run.uniquify = c.uniquify;
   options.reduce_mode = c.reduce_mode;
   DistributedBfs bfs(dg, cluster, options);
 

@@ -220,7 +220,7 @@ TEST(BfsSmall, LocalAll2AllGoldenCounters) {
     SCOPED_TRACE(gold.uniquify ? "uniquify" : "no uniquify");
     BfsOptions options;
     options.local_all2all = true;
-    options.uniquify = gold.uniquify;
+    options.run.uniquify = gold.uniquify;
     DistributedBfs bfs(dg, cluster, options);
     const VertexId source = bfs.sample_source(1);
     const BfsResult r = bfs.run(source);

@@ -227,16 +227,22 @@ TEST(DeltaSssp, ExchangeOptionsAreBitExactAndBiasedWireIsPinned) {
   sim::Cluster cluster(spec);
   const graph::DistributedGraph dg = graph::build_distributed(g, spec, 16);
 
-  DeltaSsspOptions plain{.delta = 5, .uniquify = false, .compress = false};
-  DeltaSsspOptions tagged{.delta = 5, .uniquify = true, .compress = true};
+  const DeltaSsspOptions plain{.delta = 5, .run = {.uniquify = false}};
   const DeltaSsspResult r0 =
       DistributedDeltaSssp(dg, cluster, plain).run(source);
-  const DeltaSsspResult r1 =
-      DistributedDeltaSssp(dg, cluster, tagged).run(source);
-  ASSERT_EQ(r0.distances, r1.distances);
   EXPECT_EQ(r0.update_bytes_remote, 1152u);
-  // Compressed values ride the wire biased by the open bucket's base.
-  EXPECT_EQ(r1.update_bytes_remote, 204u);
+  for (const comm::WireCodec codec :
+       {comm::WireCodec::kVarint, comm::WireCodec::kAdaptive,
+        comm::WireCodec::kGorilla}) {
+    const DeltaSsspOptions tagged{.delta = 5, .codec = codec};
+    const DeltaSsspResult r =
+        DistributedDeltaSssp(dg, cluster, tagged).run(source);
+    ASSERT_EQ(r.distances, r0.distances) << static_cast<int>(codec);
+    if (codec == comm::WireCodec::kVarint) {
+      // Varint values ride the wire biased by the open bucket's base.
+      EXPECT_EQ(r.update_bytes_remote, 204u);
+    }
+  }
 }
 
 /// Every result scalar of one fixed run per exchange variant, pinned: the
@@ -254,11 +260,13 @@ TEST(DeltaSssp, GoldenCountersAcrossExchangeVariants) {
   const Golden goldens[] = {
       {"default", {.delta = 5}, 564, 0.83735765028507281},
       {"compress_bucket_bias",
-       {.delta = 5, .compress = true},
+       {.delta = 5, .codec = comm::WireCodec::kVarint},
        94,
        0.84697513230698085},
       {"butterfly",
-       {.delta = 5, .exchange_topology = sim::ExchangeTopology::kButterfly},
+       {.delta = 5,
+        .run = {.uniquify = true,
+                .exchange_topology = sim::ExchangeTopology::kButterfly}},
        1068,
        1.2495481243780335},
   };

@@ -187,7 +187,6 @@ class CountdownAlgorithm {
     if (s.remaining > 0) --s.remaining;
     return control == 0;
   }
-  bool collect_counters() const { return true; }
   sim::GpuIterationCounters iteration_counters(const State& s) const {
     return s.iter;
   }
@@ -310,9 +309,9 @@ TEST(EngineOverlap, ValueAlgorithmResultsIdenticalAndModeledTimeLower) {
   const graph::DistributedGraph dg = graph::build_distributed(g, spec, 16);
 
   core::CcOptions on;
-  on.overlap = true;
+  on.run.overlap = true;
   core::CcOptions off;
-  off.overlap = false;
+  off.run.overlap = false;
   const core::CcResult r_on = core::ConnectedComponents(dg, cluster, on).run();
   const core::CcResult r_off =
       core::ConnectedComponents(dg, cluster, off).run();
@@ -332,7 +331,7 @@ TEST(EngineOverlap, BfsSequentialScheduleMatchesOverlapped) {
   const graph::DistributedGraph dg = graph::build_distributed(g, spec, 16);
 
   core::BfsOptions off;
-  off.overlap = false;
+  off.run.overlap = false;
   const core::BfsResult r_on = core::DistributedBfs(dg, cluster).run(7);
   const core::BfsResult r_off =
       core::DistributedBfs(dg, cluster, off).run(7);

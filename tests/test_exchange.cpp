@@ -454,7 +454,7 @@ TEST(UpdateExchange, MinCoalesceShrinksBinsAndBytes) {
   spec.gpus_per_rank = 1;
   std::vector<ExchangeCounters> counters;
   auto received = run_update_exchange(
-      spec, {UpdateCombine::kMin, false}, &counters,
+      spec, {UpdateCombine::kMin}, &counters,
       [](int g, std::vector<std::vector<VertexUpdate>>& bins) {
         auto& bin = bins[static_cast<std::size_t>(1 - g)];
         for (std::uint64_t i = 0; i < 5; ++i) {
@@ -469,7 +469,7 @@ TEST(UpdateExchange, MinCoalesceShrinksBinsAndBytes) {
     EXPECT_EQ(c.duplicates_removed, 4u);  // post-coalesce: 2 remain
     EXPECT_EQ(c.send_bytes_remote, 2u * 12);
     EXPECT_EQ(c.recv_bytes_remote, 2u * 12);
-    EXPECT_EQ(c.encode_bytes, 0u);  // compression off
+    EXPECT_EQ(c.encode_bytes, 0u);  // raw codec
   }
   for (int g = 0; g < 2; ++g) {
     auto& r = received[static_cast<std::size_t>(g)];
@@ -487,7 +487,7 @@ TEST(UpdateExchange, SumCoalesceCombinesDoubleContributions) {
   spec.gpus_per_rank = 1;
   std::vector<ExchangeCounters> counters;
   auto received = run_update_exchange(
-      spec, {UpdateCombine::kSumDouble, false}, &counters,
+      spec, {UpdateCombine::kSumDouble}, &counters,
       [](int g, std::vector<std::vector<VertexUpdate>>& bins) {
         auto& bin = bins[static_cast<std::size_t>(1 - g)];
         for (int i = 0; i < 4; ++i) {
@@ -514,7 +514,7 @@ TEST(UpdateExchange, CoalesceSkipsTheLoopbackBin) {
   spec.gpus_per_rank = 1;
   std::vector<ExchangeCounters> counters;
   auto received = run_update_exchange(
-      spec, {UpdateCombine::kMin, false}, &counters,
+      spec, {UpdateCombine::kMin}, &counters,
       [](int, std::vector<std::vector<VertexUpdate>>& bins) {
         bins[0].assign(3, VertexUpdate{1, 5});
       });
@@ -532,7 +532,7 @@ TEST(UpdateExchange, CompressionRoundTripsAndCountsWireBytes) {
   spec.gpus_per_rank = 1;
   std::vector<ExchangeCounters> counters;
   auto received = run_update_exchange(
-      spec, {UpdateCombine::kMin, true}, &counters,
+      spec, {UpdateCombine::kMin, WireCodec::kVarint}, &counters,
       [](int g, std::vector<std::vector<VertexUpdate>>& bins) {
         auto& bin = bins[static_cast<std::size_t>(1 - g)];
         for (std::uint64_t i = 0; i < 10; ++i) {
@@ -568,7 +568,7 @@ TEST(UpdateExchange, CompressionSurvivesUnsortedAndExtremeValues) {
       {7u, 1u},
   };
   auto received = run_update_exchange(
-      spec, {UpdateCombine::kNone, true}, nullptr,
+      spec, {UpdateCombine::kNone, WireCodec::kVarint}, nullptr,
       [&](int g, std::vector<std::vector<VertexUpdate>>& bins) {
         bins[static_cast<std::size_t>(1 - g)] = payload;
       });
@@ -599,10 +599,11 @@ TEST(UpdateExchange, ValueBiasRoundTripsAndShrinksWireBytes) {
     bin.push_back(VertexUpdate{100u, base - 3});  // below the floor
   };
   std::vector<ExchangeCounters> raw_counters, biased_counters;
-  auto raw = run_update_exchange(spec, {UpdateCombine::kMin, true},
-                                 &raw_counters, fill);
-  auto biased = run_update_exchange(
-      spec, {UpdateCombine::kMin, true, base}, &biased_counters, fill);
+  auto raw = run_update_exchange(
+      spec, {UpdateCombine::kMin, WireCodec::kVarint}, &raw_counters, fill);
+  auto biased =
+      run_update_exchange(spec, {UpdateCombine::kMin, WireCodec::kVarint, base},
+                          &biased_counters, fill);
   for (int g = 0; g < 2; ++g) {
     const auto gi = static_cast<std::size_t>(g);
     ASSERT_EQ(biased[gi].size(), raw[gi].size());
@@ -625,7 +626,7 @@ TEST(UpdateExchange, OrCoalesceMergesLaneWords) {
   spec.gpus_per_rank = 1;
   std::vector<ExchangeCounters> counters;
   auto received = run_update_exchange(
-      spec, {UpdateCombine::kOr, false}, &counters,
+      spec, {UpdateCombine::kOr}, &counters,
       [](int g, std::vector<std::vector<VertexUpdate>>& bins) {
         auto& bin = bins[static_cast<std::size_t>(1 - g)];
         bin.push_back(VertexUpdate{5, 0b0001});
@@ -686,8 +687,7 @@ TEST(UpdateExchange, AdaptiveCompressionPicksTheSmallerPathPerBin) {
   spec.num_ranks = 3;
   spec.gpus_per_rank = 1;
   UpdateExchangeOptions options;
-  options.compress = true;
-  options.adaptive = true;
+  options.codec = WireCodec::kAdaptive;
   const std::vector<VertexUpdate> wins = {
       {0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}};
   std::vector<VertexUpdate> loses;
@@ -731,7 +731,7 @@ TEST(UpdateExchange, AdaptiveCompressionPicksTheSmallerPathPerBin) {
 }
 
 TEST(UpdateExchange, AdaptiveNeverExceedsEitherFixedPolicy) {
-  // Same payload through off / forced / adaptive: adaptive's wire volume
+  // Same payload through raw / varint / adaptive: adaptive's wire volume
   // is the per-bin minimum, so it can beat both and must never lose.
   sim::ClusterSpec spec;
   spec.num_ranks = 2;
@@ -743,12 +743,11 @@ TEST(UpdateExchange, AdaptiveNeverExceedsEitherFixedPolicy) {
     }
   };
   std::uint64_t bytes[3];
+  const WireCodec codecs[3] = {WireCodec::kRaw, WireCodec::kVarint,
+                               WireCodec::kAdaptive};
   for (int mode = 0; mode < 3; ++mode) {
-    UpdateExchangeOptions options;
-    options.compress = mode >= 1;
-    options.adaptive = mode == 2;
     std::vector<ExchangeCounters> counters;
-    run_update_exchange(spec, options, &counters, fill);
+    run_update_exchange(spec, {.codec = codecs[mode]}, &counters, fill);
     bytes[mode] = counters[0].send_bytes_remote;
   }
   EXPECT_LE(bytes[2], bytes[0]);
@@ -772,12 +771,12 @@ TEST(UpdateExchange, GorillaRoundTripsAndBeatsVarintOnDoubles) {
   };
   std::uint64_t bytes[3];
   std::vector<std::vector<VertexUpdate>> received[3];
+  const WireCodec codecs[3] = {WireCodec::kRaw, WireCodec::kVarint,
+                               WireCodec::kGorilla};
   for (int mode = 0; mode < 3; ++mode) {
-    UpdateExchangeOptions options;
-    options.compress = mode >= 1;
-    options.gorilla = mode == 2;
     std::vector<ExchangeCounters> counters;
-    received[mode] = run_update_exchange(spec, options, &counters, fill);
+    received[mode] =
+        run_update_exchange(spec, {.codec = codecs[mode]}, &counters, fill);
     bytes[mode] = counters[0].send_bytes_remote;
   }
   // Bit-exact across raw / varint / gorilla.
@@ -804,8 +803,8 @@ TEST(UpdateExchange, GorillaRoundTripsAndBeatsVarintOnDoubles) {
 TEST(UpdateExchange, GorillaAdaptiveNeverExceedsRawOnHostilePayload) {
   // Uncorrelated full-entropy values AND ids scattered over the full
   // 32-bit range: the XOR windows never truncate and the id deltas need
-  // 4-5 varint bytes, so forced gorilla pays for its control bits; the
-  // adaptive trial-encode must fall back to raw per bin.
+  // 4-5 varint bytes, so the Gorilla stream pays for its control bits; the
+  // per-bin trial-encode must fall back to raw.
   sim::ClusterSpec spec;
   spec.num_ranks = 2;
   spec.gpus_per_rank = 1;
@@ -820,23 +819,17 @@ TEST(UpdateExchange, GorillaAdaptiveNeverExceedsRawOnHostilePayload) {
           static_cast<LocalId>(i * 2654435761u), x});
     }
   };
-  std::uint64_t raw = 0, forced = 0, adaptive = 0;
-  for (int mode = 0; mode < 3; ++mode) {
-    UpdateExchangeOptions options;
-    options.compress = mode >= 1;
-    options.gorilla = mode >= 1;
-    options.adaptive = mode == 2;
+  std::uint64_t raw = 0, gorilla = 0;
+  for (const WireCodec codec : {WireCodec::kRaw, WireCodec::kGorilla}) {
     std::vector<ExchangeCounters> counters;
-    auto received = run_update_exchange(spec, options, &counters, fill);
-    (mode == 0 ? raw : mode == 1 ? forced : adaptive) =
-        counters[0].send_bytes_remote;
+    auto received =
+        run_update_exchange(spec, {.codec = codec}, &counters, fill);
+    (codec == WireCodec::kRaw ? raw : gorilla) = counters[0].send_bytes_remote;
     for (int g = 0; g < 2; ++g) {
       EXPECT_EQ(received[static_cast<std::size_t>(g)].size(), 32u);
     }
   }
-  EXPECT_GT(forced, raw);      // the payload gorilla was NOT built for
-  EXPECT_LE(adaptive, raw);    // the adaptive guarantee
-  EXPECT_LE(adaptive, forced);
+  EXPECT_LE(gorilla, raw);  // the per-bin guarantee
 }
 
 TEST(UpdateExchange, GorillaRepeatAndWindowReuseCompressHard) {
@@ -852,11 +845,9 @@ TEST(UpdateExchange, GorillaRepeatAndWindowReuseCompressHard) {
                                  std::bit_cast<std::uint64_t>(0.25)});
     }
   };
-  UpdateExchangeOptions options;
-  options.compress = true;
-  options.gorilla = true;
   std::vector<ExchangeCounters> counters;
-  auto received = run_update_exchange(spec, options, &counters, fill);
+  auto received = run_update_exchange(spec, {.codec = WireCodec::kGorilla},
+                                      &counters, fill);
   EXPECT_LT(counters[0].send_bytes_remote, 64u * 12 / 4);
   for (int g = 0; g < 2; ++g) {
     ASSERT_EQ(received[static_cast<std::size_t>(g)].size(), 64u);
@@ -878,17 +869,18 @@ TEST(UpdateExchange, SsspBitExactWithUniquifyOnAndOff) {
   const graph::DistributedGraph dg = graph::build_distributed(g, spec, 16);
   const auto expected = baseline::serial_sssp(host, 3);
   for (const bool uniquify : {false, true}) {
-    for (const bool compress : {false, true}) {
+    for (const WireCodec codec : {WireCodec::kRaw, WireCodec::kVarint,
+                                  WireCodec::kAdaptive, WireCodec::kGorilla}) {
       core::SsspOptions options;
-      options.uniquify = uniquify;
-      options.compress = compress;
+      options.run.uniquify = uniquify;
+      options.codec = codec;
       core::DistributedSssp sssp(dg, cluster, options);
       const core::SsspResult r = sssp.run(3);
       ASSERT_EQ(r.distances.size(), expected.size());
       for (VertexId v = 0; v < expected.size(); ++v) {
         ASSERT_EQ(r.distances[v], expected[v])
-            << "vertex " << v << " uniquify " << uniquify << " compress "
-            << compress;
+            << "vertex " << v << " uniquify " << uniquify << " codec "
+            << static_cast<int>(codec);
       }
     }
   }
@@ -906,7 +898,7 @@ TEST(UpdateExchange, CcBitExactAndFewerBytesWithUniquify) {
   std::uint64_t bytes_on = 0, bytes_off = 0;
   for (const bool uniquify : {false, true}) {
     core::CcOptions options;
-    options.uniquify = uniquify;
+    options.run.uniquify = uniquify;
     const core::CcResult r = core::ConnectedComponents(dg, cluster, options).run();
     ASSERT_EQ(r.labels.size(), expected.size());
     for (VertexId v = 0; v < expected.size(); ++v) {
@@ -940,7 +932,7 @@ TEST(UpdateExchange, SsspCompressedBiasBitExactAndPinned) {
 
   core::SsspOptions options;
   options.max_weight = kWideWeights;
-  options.compress = true;
+  options.codec = WireCodec::kVarint;
   core::DistributedSssp sssp(dg, cluster, options);
   const core::SsspResult r = sssp.run(3);
   ASSERT_EQ(r.distances.size(), expected_wide.size());

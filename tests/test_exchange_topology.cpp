@@ -40,6 +40,7 @@ namespace {
 using comm::ExchangeCounters;
 using comm::UpdateCombine;
 using comm::VertexUpdate;
+using comm::WireCodec;
 using sim::ExchangeTopology;
 
 constexpr ExchangeTopology kAllTopologies[] = {
@@ -231,24 +232,25 @@ TEST_P(CommTopologyEquivalence, UpdateFoldsMatchFlatAcrossWireOptions) {
       nodes_spec(tc.nodes, tc.gpus, tc.ranks_per_node);
   struct WireCase {
     UpdateCombine combine;
-    bool compress, adaptive;
+    WireCodec codec;
     std::uint64_t value_bias;
   };
   const WireCase wire_cases[] = {
-      {UpdateCombine::kNone, false, false, 0},
-      {UpdateCombine::kNone, true, false, 0},
-      {UpdateCombine::kMin, false, false, 0},
-      {UpdateCombine::kMin, true, false, 0},
-      {UpdateCombine::kMin, true, true, 0},
-      {UpdateCombine::kMin, true, false, 100},
-      {UpdateCombine::kOr, false, false, 0},
-      {UpdateCombine::kSumDouble, false, false, 0},
+      {UpdateCombine::kNone, WireCodec::kRaw, 0},
+      {UpdateCombine::kNone, WireCodec::kVarint, 0},
+      {UpdateCombine::kMin, WireCodec::kRaw, 0},
+      {UpdateCombine::kMin, WireCodec::kVarint, 0},
+      {UpdateCombine::kMin, WireCodec::kAdaptive, 0},
+      {UpdateCombine::kMin, WireCodec::kVarint, 100},
+      {UpdateCombine::kOr, WireCodec::kRaw, 0},
+      {UpdateCombine::kOr, WireCodec::kAdaptive, 0},
+      {UpdateCombine::kSumDouble, WireCodec::kRaw, 0},
+      {UpdateCombine::kSumDouble, WireCodec::kGorilla, 0},
   };
   for (const WireCase& wc : wire_cases) {
     comm::UpdateExchangeOptions options;
     options.combine = wc.combine;
-    options.compress = wc.compress;
-    options.adaptive = wc.adaptive;
+    options.codec = wc.codec;
     options.value_bias = wc.value_bias;
     options.topology = ExchangeTopology::kFlat;
     auto flat = run_update_exchange(spec, options, nullptr, update_fill(2));
@@ -477,14 +479,14 @@ TEST_P(FacadeTopologyEquivalence, BfsBitExact) {
   sim::Cluster cluster(spec_);
   core::BfsOptions options;
   options.local_all2all = true;
-  options.uniquify = true;
+  options.run.uniquify = true;
   options.compute_parents = true;
   const VertexId source =
       core::DistributedBfs(dg_, cluster, options).sample_source(1);
   const auto expected = baseline::serial_bfs(host_, source);
   std::vector<VertexId> first_parents;
   for (const ExchangeTopology topo : kAllTopologies) {
-    options.exchange_topology = topo;
+    options.run.exchange_topology = topo;
     core::DistributedBfs bfs(dg_, cluster, options);
     const core::BfsResult r = bfs.run(source);
     EXPECT_EQ(r.distances, expected) << sim::to_string(topo);
@@ -506,7 +508,7 @@ TEST_P(FacadeTopologyEquivalence, BatchBfsBitExactAtBothLaneWidths) {
   sim::Cluster cluster(spec_);
   for (const std::size_t width : {std::size_t{1}, std::size_t{64}}) {
     core::BatchBfsOptions options;
-    options.uniquify = true;
+    options.run.uniquify = true;
     core::DistributedBatchBfs probe(dg_, cluster, options);
     std::vector<VertexId> sources;
     for (std::size_t k = 0; k < width; ++k) {
@@ -514,7 +516,7 @@ TEST_P(FacadeTopologyEquivalence, BatchBfsBitExactAtBothLaneWidths) {
     }
     std::vector<core::BatchBfsResult> results;
     for (const ExchangeTopology topo : kAllTopologies) {
-      options.exchange_topology = topo;
+      options.run.exchange_topology = topo;
       core::DistributedBatchBfs batch(dg_, cluster, options);
       results.push_back(batch.run(sources));
     }
@@ -532,11 +534,11 @@ TEST_P(FacadeTopologyEquivalence, SsspBitExact) {
   sim::Cluster cluster(spec_);
   const auto expected = baseline::serial_sssp(host_, 3);
   core::SsspOptions options;
-  options.uniquify = true;
-  options.compress = true;
+  options.run.uniquify = true;
+  options.codec = WireCodec::kVarint;
   std::vector<std::vector<std::uint64_t>> all;
   for (const ExchangeTopology topo : kAllTopologies) {
-    options.exchange_topology = topo;
+    options.run.exchange_topology = topo;
     core::DistributedSssp sssp(dg_, cluster, options);
     all.push_back(sssp.run(3).distances);
     EXPECT_EQ(all.back(), expected) << sim::to_string(topo);
@@ -547,9 +549,9 @@ TEST_P(FacadeTopologyEquivalence, DeltaSsspBitExact) {
   sim::Cluster cluster(spec_);
   const auto expected = baseline::serial_sssp(host_, 3);
   core::DeltaSsspOptions options;
-  options.compress = true;
+  options.codec = WireCodec::kVarint;
   for (const ExchangeTopology topo : kAllTopologies) {
-    options.exchange_topology = topo;
+    options.run.exchange_topology = topo;
     core::DistributedDeltaSssp sssp(dg_, cluster, options);
     EXPECT_EQ(sssp.run(3).distances, expected) << sim::to_string(topo);
   }
@@ -559,9 +561,9 @@ TEST_P(FacadeTopologyEquivalence, CcBitExact) {
   sim::Cluster cluster(spec_);
   const auto expected = baseline::serial_components(host_);
   core::CcOptions options;
-  options.uniquify = true;
+  options.run.uniquify = true;
   for (const ExchangeTopology topo : kAllTopologies) {
-    options.exchange_topology = topo;
+    options.run.exchange_topology = topo;
     EXPECT_EQ(core::ConnectedComponents(dg_, cluster, options).run().labels,
               expected)
         << sim::to_string(topo);
@@ -577,7 +579,7 @@ TEST_P(FacadeTopologyEquivalence, PagerankBitExact) {
   options.max_iterations = 10;
   std::vector<std::vector<double>> all;
   for (const ExchangeTopology topo : kAllTopologies) {
-    options.exchange_topology = topo;
+    options.run.exchange_topology = topo;
     core::DistributedPagerank pr(dg_, cluster, options);
     all.push_back(pr.run().ranks);
   }
@@ -602,7 +604,7 @@ TEST_P(FacadeTopologyEquivalence, SchedulerBitExact) {
   const auto trace = core::make_arrival_trace(dg_, trace_cfg);
   std::vector<core::SchedulerOutcome> all;
   for (const ExchangeTopology topo : kAllTopologies) {
-    options.exchange_topology = topo;
+    options.run.exchange_topology = topo;
     core::QueryScheduler sched(dg_, cluster, options);
     all.push_back(sched.run(trace));
   }
@@ -643,7 +645,7 @@ TEST(TopologySoak, CommLayerSeedSweep) {
           nodes_spec(tc.nodes, tc.gpus, tc.ranks_per_node);
       comm::UpdateExchangeOptions options;
       options.combine = UpdateCombine::kMin;
-      options.compress = seed % 2 == 0;
+      options.codec = seed % 2 == 0 ? WireCodec::kVarint : WireCodec::kRaw;
       auto flat = run_update_exchange(spec, options, nullptr,
                                       update_fill(seed));
       for (const ExchangeTopology topo :
@@ -674,7 +676,7 @@ TEST(TopologySoak, AlgorithmsSeedSweep) {
       sim::Cluster cluster(spec);
 
       core::BfsOptions bfs_options;
-      bfs_options.uniquify = true;
+      bfs_options.run.uniquify = true;
       const VertexId source =
           core::DistributedBfs(dg, cluster, bfs_options).sample_source(seed);
       const auto bfs_expected = baseline::serial_bfs(host, source);
@@ -682,21 +684,21 @@ TEST(TopologySoak, AlgorithmsSeedSweep) {
       const auto cc_expected = baseline::serial_components(host);
 
       for (const ExchangeTopology topo : kAllTopologies) {
-        bfs_options.exchange_topology = topo;
+        bfs_options.run.exchange_topology = topo;
         core::DistributedBfs bfs(dg, cluster, bfs_options);
         ASSERT_EQ(bfs.run(source).distances, bfs_expected)
             << sim::to_string(topo) << " seed " << seed << " nodes " << nodes;
 
         core::SsspOptions sssp_options;
-        sssp_options.uniquify = true;
-        sssp_options.compress = true;
-        sssp_options.exchange_topology = topo;
+        sssp_options.run.uniquify = true;
+        sssp_options.run.exchange_topology = topo;
+        sssp_options.codec = WireCodec::kVarint;
         core::DistributedSssp sssp(dg, cluster, sssp_options);
         ASSERT_EQ(sssp.run(source).distances, sssp_expected)
             << sim::to_string(topo) << " seed " << seed << " nodes " << nodes;
 
         core::CcOptions cc_options;
-        cc_options.exchange_topology = topo;
+        cc_options.run.exchange_topology = topo;
         ASSERT_EQ(core::ConnectedComponents(dg, cluster, cc_options)
                       .run()
                       .labels,

@@ -124,11 +124,11 @@ class FaultReplayTest : public ::testing::Test {
 
 TEST_F(FaultReplayTest, SameSeedSameLogSameCountersBfs) {
   core::BfsOptions options;
-  options.resilience.faults.seed = 11;
-  options.resilience.faults.drop_rate = 0.05;
-  options.resilience.faults.corrupt_rate = 0.05;
-  options.resilience.faults.duplicate_rate = 0.02;
-  options.resilience.faults.delay_rate = 0.02;
+  options.run.resilience.faults.seed = 11;
+  options.run.resilience.faults.drop_rate = 0.05;
+  options.run.resilience.faults.corrupt_rate = 0.05;
+  options.run.resilience.faults.duplicate_rate = 0.02;
+  options.run.resilience.faults.delay_rate = 0.02;
 
   sim::Cluster cluster(spec_);
   auto run = [&] { return core::DistributedBfs(dg_, cluster, options).run(3); };
@@ -148,9 +148,9 @@ TEST_F(FaultReplayTest, SameSeedSameLogSameCountersBfs) {
 
 TEST_F(FaultReplayTest, SameSeedSameLogSameCountersSssp) {
   core::SsspOptions options;
-  options.resilience.faults.seed = 23;
-  options.resilience.faults.drop_rate = 0.05;
-  options.resilience.faults.corrupt_rate = 0.05;
+  options.run.resilience.faults.seed = 23;
+  options.run.resilience.faults.drop_rate = 0.05;
+  options.run.resilience.faults.corrupt_rate = 0.05;
 
   sim::Cluster cluster(spec_);
   auto run = [&] {
@@ -179,11 +179,11 @@ TEST_F(FaultReplayTest, LossyWireStaysBitExactUnderEveryExchangeTopology) {
   for (const auto topology : {sim::ExchangeTopology::kHierarchical,
                               sim::ExchangeTopology::kButterfly}) {
     core::BfsOptions options;
-    options.exchange_topology = topology;
-    options.resilience.faults.seed = 31;
-    options.resilience.faults.drop_rate = 0.05;
-    options.resilience.faults.corrupt_rate = 0.05;
-    options.resilience.faults.duplicate_rate = 0.02;
+    options.run.exchange_topology = topology;
+    options.run.resilience.faults.seed = 31;
+    options.run.resilience.faults.drop_rate = 0.05;
+    options.run.resilience.faults.corrupt_rate = 0.05;
+    options.run.resilience.faults.duplicate_rate = 0.02;
 
     auto run = [&] {
       return core::DistributedBfs(dg_, cluster, options).run(3);
@@ -206,13 +206,13 @@ TEST_F(FaultReplayTest, LossyWireStaysBitExactUnderEveryExchangeTopology) {
 
 TEST_F(FaultReplayTest, DifferentSeedsChangeTheLogNotTheAnswer) {
   core::BfsOptions options;
-  options.resilience.faults.drop_rate = 0.08;
-  options.resilience.faults.corrupt_rate = 0.05;
+  options.run.resilience.faults.drop_rate = 0.08;
+  options.run.resilience.faults.corrupt_rate = 0.05;
 
   sim::Cluster cluster(spec_);
-  options.resilience.faults.seed = 100;
+  options.run.resilience.faults.seed = 100;
   const core::BfsResult a = core::DistributedBfs(dg_, cluster, options).run(3);
-  options.resilience.faults.seed = 200;
+  options.run.resilience.faults.seed = 200;
   const core::BfsResult b = core::DistributedBfs(dg_, cluster, options).run(3);
 
   EXPECT_NE(a.metrics.fault.events, b.metrics.fault.events);

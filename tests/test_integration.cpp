@@ -41,7 +41,7 @@ TEST_F(IntegrationFixture, FullPipelineAllOptionsValidate) {
   core::BfsOptions options;
   options.direction_optimized = true;
   options.local_all2all = true;
-  options.uniquify = true;
+  options.run.uniquify = true;
   core::DistributedBfs bfs(dg_, cluster, options);
   const VertexId source = bfs.sample_source(3);
   const core::BfsResult r = bfs.run(source);

@@ -8,6 +8,8 @@
 namespace dsbfs::core {
 namespace {
 
+constexpr comm::ReduceMode kBlocking = comm::ReduceMode::kBlocking;
+
 graph::DistributedGraph small_graph(sim::ClusterSpec spec) {
   return graph::build_distributed(
       graph::rmat_graph500({.scale = 9, .seed = 61}), spec, 16);
@@ -40,8 +42,8 @@ TEST(Metrics, AggregatesTotals) {
   spec.num_ranks = 2;
   spec.gpus_per_rank = 2;
   const auto dg = small_graph(spec);
-  const BfsOptions options;
-  auto m = assemble_metrics(dg, options, synthetic_histories(4, 6, true),
+  auto m = assemble_metrics(dg, /*overlap=*/true, kBlocking,
+                            synthetic_histories(4, 6, true),
                             /*measured_ms=*/10.0);
   EXPECT_EQ(m.iterations, 6);
   EXPECT_EQ(m.delegate_reduce_iterations, 3);  // even iterations only
@@ -58,25 +60,26 @@ TEST(Metrics, MaskVolumeUsesPaperFormula) {
   spec.num_ranks = 2;
   spec.gpus_per_rank = 2;
   const auto dg = small_graph(spec);
-  auto m = assemble_metrics(dg, {}, synthetic_histories(4, 4, true), 1.0);
+  auto m = assemble_metrics(dg, true, kBlocking,
+                            synthetic_histories(4, 4, true), 1.0);
   const std::uint64_t d_bytes = (dg.num_delegates() + 7) / 8;
   EXPECT_EQ(m.mask_reduce_bytes, 2 * d_bytes * 2 * 2);  // 2 ranks, S' = 2
 }
 
-TEST(Metrics, PerIterationTraceToggle) {
+TEST(Metrics, PerIterationTraceHasOneRowPerIteration) {
   sim::ClusterSpec spec;
   spec.num_ranks = 1;
   spec.gpus_per_rank = 2;
   const auto dg = small_graph(spec);
-  BfsOptions with_trace;
-  with_trace.collect_per_iteration = true;
-  auto m = assemble_metrics(dg, with_trace, synthetic_histories(2, 5, false),
-                            1.0);
-  EXPECT_EQ(m.per_iteration.size(), 5u);
-  BfsOptions without;
-  without.collect_per_iteration = false;
-  m = assemble_metrics(dg, without, synthetic_histories(2, 5, false), 1.0);
-  EXPECT_TRUE(m.per_iteration.empty());
+  const auto m = assemble_metrics(dg, true, kBlocking,
+                                  synthetic_histories(2, 5, false), 1.0);
+  ASSERT_EQ(m.per_iteration.size(), 5u);
+  for (const IterationStats& row : m.per_iteration) {
+    EXPECT_EQ(row.frontier_normals, 2u * 10);
+    EXPECT_EQ(row.edges_traversed, 2u * 150);
+    EXPECT_EQ(row.exchanged_vertices, 2u * 10);
+    EXPECT_FALSE(row.delegate_reduce);
+  }
 }
 
 TEST(Metrics, ModeledBreakdownPopulated) {
@@ -84,7 +87,8 @@ TEST(Metrics, ModeledBreakdownPopulated) {
   spec.num_ranks = 2;
   spec.gpus_per_rank = 1;
   const auto dg = small_graph(spec);
-  auto m = assemble_metrics(dg, {}, synthetic_histories(2, 8, true), 1.0);
+  auto m = assemble_metrics(dg, true, kBlocking,
+                            synthetic_histories(2, 8, true), 1.0);
   EXPECT_GT(m.modeled_ms, 0.0);
   EXPECT_GT(m.modeled_gteps, 0.0);
   EXPECT_GT(m.modeled.computation_ms, 0.0);
@@ -97,17 +101,14 @@ TEST(Metrics, CountersPreservedForReplay) {
   spec.num_ranks = 1;
   spec.gpus_per_rank = 2;
   const auto dg = small_graph(spec);
-  BfsOptions options;
-  options.reduce_mode = comm::ReduceMode::kNonBlocking;
-  auto m = assemble_metrics(dg, options, synthetic_histories(2, 3, true), 1.0);
+  auto m = assemble_metrics(dg, true, comm::ReduceMode::kNonBlocking,
+                            synthetic_histories(2, 3, true), 1.0);
   EXPECT_EQ(m.counters.iterations.size(), 3u);
   EXPECT_EQ(m.counters.spec.total_gpus(), 2);
   EXPECT_FALSE(m.counters.blocking_reduce);
   EXPECT_EQ(m.counters.delegate_mask_bytes, (dg.num_delegates() + 7) / 8);
   // A PerfModel replay of the preserved counters equals the stored result.
-  const sim::PerfModel model{sim::DeviceModel{options.device_model},
-                             sim::NetModel{options.net_model}};
-  const auto replayed = model.replay(m.counters);
+  const auto replayed = sim::PerfModel{}.replay(m.counters);
   EXPECT_DOUBLE_EQ(replayed.elapsed_ms, m.modeled_ms);
 }
 
@@ -117,7 +118,7 @@ TEST(Metrics, EmptyHistoriesProduceZeroRun) {
   spec.gpus_per_rank = 1;
   const auto dg = small_graph(spec);
   std::vector<std::vector<sim::GpuIterationCounters>> empty(1);
-  auto m = assemble_metrics(dg, {}, std::move(empty), 0.5);
+  auto m = assemble_metrics(dg, true, kBlocking, std::move(empty), 0.5);
   EXPECT_EQ(m.iterations, 0);
   EXPECT_EQ(m.edges_traversed, 0u);
 }

@@ -70,7 +70,7 @@ TEST_F(RecoveryTest, BfsSurvivesGpuFailureBitExact) {
     const core::BfsResult clean =
         core::DistributedBfs(dg_, cluster, options).run(3);
 
-    options.resilience = kill_gpu1_at2();
+    options.run.resilience = kill_gpu1_at2();
     const core::BfsResult hurt =
         core::DistributedBfs(dg_, cluster, options).run(3);
 
@@ -107,7 +107,7 @@ TEST_F(RecoveryTest, BatchBfs64SurvivesGpuFailureBitExact) {
         core::DistributedBatchBfs(dg_, cluster, options).run(sources);
     ASSERT_EQ(clean.lane_bits, 64);
 
-    options.resilience = kill_gpu1_at2();
+    options.run.resilience = kill_gpu1_at2();
     const core::BatchBfsResult hurt =
         core::DistributedBatchBfs(dg_, cluster, options).run(sources);
 
@@ -126,7 +126,7 @@ TEST_F(RecoveryTest, DeltaSsspSurvivesGpuFailureBitExact) {
       core::DistributedDeltaSssp(dg_, cluster).run(3);
 
   core::DeltaSsspOptions options;
-  options.resilience = kill_gpu1_at2();
+  options.run.resilience = kill_gpu1_at2();
   const core::DeltaSsspResult hurt =
       core::DistributedDeltaSssp(dg_, cluster, options).run(3);
 
@@ -143,7 +143,7 @@ TEST_F(RecoveryTest, BatchSsspSurvivesGpuFailureBitExact) {
       core::DistributedBatchSssp(dg_, cluster).run(sources);
 
   core::BatchSsspOptions options;
-  options.resilience = kill_gpu1_at2();
+  options.run.resilience = kill_gpu1_at2();
   const core::BatchSsspResult hurt =
       core::DistributedBatchSssp(dg_, cluster, options).run(sources);
 
@@ -163,7 +163,7 @@ TEST_F(RecoveryTest, BetweennessSurvivesGpuFailureInBothRunsBitExact) {
       core::BetweennessCentrality(dg_, cluster).run(sources);
 
   core::BetweennessOptions options;
-  options.resilience = kill_gpu1_at2();
+  options.run.resilience = kill_gpu1_at2();
   const core::BetweennessResult hurt =
       core::BetweennessCentrality(dg_, cluster, options).run(sources);
 
@@ -181,7 +181,7 @@ TEST_F(RecoveryTest, PagerankSurvivesGpuFailureBitExact) {
       core::DistributedPagerank(dg_, cluster).run();
 
   core::PagerankOptions options;
-  options.resilience = kill_gpu1_at2();
+  options.run.resilience = kill_gpu1_at2();
   const core::PagerankResult hurt =
       core::DistributedPagerank(dg_, cluster, options).run();
 
@@ -206,7 +206,7 @@ TEST_F(RecoveryTest, QuerySchedulerSurvivesGpuFailureBitExact) {
 
   core::SchedulerOptions options;
   options.width = 8;
-  options.resilience = kill_gpu1_at2();
+  options.run.resilience = kill_gpu1_at2();
   core::QueryScheduler hurt_scheduler(dg_, cluster, options);
   const core::SchedulerOutcome hurt = hurt_scheduler.run(trace);
 
@@ -245,9 +245,9 @@ TEST_F(RecoveryTest, CadenceBoundsTheReplayWindow) {
   ASSERT_GT(clean.metrics.iterations, 3);
 
   core::BfsOptions options;
-  options.resilience.faults.fail_gpu = 2;
-  options.resilience.faults.fail_iteration = 3;
-  options.resilience.checkpoint_interval = 2;
+  options.run.resilience.faults.fail_gpu = 2;
+  options.run.resilience.faults.fail_iteration = 3;
+  options.run.resilience.checkpoint_interval = 2;
   const core::BfsResult hurt =
       core::DistributedBfs(dg_, cluster, options).run(3);
 
@@ -263,7 +263,7 @@ TEST_F(RecoveryTest, CheckpointingAloneChangesNothingButTheCharge) {
   const core::BfsResult clean = core::DistributedBfs(dg_, cluster).run(3);
 
   core::BfsOptions options;
-  options.resilience.checkpoint_interval = 2;
+  options.run.resilience.checkpoint_interval = 2;
   const core::BfsResult ckpt =
       core::DistributedBfs(dg_, cluster, options).run(3);
 
@@ -283,9 +283,9 @@ TEST_F(RecoveryTest, TransientStallIsChargedNotRecovered) {
   const core::BfsResult clean = core::DistributedBfs(dg_, cluster).run(3);
 
   core::BfsOptions options;
-  options.resilience.faults.stall_gpu = 1;
-  options.resilience.faults.stall_iteration = 1;
-  options.resilience.faults.stall_ns = 2'000'000;
+  options.run.resilience.faults.stall_gpu = 1;
+  options.run.resilience.faults.stall_iteration = 1;
+  options.run.resilience.faults.stall_ns = 2'000'000;
   const core::BfsResult hurt =
       core::DistributedBfs(dg_, cluster, options).run(3);
 
@@ -309,8 +309,8 @@ TEST_F(RecoveryTest, BfsSurvivesGpuFailureUnderEveryExchangeTopology) {
   for (const auto topology : {sim::ExchangeTopology::kHierarchical,
                               sim::ExchangeTopology::kButterfly}) {
     core::BfsOptions options;
-    options.exchange_topology = topology;
-    options.resilience = kill_gpu1_at2();
+    options.run.exchange_topology = topology;
+    options.run.resilience = kill_gpu1_at2();
     const core::BfsResult hurt =
         core::DistributedBfs(dg_, cluster, options).run(3);
 
@@ -331,8 +331,8 @@ TEST_F(RecoveryTest, DeltaSsspSurvivesGpuFailureUnderEveryExchangeTopology) {
   for (const auto topology : {sim::ExchangeTopology::kHierarchical,
                               sim::ExchangeTopology::kButterfly}) {
     core::DeltaSsspOptions options;
-    options.exchange_topology = topology;
-    options.resilience = kill_gpu1_at2();
+    options.run.exchange_topology = topology;
+    options.run.resilience = kill_gpu1_at2();
     const core::DeltaSsspResult hurt =
         core::DistributedDeltaSssp(dg_, cluster, options).run(3);
 
@@ -349,10 +349,10 @@ TEST_F(RecoveryTest, FaultsPlusFailureTogetherStayBitExact) {
   const core::BfsResult clean = core::DistributedBfs(dg_, cluster).run(3);
 
   core::BfsOptions options;
-  options.resilience = kill_gpu1_at2();
-  options.resilience.faults.drop_rate = 0.05;
-  options.resilience.faults.corrupt_rate = 0.05;
-  options.resilience.checkpoint_interval = 1;
+  options.run.resilience = kill_gpu1_at2();
+  options.run.resilience.faults.drop_rate = 0.05;
+  options.run.resilience.faults.corrupt_rate = 0.05;
+  options.run.resilience.checkpoint_interval = 1;
   const core::BfsResult hurt =
       core::DistributedBfs(dg_, cluster, options).run(3);
 
