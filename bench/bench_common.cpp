@@ -46,7 +46,9 @@ void print_banner(const std::string& title, const std::string& paper_ref) {
   std::printf("%s\n", title.c_str());
   std::printf("Reproduces: %s\n", paper_ref.c_str());
   std::printf("Rates marked 'modeled' replay measured workload/communication\n");
-  std::printf("counters on a P100 + EDR-InfiniBand cluster model (DESIGN.md).\n");
+  std::printf(
+      "counters on a P100 + EDR-InfiniBand cluster model "
+      "(docs/ARCHITECTURE.md).\n");
   std::printf("==============================================================\n");
 }
 

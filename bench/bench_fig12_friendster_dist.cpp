@@ -1,7 +1,8 @@
 // Figure 12: edge/delegate distribution vs degree threshold on the
 // Friendster social graph.  The original dataset (66M users, 5.17G edges
 // after doubling, ~half the vertices isolated) is replaced by a synthetic
-// Chung-Lu graph with the same shape (DESIGN.md Section 1).
+// Chung-Lu graph with the same shape (docs/ARCHITECTURE.md, "Synthetic
+// stand-ins for the datasets").
 #include <iostream>
 
 #include "bench_common.hpp"

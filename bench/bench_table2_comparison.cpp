@@ -1,7 +1,7 @@
 // Table II: comparison with previous work.  The reference rows are the
 // paper's published numbers (their hardware); the "this repo" rows are our
 // modeled runs at reduced scale.  The meaningful comparison is per-GPU
-// throughput ratio shape, not absolute numbers (see DESIGN.md).
+// throughput ratio shape, not absolute numbers (see docs/ARCHITECTURE.md).
 #include <iostream>
 
 #include "bench_common.hpp"

@@ -1,7 +1,9 @@
 #include "core/batch_bfs.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 
@@ -17,6 +19,31 @@
 namespace dsbfs::core {
 
 namespace {
+
+// The result gather copies transposed byte words out in memory order.
+static_assert(std::endian::native == std::endian::little);
+
+/// Transposes the 8x8 byte matrix in `a`: byte c of a[r] moves to byte r of
+/// a[c].  Three rounds of block swaps: 4-byte, 2-byte, then 1-byte blocks.
+void transpose_bytes8(std::array<std::uint64_t, 8>& a) noexcept {
+  for (std::size_t r = 0; r < 4; ++r) {
+    const std::uint64_t x = a[r], y = a[r + 4];
+    a[r] = (x & 0x00000000FFFFFFFFULL) | (y << 32);
+    a[r + 4] = (x >> 32) | (y & 0xFFFFFFFF00000000ULL);
+  }
+  for (const std::size_t r : {0, 1, 4, 5}) {
+    const std::uint64_t x = a[r], y = a[r + 2];
+    a[r] = (x & 0x0000FFFF0000FFFFULL) | ((y & 0x0000FFFF0000FFFFULL) << 16);
+    a[r + 2] =
+        ((x >> 16) & 0x0000FFFF0000FFFFULL) | (y & 0xFFFF0000FFFF0000ULL);
+  }
+  for (const std::size_t r : {0, 2, 4, 6}) {
+    const std::uint64_t x = a[r], y = a[r + 1];
+    a[r] = (x & 0x00FF00FF00FF00FFULL) | ((y & 0x00FF00FF00FF00FFULL) << 8);
+    a[r + 1] =
+        ((x >> 8) & 0x00FF00FF00FF00FFULL) | (y & 0xFF00FF00FF00FF00ULL);
+  }
+}
 
 /// The paper's BFS pipeline (Fig. 3), lane-generalized: identical engine
 /// phase structure to BfsAlgorithm -- previsit forms the queues, visit
@@ -83,10 +110,11 @@ class BatchBfsAlgorithm {
           s.set_delegate_parent(src_delegate, static_cast<int>(lane), source);
         }
       } else if (spec.owner_global_gpu(source) == ctx.gpu) {
+        // Depth 0 is stamped by the first normal previsit.
         const LocalId local = static_cast<LocalId>(spec.local_index(source));
-        const std::size_t sl = s.slot(local, static_cast<int>(lane));
-        s.depth_normal[sl] = 0;
-        if (s.record_parents) s.parent_normal[sl] = source;
+        if (s.record_parents) {
+          s.parent_normal[s.slot(local, static_cast<int>(lane))] = source;
+        }
         if (s.next_normal.or_lanes(local, bit) == 0) {
           s.next_local.push_back(local);
         }
@@ -97,7 +125,9 @@ class BatchBfsAlgorithm {
 
   std::uint64_t state_bytes(const engine::GpuContext& ctx,
                             const State& s) const {
-    // Per-lane depth arrays plus the three lane masks on each side.
+    // The device's state: 4-byte depth slots per (item, lane) plus the
+    // three lane masks on each side.  The host's bit-sliced depth planes
+    // do not enter checkpoint bytes or modeled time.
     const std::uint64_t w = static_cast<std::uint64_t>(lane_bits_);
     return graph_.local(ctx.gpu).num_local_normals() * w * sizeof(Depth) +
            static_cast<std::uint64_t>(graph_.num_delegates()) * w *
@@ -221,19 +251,22 @@ class BatchBfsAlgorithm {
 
     // Pack (dest_local, lane, my_level_in_lane) + my_global for every nn
     // edge out of each visited (vertex, lane); the receiver accepts the
-    // first sender exactly one level above it in that lane.
+    // first sender exactly one level above it in that lane.  A vertex's
+    // lane depths are decoded once, not once per edge.
     std::vector<std::vector<std::uint64_t>> tuples(static_cast<std::size_t>(p));
+    std::array<Depth, 64> lane_depths{};
     for (std::uint64_t v = 0; v < n_local; ++v) {
       const std::uint64_t lanes = s.seen_normal.lanes(v);
       if (lanes == 0) continue;
+      s.decode_depths(v, lane_depths.data());
       const VertexId v_global = spec.global_vertex(me.rank, me.gpu, v);
       for (const VertexId dst : lg.nn().row(v)) {
         const auto [owner, local] = router.split(dst);
         auto& bin = tuples[static_cast<std::size_t>(owner)];
         for (std::uint64_t b = lanes; b != 0; b &= b - 1) {
           const int lane = std::countr_zero(b);
-          bin.push_back(pack_lane_parent_probe(
-              local, lane, s.depth_normal[s.slot(v, lane)]));
+          bin.push_back(pack_lane_parent_probe(local, lane,
+                                               lane_depths[lane]));
           bin.push_back(v_global);
         }
       }
@@ -245,10 +278,11 @@ class BatchBfsAlgorithm {
         const Depth lvl = lane_parent_probe_level(words[i]);
         const std::size_t sl = s.slot(local, lane);
         // Min over all senders one level up (see DistributedBfs::finalize):
-        // arrival order is topology-dependent, the id minimum is not.
+        // arrival order is topology-dependent, the id minimum is not.  The
+        // depth is decoded last, for the probes that pass the parent tests.
         const VertexId cur = s.parent_normal[sl];
         if ((cur == kParentViaNn || (cur & kParentDelegateTag) == 0) &&
-            s.depth_normal[sl] == lvl + 1 && words[i + 1] < cur) {
+            words[i + 1] < cur && s.lane_depth(local, lane) == lvl + 1) {
           s.parent_normal[sl] = words[i + 1];
         }
       }
@@ -326,77 +360,118 @@ BatchBfsResult DistributedBatchBfs::run(std::span<const VertexId> sources) {
   auto run = engine.run(algo);
 
   // ---- Gather per-lane distances (and parents) on the host. -------------
+  // The lane columns are allocated in parallel, one lane per task.  Then one
+  // parallel pass over tiles of kGatherTile global vertices fills them.  A
+  // tile loads each vertex's plane words once and spreads them into byte
+  // layers, one 8-lane word per group of lanes (depth_byte_layer).  Per lane
+  // group it turns the layers lane-major with 8x8 byte transposes, widens
+  // each lane's bytes into its column's tile range, and overlays the range's
+  // visited delegate lanes from GPU 0's replicated state.  Tiles write
+  // disjoint ranges, each a few contiguous runs per column.
   BatchBfsResult result;
   result.lane_bits = lane_bits;
-  result.distances.assign(num_lanes, std::vector<Depth>(graph_.num_vertices(),
-                                                        kUnvisited));
-  if (options_.compute_parents) {
-    result.parents.assign(
-        num_lanes, std::vector<VertexId>(graph_.num_vertices(),
-                                         kInvalidVertex));
-  }
-  // Normal vertices, in parallel over tiles of each GPU's local vertices.
-  // A tile transposes its slot-major rows (v*W + lane) into the lane-major
-  // result one lane at a time: the tile's rows stay in cache while each
-  // lane's column is written in order (writing all lanes of one vertex
-  // instead touches W columns whose equal offsets collide in the cache
-  // sets).  Never-visited slots still hold kUnvisited / kParentNone, the
-  // result's own defaults, so no visited-mask test is needed; tiles write
-  // disjoint global ids.
-  constexpr std::uint64_t kGatherTile = 128;
-  struct GatherTile {
-    int gpu;
-    std::uint64_t begin, end;
-  };
-  std::vector<GatherTile> tiles;
+  const VertexId n = graph_.num_vertices();
+  const bool parents = options_.compute_parents;
+  result.distances.resize(num_lanes);
+  if (parents) result.parents.resize(num_lanes);
+  util::parallel_tasks(num_lanes, [&](std::size_t lane) {
+    result.distances[lane].resize(n);
+    if (parents) result.parents[lane].resize(n);
+  });
+  std::vector<const LaneState*> states;
+  std::size_t planes = 0;
   for (int g = 0; g < p; ++g) {
-    const std::uint64_t n_local = graph_.local(g).num_local_normals();
-    for (std::uint64_t v = 0; v < n_local; v += kGatherTile) {
-      tiles.push_back({g, v, std::min(n_local, v + kGatherTile)});
-    }
+    states.push_back(&run.state(g).gpu);
+    planes = std::max(planes, states.back()->depth_planes.size());
   }
-  util::parallel_tasks(tiles.size(), [&](std::size_t i) {
-    const GatherTile& tile = tiles[i];
-    const LaneState& s = run.state(tile.gpu).gpu;
-    const sim::GpuCoord me = spec.coord_of(tile.gpu);
-    for (std::size_t lane = 0; lane < num_lanes; ++lane) {
-      const int l = static_cast<int>(lane);
-      std::vector<Depth>& distances = result.distances[lane];
-      for (std::uint64_t v = tile.begin; v < tile.end; ++v) {
-        distances[spec.global_vertex(me.rank, me.gpu, v)] =
-            s.depth_normal[s.slot(v, l)];
+  const std::size_t layers = depth_byte_layers(planes);
+  const std::size_t groups = (num_lanes + 7) / 8;
+  constexpr std::size_t kGatherTile = 512;
+  const sim::VertexRouter router(spec);
+  const std::vector<VertexId>& delegates = graph_.delegates().vertices();
+  const LaneState& s0 = *states[0];
+  const std::size_t tiles = (n + kGatherTile - 1) / kGatherTile;
+  util::parallel_tasks(tiles, [&](std::size_t tile) {
+    const VertexId begin = tile * kGatherTile;
+    const std::size_t width = std::min<VertexId>(n - begin, kGatherTile);
+    std::vector<std::uint64_t> views(layers * groups * kGatherTile);
+    const auto view = [&](std::size_t layer, std::size_t g) {
+      return views.begin() + (layer * groups + g) * kGatherTile;
+    };
+    std::vector<VertexId> par(parents ? num_lanes * kGatherTile : 0);
+    std::array<std::uint64_t, 32> words{};
+    for (std::size_t x = 0; x < width; ++x) {
+      const auto [owner, v] = router.split(begin + x);
+      const LaneState& s = *states[static_cast<std::size_t>(owner)];
+      const std::uint64_t unseen = ~s.seen_normal.lanes(v);
+      const std::size_t own = s.depth_words(v, words.data());
+      for (std::size_t c = 0; c < layers; ++c) {
+        for (std::size_t g = 0; g < groups; ++g) {
+          view(c, g)[x] = depth_byte_layer(words.data(), own, unseen, c,
+                                           static_cast<int>(g * 8));
+        }
       }
-      if (!options_.compute_parents) continue;
-      std::vector<VertexId>& parents = result.parents[lane];
-      for (std::uint64_t v = tile.begin; v < tile.end; ++v) {
-        VertexId enc = s.parent_normal[s.slot(v, l)];
+      if (!parents) continue;
+      for (std::size_t lane = 0; lane < num_lanes; ++lane) {
+        VertexId enc = s.parent_normal[s.slot(v, static_cast<int>(lane))];
         if ((enc & kParentDelegateTag) != 0 && enc != kParentNone &&
             enc != kParentViaNn) {
           enc = graph_.delegates().vertex_of(
               static_cast<LocalId>(enc & ~kParentDelegateTag));
         }
-        parents[spec.global_vertex(me.rank, me.gpu, v)] = enc;
+        par[lane * kGatherTile + x] = enc;
       }
+    }
+    for (std::size_t g = 0; g < groups; ++g) {
+      // Fixed-size local rows, so the widening loops vectorize.
+      std::array<std::array<Depth, kGatherTile>, 8> lane_rows;
+      for (std::size_t layer = layers; layer-- > 0;) {
+        std::array<std::array<std::uint8_t, kGatherTile>, 8> bytes;
+        for (std::size_t x = 0; x < kGatherTile; x += 8) {
+          std::array<std::uint64_t, 8> block;
+          std::copy_n(view(layer, g) + x, 8, block.begin());
+          transpose_bytes8(block);
+          for (std::size_t k = 0; k < 8; ++k) {
+            std::memcpy(&bytes[k][x], &block[k], 8);
+          }
+        }
+        for (std::size_t k = 0; k < 8; ++k) {
+          if (layer + 1 == layers) {  // the top byte carries the sign
+            for (std::size_t x = 0; x < kGatherTile; ++x) {
+              lane_rows[k][x] = static_cast<std::int8_t>(bytes[k][x]);
+            }
+            continue;
+          }
+          for (std::size_t x = 0; x < kGatherTile; ++x) {
+            lane_rows[k][x] =
+                lane_rows[k][x] * 256 + static_cast<Depth>(bytes[k][x]);
+          }
+        }
+      }
+      for (std::size_t k = 0; k < 8 && g * 8 + k < num_lanes; ++k) {
+        std::copy_n(lane_rows[k].begin(), width,
+                    result.distances[g * 8 + k].begin() + begin);
+      }
+    }
+    for (auto it = std::lower_bound(delegates.begin(), delegates.end(), begin);
+         it != delegates.end() && *it < begin + width; ++it) {
+      const auto t = static_cast<LocalId>(it - delegates.begin());
+      for (std::uint64_t b = s0.delegate_visited.lanes(t); b != 0; b &= b - 1) {
+        const auto lane = static_cast<std::size_t>(std::countr_zero(b));
+        if (lane >= num_lanes) continue;
+        const std::size_t sl = s0.slot(t, static_cast<int>(lane));
+        result.distances[lane][*it] = s0.depth_delegate[sl];
+        if (parents) {
+          par[lane * kGatherTile + (*it - begin)] =
+              s0.parent_delegate[sl].load(std::memory_order_relaxed);
+        }
+      }
+    }
+    for (std::size_t lane = 0; parents && lane < num_lanes; ++lane) {
+      std::copy_n(par.begin() + lane * kGatherTile, width,
+                  result.parents[lane].begin() + begin);
     }
   });
-  // Delegates: the replicated state of GPU 0 overlays the normal gather.
-  const LaneState& s0 = run.state(0).gpu;
-  for (LocalId t = 0; t < graph_.num_delegates(); ++t) {
-    const std::uint64_t lanes = s0.delegate_visited.lanes(t);
-    if (lanes == 0) continue;
-    const VertexId global = graph_.delegates().vertex_of(t);
-    for (std::uint64_t b = lanes; b != 0; b &= b - 1) {
-      const int lane = std::countr_zero(b);
-      if (static_cast<std::size_t>(lane) >= num_lanes) continue;
-      result.distances[static_cast<std::size_t>(lane)][global] =
-          s0.depth_delegate[s0.slot(t, lane)];
-      if (options_.compute_parents) {
-        result.parents[static_cast<std::size_t>(lane)][global] =
-            s0.parent_delegate[s0.slot(t, lane)].load(
-                std::memory_order_relaxed);
-      }
-    }
-  }
 
   // ---- Model: one shared counter history, lane-scaled mask payload. -----
   result.metrics = assemble_metrics(graph_, options_.run.overlap,

@@ -1,5 +1,6 @@
 #include "core/frontier.hpp"
 
+#include <array>
 #include <bit>
 
 namespace dsbfs::core {
@@ -122,7 +123,6 @@ LaneState::LaneState(const graph::LocalGraph& graph, int total_gpus,
   seen_normal.resize(n_local, lane_bits);
   frontier_normal.resize(n_local, lane_bits);
   next_normal.resize(n_local, lane_bits);
-  depth_normal.assign(n_local * w, kUnvisited);
 
   delegate_visited.resize(d, lane_bits);
   delegate_new.resize(d, lane_bits);
@@ -191,6 +191,25 @@ void LaneState::reduce_delegate_updates(comm::MaskReducer& reducer,
   delegate_visited = std::move(reduced);
 }
 
+void LaneState::decode_depths(std::size_t v, Depth* out) const noexcept {
+  std::array<std::uint64_t, 32> words;
+  const std::size_t planes = depth_words(v, words.data());
+  const std::uint64_t unseen = ~seen_normal.lanes(v);
+  const std::size_t layers = depth_byte_layers(planes);
+  for (int first = 0; first < lane_bits_; first += 8) {
+    for (std::size_t c = layers; c-- > 0;) {
+      const std::uint64_t layer =
+          depth_byte_layer(words.data(), planes, unseen, c, first);
+      for (int k = 0; k < 8; ++k) {
+        const auto byte = static_cast<std::uint8_t>(layer >> (8 * k));
+        out[first + k] = c + 1 == layers
+                             ? static_cast<std::int8_t>(byte)
+                             : out[first + k] * 256 + static_cast<Depth>(byte);
+      }
+    }
+  }
+}
+
 LaneSnapshot LaneState::save() const {
   LaneSnapshot s;
   s.seen_normal = seen_normal;
@@ -199,7 +218,7 @@ LaneSnapshot LaneState::save() const {
   s.frontier = frontier;
   s.next_local = next_local;
   s.received = received;
-  s.depth_normal = depth_normal;
+  s.depth_planes = depth_planes;
   s.delegate_visited = delegate_visited;
   s.delegate_new = delegate_new;
   s.delegate_out_dd = delegate_out_dd;
@@ -237,7 +256,7 @@ void LaneState::restore(const LaneSnapshot& s) {
   frontier = s.frontier;
   next_local = s.next_local;
   received = s.received;
-  depth_normal = s.depth_normal;
+  depth_planes = s.depth_planes;
   delegate_visited = s.delegate_visited;
   delegate_new = s.delegate_new;
   delegate_out_dd = s.delegate_out_dd;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -15,7 +16,8 @@
 /// Per-GPU traversal state: GpuState for single-source traversals, its
 /// lane-generalized sibling LaneState for batched (multi-source) ones.
 ///
-/// Level/visited conventions (see DESIGN.md "Iteration/level semantics"):
+/// Level/visited conventions (see docs/ARCHITECTURE.md "Iteration/level
+/// semantics"):
 /// iteration `depth` expands the distance-`depth` frontier; every discovery
 /// is assigned distance `depth + 1`.  During visits, the visited masks
 /// (`seen_normal`, `delegate_visited`) are a *stable snapshot* of
@@ -39,6 +41,41 @@ inline constexpr VertexId kParentNone = kInvalidVertex;
 inline constexpr VertexId kParentViaNn = kInvalidVertex - 1;
 /// Tag bit: the low bits are a delegate id, not a global vertex id.
 inline constexpr VertexId kParentDelegateTag = 1ULL << 62;
+
+/// kSpreadByte[b] moves bit i of b to bit 0 of byte i: the byte-wise bit
+/// transpose behind LaneState's depth decoding.
+inline constexpr std::array<std::uint64_t, 256> kSpreadByte = [] {
+  std::array<std::uint64_t, 256> table{};
+  for (std::uint64_t b = 0; b < 256; ++b) {
+    for (int i = 0; i < 8; ++i) table[b] |= ((b >> i) & 1) << (8 * i);
+  }
+  return table;
+}();
+
+/// Byte layers of a vertex's lane distances, eight lanes at a time.  With
+/// `planes` depth planes a distance takes depth_byte_layers(planes) bytes,
+/// one more than its bits need when `planes` is a multiple of 8, so its top
+/// byte stays below 0x80.
+inline std::size_t depth_byte_layers(std::size_t planes) noexcept {
+  return planes / 8 + 1;
+}
+
+/// Byte layer c of lanes [first, first + 8) of one vertex: byte k holds
+/// bits 8c..8c+7 of lane (first + k)'s distance, or 0xFF when that lane is
+/// unvisited.  `words` are the vertex's plane lane words, `unseen` its
+/// complemented visited lane word.  A byte-wise bit transpose: kSpreadByte
+/// moves bit (first + k) of plane j's word to bit j - 8c of byte k.
+/// Sign-extending a lane's top byte and appending the lower ones
+/// (d * 256 + byte) yields its distance or kUnvisited (-1).
+inline std::uint64_t depth_byte_layer(const std::uint64_t* words,
+                                      std::size_t planes, std::uint64_t unseen,
+                                      std::size_t c, int first) noexcept {
+  std::uint64_t out = kSpreadByte[(unseen >> first) & 0xFF] * 0xFF;
+  for (std::size_t j = 8 * c; j < planes && j < 8 * c + 8; ++j) {
+    out |= kSpreadByte[(words[j] >> first) & 0xFF] << (j - 8 * c);
+  }
+  return out;
+}
 
 /// Value copy of everything a traversal iteration mutates in a GpuState
 /// (epoch checkpoint for rollback recovery).  Run constants (graph pointer,
@@ -189,7 +226,7 @@ struct LaneSnapshot {
   util::PlainLaneBitset seen_normal, frontier_normal, next_normal;
   std::vector<LocalId> frontier, next_local;
   std::vector<comm::VertexUpdate> received;
-  std::vector<Depth> depth_normal;
+  std::vector<util::PlainLaneBitset> depth_planes;
   util::LaneBitset delegate_visited, delegate_new;
   util::PlainLaneBitset delegate_out_dd, delegate_out_nd;
   std::vector<Depth> depth_delegate;
@@ -216,10 +253,14 @@ struct LaneSnapshot {
 /// degree-separated subgraphs (and one mask reduction, and one exchange)
 /// serves every source at once.
 ///
-/// The single-source level arrays generalize to (item, lane)-indexed depth
-/// arrays plus visited lane masks; the claim that GpuState expresses as a
-/// level load-and-store becomes a lane-word OR whose previous value
-/// identifies the newly claimed lanes.  The same stable-snapshot rule applies:
+/// The single-source level arrays generalize to visited lane masks plus
+/// per-lane depths; the claim that GpuState expresses as a level
+/// load-and-store becomes a lane-word OR whose previous value identifies the
+/// newly claimed lanes.  Normal-vertex depths are bit-sliced (`depth_planes`)
+/// and stamped once per (vertex, lane) by the normal previsit; no visit
+/// kernel writes a depth.  Delegate depths are one slot per (delegate,
+/// lane), assigned at the post-control reduction.  The same stable-snapshot rule
+/// applies:
 /// `seen_normal` and `delegate_visited` only change between iterations
 /// (previsit / post-reduce), never during visits, which write
 /// `next_normal` / `delegate_out_*` instead.
@@ -227,8 +268,8 @@ struct LaneSnapshot {
 /// Every mask the visits or previsits write has exactly one writer per
 /// phase, so those masks are util::PlainLaneBitset (plain words, no locked
 /// read-modify-write; ThreadSanitizer reports a second writer):
-///   * `seen_normal` and `frontier_normal` -- the normal previsit, on the
-///     GPU thread while both streams are idle;
+///   * `seen_normal`, `frontier_normal` and `depth_planes` -- the normal
+///     previsit, on the GPU thread while both streams are idle;
 ///   * `next_normal` -- the dn visit, on the delegate stream;
 ///   * `delegate_out_dd` -- the dd visit, on the delegate stream;
 ///   * `delegate_out_nd` -- the nd visit, on the normal stream;
@@ -248,7 +289,8 @@ class LaneState {
   const graph::LocalGraph& graph() const noexcept { return *graph_; }
   int lane_bits() const noexcept { return lane_bits_; }
 
-  /// Flat index of (item, lane) in the per-lane depth/parent arrays.
+  /// Flat index of (item, lane) in the per-lane delegate-depth and parent
+  /// arrays.
   std::size_t slot(std::size_t item, int lane) const noexcept {
     return item * static_cast<std::size_t>(lane_bits_) +
            static_cast<std::size_t>(lane);
@@ -263,7 +305,35 @@ class LaneState {
   /// Exchange arrivals: (destination-local id, lane word) updates, folded
   /// into the frontier at the next normal previsit.
   std::vector<comm::VertexUpdate> received;
-  std::vector<Depth> depth_normal;   // indexed by slot(v, lane)
+  /// Bit-sliced distances: bit l of `depth_planes[j].lanes(v)` is bit j of
+  /// lane l's distance of v.  A lane bit enters the frontier exactly once,
+  /// in the iteration equal to its distance, so the normal previsit stamps
+  /// each frontier lane word into the planes of the current depth and no
+  /// kernel writes a depth.  Planes are added as the depth first needs them
+  /// (bit_width(depth) planes); a lane whose `seen_normal` bit is clear is
+  /// unvisited and reads zero in every plane.
+  std::vector<util::PlainLaneBitset> depth_planes;
+
+  /// Distance of v in `lane` (visited lanes only: an unvisited lane reads 0).
+  Depth lane_depth(std::size_t v, int lane) const noexcept {
+    Depth d = 0;
+    for (std::size_t j = 0; j < depth_planes.size(); ++j) {
+      d |= static_cast<Depth>((depth_planes[j].lanes(v) >> lane) & 1) << j;
+    }
+    return d;
+  }
+  /// Loads v's lane word of every depth plane into words[0, planes) and
+  /// returns the plane count (at most 32: Depth is 32 bits wide).
+  std::size_t depth_words(std::size_t v, std::uint64_t* words) const noexcept {
+    for (std::size_t j = 0; j < depth_planes.size(); ++j) {
+      words[j] = depth_planes[j].lanes(v);
+    }
+    return depth_planes.size();
+  }
+  /// Distances of v in every lane into out[0, lane_bits() rounded up to 8),
+  /// kUnvisited where unvisited: the per-vertex decode (depth_byte_layer
+  /// over the plane words, eight lanes at a time).
+  void decode_depths(std::size_t v, Depth* out) const noexcept;
 
   // --- delegates --------------------------------------------------------
   util::LaneBitset delegate_visited;  // stable within an iteration

@@ -158,12 +158,12 @@ void normal_previsit_lanes(LaneState& s) {
   const graph::LocalGraph& g = s.graph();
   s.iter.nprev_vertices = s.next_local.size() + s.received.size();
 
-  // Locally discovered lanes were already claimed by the dn visit (depths
-  // recorded at discovery); fold them into the visited mask and the
-  // frontier.  `frontier_normal.or_lanes` returning 0 means first touch,
-  // which keeps the frontier queue duplicate-free.  An item first touched in
-  // *any* lane leaves the unvisited nd-source pool (all-lane pools, the
-  // W = 1-exact generalization of the single-source pools).
+  // Locally discovered lanes were already claimed by the dn visit; fold them
+  // into the visited mask and the frontier.  `frontier_normal.or_lanes`
+  // returning 0 means first touch, which keeps the frontier queue
+  // duplicate-free.  An item first touched in *any* lane leaves the
+  // unvisited nd-source pool (all-lane pools, the W = 1-exact
+  // generalization of the single-source pools).
   for (const LocalId v : s.next_local) {
     const std::uint64_t lanes = s.next_normal.lanes(v);
     if (s.seen_normal.or_lanes(v, lanes) == 0 && g.nd_source_mask().test(v)) {
@@ -177,7 +177,6 @@ void normal_previsit_lanes(LaneState& s) {
   // Exchange arrivals are deduplicated against the visited lanes here: the
   // sender ships its whole frontier word, the receiver keeps the lanes it
   // has not seen (the lane analogue of the level-array dedup).
-  const Depth d = s.depth;
   for (const comm::VertexUpdate& u : s.received) {
     const std::uint64_t prev_seen = s.seen_normal.or_lanes(u.vertex, u.value);
     if (prev_seen == 0 && g.nd_source_mask().test(u.vertex)) {
@@ -185,12 +184,12 @@ void normal_previsit_lanes(LaneState& s) {
     }
     std::uint64_t fresh = u.value & ~prev_seen;
     if (fresh == 0) continue;
-    for (std::uint64_t b = fresh; b != 0; b &= b - 1) {
-      const std::size_t sl = s.slot(u.vertex, std::countr_zero(b));
-      s.depth_normal[sl] = d;
+    if (s.record_parents) {
       // The sender's identity is not transmitted during traversal; the
       // end-of-run lane parent exchange resolves these.
-      if (s.record_parents) s.parent_normal[sl] = kParentViaNn;
+      for (std::uint64_t b = fresh; b != 0; b &= b - 1) {
+        s.parent_normal[s.slot(u.vertex, std::countr_zero(b))] = kParentViaNn;
+      }
     }
     if (s.frontier_normal.or_lanes(u.vertex, fresh) == 0) {
       s.frontier.push_back(u.vertex);
@@ -198,11 +197,23 @@ void normal_previsit_lanes(LaneState& s) {
   }
   s.received.clear();
 
+  // Every frontier lane bit is new at this depth (the claims above and the
+  // arrival dedup admit each (vertex, lane) once), so this is the one place
+  // a normal depth is written: stamp the frontier word into the planes of
+  // the depth's set bits, adding the plane the depth first needs.
+  const auto depth = static_cast<std::uint32_t>(s.depth);
+  while (s.depth_planes.size() < std::bit_width(depth)) {
+    s.depth_planes.emplace_back(g.num_local_normals(), s.lane_bits());
+  }
   std::uint64_t frontier_bits = 0;
   std::uint64_t lane_union = 0;
   double fv_nd = 0;
   for (const LocalId v : s.frontier) {
     const std::uint64_t w = s.frontier_normal.lanes(v);
+    for (std::uint32_t m = depth; m != 0; m &= m - 1) {
+      s.depth_planes[static_cast<std::size_t>(std::countr_zero(m))].or_lanes(
+          v, w);
+    }
     frontier_bits += static_cast<std::uint64_t>(std::popcount(w));
     lane_union |= w;
     fv_nd += g.nd().row_length(v);

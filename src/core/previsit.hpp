@@ -46,8 +46,9 @@ void delegate_previsit_lanes(LaneState& s);
 
 /// Normal-stream lane previsit.  Merges the dn visit's `next_local` /
 /// `next_normal` discoveries and the exchange's `received` (id, lane-word)
-/// updates into `frontier` / `frontier_normal`, assigning the current depth
-/// to every freshly claimed (vertex, lane) pair.  Maintains the unvisited
+/// updates into `frontier` / `frontier_normal`, then stamps every frontier
+/// lane word into LaneState::depth_planes at the current depth (the only
+/// normal-depth write of a traversal).  Maintains the unvisited
 /// nd-source pool (first touch in any lane) and, when direction-optimized,
 /// computes fv_nd/bv_nd and updates dir_nd.
 void normal_previsit_lanes(LaneState& s);

@@ -178,6 +178,8 @@ class ServingAlgorithm {
 
   std::uint64_t state_bytes(const engine::GpuContext& ctx,
                             const State& s) const {
+    // The device's per-lane depth arrays and lane masks, as in
+    // BatchBfsAlgorithm::state_bytes.
     const std::uint64_t w = static_cast<std::uint64_t>(lane_bits_);
     return graph_.local(ctx.gpu).num_local_normals() * w * sizeof(Depth) +
            static_cast<std::uint64_t>(graph_.num_delegates()) * w *
@@ -328,7 +330,7 @@ class ServingAlgorithm {
     for (std::uint64_t v = 0; v < n_local; ++v) {
       if ((s.seen_normal.lanes(v) & bit) == 0) continue;
       frag.emplace_back(spec.global_vertex(ctx.me.rank, ctx.me.gpu, v),
-                        s.depth_normal[s.slot(v, lane)] - base);
+                        s.lane_depth(v, lane) - base);
     }
     if (ctx.gpu == 0) {
       for (LocalId t = 0; t < graph_.num_delegates(); ++t) {
@@ -381,8 +383,9 @@ class ServingAlgorithm {
     const std::uint64_t bit = 1ULL << lane;
     assert((q.occupied & bit) == 0 && "admitting into an occupied lane");
 
-    // Recycling a used lane: clear its visited columns (one word-level mask
-    // sweep per bitset, every GPU identically) and scrub the stale lane
+    // Recycling a used lane: clear its visited and depth-plane columns (one
+    // word-level mask sweep per bitset, every GPU identically; the reseed
+    // charge models the device's visited masks) and scrub the stale lane
     // bits that survive a boundary -- `received` duplicates already seen by
     // the previous occupant would otherwise claim the cleared lane at the
     // next previsit, and sink-delegate `delegate_new` bits would inflate
@@ -391,6 +394,9 @@ class ServingAlgorithm {
       s.seen_normal.clear_lanes(bit);
       s.delegate_visited.clear_lanes(bit);
       s.delegate_new.clear_lanes(bit);
+      for (util::PlainLaneBitset& plane : s.depth_planes) {
+        plane.clear_lanes(bit);
+      }
       for (comm::VertexUpdate& u : s.received) u.value &= ~bit;
       const std::uint64_t bytes = s.seen_normal.byte_size() +
                                   s.delegate_visited.byte_size() +
@@ -402,7 +408,9 @@ class ServingAlgorithm {
     q.lanes_used |= bit;
 
     // Seed the source exactly like a batch init, at the admission depth: a
-    // delegate source activates on every GPU, a normal source on its owner.
+    // delegate source activates on every GPU, a normal source on its owner
+    // (the next normal previsit, which runs at the admission depth, stamps
+    // it).
     const sim::ClusterSpec& spec = graph_.spec();
     const auto base = static_cast<Depth>(boundary + 1);
     const LocalId src_delegate = graph_.delegates().delegate_id(r.source);
@@ -412,7 +420,6 @@ class ServingAlgorithm {
       s.depth_delegate[s.slot(src_delegate, lane)] = base;
     } else if (spec.owner_global_gpu(r.source) == ctx.gpu) {
       const LocalId local = static_cast<LocalId>(spec.local_index(r.source));
-      s.depth_normal[s.slot(local, lane)] = base;
       if (s.next_normal.or_lanes(local, bit) == 0) {
         s.next_local.push_back(local);
       }

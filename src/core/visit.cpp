@@ -237,7 +237,6 @@ void visit_dn_lanes(LaneState& s) {
   const graph::LocalGraph& g = s.graph();
   sim::KernelCounters& k = s.iter.dn;
   k.backward = s.dir_dn.backward();
-  const Depth next_depth = s.depth + 1;
 
   if (k.backward) {
     // Pull over the nd subgraph (reverse of dn on this GPU): each normal
@@ -256,10 +255,11 @@ void visit_dn_lanes(LaneState& s) {
         if (hit == 0) continue;
         const std::uint64_t prev = s.next_normal.or_lanes(v, hit);
         if (prev == 0) s.next_local.push_back(v);
-        for (std::uint64_t b = hit & ~prev; b != 0; b &= b - 1) {
-          const std::size_t sl = s.slot(v, std::countr_zero(b));
-          s.depth_normal[sl] = next_depth;
-          if (s.record_parents) s.parent_normal[sl] = kParentDelegateTag | c;
+        if (s.record_parents) {
+          for (std::uint64_t b = hit & ~prev; b != 0; b &= b - 1) {
+            s.parent_normal[s.slot(v, std::countr_zero(b))] =
+                kParentDelegateTag | c;
+          }
         }
         miss &= ~hit;
         if (miss == 0) break;
@@ -279,10 +279,11 @@ void visit_dn_lanes(LaneState& s) {
       if (rem == 0) continue;
       const std::uint64_t prev = s.next_normal.or_lanes(v, rem);
       if (prev == 0) s.next_local.push_back(v);
-      for (std::uint64_t b = rem & ~prev; b != 0; b &= b - 1) {
-        const std::size_t sl = s.slot(v, std::countr_zero(b));
-        s.depth_normal[sl] = next_depth;
-        if (s.record_parents) s.parent_normal[sl] = kParentDelegateTag | t;
+      if (s.record_parents) {
+        for (std::uint64_t b = rem & ~prev; b != 0; b &= b - 1) {
+          s.parent_normal[s.slot(v, std::countr_zero(b))] =
+              kParentDelegateTag | t;
+        }
       }
     }
   }

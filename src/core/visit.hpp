@@ -60,9 +60,10 @@ void visit_nn(GpuState& s, const sim::ClusterSpec& spec);
 void visit_dd_lanes(LaneState& s);
 
 /// delegate -> normal: claims (vertex, lane) pairs in `next_normal`,
-/// records per-lane depths/parents, appends first-touched vertices to
-/// `next_local`.  Backward pull runs over the nd subgraph from its source
-/// list.
+/// records per-lane parents (when on) and appends first-touched vertices to
+/// `next_local`.  It writes no depth: the next normal previsit stamps the
+/// claimed lanes at the depth they enter the frontier.  Backward pull runs
+/// over the nd subgraph from its source list.
 void visit_dn_lanes(LaneState& s);
 
 /// normal -> delegate, lane words into `delegate_out_nd`; backward pull

@@ -8,7 +8,8 @@
 /// Non-RMAT graph generators.
 ///
 /// Two of these stand in for the paper's real-world datasets, which are not
-/// redistributable at reproduction time (DESIGN.md Section 1):
+/// redistributable at reproduction time (docs/ARCHITECTURE.md, "Synthetic
+/// stand-ins for the datasets"):
 ///   * `friendster_like` -- a Chung-Lu power-law graph with an isolated-
 ///     vertex fraction, matching the Friendster graph's description in
 ///     Section VI-D (134M vertices, about half isolated, 5.17B edges after

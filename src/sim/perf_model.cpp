@@ -173,9 +173,9 @@ ModeledBreakdown PerfModel::replay(const RunCounters& run) const {
       const TaskId ddv = tl.add_task("dd_visit", kCatComputation,
                                      visit_us(dev_, c.dd, /*merge_based=*/true),
                                      gr, {dprev});
-      // dn visit also waits on nprev: both forward (writes level_normal,
-      // which nprev marks first) and backward (reads level_normal) touch the
-      // normal level array (see DESIGN.md).
+      // dn visit also waits on nprev: in both directions it tests the
+      // normal visited state that nprev settles (docs/ARCHITECTURE.md,
+      // "Iteration/level semantics").
       dn_visit[gi] = tl.add_task("dn_visit", kCatComputation,
                                  visit_us(dev_, c.dn, /*merge_based=*/false), gr,
                                  {ddv, nprev[gi]});

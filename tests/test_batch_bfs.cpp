@@ -514,5 +514,119 @@ TEST(BatchBfs, WidthQuantizationBoundariesServeExactly) {
   }
 }
 
+
+// ---- deep graphs: the bit-sliced depth planes (LaneState::depth_planes)
+// grow one plane each time the depth crosses a power of two ---------------
+
+/// A 600-vertex path with five leaves on every hundredth path vertex
+/// (50, 150, ..., 550).  At threshold 4 those hubs (degree 7) are delegates,
+/// so the deep frontier runs through normal and delegate vertices alike.
+/// From a path end the depth reaches 599, which takes ten depth planes,
+/// more than one byte of distance.
+graph::EdgeList deep_comb() {
+  constexpr VertexId kPath = 600;
+  graph::EdgeList g;
+  g.num_vertices = kPath + 30;
+  for (VertexId v = 0; v + 1 < kPath; ++v) g.add(v, v + 1);
+  VertexId leaf = kPath;
+  for (VertexId hub = 50; hub < kPath; hub += 100) {
+    for (int i = 0; i < 5; ++i) g.add(hub, leaf++);
+  }
+  return graph::make_symmetric(g);
+}
+
+/// `count` sources spread over the comb; source 0 is the path end.
+std::vector<VertexId> deep_sources(std::size_t count) {
+  std::vector<VertexId> sources;
+  for (std::size_t l = 0; l < count; ++l) sources.push_back((l * 97) % 630);
+  return sources;
+}
+
+class DeepGraph : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    spec_.num_ranks = 2;
+    spec_.gpus_per_rank = 2;
+    dg_ = build_distributed(g_, spec_, 4);
+    ASSERT_GT(dg_.num_delegates(), 0u);
+  }
+
+  void expect_serial_exact(const std::vector<VertexId>& sources,
+                           const BatchBfsResult& r) const {
+    ASSERT_EQ(r.distances.size(), sources.size());
+    for (std::size_t lane = 0; lane < sources.size(); ++lane) {
+      EXPECT_EQ(r.distances[lane], baseline::serial_bfs(csr_, sources[lane]))
+          << "lane " << lane;
+    }
+  }
+
+  const graph::EdgeList g_ = deep_comb();
+  const graph::HostCsr csr_ = graph::build_host_csr(g_);
+  sim::ClusterSpec spec_;
+  graph::DistributedGraph dg_;
+};
+
+TEST_F(DeepGraph, EveryLaneMatchesSerialPastSeveralPowersOfTwo) {
+  sim::Cluster cluster(spec_);
+  for (const std::size_t batch : {std::size_t{8}, std::size_t{64}}) {
+    BatchBfsOptions options;
+    options.compute_parents = true;
+    const std::vector<VertexId> sources = deep_sources(batch);
+    const BatchBfsResult r =
+        DistributedBatchBfs(dg_, cluster, options).run(sources);
+    EXPECT_EQ(*std::max_element(r.distances[0].begin(), r.distances[0].end()),
+              599);
+    EXPECT_GT(r.metrics.iterations, 599);
+    expect_serial_exact(sources, r);
+    for (std::size_t lane = 0; lane < sources.size(); ++lane) {
+      const ValidationReport tree = validate_parents(
+          g_, sources[lane], r.distances[lane], r.parents[lane]);
+      ASSERT_TRUE(tree.ok) << "batch " << batch << " lane " << lane << ": "
+                           << tree.error;
+    }
+  }
+}
+
+TEST_F(DeepGraph, RecycledLanesRestartTheirPlanesAtDeepAdmissions) {
+  // Two lanes, five path-spanning queries: the later ones are admitted at
+  // boundaries past depth 512, into lanes whose planes the previous
+  // occupant filled, so their stamps carry high plane bits and a missed
+  // plane clear would corrupt every distance.
+  sim::Cluster cluster(spec_);
+  QueryScheduler scheduler(dg_, cluster, {.width = 2});
+  std::vector<QueryArrival> trace;
+  for (const VertexId source : {0, 599, 300, 5, 629}) {
+    trace.push_back({source, 0});
+  }
+  const SchedulerOutcome out = scheduler.run(trace);
+  ASSERT_EQ(out.queries.size(), trace.size());
+  EXPECT_EQ(out.metrics.recycled_admissions, 3u);
+  EXPECT_GT(out.queries.back().admit_iteration, 512u);
+  expect_all_queries_serial_exact(g_, out);
+}
+
+TEST_F(DeepGraph, RollbackToACheckpointTakenBeforeAPlaneWasAdded) {
+  // Checkpoints every 200 iterations and GPU 1 dying at iteration 300: the
+  // rollback restores the iteration-200 snapshot, which holds eight planes,
+  // although the run had added the ninth at depth 256.  The replay must add
+  // it again and end bit-exact.
+  sim::Cluster cluster(spec_);
+  const std::vector<VertexId> sources = deep_sources(8);
+  BatchBfsOptions options;
+  options.compute_parents = true;
+  const BatchBfsResult clean =
+      DistributedBatchBfs(dg_, cluster, options).run(sources);
+  options.run.resilience.checkpoint_interval = 200;
+  options.run.resilience.faults.fail_gpu = 1;
+  options.run.resilience.faults.fail_iteration = 300;
+  const BatchBfsResult hurt =
+      DistributedBatchBfs(dg_, cluster, options).run(sources);
+  EXPECT_EQ(hurt.metrics.fault.rollbacks, 1);
+  EXPECT_EQ(hurt.metrics.fault.replayed_iterations, 100);
+  EXPECT_EQ(hurt.distances, clean.distances);
+  EXPECT_EQ(hurt.parents, clean.parents);
+  expect_serial_exact(sources, hurt);
+}
+
 }  // namespace
 }  // namespace dsbfs::core
