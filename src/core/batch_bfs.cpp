@@ -107,7 +107,8 @@ class BatchBfsAlgorithm {
         }
         s.depth_delegate[s.slot(src_delegate, static_cast<int>(lane))] = 0;
         if (s.record_parents) {
-          s.set_delegate_parent(src_delegate, static_cast<int>(lane), source);
+          s.parent_delegate_dd[s.slot(src_delegate, static_cast<int>(lane))] =
+              source;
         }
       } else if (spec.owner_global_gpu(source) == ctx.gpu) {
         // Depth 0 is stamped by the first normal previsit.
@@ -134,17 +135,6 @@ class BatchBfsAlgorithm {
                sizeof(Depth) +
            3 * s.gpu.delegate_visited.byte_size() +
            3 * s.gpu.seen_normal.byte_size();
-  }
-
-  /// Epoch checkpoint: bins_ready / bins_total are per-iteration scratch
-  /// that `visit` rewrites before anything reads them, so the boundary
-  /// snapshot is the lane traversal state alone.
-  using Snapshot = LaneSnapshot;
-  Snapshot snapshot(engine::GpuContext&, const State& s) const {
-    return s.gpu.save();
-  }
-  void restore(engine::GpuContext&, State& s, const Snapshot& snap) {
-    s.gpu.restore(snap);
   }
 
   void previsit(engine::GpuContext&, State& s, int) {
@@ -298,13 +288,15 @@ class BatchBfsAlgorithm {
       apply_tuples(transport.recv(g, o, parent_tag));
     }
 
-    // Delegate parents: encoded candidates -> global ids -> min-reduce over
-    // every (delegate, lane) slot.
+    // Delegate parents: the min of the two streams' encoded candidates ->
+    // global ids -> min-reduce over every (delegate, lane) slot, left in
+    // parent_delegate_dd.
     const std::size_t d = graph_.num_delegates();
     const std::size_t w = static_cast<std::size_t>(lane_bits_);
     std::vector<std::uint64_t> parents(d * w);
     for (std::size_t i = 0; i < d * w; ++i) {
-      VertexId enc = s.parent_delegate[i].load(std::memory_order_relaxed);
+      VertexId enc =
+          std::min(s.parent_delegate_dd[i], s.parent_delegate_nd[i]);
       if (enc != kParentNone && (enc & kParentDelegateTag) != 0) {
         enc = graph_.delegates().vertex_of(
             static_cast<LocalId>(enc & ~kParentDelegateTag));
@@ -315,9 +307,7 @@ class BatchBfsAlgorithm {
       ctx.comm.allreduce_min_words(
           g, parents, engine::TagBlocks::user(parent_block, 4));
     }
-    for (std::size_t i = 0; i < d * w; ++i) {
-      s.parent_delegate[i].store(parents[i], std::memory_order_relaxed);
-    }
+    s.parent_delegate_dd = std::move(parents);
   }
 
  private:
@@ -462,8 +452,7 @@ BatchBfsResult DistributedBatchBfs::run(std::span<const VertexId> sources) {
         const std::size_t sl = s0.slot(t, static_cast<int>(lane));
         result.distances[lane][*it] = s0.depth_delegate[sl];
         if (parents) {
-          par[lane * kGatherTile + (*it - begin)] =
-              s0.parent_delegate[sl].load(std::memory_order_relaxed);
+          par[lane * kGatherTile + (*it - begin)] = s0.parent_delegate_dd[sl];
         }
       }
     }

@@ -184,14 +184,6 @@ class BatchSsspAlgorithm {
            s.part_dd.bytes();
   }
 
-  /// Epoch checkpoint: the state is value-typed (buckets, partitions and
-  /// all), so a copy is the snapshot.
-  using Snapshot = State;
-  Snapshot snapshot(engine::GpuContext&, const State& s) const { return s; }
-  void restore(engine::GpuContext&, State& s, const Snapshot& snap) {
-    s = snap;
-  }
-
   void previsit(engine::GpuContext& ctx, State& s, int iteration) {
     s.iter = sim::GpuIterationCounters{};
     s.delegate_cand = s.dist_delegate;

@@ -106,12 +106,6 @@ class BcForwardAlgorithm {
            (s.group_mask_normal.size() + s.group_mask_delegate.size()) * 16;
   }
 
-  using Snapshot = State;
-  Snapshot snapshot(engine::GpuContext&, const State& s) const { return s; }
-  void restore(engine::GpuContext&, State& s, const Snapshot& snap) {
-    s = snap;
-  }
-
   void previsit(engine::GpuContext&, State& s, int) {
     s.iter = sim::GpuIterationCounters{};
     s.next_normals.clear();
@@ -436,12 +430,6 @@ class BcReverseAlgorithm {
     return (s.depth_normal.size() + s.depth_delegate.size()) * 4 +
            (s.sigma_normal.size() + s.sigma_delegate.size()) * 8 +
            (s.delta_normal.size() + s.delta_delegate.size()) * 8;
-  }
-
-  using Snapshot = State;
-  Snapshot snapshot(engine::GpuContext&, const State& s) const { return s; }
-  void restore(engine::GpuContext&, State& s, const Snapshot& snap) {
-    s = snap;
   }
 
   void previsit(engine::GpuContext&, State& s, int) {

@@ -58,7 +58,7 @@ class BfsAlgorithm {
       s.delegate_new.set_unsynchronized(src_delegate);
       s.delegate_visited.set_unsynchronized(src_delegate);
       s.level_delegate[src_delegate] = 0;
-      if (s.record_parents) s.set_delegate_parent(src_delegate, source_);
+      if (s.record_parents) s.parent_delegate_dd[src_delegate] = source_;
       if (graph_.local(ctx.gpu).dd_source_mask().test(src_delegate)) {
         --s.unvisited_dd_sources;
       }
@@ -82,17 +82,6 @@ class BfsAlgorithm {
     return graph_.local(ctx.gpu).num_local_normals() * sizeof(Depth) +
            static_cast<std::uint64_t>(graph_.num_delegates()) * sizeof(Depth) +
            3 * s.gpu.delegate_visited.byte_size();
-  }
-
-  /// Epoch checkpoint: bins_ready / bins_total are per-iteration scratch
-  /// that `visit` rewrites before anything reads them, so the boundary
-  /// snapshot is the traversal state alone.
-  using Snapshot = GpuSnapshot;
-  Snapshot snapshot(engine::GpuContext&, const State& s) const {
-    return s.gpu.save();
-  }
-  void restore(engine::GpuContext&, State& s, const Snapshot& snap) {
-    s.gpu.restore(snap);
   }
 
   void previsit(engine::GpuContext&, State& s, int) {
@@ -255,11 +244,13 @@ class BfsAlgorithm {
       apply_tuples(transport.recv(g, o, parent_tag));
     }
 
-    // Delegate parents: encoded candidates -> global ids -> min-reduce.
+    // Delegate parents: the min of the two streams' encoded candidates ->
+    // global ids -> min-reduce, left in parent_delegate_dd.
     const LocalId d = graph_.num_delegates();
     std::vector<std::uint64_t> parents(d);
     for (LocalId t = 0; t < d; ++t) {
-      VertexId enc = s.parent_delegate[t].load(std::memory_order_relaxed);
+      VertexId enc =
+          std::min(s.parent_delegate_dd[t], s.parent_delegate_nd[t]);
       if (enc != kParentNone && (enc & kParentDelegateTag) != 0) {
         enc = graph_.delegates().vertex_of(
             static_cast<LocalId>(enc & ~kParentDelegateTag));
@@ -270,9 +261,7 @@ class BfsAlgorithm {
       ctx.comm.allreduce_min_words(
           g, parents, engine::TagBlocks::user(parent_block, 4));
     }
-    for (LocalId t = 0; t < d; ++t) {
-      s.parent_delegate[t].store(parents[t], std::memory_order_relaxed);
-    }
+    s.parent_delegate_dd = std::move(parents);
   }
 
  private:
@@ -368,8 +357,7 @@ BfsResult DistributedBfs::run(VertexId source) {
     const VertexId global = graph_.delegates().vertex_of(t);
     result.distances[global] = s0.level_delegate[t];
     if (options_.compute_parents) {
-      result.parents[global] =
-          s0.parent_delegate[t].load(std::memory_order_relaxed);
+      result.parents[global] = s0.parent_delegate_dd[t];
     }
   }
 

@@ -63,13 +63,6 @@ class CcAlgorithm {
            8;
   }
 
-  /// Epoch checkpoint: the state is value-typed, so a copy is the snapshot.
-  using Snapshot = State;
-  Snapshot snapshot(engine::GpuContext&, const State& s) const { return s; }
-  void restore(engine::GpuContext&, State& s, const Snapshot& snap) {
-    s = snap;
-  }
-
   void previsit(engine::GpuContext&, State& s, int) {
     s.iter = sim::GpuIterationCounters{};
     std::copy(s.label_delegate.begin(), s.label_delegate.end(),

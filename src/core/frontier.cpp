@@ -21,10 +21,8 @@ GpuState::GpuState(const graph::LocalGraph& graph, int total_gpus,
 
   if (record_parents) {
     parent_normal.assign(n_local, kParentNone);
-    parent_delegate = std::make_unique<std::atomic<VertexId>[]>(d);
-    for (LocalId t = 0; t < d; ++t) {
-      parent_delegate[t].store(kParentNone, std::memory_order_relaxed);
-    }
+    parent_delegate_dd.assign(d, kParentNone);
+    parent_delegate_nd.assign(d, kParentNone);
   }
 
   unvisited_nd_sources = graph.nd_source_count();
@@ -47,72 +45,6 @@ void GpuState::end_iteration() {
   delegate_out_nd.clear_all();
 }
 
-GpuSnapshot GpuState::save() const {
-  GpuSnapshot s;
-  s.level_normal = level_normal;
-  s.seen_normal = seen_normal;
-  s.frontier = frontier;
-  s.next_local = next_local;
-  s.received = received;
-  s.delegate_visited = delegate_visited;
-  s.delegate_new = delegate_new;
-  s.delegate_out_dd = delegate_out_dd;
-  s.delegate_out_nd = delegate_out_nd;
-  s.level_delegate = level_delegate;
-  s.delegate_queue = delegate_queue;
-  s.dir_dd = dir_dd;
-  s.dir_dn = dir_dn;
-  s.dir_nd = dir_nd;
-  s.controller = controller;
-  s.unvisited_nd_sources = unvisited_nd_sources;
-  s.unvisited_dd_sources = unvisited_dd_sources;
-  s.unvisited_dn_sources = unvisited_dn_sources;
-  s.fv_dd = fv_dd; s.fv_dn = fv_dn; s.fv_nd = fv_nd;
-  s.bv_dd = bv_dd; s.bv_dn = bv_dn; s.bv_nd = bv_nd;
-  s.bins = bins;
-  if (record_parents) {
-    s.parent_normal = parent_normal;
-    s.parent_delegate.resize(level_delegate.size());
-    for (std::size_t t = 0; t < s.parent_delegate.size(); ++t) {
-      s.parent_delegate[t] = parent_delegate[t].load(std::memory_order_relaxed);
-    }
-  }
-  s.depth = depth;
-  return s;
-}
-
-void GpuState::restore(const GpuSnapshot& s) {
-  level_normal = s.level_normal;
-  seen_normal = s.seen_normal;
-  // A rollback may interrupt a previsit between marking and extraction.
-  frontier_normal.clear_all();
-  frontier_words.clear();
-  frontier = s.frontier;
-  next_local = s.next_local;
-  received = s.received;
-  delegate_visited = s.delegate_visited;
-  delegate_new = s.delegate_new;
-  delegate_out_dd = s.delegate_out_dd;
-  delegate_out_nd = s.delegate_out_nd;
-  level_delegate = s.level_delegate;
-  delegate_queue = s.delegate_queue;
-  dir_dd = s.dir_dd;
-  dir_dn = s.dir_dn;
-  dir_nd = s.dir_nd;
-  controller = s.controller;
-  unvisited_nd_sources = s.unvisited_nd_sources;
-  unvisited_dd_sources = s.unvisited_dd_sources;
-  unvisited_dn_sources = s.unvisited_dn_sources;
-  fv_dd = s.fv_dd; fv_dn = s.fv_dn; fv_nd = s.fv_nd;
-  bv_dd = s.bv_dd; bv_dn = s.bv_dn; bv_nd = s.bv_nd;
-  bins = s.bins;
-  parent_normal = s.parent_normal;
-  for (std::size_t t = 0; t < s.parent_delegate.size(); ++t) {
-    parent_delegate[t].store(s.parent_delegate[t], std::memory_order_relaxed);
-  }
-  depth = s.depth;
-}
-
 LaneState::LaneState(const graph::LocalGraph& graph, int total_gpus,
                      int lane_bits, bool record_parents)
     : record_parents(record_parents), graph_(&graph), lane_bits_(lane_bits) {
@@ -132,11 +64,8 @@ LaneState::LaneState(const graph::LocalGraph& graph, int total_gpus,
 
   if (record_parents) {
     parent_normal.assign(n_local * w, kParentNone);
-    const std::size_t slots = static_cast<std::size_t>(d) * w;
-    parent_delegate = std::make_unique<std::atomic<VertexId>[]>(slots);
-    for (std::size_t i = 0; i < slots; ++i) {
-      parent_delegate[i].store(kParentNone, std::memory_order_relaxed);
-    }
+    parent_delegate_dd.assign(static_cast<std::size_t>(d) * w, kParentNone);
+    parent_delegate_nd.assign(static_cast<std::size_t>(d) * w, kParentNone);
   }
 
   unvisited_nd_sources = graph.nd_source_count();
@@ -208,79 +137,6 @@ void LaneState::decode_depths(std::size_t v, Depth* out) const noexcept {
       }
     }
   }
-}
-
-LaneSnapshot LaneState::save() const {
-  LaneSnapshot s;
-  s.seen_normal = seen_normal;
-  s.frontier_normal = frontier_normal;
-  s.next_normal = next_normal;
-  s.frontier = frontier;
-  s.next_local = next_local;
-  s.received = received;
-  s.depth_planes = depth_planes;
-  s.delegate_visited = delegate_visited;
-  s.delegate_new = delegate_new;
-  s.delegate_out_dd = delegate_out_dd;
-  s.delegate_out_nd = delegate_out_nd;
-  s.depth_delegate = depth_delegate;
-  s.delegate_queue = delegate_queue;
-  s.dir_dd = dir_dd;
-  s.dir_dn = dir_dn;
-  s.dir_nd = dir_nd;
-  s.controller = controller;
-  s.dd_seed = dd_seed;
-  s.dn_seed = dn_seed;
-  s.nd_seed = nd_seed;
-  s.unvisited_nd_sources = unvisited_nd_sources;
-  s.unvisited_dd_sources = unvisited_dd_sources;
-  s.unvisited_dn_sources = unvisited_dn_sources;
-  s.fv_dd = fv_dd; s.fv_dn = fv_dn; s.fv_nd = fv_nd;
-  s.bv_dd = bv_dd; s.bv_dn = bv_dn; s.bv_nd = bv_nd;
-  s.bins = bins;
-  if (record_parents) {
-    s.parent_normal = parent_normal;
-    s.parent_delegate.resize(depth_delegate.size());
-    for (std::size_t i = 0; i < s.parent_delegate.size(); ++i) {
-      s.parent_delegate[i] = parent_delegate[i].load(std::memory_order_relaxed);
-    }
-  }
-  s.depth = depth;
-  return s;
-}
-
-void LaneState::restore(const LaneSnapshot& s) {
-  seen_normal = s.seen_normal;
-  frontier_normal = s.frontier_normal;
-  next_normal = s.next_normal;
-  frontier = s.frontier;
-  next_local = s.next_local;
-  received = s.received;
-  depth_planes = s.depth_planes;
-  delegate_visited = s.delegate_visited;
-  delegate_new = s.delegate_new;
-  delegate_out_dd = s.delegate_out_dd;
-  delegate_out_nd = s.delegate_out_nd;
-  depth_delegate = s.depth_delegate;
-  delegate_queue = s.delegate_queue;
-  dir_dd = s.dir_dd;
-  dir_dn = s.dir_dn;
-  dir_nd = s.dir_nd;
-  controller = s.controller;
-  dd_seed = s.dd_seed;
-  dn_seed = s.dn_seed;
-  nd_seed = s.nd_seed;
-  unvisited_nd_sources = s.unvisited_nd_sources;
-  unvisited_dd_sources = s.unvisited_dd_sources;
-  unvisited_dn_sources = s.unvisited_dn_sources;
-  fv_dd = s.fv_dd; fv_dn = s.fv_dn; fv_nd = s.fv_nd;
-  bv_dd = s.bv_dd; bv_dn = s.bv_dn; bv_nd = s.bv_nd;
-  bins = s.bins;
-  parent_normal = s.parent_normal;
-  for (std::size_t i = 0; i < s.parent_delegate.size(); ++i) {
-    parent_delegate[i].store(s.parent_delegate[i], std::memory_order_relaxed);
-  }
-  depth = s.depth;
 }
 
 }  // namespace dsbfs::core

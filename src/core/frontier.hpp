@@ -1,9 +1,7 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "comm/exchange.hpp"
@@ -42,6 +40,18 @@ inline constexpr VertexId kParentViaNn = kInvalidVertex - 1;
 /// Tag bit: the low bits are a delegate id, not a global vertex id.
 inline constexpr VertexId kParentDelegateTag = 1ULL << 62;
 
+/// Records a delegate parent candidate in `slot`, keeping the smaller
+/// encoding.  Every candidate recorded in an iteration is a valid parent
+/// (all at the frontier depth), but the dd and nd visits may both find one
+/// for the same delegate, each in its own stream's array.  The minimum over
+/// both arrays is independent of the stream schedule, so parents are
+/// bit-stable run-to-run and across exchange topologies.  (Untagged global
+/// ids sort below kParentDelegateTag-encoded ones, so normal parents win
+/// ties.)
+inline void keep_min_parent(VertexId& slot, VertexId candidate) noexcept {
+  if (candidate < slot) slot = candidate;
+}
+
 /// kSpreadByte[b] moves bit i of b to bit 0 of byte i: the byte-wise bit
 /// transpose behind LaneState's depth decoding.
 inline constexpr std::array<std::uint64_t, 256> kSpreadByte = [] {
@@ -77,33 +87,6 @@ inline std::uint64_t depth_byte_layer(const std::uint64_t* words,
   return out;
 }
 
-/// Value copy of everything a traversal iteration mutates in a GpuState
-/// (epoch checkpoint for rollback recovery).  Run constants (graph pointer,
-/// record_parents, bins' outer shape) are not part of the snapshot, and
-/// neither is the frontier bitmap, which is all-zero outside the normal
-/// previsit.
-struct GpuSnapshot {
-  std::vector<Depth> level_normal;
-  util::PlainLaneBitset seen_normal;
-  std::vector<LocalId> frontier, next_local, received;
-  util::AtomicBitset delegate_visited, delegate_new;
-  util::PlainLaneBitset delegate_out_dd, delegate_out_nd;
-  std::vector<Depth> level_delegate;
-  std::vector<LocalId> delegate_queue;
-  DirectionState dir_dd, dir_dn, dir_nd;
-  DirectionController controller;
-  std::uint64_t unvisited_nd_sources = 0;
-  std::uint64_t unvisited_dd_sources = 0;
-  std::uint64_t unvisited_dn_sources = 0;
-  double fv_dd = 0, fv_dn = 0, fv_nd = 0;
-  double bv_dd = 0, bv_dn = 0, bv_nd = 0;
-  std::vector<std::vector<LocalId>> bins;
-  /// Empty unless the state records parents.
-  std::vector<VertexId> parent_normal;
-  std::vector<VertexId> parent_delegate;
-  Depth depth = 0;
-};
-
 /// Per-GPU state of a single-source traversal.
 ///
 /// Every array or mask the visits or previsits write has exactly one
@@ -114,14 +97,19 @@ struct GpuSnapshot {
 ///   * `level_normal` and `next_local` -- the dn visit (delegate stream),
 ///     which claims a vertex with a plain load-and-store; the previsit
 ///     also writes levels of exchange arrivals, with the streams idle;
-///   * `delegate_out_dd` -- the dd visit (delegate stream);
-///   * `delegate_out_nd` -- the nd visit (normal stream).
+///   * `delegate_out_dd` and `parent_delegate_dd` -- the dd visit
+///     (delegate stream);
+///   * `delegate_out_nd` and `parent_delegate_nd` -- the nd visit (normal
+///     stream).
 /// The nd visit, which runs concurrently with dn, reads `seen_normal`,
-/// never `level_normal`.  The delegate out-mask is split per stream
-/// because dd and nd run concurrently; `has_delegate_updates` tests both
-/// and the post-control reduction ORs both.  The delegate visited masks
-/// stay util::AtomicBitset: they are what the mask reducer combines, and
-/// visits only read them.
+/// never `level_normal`.  The delegate out-mask and parent candidates are
+/// split per stream because dd and nd run concurrently;
+/// `has_delegate_updates` tests both masks and the post-control reduction
+/// ORs both, and the parent finalize min-folds both candidate arrays.  The
+/// delegate visited masks stay util::AtomicBitset: they are what the mask
+/// reducer combines, and visits only read them.
+///
+/// The state is a plain value: the engine checkpoints it by copy.
 class GpuState {
  public:
   /// The parent arrays are allocated only when `record_parents` is set.
@@ -169,30 +157,17 @@ class GpuState {
   std::vector<std::vector<LocalId>> bins;  // per destination global GPU
 
   // --- BFS tree (optional; see DistributedBfs::run) -----------------------
-  const bool record_parents;
+  bool record_parents;  // run constant
   /// Per local normal vertex: encoded parent (kParent* conventions);
   /// empty unless record_parents.
   std::vector<VertexId> parent_normal;
-  /// Per delegate: this GPU's locally-known parent candidate as a *global*
-  /// vertex id (UINT64_MAX = none); min-reduced across GPUs at the end.
-  /// Null unless record_parents.
-  std::unique_ptr<std::atomic<VertexId>[]> parent_delegate;
-
-  void set_delegate_parent(LocalId delegate, VertexId parent_vertex) noexcept {
-    // Min over encoded candidates (CAS loop).  Every candidate recorded in
-    // an iteration is a valid parent (all at the frontier depth), but the
-    // dd (delegate-stream) and nd (normal-stream) visits race on this slot;
-    // taking the encoding-order minimum makes the surviving candidate
-    // independent of the stream schedule, so parents are bit-stable
-    // run-to-run and across exchange topologies.  (Untagged global ids sort
-    // below kParentDelegateTag-encoded ones, so normal parents win ties.)
-    auto& slot = parent_delegate[delegate];
-    VertexId cur = slot.load(std::memory_order_relaxed);
-    while (parent_vertex < cur &&
-           !slot.compare_exchange_weak(cur, parent_vertex,
-                                       std::memory_order_relaxed)) {
-    }
-  }
+  /// Per delegate: this GPU's smallest encoded parent candidate (kParent*
+  /// conventions; kParentNone = none), one array per writing stream.  The
+  /// parent finalize min-folds the two and min-reduces the result across
+  /// GPUs, leaving global parent ids in `parent_delegate_dd`.  Empty
+  /// unless record_parents.
+  std::vector<VertexId> parent_delegate_dd;  // dd visit (delegate stream)
+  std::vector<VertexId> parent_delegate_nd;  // nd visit (normal stream)
 
   // --- bookkeeping --------------------------------------------------------
   Depth depth = 0;
@@ -202,7 +177,7 @@ class GpuState {
   /// Reset iteration-scoped scratch (bins stay allocated).
   void begin_iteration();
   /// Close the iteration (clears the delegate out-masks; `iter` stays valid
-  /// until the next begin_iteration so the engine can snapshot it).
+  /// until the next begin_iteration so the engine can record it).
   void end_iteration();
 
   /// True when this GPU's dd or nd visit produced delegate updates (call
@@ -211,39 +186,8 @@ class GpuState {
     return !delegate_out_dd.none() || !delegate_out_nd.none();
   }
 
-  /// Epoch checkpoint / rollback restore (taken at iteration boundaries,
-  /// when no visit kernels are in flight).
-  GpuSnapshot save() const;
-  void restore(const GpuSnapshot& snap);
-
  private:
   const graph::LocalGraph* graph_;
-};
-
-/// Value copy of everything a batched-traversal iteration mutates in a
-/// LaneState (lane-generalized GpuSnapshot).
-struct LaneSnapshot {
-  util::PlainLaneBitset seen_normal, frontier_normal, next_normal;
-  std::vector<LocalId> frontier, next_local;
-  std::vector<comm::VertexUpdate> received;
-  std::vector<util::PlainLaneBitset> depth_planes;
-  util::LaneBitset delegate_visited, delegate_new;
-  util::PlainLaneBitset delegate_out_dd, delegate_out_nd;
-  std::vector<Depth> depth_delegate;
-  std::vector<LocalId> delegate_queue;
-  DirectionState dir_dd, dir_dn, dir_nd;
-  DirectionController controller;
-  DirectionFactors dd_seed, dn_seed, nd_seed;
-  std::uint64_t unvisited_nd_sources = 0;
-  std::uint64_t unvisited_dd_sources = 0;
-  std::uint64_t unvisited_dn_sources = 0;
-  double fv_dd = 0, fv_dn = 0, fv_nd = 0;
-  double bv_dd = 0, bv_dn = 0, bv_nd = 0;
-  std::vector<std::vector<comm::VertexUpdate>> bins;
-  /// Empty unless the state records parents.
-  std::vector<VertexId> parent_normal;
-  std::vector<VertexId> parent_delegate;
-  Depth depth = 0;
 };
 
 /// Per-GPU state of a batched multi-source traversal (MS-BFS style): the
@@ -271,15 +215,20 @@ struct LaneSnapshot {
 ///   * `seen_normal`, `frontier_normal` and `depth_planes` -- the normal
 ///     previsit, on the GPU thread while both streams are idle;
 ///   * `next_normal` -- the dn visit, on the delegate stream;
-///   * `delegate_out_dd` -- the dd visit, on the delegate stream;
-///   * `delegate_out_nd` -- the nd visit, on the normal stream;
+///   * `delegate_out_dd` and `parent_delegate_dd` -- the dd visit, on the
+///     delegate stream;
+///   * `delegate_out_nd` and `parent_delegate_nd` -- the nd visit, on the
+///     normal stream;
 ///   * seeding and lane recycling write between iterations, with both
 ///     streams idle.
-/// The delegate out-mask is split per stream because dd and nd run
-/// concurrently; `has_delegate_updates` tests both and
-/// `reduce_delegate_updates` ORs both into the reduced mask.  The delegate
-/// visited masks stay util::LaneBitset: they are what the mask reducer
-/// combines, and visits only read them.
+/// The delegate out-mask and parent candidates are split per stream
+/// because dd and nd run concurrently; `has_delegate_updates` tests both
+/// masks, `reduce_delegate_updates` ORs both into the reduced mask and the
+/// parent finalize min-folds both candidate arrays.  The delegate visited
+/// masks stay util::LaneBitset: they are what the mask reducer combines,
+/// and visits only read them.
+///
+/// The state is a plain value: the engine checkpoints it by copy.
 class LaneState {
  public:
   /// The parent arrays are allocated only when `record_parents` is set.
@@ -355,8 +304,9 @@ class LaneState {
   DirectionState dir_dd, dir_dn, dir_nd;
   DirectionController controller;
   DirectionFactors dd_seed, dn_seed, nd_seed;
-  /// Low `batch size` bits set -- lanes that carry a source.  Constant for
-  /// the run; unused lanes of the lane word stay excluded so pull early
+  /// Lanes that carry a source: the low `batch size` bits for a batch, the
+  /// occupied lanes for the serving scheduler (updated at admit and
+  /// retire).  Unused lanes of the lane word stay excluded so pull early
   /// exits are not chasing bits no source owns.
   std::uint64_t batch_mask = 0;
   std::uint64_t unvisited_nd_sources = 0;  // normals with nd edges
@@ -369,28 +319,16 @@ class LaneState {
   std::vector<std::vector<comm::VertexUpdate>> bins;  // per dest global GPU
 
   // --- BFS trees (optional; one per lane) --------------------------------
-  const bool record_parents;
+  bool record_parents;  // run constant
   /// Per (local normal, lane): encoded parent (kParent* conventions);
   /// empty unless record_parents.
   std::vector<VertexId> parent_normal;
-  /// Per (delegate, lane): locally-known candidate (kParentDelegateTag
-  /// encoding); min-reduced across GPUs at the end of the run.  Atomic for
-  /// the same reason as GpuState's: the dd (delegate-stream) and nd
-  /// (normal-stream) visits may both record a candidate for the same slot.
-  /// Null unless record_parents.
-  std::unique_ptr<std::atomic<VertexId>[]> parent_delegate;
-
-  void set_delegate_parent(LocalId delegate, int lane,
-                           VertexId parent_vertex) noexcept {
-    // Min over encoded candidates, as in GpuState::set_delegate_parent:
-    // deterministic regardless of which stream records first.
-    auto& sl = parent_delegate[slot(delegate, lane)];
-    VertexId cur = sl.load(std::memory_order_relaxed);
-    while (parent_vertex < cur &&
-           !sl.compare_exchange_weak(cur, parent_vertex,
-                                     std::memory_order_relaxed)) {
-    }
-  }
+  /// Per (delegate, lane), indexed by slot(): the smallest encoded parent
+  /// candidate per writing stream, as in GpuState; the parent finalize
+  /// leaves the global parent ids in `parent_delegate_dd`.  Empty unless
+  /// record_parents.
+  std::vector<VertexId> parent_delegate_dd;  // dd visit (delegate stream)
+  std::vector<VertexId> parent_delegate_nd;  // nd visit (normal stream)
 
   // --- bookkeeping --------------------------------------------------------
   Depth depth = 0;
@@ -399,7 +337,7 @@ class LaneState {
   /// Reset iteration-scoped scratch (bins stay allocated).
   void begin_iteration();
   /// Close the iteration (clears the delegate out-masks; `iter` stays valid
-  /// until the next begin_iteration so the engine can snapshot it).
+  /// until the next begin_iteration so the engine can record it).
   void end_iteration();
 
   /// True when this GPU's dd or nd visit produced delegate lane updates
@@ -420,11 +358,6 @@ class LaneState {
   void reduce_delegate_updates(comm::MaskReducer& reducer, sim::GpuCoord me,
                                int iteration, comm::ReduceMode mode,
                                bool any_updates);
-
-  /// Epoch checkpoint / rollback restore (taken at iteration boundaries,
-  /// when no visit kernels are in flight).
-  LaneSnapshot save() const;
-  void restore(const LaneSnapshot& snap);
 
  private:
   const graph::LocalGraph* graph_;

@@ -81,13 +81,6 @@ class PagerankAlgorithm {
            8;
   }
 
-  /// Epoch checkpoint: the state is value-typed, so a copy is the snapshot.
-  using Snapshot = State;
-  Snapshot snapshot(engine::GpuContext&, const State& s) const { return s; }
-  void restore(engine::GpuContext&, State& s, const Snapshot& snap) {
-    s = snap;
-  }
-
   void previsit(engine::GpuContext&, State& s, int) {
     s.iter = sim::GpuIterationCounters{};
     std::fill(s.acc_normal.begin(), s.acc_normal.end(), 0.0);

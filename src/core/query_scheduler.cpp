@@ -101,8 +101,9 @@ struct SchedulerCore {
     int lane = -1;
     std::int64_t admit_iteration = -1;
     std::int64_t retire_iteration = -1;
-    // Executed-history row indices of the three transitions (-1 = before
-    // iteration 0), resolved to modeled timestamps after the replay.
+    // Executed-history row indices of the three transitions
+    // (GpuContext::history_row at the boundary; -1 = before iteration 0),
+    // resolved to modeled timestamps after the replay.
     std::int64_t arrival_row = -1;
     std::int64_t admit_row = -1;
     std::int64_t retire_row = -1;
@@ -142,10 +143,6 @@ class ServingAlgorithm {
     sim::Event bins_ready;
     std::uint64_t bins_total = 0;
     SchedulerCore sched;
-    /// Rows this GPU appended to the engine history.  Deliberately NOT part
-    /// of the snapshot: history rows append across rollbacks, so replayed
-    /// transitions must stamp the replay's row indices.
-    std::uint64_t executed_rows = 0;
   };
 
   ServingAlgorithm(const graph::DistributedGraph& graph,
@@ -186,22 +183,6 @@ class ServingAlgorithm {
                sizeof(Depth) +
            3 * s.gpu.delegate_visited.byte_size() +
            3 * s.gpu.seen_normal.byte_size();
-  }
-
-  /// Epoch checkpoint: the lane traversal state plus the replicated
-  /// scheduler core (lane ownership, trace cursors, harvested fragments,
-  /// the pending reseed charge) -- everything a replayed boundary must
-  /// re-derive identically.  `executed_rows` stays out (see State).
-  struct Snapshot {
-    LaneSnapshot lanes;
-    SchedulerCore sched;
-  };
-  Snapshot snapshot(engine::GpuContext&, const State& s) const {
-    return {s.gpu.save(), s.sched};
-  }
-  void restore(engine::GpuContext&, State& s, const Snapshot& snap) {
-    s.gpu.restore(snap.lanes);
-    s.sched = snap.sched;
   }
 
   void previsit(engine::GpuContext&, State& s, int) {
@@ -298,9 +279,7 @@ class ServingAlgorithm {
     }
     admit_waiting(ctx, s, iteration);
 
-    const bool done = q.occupied == 0 && q.next_admit == q.queries.size();
-    ++s.executed_rows;
-    return done;
+    return q.occupied == 0 && q.next_admit == q.queries.size();
   }
 
   sim::GpuIterationCounters iteration_counters(const State& s) const {
@@ -341,7 +320,7 @@ class ServingAlgorithm {
     }
 
     r.retire_iteration = iteration;
-    r.retire_row = static_cast<std::int64_t>(st.executed_rows);
+    r.retire_row = static_cast<std::int64_t>(ctx.history_row);
     r.done = true;
     q.lane_owner[li] = kNoQuery;
     q.occupied &= ~bit;
@@ -362,7 +341,7 @@ class ServingAlgorithm {
     while (q.next_noticed < q.queries.size() &&
            q.queries[q.next_noticed].arrival_iteration <= tick) {
       q.queries[q.next_noticed].arrival_row =
-          boundary < 0 ? -1 : static_cast<std::int64_t>(st.executed_rows);
+          boundary < 0 ? -1 : static_cast<std::int64_t>(ctx.history_row);
       ++q.next_noticed;
     }
     if (!options_.recycle && q.occupied != 0) return;
@@ -432,7 +411,7 @@ class ServingAlgorithm {
     r.lane = lane;
     r.admit_iteration = boundary + 1;
     r.admit_row =
-        boundary < 0 ? -1 : static_cast<std::int64_t>(st.executed_rows);
+        boundary < 0 ? -1 : static_cast<std::int64_t>(ctx.history_row);
     ++q.admissions;
     q.events.push_back({LaneEventKind::kAdmit,
                         static_cast<std::uint64_t>(boundary + 1), lane, qi});

@@ -91,13 +91,6 @@ class SsspAlgorithm {
            8;
   }
 
-  /// Epoch checkpoint: the state is value-typed, so a copy is the snapshot.
-  using Snapshot = State;
-  Snapshot snapshot(engine::GpuContext&, const State& s) const { return s; }
-  void restore(engine::GpuContext&, State& s, const Snapshot& snap) {
-    s = snap;
-  }
-
   void previsit(engine::GpuContext& ctx, State& s, int iteration) {
     s.iter = sim::GpuIterationCounters{};
     std::copy(s.dist_delegate.begin(), s.dist_delegate.end(),

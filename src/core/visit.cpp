@@ -19,7 +19,7 @@ void visit_dd(GpuState& s) {
         if (!s.delegate_visited.test(c)) {
           s.delegate_out_dd.set(c);
           if (s.record_parents) {
-            s.set_delegate_parent(c, kParentDelegateTag | t);
+            keep_min_parent(s.parent_delegate_dd[c], kParentDelegateTag | t);
           }
         }
       }
@@ -44,7 +44,9 @@ void visit_dd(GpuState& s) {
       ++k.edges;
       if (s.delegate_visited.test(c)) {
         s.delegate_out_dd.set(t);
-        if (s.record_parents) s.set_delegate_parent(t, kParentDelegateTag | c);
+        if (s.record_parents) {
+          keep_min_parent(s.parent_delegate_dd[t], kParentDelegateTag | c);
+        }
         break;
       }
     }
@@ -121,7 +123,9 @@ void visit_nd(GpuState& s) {
       for (const LocalId c : row) {
         if (!s.delegate_visited.test(c)) {
           s.delegate_out_nd.set(c);
-          if (s.record_parents) s.set_delegate_parent(c, global_of(v));
+          if (s.record_parents) {
+            keep_min_parent(s.parent_delegate_nd[c], global_of(v));
+          }
         }
       }
     }
@@ -145,7 +149,9 @@ void visit_nd(GpuState& s) {
       ++k.edges;
       if (s.seen_normal.test(v)) {
         s.delegate_out_nd.set(t);
-        if (s.record_parents) s.set_delegate_parent(t, global_of(v));
+        if (s.record_parents) {
+          keep_min_parent(s.parent_delegate_nd[t], global_of(v));
+        }
         break;
       }
     }
@@ -197,11 +203,12 @@ void visit_dd_lanes(LaneState& s) {
         if (s.record_parents) {
           // Record for every hit lane, not only freshly claimed ones: the
           // claim split between the delegate and normal streams is racy, so
-          // the deterministic CAS-min in set_delegate_parent must see every
-          // stream's candidate to make the winner schedule-independent.
+          // the parent finalize's min over both streams' candidates
+          // (keep_min_parent) must see every candidate to make the winner
+          // schedule-independent.
+          VertexId* slots = &s.parent_delegate_dd[s.slot(t, 0)];
           for (std::uint64_t b = hit; b != 0; b &= b - 1) {
-            s.set_delegate_parent(t, std::countr_zero(b),
-                                  kParentDelegateTag | c);
+            keep_min_parent(slots[std::countr_zero(b)], kParentDelegateTag | c);
           }
         }
         miss &= ~hit;
@@ -222,10 +229,10 @@ void visit_dd_lanes(LaneState& s) {
       if (rem == 0) continue;
       s.delegate_out_dd.or_lanes(c, rem);
       if (s.record_parents) {
-        // All candidates feed the CAS-min (see the dd pull above).
+        // Every candidate feeds the min (see the dd pull above).
+        VertexId* slots = &s.parent_delegate_dd[s.slot(c, 0)];
         for (std::uint64_t b = rem; b != 0; b &= b - 1) {
-          s.set_delegate_parent(c, std::countr_zero(b),
-                                kParentDelegateTag | t);
+          keep_min_parent(slots[std::countr_zero(b)], kParentDelegateTag | t);
         }
       }
     }
@@ -318,10 +325,11 @@ void visit_nd_lanes(LaneState& s) {
         if (hit == 0) continue;
         s.delegate_out_nd.or_lanes(t, hit);
         if (s.record_parents) {
-          // All candidates feed the CAS-min (see the dd pull above).
+          // Every candidate feeds the min (see the dd pull above).
           const VertexId v_global = spec.global_vertex(me.rank, me.gpu, v);
+          VertexId* slots = &s.parent_delegate_nd[s.slot(t, 0)];
           for (std::uint64_t b = hit; b != 0; b &= b - 1) {
-            s.set_delegate_parent(t, std::countr_zero(b), v_global);
+            keep_min_parent(slots[std::countr_zero(b)], v_global);
           }
         }
         miss &= ~hit;
@@ -342,10 +350,11 @@ void visit_nd_lanes(LaneState& s) {
       if (rem == 0) continue;
       s.delegate_out_nd.or_lanes(c, rem);
       if (s.record_parents) {
-        // All candidates feed the CAS-min (see the dd pull above).
+        // Every candidate feeds the min (see the dd pull above).
         const VertexId v_global = spec.global_vertex(me.rank, me.gpu, v);
+        VertexId* slots = &s.parent_delegate_nd[s.slot(c, 0)];
         for (std::uint64_t b = rem; b != 0; b &= b - 1) {
-          s.set_delegate_parent(c, std::countr_zero(b), v_global);
+          keep_min_parent(slots[std::countr_zero(b)], v_global);
         }
       }
     }

@@ -61,6 +61,11 @@ struct GpuContext {
   CommContext& comm;
   sim::Stream& delegate_stream;
   sim::Stream& normal_stream;
+  /// Index of the current iteration's row in the engine's counter history.
+  /// Equals the iteration on a clean run; after a rollback it runs ahead,
+  /// because replayed iterations append rows.  Set by the engine at each
+  /// iteration top.
+  std::size_t history_row = 0;
 };
 
 /// The run options every facade shares (each holds one as `run`): the
@@ -85,11 +90,15 @@ struct RunOptions {
 };
 
 /// The phase-hook interface an algorithm implements to run on the engine.
+/// The State must be a copyable value: the engine's epoch checkpoint is a
+/// copy of it taken at an iteration boundary, and rollback recovery assigns
+/// that copy back, after which the run replays bit-exactly.
 template <typename A>
-concept IterativeAlgorithm = requires(
-    A a, const A ca, typename A::State& s, const typename A::State& cs,
-    const typename A::Snapshot& snap, GpuContext& ctx, int iteration,
-    std::uint64_t control) {
+concept IterativeAlgorithm =
+    std::copyable<typename A::State> &&
+    requires(A a, const A ca, typename A::State& s,
+             const typename A::State& cs, GpuContext& ctx, int iteration,
+             std::uint64_t control) {
   { A::kStateLabel } -> std::convertible_to<const char*>;
   /// Build this GPU's state and seed it (source vertex, initial labels...).
   { a.init(ctx) } -> std::same_as<std::unique_ptr<typename A::State>>;
@@ -115,13 +124,6 @@ concept IterativeAlgorithm = requires(
   /// Post-loop work (e.g. the BFS parent exchange); `iteration` here is the
   /// total iteration count, identical on every GPU.
   a.finalize(ctx, s, iteration);
-  /// Epoch checkpoint: a value copy of everything the iteration loop
-  /// mutates, taken at an iteration boundary.  Value-typed States use
-  /// `Snapshot = State`; states holding atomics define an explicit struct.
-  { ca.snapshot(ctx, cs) } -> std::same_as<typename A::Snapshot>;
-  /// Rewind the state to a snapshot taken at the same boundary (rollback
-  /// recovery after a device failure); the run then replays bit-exactly.
-  a.restore(ctx, s, snap);
 };
 
 /// What one engine run leaves behind for host-side result assembly.
@@ -218,7 +220,7 @@ class IterativeEngine {
 
       auto& history = out.histories[static_cast<std::size_t>(g)];
       const auto gi = static_cast<std::size_t>(g);
-      std::optional<typename Algo::Snapshot> snap;
+      std::optional<State> snap;  // epoch checkpoint: a copy of the state
       int snap_iteration = -1;
       bool stall_done = false;    // transient events fire once, not on replay
       bool failure_done = false;
@@ -256,7 +258,7 @@ class IterativeEngine {
           ++rollbacks[gi];
           pending_recovery_ns += fc.fail_recovery_ns;
           if (snap) {
-            algo.restore(ctx, s, *snap);
+            s = *snap;
             replayed[gi] += iteration - snap_iteration;
             iteration = snap_iteration;
           }
@@ -268,12 +270,13 @@ class IterativeEngine {
         // this very boundary; re-saving it would be pure churn) ------------
         if (checkpoint_interval > 0 && iteration % checkpoint_interval == 0 &&
             (!snap || snap_iteration != iteration)) {
-          snap = algo.snapshot(ctx, s);
+          snap = s;
           snap_iteration = iteration;
           ++checkpoints[gi];
           pending_checkpoint_bytes += algo.state_bytes(ctx, s);
         }
 
+        ctx.history_row = history.size();
         algo.previsit(ctx, s, iteration);
         algo.visit(ctx, s, iteration);
         if (options_.overlap) {

@@ -268,14 +268,13 @@ TEST(BatchBfs, ParentStorageOnlyWhenRecordingParents) {
   const LaneState lean(lg, spec.total_gpus(), 64, /*record_parents=*/false);
   EXPECT_FALSE(lean.record_parents);
   EXPECT_TRUE(lean.parent_normal.empty());
-  EXPECT_EQ(lean.parent_delegate, nullptr);
-  const LaneSnapshot snap = lean.save();
-  EXPECT_TRUE(snap.parent_normal.empty());
-  EXPECT_TRUE(snap.parent_delegate.empty());
+  EXPECT_TRUE(lean.parent_delegate_dd.empty());
+  EXPECT_TRUE(lean.parent_delegate_nd.empty());
 
   const LaneState full(lg, spec.total_gpus(), 64, /*record_parents=*/true);
   EXPECT_EQ(full.parent_normal.size(), lg.num_local_normals() * 64);
-  EXPECT_NE(full.parent_delegate, nullptr);
+  EXPECT_EQ(full.parent_delegate_dd.size(), dg.num_delegates() * 64);
+  EXPECT_EQ(full.parent_delegate_nd.size(), dg.num_delegates() * 64);
 
   // Parents on or off, the traversal is the same: distances and every
   // counter the model replays.

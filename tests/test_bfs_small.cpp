@@ -440,13 +440,12 @@ TEST(NormalPrevisit, ParentStorageOnlyWhenRecordingParents) {
 
   const GpuState lean(dg.local(0), spec.total_gpus(), false);
   EXPECT_TRUE(lean.parent_normal.empty());
-  EXPECT_EQ(lean.parent_delegate, nullptr);
-  const GpuSnapshot snap = lean.save();
-  EXPECT_TRUE(snap.parent_normal.empty());
-  EXPECT_TRUE(snap.parent_delegate.empty());
+  EXPECT_TRUE(lean.parent_delegate_dd.empty());
+  EXPECT_TRUE(lean.parent_delegate_nd.empty());
   const GpuState full(dg.local(0), spec.total_gpus(), true);
   EXPECT_EQ(full.parent_normal.size(), dg.local(0).num_local_normals());
-  EXPECT_NE(full.parent_delegate, nullptr);
+  EXPECT_EQ(full.parent_delegate_dd.size(), dg.num_delegates());
+  EXPECT_EQ(full.parent_delegate_nd.size(), dg.num_delegates());
 
   // Parents on or off, the traversal is the same: distances and every
   // counter the model replays.

@@ -162,9 +162,6 @@ class CountdownAlgorithm {
   std::uint64_t state_bytes(const GpuContext&, const State&) const {
     return 64;
   }
-  using Snapshot = State;
-  Snapshot snapshot(GpuContext&, const State& s) const { return s; }
-  void restore(GpuContext&, State& s, const Snapshot& snap) { s = snap; }
   void previsit(GpuContext&, State& s, int) {
     s.iter = sim::GpuIterationCounters{};
     s.trace.push_back("previsit");

@@ -1,9 +1,11 @@
 // Checkpoint / rollback recovery: a run that loses a GPU mid-flight must
 // finish with the bit-identical answer of a clean run, visibly charging the
 // checkpoints it took, the rollback it performed and the iterations it
-// replayed.  Covers the engine across its state shapes: BFS (GpuSnapshot),
-// batched BFS at W = 64 (LaneSnapshot), delta-stepping SSSP and PageRank
-// (value-typed snapshots).
+// replayed.  The engine checkpoints by copying each algorithm's State, so
+// this covers it across state shapes: BFS (GpuState), batched BFS at W = 64
+// (LaneState, push and hybrid), the serving scheduler (LaneState plus the
+// replicated scheduler core), delta-stepping SSSP, batched SSSP,
+// betweenness and PageRank.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -98,25 +100,34 @@ TEST_F(RecoveryTest, BatchBfs64SurvivesGpuFailureBitExact) {
     }
   }
   // With parents off the snapshots carry no parent arrays at all; with
-  // them on the rollback must restore every lane's tree candidates.
-  for (const bool parents : {false, true}) {
-    SCOPED_TRACE(parents ? "parents" : "no parents");
-    core::BatchBfsOptions options;
-    options.compute_parents = parents;
-    const core::BatchBfsResult clean =
-        core::DistributedBatchBfs(dg_, cluster, options).run(sources);
-    ASSERT_EQ(clean.lane_bits, 64);
+  // them on the rollback must restore every lane's tree candidates.  Under
+  // hybrid direction it must also restore the direction states, the
+  // controller, the factor seeds and the pull kernels' batch_mask.
+  using core::TraversalDirection;
+  for (const TraversalDirection direction :
+       {TraversalDirection::kForcedPush, TraversalDirection::kHybrid}) {
+    for (const bool parents : {false, true}) {
+      SCOPED_TRACE(parents ? "parents" : "no parents");
+      SCOPED_TRACE(direction == TraversalDirection::kHybrid ? "hybrid"
+                                                            : "push");
+      core::BatchBfsOptions options;
+      options.compute_parents = parents;
+      options.direction = direction;
+      const core::BatchBfsResult clean =
+          core::DistributedBatchBfs(dg_, cluster, options).run(sources);
+      ASSERT_EQ(clean.lane_bits, 64);
 
-    options.run.resilience = kill_gpu1_at2();
-    const core::BatchBfsResult hurt =
-        core::DistributedBatchBfs(dg_, cluster, options).run(sources);
+      options.run.resilience = kill_gpu1_at2();
+      const core::BatchBfsResult hurt =
+          core::DistributedBatchBfs(dg_, cluster, options).run(sources);
 
-    EXPECT_EQ(hurt.distances, clean.distances);
-    EXPECT_EQ(hurt.parents, clean.parents);
-    EXPECT_EQ(hurt.metrics.iterations,
-              clean.metrics.iterations +
-                  hurt.metrics.fault.replayed_iterations);
-    expect_recovered(hurt.metrics.fault);
+      EXPECT_EQ(hurt.distances, clean.distances);
+      EXPECT_EQ(hurt.parents, clean.parents);
+      EXPECT_EQ(hurt.metrics.iterations,
+                clean.metrics.iterations +
+                    hurt.metrics.fault.replayed_iterations);
+      expect_recovered(hurt.metrics.fault);
+    }
   }
 }
 
@@ -232,6 +243,28 @@ TEST_F(RecoveryTest, QuerySchedulerSurvivesGpuFailureBitExact) {
             clean.metrics.run.iterations +
                 hurt.metrics.run.fault.replayed_iterations);
   expect_recovered(hurt.metrics.run.fault);
+
+  // Row stamping: a transition at boundary b is timestamped by the history
+  // row of b's last execution.  Rows append across the rollback, so every
+  // boundary from the restored checkpoint on sits `replayed` rows later.
+  const auto replayed =
+      static_cast<std::uint64_t>(hurt.metrics.run.fault.replayed_iterations);
+  const std::uint64_t restored =
+      static_cast<std::uint64_t>(options.run.resilience.faults.fail_iteration) -
+      replayed;
+  const std::vector<double>& end_ms =
+      hurt.metrics.run.modeled.iteration_end_ms;
+  const auto ms_at = [&](std::uint64_t boundary) {
+    const std::uint64_t row = boundary + (boundary >= restored ? replayed : 0);
+    return end_ms.at(static_cast<std::size_t>(row));
+  };
+  for (std::size_t i = 0; i < hurt.queries.size(); ++i) {
+    const core::ServedQuery& q = hurt.queries[i];
+    EXPECT_EQ(q.retire_ms, ms_at(q.retire_iteration)) << "query " << i;
+    EXPECT_EQ(q.admit_ms,
+              q.admit_iteration == 0 ? 0.0 : ms_at(q.admit_iteration - 1))
+        << "query " << i;
+  }
   EXPECT_GT(hurt.metrics.modeled_ms, clean.metrics.modeled_ms);
   EXPECT_LT(hurt.metrics.queries_per_sec, clean.metrics.queries_per_sec);
 }
