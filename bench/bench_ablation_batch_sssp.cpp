@@ -86,12 +86,14 @@ void emit_json(std::ostream& os, const std::vector<RunRecord>& runs,
        << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"betweenness\": {\"forward_iterations\": "
-     << bc.forward_iterations
-     << ", \"reverse_iterations\": " << bc.reverse_iterations
+     << bc.forward.iterations
+     << ", \"reverse_iterations\": " << bc.reverse.iterations
      << ", \"max_depth\": " << bc.max_depth
      << ", \"modeled_ms\": " << bc.modeled_ms
-     << ", \"update_bytes_remote\": " << bc.update_bytes_remote
-     << ", \"reduce_bytes\": " << bc.reduce_bytes
+     << ", \"update_bytes_remote\": "
+     << bc.forward.update_bytes_remote + bc.reverse.update_bytes_remote
+     << ", \"reduce_bytes\": "
+     << bc.forward.reduce_bytes + bc.reverse.reduce_bytes
      << ", \"valid\": " << (bc_valid ? "true" : "false") << "},\n"
      << "  \"pagerank_wire\": {\"raw_bytes\": " << pr_raw
      << ", \"adaptive_varint_bytes\": " << pr_varint
@@ -247,10 +249,11 @@ int main(int argc, char** argv) {
     ok = false;
   }
   if (bc.modeled.iteration_end_ms.size() !=
-      static_cast<std::size_t>(bc.forward_iterations + bc.reverse_iterations)) {
+      static_cast<std::size_t>(bc.forward.iterations +
+                               bc.reverse.iterations)) {
     std::cerr << "FAIL: composed BC model lost iteration rows ("
               << bc.modeled.iteration_end_ms.size() << " vs "
-              << bc.forward_iterations + bc.reverse_iterations << ")\n";
+              << bc.forward.iterations + bc.reverse.iterations << ")\n";
     bc_valid = false;
     ok = false;
   }

@@ -57,11 +57,7 @@ struct RunRecord {
   int iterations = 0;
   double modeled_ms = 0;
   std::uint64_t update_bytes = 0;  // cross-rank exchange payload
-  std::uint64_t faults = 0;        // injected-fault log size
-  std::uint64_t retries = 0;       // retransmissions requested
-  std::uint64_t rejects = 0;       // frames rejected by checksum/framing
-  std::uint64_t recovery_ns = 0;   // modeled recovery waits
-  int checkpoints = 0, rollbacks = 0, replayed = 0;
+  sim::FaultReport fault;  // the run's log and recovery totals
   bool valid = false;  // bit-exact vs the clean run (clean: vs the oracle)
 };
 
@@ -109,26 +105,23 @@ struct Harness {
     rec.gpu_failure = res.faults.failure_planned();
     rec.cadence = res.checkpoint_interval;
 
-    const auto fold = [&rec](const sim::FaultReport& f, int iterations,
-                             double modeled_ms, std::uint64_t bytes) {
-      rec.iterations = iterations;
-      rec.modeled_ms = modeled_ms;
-      rec.update_bytes = bytes;
-      rec.faults = f.events.size();
-      rec.retries = f.retries;
-      rec.rejects = f.corrupt_bins;
-      rec.recovery_ns = f.recovery_ns;
-      rec.checkpoints = f.checkpoints;
-      rec.rollbacks = f.rollbacks;
-      rec.replayed = f.replayed_iterations;
+    // Takes a core::RunMetrics (BFS family) or a value-family result.
+    const auto fold = [&rec](const auto& report) {
+      rec.iterations = report.iterations;
+      rec.modeled_ms = report.modeled_ms;
+      if constexpr (requires { report.exchange_remote_bytes; }) {
+        rec.update_bytes = report.exchange_remote_bytes;
+      } else {
+        rec.update_bytes = report.update_bytes_remote;
+      }
+      rec.fault = report.fault;
     };
 
     if (algo == "bfs") {
       core::BfsOptions o;
       o.run.resilience = res;
       const core::BfsResult r = core::DistributedBfs(dg, cluster, o).run(source);
-      fold(r.metrics.fault, r.metrics.iterations, r.metrics.modeled_ms,
-           r.metrics.exchange_remote_bytes);
+      fold(r.metrics);
       rec.valid = clean ? r.distances == clean->bfs : r.distances == serial_bfs;
       if (fill) fill->bfs = r.distances;
     } else if (algo == "batch64") {
@@ -137,8 +130,7 @@ struct Harness {
       o.run.resilience = res;
       const core::BatchBfsResult r =
           core::DistributedBatchBfs(dg, cluster, o).run(batch_sources);
-      fold(r.metrics.fault, r.metrics.iterations, r.metrics.modeled_ms,
-           r.metrics.exchange_remote_bytes);
+      fold(r.metrics);
       rec.valid =
           clean ? r.distances == clean->batch : r.distances == serial_batch;
       if (fill) fill->batch = r.distances;
@@ -146,7 +138,7 @@ struct Harness {
       core::SsspOptions o;
       o.run.resilience = res;
       const core::SsspResult r = core::DistributedSssp(dg, cluster, o).run(source);
-      fold(r.fault, r.iterations, r.modeled_ms, r.update_bytes_remote);
+      fold(r);
       rec.valid =
           clean ? r.distances == clean->sssp : r.distances == serial_sssp;
       if (fill) fill->sssp = r.distances;
@@ -155,7 +147,7 @@ struct Harness {
       o.run.resilience = res;
       const core::DeltaSsspResult r =
           core::DistributedDeltaSssp(dg, cluster, o).run(source);
-      fold(r.fault, r.iterations, r.modeled_ms, r.update_bytes_remote);
+      fold(r);
       rec.valid =
           clean ? r.distances == clean->delta : r.distances == serial_delta;
       if (fill) fill->delta = r.distances;
@@ -163,7 +155,7 @@ struct Harness {
       core::CcOptions o;
       o.run.resilience = res;
       const core::CcResult r = core::ConnectedComponents(dg, cluster, o).run();
-      fold(r.fault, r.iterations, r.modeled_ms, r.update_bytes_remote);
+      fold(r);
       rec.valid = clean ? r.labels == clean->cc : r.labels == serial_cc;
       if (fill) fill->cc = r.labels;
     } else {  // pagerank
@@ -173,7 +165,7 @@ struct Harness {
       o.run.resilience = res;
       const core::PagerankResult r =
           core::DistributedPagerank(dg, cluster, o).run();
-      fold(r.fault, r.iterations, r.modeled_ms, r.update_bytes_remote);
+      fold(r);
       if (clean) {
         // Bit-identical doubles: the self-healing wire delivers the exact
         // payloads a clean run would, so even FP sums must not move.
@@ -208,11 +200,14 @@ void emit_json(std::ostream& os, const std::vector<RunRecord>& runs, int scale,
        << (r.gpu_failure ? "true" : "false") << ", \"cadence\": " << r.cadence
        << ", \"iterations\": " << r.iterations << ", \"modeled_ms\": "
        << r.modeled_ms << ", \"update_bytes\": " << r.update_bytes
-       << ", \"faults\": " << r.faults << ", \"retries\": " << r.retries
-       << ", \"rejects\": " << r.rejects << ", \"recovery_ns\": "
-       << r.recovery_ns << ", \"checkpoints\": " << r.checkpoints
-       << ", \"rollbacks\": " << r.rollbacks << ", \"replayed\": "
-       << r.replayed << ", \"valid\": " << (r.valid ? "true" : "false") << "}"
+       << ", \"faults\": " << r.fault.events.size()
+       << ", \"retries\": " << r.fault.retries
+       << ", \"rejects\": " << r.fault.corrupt_bins
+       << ", \"recovery_ns\": " << r.fault.recovery_ns
+       << ", \"checkpoints\": " << r.fault.checkpoints
+       << ", \"rollbacks\": " << r.fault.rollbacks
+       << ", \"replayed\": " << r.fault.replayed_iterations
+       << ", \"valid\": " << (r.valid ? "true" : "false") << "}"
        << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"checks_passed\": " << (all_checks ? "true" : "false")
@@ -302,8 +297,9 @@ int main(int argc, char** argv) {
       fail(r.algo + " armed-but-disabled run is not zero-cost (iterations/"
                     "modeled_ms/update_bytes moved)");
     }
-    if (r.faults || r.retries || r.rejects || r.recovery_ns || r.checkpoints ||
-        r.rollbacks || r.replayed) {
+    const sim::FaultReport& f = r.fault;
+    if (!f.events.empty() || f.retries || f.corrupt_bins || f.recovery_ns ||
+        f.checkpoints || f.rollbacks || f.replayed_iterations) {
       fail(r.algo + " armed-but-disabled run charged recovery work");
     }
     runs.push_back(std::move(r));
@@ -329,10 +325,11 @@ int main(int argc, char** argv) {
     r.mode = "chaos";
     r.retry = "default";
     if (!r.valid) fail(r.algo + " chaos run is not bit-exact vs clean");
-    if (r.faults == 0 || r.retries + r.rejects == 0) {
+    if (r.fault.events.empty() || r.fault.retries + r.fault.corrupt_bins == 0) {
       fail(r.algo + " chaos run logged no faults / requested no retransmits");
     }
-    if (r.rollbacks < 1 || r.replayed < 1 || r.checkpoints < 1) {
+    if (r.fault.rollbacks < 1 || r.fault.replayed_iterations < 1 ||
+        r.fault.checkpoints < 1) {
       fail(r.algo + " chaos run did not checkpoint/rollback/replay");
     }
     if (!(r.modeled_ms > clean.modeled_ms[ai])) {
@@ -372,7 +369,7 @@ int main(int argc, char** argv) {
   std::uint64_t sweep_faults = 0;
   for (const RunRecord& r : runs) {
     if (r.mode == "sweep" && r.drop_rate + r.corrupt_rate >= 0.04) {
-      sweep_faults += r.faults;
+      sweep_faults += r.fault.events.size();
     }
   }
   if (sweep_faults == 0) fail("5% sweep points injected no faults at all");

@@ -82,9 +82,10 @@ int main(int argc, char** argv) {
     std::printf("resilience: %zu injected faults, %llu retransmissions, "
                 "%llu checksum rejects, %.3f ms recovery\n",
                 result.metrics.fault.events.size(),
-                static_cast<unsigned long long>(result.metrics.retries),
-                static_cast<unsigned long long>(result.metrics.corrupt_bins),
-                static_cast<double>(result.metrics.recovery_ns) / 1e6);
+                static_cast<unsigned long long>(result.metrics.fault.retries),
+                static_cast<unsigned long long>(
+                    result.metrics.fault.corrupt_bins),
+                static_cast<double>(result.metrics.fault.recovery_ns) / 1e6);
   }
 
   std::printf("\nper-iteration trace (first 10):\n");

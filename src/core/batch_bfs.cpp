@@ -466,8 +466,7 @@ BatchBfsResult DistributedBatchBfs::run(std::span<const VertexId> sources) {
   result.metrics = assemble_metrics(graph_, options_.run.overlap,
                                     options_.reduce_mode,
                                     std::move(run.histories), run.measured_ms,
-                                    lane_bits);
-  result.metrics.fault = run.fault;
+                                    std::move(run.fault), lane_bits);
   return result;
 }
 

@@ -670,8 +670,6 @@ BatchSsspResult run_lanes(const graph::DistributedGraph& graph,
 
   // ---- Gather. ----------------------------------------------------------
   BatchSsspResult result;
-  result.measured_ms = run.measured_ms;
-  result.iterations = run.iterations;
   result.distances.assign(
       static_cast<std::size_t>(w),
       std::vector<std::uint64_t>(graph.num_vertices(), kInfiniteDistance));
@@ -697,19 +695,9 @@ BatchSsspResult run_lanes(const graph::DistributedGraph& graph,
   }
 
   // ---- Model. ------------------------------------------------------------
-  ValueAppMetrics vm = assemble_value_app_metrics(
-      graph, run.histories, options.run.overlap, algo.groups_per_item());
-  result.update_bytes_remote = vm.update_bytes_remote;
-  result.reduce_bytes = vm.reduce_bytes;
-  result.buckets_processed = vm.buckets_processed;
-  result.light_iterations = vm.light_iterations;
-  result.heavy_iterations = vm.heavy_iterations;
-  result.light_relaxations = vm.light_relaxations;
-  result.heavy_relaxations = vm.heavy_relaxations;
-  result.modeled = vm.modeled;
-  result.modeled_ms = vm.modeled_ms;
-  result.counters = std::move(vm.counters);
-  result.fault = run.fault;
+  static_cast<ValueRunReport&>(result) = assemble_value_report(
+      graph, run.iterations, std::move(run.histories), run.measured_ms,
+      std::move(run.fault), options.run.overlap, algo.groups_per_item());
   return result;
 }
 

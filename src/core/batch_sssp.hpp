@@ -4,9 +4,9 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/metrics.hpp"
 #include "graph/builder.hpp"
 #include "sim/cluster.hpp"
-#include "sim/perf_model.hpp"
 #include "util/types.hpp"
 
 /// Distributed delta-stepping (Meyer & Sanders) for up to 64 sources in
@@ -100,25 +100,15 @@ struct BatchSsspOptions {
   comm::WireCodec codec = comm::WireCodec::kRaw;
 };
 
-struct BatchSsspResult {
+/// Per-lane distances plus the run's report: buckets are the union buckets
+/// of the monotone global schedule, relaxations count edge sweeps per
+/// vertex (not per lane), and the bytes are lane-word records and
+/// reductions.
+struct BatchSsspResult : ValueRunReport {
   /// distances[lane][v] = weighted distance from sources[lane];
   /// kInfiniteDistance for unreachable vertices (the packed sentinel is
   /// widened on gather).
   std::vector<std::vector<std::uint64_t>> distances;
-  int iterations = 0;
-  /// Distinct union buckets opened (monotone global schedule).
-  std::uint64_t buckets_processed = 0;
-  int light_iterations = 0;
-  int heavy_iterations = 0;
-  std::uint64_t light_relaxations = 0;  // edge sweeps, all GPUs (per vertex)
-  std::uint64_t heavy_relaxations = 0;
-  double measured_ms = 0;
-  double modeled_ms = 0;
-  sim::ModeledBreakdown modeled;
-  std::uint64_t update_bytes_remote = 0;  // lane-word update traffic
-  std::uint64_t reduce_bytes = 0;         // delegate lane-word reductions
-  sim::FaultReport fault;
-  sim::RunCounters counters;
 };
 
 class DistributedBatchSssp {

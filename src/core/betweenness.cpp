@@ -719,9 +719,10 @@ BetweennessResult BetweennessCentrality::run(
   engine::IterativeEngine<BcForwardAlgorithm> fwd_engine(graph_, cluster_,
                                                          options_.run);
   auto fwd_run = fwd_engine.run(forward);
-  result.forward_iterations = fwd_run.iterations;
-  result.measured_ms += fwd_run.measured_ms;
-  result.forward_fault = fwd_run.fault;
+  result.forward = assemble_value_report(
+      graph_, fwd_run.iterations, std::move(fwd_run.histories),
+      fwd_run.measured_ms, std::move(fwd_run.fault), options_.run.overlap,
+      static_cast<std::uint64_t>(w));
 
   // Gather per-lane depth and sigma fields; the reverse run seeds from them.
   ForwardField fwd;
@@ -769,9 +770,9 @@ BetweennessResult BetweennessCentrality::run(
   engine::IterativeEngine<BcReverseAlgorithm> rev_engine(graph_, cluster_,
                                                          options_.run);
   auto rev_run = rev_engine.run(reverse);
-  result.reverse_iterations = rev_run.iterations;
-  result.measured_ms += rev_run.measured_ms;
-  result.reverse_fault = rev_run.fault;
+  result.reverse = assemble_value_report(
+      graph_, rev_run.iterations, std::move(rev_run.histories),
+      rev_run.measured_ms, std::move(rev_run.fault), options_.run.overlap, 0);
 
   // ---- Accumulate scores: lane order, skipping each lane's source. ------
   std::vector<std::vector<double>> delta(
@@ -810,14 +811,9 @@ BetweennessResult BetweennessCentrality::run(
   }
 
   // ---- Model: the two replays stitched end to end. ----------------------
-  const ValueAppMetrics vf = assemble_value_app_metrics(
-      graph_, fwd_run.histories, options_.run.overlap,
-      static_cast<std::uint64_t>(w));
-  const ValueAppMetrics vr = assemble_value_app_metrics(
-      graph_, rev_run.histories, options_.run.overlap, 0);
-  result.update_bytes_remote = vf.update_bytes_remote + vr.update_bytes_remote;
-  result.reduce_bytes = vf.reduce_bytes;
-  result.modeled = sim::compose_breakdowns(vf.modeled, vr.modeled);
+  result.measured_ms = result.forward.measured_ms + result.reverse.measured_ms;
+  result.modeled =
+      sim::compose_breakdowns(result.forward.modeled, result.reverse.modeled);
   result.modeled_ms = result.modeled.elapsed_ms;
   return result;
 }

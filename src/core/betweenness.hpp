@@ -4,9 +4,9 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/metrics.hpp"
 #include "graph/builder.hpp"
 #include "sim/cluster.hpp"
-#include "sim/perf_model.hpp"
 #include "util/types.hpp"
 
 /// Distributed Brandes betweenness centrality over up to 64 sources -- the
@@ -50,19 +50,18 @@ struct BetweennessResult {
   /// (unnormalized, directed-contribution convention of Brandes' algorithm
   /// on an undirected graph -- identical to baseline::serial_brandes).
   std::vector<double> scores;
-  int forward_iterations = 0;
-  int reverse_iterations = 0;
   /// Global depth of the deepest reachable (vertex, lane) slot.
   Depth max_depth = 0;
+  /// One report per engine run.  Forward: update bytes are the sigma
+  /// records, reduce bytes the delegate sigma reductions.  Reverse: update
+  /// bytes are the dependency triples; it reduces no delegate payload.
+  ValueRunReport forward;
+  ValueRunReport reverse;
   double measured_ms = 0;  // both runs
   /// Two-run composition: the forward and reverse replays stitched end to
   /// end (sim::compose_breakdowns).
   sim::ModeledBreakdown modeled;
   double modeled_ms = 0;
-  std::uint64_t update_bytes_remote = 0;  // sigma records + reverse triples
-  std::uint64_t reduce_bytes = 0;         // delegate sigma reductions
-  sim::FaultReport forward_fault;
-  sim::FaultReport reverse_fault;
 };
 
 class BetweennessCentrality {

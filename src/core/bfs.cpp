@@ -363,8 +363,8 @@ BfsResult DistributedBfs::run(VertexId source) {
 
   result.metrics =
       assemble_metrics(graph_, options_.run.overlap, options_.reduce_mode,
-                       std::move(run.histories), run.measured_ms);
-  result.metrics.fault = run.fault;
+                       std::move(run.histories), run.measured_ms,
+                       std::move(run.fault));
   return result;
 }
 

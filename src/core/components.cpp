@@ -210,8 +210,6 @@ CcResult ConnectedComponents::run() {
 
   // ---- Gather. ----------------------------------------------------------
   CcResult result;
-  result.measured_ms = run.measured_ms;
-  result.iterations = run.iterations;
   result.labels.assign(graph_.num_vertices(), kInvalidVertex);
   for (int g = 0; g < p; ++g) {
     const auto& s = run.state(g);
@@ -232,14 +230,9 @@ CcResult ConnectedComponents::run() {
   }
 
   // ---- Model. ------------------------------------------------------------
-  ValueAppMetrics vm =
-      assemble_value_app_metrics(graph_, run.histories, options_.run.overlap);
-  result.update_bytes_remote = vm.update_bytes_remote;
-  result.reduce_bytes = vm.reduce_bytes;
-  result.modeled = vm.modeled;
-  result.modeled_ms = vm.modeled_ms;
-  result.counters = std::move(vm.counters);
-  result.fault = run.fault;
+  static_cast<ValueRunReport&>(result) = assemble_value_report(
+      graph_, run.iterations, std::move(run.histories), run.measured_ms,
+      std::move(run.fault), options_.run.overlap);
   return result;
 }
 

@@ -4,9 +4,9 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/metrics.hpp"
 #include "graph/builder.hpp"
 #include "sim/cluster.hpp"
-#include "sim/perf_model.hpp"
 #include "util/types.hpp"
 
 /// Connected components on the degree-separated substrate.
@@ -34,19 +34,12 @@ struct CcOptions {
   comm::WireCodec codec = comm::WireCodec::kRaw;
 };
 
-struct CcResult {
+/// The labeling plus the run's ValueRunReport (update_bytes_remote is the
+/// normal label traffic, reduce_bytes the delegate label reductions).
+struct CcResult : ValueRunReport {
   /// labels[v] = smallest vertex id in v's connected component.
   std::vector<VertexId> labels;
-  int iterations = 0;
   std::uint64_t num_components = 0;  // incl. isolated vertices
-  double measured_ms = 0;
-  double modeled_ms = 0;
-  sim::ModeledBreakdown modeled;
-  std::uint64_t update_bytes_remote = 0;  // normal label traffic, cross rank
-  std::uint64_t reduce_bytes = 0;         // delegate label reductions
-  /// Fault log, checkpoint and rollback accounting of the run.
-  sim::FaultReport fault;
-  sim::RunCounters counters;  // per-iteration trace
 };
 
 class ConnectedComponents {

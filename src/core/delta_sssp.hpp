@@ -5,9 +5,9 @@
 
 #include "core/batch_sssp.hpp"
 #include "core/config.hpp"
+#include "core/metrics.hpp"
 #include "graph/builder.hpp"
 #include "sim/cluster.hpp"
-#include "sim/perf_model.hpp"
 #include "util/types.hpp"
 
 /// Distributed delta-stepping SSSP (Meyer & Sanders) on the
@@ -54,31 +54,15 @@ struct DeltaSsspOptions {
   comm::WireCodec codec = comm::WireCodec::kRaw;
 };
 
-struct DeltaSsspResult {
+/// The distances plus the report of the W = 1 batched run it is.
+/// `iterations` counts engine rounds: light sub-rounds + heavy rounds + the
+/// final empty coordination round.  `buckets_processed` equals the number
+/// of buckets holding at least one final distance; it is deterministic, so
+/// it must match baseline::SerialDeltaStats::buckets_processed.
+struct DeltaSsspResult : ValueRunReport {
   /// distances[v] = weighted distance from the source, kInfiniteDistance
   /// for unreachable vertices.
   std::vector<std::uint64_t> distances;
-  /// Engine rounds: light sub-rounds + heavy rounds + the final empty
-  /// coordination round.
-  int iterations = 0;
-  /// Distinct buckets opened (equals the number of buckets holding at
-  /// least one final distance; deterministic, so it must match
-  /// baseline::SerialDeltaStats::buckets_processed).  Like every metric
-  /// below, derived from the per-round trace.
-  std::uint64_t buckets_processed = 0;
-  /// Round split and relaxation split.
-  int light_iterations = 0;
-  int heavy_iterations = 0;
-  std::uint64_t light_relaxations = 0;  // light-edge relax attempts, all GPUs
-  std::uint64_t heavy_relaxations = 0;
-  double measured_ms = 0;
-  double modeled_ms = 0;
-  sim::ModeledBreakdown modeled;
-  std::uint64_t update_bytes_remote = 0;  // tentative-distance traffic
-  std::uint64_t reduce_bytes = 0;         // delegate distance reductions
-  /// Fault log, checkpoint and rollback accounting of the run.
-  sim::FaultReport fault;
-  sim::RunCounters counters;  // per-round trace
 };
 
 class DistributedDeltaSssp {

@@ -1,49 +1,65 @@
 #include "core/metrics.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace dsbfs::core {
+
+namespace {
+
+/// Transposes the per-GPU histories into rows under `header` (spec and how
+/// the delegate reduction is charged) and replays them on the default
+/// sim::PerfModel.  With rollback recovery the rows include replayed
+/// iterations -- the honest accounting of what the cluster executed.
+RunReport make_run_report(
+    sim::RunCounters header,
+    std::vector<std::vector<sim::GpuIterationCounters>>&& histories,
+    double measured_ms, sim::FaultReport fault) {
+  RunReport r;
+  r.measured_ms = measured_ms;
+  r.fault = std::move(fault);
+  r.counters = std::move(header);
+  const std::size_t rows = histories.empty() ? 0 : histories[0].size();
+  r.counters.iterations.resize(rows);
+  for (std::size_t it = 0; it < rows; ++it) {
+    auto& gpu = r.counters.iterations[it].gpu;
+    for (const auto& history : histories) gpu.push_back(history[it]);
+  }
+  r.modeled = sim::PerfModel{}.replay(r.counters);
+  r.modeled_ms = r.modeled.elapsed_ms;
+  return r;
+}
+
+}  // namespace
 
 RunMetrics assemble_metrics(
     const graph::DistributedGraph& graph, bool overlap,
     comm::ReduceMode reduce_mode,
     std::vector<std::vector<sim::GpuIterationCounters>>&& histories,
-    double measured_ms, int lane_bits) {
+    double measured_ms, sim::FaultReport fault, int lane_bits) {
+  const std::uint64_t mask_bits =
+      std::uint64_t{graph.num_delegates()} * lane_bits;
   RunMetrics m;
-  const int p = graph.spec().total_gpus();
-  const std::size_t iters = histories.empty() ? 0 : histories[0].size();
-  m.iterations = static_cast<int>(iters);
+  static_cast<RunReport&>(m) = make_run_report(
+      {.spec = graph.spec(),
+       .delegate_mask_bytes = (mask_bits + 7) / 8,
+       .blocking_reduce = reduce_mode == comm::ReduceMode::kBlocking,
+       .overlap_comm = overlap,
+       .iterations = {}},
+      std::move(histories), measured_ms, std::move(fault));
+  m.iterations = static_cast<int>(m.counters.iterations.size());
   m.lane_bits = lane_bits;
   m.teps_edges = graph.num_edges() / 2;
-  m.measured_ms = measured_ms;
 
-  m.counters.spec = graph.spec();
-  m.counters.delegate_mask_bytes =
-      (static_cast<std::uint64_t>(graph.num_delegates()) *
-           static_cast<std::uint64_t>(lane_bits) +
-       7) /
-      8;
-  m.counters.blocking_reduce = reduce_mode == comm::ReduceMode::kBlocking;
-  m.counters.overlap_comm = overlap;
-  m.counters.iterations.resize(iters);
-
-  for (std::size_t it = 0; it < iters; ++it) {
-    sim::IterationCounters& ic = m.counters.iterations[it];
-    ic.gpu.resize(static_cast<std::size_t>(p));
+  for (const sim::IterationCounters& ic : m.counters.iterations) {
     IterationStats stats;
-    for (int g = 0; g < p; ++g) {
-      const sim::GpuIterationCounters& c =
-          histories[static_cast<std::size_t>(g)][it];
-      ic.gpu[static_cast<std::size_t>(g)] = c;
-
+    for (std::size_t g = 0; g < ic.gpu.size(); ++g) {
+      const sim::GpuIterationCounters& c = ic.gpu[g];
       const std::uint64_t edges =
           c.dd.edges + c.dn.edges + c.nd.edges + c.nn.edges;
       m.edges_traversed += edges;
       m.exchange_remote_bytes += c.send_bytes_remote;
       m.exchange_local_bytes += c.local_all2all_bytes;
-      m.retries += c.retries;
-      m.corrupt_bins += c.corrupt_bins;
-      m.recovery_ns += c.recovery_ns;
 
       stats.frontier_normals += c.nn.launched ? c.nn.vertices : 0;
       stats.frontier_lane_bits += c.frontier_lane_bits;
@@ -71,8 +87,6 @@ RunMetrics assemble_metrics(
     m.per_iteration.push_back(stats);
   }
 
-  m.modeled = sim::PerfModel{}.replay(m.counters);
-  m.modeled_ms = m.modeled.elapsed_ms;
   if (m.modeled_ms > 0) {
     m.modeled_gteps = static_cast<double>(m.teps_edges) / m.modeled_ms / 1e6;
   }
@@ -82,35 +96,28 @@ RunMetrics assemble_metrics(
   return m;
 }
 
-ValueAppMetrics assemble_value_app_metrics(
-    const graph::DistributedGraph& graph,
-    const std::vector<std::vector<sim::GpuIterationCounters>>& histories,
-    bool overlap, std::uint64_t delegate_words_per_item) {
-  ValueAppMetrics m;
-  const int p = graph.spec().total_gpus();
+ValueRunReport assemble_value_report(
+    const graph::DistributedGraph& graph, int iterations,
+    std::vector<std::vector<sim::GpuIterationCounters>>&& histories,
+    double measured_ms, sim::FaultReport fault, bool overlap,
+    std::uint64_t delegate_words_per_item) {
   const std::uint64_t d = graph.num_delegates();
-  const std::size_t rows = histories.empty() ? 0 : histories[0].size();
-
-  m.counters.spec = graph.spec();
-  m.counters.delegate_mask_bytes = d * delegate_words_per_item * 8;
-  m.counters.blocking_reduce = true;
-  m.counters.overlap_comm = overlap;
-  m.counters.iterations.resize(rows);
+  ValueRunReport m;
+  static_cast<RunReport&>(m) = make_run_report(
+      {.spec = graph.spec(),
+       .delegate_mask_bytes = d * delegate_words_per_item * 8,
+       .blocking_reduce = true,
+       .overlap_comm = overlap,
+       .iterations = {}},
+      std::move(histories), measured_ms, std::move(fault));
+  m.iterations = iterations;
   std::uint64_t prev_bucket_plus_one = 0;
-  for (std::size_t it = 0; it < m.counters.iterations.size(); ++it) {
-    auto& ic = m.counters.iterations[it];
-    ic.gpu.resize(static_cast<std::size_t>(p));
+  for (const sim::IterationCounters& ic : m.counters.iterations) {
     bool pulled = false;
-    for (int g = 0; g < p; ++g) {
-      const sim::GpuIterationCounters& c =
-          histories[static_cast<std::size_t>(g)][it];
-      ic.gpu[static_cast<std::size_t>(g)] = c;
+    for (const sim::GpuIterationCounters& c : ic.gpu) {
       m.update_bytes_remote += c.send_bytes_remote;
       m.light_relaxations += c.light_edges;
       m.heavy_relaxations += c.heavy_edges;
-      m.retries += c.retries;
-      m.corrupt_bins += c.corrupt_bins;
-      m.recovery_ns += c.recovery_ns;
       pulled |= (c.dd.backward && c.dd.launched) ||
                 (c.dn.backward && c.dn.launched) ||
                 (c.nd.backward && c.nd.launched);
@@ -132,10 +139,7 @@ ValueAppMetrics assemble_value_app_metrics(
   }
   m.reduce_bytes = 2ULL * d * delegate_words_per_item * 8 *
                    static_cast<std::uint64_t>(graph.spec().num_ranks) *
-                   static_cast<std::uint64_t>(rows);
-
-  m.modeled = sim::PerfModel{}.replay(m.counters);
-  m.modeled_ms = m.modeled.elapsed_ms;
+                   static_cast<std::uint64_t>(m.counters.iterations.size());
   return m;
 }
 

@@ -31,8 +31,24 @@ struct IterationStats {
   bool dd_backward = false, dn_backward = false, nd_backward = false;
 };
 
-struct RunMetrics {
-  int iterations = 0;                  // S
+/// What every facade result carries about one engine run: the host wall
+/// clock, the model replay of the executed counter rows, the fault log and
+/// the rows themselves.  Built once per run by assemble_metrics (BFS family)
+/// or assemble_value_report (value family) through one shared builder.
+struct RunReport {
+  double measured_ms = 0;  // wall clock of this process (all GPUs threaded)
+  sim::ModeledBreakdown modeled;  // replayed on the cluster models
+  double modeled_ms = 0;
+  /// Fault log, checkpoint and rollback accounting (empty on a clean,
+  /// checkpoint-free run).  Its retries / corrupt_bins / recovery_ns are the
+  /// sums of the same fields over the counter rows.
+  sim::FaultReport fault;
+  sim::RunCounters counters;  // full trace for re-modeling
+};
+
+/// The BFS family's report (single-source, batched and serving runs).
+struct RunMetrics : RunReport {
+  int iterations = 0;                  // S: executed counter rows
   int delegate_reduce_iterations = 0;  // S' (paper: about half of S on RMAT)
   /// Lane width W of the run (1 = single-source; batched runs reduce
   /// d*W/8-byte masks and ship (id, W/8-byte lane word) updates).
@@ -43,43 +59,31 @@ struct RunMetrics {
   std::uint64_t exchange_local_bytes = 0;
   std::uint64_t mask_reduce_bytes = 0;  // modeled volume: 2 * d/8 * prank * S'
 
-  /// Hardened-wire recovery work, summed over GPUs and iterations (all zero
-  /// on a clean transport).
-  std::uint64_t retries = 0;
-  std::uint64_t corrupt_bins = 0;
-  std::uint64_t recovery_ns = 0;
-  /// Fault log, checkpoint and rollback accounting of the run (facades copy
-  /// it off the EngineRun; empty on a clean, checkpoint-free run).
-  sim::FaultReport fault;
-
-  double measured_ms = 0;   // wall clock of this process (all GPUs threaded)
   double measured_gteps = 0;
-
-  sim::ModeledBreakdown modeled;  // replayed on the cluster models
-  double modeled_ms = 0;
   double modeled_gteps = 0;
 
   std::uint64_t teps_edges = 0;  // m/2, the TEPS denominator
 
   std::vector<IterationStats> per_iteration;
-  sim::RunCounters counters;  // full trace for re-modeling
 };
 
-/// Assemble metrics from the per-GPU iteration histories and replay them on
-/// the default sim::PerfModel.  `lane_bits` scales the delegate-mask payload
-/// (d*W/8 bytes per reduction) for batched traversals; 1 reproduces the
-/// historic single-source accounting exactly.
+/// Builds the BFS report from the per-GPU iteration histories and the run's
+/// fault log.  `lane_bits` scales the delegate-mask payload (d*W/8 bytes per
+/// reduction) for batched traversals; 1 reproduces the historic
+/// single-source accounting exactly.
 RunMetrics assemble_metrics(const graph::DistributedGraph& graph, bool overlap,
                             comm::ReduceMode reduce_mode,
                             std::vector<std::vector<sim::GpuIterationCounters>>&& histories,
-                            double measured_ms, int lane_bits = 1);
+                            double measured_ms, sim::FaultReport fault,
+                            int lane_bits = 1);
 
-/// Host-side assembly shared by the value algorithms (CC, PageRank, SSSP):
-/// the delegate payload is d x 8 bytes of *values* per reduction instead of
-/// the BFS d/8-byte mask, the update exchange's remote bytes are summed,
-/// and the counters are replayed on the default sim::PerfModel.  Hoisted
-/// from the three `run()` facades that used to duplicate it line for line.
-struct ValueAppMetrics {
+/// The value family's report (CC, PageRank, SSSP, delta-SSSP, batched SSSP
+/// and each betweenness pass): the delegate payload is d x 8 bytes of
+/// *values* per reduction instead of the BFS d/8-byte mask.
+struct ValueRunReport : RunReport {
+  /// Logical rounds (EngineRun::iterations): rows replayed after a rollback
+  /// are not counted again, unlike RunMetrics::iterations.
+  int iterations = 0;
   std::uint64_t update_bytes_remote = 0;  // cross-rank update-exchange bytes
   std::uint64_t reduce_bytes = 0;         // delegate value reductions
   /// Iterations in which any GPU ran a dd/dn/nd kernel backward -- the
@@ -94,26 +98,17 @@ struct ValueAppMetrics {
   int heavy_iterations = 0;             // heavy-edge rounds
   std::uint64_t light_relaxations = 0;  // light-edge relax attempts, all GPUs
   std::uint64_t heavy_relaxations = 0;
-  /// Hardened-wire recovery work, summed over GPUs and iterations.
-  std::uint64_t retries = 0;
-  std::uint64_t corrupt_bins = 0;
-  std::uint64_t recovery_ns = 0;
-  /// Fault log, checkpoint and rollback accounting of the run.
-  sim::FaultReport fault;
-  sim::ModeledBreakdown modeled;
-  double modeled_ms = 0;
-  sim::RunCounters counters;  // full trace for re-modeling
 };
 
-/// Row count (and the reduce-bytes volume) derive from the history length,
-/// which with checkpoint/rollback recovery includes replayed iterations --
-/// the honest accounting of what the cluster actually executed.
-/// `delegate_words_per_item` scales the delegate reduction payload: 1 is
-/// the historic d x 8-byte value vector; lane-valued algorithms reduce
+/// Builds the value report of one engine run (`iterations` is its logical
+/// round count).  Reduce bytes follow the executed row count.
+/// `delegate_words_per_item` scales the delegate reduction payload: 1 is the
+/// historic d x 8-byte value vector; lane-valued algorithms reduce
 /// groups_per_item() packed words per delegate (d x G x 8 bytes).
-ValueAppMetrics assemble_value_app_metrics(
-    const graph::DistributedGraph& graph,
-    const std::vector<std::vector<sim::GpuIterationCounters>>& histories,
-    bool overlap, std::uint64_t delegate_words_per_item = 1);
+ValueRunReport assemble_value_report(
+    const graph::DistributedGraph& graph, int iterations,
+    std::vector<std::vector<sim::GpuIterationCounters>>&& histories,
+    double measured_ms, sim::FaultReport fault, bool overlap,
+    std::uint64_t delegate_words_per_item = 1);
 
 }  // namespace dsbfs::core

@@ -274,8 +274,6 @@ PagerankResult DistributedPagerank::run() {
 
   // ---- Gather. ----------------------------------------------------------
   PagerankResult result;
-  result.measured_ms = run.measured_ms;
-  result.iterations = run.iterations;
   result.final_delta = run.state(0).last_delta;
   result.ranks.assign(graph_.num_vertices(), 0.0);
   for (int g = 0; g < p; ++g) {
@@ -291,14 +289,9 @@ PagerankResult DistributedPagerank::run() {
   }
 
   // ---- Model. ------------------------------------------------------------
-  ValueAppMetrics vm =
-      assemble_value_app_metrics(graph_, run.histories, options_.run.overlap);
-  result.update_bytes_remote = vm.update_bytes_remote;
-  result.reduce_bytes = vm.reduce_bytes;
-  result.modeled = vm.modeled;
-  result.modeled_ms = vm.modeled_ms;
-  result.counters = std::move(vm.counters);
-  result.fault = run.fault;
+  static_cast<ValueRunReport&>(result) = assemble_value_report(
+      graph_, run.iterations, std::move(run.histories), run.measured_ms,
+      std::move(run.fault), options_.run.overlap);
   return result;
 }
 

@@ -4,9 +4,9 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/metrics.hpp"
 #include "graph/builder.hpp"
 #include "sim/cluster.hpp"
-#include "sim/perf_model.hpp"
 #include "util/types.hpp"
 
 /// PageRank on the degree-separated substrate -- the paper's named example
@@ -45,18 +45,11 @@ struct PagerankOptions {
   comm::WireCodec codec = comm::WireCodec::kRaw;
 };
 
-struct PagerankResult {
+/// The ranks plus the run's ValueRunReport (update_bytes_remote is the
+/// normal rank-contribution traffic, reduce_bytes the delegate sums).
+struct PagerankResult : ValueRunReport {
   std::vector<double> ranks;  // indexed by global vertex id; sums to ~1
-  int iterations = 0;
-  double final_delta = 0;  // last iteration's L1 change
-  double measured_ms = 0;
-  double modeled_ms = 0;
-  sim::ModeledBreakdown modeled;
-  std::uint64_t update_bytes_remote = 0;
-  std::uint64_t reduce_bytes = 0;
-  /// Fault log, checkpoint and rollback accounting of the run.
-  sim::FaultReport fault;
-  sim::RunCounters counters;  // per-iteration trace
+  double final_delta = 0;     // last iteration's L1 change
 };
 
 class DistributedPagerank {

@@ -463,8 +463,7 @@ SchedulerOutcome QueryScheduler::run(std::span<const QueryArrival> trace) {
   RunMetrics rm = assemble_metrics(graph_, options_.run.overlap,
                                    options_.reduce_mode,
                                    std::move(run.histories), run.measured_ms,
-                                   lane_bits);
-  rm.fault = run.fault;
+                                   std::move(run.fault), lane_bits);
 
   // ---- Cross-check the replicated control state: every GPU must have
   // derived the identical schedule (the claim-word audit's foundation). ---

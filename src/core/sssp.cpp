@@ -435,8 +435,6 @@ SsspResult DistributedSssp::run(VertexId source) {
 
   // ---- Gather. ----------------------------------------------------------
   SsspResult result;
-  result.measured_ms = run.measured_ms;
-  result.iterations = run.iterations;
   result.distances.assign(graph_.num_vertices(), kInfiniteDistance);
   for (int g = 0; g < p; ++g) {
     const auto& s = run.state(g);
@@ -452,15 +450,9 @@ SsspResult DistributedSssp::run(VertexId source) {
   }
 
   // ---- Model. ------------------------------------------------------------
-  ValueAppMetrics vm =
-      assemble_value_app_metrics(graph_, run.histories, options_.run.overlap);
-  result.update_bytes_remote = vm.update_bytes_remote;
-  result.reduce_bytes = vm.reduce_bytes;
-  result.pull_iterations = vm.pull_iterations;
-  result.modeled = vm.modeled;
-  result.modeled_ms = vm.modeled_ms;
-  result.counters = std::move(vm.counters);
-  result.fault = run.fault;
+  static_cast<ValueRunReport&>(result) = assemble_value_report(
+      graph_, run.iterations, std::move(run.histories), run.measured_ms,
+      std::move(run.fault), options_.run.overlap);
   return result;
 }
 

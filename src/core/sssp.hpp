@@ -4,9 +4,9 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/metrics.hpp"
 #include "graph/builder.hpp"
 #include "sim/cluster.hpp"
-#include "sim/perf_model.hpp"
 #include "util/types.hpp"
 
 /// Single-source shortest paths on the degree-separated substrate -- the
@@ -91,22 +91,14 @@ struct SsspOptions {
   comm::WireCodec codec = comm::WireCodec::kRaw;
 };
 
-struct SsspResult {
+/// The distances plus the run's ValueRunReport (update_bytes_remote is the
+/// tentative-distance traffic, reduce_bytes the delegate distance
+/// reductions; pull_iterations counts rounds in which at least one GPU ran
+/// a relax kernel backward, 0 with direction_optimized off).
+struct SsspResult : ValueRunReport {
   /// distances[v] = weighted distance from the source, kInfiniteDistance
   /// for unreachable vertices.
   std::vector<std::uint64_t> distances;
-  int iterations = 0;
-  /// Iterations in which at least one GPU ran a relax kernel backward
-  /// (0 with direction_optimized off).
-  int pull_iterations = 0;
-  double measured_ms = 0;
-  double modeled_ms = 0;
-  sim::ModeledBreakdown modeled;
-  std::uint64_t update_bytes_remote = 0;  // tentative-distance traffic
-  std::uint64_t reduce_bytes = 0;         // delegate distance reductions
-  /// Fault log, checkpoint and rollback accounting of the run.
-  sim::FaultReport fault;
-  sim::RunCounters counters;  // per-iteration trace
 };
 
 class DistributedSssp {

@@ -105,8 +105,8 @@ TEST_P(BetweennessSweep, RmatScoresMatchSerialBrandesBitExact) {
   BetweennessCentrality bc(dg, cluster);
   const BetweennessResult r = bc.run(sources);
   expect_scores_bit_exact(g, r, sources, c.name);
-  EXPECT_GT(r.forward_iterations, 0);
-  EXPECT_GT(r.reverse_iterations, 0);
+  EXPECT_GT(r.forward.iterations, 0);
+  EXPECT_GT(r.reverse.iterations, 0);
   EXPECT_GT(r.max_depth, 0);
 }
 
@@ -174,10 +174,15 @@ TEST(Betweenness, ComposedModelCoversBothRuns) {
   // One iteration-end timestamp per executed row of *both* runs, and the
   // reverse run's stamps sit after the forward makespan.
   ASSERT_EQ(r.modeled.iteration_end_ms.size(),
-            static_cast<std::size_t>(r.forward_iterations) +
-                static_cast<std::size_t>(r.reverse_iterations));
-  EXPECT_GT(r.update_bytes_remote, 0u);
-  EXPECT_GT(r.reduce_bytes, 0u);
+            static_cast<std::size_t>(r.forward.iterations) +
+                static_cast<std::size_t>(r.reverse.iterations));
+  EXPECT_GT(r.forward.update_bytes_remote + r.reverse.update_bytes_remote, 0u);
+  EXPECT_GT(r.forward.reduce_bytes, 0u);
+  // Each pass keeps its own counter rows, so either can be re-modeled.
+  for (const ValueRunReport* pass : {&r.forward, &r.reverse}) {
+    EXPECT_EQ(sim::PerfModel{}.replay(pass->counters).elapsed_ms,
+              pass->modeled_ms);
+  }
 }
 
 TEST(Betweenness, RejectsBadArguments) {

@@ -108,6 +108,24 @@ TEST(FaultPlan, LogIsSortedRegardlessOfRecordOrder) {
 // injected-fault log, the identical recovery counters and the identical
 // answer, run after run, threads and all.
 
+/// The run's recovery totals are exactly the sums of its counter rows: no
+/// result keeps a second copy that could drift from them.
+void expect_fault_totals_match_rows(const sim::FaultReport& fault,
+                                    const sim::RunCounters& counters) {
+  std::uint64_t retries = 0, corrupt_bins = 0, recovery_ns = 0;
+  for (const sim::IterationCounters& ic : counters.iterations) {
+    for (const sim::GpuIterationCounters& c : ic.gpu) {
+      retries += c.retries;
+      corrupt_bins += c.corrupt_bins;
+      recovery_ns += c.recovery_ns;
+    }
+  }
+  EXPECT_GT(retries + corrupt_bins, 0u);
+  EXPECT_EQ(fault.retries, retries);
+  EXPECT_EQ(fault.corrupt_bins, corrupt_bins);
+  EXPECT_EQ(fault.recovery_ns, recovery_ns);
+}
+
 class FaultReplayTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -140,7 +158,7 @@ TEST_F(FaultReplayTest, SameSeedSameLogSameCountersBfs) {
   EXPECT_EQ(a.metrics.fault.retries, b.metrics.fault.retries);
   EXPECT_EQ(a.metrics.fault.corrupt_bins, b.metrics.fault.corrupt_bins);
   EXPECT_EQ(a.metrics.fault.recovery_ns, b.metrics.fault.recovery_ns);
-  EXPECT_EQ(a.metrics.retries, b.metrics.retries);
+  expect_fault_totals_match_rows(a.metrics.fault, a.metrics.counters);
   EXPECT_EQ(a.metrics.exchange_remote_bytes, b.metrics.exchange_remote_bytes);
   EXPECT_EQ(a.metrics.modeled_ms, b.metrics.modeled_ms);
   EXPECT_EQ(a.distances, b.distances);
@@ -163,6 +181,7 @@ TEST_F(FaultReplayTest, SameSeedSameLogSameCountersSssp) {
   EXPECT_EQ(a.fault.events, b.fault.events);
   EXPECT_EQ(a.fault.retries, b.fault.retries);
   EXPECT_EQ(a.fault.recovery_ns, b.fault.recovery_ns);
+  expect_fault_totals_match_rows(a.fault, a.counters);
   EXPECT_EQ(a.update_bytes_remote, b.update_bytes_remote);
   EXPECT_EQ(a.modeled_ms, b.modeled_ms);
   EXPECT_EQ(a.distances, b.distances);
@@ -193,11 +212,12 @@ TEST_F(FaultReplayTest, LossyWireStaysBitExactUnderEveryExchangeTopology) {
 
     EXPECT_EQ(a.distances, clean.distances) << sim::to_string(topology);
     ASSERT_FALSE(a.metrics.fault.events.empty()) << sim::to_string(topology);
-    EXPECT_GT(a.metrics.retries + a.metrics.corrupt_bins, 0u)
+    EXPECT_GT(a.metrics.fault.retries + a.metrics.fault.corrupt_bins, 0u)
         << sim::to_string(topology);
     EXPECT_EQ(a.metrics.fault.events, b.metrics.fault.events)
         << sim::to_string(topology);
-    EXPECT_EQ(a.metrics.retries, b.metrics.retries) << sim::to_string(topology);
+    EXPECT_EQ(a.metrics.fault.retries, b.metrics.fault.retries)
+        << sim::to_string(topology);
     EXPECT_EQ(a.metrics.modeled_ms, b.metrics.modeled_ms)
         << sim::to_string(topology);
     EXPECT_EQ(a.distances, b.distances) << sim::to_string(topology);

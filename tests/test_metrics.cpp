@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/batch_sssp.hpp"
+#include "core/betweenness.hpp"
+#include "core/bfs.hpp"
+#include "core/components.hpp"
+#include "core/pagerank.hpp"
+#include "core/sssp.hpp"
 #include "graph/generators.hpp"
 #include "graph/rmat.hpp"
 
@@ -44,7 +50,7 @@ TEST(Metrics, AggregatesTotals) {
   const auto dg = small_graph(spec);
   auto m = assemble_metrics(dg, /*overlap=*/true, kBlocking,
                             synthetic_histories(4, 6, true),
-                            /*measured_ms=*/10.0);
+                            /*measured_ms=*/10.0, /*fault=*/{});
   EXPECT_EQ(m.iterations, 6);
   EXPECT_EQ(m.delegate_reduce_iterations, 3);  // even iterations only
   EXPECT_EQ(m.edges_traversed, 4u * 6 * 150);
@@ -61,7 +67,7 @@ TEST(Metrics, MaskVolumeUsesPaperFormula) {
   spec.gpus_per_rank = 2;
   const auto dg = small_graph(spec);
   auto m = assemble_metrics(dg, true, kBlocking,
-                            synthetic_histories(4, 4, true), 1.0);
+                            synthetic_histories(4, 4, true), 1.0, {});
   const std::uint64_t d_bytes = (dg.num_delegates() + 7) / 8;
   EXPECT_EQ(m.mask_reduce_bytes, 2 * d_bytes * 2 * 2);  // 2 ranks, S' = 2
 }
@@ -72,7 +78,7 @@ TEST(Metrics, PerIterationTraceHasOneRowPerIteration) {
   spec.gpus_per_rank = 2;
   const auto dg = small_graph(spec);
   const auto m = assemble_metrics(dg, true, kBlocking,
-                                  synthetic_histories(2, 5, false), 1.0);
+                                  synthetic_histories(2, 5, false), 1.0, {});
   ASSERT_EQ(m.per_iteration.size(), 5u);
   for (const IterationStats& row : m.per_iteration) {
     EXPECT_EQ(row.frontier_normals, 2u * 10);
@@ -88,7 +94,7 @@ TEST(Metrics, ModeledBreakdownPopulated) {
   spec.gpus_per_rank = 1;
   const auto dg = small_graph(spec);
   auto m = assemble_metrics(dg, true, kBlocking,
-                            synthetic_histories(2, 8, true), 1.0);
+                            synthetic_histories(2, 8, true), 1.0, {});
   EXPECT_GT(m.modeled_ms, 0.0);
   EXPECT_GT(m.modeled_gteps, 0.0);
   EXPECT_GT(m.modeled.computation_ms, 0.0);
@@ -102,7 +108,7 @@ TEST(Metrics, CountersPreservedForReplay) {
   spec.gpus_per_rank = 2;
   const auto dg = small_graph(spec);
   auto m = assemble_metrics(dg, true, comm::ReduceMode::kNonBlocking,
-                            synthetic_histories(2, 3, true), 1.0);
+                            synthetic_histories(2, 3, true), 1.0, {});
   EXPECT_EQ(m.counters.iterations.size(), 3u);
   EXPECT_EQ(m.counters.spec.total_gpus(), 2);
   EXPECT_FALSE(m.counters.blocking_reduce);
@@ -118,9 +124,71 @@ TEST(Metrics, EmptyHistoriesProduceZeroRun) {
   spec.gpus_per_rank = 1;
   const auto dg = small_graph(spec);
   std::vector<std::vector<sim::GpuIterationCounters>> empty(1);
-  auto m = assemble_metrics(dg, true, kBlocking, std::move(empty), 0.5);
+  auto m = assemble_metrics(dg, true, kBlocking, std::move(empty), 0.5, {});
   EXPECT_EQ(m.iterations, 0);
   EXPECT_EQ(m.edges_traversed, 0u);
+}
+
+TEST(ValueReportGolden, CountersAndModeledTimeArePinned) {
+  // RMAT-12 on 2x2 at TH 32, one run of each value facade.  How a result is
+  // assembled from its engine run may change; the rounds it reports, the
+  // bytes it moved, its counter rows and the time the model charges may not.
+  struct Golden {
+    const char* name;
+    int iterations;
+    std::uint64_t update_bytes, reduce_bytes;
+    std::size_t rows;
+    double modeled_ms;
+  };
+  const auto expect_pinned = [](const Golden& gold, const auto& r) {
+    SCOPED_TRACE(gold.name);
+    EXPECT_EQ(r.iterations, gold.iterations);
+    EXPECT_EQ(r.update_bytes_remote, gold.update_bytes);
+    EXPECT_EQ(r.reduce_bytes, gold.reduce_bytes);
+    EXPECT_EQ(r.counters.iterations.size(), gold.rows);
+    EXPECT_NEAR(r.modeled_ms, gold.modeled_ms, 1e-12 * gold.modeled_ms);
+    EXPECT_EQ(sim::PerfModel{}.replay(r.counters).elapsed_ms, r.modeled_ms);
+  };
+  const graph::EdgeList g = graph::rmat_graph500({.scale = 12, .seed = 19});
+  sim::ClusterSpec spec;
+  spec.num_ranks = 2;
+  spec.gpus_per_rank = 2;
+  sim::Cluster cluster(spec);
+  const graph::DistributedGraph dg = graph::build_distributed(g, spec, 32);
+  const VertexId source = sample_traversal_source(dg, 3);
+  std::vector<VertexId> sources;
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    sources.push_back(sample_traversal_source(dg, k));
+  }
+
+  expect_pinned({"cc", 5, 32772, 125920, 5, 0.39612379202791592},
+                ConnectedComponents(dg, cluster).run());
+  PagerankOptions pr_options;
+  pr_options.max_iterations = 10;
+  pr_options.tolerance = 0.0;
+  expect_pinned({"pagerank", 10, 110760, 251840, 10, 0.87055677530779796},
+                DistributedPagerank(dg, cluster, pr_options).run());
+  expect_pinned({"sssp", 7, 23220, 176288, 7, 0.47315980827968018},
+                DistributedSssp(dg, cluster).run(source));
+  expect_pinned({"batch_sssp_w8", 21, 87216, 2115456, 21, 1.5484620776597247},
+                DistributedBatchSssp(dg, cluster).run(sources));
+
+  // Betweenness: 5 forward + 4 reverse rounds; bytes and rows summed over
+  // the two passes, the modeled time composed from their replays.
+  const BetweennessResult bc = BetweennessCentrality(dg, cluster).run(sources);
+  EXPECT_EQ(bc.forward.iterations, 5);
+  EXPECT_EQ(bc.reverse.iterations, 4);
+  EXPECT_EQ(bc.forward.update_bytes_remote + bc.reverse.update_bytes_remote,
+            43703676u);
+  EXPECT_EQ(bc.forward.reduce_bytes + bc.reverse.reduce_bytes, 1007360u);
+  EXPECT_EQ(bc.forward.counters.iterations.size() +
+                bc.reverse.counters.iterations.size(),
+            9u);
+  EXPECT_NEAR(bc.modeled_ms, 3.2297763749003496, 1e-12 * 3.2297763749003496);
+  const sim::ModeledBreakdown composed =
+      sim::compose_breakdowns(sim::PerfModel{}.replay(bc.forward.counters),
+                              sim::PerfModel{}.replay(bc.reverse.counters));
+  EXPECT_EQ(composed.elapsed_ms, bc.modeled_ms);
 }
 
 }  // namespace

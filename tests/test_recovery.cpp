@@ -179,11 +179,11 @@ TEST_F(RecoveryTest, BetweennessSurvivesGpuFailureInBothRunsBitExact) {
       core::BetweennessCentrality(dg_, cluster, options).run(sources);
 
   EXPECT_EQ(hurt.scores, clean.scores);
-  EXPECT_EQ(hurt.forward_iterations, clean.forward_iterations);
-  EXPECT_EQ(hurt.reverse_iterations, clean.reverse_iterations);
+  EXPECT_EQ(hurt.forward.iterations, clean.forward.iterations);
+  EXPECT_EQ(hurt.reverse.iterations, clean.reverse.iterations);
   EXPECT_EQ(hurt.max_depth, clean.max_depth);
-  expect_recovered(hurt.forward_fault);
-  expect_recovered(hurt.reverse_fault);
+  expect_recovered(hurt.forward.fault);
+  expect_recovered(hurt.reverse.fault);
 }
 
 TEST_F(RecoveryTest, PagerankSurvivesGpuFailureBitExact) {
@@ -392,7 +392,7 @@ TEST_F(RecoveryTest, FaultsPlusFailureTogetherStayBitExact) {
   EXPECT_EQ(hurt.distances, clean.distances);
   EXPECT_EQ(hurt.metrics.fault.rollbacks, 1);
   EXPECT_GT(hurt.metrics.fault.events.size(), 1u);
-  EXPECT_GT(hurt.metrics.retries + hurt.metrics.corrupt_bins, 0u);
+  EXPECT_GT(hurt.metrics.fault.retries + hurt.metrics.fault.corrupt_bins, 0u);
 }
 
 }  // namespace
