@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
 
         RunRecord rec;
         rec.batch = batch;
-        rec.lane_bits = r.lane_bits;
+        rec.lane_bits = r.metrics.lane_bits;
         rec.overlap = overlap;
         rec.compress = compress;
         rec.iterations = r.metrics.iterations;

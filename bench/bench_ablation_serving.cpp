@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
         rec.recycle = recycle;
         rec.queries = out.metrics.queries;
         rec.iterations = out.metrics.run.iterations;
-        rec.modeled_ms = out.metrics.modeled_ms;
+        rec.modeled_ms = out.metrics.run.modeled_ms;
         rec.queries_per_sec = out.metrics.queries_per_sec;
         rec.latency_p50_ms = out.metrics.latency.p50;
         rec.latency_p95_ms = out.metrics.latency.p95;
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
     core::QueryScheduler scheduler(dg, cluster, {.width = 8});
     const core::SchedulerOutcome a = scheduler.run(trace);
     const core::SchedulerOutcome b = scheduler.run(trace);
-    bool same = a.metrics.modeled_ms == b.metrics.modeled_ms &&
+    bool same = a.metrics.run.modeled_ms == b.metrics.run.modeled_ms &&
                 a.events.size() == b.events.size();
     for (std::size_t i = 0; same && i < a.queries.size(); ++i) {
       same = a.queries[i].admit_iteration == b.queries[i].admit_iteration &&

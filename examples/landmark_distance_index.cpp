@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   std::printf("\nbatched index build: %zu landmarks in one run, lane width "
               "%d\n  iterations %d, modeled %.3f ms, %.1f lane bits per "
               "frontier vertex\n",
-              sources.size(), index.lane_bits, index.metrics.iterations,
+              sources.size(), index.metrics.lane_bits, index.metrics.iterations,
               index.metrics.modeled_ms,
               [&] {
                 double bits = 0, verts = 0;

@@ -126,15 +126,15 @@ class BatchBfsAlgorithm {
 
   std::uint64_t state_bytes(const engine::GpuContext& ctx,
                             const State& s) const {
-    // The device's state: 4-byte depth slots per (item, lane) plus the
-    // three lane masks on each side.  The host's bit-sliced depth planes
-    // do not enter checkpoint bytes or modeled time.
+    // The device's state: 4-byte depth slots per (item, lane), the three
+    // lane masks on each side and the nn sent mask.  The host's bit-sliced
+    // depth planes do not enter checkpoint bytes or modeled time.
     const std::uint64_t w = static_cast<std::uint64_t>(lane_bits_);
     return graph_.local(ctx.gpu).num_local_normals() * w * sizeof(Depth) +
            static_cast<std::uint64_t>(graph_.num_delegates()) * w *
                sizeof(Depth) +
            3 * s.gpu.delegate_visited.byte_size() +
-           3 * s.gpu.seen_normal.byte_size();
+           3 * s.gpu.seen_normal.byte_size() + s.gpu.sent.byte_size();
   }
 
   void previsit(engine::GpuContext&, State& s, int) {
@@ -359,7 +359,6 @@ BatchBfsResult DistributedBatchBfs::run(std::span<const VertexId> sources) {
   // visited delegate lanes from GPU 0's replicated state.  Tiles write
   // disjoint ranges, each a few contiguous runs per column.
   BatchBfsResult result;
-  result.lane_bits = lane_bits;
   const VertexId n = graph_.num_vertices();
   const bool parents = options_.compute_parents;
   result.distances.resize(num_lanes);

@@ -69,9 +69,6 @@ struct BatchBfsOptions {
 };
 
 struct BatchBfsResult {
-  /// Lane width W the run used (smallest of {1, 8, 32, 64} holding the
-  /// batch).
-  int lane_bits = 1;
   /// distances[lane][v]: hop distance of vertex v from sources[lane]
   /// (kUnvisited when unreachable) -- per lane, exactly the single-source
   /// result for that source.
@@ -80,8 +77,10 @@ struct BatchBfsResult {
   /// Graph500 BFS tree per lane, same conventions as BfsResult::parents.
   std::vector<std::vector<VertexId>> parents;
   /// Shared-run metrics: one iteration history covers every lane (the
-  /// whole point); RunMetrics::lane_bits and the per-iteration lane-bit
-  /// occupancy columns say how many sources each sweep advanced.
+  /// whole point).  RunMetrics::lane_bits is the lane width W the run used
+  /// (the smallest of {1, 8, 32, 64} holding the batch); it and the
+  /// per-iteration lane-bit occupancy columns say how many sources each
+  /// sweep advanced.
   RunMetrics metrics;
 };
 

@@ -76,12 +76,13 @@ class BfsAlgorithm {
 
   std::uint64_t state_bytes(const engine::GpuContext& ctx,
                             const State& s) const {
-    // Level arrays plus three delegate masks (the historic figure: visited,
+    // Level arrays, three delegate masks (the historic figure: visited,
     // new and one out-mask; it feeds the checkpoint model, so the
-    // per-stream split of the out-mask does not change it).
+    // per-stream split of the out-mask does not change it) and the nn sent
+    // mask.
     return graph_.local(ctx.gpu).num_local_normals() * sizeof(Depth) +
            static_cast<std::uint64_t>(graph_.num_delegates()) * sizeof(Depth) +
-           3 * s.gpu.delegate_visited.byte_size();
+           3 * s.gpu.delegate_visited.byte_size() + s.gpu.sent.byte_size();
   }
 
   void previsit(engine::GpuContext&, State& s, int) {

@@ -18,6 +18,7 @@ GpuState::GpuState(const graph::LocalGraph& graph, int total_gpus,
   delegate_out_dd.resize(d);
   delegate_out_nd.resize(d);
   level_delegate.assign(d, kUnvisited);
+  sent.resize(graph.num_global_vertices());
 
   if (record_parents) {
     parent_normal.assign(n_local, kParentNone);
@@ -61,6 +62,7 @@ LaneState::LaneState(const graph::LocalGraph& graph, int total_gpus,
   delegate_out_dd.resize(d, lane_bits);
   delegate_out_nd.resize(d, lane_bits);
   depth_delegate.assign(static_cast<std::size_t>(d) * w, kUnvisited);
+  sent.resize(graph.num_global_vertices(), lane_bits);
 
   if (record_parents) {
     parent_normal.assign(n_local * w, kParentNone);

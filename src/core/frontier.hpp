@@ -100,7 +100,8 @@ inline std::uint64_t depth_byte_layer(const std::uint64_t* words,
 ///   * `delegate_out_dd` and `parent_delegate_dd` -- the dd visit
 ///     (delegate stream);
 ///   * `delegate_out_nd` and `parent_delegate_nd` -- the nd visit (normal
-///     stream).
+///     stream);
+///   * `sent` -- the nn visit (normal stream).
 /// The nd visit, which runs concurrently with dn, reads `seen_normal`,
 /// never `level_normal`.  The delegate out-mask and parent candidates are
 /// split per stream because dd and nd run concurrently;
@@ -155,6 +156,11 @@ class GpuState {
 
   // --- exchange ----------------------------------------------------------
   std::vector<std::vector<LocalId>> bins;  // per destination global GPU
+  /// nn targets this GPU has binned, one bit per global vertex id.  The nn
+  /// visit bins a target only once per run: the first shipment already
+  /// gives it a distance of at most the next depth, so a later one cannot
+  /// change it (parents come from the finalize's own nn probes).
+  util::PlainLaneBitset sent;
 
   // --- BFS tree (optional; see DistributedBfs::run) -----------------------
   bool record_parents;  // run constant
@@ -219,6 +225,7 @@ class GpuState {
 ///     delegate stream;
 ///   * `delegate_out_nd` and `parent_delegate_nd` -- the nd visit, on the
 ///     normal stream;
+///   * `sent` -- the nn visit, on the normal stream;
 ///   * seeding and lane recycling write between iterations, with both
 ///     streams idle.
 /// The delegate out-mask and parent candidates are split per stream
@@ -317,6 +324,10 @@ class LaneState {
 
   // --- exchange ----------------------------------------------------------
   std::vector<std::vector<comm::VertexUpdate>> bins;  // per dest global GPU
+  /// Lanes this GPU has binned per nn target, one lane word per global
+  /// vertex id: the nn visit ships each (target, lane) once per run, as
+  /// GpuState::sent does at one lane.  Lane recycling clears the column.
+  util::PlainLaneBitset sent;
 
   // --- BFS trees (optional; one per lane) --------------------------------
   bool record_parents;  // run constant

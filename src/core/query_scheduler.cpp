@@ -175,14 +175,14 @@ class ServingAlgorithm {
 
   std::uint64_t state_bytes(const engine::GpuContext& ctx,
                             const State& s) const {
-    // The device's per-lane depth arrays and lane masks, as in
-    // BatchBfsAlgorithm::state_bytes.
+    // The device's per-lane depth arrays, lane masks and nn sent mask, as
+    // in BatchBfsAlgorithm::state_bytes.
     const std::uint64_t w = static_cast<std::uint64_t>(lane_bits_);
     return graph_.local(ctx.gpu).num_local_normals() * w * sizeof(Depth) +
            static_cast<std::uint64_t>(graph_.num_delegates()) * w *
                sizeof(Depth) +
            3 * s.gpu.delegate_visited.byte_size() +
-           3 * s.gpu.seen_normal.byte_size();
+           3 * s.gpu.seen_normal.byte_size() + s.gpu.sent.byte_size();
   }
 
   void previsit(engine::GpuContext&, State& s, int) {
@@ -362,24 +362,26 @@ class ServingAlgorithm {
     const std::uint64_t bit = 1ULL << lane;
     assert((q.occupied & bit) == 0 && "admitting into an occupied lane");
 
-    // Recycling a used lane: clear its visited and depth-plane columns (one
-    // word-level mask sweep per bitset, every GPU identically; the reseed
-    // charge models the device's visited masks) and scrub the stale lane
-    // bits that survive a boundary -- `received` duplicates already seen by
-    // the previous occupant would otherwise claim the cleared lane at the
-    // next previsit, and sink-delegate `delegate_new` bits would inflate
-    // the previsit counters.
+    // Recycling a used lane: clear its visited, nn sent and depth-plane
+    // columns (one word-level mask sweep per bitset, every GPU identically;
+    // the reseed charge models the device's visited and sent masks) and
+    // scrub the stale lane bits that survive a boundary -- `received`
+    // duplicates already seen by the previous occupant would otherwise
+    // claim the cleared lane at the next previsit, sink-delegate
+    // `delegate_new` bits would inflate the previsit counters, and a stale
+    // `sent` bit would keep the new occupant's nn visit from shipping.
     if ((q.lanes_used & bit) != 0) {
       s.seen_normal.clear_lanes(bit);
+      s.sent.clear_lanes(bit);
       s.delegate_visited.clear_lanes(bit);
       s.delegate_new.clear_lanes(bit);
       for (util::PlainLaneBitset& plane : s.depth_planes) {
         plane.clear_lanes(bit);
       }
       for (comm::VertexUpdate& u : s.received) u.value &= ~bit;
-      const std::uint64_t bytes = s.seen_normal.byte_size() +
-                                  s.delegate_visited.byte_size() +
-                                  s.delegate_new.byte_size();
+      const std::uint64_t bytes =
+          s.seen_normal.byte_size() + s.sent.byte_size() +
+          s.delegate_visited.byte_size() + s.delegate_new.byte_size();
       q.pending_reseed_bytes += bytes;
       q.reseed_bytes_total += bytes;
       ++q.recycled;
@@ -486,7 +488,6 @@ SchedulerOutcome QueryScheduler::run(std::span<const QueryArrival> trace) {
 
   // ---- Assemble per-query results and the latency distributions. --------
   SchedulerOutcome out;
-  out.lane_bits = lane_bits;
   out.events = q0.events;
   const auto ms_of_row = [&rm](std::int64_t row) {
     return row < 0 ? 0.0
@@ -527,10 +528,9 @@ SchedulerOutcome QueryScheduler::run(std::span<const QueryArrival> trace) {
 
   SchedulerMetrics m;
   m.queries = trace.size();
-  m.modeled_ms = rm.modeled_ms;
-  m.queries_per_sec = m.modeled_ms > 0 && m.queries > 0
+  m.queries_per_sec = rm.modeled_ms > 0 && m.queries > 0
                           ? static_cast<double>(m.queries) /
-                                (m.modeled_ms / 1000.0)
+                                (rm.modeled_ms / 1000.0)
                           : 0.0;
   m.latency = summarize_latencies(std::move(latencies));
   m.wait = summarize_latencies(std::move(waits));

@@ -144,9 +144,7 @@ LatencySummary summarize_latencies(std::vector<double> values);
 /// First-class serving metrics next to the engine's RunMetrics.
 struct SchedulerMetrics {
   std::uint64_t queries = 0;
-  /// Modeled makespan of the serving run (== run.modeled_ms).
-  double modeled_ms = 0;
-  /// Modeled throughput: queries / makespan.
+  /// Modeled throughput: queries / run.modeled_ms (the serving makespan).
   double queries_per_sec = 0;
   LatencySummary latency;  // end-to-end
   LatencySummary wait;     // admission queueing
@@ -162,13 +160,12 @@ struct SchedulerMetrics {
   double mean_occupancy = 0;
   /// The underlying engine run, PerfModel-replayed like every other
   /// algorithm (RunMetrics::modeled.iteration_end_ms timestamps the per-
-  /// query latencies above).
+  /// query latencies above; lane_bits is the lane storage width W,
+  /// lane_width_for(options.width)).
   RunMetrics run;
 };
 
 struct SchedulerOutcome {
-  /// Lane storage width W the run used (lane_width_for(options.width)).
-  int lane_bits = 1;
   /// One entry per trace query, in trace order; every entry is retired.
   std::vector<ServedQuery> queries;
   /// Replicated lane-ownership audit log, in boundary order.

@@ -374,9 +374,13 @@ void visit_nn_lanes(LaneState& s, const sim::ClusterSpec& spec) {
     const auto row = g.nn().row(v);
     k.edges += row.size();
     for (const VertexId dst : row) {
+      // Only the lanes not yet shipped to dst: a shipped lane reaches dst
+      // at this depth + 1 or earlier, so shipping it again changes nothing.
+      const std::uint64_t rem = f & ~s.sent.or_lanes(dst, f);
+      if (rem == 0) continue;
       const auto [owner, local] = router.split(dst);
       s.bins[static_cast<std::size_t>(owner)].push_back(
-          comm::VertexUpdate{static_cast<LocalId>(local), f});
+          comm::VertexUpdate{static_cast<LocalId>(local), rem});
     }
   }
   k.vertices = s.frontier.size();
@@ -393,6 +397,7 @@ void visit_nn(GpuState& s, const sim::ClusterSpec& spec) {
     const auto row = g.nn().row(v);
     k.edges += row.size();
     for (const VertexId dst : row) {
+      if (!s.sent.set(dst)) continue;  // already shipped (visit_nn_lanes)
       const auto [owner, local] = router.split(dst);
       s.bins[static_cast<std::size_t>(owner)].push_back(
           static_cast<LocalId>(local));

@@ -19,7 +19,8 @@
 ///   * dn claims a vertex with a load-and-store of `level_normal` (depth+1)
 ///     and appends it to `next_local`; it is the only visit that touches
 ///     `level_normal`;
-///   * nn writes only this GPU's outbound bins, routed by sim::VertexRouter;
+///   * nn writes only this GPU's outbound bins, routed by sim::VertexRouter,
+///     and its `sent` mask;
 ///   * all reads of visited state go to stable snapshots (delegate_visited,
 ///     seen_normal == {level <= depth}).
 namespace dsbfs::core {
@@ -37,8 +38,9 @@ void visit_dn(GpuState& s);
 void visit_nd(GpuState& s);
 
 /// normal -> normal: forward only; fills per-destination-GPU bins with
-/// 32-bit destination-local ids.  The frontier is ascending, so the rows
-/// are walked in order and every bin comes out sorted by source.
+/// 32-bit destination-local ids, each target once per run (`sent`).  The
+/// frontier is ascending, so the rows are walked in order and every bin
+/// comes out sorted by source.
 void visit_nn(GpuState& s, const sim::ClusterSpec& spec);
 
 // ---- lane-generalized visits (batched MS-BFS traversals) -----------------
@@ -71,7 +73,8 @@ void visit_dn_lanes(LaneState& s);
 void visit_nd_lanes(LaneState& s);
 
 /// normal -> normal: fills per-destination-GPU bins with (32-bit
-/// destination-local id, frontier lane word) updates.
+/// destination-local id, lane word) updates, each (target, lane) once per
+/// run (`sent`): the word carries the frontier lanes not shipped before.
 void visit_nn_lanes(LaneState& s, const sim::ClusterSpec& spec);
 
 }  // namespace dsbfs::core

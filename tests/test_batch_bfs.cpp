@@ -75,7 +75,7 @@ TEST_P(BatchBfsProperty, EveryLaneMatchesSerialWithValidParents) {
   const std::vector<VertexId> sources = pick_sources(bfs, c.batch);
 
   const BatchBfsResult r = bfs.run(sources);
-  EXPECT_EQ(r.lane_bits, util::lane_width_for(c.batch));
+  EXPECT_EQ(r.metrics.lane_bits, util::lane_width_for(c.batch));
   ASSERT_EQ(r.distances.size(), sources.size());
   ASSERT_EQ(r.parents.size(), sources.size());
 
@@ -91,7 +91,6 @@ TEST_P(BatchBfsProperty, EveryLaneMatchesSerialWithValidParents) {
   }
 
   const RunMetrics& m = r.metrics;
-  EXPECT_EQ(m.lane_bits, r.lane_bits);
   EXPECT_GT(m.iterations, 0);
   EXPECT_GT(m.edges_traversed, 0u);
 }
@@ -160,7 +159,7 @@ TEST(BatchBfsRegression, WidthOneReproducesSingleSourceCountersExactly) {
   const std::vector<VertexId> sources{source};
   const BatchBfsResult br = batch.run(sources);
 
-  EXPECT_EQ(br.lane_bits, 1);
+  EXPECT_EQ(br.metrics.lane_bits, 1);
   ASSERT_EQ(br.distances.size(), 1u);
   EXPECT_EQ(br.distances[0], sr.distances);
 
@@ -207,6 +206,11 @@ TEST(BatchBfsGolden, CountersAndModeledTimeArePinned) {
   // RMAT-12 on 2x2: full-width forced push, a byte-wide hybrid batch and
   // full width with parents.  The lane kernels' write discipline and the
   // lane state layout may change; the traversal they perform may not.
+  //
+  // `remote_bytes_before` is the pin from before the nn visit shipped each
+  // (target, lane) once per sender (modeled 0.45064991155990425 ms for both
+  // w64 runs, 0.36811980969644742 ms for w8_hybrid): that filter may only
+  // remove bytes.
   struct Golden {
     const char* name;
     std::size_t batch;
@@ -216,17 +220,18 @@ TEST(BatchBfsGolden, CountersAndModeledTimeArePinned) {
     std::uint64_t edges[4], vertices[4];  // dd, dn, nd, nn
     std::uint64_t remote_bytes, mask_bytes;
     double modeled_ms;
+    std::uint64_t remote_bytes_before;
   };
   const Golden goldens[] = {
       {"w64_push", 64, TraversalDirection::kForcedPush, false, 64, 7,
-       {274289, 45255, 42290, 5944}, {8070, 8070, 7076, 7076}, 36300, 100992,
-       0.45064991155990425},
+       {274289, 45255, 42290, 5944}, {8070, 8070, 7076, 7076}, 32532, 100992,
+       0.45007990098317535, 36300},
       {"w8_hybrid", 8, TraversalDirection::kHybrid, false, 8, 7,
-       {104262, 22013, 38376, 4469}, {4868, 5643, 7363, 5204}, 11265, 9468,
-       0.36811980969644742},
+       {104262, 22013, 38376, 4469}, {4868, 5643, 7363, 5204}, 9840, 9468,
+       0.3677218523447171, 11265},
       {"w64_parents", 64, TraversalDirection::kForcedPush, true, 64, 7,
-       {274289, 45255, 42290, 5944}, {8070, 8070, 7076, 7076}, 36300, 100992,
-       0.45064991155990425},
+       {274289, 45255, 42290, 5944}, {8070, 8070, 7076, 7076}, 32532, 100992,
+       0.45007990098317535, 36300},
   };
   const graph::EdgeList g = graph::rmat_graph500({.scale = 12, .seed = 91});
   sim::ClusterSpec spec;
@@ -242,13 +247,14 @@ TEST(BatchBfsGolden, CountersAndModeledTimeArePinned) {
     DistributedBatchBfs bfs(dg, cluster, options);
     const BatchBfsResult r = bfs.run(pick_sources(bfs, gold.batch));
     const RunMetrics& m = r.metrics;
-    EXPECT_EQ(r.lane_bits, gold.lane_bits);
+    EXPECT_EQ(m.lane_bits, gold.lane_bits);
     EXPECT_EQ(m.iterations, gold.iterations);
     const KernelTotals k = kernel_totals(m.counters);
     for (int i = 0; i < 4; ++i) {
       EXPECT_EQ(k.edges[i], gold.edges[i]) << "kernel " << i;
       EXPECT_EQ(k.vertices[i], gold.vertices[i]) << "kernel " << i;
     }
+    EXPECT_LE(gold.remote_bytes, gold.remote_bytes_before);
     EXPECT_EQ(m.exchange_remote_bytes, gold.remote_bytes);
     EXPECT_EQ(m.mask_reduce_bytes, gold.mask_bytes);
     EXPECT_NEAR(m.modeled_ms, gold.modeled_ms, 1e-12 * gold.modeled_ms);
@@ -317,7 +323,7 @@ TEST(BatchBfs, LaneOccupancyCountersAndScaledMaskBytes) {
   const std::vector<VertexId> sources = pick_sources(bfs, 64);
   const BatchBfsResult r = bfs.run(sources);
 
-  EXPECT_EQ(r.lane_bits, 64);
+  EXPECT_EQ(r.metrics.lane_bits, 64);
   // The mask reduction moves d * 64 / 8 bytes per round.
   EXPECT_EQ(r.metrics.counters.delegate_mask_bytes,
             static_cast<std::uint64_t>(dg.num_delegates()) * 8);
@@ -348,6 +354,42 @@ TEST(BatchBfs, DuplicateSourcesProduceIdenticalLanes) {
   ASSERT_EQ(r.distances.size(), 3u);
   EXPECT_EQ(r.distances[0], r.distances[1]);
   EXPECT_EQ(r.distances[0], r.distances[2]);
+}
+
+TEST(BatchBfs, EachSenderShipsEachNnTargetOnce) {
+  // 64 identical sources move every lane together, so each nn target is
+  // binned once per GPU with all 64 lanes: a GPU's run-summed binned
+  // vertices stay within the normal-vertex count, as at one lane.
+  const graph::EdgeList g = graph::rmat_graph500(
+      {.scale = 10, .edge_factor = 16, .a = 0.45, .b = 0.22, .c = 0.22,
+       .seed = 23});
+  sim::ClusterSpec spec;
+  spec.num_ranks = 2;
+  spec.gpus_per_rank = 2;
+  sim::Cluster cluster(spec);
+  const graph::DistributedGraph dg = build_distributed(g, spec, 64);
+  const std::uint64_t normals = dg.num_vertices() - dg.num_delegates();
+  DistributedBatchBfs bfs(dg, cluster, {});
+  const VertexId source = bfs.sample_source(2);
+  const std::vector<VertexId> sources(64, source);
+  const BatchBfsResult r = bfs.run(sources);
+
+  const auto expected = baseline::serial_bfs(graph::build_host_csr(g), source);
+  ASSERT_EQ(r.distances.size(), 64u);
+  for (std::size_t lane = 0; lane < 64; ++lane) {
+    EXPECT_EQ(r.distances[lane], expected) << "lane " << lane;
+  }
+  std::vector<std::uint64_t> binned(
+      static_cast<std::size_t>(spec.total_gpus()));
+  for (const auto& it : r.metrics.counters.iterations) {
+    for (std::size_t gpu = 0; gpu < binned.size(); ++gpu) {
+      binned[gpu] += it.gpu[gpu].bin_vertices;
+    }
+  }
+  for (std::size_t gpu = 0; gpu < binned.size(); ++gpu) {
+    EXPECT_GT(binned[gpu], 0u) << "gpu " << gpu;
+    EXPECT_LE(binned[gpu], normals) << "gpu " << gpu;
+  }
 }
 
 TEST(BatchBfs, SampleSourceRejectsGraphsWithoutEdges) {
@@ -504,7 +546,7 @@ TEST(BatchBfs, WidthQuantizationBoundariesServeExactly) {
         dg, {.queries = width + 3, .rate = 8.0,
              .pattern = ArrivalPattern::kUniform, .seed = 43});
     const SchedulerOutcome out = scheduler.run(trace);
-    EXPECT_EQ(out.lane_bits, util::lane_width_for(width));
+    EXPECT_EQ(out.metrics.run.lane_bits, util::lane_width_for(width));
     // The budget is the requested width, not the quantized storage width.
     for (const ServedQuery& q : out.queries) {
       EXPECT_LT(static_cast<std::size_t>(q.lane), width);

@@ -146,7 +146,7 @@ TEST(HybridBatchBfsRegression, WidthOneReproducesSingleSourceHybridExactly) {
   const std::vector<VertexId> sources{source};
   const BatchBfsResult br = batch.run(sources);
 
-  EXPECT_EQ(br.lane_bits, 1);
+  EXPECT_EQ(br.metrics.lane_bits, 1);
   ASSERT_EQ(br.distances.size(), 1u);
   EXPECT_EQ(br.distances[0], sr.distances);
 

@@ -201,16 +201,22 @@ TEST(BfsSmall, SampleSourceAlwaysHasEdges) {
 TEST(BfsSmall, LocalAll2AllGoldenCounters) {
   // Local all2all (L) gathers same-column traffic over NVLink before the
   // remote send: with 2 GPUs per rank every GPU talks to one remote peer
-  // instead of two.  Pinned so that a build which ignores L (232 local
+  // instead of two.  Pinned so that a build which ignores L (216 local
   // bytes, 48 send ranks) fails here.
+  //
+  // The `*_before` columns hold the byte pins from before the nn visit
+  // shipped each target once per sender (uniquified was then 0 / 94 and
+  // modeled 0.34363582622103322 / 0.35064416644362656 ms): that filter may
+  // only remove bytes.
   struct Golden {
     bool uniquify;
     std::uint64_t remote_bytes, local_bytes, send_dest_ranks, uniquified;
     double modeled_ms;
+    std::uint64_t remote_bytes_before, local_bytes_before;
   };
   const Golden goldens[] = {
-      {false, 376, 432, 24, 0, 0.34363582622103322},
-      {true, 344, 432, 24, 94, 0.35064416644362656},
+      {false, 360, 404, 24, 0, 0.34362461077781303, 376, 432},
+      {true, 340, 404, 24, 90, 0.35063373331136899, 344, 432},
   };
   const graph::EdgeList g = graph::rmat_graph500({.scale = 10, .seed = 5});
   const auto spec = spec_of(2, 2);
@@ -233,12 +239,51 @@ TEST(BfsSmall, LocalAll2AllGoldenCounters) {
         uniquified += c.uniquify_vertices;
       }
     }
+    EXPECT_LE(gold.remote_bytes, gold.remote_bytes_before);
+    EXPECT_LE(gold.local_bytes, gold.local_bytes_before);
     EXPECT_EQ(r.metrics.exchange_remote_bytes, gold.remote_bytes);
     EXPECT_EQ(r.metrics.exchange_local_bytes, gold.local_bytes);
     EXPECT_EQ(send_dest_ranks, gold.send_dest_ranks);
     EXPECT_EQ(uniquified, gold.uniquified);
     EXPECT_NEAR(r.metrics.modeled_ms, gold.modeled_ms,
                 1e-12 * gold.modeled_ms);
+  }
+}
+
+TEST(BfsSmall, EachSenderShipsEachNnTargetOnce) {
+  // The nn visit bins a target only the first time its GPU reaches it, so
+  // a GPU's run-summed binned vertices stay within the normal-vertex count
+  // however many of its nn edges share a target, under every topology.  A
+  // low-skew graph with a high threshold makes nearly every edge nn.
+  const graph::EdgeList g = graph::rmat_graph500(
+      {.scale = 10, .edge_factor = 16, .a = 0.45, .b = 0.22, .c = 0.22,
+       .seed = 23});
+  const auto spec = spec_of(2, 2);
+  sim::Cluster cluster(spec);
+  const graph::DistributedGraph dg = build_distributed(g, spec, 64);
+  const std::uint64_t normals = dg.num_vertices() - dg.num_delegates();
+  const graph::Csr csr = graph::build_host_csr(g);
+  for (const sim::ExchangeTopology topology :
+       {sim::ExchangeTopology::kFlat, sim::ExchangeTopology::kHierarchical,
+        sim::ExchangeTopology::kButterfly}) {
+    SCOPED_TRACE(static_cast<int>(topology));
+    BfsOptions options;
+    options.run.exchange_topology = topology;
+    DistributedBfs bfs(dg, cluster, options);
+    const VertexId source = bfs.sample_source(2);
+    const BfsResult r = bfs.run(source);
+    EXPECT_EQ(r.distances, baseline::serial_bfs(csr, source));
+    std::vector<std::uint64_t> binned(
+        static_cast<std::size_t>(spec.total_gpus()));
+    for (const auto& it : r.metrics.counters.iterations) {
+      for (std::size_t gpu = 0; gpu < binned.size(); ++gpu) {
+        binned[gpu] += it.gpu[gpu].bin_vertices;
+      }
+    }
+    for (std::size_t gpu = 0; gpu < binned.size(); ++gpu) {
+      EXPECT_GT(binned[gpu], 0u) << "gpu " << gpu;
+      EXPECT_LE(binned[gpu], normals) << "gpu " << gpu;
+    }
   }
 }
 
@@ -279,6 +324,11 @@ TEST(BfsGolden, CountersAndModeledTimeArePinned) {
   // with parents.  How the kernels route, order and mark their work may
   // change; the traversal they perform, the bytes they move and the time
   // the model charges for it may not.
+  //
+  // `remote_bytes_before` is the pin from before the nn visit shipped each
+  // target once per sender (modeled 0.3792468134354901 ms for both hybrid
+  // runs, 0.30707070052007474 ms for push): that filter may only remove
+  // bytes.
   struct Golden {
     const char* name;
     bool direction_optimized, parents;
@@ -287,20 +337,21 @@ TEST(BfsGolden, CountersAndModeledTimeArePinned) {
     std::uint64_t remote_bytes, mask_bytes;
     std::uint64_t distance_digest, parent_digest;
     double modeled_ms;
+    std::uint64_t remote_bytes_before;
   };
   const Golden goldens[] = {
       {"hybrid", true, false, 6,
        {6384, 2858, 7384, 2172}, {137, 1779, 1453, 2556}, {16, 16, 19, 0},
-       4424, 1188, 0x893c40b21137e6adULL, 0x0000000000000000ULL,
-       0.3792468134354901},
+       3692, 1188, 0x893c40b21137e6adULL, 0x0000000000000000ULL,
+       0.37102984119123317, 4424},
       {"push", false, false, 6,
        {97164, 15867, 15867, 2172}, {2986, 2986, 2556, 2556}, {0, 0, 0, 0},
-       4424, 1188, 0x893c40b21137e6adULL, 0x0000000000000000ULL,
-       0.30707070052007474},
+       3692, 1188, 0x893c40b21137e6adULL, 0x0000000000000000ULL,
+       0.29883416895324322, 4424},
       {"hybrid_parents", true, true, 6,
        {6384, 2858, 7384, 2172}, {137, 1779, 1453, 2556}, {16, 16, 19, 0},
-       4424, 1188, 0x893c40b21137e6adULL, 0x3f289557c1071d51ULL,
-       0.3792468134354901},
+       3692, 1188, 0x893c40b21137e6adULL, 0x3f289557c1071d51ULL,
+       0.37102984119123317, 4424},
   };
   const graph::EdgeList g = graph::rmat_graph500({.scale = 12, .seed = 19});
   const auto spec = spec_of(2, 2);
@@ -321,6 +372,7 @@ TEST(BfsGolden, CountersAndModeledTimeArePinned) {
       EXPECT_EQ(k.vertices[i], gold.vertices[i]) << "kernel " << i;
       EXPECT_EQ(k.backward[i], gold.backward[i]) << "kernel " << i;
     }
+    EXPECT_LE(gold.remote_bytes, gold.remote_bytes_before);
     EXPECT_EQ(m.exchange_remote_bytes, gold.remote_bytes);
     EXPECT_EQ(m.mask_reduce_bytes, gold.mask_bytes);
     EXPECT_EQ(digest(r.distances), gold.distance_digest);

@@ -113,7 +113,7 @@ TEST_P(QuerySchedulerSoak, EveryServedQueryMatchesSerialDeterministically) {
   QueryScheduler scheduler(dg, cluster, options);
   const SchedulerOutcome out = scheduler.run(trace);
 
-  EXPECT_EQ(out.lane_bits, util::lane_width_for(c.width));
+  EXPECT_EQ(out.metrics.run.lane_bits, util::lane_width_for(c.width));
   ASSERT_EQ(out.queries.size(), c.queries);
 
   // Bit-exact distances per retired query (oracle memoized per source).
@@ -156,7 +156,7 @@ TEST_P(QuerySchedulerSoak, EveryServedQueryMatchesSerialDeterministically) {
     EXPECT_EQ(trace[i].arrival_iteration, trace2[i].arrival_iteration);
   }
   const SchedulerOutcome rerun = scheduler.run(trace2);
-  EXPECT_EQ(rerun.metrics.modeled_ms, out.metrics.modeled_ms);
+  EXPECT_EQ(rerun.metrics.run.modeled_ms, out.metrics.run.modeled_ms);
   EXPECT_EQ(rerun.metrics.queries_per_sec, out.metrics.queries_per_sec);
   EXPECT_EQ(rerun.metrics.latency.p99, out.metrics.latency.p99);
   ASSERT_EQ(rerun.events.size(), out.events.size());

@@ -115,7 +115,7 @@ TEST_F(RecoveryTest, BatchBfs64SurvivesGpuFailureBitExact) {
       options.direction = direction;
       const core::BatchBfsResult clean =
           core::DistributedBatchBfs(dg_, cluster, options).run(sources);
-      ASSERT_EQ(clean.lane_bits, 64);
+      ASSERT_EQ(clean.metrics.lane_bits, 64);
 
       options.run.resilience = kill_gpu1_at2();
       const core::BatchBfsResult hurt =
@@ -265,7 +265,7 @@ TEST_F(RecoveryTest, QuerySchedulerSurvivesGpuFailureBitExact) {
               q.admit_iteration == 0 ? 0.0 : ms_at(q.admit_iteration - 1))
         << "query " << i;
   }
-  EXPECT_GT(hurt.metrics.modeled_ms, clean.metrics.modeled_ms);
+  EXPECT_GT(hurt.metrics.run.modeled_ms, clean.metrics.run.modeled_ms);
   EXPECT_LT(hurt.metrics.queries_per_sec, clean.metrics.queries_per_sec);
 }
 
