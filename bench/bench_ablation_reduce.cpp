@@ -21,7 +21,7 @@ std::uint64_t run_two_phase(sim::ClusterSpec spec, std::size_t bits) {
   comm::Transport t(spec);
   comm::MaskReducer reducer(t, spec);
   const int p = spec.total_gpus();
-  std::vector<util::AtomicBitset> masks(static_cast<std::size_t>(p));
+  std::vector<util::LaneBitset> masks(static_cast<std::size_t>(p));
   for (int g = 0; g < p; ++g) {
     masks[static_cast<std::size_t>(g)].resize(bits);
     masks[static_cast<std::size_t>(g)].set_unsynchronized(

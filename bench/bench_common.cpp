@@ -2,11 +2,14 @@
 
 #include <cstdio>
 
+#include "baseline/serial_bfs.hpp"
+
 namespace dsbfs::bench {
 
 SeriesResult run_series(const graph::DistributedGraph& graph,
                         sim::Cluster& cluster, const core::BfsOptions& options,
-                        int sources, std::uint64_t source_seed) {
+                        int sources, std::uint64_t source_seed,
+                        const graph::HostCsr* oracle) {
   core::DistributedBfs bfs(graph, cluster, options);
   SeriesResult out;
   double comp = 0, local = 0, exch = 0, reduce = 0, iters = 0, riters = 0;
@@ -14,6 +17,10 @@ SeriesResult run_series(const graph::DistributedGraph& graph,
     const VertexId source =
         bfs.sample_source(source_seed * 1000 + static_cast<std::uint64_t>(s));
     const core::BfsResult result = bfs.run(source);
+    if (oracle != nullptr &&
+        result.distances != baseline::serial_bfs(*oracle, source)) {
+      ++out.diverged_runs;
+    }
     if (result.metrics.iterations <= 1) {
       ++out.skipped_runs;
       continue;

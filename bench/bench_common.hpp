@@ -6,6 +6,7 @@
 
 #include "core/bfs.hpp"
 #include "graph/builder.hpp"
+#include "graph/csr.hpp"
 #include "sim/cluster.hpp"
 #include "sim/fault.hpp"
 #include "util/cli.hpp"
@@ -35,12 +36,17 @@ struct SeriesResult {
   double mean_reduce_iterations = 0;
   int counted_runs = 0;
   int skipped_runs = 0;
+  /// Runs whose distances differ from the serial oracle (0 without one).
+  int diverged_runs = 0;
 };
 
-/// Run `sources` BFS traversals with the paper's discard rule.
+/// Run `sources` BFS traversals with the paper's discard rule.  Given an
+/// `oracle` (the graph's host CSR), every run's distances, discarded runs
+/// included, are checked bit-exact against baseline::serial_bfs.
 SeriesResult run_series(const graph::DistributedGraph& graph,
                         sim::Cluster& cluster, const core::BfsOptions& options,
-                        int sources, std::uint64_t source_seed = 1);
+                        int sources, std::uint64_t source_seed = 1,
+                        const graph::HostCsr* oracle = nullptr);
 
 /// Standard bench preamble: prints the binary's purpose and the paper
 /// artifact it reproduces.

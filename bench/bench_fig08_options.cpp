@@ -2,6 +2,8 @@
 // blocking-vs-nonblocking-reduction (BR/IR) options on the per-phase time
 // breakdown, on two hardware shapes.  (Paper: RMAT scale 32, TH 128, on
 // 16x2x2 and 16x1x4; default here: scale 17, TH 32, on 2x2x2 and 2x1x4.)
+// Every run's distances are checked bit-exact against the serial BFS; any
+// divergence exits 1.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -46,6 +48,8 @@ int main(int argc, char** argv) {
                       "Fig. 8: per-phase modeled time per option set");
 
   const graph::EdgeList g = graph::rmat_graph500({.scale = scale, .seed = 1});
+  const graph::HostCsr oracle = graph::build_host_csr(g);
+  int diverged = 0;
   for (const std::string gpus : {"2x2x2", "2x1x4"}) {
     const sim::ClusterSpec spec = sim::ClusterSpec::parse(gpus);
     const graph::DistributedGraph dg = graph::build_distributed(g, spec, th);
@@ -61,7 +65,14 @@ int main(int argc, char** argv) {
       options.run.uniquify = row.uniquify;
       options.reduce_mode = row.blocking ? comm::ReduceMode::kBlocking
                                          : comm::ReduceMode::kNonBlocking;
-      const auto series = bench::run_series(dg, cluster, options, sources);
+      const auto series =
+          bench::run_series(dg, cluster, options, sources, 1, &oracle);
+      if (series.diverged_runs > 0) {
+        std::cerr << "FAIL: " << gpus << " " << row.label << ": "
+                  << series.diverged_runs
+                  << " run(s) diverge from the serial BFS\n";
+        diverged += series.diverged_runs;
+      }
       table.row()
           .add(row.label)
           .add(series.computation_ms, 3)
@@ -76,5 +87,5 @@ int main(int argc, char** argv) {
             << "\nL and U add a little local time without moving remote time"
             << "\n(TH is low, so few duplicates); IR makes the delegate"
             << "\nreduction markedly slower than BR at this rank count.\n";
-  return 0;
+  return diverged > 0 ? 1 : 0;
 }

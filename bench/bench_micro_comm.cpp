@@ -65,7 +65,7 @@ void BM_MaskReduce(benchmark::State& state) {
   const std::size_t bits = static_cast<std::size_t>(state.range(0));
   int iteration = 0;
   for (auto _ : state) {
-    std::vector<util::AtomicBitset> masks(8);
+    std::vector<util::LaneBitset> masks(8);
     for (int g = 0; g < 8; ++g) {
       masks[static_cast<std::size_t>(g)].resize(bits);
       masks[static_cast<std::size_t>(g)].set_unsynchronized(

@@ -1,9 +1,12 @@
 // Microbenchmarks of the local-computation building blocks: visit kernels
-// (forward vs backward), bitset operations, and CSR traversal.  These back
+// (forward vs backward) at one lane (single-source BFS) and 64 lanes,
+// bitset operations, and CSR traversal.  These back
 // the DeviceModel calibration constants (ablation: merge vs dynamic load
 // balancing classes differ on real GPUs; here they quantify the host
 // substrate's functional cost).
 #include <benchmark/benchmark.h>
+
+#include <optional>
 
 #include "core/frontier.hpp"
 #include "core/previsit.hpp"
@@ -34,7 +37,7 @@ KernelFixture& fixture() {
 }
 
 void BM_BitsetSet(benchmark::State& state) {
-  util::AtomicBitset bits(1 << 20);
+  util::LaneBitset bits(1 << 20);
   std::size_t i = 0;
   for (auto _ : state) {
     bits.set(i);
@@ -46,7 +49,7 @@ BENCHMARK(BM_BitsetSet);
 
 void BM_BitsetOrWith(benchmark::State& state) {
   const std::size_t bits = static_cast<std::size_t>(state.range(0));
-  util::AtomicBitset a(bits), b(bits);
+  util::LaneBitset a(bits), b(bits);
   for (std::size_t i = 0; i < bits; i += 7) b.set(i);
   for (auto _ : state) {
     a.or_with(b);
@@ -58,7 +61,7 @@ void BM_BitsetOrWith(benchmark::State& state) {
 BENCHMARK(BM_BitsetOrWith)->Range(1 << 10, 1 << 22);
 
 void BM_BitsetCount(benchmark::State& state) {
-  util::AtomicBitset a(1 << 20);
+  util::LaneBitset a(1 << 20);
   for (std::size_t i = 0; i < (1 << 20); i += 3) a.set(i);
   for (auto _ : state) {
     benchmark::DoNotOptimize(a.count());
@@ -66,71 +69,100 @@ void BM_BitsetCount(benchmark::State& state) {
 }
 BENCHMARK(BM_BitsetCount);
 
+/// A fresh lane state on the fixture's single GPU, every lane live.  The
+/// benchmarks build it with timing paused and keep it until the next
+/// iteration's paused setup replaces it, so neither its construction nor
+/// its destruction is timed.
+template <int W>
+core::LaneState& fresh_state(std::optional<core::LaneState>& slot) {
+  slot.emplace(fixture().dg.local(0), 1, W, /*record_parents=*/false);
+  slot->batch_mask = slot->seen_normal.lane_mask();
+  return *slot;
+}
+
+template <int W>
 void BM_DelegatePrevisit(benchmark::State& state) {
   auto& f = fixture();
+  std::optional<core::LaneState> slot;
   for (auto _ : state) {
     state.PauseTiming();
-    core::GpuState s(f.dg.local(0), 1, /*record_parents=*/false);
+    core::LaneState& s = fresh_state<W>(slot);
     for (LocalId t = 0; t < f.dg.num_delegates(); t += 4) {
-      s.delegate_new.set_unsynchronized(t);
+      s.delegate_new.or_lanes(t, s.batch_mask);
     }
     state.ResumeTiming();
-    core::delegate_previsit(s, {});
+    core::delegate_previsit_lanes(s);
     benchmark::DoNotOptimize(s.delegate_queue);
   }
 }
-BENCHMARK(BM_DelegatePrevisit);
+BENCHMARK_TEMPLATE(BM_DelegatePrevisit, 1);
+BENCHMARK_TEMPLATE(BM_DelegatePrevisit, 64);
 
+template <int W>
 void BM_VisitDdForward(benchmark::State& state) {
   auto& f = fixture();
+  std::optional<core::LaneState> slot;
   for (auto _ : state) {
     state.PauseTiming();
-    core::GpuState s(f.dg.local(0), 1, /*record_parents=*/false);
+    core::LaneState& s = fresh_state<W>(slot);
     for (LocalId t = 0; t < f.dg.num_delegates(); t += 8) {
       s.delegate_queue.push_back(t);
+      s.delegate_new.or_lanes(t, s.batch_mask);
     }
     state.ResumeTiming();
-    core::visit_dd(s);
+    core::visit_dd_lanes<W>(s);
     benchmark::DoNotOptimize(s.delegate_out_dd);
   }
   state.SetLabel("merge-class kernel (dd)");
 }
-BENCHMARK(BM_VisitDdForward);
+BENCHMARK_TEMPLATE(BM_VisitDdForward, 1);
+BENCHMARK_TEMPLATE(BM_VisitDdForward, 64);
 
+template <int W>
 void BM_VisitDdBackward(benchmark::State& state) {
   auto& f = fixture();
+  std::optional<core::LaneState> slot;
   for (auto _ : state) {
     state.PauseTiming();
-    core::GpuState s(f.dg.local(0), 1, /*record_parents=*/false);
-    // Mark a quarter of delegates visited; pull the rest.
+    core::LaneState& s = fresh_state<W>(slot);
+    // Mark a quarter of delegates visited; pull the rest.  The pull only
+    // launches behind a non-empty delegate queue.
     for (LocalId t = 0; t < f.dg.num_delegates(); t += 4) {
-      s.delegate_visited.set_unsynchronized(t);
+      s.delegate_visited.or_lanes(t, s.batch_mask);
     }
+    s.delegate_queue.push_back(0);
     s.dir_dd.update(1e18, 1.0, true);  // force backward
     state.ResumeTiming();
-    core::visit_dd(s);
+    core::visit_dd_lanes<W>(s);
     benchmark::DoNotOptimize(s.delegate_out_dd);
   }
   state.SetLabel("backward pull with early exit");
 }
-BENCHMARK(BM_VisitDdBackward);
+BENCHMARK_TEMPLATE(BM_VisitDdBackward, 1);
+BENCHMARK_TEMPLATE(BM_VisitDdBackward, 64);
 
+template <int W>
 void BM_VisitNnForward(benchmark::State& state) {
   auto& f = fixture();
   const std::uint64_t n_local = f.dg.local(0).num_local_normals();
+  std::optional<core::LaneState> slot;
   for (auto _ : state) {
     state.PauseTiming();
-    core::GpuState s(f.dg.local(0), 1, /*record_parents=*/false);
+    core::LaneState& s = fresh_state<W>(slot);
     for (std::uint64_t v = 0; v < n_local; v += 16) {
       s.frontier.push_back(static_cast<LocalId>(v));
+      // The one-lane visits know the lane; wider ones read the bitmap.
+      if (W > 1) s.frontier_normal.or_lanes(v, s.batch_mask);
     }
     state.ResumeTiming();
-    core::visit_nn(s, f.spec);
+    core::visit_nn_lanes<W>(s, f.spec);
     benchmark::DoNotOptimize(s.bins);
+    benchmark::DoNotOptimize(s.id_bins);
   }
   state.SetLabel("dynamic-class kernel (nn) + binning");
 }
-BENCHMARK(BM_VisitNnForward);
+BENCHMARK_TEMPLATE(BM_VisitNnForward, 1);
+BENCHMARK_TEMPLATE(BM_VisitNnForward, 64);
 
 void BM_CsrRowScan(benchmark::State& state) {
   auto& f = fixture();

@@ -57,7 +57,7 @@ MaskReducer::MaskReducer(Transport& transport, sim::ClusterSpec spec)
   }
 }
 
-void MaskReducer::reduce(sim::GpuCoord me, util::AtomicBitset& mask,
+void MaskReducer::reduce(sim::GpuCoord me, util::LaneBitset& mask,
                          int iteration, ReduceMode mode, int channel) {
   (void)mode;  // functionally identical; the perf model differentiates cost
   const int me_global = spec_.global_gpu(me);

@@ -59,7 +59,7 @@ class MaskReducer {
   /// GPU's `mask` holds the OR across all GPUs.  `iteration` separates
   /// successive reductions' traffic; `channel` separates concurrent
   /// reductions within one iteration (see kReduceChannelStride).
-  void reduce(sim::GpuCoord me, util::AtomicBitset& mask, int iteration,
+  void reduce(sim::GpuCoord me, util::LaneBitset& mask, int iteration,
               ReduceMode mode = ReduceMode::kBlocking, int channel = 0);
 
  private:

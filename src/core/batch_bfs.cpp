@@ -9,11 +9,8 @@
 
 #include "core/bfs.hpp"
 #include "core/frontier.hpp"
+#include "core/lane_pipeline.hpp"
 #include "core/packing.hpp"
-#include "core/previsit.hpp"
-#include "core/visit.hpp"
-#include "engine/iterative_engine.hpp"
-#include "sim/stream.hpp"
 #include "util/parallel.hpp"
 
 namespace dsbfs::core {
@@ -45,41 +42,27 @@ void transpose_bytes8(std::array<std::uint64_t, 8>& a) noexcept {
   }
 }
 
-/// The paper's BFS pipeline (Fig. 3), lane-generalized: identical engine
-/// phase structure to BfsAlgorithm -- previsit forms the queues, visit
-/// enqueues the four kernels on the two streams, the exchange rides the
-/// normal stream through the control allreduce, the post-control mask
-/// reduction overlaps it -- with lane words in place of single bits
-/// everywhere a visited test or a wire record appears.
-class BatchBfsAlgorithm {
+/// The BFS over W lanes: the shared pipeline hooks plus seeding, the
+/// termination test and the BFS-tree completion.  W = 1 is the
+/// single-source BFS.
+class LaneBfsAlgorithm : public LanePipeline<LaneState> {
  public:
-  static constexpr const char* kStateLabel = "batch_bfs.state";
+  static constexpr const char* kStateLabel = "bfs.state";
 
-  struct State {
-    State(const graph::LocalGraph& lg, int total_gpus, int lane_bits,
-          bool record_parents)
-        : gpu(lg, total_gpus, lane_bits, record_parents) {}
-
-    LaneState gpu;
-    sim::Event bins_ready;
-    std::uint64_t bins_total = 0;
-  };
-
-  BatchBfsAlgorithm(const graph::DistributedGraph& graph,
-                    const BatchBfsOptions& options,
-                    std::span<const VertexId> sources, int lane_bits)
-      : graph_(graph),
+  LaneBfsAlgorithm(const graph::DistributedGraph& graph,
+                   const BatchBfsOptions& options,
+                   std::span<const VertexId> sources, bool local_all2all)
+      : LanePipeline(options.run, options.reduce_mode, options.codec,
+                     local_all2all),
+        graph_(graph),
         options_(options),
-        sources_(sources),
-        lane_bits_(lane_bits) {}
+        sources_(sources) {}
 
   std::unique_ptr<State> init(engine::GpuContext& ctx) {
-    const sim::ClusterSpec& spec = graph_.spec();
-    auto state =
-        std::make_unique<State>(graph_.local(ctx.gpu), ctx.total_gpus,
-                                lane_bits_, options_.compute_parents);
-    LaneState& s = state->gpu;
-    const graph::LocalGraph& lg = s.graph();
+    auto state = std::make_unique<State>(
+        graph_.local(ctx.gpu), ctx.total_gpus,
+        util::lane_width_for(sources_.size()), options_.compute_parents);
+    LaneState& s = *state;
     s.direction_optimized = options_.direction == TraversalDirection::kHybrid;
     s.adaptive_direction = options_.adaptive_direction;
     s.dd_seed = options_.dd_factors;
@@ -90,134 +73,17 @@ class BatchBfsAlgorithm {
     s.dir_nd = DirectionState(options_.nd_factors);
     s.batch_mask = sources_.size() >= 64 ? ~0ULL
                                          : (1ULL << sources_.size()) - 1;
-
-    // Seed lane l at sources[l].  A delegate source activates on every GPU
-    // (its adjacency is scattered); a normal source on its owner only.
     for (std::size_t lane = 0; lane < sources_.size(); ++lane) {
-      const VertexId source = sources_[lane];
-      const std::uint64_t bit = 1ULL << lane;
-      const LocalId src_delegate = graph_.delegates().delegate_id(source);
-      if (src_delegate != kInvalidLocal) {
-        s.delegate_new.or_lanes(src_delegate, bit);
-        if (s.delegate_visited.or_lanes(src_delegate, bit) == 0) {
-          // First touch in any lane: leaves the all-lane unvisited pools
-          // (duplicate sources only decrement once).
-          if (lg.dd_source_mask().test(src_delegate)) --s.unvisited_dd_sources;
-          if (lg.dn_source_mask().test(src_delegate)) --s.unvisited_dn_sources;
-        }
-        s.depth_delegate[s.slot(src_delegate, static_cast<int>(lane))] = 0;
-        if (s.record_parents) {
-          s.parent_delegate_dd[s.slot(src_delegate, static_cast<int>(lane))] =
-              source;
-        }
-      } else if (spec.owner_global_gpu(source) == ctx.gpu) {
-        // Depth 0 is stamped by the first normal previsit.
-        const LocalId local = static_cast<LocalId>(spec.local_index(source));
-        if (s.record_parents) {
-          s.parent_normal[s.slot(local, static_cast<int>(lane))] = source;
-        }
-        if (s.next_normal.or_lanes(local, bit) == 0) {
-          s.next_local.push_back(local);
-        }
-      }
+      s.seed(static_cast<int>(lane), sources_[lane],
+             graph_.delegates().delegate_id(sources_[lane]), 0);
     }
     return state;
   }
 
-  std::uint64_t state_bytes(const engine::GpuContext& ctx,
-                            const State& s) const {
-    // The device's state: 4-byte depth slots per (item, lane), the three
-    // lane masks on each side and the nn sent mask.  The host's bit-sliced
-    // depth planes do not enter checkpoint bytes or modeled time.
-    const std::uint64_t w = static_cast<std::uint64_t>(lane_bits_);
-    return graph_.local(ctx.gpu).num_local_normals() * w * sizeof(Depth) +
-           static_cast<std::uint64_t>(graph_.num_delegates()) * w *
-               sizeof(Depth) +
-           3 * s.gpu.delegate_visited.byte_size() +
-           3 * s.gpu.seen_normal.byte_size() + s.gpu.sent.byte_size();
-  }
-
-  void previsit(engine::GpuContext&, State& s, int) {
-    s.gpu.begin_iteration();
-    delegate_previsit_lanes(s.gpu);
-    normal_previsit_lanes(s.gpu);
-  }
-
-  void visit(engine::GpuContext& ctx, State& s, int) {
-    LaneState& gs = s.gpu;
-
-    // Delegate stream: dd then dn lane visits.
-    ctx.delegate_stream.enqueue([&gs] { visit_dd_lanes(gs); });
-    ctx.delegate_stream.enqueue([&gs] { visit_dn_lanes(gs); });
-
-    // Normal stream: nd, nn, then bin accounting (the engine enqueues the
-    // exchange hook behind these).
-    const sim::ClusterSpec& spec = ctx.comm.spec();
-    ctx.normal_stream.enqueue([&gs] { visit_nd_lanes(gs); });
-    ctx.normal_stream.enqueue([&gs, &spec] { visit_nn_lanes(gs, spec); });
-    s.bins_ready = ctx.normal_stream.record([&s] {
-      s.bins_total = 0;
-      for (const auto& bin : s.gpu.bins) s.bins_total += bin.size();
-    });
-  }
-
-  void reduce(engine::GpuContext&, State&, int) {}  // post-control only
-
-  void exchange(engine::GpuContext& ctx, State& s, int iteration) {
-    // Runs on the normal stream behind the visits; overlaps the
-    // post-control mask reduction.  The lane word is the update value: OR
-    // coalescing merges candidates for one destination, and the wire width
-    // is the lane width (0 extra bytes at W = 1, where the single lane is
-    // implicit and the record matches the id exchange's 4-byte id).  The
-    // consumed receive buffer becomes the next round's loopback bin.
-    LaneState& gs = s.gpu;
-    engine::adopt_received(
-        gs.bins, ctx.gpu, gs.received,
-        ctx.comm.exchange_value_updates(
-            ctx.me, gs.bins, iteration,
-            {.combine = options_.run.uniquify ? comm::UpdateCombine::kOr
-                                              : comm::UpdateCombine::kNone,
-             .codec = options_.codec,
-             .value_bytes = lane_bits_ == 1 ? 0 : lane_bits_ / 8,
-             .topology = options_.run.exchange_topology,
-             .retry = options_.run.resilience.retry},
-            gs.iter));
-  }
-
-  std::uint64_t contribution(engine::GpuContext& ctx, State& s, int) {
-    // Join the delegate stream and the bin accounting; the exchange keeps
-    // running on the normal stream through the control allreduce.
-    ctx.delegate_stream.synchronize();
-    s.bins_ready.wait();
-    return (s.gpu.has_delegate_updates() ? kDelegateFlagUnit : 0) +
-           static_cast<std::uint64_t>(s.gpu.next_local.size()) + s.bins_total;
-  }
-
-  void post_reduce(engine::GpuContext& ctx, State& s, int iteration,
-                   std::uint64_t control) {
-    // Delegate lane-mask reduction (overlaps the normal exchange).
-    s.gpu.reduce_delegate_updates(ctx.comm.mask_reducer(), ctx.me, iteration,
-                                  options_.reduce_mode,
-                                  control >= kDelegateFlagUnit);
-  }
-
   bool end_iteration(engine::GpuContext& ctx, State& s, int,
                      std::uint64_t control) {
-    ctx.normal_stream.synchronize();  // exchange complete; received filled
-    s.gpu.end_iteration();
-    if (s.gpu.direction_optimized && s.gpu.adaptive_direction) {
-      // Fold this iteration's realized kernel rates into the controller
-      // before the next previsit re-derives the factors from them.
-      s.gpu.controller.observe(s.gpu.iter);
-    }
-    s.gpu.depth += 1;
-    const bool any_delegate_update = control >= kDelegateFlagUnit;
-    const std::uint64_t normal_work = control % kDelegateFlagUnit;
-    return !any_delegate_update && normal_work == 0;
-  }
-
-  sim::GpuIterationCounters iteration_counters(const State& s) const {
-    return s.gpu.iter;
+    close_iteration(ctx, s);
+    return control == 0;  // no delegate update and no new normal work
   }
 
   /// Per-lane BFS-tree completion, the lane generalization of Section
@@ -225,9 +91,8 @@ class BatchBfsAlgorithm {
   /// discovered through nn edges do not know their parent yet; one extra
   /// exchange of lane probes resolves them, and one min-reduction of the
   /// d*W delegate-parent words settles every replica identically.
-  void finalize(engine::GpuContext& ctx, State& state, int iterations) {
+  void finalize(engine::GpuContext& ctx, State& s, int iterations) {
     if (!options_.compute_parents) return;
-    LaneState& s = state.gpu;
     const sim::ClusterSpec& spec = graph_.spec();
     const sim::VertexRouter router(spec);
     const int p = ctx.total_gpus;
@@ -240,8 +105,8 @@ class BatchBfsAlgorithm {
     const int parent_tag = engine::TagBlocks::user(parent_block);
 
     // Pack (dest_local, lane, my_level_in_lane) + my_global for every nn
-    // edge out of each visited (vertex, lane); the receiver accepts the
-    // first sender exactly one level above it in that lane.  A vertex's
+    // edge out of each visited (vertex, lane); the receiver keeps the
+    // smallest sender exactly one level above it in that lane.  A vertex's
     // lane depths are decoded once, not once per edge.
     std::vector<std::vector<std::uint64_t>> tuples(static_cast<std::size_t>(p));
     std::array<Depth, 64> lane_depths{};
@@ -267,9 +132,14 @@ class BatchBfsAlgorithm {
         const int lane = lane_parent_probe_lane(words[i]);
         const Depth lvl = lane_parent_probe_level(words[i]);
         const std::size_t sl = s.slot(local, lane);
-        // Min over all senders one level up (see DistributedBfs::finalize):
-        // arrival order is topology-dependent, the id minimum is not.  The
-        // depth is decoded last, for the probes that pass the parent tests.
+        // Min over all senders one level up, not first-sender-wins: probe
+        // arrival order depends on the exchange topology, the id minimum
+        // does not.  Eligible slots are unresolved nn discoveries
+        // (kParentViaNn) or already probe-resolved untagged ids; a
+        // delegate-claimed parent (tag bit set) keeps its deterministic
+        // claim.  A seeded source is safe: its depth 0 never matches
+        // lvl + 1.  The depth is decoded last, for the probes that pass the
+        // parent tests.
         const VertexId cur = s.parent_normal[sl];
         if ((cur == kParentViaNn || (cur & kParentDelegateTag) == 0) &&
             words[i + 1] < cur && s.lane_depth(local, lane) == lvl + 1) {
@@ -292,7 +162,7 @@ class BatchBfsAlgorithm {
     // global ids -> min-reduce over every (delegate, lane) slot, left in
     // parent_delegate_dd.
     const std::size_t d = graph_.num_delegates();
-    const std::size_t w = static_cast<std::size_t>(lane_bits_);
+    const std::size_t w = static_cast<std::size_t>(s.lane_bits());
     std::vector<std::uint64_t> parents(d * w);
     for (std::size_t i = 0; i < d * w; ++i) {
       VertexId enc =
@@ -314,70 +184,118 @@ class BatchBfsAlgorithm {
   const graph::DistributedGraph& graph_;
   const BatchBfsOptions& options_;
   std::span<const VertexId> sources_;
-  int lane_bits_;
 };
 
-}  // namespace
-
-DistributedBatchBfs::DistributedBatchBfs(const graph::DistributedGraph& graph,
-                                         sim::Cluster& cluster,
-                                         BatchBfsOptions options)
-    : graph_(graph), cluster_(cluster), options_(options) {
-  engine::check_specs_match(graph, cluster);
-}
-
-VertexId DistributedBatchBfs::sample_source(std::uint64_t k) const {
-  return sample_traversal_source(graph_, k);
-}
-
-BatchBfsResult DistributedBatchBfs::run(std::span<const VertexId> sources) {
-  if (sources.empty() || sources.size() > 64) {
-    throw std::invalid_argument("batch bfs takes 1..64 sources");
+/// A normal vertex's recorded parent as a global id: delegate-tagged
+/// encodings resolve to the delegate's vertex; kParentNone
+/// (== kInvalidVertex) and resolved ids pass through.
+VertexId decode_parent(const graph::DistributedGraph& graph, VertexId enc) {
+  if ((enc & kParentDelegateTag) != 0 && enc != kParentNone &&
+      enc != kParentViaNn) {
+    return graph.delegates().vertex_of(
+        static_cast<LocalId>(enc & ~kParentDelegateTag));
   }
-  for (const VertexId s : sources) {
-    if (s >= graph_.num_vertices()) {
-      throw std::out_of_range("batch bfs source out of range");
+  return enc;
+}
+
+/// W = 1 gather: in parallel over tiles of each GPU's local vertices, a
+/// plane decode of 64 vertices per word (bit k of plane j's word is bit j
+/// of vertex k's distance; decode_plane_words), scattered to the vertices'
+/// global ids, with the visited delegates among them overlaid from GPU 0's
+/// replicated state.
+BatchBfsResult gather_one_lane(const graph::DistributedGraph& graph,
+                               std::span<const LaneState* const> states,
+                               bool parents) {
+  const sim::ClusterSpec& spec = graph.spec();
+  const VertexId n = graph.num_vertices();
+  BatchBfsResult result;
+  std::vector<Depth>& dist = result.distances.emplace_back(n);
+  std::vector<VertexId>* par =
+      parents ? &result.parents.emplace_back(n) : nullptr;
+  constexpr std::uint64_t kTile = 4096;  // whole plane words
+  struct Tile {
+    int gpu;
+    std::uint64_t begin, end;  // local vertex range
+  };
+  std::vector<Tile> tiles;
+  for (int g = 0; g < spec.total_gpus(); ++g) {
+    const std::uint64_t n_local = graph.local(g).num_local_normals();
+    for (std::uint64_t v = 0; v < n_local; v += kTile) {
+      tiles.push_back({g, v, std::min(n_local, v + kTile)});
     }
   }
-  const sim::ClusterSpec spec = graph_.spec();
-  const int p = spec.total_gpus();
-  const int lane_bits = util::lane_width_for(sources.size());
-  const std::size_t num_lanes = sources.size();
+  const std::vector<VertexId>& delegates = graph.delegates().vertices();
+  const LaneState& s0 = *states[0];
+  util::parallel_tasks(tiles.size(), [&](std::size_t i) {
+    const Tile& tile = tiles[i];
+    const LaneState& s = *states[static_cast<std::size_t>(tile.gpu)];
+    const sim::GpuCoord me = spec.coord_of(tile.gpu);
+    const std::size_t planes = s.depth_planes.size();
+    // Consecutive local vertices are p global ids apart.
+    const auto p = static_cast<std::uint64_t>(spec.total_gpus());
+    std::array<std::uint64_t, 32> words;
+    std::array<Depth, 64> depths;
+    for (std::uint64_t base = tile.begin; base < tile.end; base += 64) {
+      const std::size_t w = base / 64;
+      for (std::size_t j = 0; j < planes; ++j) {
+        words[j] = s.depth_planes[j].word(w);
+      }
+      decode_plane_words(words.data(), planes, ~s.seen_normal.word(w), 64,
+                         depths.data());
+      Depth* out = dist.data() + spec.global_vertex(me.rank, me.gpu, base);
+      const std::uint64_t count = std::min<std::uint64_t>(64, tile.end - base);
+      for (std::uint64_t k = 0; k < count; ++k) out[k * p] = depths[k];
+    }
+    if (par != nullptr) {
+      for (std::uint64_t v = tile.begin; v < tile.end; ++v) {
+        (*par)[spec.global_vertex(me.rank, me.gpu, v)] =
+            decode_parent(graph, s.parent_normal[v]);
+      }
+    }
+    // The delegates among the tile's global ids take GPU 0's replicated
+    // state.
+    const VertexId first = spec.global_vertex(me.rank, me.gpu, tile.begin);
+    const VertexId last = spec.global_vertex(me.rank, me.gpu, tile.end);
+    for (auto it = std::lower_bound(delegates.begin(), delegates.end(), first);
+         it != delegates.end() && *it < last; ++it) {
+      const auto t = static_cast<std::size_t>(it - delegates.begin());
+      if ((*it - first) % p != 0 || !s0.delegate_visited.test(t)) continue;
+      dist[*it] = s0.depth_delegate[t];
+      if (par != nullptr) (*par)[*it] = s0.parent_delegate_dd[t];
+    }
+  });
+  return result;
+}
 
-  BatchBfsAlgorithm algo(graph_, options_, sources, lane_bits);
-  engine::IterativeEngine<BatchBfsAlgorithm> engine(graph_, cluster_,
-                                                    options_.run);
-  auto run = engine.run(algo);
-
-  // ---- Gather per-lane distances (and parents) on the host. -------------
-  // The lane columns are allocated in parallel, one lane per task.  Then one
-  // parallel pass over tiles of kGatherTile global vertices fills them.  A
-  // tile loads each vertex's plane words once and spreads them into byte
-  // layers, one 8-lane word per group of lanes (depth_byte_layer).  Per lane
-  // group it turns the layers lane-major with 8x8 byte transposes, widens
-  // each lane's bytes into its column's tile range, and overlays the range's
-  // visited delegate lanes from GPU 0's replicated state.  Tiles write
-  // disjoint ranges, each a few contiguous runs per column.
+/// W > 1 gather.  The lane columns are allocated in parallel, one lane per
+/// task.  Then one parallel pass over tiles of kGatherTile global vertices
+/// fills them.  A tile loads each vertex's plane words once and spreads
+/// them into byte layers, one 8-lane word per group of lanes
+/// (depth_byte_layer).  Per lane group it turns the layers lane-major with
+/// 8x8 byte transposes, widens each lane's bytes into its column's tile
+/// range, and overlays the range's visited delegate lanes from GPU 0's
+/// replicated state.  Tiles write disjoint ranges, each a few contiguous
+/// runs per column.
+BatchBfsResult gather_lanes(const graph::DistributedGraph& graph,
+                            std::span<const LaneState* const> states,
+                            std::size_t num_lanes, bool parents) {
   BatchBfsResult result;
-  const VertexId n = graph_.num_vertices();
-  const bool parents = options_.compute_parents;
+  const VertexId n = graph.num_vertices();
   result.distances.resize(num_lanes);
   if (parents) result.parents.resize(num_lanes);
   util::parallel_tasks(num_lanes, [&](std::size_t lane) {
     result.distances[lane].resize(n);
     if (parents) result.parents[lane].resize(n);
   });
-  std::vector<const LaneState*> states;
   std::size_t planes = 0;
-  for (int g = 0; g < p; ++g) {
-    states.push_back(&run.state(g).gpu);
-    planes = std::max(planes, states.back()->depth_planes.size());
+  for (const LaneState* s : states) {
+    planes = std::max(planes, s->depth_planes.size());
   }
   const std::size_t layers = depth_byte_layers(planes);
   const std::size_t groups = (num_lanes + 7) / 8;
   constexpr std::size_t kGatherTile = 512;
-  const sim::VertexRouter router(spec);
-  const std::vector<VertexId>& delegates = graph_.delegates().vertices();
+  const sim::VertexRouter router(graph.spec());
+  const std::vector<VertexId>& delegates = graph.delegates().vertices();
   const LaneState& s0 = *states[0];
   const std::size_t tiles = (n + kGatherTile - 1) / kGatherTile;
   util::parallel_tasks(tiles, [&](std::size_t tile) {
@@ -402,13 +320,8 @@ BatchBfsResult DistributedBatchBfs::run(std::span<const VertexId> sources) {
       }
       if (!parents) continue;
       for (std::size_t lane = 0; lane < num_lanes; ++lane) {
-        VertexId enc = s.parent_normal[s.slot(v, static_cast<int>(lane))];
-        if ((enc & kParentDelegateTag) != 0 && enc != kParentNone &&
-            enc != kParentViaNn) {
-          enc = graph_.delegates().vertex_of(
-              static_cast<LocalId>(enc & ~kParentDelegateTag));
-        }
-        par[lane * kGatherTile + x] = enc;
+        par[lane * kGatherTile + x] = decode_parent(
+            graph, s.parent_normal[s.slot(v, static_cast<int>(lane))]);
       }
     }
     for (std::size_t g = 0; g < groups; ++g) {
@@ -461,12 +374,62 @@ BatchBfsResult DistributedBatchBfs::run(std::span<const VertexId> sources) {
     }
   });
 
+  return result;
+}
+
+}  // namespace
+
+BatchBfsResult run_lane_bfs(const graph::DistributedGraph& graph,
+                            sim::Cluster& cluster,
+                            const BatchBfsOptions& options,
+                            std::span<const VertexId> sources,
+                            bool local_all2all) {
+  const int lane_bits = util::lane_width_for(sources.size());
+  LaneBfsAlgorithm algo(graph, options, sources, local_all2all);
+  engine::IterativeEngine<LaneBfsAlgorithm> engine(graph, cluster,
+                                                   options.run);
+  auto run = engine.run(algo);
+
+  std::vector<const LaneState*> states;
+  for (int g = 0; g < graph.spec().total_gpus(); ++g) {
+    states.push_back(&run.state(g));
+  }
+  BatchBfsResult result =
+      lane_bits == 1
+          ? gather_one_lane(graph, states, options.compute_parents)
+          : gather_lanes(graph, states, sources.size(),
+                         options.compute_parents);
+
   // ---- Model: one shared counter history, lane-scaled mask payload. -----
-  result.metrics = assemble_metrics(graph_, options_.run.overlap,
-                                    options_.reduce_mode,
+  result.metrics = assemble_metrics(graph, options.run.overlap,
+                                    options.reduce_mode,
                                     std::move(run.histories), run.measured_ms,
                                     std::move(run.fault), lane_bits);
   return result;
+}
+
+DistributedBatchBfs::DistributedBatchBfs(const graph::DistributedGraph& graph,
+                                         sim::Cluster& cluster,
+                                         BatchBfsOptions options)
+    : graph_(graph), cluster_(cluster), options_(options) {
+  engine::check_specs_match(graph, cluster);
+}
+
+VertexId DistributedBatchBfs::sample_source(std::uint64_t k) const {
+  return sample_traversal_source(graph_, k);
+}
+
+BatchBfsResult DistributedBatchBfs::run(std::span<const VertexId> sources) {
+  if (sources.empty() || sources.size() > 64) {
+    throw std::invalid_argument("batch bfs takes 1..64 sources");
+  }
+  for (const VertexId s : sources) {
+    if (s >= graph_.num_vertices()) {
+      throw std::out_of_range("batch bfs source out of range");
+    }
+  }
+  return run_lane_bfs(graph_, cluster_, options_, sources,
+                      /*local_all2all=*/false);
 }
 
 }  // namespace dsbfs::core

@@ -19,12 +19,14 @@
 /// 64} chosen from the batch size), the delegate mask reduction ORs d*W/8
 /// bytes per round instead of d/8, and the normal exchange ships (id,
 /// lane-word) updates through the same uniquify/codec machinery the
-/// value algorithms use (UpdateCombine::kOr, W/8-byte values on the wire,
-/// bare 4-byte ids at W = 1).  The payoff is amortization: one sweep of
-/// every adjacency row, one reduction and one exchange serve all W sources,
-/// so the modeled cost per source drops well below a single-source run --
+/// value algorithms use (UpdateCombine::kOr, W/8-byte values on the wire);
+/// at W = 1 it ships bare 4-byte ids through the id exchange.  The payoff
+/// is amortization: one sweep of every adjacency row, one reduction and
+/// one exchange serve all W sources, so the modeled cost per source drops
+/// well below a single-source run --
 /// the serving-throughput lever for landmark/sketch workloads
-/// (examples/landmark_distance_index.cpp).
+/// (examples/landmark_distance_index.cpp).  The same lane engine runs every
+/// BFS: DistributedBfs is its one-lane instance (run_lane_bfs below).
 ///
 /// Traversal direction: forced push by default, with an opt-in hybrid
 /// (BatchBfsOptions::direction) that generalizes the paper's
@@ -36,9 +38,8 @@
 /// estimate scales the remaining-unvisited pull mass by the live-lane
 /// population (core::lane_backward_workload) -- a pull candidate early-exits
 /// per lane, so the expected scan grows only harmonically in the number of
-/// live lanes.  At W = 1 either mode is the corresponding DistributedBfs
-/// bit for bit: same iteration count, same per-round direction decisions,
-/// same control words, same wire bytes (tests assert this).
+/// live lanes.  At W = 1 the live-lane population is 1, so either mode
+/// makes the single-source decisions.
 namespace dsbfs::core {
 
 struct BatchBfsOptions {
@@ -48,7 +49,8 @@ struct BatchBfsOptions {
   /// the id exchange's U option); bit-exact, strictly fewer records
   /// whenever several frontier vertices push the same destination.
   engine::RunOptions run{};
-  /// Wire encoding of the (id, lane-word) payload.
+  /// Wire encoding of the (id, lane-word) payload (W > 1; the bare ids of
+  /// a one-lane run are not encoded).
   comm::WireCodec codec = comm::WireCodec::kRaw;
   /// Blocking vs non-blocking delegate-mask reduction (Section VI-B).
   comm::ReduceMode reduce_mode = comm::ReduceMode::kBlocking;
@@ -83,6 +85,17 @@ struct BatchBfsResult {
   /// sweep advanced.
   RunMetrics metrics;
 };
+
+/// One engine run of the BFS pipeline over sources.size() lanes, W =
+/// util::lane_width_for(sources.size()) -- the lane engine behind both BFS
+/// facades (sources must hold 1..64 in-range vertices).  `local_all2all` is
+/// the id exchange's L option (BfsOptions::local_all2all), which only the
+/// one-lane runs ship through; DistributedBatchBfs passes false.
+BatchBfsResult run_lane_bfs(const graph::DistributedGraph& graph,
+                            sim::Cluster& cluster,
+                            const BatchBfsOptions& options,
+                            std::span<const VertexId> sources,
+                            bool local_all2all);
 
 class DistributedBatchBfs {
  public:

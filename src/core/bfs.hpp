@@ -17,6 +17,8 @@
 /// visited state propagates by two-phase mask reduction and normal vertices
 /// by binned point-to-point exchange (Fig. 4).  Outputs hop distances (as
 /// the paper's implementation does) plus the full measured/modeled metrics.
+/// The run is the one-lane instance of the BFS lane engine
+/// (core/batch_bfs.hpp run_lane_bfs).
 namespace dsbfs::core {
 
 /// The k-th deterministic pseudo-random vertex with at least one out-edge

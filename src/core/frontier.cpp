@@ -1,54 +1,16 @@
 #include "core/frontier.hpp"
 
-#include <array>
 #include <bit>
+#include <stdexcept>
 
 namespace dsbfs::core {
-
-GpuState::GpuState(const graph::LocalGraph& graph, int total_gpus,
-                   bool record_parents)
-    : record_parents(record_parents), graph_(&graph) {
-  const std::uint64_t n_local = graph.num_local_normals();
-  const LocalId d = graph.num_delegates();
-  level_normal.assign(n_local, kUnvisited);
-  seen_normal.resize(n_local);
-  frontier_normal.resize(n_local);
-  delegate_visited.resize(d);
-  delegate_new.resize(d);
-  delegate_out_dd.resize(d);
-  delegate_out_nd.resize(d);
-  level_delegate.assign(d, kUnvisited);
-  sent.resize(graph.num_global_vertices());
-
-  if (record_parents) {
-    parent_normal.assign(n_local, kParentNone);
-    parent_delegate_dd.assign(d, kParentNone);
-    parent_delegate_nd.assign(d, kParentNone);
-  }
-
-  unvisited_nd_sources = graph.nd_source_count();
-  unvisited_dd_sources = graph.dd_source_count();
-  unvisited_dn_sources = graph.dn_source_count();
-
-  bins.resize(static_cast<std::size_t>(total_gpus));
-}
-
-void GpuState::begin_iteration() {
-  iter = sim::GpuIterationCounters{};
-  delegate_queue.clear();
-  frontier.clear();
-}
-
-void GpuState::end_iteration() {
-  // next_local and received carry the next iteration's frontier inputs; the
-  // next normal previsit consumes and clears them.
-  delegate_out_dd.clear_all();
-  delegate_out_nd.clear_all();
-}
 
 LaneState::LaneState(const graph::LocalGraph& graph, int total_gpus,
                      int lane_bits, bool record_parents)
     : record_parents(record_parents), graph_(&graph), lane_bits_(lane_bits) {
+  if (util::lane_width_for(static_cast<std::size_t>(lane_bits)) != lane_bits) {
+    throw std::invalid_argument("lane state width must be 1, 8, 32 or 64");
+  }
   const std::uint64_t n_local = graph.num_local_normals();
   const LocalId d = graph.num_delegates();
   const auto w = static_cast<std::size_t>(lane_bits);
@@ -74,14 +36,19 @@ LaneState::LaneState(const graph::LocalGraph& graph, int total_gpus,
   unvisited_dd_sources = graph.dd_source_count();
   unvisited_dn_sources = graph.dn_source_count();
 
-  bins.resize(static_cast<std::size_t>(total_gpus));
+  if (lane_bits == 1) {
+    id_bins.resize(static_cast<std::size_t>(total_gpus));
+  } else {
+    bins.resize(static_cast<std::size_t>(total_gpus));
+  }
 }
 
 void LaneState::begin_iteration() {
   iter = sim::GpuIterationCounters{};
   delegate_queue.clear();
   frontier.clear();
-  frontier_normal.clear_all();
+  // At W = 1 the previsit leaves the frontier bitmap clean.
+  if (lane_bits_ > 1) frontier_normal.clear_all();
 }
 
 void LaneState::end_iteration() {
@@ -89,6 +56,50 @@ void LaneState::end_iteration() {
   // next normal previsit consumes and clears them.
   delegate_out_dd.clear_all();
   delegate_out_nd.clear_all();
+}
+
+std::uint64_t LaneState::device_bytes() const noexcept {
+  const auto w = static_cast<std::uint64_t>(lane_bits_);
+  return (graph_->num_local_normals() + graph_->num_delegates()) * w *
+             sizeof(Depth) +
+         3 * delegate_visited.byte_size() + 3 * seen_normal.byte_size() +
+         sent.byte_size();
+}
+
+void LaneState::seed(int lane, VertexId source, LocalId delegate,
+                     Depth depth) {
+  const std::uint64_t bit = 1ULL << lane;
+  if (delegate != kInvalidLocal) {
+    delegate_new.or_lanes(delegate, bit);
+    // First touch in any lane leaves the all-lane unvisited pools
+    // (duplicate sources only decrement once).
+    if (delegate_visited.or_lanes(delegate, bit) == 0 && direction_optimized) {
+      if (graph_->dd_source_mask().test(delegate)) --unvisited_dd_sources;
+      if (graph_->dn_source_mask().test(delegate)) --unvisited_dn_sources;
+    }
+    depth_delegate[slot(delegate, lane)] = depth;
+    if (record_parents) parent_delegate_dd[slot(delegate, lane)] = source;
+    return;
+  }
+  const sim::ClusterSpec& spec = graph_->spec();
+  if (spec.owner_global_gpu(source) != spec.global_gpu(graph_->me())) return;
+  const auto local = static_cast<LocalId>(spec.local_index(source));
+  if (record_parents) parent_normal[slot(local, lane)] = source;
+  if (next_normal.or_lanes(local, bit) == 0) next_local.push_back(local);
+}
+
+std::uint64_t LaneState::unseen_arrival_lanes() const noexcept {
+  std::uint64_t lanes = 0;
+  for (const LocalId v : id_received) lanes |= ~seen_normal.lanes(v) & 1;
+  for (const comm::VertexUpdate& u : received) {
+    lanes |= u.value & ~seen_normal.lanes(u.vertex);
+  }
+  return lanes;
+}
+
+void LaneState::clear_arrival_lanes(std::uint64_t bit) noexcept {
+  id_received.clear();  // W = 1: every arrival is in the one lane
+  for (comm::VertexUpdate& u : received) u.value &= ~bit;
 }
 
 void LaneState::reduce_delegate_updates(comm::MaskReducer& reducer,
@@ -120,25 +131,6 @@ void LaneState::reduce_delegate_updates(comm::MaskReducer& reducer,
     }
   });
   delegate_visited = std::move(reduced);
-}
-
-void LaneState::decode_depths(std::size_t v, Depth* out) const noexcept {
-  std::array<std::uint64_t, 32> words;
-  const std::size_t planes = depth_words(v, words.data());
-  const std::uint64_t unseen = ~seen_normal.lanes(v);
-  const std::size_t layers = depth_byte_layers(planes);
-  for (int first = 0; first < lane_bits_; first += 8) {
-    for (std::size_t c = layers; c-- > 0;) {
-      const std::uint64_t layer =
-          depth_byte_layer(words.data(), planes, unseen, c, first);
-      for (int k = 0; k < 8; ++k) {
-        const auto byte = static_cast<std::uint8_t>(layer >> (8 * k));
-        out[first + k] = c + 1 == layers
-                             ? static_cast<std::int8_t>(byte)
-                             : out[first + k] * 256 + static_cast<Depth>(byte);
-      }
-    }
-  }
 }
 
 }  // namespace dsbfs::core

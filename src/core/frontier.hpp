@@ -1,7 +1,9 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "comm/exchange.hpp"
@@ -9,10 +11,12 @@
 #include "core/direction.hpp"
 #include "graph/local_graph.hpp"
 #include "sim/perf_model.hpp"
+#include "sim/stream.hpp"
 #include "util/bitset.hpp"
 
-/// Per-GPU traversal state: GpuState for single-source traversals, its
-/// lane-generalized sibling LaneState for batched (multi-source) ones.
+/// Per-GPU traversal state of every BFS: LaneState, one lane per source.
+/// A single-source BFS is the one-lane instance (W = 1), a batch of up to
+/// 64 sources the wider ones.
 ///
 /// Level/visited conventions (see docs/ARCHITECTURE.md "Iteration/level
 /// semantics"):
@@ -21,15 +25,14 @@
 /// (`seen_normal`, `delegate_visited`) are a *stable snapshot* of
 /// distance <= depth: they change only between iterations (previsit /
 /// post-reduce), while the kernels write new discoveries to the per-stream
-/// delegate out-masks and to `level_normal` / `next_local` with depth + 1,
-/// so backward pulls never observe same-iteration discoveries as parents.
+/// delegate out-masks and to `next_normal` / `next_local`, so backward
+/// pulls never observe same-iteration discoveries as parents.
 namespace dsbfs::core {
 
 /// Control-word packing for the per-iteration termination allreduce of the
 /// traversal algorithms: bit 40+ carries "some GPU has delegate updates",
 /// the low bits carry the amount of new normal work (local discoveries +
-/// binned vertices).  Shared by DistributedBfs and DistributedBatchBfs so
-/// their control words stay comparable at lane width 1.
+/// binned vertices).  Shared by the BFS facades and the serving scheduler.
 inline constexpr std::uint64_t kDelegateFlagUnit = 1ULL << 40;
 
 /// Parent encodings used during traversal (decoded at gather time).
@@ -87,145 +90,81 @@ inline std::uint64_t depth_byte_layer(const std::uint64_t* words,
   return out;
 }
 
-/// Per-GPU state of a single-source traversal.
-///
-/// Every array or mask the visits or previsits write has exactly one
-/// writer per phase, so none of them needs a locked read-modify-write
-/// (the same rules as LaneState; ThreadSanitizer reports a second writer):
-///   * `seen_normal` and `frontier_normal` -- the normal previsit, on the
-///     GPU thread while both streams are idle;
-///   * `level_normal` and `next_local` -- the dn visit (delegate stream),
-///     which claims a vertex with a plain load-and-store; the previsit
-///     also writes levels of exchange arrivals, with the streams idle;
-///   * `delegate_out_dd` and `parent_delegate_dd` -- the dd visit
-///     (delegate stream);
-///   * `delegate_out_nd` and `parent_delegate_nd` -- the nd visit (normal
-///     stream);
-///   * `sent` -- the nn visit (normal stream).
-/// The nd visit, which runs concurrently with dn, reads `seen_normal`,
-/// never `level_normal`.  The delegate out-mask and parent candidates are
-/// split per stream because dd and nd run concurrently;
-/// `has_delegate_updates` tests both masks and the post-control reduction
-/// ORs both, and the parent finalize min-folds both candidate arrays.  The
-/// delegate visited masks stay util::AtomicBitset: they are what the mask
-/// reducer combines, and visits only read them.
-///
-/// The state is a plain value: the engine checkpoints it by copy.
-class GpuState {
- public:
-  /// The parent arrays are allocated only when `record_parents` is set.
-  GpuState(const graph::LocalGraph& graph, int total_gpus,
-           bool record_parents);
-
-  const graph::LocalGraph& graph() const noexcept { return *graph_; }
-
-  // --- normal vertices -------------------------------------------------
-  std::vector<Depth> level_normal;    // distance per local normal
-  util::PlainLaneBitset seen_normal;  // level <= depth; stable within iter
-  /// Frontier bitmap: the normal previsit marks the frontier here and
-  /// extracts it in ascending order, clearing it again (all-zero outside
-  /// the previsit).  `frontier_words` lists the words it turned non-zero.
-  util::PlainLaneBitset frontier_normal;
-  std::vector<std::size_t> frontier_words;
-  std::vector<LocalId> frontier;    // distance == depth, ascending
-  std::vector<LocalId> next_local;  // dn-visit discoveries (distance depth+1)
-  std::vector<LocalId> received;    // exchange arrivals (marked next previsit)
-
-  // --- delegates --------------------------------------------------------
-  util::AtomicBitset delegate_visited;  // stable within an iteration
-  util::AtomicBitset delegate_new;      // became visited at last extract
-  // This iteration's updates, one mask per writing stream.
-  util::PlainLaneBitset delegate_out_dd;  // dd visit (delegate stream)
-  util::PlainLaneBitset delegate_out_nd;  // nd visit (normal stream)
-  std::vector<Depth> level_delegate;
-  std::vector<LocalId> delegate_queue;  // delegate frontier this iteration
-
-  // --- direction optimization -------------------------------------------
-  DirectionState dir_dd, dir_dn, dir_nd;
-  /// Online factor self-tuning (BfsOptions::adaptive_direction); observes
-  /// this GPU's kernel counters at end_iteration, re-seeds the factors each
-  /// previsit.
-  DirectionController controller;
-  // Unvisited-source pools (decremented as vertices become visited).
-  std::uint64_t unvisited_nd_sources = 0;  // normals with nd edges
-  std::uint64_t unvisited_dd_sources = 0;  // delegates with dd edges
-  std::uint64_t unvisited_dn_sources = 0;  // delegates with dn edges
-  // Forward workloads computed by the previsit.
-  double fv_dd = 0, fv_dn = 0, fv_nd = 0;
-  double bv_dd = 0, bv_dn = 0, bv_nd = 0;
-
-  // --- exchange ----------------------------------------------------------
-  std::vector<std::vector<LocalId>> bins;  // per destination global GPU
-  /// nn targets this GPU has binned, one bit per global vertex id.  The nn
-  /// visit bins a target only once per run: the first shipment already
-  /// gives it a distance of at most the next depth, so a later one cannot
-  /// change it (parents come from the finalize's own nn probes).
-  util::PlainLaneBitset sent;
-
-  // --- BFS tree (optional; see DistributedBfs::run) -----------------------
-  bool record_parents;  // run constant
-  /// Per local normal vertex: encoded parent (kParent* conventions);
-  /// empty unless record_parents.
-  std::vector<VertexId> parent_normal;
-  /// Per delegate: this GPU's smallest encoded parent candidate (kParent*
-  /// conventions; kParentNone = none), one array per writing stream.  The
-  /// parent finalize min-folds the two and min-reduces the result across
-  /// GPUs, leaving global parent ids in `parent_delegate_dd`.  Empty
-  /// unless record_parents.
-  std::vector<VertexId> parent_delegate_dd;  // dd visit (delegate stream)
-  std::vector<VertexId> parent_delegate_nd;  // nd visit (normal stream)
-
-  // --- bookkeeping --------------------------------------------------------
-  Depth depth = 0;
-  sim::GpuIterationCounters iter;  // current iteration (history is kept by
-                                   // the IterativeEngine)
-
-  /// Reset iteration-scoped scratch (bins stay allocated).
-  void begin_iteration();
-  /// Close the iteration (clears the delegate out-masks; `iter` stays valid
-  /// until the next begin_iteration so the engine can record it).
-  void end_iteration();
-
-  /// True when this GPU's dd or nd visit produced delegate updates (call
-  /// once both streams have joined).
-  bool has_delegate_updates() const noexcept {
-    return !delegate_out_dd.none() || !delegate_out_nd.none();
+/// Distances of `count` positions (a multiple of 8, at most 64) whose
+/// bits lie across `planes` plane words: bit k of words[j] is bit j of
+/// position k's distance, and bit k of `unseen` marks position k
+/// unvisited.  Writes out[0, count): the distance, or kUnvisited.  The
+/// positions are one vertex's lanes (LaneState::decode_depths) or, at
+/// W = 1, the 64 vertices of one storage word.  Eight positions at a time,
+/// one depth_byte_layer per byte of the distances, top byte first.
+inline void decode_plane_words(const std::uint64_t* words, std::size_t planes,
+                               std::uint64_t unseen, int count,
+                               Depth* out) noexcept {
+  const std::size_t top = depth_byte_layers(planes) - 1;
+  for (int first = 0; first < count; first += 8) {
+    // The top byte carries the sign (0xFF: unvisited); lower bytes append.
+    std::uint64_t layer = depth_byte_layer(words, planes, unseen, top, first);
+    for (int k = 0; k < 8; ++k) {
+      out[first + k] = static_cast<std::int8_t>(layer >> (8 * k));
+    }
+    for (std::size_t c = top; c-- > 0;) {
+      layer = depth_byte_layer(words, planes, unseen, c, first);
+      for (int k = 0; k < 8; ++k) {
+        out[first + k] = out[first + k] * 256 +
+                         static_cast<Depth>((layer >> (8 * k)) & 0xFF);
+      }
+    }
   }
+}
 
- private:
-  const graph::LocalGraph* graph_;
-};
+/// Calls `fn(std::integral_constant<int, W>{})` with W == `lane_bits`, one
+/// of util::lane_width_for's widths {1, 8, 32, 64}: the once-per-launch
+/// width dispatch in front of the lane kernels, which are templates on W.
+template <typename Fn>
+decltype(auto) with_lane_width(int lane_bits, Fn&& fn) {
+  switch (lane_bits) {
+    case 1: return fn(std::integral_constant<int, 1>{});
+    case 8: return fn(std::integral_constant<int, 8>{});
+    case 32: return fn(std::integral_constant<int, 32>{});
+    default:
+      assert(lane_bits == 64);
+      return fn(std::integral_constant<int, 64>{});
+  }
+}
 
-/// Per-GPU state of a batched multi-source traversal (MS-BFS style): the
-/// lane-generalized GpuState.  Lane l of every mask and per-lane array
-/// belongs to source l of the batch; all lanes advance in lockstep through
-/// the same level-synchronous iterations, so one sweep of the
-/// degree-separated subgraphs (and one mask reduction, and one exchange)
-/// serves every source at once.
+/// Per-GPU state of a BFS over W lanes (MS-BFS style).  Lane l of every
+/// mask and per-lane array belongs to source l; all lanes advance in
+/// lockstep through the same level-synchronous iterations, so one sweep of
+/// the degree-separated subgraphs (and one mask reduction, and one
+/// exchange) serves every source at once.  W = 1 is the single-source BFS.
 ///
-/// The single-source level arrays generalize to visited lane masks plus
-/// per-lane depths; the claim that GpuState expresses as a level
-/// load-and-store becomes a lane-word OR whose previous value identifies the
-/// newly claimed lanes.  Normal-vertex depths are bit-sliced (`depth_planes`)
-/// and stamped once per (vertex, lane) by the normal previsit; no visit
-/// kernel writes a depth.  Delegate depths are one slot per (delegate,
-/// lane), assigned at the post-control reduction.  The same stable-snapshot rule
-/// applies:
-/// `seen_normal` and `delegate_visited` only change between iterations
-/// (previsit / post-reduce), never during visits, which write
-/// `next_normal` / `delegate_out_*` instead.
+/// Visited state is a lane mask per vertex; a claim is a lane-word OR whose
+/// previous value identifies the newly claimed lanes.  Normal-vertex depths
+/// are bit-sliced (`depth_planes`) and stamped once per (vertex, lane) by
+/// the normal previsit; no visit kernel writes a depth.  Delegate depths are
+/// one slot per (delegate, lane), assigned at the post-control reduction.
+///
+/// W only changes representations, never the traversal: at W = 1 the
+/// previsit extracts the frontier in ascending order from the bitmap and
+/// clears the bitmap behind it (`frontier_words`), and the nn visit bins
+/// bare ids (`id_bins`, exchanged as 4-byte ids, with the local all2all
+/// option available) in place of (id, lane word) updates (`bins`).
 ///
 /// Every mask the visits or previsits write has exactly one writer per
 /// phase, so those masks are util::PlainLaneBitset (plain words, no locked
 /// read-modify-write; ThreadSanitizer reports a second writer):
-///   * `seen_normal`, `frontier_normal` and `depth_planes` -- the normal
-///     previsit, on the GPU thread while both streams are idle;
-///   * `next_normal` -- the dn visit, on the delegate stream;
+///   * `seen_normal`, `frontier_normal`, `frontier_words` and
+///     `depth_planes` -- the normal previsit, on the GPU thread while both
+///     streams are idle;
+///   * `next_normal`, `next_local` and `parent_normal` -- the dn visit,
+///     on the delegate stream (the previsit also marks nn arrivals'
+///     parents, with both streams idle);
 ///   * `delegate_out_dd` and `parent_delegate_dd` -- the dd visit, on the
 ///     delegate stream;
 ///   * `delegate_out_nd` and `parent_delegate_nd` -- the nd visit, on the
 ///     normal stream;
-///   * `sent` -- the nn visit, on the normal stream;
+///   * `sent`, `bins`, `id_bins` and `bins_total` -- the nn visit, on the
+///     normal stream;
 ///   * seeding and lane recycling write between iterations, with both
 ///     streams idle.
 /// The delegate out-mask and parent candidates are split per stream
@@ -239,6 +178,7 @@ class GpuState {
 class LaneState {
  public:
   /// The parent arrays are allocated only when `record_parents` is set.
+  /// `lane_bits` is one of {1, 8, 32, 64} (util::lane_width_for).
   LaneState(const graph::LocalGraph& graph, int total_gpus, int lane_bits,
             bool record_parents);
 
@@ -254,13 +194,21 @@ class LaneState {
 
   // --- normal vertices -------------------------------------------------
   util::PlainLaneBitset seen_normal;      // visited; stable within an iter
-  util::PlainLaneBitset frontier_normal;  // lanes expanded this iteration
+  /// Lanes expanded this iteration.  At W = 1 the previsit clears it again
+  /// as it extracts the frontier (all-zero outside the previsit), so
+  /// `frontier_words` lists the words it turned non-zero; the one-lane
+  /// visits know every frontier item's lane word is 1.
+  util::PlainLaneBitset frontier_normal;
+  std::vector<std::size_t> frontier_words;
   util::PlainLaneBitset next_normal;      // dn-visit discoveries (depth + 1)
-  std::vector<LocalId> frontier;    // items with nonzero frontier lanes
+  /// Items with nonzero frontier lanes (ascending at W = 1).
+  std::vector<LocalId> frontier;
   std::vector<LocalId> next_local;  // items first touched by the dn visit
-  /// Exchange arrivals: (destination-local id, lane word) updates, folded
-  /// into the frontier at the next normal previsit.
+  /// Exchange arrivals, folded into the frontier at the next normal
+  /// previsit: (destination-local id, lane word) updates, or bare ids at
+  /// W = 1.
   std::vector<comm::VertexUpdate> received;
+  std::vector<LocalId> id_received;
   /// Bit-sliced distances: bit l of `depth_planes[j].lanes(v)` is bit j of
   /// lane l's distance of v.  A lane bit enters the frontier exactly once,
   /// in the iteration equal to its distance, so the normal previsit stamps
@@ -287,9 +235,12 @@ class LaneState {
     return depth_planes.size();
   }
   /// Distances of v in every lane into out[0, lane_bits() rounded up to 8),
-  /// kUnvisited where unvisited: the per-vertex decode (depth_byte_layer
-  /// over the plane words, eight lanes at a time).
-  void decode_depths(std::size_t v, Depth* out) const noexcept;
+  /// kUnvisited where unvisited.
+  void decode_depths(std::size_t v, Depth* out) const noexcept {
+    std::array<std::uint64_t, 32> words;
+    decode_plane_words(words.data(), depth_words(v, words.data()),
+                       ~seen_normal.lanes(v), (lane_bits_ + 7) / 8 * 8, out);
+  }
 
   // --- delegates --------------------------------------------------------
   util::LaneBitset delegate_visited;  // stable within an iteration
@@ -300,12 +251,12 @@ class LaneState {
   std::vector<Depth> depth_delegate;  // indexed by slot(t, lane)
   std::vector<LocalId> delegate_queue;
 
-  // --- direction optimization (BatchBfsOptions::direction == kHybrid) -----
-  // The lane generalization of GpuState's machinery: one DirectionState per
-  // switchable kernel deciding for the *union* frontier (one pull sweep
-  // serves every live lane), unvisited pools counting items untouched in
-  // every lane (== the single-source pools at W = 1), and the constant
-  // all-active-lanes word the pull kernels mask their candidates with.
+  // --- direction optimization (TraversalDirection::kHybrid) -----------------
+  // One DirectionState per switchable kernel deciding for the *union*
+  // frontier (one pull sweep serves every live lane), unvisited pools
+  // counting items untouched in every lane (the single-source pools at
+  // W = 1), and the constant all-active-lanes word the pull kernels mask
+  // their candidates with.
   bool direction_optimized = false;   // kHybrid
   bool adaptive_direction = false;
   DirectionState dir_dd, dir_dn, dir_nd;
@@ -323,10 +274,19 @@ class LaneState {
   double bv_dd = 0, bv_dn = 0, bv_nd = 0;
 
   // --- exchange ----------------------------------------------------------
-  std::vector<std::vector<comm::VertexUpdate>> bins;  // per dest global GPU
+  /// nn visit output per destination global GPU: (id, lane word) updates,
+  /// or bare ids at W = 1.
+  std::vector<std::vector<comm::VertexUpdate>> bins;
+  std::vector<std::vector<LocalId>> id_bins;
+  /// Records the nn visit binned; `bins_ready` is signalled on the normal
+  /// stream behind the visit, ahead of the exchange that consumes the bins.
+  std::uint64_t bins_total = 0;
+  sim::Event bins_ready;
   /// Lanes this GPU has binned per nn target, one lane word per global
-  /// vertex id: the nn visit ships each (target, lane) once per run, as
-  /// GpuState::sent does at one lane.  Lane recycling clears the column.
+  /// vertex id: the nn visit ships each (target, lane) once per run.  The
+  /// first shipment already gives the target a distance of at most the next
+  /// depth, so a later one cannot change it (parents come from the
+  /// finalize's own nn probes).  Lane recycling clears the column.
   util::PlainLaneBitset sent;
 
   // --- BFS trees (optional; one per lane) --------------------------------
@@ -335,9 +295,9 @@ class LaneState {
   /// empty unless record_parents.
   std::vector<VertexId> parent_normal;
   /// Per (delegate, lane), indexed by slot(): the smallest encoded parent
-  /// candidate per writing stream, as in GpuState; the parent finalize
-  /// leaves the global parent ids in `parent_delegate_dd`.  Empty unless
-  /// record_parents.
+  /// candidate per writing stream (keep_min_parent); the parent finalize
+  /// min-folds the two, min-reduces across GPUs and leaves the global
+  /// parent ids in `parent_delegate_dd`.  Empty unless record_parents.
   std::vector<VertexId> parent_delegate_dd;  // dd visit (delegate stream)
   std::vector<VertexId> parent_delegate_nd;  // nd visit (normal stream)
 
@@ -356,6 +316,23 @@ class LaneState {
   bool has_delegate_updates() const noexcept {
     return !delegate_out_dd.none() || !delegate_out_nd.none();
   }
+
+  /// Bytes of the modeled device state, what a checkpoint copies: 4-byte
+  /// depth slots per (item, lane), the three lane masks on each side and
+  /// the nn sent mask.  The host's bit-sliced depth planes do not count.
+  std::uint64_t device_bytes() const noexcept;
+
+  /// Seeds `lane` at global vertex `source` at `depth`.  A delegate source
+  /// (`delegate` != kInvalidLocal) activates on every GPU, its adjacency
+  /// being scattered; a normal source only on its owner, where it is
+  /// claimed like a dn discovery and the next normal previsit stamps it.
+  void seed(int lane, VertexId source, LocalId delegate, Depth depth);
+
+  /// OR of the lanes that exchange arrivals carry and this GPU has not yet
+  /// seen: the arrivals' share of the serving scheduler's drain word.
+  std::uint64_t unseen_arrival_lanes() const noexcept;
+  /// Drops lane `bit` from every exchange arrival (lane recycling).
+  void clear_arrival_lanes(std::uint64_t bit) noexcept;
 
   /// Post-control delegate step.  With `any_updates` (some GPU set the
   /// delegate flag of the control word): OR both per-stream out-masks into

@@ -9,11 +9,8 @@
 #include <utility>
 
 #include "core/bfs.hpp"
-#include "core/frontier.hpp"
-#include "core/previsit.hpp"
-#include "core/visit.hpp"
+#include "core/lane_pipeline.hpp"
 #include "engine/iterative_engine.hpp"
-#include "sim/stream.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -125,40 +122,41 @@ struct SchedulerCore {
   std::vector<std::vector<std::pair<VertexId, Depth>>> fragments;
 };
 
-/// The serving scheduler as an engine algorithm: BatchBfsAlgorithm's phase
-/// structure (forced push) plus, at every end_iteration, the one-word
-/// lane-drain agreement followed by replicated retire/harvest/admit/reseed
-/// transitions.  Lanes at different depths share each sweep; a lane's
-/// stored depths are raw engine iterations, normalized by the occupying
-/// query's admit iteration at harvest.
-class ServingAlgorithm {
+/// The serving scheduler's per-GPU state: the lanes plus the replicated
+/// scheduler core.
+struct ServingState : LaneState {
+  ServingState(const graph::LocalGraph& lg, int total_gpus, int lane_bits)
+      : LaneState(lg, total_gpus, lane_bits, /*record_parents=*/false) {}
+
+  SchedulerCore sched;
+};
+
+/// The serving scheduler as an engine algorithm: the BFS pipeline (forced
+/// push) plus, at every end_iteration, the one-word lane-drain agreement
+/// followed by replicated retire/harvest/admit/reseed transitions.  Lanes
+/// at different depths share each sweep; a lane's stored depths are raw
+/// engine iterations, normalized by the occupying query's admit iteration
+/// at harvest.
+class ServingAlgorithm : public LanePipeline<ServingState> {
  public:
   static constexpr const char* kStateLabel = "query_scheduler.state";
 
-  struct State {
-    State(const graph::LocalGraph& lg, int total_gpus, int lane_bits)
-        : gpu(lg, total_gpus, lane_bits, /*record_parents=*/false) {}
-
-    LaneState gpu;
-    sim::Event bins_ready;
-    std::uint64_t bins_total = 0;
-    SchedulerCore sched;
-  };
-
   ServingAlgorithm(const graph::DistributedGraph& graph,
                    const SchedulerOptions& options,
-                   std::span<const QueryArrival> trace, int lane_bits)
-      : graph_(graph), options_(options), trace_(trace), lane_bits_(lane_bits),
+                   std::span<const QueryArrival> trace)
+      : LanePipeline(options.run, options.reduce_mode, options.codec,
+                     /*local_all2all=*/false),
+        graph_(graph), options_(options), trace_(trace),
         lane_budget_mask_(options.width >= 64
                               ? ~0ULL
                               : (1ULL << options.width) - 1) {}
 
   std::unique_ptr<State> init(engine::GpuContext& ctx) {
     auto state = std::make_unique<State>(graph_.local(ctx.gpu),
-                                         ctx.total_gpus, lane_bits_);
-    LaneState& s = state->gpu;
-    s.direction_optimized = false;  // forced push (see the header comment)
-    s.batch_mask = 0;               // tracks occupied lanes as queries admit
+                                         ctx.total_gpus,
+                                         util::lane_width_for(options_.width));
+    state->direction_optimized = false;  // forced push (header comment)
+    state->batch_mask = 0;  // tracks occupied lanes as queries admit
 
     SchedulerCore& q = state->sched;
     q.queries.resize(trace_.size());
@@ -173,79 +171,17 @@ class ServingAlgorithm {
     return state;
   }
 
-  std::uint64_t state_bytes(const engine::GpuContext& ctx,
-                            const State& s) const {
-    // The device's per-lane depth arrays, lane masks and nn sent mask, as
-    // in BatchBfsAlgorithm::state_bytes.
-    const std::uint64_t w = static_cast<std::uint64_t>(lane_bits_);
-    return graph_.local(ctx.gpu).num_local_normals() * w * sizeof(Depth) +
-           static_cast<std::uint64_t>(graph_.num_delegates()) * w *
-               sizeof(Depth) +
-           3 * s.gpu.delegate_visited.byte_size() +
-           3 * s.gpu.seen_normal.byte_size() + s.gpu.sent.byte_size();
-  }
-
-  void previsit(engine::GpuContext&, State& s, int) {
-    s.gpu.begin_iteration();
+  void previsit(engine::GpuContext& ctx, State& s, int iteration) {
+    LanePipeline::previsit(ctx, s, iteration);
     // Reseeds decided at the previous boundary gate this iteration's
     // kernels; the charge lands on this row.
-    s.gpu.iter.reseed_bytes = s.sched.pending_reseed_bytes;
+    s.iter.reseed_bytes = s.sched.pending_reseed_bytes;
     s.sched.pending_reseed_bytes = 0;
-    delegate_previsit_lanes(s.gpu);
-    normal_previsit_lanes(s.gpu);
-  }
-
-  void visit(engine::GpuContext& ctx, State& s, int) {
-    LaneState& gs = s.gpu;
-    ctx.delegate_stream.enqueue([&gs] { visit_dd_lanes(gs); });
-    ctx.delegate_stream.enqueue([&gs] { visit_dn_lanes(gs); });
-    const sim::ClusterSpec& spec = ctx.comm.spec();
-    ctx.normal_stream.enqueue([&gs] { visit_nd_lanes(gs); });
-    ctx.normal_stream.enqueue([&gs, &spec] { visit_nn_lanes(gs, spec); });
-    s.bins_ready = ctx.normal_stream.record([&s] {
-      s.bins_total = 0;
-      for (const auto& bin : s.gpu.bins) s.bins_total += bin.size();
-    });
-  }
-
-  void reduce(engine::GpuContext&, State&, int) {}  // post-control only
-
-  void exchange(engine::GpuContext& ctx, State& s, int iteration) {
-    // The consumed receive buffer becomes the next round's loopback bin.
-    LaneState& gs = s.gpu;
-    engine::adopt_received(
-        gs.bins, ctx.gpu, gs.received,
-        ctx.comm.exchange_value_updates(
-            ctx.me, gs.bins, iteration,
-            {.combine = options_.run.uniquify ? comm::UpdateCombine::kOr
-                                              : comm::UpdateCombine::kNone,
-             .codec = options_.codec,
-             .value_bytes = lane_bits_ == 1 ? 0 : lane_bits_ / 8,
-             .topology = options_.run.exchange_topology,
-             .retry = options_.run.resilience.retry},
-            gs.iter));
-  }
-
-  std::uint64_t contribution(engine::GpuContext& ctx, State& s, int) {
-    ctx.delegate_stream.synchronize();
-    s.bins_ready.wait();
-    return (s.gpu.has_delegate_updates() ? kDelegateFlagUnit : 0) +
-           static_cast<std::uint64_t>(s.gpu.next_local.size()) + s.bins_total;
-  }
-
-  void post_reduce(engine::GpuContext& ctx, State& s, int iteration,
-                   std::uint64_t control) {
-    s.gpu.reduce_delegate_updates(ctx.comm.mask_reducer(), ctx.me, iteration,
-                                  options_.reduce_mode,
-                                  control >= kDelegateFlagUnit);
   }
 
   bool end_iteration(engine::GpuContext& ctx, State& s, int iteration,
                      std::uint64_t) {
-    ctx.normal_stream.synchronize();  // exchange complete; received filled
-    LaneState& gs = s.gpu;
-    gs.end_iteration();
-    gs.depth += 1;
+    close_iteration(ctx, s);
 
     // ---- Per-lane drain agreement.  Under forced push the boundary's
     // pending work is exactly: fresh dn-claimed lanes (next_normal carries
@@ -253,15 +189,12 @@ class ServingAlgorithm {
     // visited delegates with out-edges somewhere (each GPU contributes its
     // local out-degree knowledge; the OR settles "somewhere").  A lane with
     // no pending bit anywhere has a fully drained frontier. ----------------
-    std::uint64_t pending = 0;
-    for (const LocalId v : gs.next_local) {
-      pending |= gs.next_normal.lanes(v);
+    std::uint64_t pending = s.unseen_arrival_lanes();
+    for (const LocalId v : s.next_local) {
+      pending |= s.next_normal.lanes(v);
     }
-    for (const comm::VertexUpdate& u : gs.received) {
-      pending |= u.value & ~gs.seen_normal.lanes(u.vertex);
-    }
-    const graph::LocalGraph& lg = gs.graph();
-    gs.delegate_new.for_each_nonzero_lanes([&](std::size_t t,
+    const graph::LocalGraph& lg = s.graph();
+    s.delegate_new.for_each_nonzero_lanes([&](std::size_t t,
                                                std::uint64_t w) {
       if (lg.dd().row_length(t) == 0 && lg.dn().row_length(t) == 0) return;
       pending |= w;
@@ -269,7 +202,7 @@ class ServingAlgorithm {
     ctx.comm.allreduce_or_words(
         ctx.gpu, std::span<std::uint64_t>(&pending, 1),
         engine::TagBlocks::user(iteration, 1));
-    gs.iter.lane_agreement = true;
+    s.iter.lane_agreement = true;
 
     // ---- Retire drained lanes, then admit into the freed ones (same
     // boundary: a retired lane is immediately recyclable). ----------------
@@ -282,10 +215,6 @@ class ServingAlgorithm {
     return q.occupied == 0 && q.next_admit == q.queries.size();
   }
 
-  sim::GpuIterationCounters iteration_counters(const State& s) const {
-    return s.gpu.iter;
-  }
-
   void finalize(engine::GpuContext&, State&, int) {}
 
  private:
@@ -294,7 +223,7 @@ class ServingAlgorithm {
   /// free the lane.  Runs before any same-boundary admission clears it.
   void retire_lane(engine::GpuContext& ctx, State& st, int lane,
                    int iteration) {
-    LaneState& s = st.gpu;
+    LaneState& s = st;
     SchedulerCore& q = st.sched;
     const auto li = static_cast<std::size_t>(lane);
     const std::int64_t qi = q.lane_owner[li];
@@ -356,7 +285,7 @@ class ServingAlgorithm {
 
   void admit_into_lane(engine::GpuContext& ctx, State& st, std::size_t qi,
                        int lane, std::int64_t boundary) {
-    LaneState& s = st.gpu;
+    LaneState& s = st;
     SchedulerCore& q = st.sched;
     SchedulerCore::Query& r = q.queries[qi];
     const std::uint64_t bit = 1ULL << lane;
@@ -378,7 +307,7 @@ class ServingAlgorithm {
       for (util::PlainLaneBitset& plane : s.depth_planes) {
         plane.clear_lanes(bit);
       }
-      for (comm::VertexUpdate& u : s.received) u.value &= ~bit;
+      s.clear_arrival_lanes(bit);
       const std::uint64_t bytes =
           s.seen_normal.byte_size() + s.sent.byte_size() +
           s.delegate_visited.byte_size() + s.delegate_new.byte_size();
@@ -388,23 +317,11 @@ class ServingAlgorithm {
     }
     q.lanes_used |= bit;
 
-    // Seed the source exactly like a batch init, at the admission depth: a
-    // delegate source activates on every GPU, a normal source on its owner
-    // (the next normal previsit, which runs at the admission depth, stamps
-    // it).
-    const sim::ClusterSpec& spec = graph_.spec();
-    const auto base = static_cast<Depth>(boundary + 1);
-    const LocalId src_delegate = graph_.delegates().delegate_id(r.source);
-    if (src_delegate != kInvalidLocal) {
-      s.delegate_new.or_lanes(src_delegate, bit);
-      s.delegate_visited.or_lanes(src_delegate, bit);
-      s.depth_delegate[s.slot(src_delegate, lane)] = base;
-    } else if (spec.owner_global_gpu(r.source) == ctx.gpu) {
-      const LocalId local = static_cast<LocalId>(spec.local_index(r.source));
-      if (s.next_normal.or_lanes(local, bit) == 0) {
-        s.next_local.push_back(local);
-      }
-    }
+    // Seed the source exactly like a batch init, at the admission depth
+    // (the next normal previsit, which runs at that depth, stamps a normal
+    // source).
+    s.seed(lane, r.source, graph_.delegates().delegate_id(r.source),
+           static_cast<Depth>(boundary + 1));
 
     s.batch_mask |= bit;
     q.occupied |= bit;
@@ -422,7 +339,6 @@ class ServingAlgorithm {
   const graph::DistributedGraph& graph_;
   const SchedulerOptions& options_;
   std::span<const QueryArrival> trace_;
-  int lane_bits_;
   std::uint64_t lane_budget_mask_;
 };
 
@@ -456,7 +372,7 @@ SchedulerOutcome QueryScheduler::run(std::span<const QueryArrival> trace) {
   const int p = spec.total_gpus();
   const int lane_bits = util::lane_width_for(options_.width);
 
-  ServingAlgorithm algo(graph_, options_, trace, lane_bits);
+  ServingAlgorithm algo(graph_, options_, trace);
   engine::IterativeEngine<ServingAlgorithm> engine(graph_, cluster_,
                                                    options_.run);
   auto run = engine.run(algo);

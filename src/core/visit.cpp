@@ -4,202 +4,64 @@
 
 namespace dsbfs::core {
 
-void visit_dd(GpuState& s) {
-  const graph::LocalGraph& g = s.graph();
-  sim::KernelCounters& k = s.iter.dd;
-  k.backward = s.dir_dd.backward();
+// Forward push: the "unvisited? claim" test is `word & ~visited_lanes`
+// followed by a lane-word OR whose previous value identifies the freshly
+// claimed lanes (MS-BFS's visitNext |= visit & ~seen).  Each mask a kernel
+// ORs into has that kernel as its only writer (LaneState's single-writer
+// rules), so the OR is a plain load-OR-store.  Backward pull reuses the
+// same claim detection in reverse: an item unvisited in some live lanes
+// (`miss = batch_mask & ~visited`) probes its in-edges and claims itself in
+// every lane whose visited word intersects a neighbor's
+// (`hit = miss & visited(neighbor)`), clearing hit lanes from `miss` and
+// early-exiting once every live lane has found a parent -- one pull sweep
+// serves all W sources.  An item is probed once per pull, so its claimed
+// lanes (`unseen & ~miss`) are ORed into the out-mask once, after its
+// scan.  The visited masks consumed are the iteration-stable snapshots
+// (seen_normal / delegate_visited), so pulls never observe same-iteration
+// discoveries.
+//
+// A pull is launched only when the frontier it could hit is non-empty: an
+// empty delegate queue (or normal frontier) means nothing was newly
+// visited last round, and every older (visited, unvisited) edge was
+// already exploited by that round's kernel, so the host skips the launch
+// exactly as the push path does.
+//
+// The kernels count work in locals and store the totals once: the two
+// streams' counters share cache lines, and a per-edge store from each
+// stream would bounce them between cores.
 
-  if (!k.backward) {
-    if (s.delegate_queue.empty()) return;
-    k.launched = true;
-    for (const LocalId t : s.delegate_queue) {
-      const auto row = g.dd().row(t);
-      k.edges += row.size();
-      for (const LocalId c : row) {
-        if (!s.delegate_visited.test(c)) {
-          s.delegate_out_dd.set(c);
-          if (s.record_parents) {
-            keep_min_parent(s.parent_delegate_dd[c], kParentDelegateTag | t);
-          }
-        }
-      }
-    }
-    k.vertices = s.delegate_queue.size();
-    return;
-  }
-
-  // Backward pull: every unvisited delegate with dd edges looks for one
-  // visited parent (dd is locally symmetric, so it is its own reverse).
-  // An empty delegate queue means no delegate was newly visited last round,
-  // and every older (visited, unvisited) edge was already exploited by that
-  // round's kernel -- the pull cannot discover anything, so the host skips
-  // the launch exactly as the push path does.
-  if (s.delegate_queue.empty()) return;
-  k.launched = true;
-  const LocalId d = g.num_delegates();
-  for (LocalId t = 0; t < d; ++t) {
-    if (!g.dd_source_mask().test(t) || s.delegate_visited.test(t)) continue;
-    ++k.vertices;
-    for (const LocalId c : g.dd().row(t)) {
-      ++k.edges;
-      if (s.delegate_visited.test(c)) {
-        s.delegate_out_dd.set(t);
-        if (s.record_parents) {
-          keep_min_parent(s.parent_delegate_dd[t], kParentDelegateTag | c);
-        }
-        break;
-      }
-    }
-  }
+/// The lanes a pull serves.  A one-lane pull is a single-source run, whose
+/// lane is live (the serving scheduler, whose lanes come and go, never
+/// pulls), so at W = 1 the constant makes each probe a plain bit test.
+template <int W>
+std::uint64_t pull_lanes(const LaneState& s) {
+  return W == 1 ? 1 : s.batch_mask;
 }
 
-void visit_dn(GpuState& s) {
-  const graph::LocalGraph& g = s.graph();
-  sim::KernelCounters& k = s.iter.dn;
-  k.backward = s.dir_dn.backward();
-  const Depth next_depth = s.depth + 1;
-
-  if (!k.backward) {
-    if (s.delegate_queue.empty()) return;
-    k.launched = true;
-    for (const LocalId t : s.delegate_queue) {
-      const auto row = g.dn().row(t);
-      k.edges += row.size();
-      for (const LocalId v : row) {
-        // The visited mask filters most targets without touching the
-        // level array; the level test catches this visit's own claims.
-        if (s.seen_normal.test(v) || s.level_normal[v] != kUnvisited) {
-          continue;
-        }
-        s.level_normal[v] = next_depth;
-        if (s.record_parents) s.parent_normal[v] = kParentDelegateTag | t;
-        s.next_local.push_back(v);
-      }
-    }
-    k.vertices = s.delegate_queue.size();
-    return;
-  }
-
-  // Backward pull over the nd subgraph (reverse of dn on this GPU): each
-  // unvisited normal with delegate parents scans them for a visited one.
-  // New hits can only come from delegates visited last round -- with an
-  // empty delegate queue the pull is a no-op and is not launched.  Each
-  // source is probed once, so a vertex outside the visited mask is still
-  // unclaimed here and the claim is a plain store.
-  if (s.delegate_queue.empty()) return;
-  k.launched = true;
-  for (const LocalId v : g.nd_source_list()) {
-    if (s.seen_normal.test(v)) continue;
-    ++k.vertices;
-    for (const LocalId c : g.nd().row(v)) {
-      ++k.edges;
-      if (s.delegate_visited.test(c)) {
-        s.level_normal[v] = next_depth;
-        if (s.record_parents) s.parent_normal[v] = kParentDelegateTag | c;
-        s.next_local.push_back(v);
-        break;
-      }
-    }
-  }
-}
-
-void visit_nd(GpuState& s) {
-  const graph::LocalGraph& g = s.graph();
-  sim::KernelCounters& k = s.iter.nd;
-  k.backward = s.dir_nd.backward();
-
-  const sim::ClusterSpec& spec = g.spec();
-  const sim::GpuCoord me = g.me();
-  const auto global_of = [&](LocalId v) {
-    return spec.global_vertex(me.rank, me.gpu, v);
-  };
-
-  if (!k.backward) {
-    if (s.frontier.empty()) return;
-    k.launched = true;
-    for (const LocalId v : s.frontier) {
-      const auto row = g.nd().row(v);
-      k.edges += row.size();
-      for (const LocalId c : row) {
-        if (!s.delegate_visited.test(c)) {
-          s.delegate_out_nd.set(c);
-          if (s.record_parents) {
-            keep_min_parent(s.parent_delegate_nd[c], global_of(v));
-          }
-        }
-      }
-    }
-    k.vertices = s.frontier.size();
-    return;
-  }
-
-  // Backward pull over the dn subgraph: each unvisited delegate with local
-  // normal parents scans them for one visited at distance <= depth (the
-  // stable `seen_normal` snapshot; the concurrent dn visit's discoveries
-  // carry depth+1 and are not in it).  New hits can only come from normals
-  // visited last round -- with an empty normal frontier the pull is a
-  // no-op and is not launched.
-  if (s.frontier.empty()) return;
-  k.launched = true;
-  const LocalId d = g.num_delegates();
-  for (LocalId t = 0; t < d; ++t) {
-    if (!g.dn_source_mask().test(t) || s.delegate_visited.test(t)) continue;
-    ++k.vertices;
-    for (const LocalId v : g.dn().row(t)) {
-      ++k.edges;
-      if (s.seen_normal.test(v)) {
-        s.delegate_out_nd.set(t);
-        if (s.record_parents) {
-          keep_min_parent(s.parent_delegate_nd[t], global_of(v));
-        }
-        break;
-      }
-    }
-  }
-}
-
-// ---- lane-generalized visits (batched MS-BFS traversals) -----------------
-// One row traversal serves every lane of the frontier word at once.
-// Forward push: the single-source "unvisited? claim" test becomes
-// `word & ~visited_lanes` followed by a lane-word OR whose previous value
-// identifies the freshly claimed lanes (MS-BFS's visitNext |= visit &
-// ~seen).  Each mask a kernel ORs into has that kernel as its only writer
-// (LaneState's single-writer rules), so the OR is a plain load-OR-store.
-// Backward pull reuses the same claim detection in reverse: an item
-// unvisited in some live lanes (`miss = batch_mask & ~visited`) probes its
-// in-edges and claims itself in every lane whose visited word intersects a
-// neighbor's (`hit = miss & visited(neighbor)`), clearing hit lanes from
-// `miss` and early-exiting once every live lane has found a parent -- one
-// pull sweep serves all W sources.  The visited masks consumed are the
-// iteration-stable snapshots (seen_normal / delegate_visited), so pulls
-// never observe same-iteration discoveries, exactly the single-source
-// discipline; at W = 1 each pull is bit-identical (candidates, edge counts,
-// early exits) to its GpuState counterpart.
-
+template <int W>
 void visit_dd_lanes(LaneState& s) {
   const graph::LocalGraph& g = s.graph();
   sim::KernelCounters& k = s.iter.dd;
   k.backward = s.dir_dd.backward();
+  if (s.delegate_queue.empty()) return;
+  k.launched = true;
 
+  std::uint64_t edges = 0, vertices = 0;
   if (k.backward) {
     // Pull over dd itself (locally symmetric): every delegate with dd edges
     // still unvisited in a live lane scans its row for visited parents.
-    // Empty delegate queue = no lane gained a delegate last round = nothing
-    // new to hit; skip the launch like the push path (same gate in the
-    // single-source kernel, so W = 1 stays counter-exact).
-    if (s.delegate_queue.empty()) return;
-    k.launched = true;
     const LocalId d = g.num_delegates();
     for (LocalId t = 0; t < d; ++t) {
       if (!g.dd_source_mask().test(t)) continue;
-      std::uint64_t miss = s.batch_mask & ~s.delegate_visited.lanes(t);
-      if (miss == 0) continue;
-      ++k.vertices;
+      const std::uint64_t unseen =
+          pull_lanes<W>(s) & ~s.delegate_visited.lanes<W>(t);
+      if (unseen == 0) continue;
+      ++vertices;
+      std::uint64_t miss = unseen;
       for (const LocalId c : g.dd().row(t)) {
-        ++k.edges;
-        const std::uint64_t hit = miss & s.delegate_visited.lanes(c);
+        ++edges;
+        const std::uint64_t hit = miss & s.delegate_visited.lanes<W>(c);
         if (hit == 0) continue;
-        s.delegate_out_dd.or_lanes(t, hit);
         if (s.record_parents) {
           // Record for every hit lane, not only freshly claimed ones: the
           // claim split between the delegate and normal streams is racy, so
@@ -212,198 +74,209 @@ void visit_dd_lanes(LaneState& s) {
           }
         }
         miss &= ~hit;
-        if (miss == 0) break;
+        if (W == 1 || miss == 0) break;
       }
+      if (miss != unseen) s.delegate_out_dd.or_lanes<W>(t, unseen & ~miss);
     }
-    return;
-  }
-
-  if (s.delegate_queue.empty()) return;
-  k.launched = true;
-  for (const LocalId t : s.delegate_queue) {
-    const std::uint64_t f = s.delegate_new.lanes(t);
-    const auto row = g.dd().row(t);
-    k.edges += row.size();
-    for (const LocalId c : row) {
-      const std::uint64_t rem = f & ~s.delegate_visited.lanes(c);
-      if (rem == 0) continue;
-      s.delegate_out_dd.or_lanes(c, rem);
-      if (s.record_parents) {
-        // Every candidate feeds the min (see the dd pull above).
-        VertexId* slots = &s.parent_delegate_dd[s.slot(c, 0)];
-        for (std::uint64_t b = rem; b != 0; b &= b - 1) {
-          keep_min_parent(slots[std::countr_zero(b)], kParentDelegateTag | t);
+  } else {
+    for (const LocalId t : s.delegate_queue) {
+      const std::uint64_t f = s.delegate_new.lanes<W>(t);
+      const auto row = g.dd().row(t);
+      edges += row.size();
+      for (const LocalId c : row) {
+        const std::uint64_t rem = f & ~s.delegate_visited.lanes<W>(c);
+        if (rem == 0) continue;
+        s.delegate_out_dd.or_lanes<W>(c, rem);
+        if (s.record_parents) {
+          // Every candidate feeds the min (see the dd pull above).
+          VertexId* slots = &s.parent_delegate_dd[s.slot(c, 0)];
+          for (std::uint64_t b = rem; b != 0; b &= b - 1) {
+            keep_min_parent(slots[std::countr_zero(b)],
+                            kParentDelegateTag | t);
+          }
         }
       }
     }
+    vertices = s.delegate_queue.size();
   }
-  k.vertices = s.delegate_queue.size();
+  k.edges = edges;
+  k.vertices = vertices;
 }
 
+template <int W>
 void visit_dn_lanes(LaneState& s) {
   const graph::LocalGraph& g = s.graph();
   sim::KernelCounters& k = s.iter.dn;
   k.backward = s.dir_dn.backward();
+  if (s.delegate_queue.empty()) return;
+  k.launched = true;
 
+  // Records parent delegate `t` for `lanes` of normal v (its first claim
+  // of each lane).
+  const auto record = [&s](LocalId v, std::uint64_t lanes, LocalId t) {
+    for (std::uint64_t b = lanes; b != 0; b &= b - 1) {
+      s.parent_normal[s.slot(v, std::countr_zero(b))] = kParentDelegateTag | t;
+    }
+  };
+
+  std::uint64_t edges = 0, vertices = 0;
   if (k.backward) {
     // Pull over the nd subgraph (reverse of dn on this GPU): each normal
     // with delegate parents, unvisited in a live lane, scans them for
-    // visited delegates and claims itself in the intersecting lanes.  New
-    // hits require a delegate newly visited last round; empty queue = no-op.
-    if (s.delegate_queue.empty()) return;
-    k.launched = true;
+    // visited delegates and claims itself in the intersecting lanes.  Each
+    // normal is probed once, so its claims are its first: one OR after the
+    // scan.
     for (const LocalId v : g.nd_source_list()) {
-      std::uint64_t miss = s.batch_mask & ~s.seen_normal.lanes(v);
-      if (miss == 0) continue;
-      ++k.vertices;
+      const std::uint64_t unseen =
+          pull_lanes<W>(s) & ~s.seen_normal.lanes<W>(v);
+      if (unseen == 0) continue;
+      ++vertices;
+      std::uint64_t miss = unseen;
       for (const LocalId c : g.nd().row(v)) {
-        ++k.edges;
-        const std::uint64_t hit = miss & s.delegate_visited.lanes(c);
+        ++edges;
+        const std::uint64_t hit = miss & s.delegate_visited.lanes<W>(c);
         if (hit == 0) continue;
-        const std::uint64_t prev = s.next_normal.or_lanes(v, hit);
-        if (prev == 0) s.next_local.push_back(v);
-        if (s.record_parents) {
-          for (std::uint64_t b = hit & ~prev; b != 0; b &= b - 1) {
-            s.parent_normal[s.slot(v, std::countr_zero(b))] =
-                kParentDelegateTag | c;
-          }
-        }
+        if (s.record_parents) record(v, hit, c);
         miss &= ~hit;
-        if (miss == 0) break;
+        if (W == 1 || miss == 0) break;
+      }
+      if (miss != unseen) {
+        s.next_normal.or_lanes<W>(v, unseen & ~miss);
+        s.next_local.push_back(v);
       }
     }
-    return;
-  }
-
-  if (s.delegate_queue.empty()) return;
-  k.launched = true;
-  for (const LocalId t : s.delegate_queue) {
-    const std::uint64_t f = s.delegate_new.lanes(t);
-    const auto row = g.dn().row(t);
-    k.edges += row.size();
-    for (const LocalId v : row) {
-      const std::uint64_t rem = f & ~s.seen_normal.lanes(v);
-      if (rem == 0) continue;
-      const std::uint64_t prev = s.next_normal.or_lanes(v, rem);
-      if (prev == 0) s.next_local.push_back(v);
-      if (s.record_parents) {
-        for (std::uint64_t b = rem & ~prev; b != 0; b &= b - 1) {
-          s.parent_normal[s.slot(v, std::countr_zero(b))] =
-              kParentDelegateTag | t;
-        }
+  } else {
+    for (const LocalId t : s.delegate_queue) {
+      const std::uint64_t f = s.delegate_new.lanes<W>(t);
+      const auto row = g.dn().row(t);
+      edges += row.size();
+      for (const LocalId v : row) {
+        const std::uint64_t rem = f & ~s.seen_normal.lanes<W>(v);
+        if (rem == 0) continue;
+        const std::uint64_t prev = s.next_normal.or_lanes<W>(v, rem);
+        if (prev == 0) s.next_local.push_back(v);
+        if (s.record_parents) record(v, rem & ~prev, t);
       }
     }
+    vertices = s.delegate_queue.size();
   }
-  k.vertices = s.delegate_queue.size();
+  k.edges = edges;
+  k.vertices = vertices;
 }
 
+template <int W>
 void visit_nd_lanes(LaneState& s) {
   const graph::LocalGraph& g = s.graph();
   sim::KernelCounters& k = s.iter.nd;
   k.backward = s.dir_nd.backward();
+  if (s.frontier.empty()) return;
+  k.launched = true;
 
   const sim::ClusterSpec& spec = g.spec();
   const sim::GpuCoord me = g.me();
+  // Every candidate feeds the min (see the dd pull).
+  const auto record = [&](LocalId t, std::uint64_t lanes, LocalId v) {
+    const VertexId v_global = spec.global_vertex(me.rank, me.gpu, v);
+    VertexId* slots = &s.parent_delegate_nd[s.slot(t, 0)];
+    for (std::uint64_t b = lanes; b != 0; b &= b - 1) {
+      keep_min_parent(slots[std::countr_zero(b)], v_global);
+    }
+  };
 
+  std::uint64_t edges = 0, vertices = 0;
   if (k.backward) {
     // Pull over the dn subgraph: each delegate with local normal parents,
     // unvisited in a live lane, scans them against the stable seen_normal
     // snapshot (same-iteration dn-visit discoveries live in next_normal and
-    // are invisible here, exactly the single-source lvl <= depth test).  New
-    // hits require a normal newly visited last round; empty frontier = no-op.
-    if (s.frontier.empty()) return;
-    k.launched = true;
+    // are invisible here).
     const LocalId d = g.num_delegates();
     for (LocalId t = 0; t < d; ++t) {
       if (!g.dn_source_mask().test(t)) continue;
-      std::uint64_t miss = s.batch_mask & ~s.delegate_visited.lanes(t);
-      if (miss == 0) continue;
-      ++k.vertices;
+      const std::uint64_t unseen =
+          pull_lanes<W>(s) & ~s.delegate_visited.lanes<W>(t);
+      if (unseen == 0) continue;
+      ++vertices;
+      std::uint64_t miss = unseen;
       for (const LocalId v : g.dn().row(t)) {
-        ++k.edges;
-        const std::uint64_t hit = miss & s.seen_normal.lanes(v);
+        ++edges;
+        const std::uint64_t hit = miss & s.seen_normal.lanes<W>(v);
         if (hit == 0) continue;
-        s.delegate_out_nd.or_lanes(t, hit);
-        if (s.record_parents) {
-          // Every candidate feeds the min (see the dd pull above).
-          const VertexId v_global = spec.global_vertex(me.rank, me.gpu, v);
-          VertexId* slots = &s.parent_delegate_nd[s.slot(t, 0)];
-          for (std::uint64_t b = hit; b != 0; b &= b - 1) {
-            keep_min_parent(slots[std::countr_zero(b)], v_global);
-          }
-        }
+        if (s.record_parents) record(t, hit, v);
         miss &= ~hit;
-        if (miss == 0) break;
+        if (W == 1 || miss == 0) break;
+      }
+      if (miss != unseen) s.delegate_out_nd.or_lanes<W>(t, unseen & ~miss);
+    }
+  } else {
+    for (const LocalId v : s.frontier) {
+      // At W = 1 the frontier bitmap is already clean; the lane is
+      // implicit.
+      const std::uint64_t f = W == 1 ? 1 : s.frontier_normal.lanes<W>(v);
+      const auto row = g.nd().row(v);
+      edges += row.size();
+      for (const LocalId c : row) {
+        const std::uint64_t rem = f & ~s.delegate_visited.lanes<W>(c);
+        if (rem == 0) continue;
+        s.delegate_out_nd.or_lanes<W>(c, rem);
+        if (s.record_parents) record(c, rem, v);
       }
     }
-    return;
+    vertices = s.frontier.size();
   }
-
-  if (s.frontier.empty()) return;
-  k.launched = true;
-  for (const LocalId v : s.frontier) {
-    const std::uint64_t f = s.frontier_normal.lanes(v);
-    const auto row = g.nd().row(v);
-    k.edges += row.size();
-    for (const LocalId c : row) {
-      const std::uint64_t rem = f & ~s.delegate_visited.lanes(c);
-      if (rem == 0) continue;
-      s.delegate_out_nd.or_lanes(c, rem);
-      if (s.record_parents) {
-        // Every candidate feeds the min (see the dd pull above).
-        const VertexId v_global = spec.global_vertex(me.rank, me.gpu, v);
-        VertexId* slots = &s.parent_delegate_nd[s.slot(c, 0)];
-        for (std::uint64_t b = rem; b != 0; b &= b - 1) {
-          keep_min_parent(slots[std::countr_zero(b)], v_global);
-        }
-      }
-    }
-  }
-  k.vertices = s.frontier.size();
+  k.edges = edges;
+  k.vertices = vertices;
 }
 
+template <int W>
 void visit_nn_lanes(LaneState& s, const sim::ClusterSpec& spec) {
   const graph::LocalGraph& g = s.graph();
   sim::KernelCounters& k = s.iter.nn;
   k.backward = false;
+  s.bins_total = 0;
   if (s.frontier.empty()) return;
   k.launched = true;
   const sim::VertexRouter router(spec);
+  std::uint64_t edges = 0, binned = 0;
   for (const LocalId v : s.frontier) {
-    const std::uint64_t f = s.frontier_normal.lanes(v);
     const auto row = g.nn().row(v);
-    k.edges += row.size();
-    for (const VertexId dst : row) {
-      // Only the lanes not yet shipped to dst: a shipped lane reaches dst
-      // at this depth + 1 or earlier, so shipping it again changes nothing.
-      const std::uint64_t rem = f & ~s.sent.or_lanes(dst, f);
-      if (rem == 0) continue;
-      const auto [owner, local] = router.split(dst);
-      s.bins[static_cast<std::size_t>(owner)].push_back(
-          comm::VertexUpdate{static_cast<LocalId>(local), rem});
+    edges += row.size();
+    if constexpr (W == 1) {
+      for (const VertexId dst : row) {
+        if (!s.sent.set(dst)) continue;  // already shipped
+        const auto [owner, local] = router.split(dst);
+        s.id_bins[static_cast<std::size_t>(owner)].push_back(
+            static_cast<LocalId>(local));
+        ++binned;
+      }
+    } else {
+      const std::uint64_t f = s.frontier_normal.lanes<W>(v);
+      for (const VertexId dst : row) {
+        // Only the lanes not yet shipped to dst: a shipped lane reaches dst
+        // at this depth + 1 or earlier, so shipping it again changes
+        // nothing.
+        const std::uint64_t rem = f & ~s.sent.or_lanes<W>(dst, f);
+        if (rem == 0) continue;
+        const auto [owner, local] = router.split(dst);
+        s.bins[static_cast<std::size_t>(owner)].push_back(
+            comm::VertexUpdate{static_cast<LocalId>(local), rem});
+        ++binned;
+      }
     }
   }
+  k.edges = edges;
   k.vertices = s.frontier.size();
+  s.bins_total = binned;
 }
 
-void visit_nn(GpuState& s, const sim::ClusterSpec& spec) {
-  const graph::LocalGraph& g = s.graph();
-  sim::KernelCounters& k = s.iter.nn;
-  k.backward = false;
-  if (s.frontier.empty()) return;
-  k.launched = true;
-  const sim::VertexRouter router(spec);
-  for (const LocalId v : s.frontier) {
-    const auto row = g.nn().row(v);
-    k.edges += row.size();
-    for (const VertexId dst : row) {
-      if (!s.sent.set(dst)) continue;  // already shipped (visit_nn_lanes)
-      const auto [owner, local] = router.split(dst);
-      s.bins[static_cast<std::size_t>(owner)].push_back(
-          static_cast<LocalId>(local));
-    }
-  }
-  k.vertices = s.frontier.size();
-}
+#define DSBFS_LANE_KERNELS(W)                                          \
+  template void visit_dd_lanes<W>(LaneState&);                         \
+  template void visit_dn_lanes<W>(LaneState&);                         \
+  template void visit_nd_lanes<W>(LaneState&);                         \
+  template void visit_nn_lanes<W>(LaneState&, const sim::ClusterSpec&);
+DSBFS_LANE_KERNELS(1)
+DSBFS_LANE_KERNELS(8)
+DSBFS_LANE_KERNELS(32)
+DSBFS_LANE_KERNELS(64)
+#undef DSBFS_LANE_KERNELS
 
 }  // namespace dsbfs::core

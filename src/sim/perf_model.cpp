@@ -112,8 +112,8 @@ ModeledBreakdown PerfModel::replay(const RunCounters& run) const {
       // fused row-length reading, so the charge is the fixed launch cost,
       // not per-vertex work -- negligible on dense cores, but the dominant
       // overhead when frontiers are tiny and iterations many, which is
-      // exactly the Section VI-D long-tail effect.  Batched previsits fuse
-      // the estimates into the queue scan they run anyway
+      // exactly the Section VI-D long-tail effect.  The BFS lane previsits
+      // fuse the estimates into the queue scan they run anyway
       // (direction_decisions_fused): no extra launches to charge.
       const double decision_us =
           c.direction_decisions && !c.direction_decisions_fused

@@ -48,7 +48,7 @@ struct GpuIterationCounters {
   /// DOBFS lose to BFS on long-tail graphs (paper Section VI-D).
   bool direction_decisions = false;
   /// The decision estimates were fused into previsit passes that already
-  /// existed (the batched lane previsits iterate their queues counting lane
+  /// existed (the BFS lane previsits iterate their queues counting lane
   /// bits regardless, so FV/BV estimation rides the same scan): the replay
   /// charges no extra estimation launches.  Only meaningful with
   /// direction_decisions set.
@@ -96,8 +96,9 @@ struct GpuIterationCounters {
   /// iteration's kernels on this GPU.
   std::uint64_t reseed_bytes = 0;
 
-  // ---- Lane occupancy (batched MS-BFS traversals; 0 for the single-source
-  // algorithms).  The visit/exchange workload counters above
+  // ---- Lane occupancy (the BFS lane engine at every width, single-source
+  // runs included; 0 for the value algorithms).  The visit/exchange
+  // workload counters above
   // are already lane-amortized -- one row traversal and one (id, lane-word)
   // update serve every concurrent source -- so these record how many lane
   // bits that shared work advanced, the substance of the batch speedup.

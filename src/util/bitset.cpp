@@ -49,13 +49,6 @@ std::size_t BasicLaneBitset<Word>::count() const noexcept {
 }
 
 template <typename Word>
-std::size_t BasicLaneBitset<Word>::count_nonzero_items() const noexcept {
-  std::size_t total = 0;
-  for_each_nonzero_lanes([&total](std::size_t, std::uint64_t) { ++total; });
-  return total;
-}
-
-template <typename Word>
 bool BasicLaneBitset<Word>::none() const noexcept {
   const std::size_t nw = word_count();
   for (std::size_t w = 0; w < nw; ++w) {

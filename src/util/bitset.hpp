@@ -20,7 +20,7 @@
 /// both uses with one layout: item `v` occupies bits [v*W, (v+1)*W) of a
 /// packed word array, W in {1, 2, 4, 8, 16, 32, 64} so a lane word never
 /// straddles a storage word, and W = 1 is bit-identical to the historic
-/// single-source mask (AtomicBitset remains as an alias for that use).
+/// single-source mask.
 ///
 /// Three access patterns coexist:
 ///   * per-bit `set()` / per-item `or_lanes()` from visit kernels,
@@ -31,13 +31,17 @@
 ///     snapshot.
 ///
 /// Two storage flavours share that interface.  LaneBitset keeps relaxed
-/// atomic words, so concurrent writers from both streams of one GPU merge
-/// losslessly (the single-source delegate out-mask, and every mask the
+/// atomic words, so concurrent writers merge losslessly (every mask the
 /// reducers touch).  PlainLaneBitset keeps plain words for masks with one
-/// writer per phase (the batched traversal's normal-side masks and its
-/// per-stream delegate out-masks): `or_lanes` is then an ordinary
-/// load-OR-store with no locked read-modify-write, and a second concurrent
-/// writer is a data race that ThreadSanitizer reports.
+/// writer per phase (the traversal's normal-side masks, its per-stream
+/// delegate out-masks and the graph's read-only source masks): `or_lanes`
+/// is then an ordinary load-OR-store with no locked read-modify-write, and
+/// a second concurrent writer is a data race that ThreadSanitizer reports.
+///
+/// `lanes<W>` and `or_lanes<W>` are the lane accessors with the width fixed
+/// at compile time (W must equal lane_bits()): the kernels dispatch on the
+/// width once per launch, so the per-item shift and mask are constants and
+/// W = 1 is a plain bit test.
 namespace dsbfs::util {
 
 namespace detail {
@@ -138,6 +142,33 @@ class BasicLaneBitset {
     return (prev >> (bit & 63)) & lane_mask_;
   }
 
+  /// lanes(v) at the compile-time width W == lane_bits().
+  template <int W>
+  std::uint64_t lanes(std::size_t v) const noexcept {
+    assert(W == lane_bits_);
+    if constexpr (W == 64) {
+      return detail::load_word(words_[v]);
+    } else {
+      const std::size_t bit = v * W;
+      return (detail::load_word(words_[bit >> 6]) >> (bit & 63)) &
+             ((1ULL << W) - 1);
+    }
+  }
+
+  /// or_lanes(v, bits) at the compile-time width W == lane_bits().
+  template <int W>
+  std::uint64_t or_lanes(std::size_t v, std::uint64_t bits) noexcept {
+    assert(W == lane_bits_);
+    if constexpr (W == 64) {
+      return detail::fetch_or_word(words_[v], bits);
+    } else {
+      const std::size_t bit = v * W;
+      const std::uint64_t prev =
+          detail::fetch_or_word(words_[bit >> 6], bits << (bit & 63));
+      return (prev >> (bit & 63)) & ((1ULL << W) - 1);
+    }
+  }
+
   void clear_all() noexcept {
     for (auto& w : words_) detail::store_word(w, 0);
   }
@@ -171,10 +202,6 @@ class BasicLaneBitset {
   /// Number of set bits (across all lanes).
   std::size_t count() const noexcept;
 
-  /// Number of items with at least one lane bit set (frontier occupancy;
-  /// equals count() at W = 1).
-  std::size_t count_nonzero_items() const noexcept;
-
   /// True when no bit is set.
   bool none() const noexcept;
 
@@ -200,21 +227,26 @@ class BasicLaneBitset {
     }
   }
 
-  /// Call `fn(item, lane_word)` for every item with a nonzero lane word.
-  /// Skips zero storage words outright (64/W items at a time), so sparse
-  /// rounds cost one load per word like the W = 1 for_each_set scan.
+  /// Call `fn(item, lane_word)` for every item with a nonzero lane word, in
+  /// ascending item order.  Skips zero storage words outright and jumps
+  /// from one set bit's item to the next, so sparse rounds cost what the
+  /// W = 1 for_each_set scan costs.
   template <typename Fn>
   void for_each_nonzero_lanes(Fn&& fn) const {
-    const auto w = static_cast<std::size_t>(lane_bits_);
-    const std::size_t per_word = 64 / w;
+    if (lane_bits_ == 1) {  // every set bit is an item
+      for_each_set([&fn](std::size_t i) { fn(i, std::uint64_t{1}); });
+      return;
+    }
+    // W is a power of two: shifts stand in for the divisions.
+    const int log_w = __builtin_ctz(static_cast<unsigned>(lane_bits_));
     const std::size_t nw = word_count();
     for (std::size_t wi = 0; wi < nw; ++wi) {
-      const std::uint64_t stored = word(wi);
-      if (stored == 0) continue;
-      const std::size_t base = wi * per_word;
-      for (std::size_t j = 0; j < per_word && base + j < items_; ++j) {
-        const std::uint64_t lane_word = (stored >> (j * w)) & lane_mask_;
-        if (lane_word != 0) fn(base + j, lane_word);
+      std::uint64_t stored = word(wi);
+      while (stored != 0) {
+        const int first = __builtin_ctzll(stored) >> log_w << log_w;
+        fn((wi << 6 >> log_w) + static_cast<std::size_t>(first >> log_w),
+           (stored >> first) & lane_mask_);
+        stored &= ~(lane_mask_ << first);
       }
     }
   }
@@ -235,10 +267,6 @@ using PlainLaneBitset = BasicLaneBitset<std::uint64_t>;
 
 extern template class BasicLaneBitset<detail::AtomicLaneWord>;
 extern template class BasicLaneBitset<std::uint64_t>;
-
-/// Historic name for the 1-bit-per-vertex use (delegate visited masks,
-/// subgraph source masks); every W = 1 call pattern is unchanged.
-using AtomicBitset = LaneBitset;
 
 /// Smallest supported lane width that fits `lanes` concurrent lanes.
 int lane_width_for(std::size_t lanes) noexcept;

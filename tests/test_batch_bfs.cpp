@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "baseline/serial_bfs.hpp"
+#include "bfs_golden.hpp"
 #include "core/bfs.hpp"
 #include "core/frontier.hpp"
 #include "core/query_scheduler.hpp"
@@ -18,8 +19,8 @@
 
 /// Batched multi-source BFS: every lane must be bit-exact against the
 /// serial single-source reference (depths and a valid per-lane BFS tree),
-/// and the degenerate one-source batch must reproduce the single-source
-/// engine run counter for counter.
+/// and the one-source batch must reproduce the pinned single-source runs
+/// counter for counter.
 namespace dsbfs::core {
 namespace {
 
@@ -127,59 +128,25 @@ INSTANTIATE_TEST_SUITE_P(Sweep, BatchBfsProperty,
                          ::testing::ValuesIn(batch_cases()),
                          [](const auto& info) { return info.param.name; });
 
-/// Sum a per-GPU counter field over the whole run.
-template <typename Fn>
-std::uint64_t sum_counters(const sim::RunCounters& counters, Fn&& field) {
-  std::uint64_t total = 0;
-  for (const auto& ic : counters.iterations) {
-    for (const auto& gc : ic.gpu) total += field(gc);
-  }
-  return total;
-}
-
 TEST(BatchBfsRegression, WidthOneReproducesSingleSourceCountersExactly) {
-  // A one-source batch must be the forced-push DistributedBfs run bit for
-  // bit: same iteration count, same wire bytes (the W = 1 lane record is
-  // the id exchange's bare 4-byte id), same mask-reduce volume, same
-  // traversal workload.
-  const graph::EdgeList g = graph::rmat_graph500({.scale = 10, .seed = 82});
-  sim::ClusterSpec spec;
-  spec.num_ranks = 2;
-  spec.gpus_per_rank = 2;
-  sim::Cluster cluster(spec);
-  const graph::DistributedGraph dg = build_distributed(g, spec, 16);
-
-  BfsOptions single_options;
-  single_options.direction_optimized = false;  // the batch is push-only
-  DistributedBfs single(dg, cluster, single_options);
-  DistributedBatchBfs batch(dg, cluster, {});
-
-  const VertexId source = single.sample_source(1);
-  const BfsResult sr = single.run(source);
-  const std::vector<VertexId> sources{source};
+  // A one-source batch is the single-source BFS: forced push, it must
+  // reproduce the pinned DistributedBfs run bit for bit -- iterations,
+  // per-kernel work, wire and mask-reduce bytes, modeled time, distances
+  // (bfs_golden.hpp) -- and match the serial reference.
+  golden::BfsGoldenSetup setup;
+  const golden::BfsGolden& gold = golden::kBfsGoldens[1];
+  ASSERT_FALSE(gold.direction_optimized);
+  DistributedBatchBfs batch(setup.dg, setup.cluster, {});
+  const std::vector<VertexId> sources{
+      batch.sample_source(golden::BfsGoldenSetup::kSourceIndex)};
   const BatchBfsResult br = batch.run(sources);
 
   EXPECT_EQ(br.metrics.lane_bits, 1);
   ASSERT_EQ(br.distances.size(), 1u);
-  EXPECT_EQ(br.distances[0], sr.distances);
-
-  const RunMetrics& sm = sr.metrics;
-  const RunMetrics& bm = br.metrics;
-  EXPECT_EQ(bm.iterations, sm.iterations);
-  EXPECT_EQ(bm.delegate_reduce_iterations, sm.delegate_reduce_iterations);
-  EXPECT_EQ(bm.edges_traversed, sm.edges_traversed);
-  EXPECT_EQ(bm.exchange_remote_bytes, sm.exchange_remote_bytes);
-  EXPECT_EQ(bm.exchange_local_bytes, sm.exchange_local_bytes);
-  EXPECT_EQ(bm.mask_reduce_bytes, sm.mask_reduce_bytes);
-  EXPECT_EQ(bm.counters.delegate_mask_bytes, sm.counters.delegate_mask_bytes);
-  EXPECT_EQ(sum_counters(bm.counters,
-                         [](const auto& c) { return c.recv_bytes_remote; }),
-            sum_counters(sm.counters,
-                         [](const auto& c) { return c.recv_bytes_remote; }));
-  EXPECT_EQ(sum_counters(bm.counters,
-                         [](const auto& c) { return c.bin_vertices; }),
-            sum_counters(sm.counters,
-                         [](const auto& c) { return c.bin_vertices; }));
+  golden::expect_bfs_golden(gold, br.distances[0], {}, br.metrics);
+  EXPECT_EQ(br.distances[0],
+            baseline::serial_bfs(graph::build_host_csr(setup.edges),
+                                 sources[0]));
 }
 
 /// Run-summed per-kernel work: {dd, dn, nd, nn} edges and vertices.

@@ -7,12 +7,12 @@
 #include <set>
 
 #include "baseline/serial_bfs.hpp"
+#include "bfs_golden.hpp"
 #include "core/frontier.hpp"
 #include "core/previsit.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/rmat.hpp"
-#include "util/hash.hpp"
 
 namespace dsbfs::core {
 namespace {
@@ -204,19 +204,25 @@ TEST(BfsSmall, LocalAll2AllGoldenCounters) {
   // instead of two.  Pinned so that a build which ignores L (216 local
   // bytes, 48 send ranks) fails here.
   //
-  // The `*_before` columns hold the byte pins from before the nn visit
-  // shipped each target once per sender (uniquified was then 0 / 94 and
-  // modeled 0.34363582622103322 / 0.35064416644362656 ms): that filter may
-  // only remove bytes.
+  // The `*_bytes_before` columns hold the byte pins from before the nn
+  // visit shipped each target once per sender (uniquified was then 0 / 94
+  // and modeled 0.34363582622103322 / 0.35064416644362656 ms): that filter
+  // may only remove bytes.  `modeled_ms_before` is the pin from before the
+  // BFS ran on the lane engine, whose previsits fuse the direction
+  // estimates into their queue scans (direction_decisions_fused): the
+  // model may only charge less for the same traversal.
   struct Golden {
     bool uniquify;
     std::uint64_t remote_bytes, local_bytes, send_dest_ranks, uniquified;
     double modeled_ms;
     std::uint64_t remote_bytes_before, local_bytes_before;
+    double modeled_ms_before;
   };
   const Golden goldens[] = {
-      {false, 360, 404, 24, 0, 0.34362461077781303, 376, 432},
-      {true, 340, 404, 24, 90, 0.35063373331136899, 344, 432},
+      {false, 360, 404, 24, 0, 0.26211252836490251, 376, 432,
+       0.34362461077781303},
+      {true, 340, 404, 24, 90, 0.26912165089845852, 344, 432,
+       0.35063373331136899},
   };
   const graph::EdgeList g = graph::rmat_graph500({.scale = 10, .seed = 5});
   const auto spec = spec_of(2, 2);
@@ -241,6 +247,7 @@ TEST(BfsSmall, LocalAll2AllGoldenCounters) {
     }
     EXPECT_LE(gold.remote_bytes, gold.remote_bytes_before);
     EXPECT_LE(gold.local_bytes, gold.local_bytes_before);
+    EXPECT_LE(gold.modeled_ms, gold.modeled_ms_before);
     EXPECT_EQ(r.metrics.exchange_remote_bytes, gold.remote_bytes);
     EXPECT_EQ(r.metrics.exchange_local_bytes, gold.local_bytes);
     EXPECT_EQ(send_dest_ranks, gold.send_dest_ranks);
@@ -287,152 +294,127 @@ TEST(BfsSmall, EachSenderShipsEachNnTargetOnce) {
   }
 }
 
-/// Run-summed per-kernel work: {dd, dn, nd, nn} edges, vertices and the
-/// number of (iteration, GPU) launches that pulled.
-struct KernelTotals {
-  std::uint64_t edges[4] = {};
-  std::uint64_t vertices[4] = {};
-  std::uint64_t backward[4] = {};
-};
-
-KernelTotals kernel_totals(const sim::RunCounters& counters) {
-  KernelTotals t;
-  for (const auto& ic : counters.iterations) {
-    for (const auto& gc : ic.gpu) {
-      const sim::KernelCounters* kernels[4] = {&gc.dd, &gc.dn, &gc.nd, &gc.nn};
-      for (int i = 0; i < 4; ++i) {
-        t.edges[i] += kernels[i]->edges;
-        t.vertices[i] += kernels[i]->vertices;
-        t.backward[i] += kernels[i]->backward ? 1 : 0;
-      }
-    }
-  }
-  return t;
-}
-
-template <typename T>
-std::uint64_t digest(const std::vector<T>& values) {
-  std::uint64_t h = values.size();
-  for (const T v : values) {
-    h = util::hash_combine(h, static_cast<std::uint64_t>(v));
-  }
-  return h;
-}
+using golden::kernel_totals;
+using golden::KernelTotals;
 
 TEST(BfsGolden, CountersAndModeledTimeArePinned) {
-  // RMAT-12 on 2x2 at TH 32: the default hybrid, forced push and hybrid
-  // with parents.  How the kernels route, order and mark their work may
-  // change; the traversal they perform, the bytes they move and the time
-  // the model charges for it may not.
-  //
-  // `remote_bytes_before` is the pin from before the nn visit shipped each
-  // target once per sender (modeled 0.3792468134354901 ms for both hybrid
-  // runs, 0.30707070052007474 ms for push): that filter may only remove
-  // bytes.
-  struct Golden {
-    const char* name;
-    bool direction_optimized, parents;
-    int iterations;
-    std::uint64_t edges[4], vertices[4], backward[4];  // dd, dn, nd, nn
-    std::uint64_t remote_bytes, mask_bytes;
-    std::uint64_t distance_digest, parent_digest;
-    double modeled_ms;
-    std::uint64_t remote_bytes_before;
-  };
-  const Golden goldens[] = {
-      {"hybrid", true, false, 6,
-       {6384, 2858, 7384, 2172}, {137, 1779, 1453, 2556}, {16, 16, 19, 0},
-       3692, 1188, 0x893c40b21137e6adULL, 0x0000000000000000ULL,
-       0.37102984119123317, 4424},
-      {"push", false, false, 6,
-       {97164, 15867, 15867, 2172}, {2986, 2986, 2556, 2556}, {0, 0, 0, 0},
-       3692, 1188, 0x893c40b21137e6adULL, 0x0000000000000000ULL,
-       0.29883416895324322, 4424},
-      {"hybrid_parents", true, true, 6,
-       {6384, 2858, 7384, 2172}, {137, 1779, 1453, 2556}, {16, 16, 19, 0},
-       3692, 1188, 0x893c40b21137e6adULL, 0x3f289557c1071d51ULL,
-       0.37102984119123317, 4424},
-  };
-  const graph::EdgeList g = graph::rmat_graph500({.scale = 12, .seed = 19});
-  const auto spec = spec_of(2, 2);
-  sim::Cluster cluster(spec);
-  const graph::DistributedGraph dg = build_distributed(g, spec, 32);
-  for (const Golden& gold : goldens) {
+  // The pins and their history live in bfs_golden.hpp.
+  golden::BfsGoldenSetup setup;
+  for (const golden::BfsGolden& gold : golden::kBfsGoldens) {
     SCOPED_TRACE(gold.name);
     BfsOptions options;
     options.direction_optimized = gold.direction_optimized;
     options.compute_parents = gold.parents;
-    DistributedBfs bfs(dg, cluster, options);
-    const BfsResult r = bfs.run(bfs.sample_source(3));
-    const RunMetrics& m = r.metrics;
-    const KernelTotals k = kernel_totals(m.counters);
-    EXPECT_EQ(m.iterations, gold.iterations);
-    for (int i = 0; i < 4; ++i) {
-      EXPECT_EQ(k.edges[i], gold.edges[i]) << "kernel " << i;
-      EXPECT_EQ(k.vertices[i], gold.vertices[i]) << "kernel " << i;
-      EXPECT_EQ(k.backward[i], gold.backward[i]) << "kernel " << i;
-    }
-    EXPECT_LE(gold.remote_bytes, gold.remote_bytes_before);
-    EXPECT_EQ(m.exchange_remote_bytes, gold.remote_bytes);
-    EXPECT_EQ(m.mask_reduce_bytes, gold.mask_bytes);
-    EXPECT_EQ(digest(r.distances), gold.distance_digest);
-    EXPECT_EQ(digest(r.parents), gold.parent_digest);
-    EXPECT_NEAR(m.modeled_ms, gold.modeled_ms, 1e-12 * gold.modeled_ms);
+    DistributedBfs bfs(setup.dg, setup.cluster, options);
+    const VertexId source =
+        bfs.sample_source(golden::BfsGoldenSetup::kSourceIndex);
+    const BfsResult r = bfs.run(source);
+    golden::expect_bfs_golden(gold, r.distances, r.parents, r.metrics);
+    EXPECT_EQ(r.distances, baseline::serial_bfs(
+                               graph::build_host_csr(setup.edges), source));
   }
 }
 
-/// Checks the normal previsit's output against the inputs it consumed:
-/// the frontier is the ascending, duplicate-free union of `local` (already
-/// claimed at `s.depth`) and the unseen `arrivals`; the visited mask is
-/// exactly {v : level <= depth}; the frontier bitmap is clean again.
-void expect_previsit_output(const GpuState& s,
-                            const std::vector<LocalId>& local,
-                            const std::vector<LocalId>& arrivals,
-                            const std::set<LocalId>& seen_before) {
-  std::set<LocalId> expected(local.begin(), local.end());
-  for (const LocalId v : arrivals) {
-    if (seen_before.count(v) == 0) expected.insert(v);
+TEST(BfsGolden, CheckpointBytesArePinned) {
+  // The pinned runs with a checkpoint every 2 iterations.  The lane state
+  // charges its three normal-side lane masks (visited, frontier, next) as
+  // device state, which the single-source state before the lane engine
+  // left out, so each checkpoint copies three visited-mask sizes more than
+  // `bytes_before`; nothing else moved.
+  struct Pin {
+    bool direction_optimized;
+    int checkpoints;
+    std::uint64_t bytes, bytes_before;
+    double modeled_ms;
+  };
+  const Pin pins[] = {
+      {true, 12, 101424, 96816, 0.30028133992987111},
+      {false, 12, 101424, 96816, 0.30961308495324324},
+  };
+  golden::BfsGoldenSetup setup;
+  const int p = setup.spec.total_gpus();
+  std::uint64_t masks_per_round = 0;  // three visited masks on every GPU
+  for (int g = 0; g < p; ++g) {
+    masks_per_round +=
+        3 * util::PlainLaneBitset(setup.dg.local(g).num_local_normals())
+                .byte_size();
   }
-  EXPECT_TRUE(std::adjacent_find(s.frontier.begin(), s.frontier.end(),
-                                 std::greater_equal<LocalId>()) ==
-              s.frontier.end())
-      << "frontier not strictly ascending";
-  EXPECT_EQ(std::set<LocalId>(s.frontier.begin(), s.frontier.end()),
-            expected);
-  EXPECT_EQ(s.frontier.size(), expected.size());
-  for (const LocalId v : expected) {
-    EXPECT_EQ(s.level_normal[v], s.depth) << "vertex " << v;
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.direction_optimized ? "hybrid" : "push");
+    BfsOptions options;
+    options.direction_optimized = pin.direction_optimized;
+    options.run.resilience.checkpoint_interval = 2;
+    DistributedBfs bfs(setup.dg, setup.cluster, options);
+    const BfsResult r =
+        bfs.run(bfs.sample_source(golden::BfsGoldenSetup::kSourceIndex));
+    const sim::FaultReport& f = r.metrics.fault;
+    EXPECT_EQ(f.checkpoints, pin.checkpoints);
+    EXPECT_EQ(f.checkpoint_bytes, pin.bytes);
+    EXPECT_EQ(pin.bytes - pin.bytes_before,
+              static_cast<std::uint64_t>(pin.checkpoints / p) *
+                  masks_per_round);
+    EXPECT_NEAR(r.metrics.modeled_ms, pin.modeled_ms, 1e-12 * pin.modeled_ms);
   }
-  std::uint64_t mismatches = 0;
-  for (std::size_t v = 0; v < s.level_normal.size(); ++v) {
-    const Depth level = s.level_normal[v];
-    const bool visited = level != kUnvisited && level <= s.depth;
-    if (s.seen_normal.test(v) != visited && ++mismatches <= 5) {
-      ADD_FAILURE() << "seen_normal disagrees with level at " << v;
-    }
-  }
-  EXPECT_EQ(mismatches, 0u);
-  EXPECT_TRUE(s.frontier_normal.none());
-  EXPECT_TRUE(s.frontier_words.empty());
-  EXPECT_TRUE(s.next_local.empty());
-  EXPECT_TRUE(s.received.empty());
 }
 
-/// One previsit at the state's current depth: `local` plays the dn
-/// visit's claims (level already set), `arrivals` the exchange's ids.
-void run_previsit(GpuState& s, const std::vector<LocalId>& local,
-                  const std::vector<LocalId>& arrivals) {
-  std::set<LocalId> seen_before;
-  for (std::size_t v = 0; v < s.level_normal.size(); ++v) {
-    if (s.seen_normal.test(v)) seen_before.insert(static_cast<LocalId>(v));
+/// Drives the one-lane (single-source) normal previsit and checks its
+/// output against a level array kept on the side: the frontier is the
+/// ascending, duplicate-free union of the dn claims and the unseen
+/// arrivals, stamped at the current depth; the visited mask is exactly
+/// {v : level <= depth}; the frontier bitmap and the inputs are clean
+/// again.
+class PrevisitCheck {
+ public:
+  PrevisitCheck(const graph::LocalGraph& lg, int total_gpus)
+      : s(lg, total_gpus, /*lane_bits=*/1, /*record_parents=*/false),
+        level(lg.num_local_normals(), kUnvisited) {}
+
+  /// One previsit at the state's current depth: `local` plays the dn
+  /// visit's claims (distinct, unvisited), `arrivals` the exchange's ids.
+  void run(const std::vector<LocalId>& local,
+           const std::vector<LocalId>& arrivals) {
+    std::set<LocalId> expected;
+    for (const LocalId v : local) {
+      s.next_normal.or_lanes(v, 1);
+      expected.insert(v);
+    }
+    for (const LocalId v : arrivals) {
+      if (level[v] == kUnvisited) expected.insert(v);
+    }
+    for (const LocalId v : expected) level[v] = s.depth;
+    s.next_local = local;
+    s.id_received = arrivals;
+    s.begin_iteration();
+    normal_previsit_lanes<1>(s);
+
+    EXPECT_TRUE(std::adjacent_find(s.frontier.begin(), s.frontier.end(),
+                                   std::greater_equal<LocalId>()) ==
+                s.frontier.end())
+        << "frontier not strictly ascending";
+    EXPECT_EQ(std::set<LocalId>(s.frontier.begin(), s.frontier.end()),
+              expected);
+    EXPECT_EQ(s.frontier.size(), expected.size());
+    std::uint64_t mismatches = 0;
+    for (std::size_t v = 0; v < level.size(); ++v) {
+      const bool visited = level[v] != kUnvisited;
+      if (s.seen_normal.test(v) != visited && ++mismatches <= 5) {
+        ADD_FAILURE() << "seen_normal disagrees with level at " << v;
+      }
+      if (visited && s.lane_depth(v, 0) != level[v] && ++mismatches <= 5) {
+        ADD_FAILURE() << "depth planes disagree with level at " << v;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_TRUE(s.frontier_normal.none());
+    EXPECT_TRUE(s.frontier_words.empty());
+    EXPECT_TRUE(s.next_normal.none());
+    EXPECT_TRUE(s.next_local.empty());
+    EXPECT_TRUE(s.id_received.empty());
   }
-  for (const LocalId v : local) s.level_normal[v] = s.depth;
-  s.next_local = local;
-  s.received = arrivals;
-  s.begin_iteration();
-  normal_previsit(s, BfsOptions{});
-  expect_previsit_output(s, local, arrivals, seen_before);
-}
+
+  LaneState s;
+  std::vector<Depth> level;
+};
 
 TEST(NormalPrevisit, FrontierIsAscendingAndSeenIsExactlyTheVisitedLevels) {
   const graph::EdgeList g = graph::rmat_graph500({.scale = 12, .seed = 23});
@@ -440,7 +422,7 @@ TEST(NormalPrevisit, FrontierIsAscendingAndSeenIsExactlyTheVisitedLevels) {
   const graph::DistributedGraph dg = build_distributed(g, spec, 32);
   const graph::LocalGraph& lg = dg.local(1);
   const auto n_local = static_cast<LocalId>(lg.num_local_normals());
-  GpuState s(lg, spec.total_gpus(), /*record_parents=*/false);
+  PrevisitCheck check(lg, spec.total_gpus());
 
   // Three rounds of shuffled claims and duplicate-laden arrivals; arrivals
   // repeat claimed, earlier-visited and each other's ids.
@@ -461,8 +443,8 @@ TEST(NormalPrevisit, FrontierIsAscendingAndSeenIsExactlyTheVisitedLevels) {
       arrivals.push_back(order[rng() % next]);  // claimed or already seen
     }
     std::shuffle(arrivals.begin(), arrivals.end(), rng);
-    run_previsit(s, local, arrivals);
-    s.depth += 1;
+    check.run(local, arrivals);
+    check.s.depth += 1;
   }
 }
 
@@ -473,14 +455,14 @@ TEST(NormalPrevisit, SparseFrontierOnALargeGraph) {
   const graph::DistributedGraph dg =
       build_distributed(graph::path_graph(1 << 20), spec, 8);
   const graph::LocalGraph& lg = dg.local(0);
-  GpuState s(lg, spec.total_gpus(), /*record_parents=*/false);
+  PrevisitCheck check(lg, spec.total_gpus());
   const auto last = static_cast<LocalId>(lg.num_local_normals() - 1);
-  run_previsit(s, {last}, {});
-  s.depth += 1;
-  run_previsit(s, {700000, 3}, {last, 524287, 64, 524287, 3, 65});
-  s.depth += 1;
-  run_previsit(s, {}, {0, 1 << 19, 64, 1 << 19});
-  EXPECT_EQ(s.frontier, (std::vector<LocalId>{0, 1 << 19}));
+  check.run({last}, {});
+  check.s.depth += 1;
+  check.run({700000, 3}, {last, 524287, 64, 524287, 3, 65});
+  check.s.depth += 1;
+  check.run({}, {0, 1 << 19, 64, 1 << 19});
+  EXPECT_EQ(check.s.frontier, (std::vector<LocalId>{0, 1 << 19}));
 }
 
 TEST(NormalPrevisit, ParentStorageOnlyWhenRecordingParents) {
@@ -490,11 +472,11 @@ TEST(NormalPrevisit, ParentStorageOnlyWhenRecordingParents) {
   const graph::DistributedGraph dg = build_distributed(g, spec, 16);
   ASSERT_GT(dg.num_delegates(), 0u);
 
-  const GpuState lean(dg.local(0), spec.total_gpus(), false);
+  const LaneState lean(dg.local(0), spec.total_gpus(), 1, false);
   EXPECT_TRUE(lean.parent_normal.empty());
   EXPECT_TRUE(lean.parent_delegate_dd.empty());
   EXPECT_TRUE(lean.parent_delegate_nd.empty());
-  const GpuState full(dg.local(0), spec.total_gpus(), true);
+  const LaneState full(dg.local(0), spec.total_gpus(), 1, true);
   EXPECT_EQ(full.parent_normal.size(), dg.local(0).num_local_normals());
   EXPECT_EQ(full.parent_delegate_dd.size(), dg.num_delegates());
   EXPECT_EQ(full.parent_delegate_nd.size(), dg.num_delegates());

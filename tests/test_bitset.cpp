@@ -12,7 +12,7 @@ namespace dsbfs::util {
 namespace {
 
 TEST(Bitset, StartsEmpty) {
-  AtomicBitset b(100);
+  LaneBitset b(100);
   EXPECT_EQ(b.size(), 100u);
   EXPECT_EQ(b.count(), 0u);
   EXPECT_TRUE(b.none());
@@ -20,7 +20,7 @@ TEST(Bitset, StartsEmpty) {
 }
 
 TEST(Bitset, SetReturnsTrueOnlyOnFirstFlip) {
-  AtomicBitset b(64);
+  LaneBitset b(64);
   EXPECT_TRUE(b.set(7));
   EXPECT_FALSE(b.set(7));
   EXPECT_TRUE(b.test(7));
@@ -28,7 +28,7 @@ TEST(Bitset, SetReturnsTrueOnlyOnFirstFlip) {
 }
 
 TEST(Bitset, SetAcrossWordBoundaries) {
-  AtomicBitset b(130);
+  LaneBitset b(130);
   b.set(0);
   b.set(63);
   b.set(64);
@@ -41,15 +41,15 @@ TEST(Bitset, SetAcrossWordBoundaries) {
 }
 
 TEST(Bitset, WordCountRounding) {
-  EXPECT_EQ(AtomicBitset(0).word_count(), 0u);
-  EXPECT_EQ(AtomicBitset(1).word_count(), 1u);
-  EXPECT_EQ(AtomicBitset(64).word_count(), 1u);
-  EXPECT_EQ(AtomicBitset(65).word_count(), 2u);
-  EXPECT_EQ(AtomicBitset(65).byte_size(), 16u);
+  EXPECT_EQ(LaneBitset(0).word_count(), 0u);
+  EXPECT_EQ(LaneBitset(1).word_count(), 1u);
+  EXPECT_EQ(LaneBitset(64).word_count(), 1u);
+  EXPECT_EQ(LaneBitset(65).word_count(), 2u);
+  EXPECT_EQ(LaneBitset(65).byte_size(), 16u);
 }
 
 TEST(Bitset, OrWithMergesBits) {
-  AtomicBitset a(200), b(200);
+  LaneBitset a(200), b(200);
   a.set(3);
   a.set(150);
   b.set(150);
@@ -64,14 +64,14 @@ TEST(Bitset, OrWithMergesBits) {
 }
 
 TEST(Bitset, DiffIntoExtractsNewBits) {
-  AtomicBitset next(128), prev(128), out(128);
+  LaneBitset next(128), prev(128), out(128);
   prev.set(1);
   prev.set(64);
   next.set(1);
   next.set(64);
   next.set(65);
   next.set(100);
-  AtomicBitset::diff_into(next, prev, out);
+  LaneBitset::diff_into(next, prev, out);
   EXPECT_FALSE(out.test(1));
   EXPECT_FALSE(out.test(64));
   EXPECT_TRUE(out.test(65));
@@ -80,16 +80,16 @@ TEST(Bitset, DiffIntoExtractsNewBits) {
 }
 
 TEST(Bitset, DiffIntoOverwritesStaleOutput) {
-  AtomicBitset next(64), prev(64), out(64);
+  LaneBitset next(64), prev(64), out(64);
   out.set(5);  // stale content must be cleared
   next.set(9);
-  AtomicBitset::diff_into(next, prev, out);
+  LaneBitset::diff_into(next, prev, out);
   EXPECT_FALSE(out.test(5));
   EXPECT_TRUE(out.test(9));
 }
 
 TEST(Bitset, ForEachSetVisitsExactlySetBits) {
-  AtomicBitset b(300);
+  LaneBitset b(300);
   const std::vector<std::size_t> bits{0, 1, 63, 64, 65, 127, 128, 255, 299};
   for (const auto i : bits) b.set(i);
   std::vector<std::size_t> seen;
@@ -98,7 +98,7 @@ TEST(Bitset, ForEachSetVisitsExactlySetBits) {
 }
 
 TEST(Bitset, ClearAllResets) {
-  AtomicBitset b(128);
+  LaneBitset b(128);
   b.set(2);
   b.set(127);
   b.clear_all();
@@ -106,9 +106,9 @@ TEST(Bitset, ClearAllResets) {
 }
 
 TEST(Bitset, CopyIsDeep) {
-  AtomicBitset a(64);
+  LaneBitset a(64);
   a.set(10);
-  AtomicBitset b = a;
+  LaneBitset b = a;
   b.set(20);
   EXPECT_TRUE(a.test(10));
   EXPECT_FALSE(a.test(20));
@@ -117,7 +117,7 @@ TEST(Bitset, CopyIsDeep) {
 }
 
 TEST(Bitset, EqualityComparesContent) {
-  AtomicBitset a(64), b(64), c(65);
+  LaneBitset a(64), b(64), c(65);
   a.set(3);
   b.set(3);
   EXPECT_TRUE(a == b);
@@ -127,7 +127,7 @@ TEST(Bitset, EqualityComparesContent) {
 }
 
 TEST(Bitset, WordLevelAccess) {
-  AtomicBitset b(128);
+  LaneBitset b(128);
   b.set_word(1, 0xff00ULL);
   EXPECT_TRUE(b.test(64 + 8));
   EXPECT_EQ(b.word(1), 0xff00ULL);
@@ -138,7 +138,7 @@ TEST(Bitset, WordLevelAccess) {
 TEST(Bitset, ConcurrentSetsAreLossless) {
   // The delegate visit kernels set bits from several GPU threads at once;
   // every set must land.
-  AtomicBitset b(1 << 16);
+  LaneBitset b(1 << 16);
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -154,7 +154,7 @@ TEST(Bitset, ConcurrentSetsAreLossless) {
 }
 
 TEST(Bitset, ConcurrentSetSameBitsCountOnce) {
-  AtomicBitset b(1024);
+  LaneBitset b(1024);
   std::atomic<std::size_t> first_flips{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
@@ -174,7 +174,7 @@ class BitsetSizes : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BitsetSizes, CountMatchesSetPattern) {
   const std::size_t n = GetParam();
-  AtomicBitset b(n);
+  LaneBitset b(n);
   std::size_t expected = 0;
   for (std::size_t i = 0; i < n; i += 3) {
     b.set(i);
@@ -193,7 +193,7 @@ TEST(LaneBitset, WidthOneIsTheClassicMask) {
   LaneBitset b(100);  // default width 1
   EXPECT_EQ(b.lane_bits(), 1);
   EXPECT_EQ(b.lane_mask(), 1u);
-  EXPECT_EQ(b.word_count(), 2u);  // identical layout to AtomicBitset(100)
+  EXPECT_EQ(b.word_count(), 2u);  // 100 bits in two words, one per bit
   b.set(42);
   EXPECT_EQ(b.lanes(42), 1u);
   EXPECT_EQ(b.or_lanes(7, 1), 0u);
@@ -217,7 +217,6 @@ TEST(LaneBitset, OrLanesReturnsPreviousWord) {
   EXPECT_EQ(b.lanes(2), 0u);  // neighbors untouched
   EXPECT_EQ(b.lanes(4), 0u);
   EXPECT_EQ(b.count(), 3u);
-  EXPECT_EQ(b.count_nonzero_items(), 1u);
 }
 
 TEST(LaneBitset, FullWidthLanesRoundTrip) {
@@ -255,6 +254,45 @@ TEST(LaneBitset, ForEachNonzeroLanesVisitsOccupiedItems) {
   EXPECT_EQ(seen[0], (std::pair<std::size_t, std::uint64_t>{1, 5}));
   EXPECT_EQ(seen[1],
             (std::pair<std::size_t, std::uint64_t>{49, 1ULL << 31}));
+}
+
+template <int W>
+void expect_fixed_width_accessors_match() {
+  PlainLaneBitset fixed(130, W), runtime(130, W);
+  const std::uint64_t mask = W == 64 ? ~0ULL : (1ULL << W) - 1;
+  for (std::size_t v = 0; v < 130; v += 3) {
+    const std::uint64_t bits = (0x9e3779b97f4a7c15ULL * (v + 1)) & mask;
+    EXPECT_EQ(fixed.or_lanes<W>(v, bits), runtime.or_lanes(v, bits));
+    EXPECT_EQ(fixed.or_lanes<W>(v, bits >> 1), runtime.or_lanes(v, bits >> 1));
+  }
+  EXPECT_TRUE(fixed == runtime);
+  for (std::size_t v = 0; v < 130; ++v) {
+    EXPECT_EQ(fixed.lanes<W>(v), runtime.lanes(v)) << "item " << v;
+  }
+}
+
+TEST(LaneBitset, FixedWidthAccessorsMatchTheRuntimeWidthOnes) {
+  expect_fixed_width_accessors_match<1>();
+  expect_fixed_width_accessors_match<8>();
+  expect_fixed_width_accessors_match<32>();
+  expect_fixed_width_accessors_match<64>();
+}
+
+TEST(LaneBitset, ForEachNonzeroLanesIsAscendingAtEveryWidth) {
+  for (const int w : {1, 8, 32, 64}) {
+    SCOPED_TRACE(w);
+    PlainLaneBitset b(200, w);
+    const std::vector<std::size_t> items{0, 1, 2, 63, 64, 65, 130, 199};
+    for (const std::size_t v : items) b.or_lanes(v, b.lane_mask());
+    b.or_lanes(100, 1ULL << (w - 1));  // top lane only
+    std::vector<std::size_t> visited;
+    b.for_each_nonzero_lanes([&](std::size_t v, std::uint64_t lanes) {
+      EXPECT_EQ(lanes, b.lanes(v));
+      visited.push_back(v);
+    });
+    EXPECT_EQ(visited, (std::vector<std::size_t>{0, 1, 2, 63, 64, 65, 100, 130,
+                                                 199}));
+  }
 }
 
 TEST(LaneBitset, ConcurrentOrLanesLossless) {

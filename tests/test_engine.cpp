@@ -59,21 +59,29 @@ TEST(TagBlocks, PostLoopBlocksStayDisjointFromIterations) {
 // ---- parent-probe packing (core/packing.hpp) -----------------------------
 
 TEST(ParentPacking, RoundTripsAtMaximumLocalIdWidth) {
-  // The exchange delivers any 32-bit local id; the deepest representable
-  // level must not bleed into it (and vice versa).
+  // The exchange delivers any 32-bit local id; neither the deepest
+  // representable level nor the highest lane may bleed into it (and vice
+  // versa).
   const std::uint64_t max_local = kInvalidLocal;  // 0xffffffff
   const Depth max_level = static_cast<Depth>(core::kParentDepthMask);
-  const std::uint64_t word = core::pack_parent_probe(max_local, max_level);
-  EXPECT_EQ(core::parent_probe_local(word), max_local);
-  EXPECT_EQ(core::parent_probe_level(word), max_level);
+  for (const int lane : {0, 1, 63}) {
+    SCOPED_TRACE(lane);
+    const std::uint64_t word =
+        core::pack_lane_parent_probe(max_local, lane, max_level);
+    EXPECT_EQ(core::lane_parent_probe_local(word), max_local);
+    EXPECT_EQ(core::lane_parent_probe_lane(word), lane);
+    EXPECT_EQ(core::lane_parent_probe_level(word), max_level);
 
-  const std::uint64_t word2 = core::pack_parent_probe(max_local, 0);
-  EXPECT_EQ(core::parent_probe_local(word2), max_local);
-  EXPECT_EQ(core::parent_probe_level(word2), 0);
+    const std::uint64_t word2 = core::pack_lane_parent_probe(max_local, lane, 0);
+    EXPECT_EQ(core::lane_parent_probe_local(word2), max_local);
+    EXPECT_EQ(core::lane_parent_probe_lane(word2), lane);
+    EXPECT_EQ(core::lane_parent_probe_level(word2), 0);
 
-  const std::uint64_t word3 = core::pack_parent_probe(0, max_level);
-  EXPECT_EQ(core::parent_probe_local(word3), 0u);
-  EXPECT_EQ(core::parent_probe_level(word3), max_level);
+    const std::uint64_t word3 = core::pack_lane_parent_probe(0, lane, max_level);
+    EXPECT_EQ(core::lane_parent_probe_local(word3), 0u);
+    EXPECT_EQ(core::lane_parent_probe_lane(word3), lane);
+    EXPECT_EQ(core::lane_parent_probe_level(word3), max_level);
+  }
 }
 
 // ---- CommContext ---------------------------------------------------------

@@ -27,7 +27,7 @@ TEST_P(MaskReduceShapes, ReduceEqualsUnionEverywhere) {
   MaskReducer reducer(t, spec);
 
   // GPU g sets bits g, g + p, g + 2p, ... -- all distinct.
-  std::vector<util::AtomicBitset> masks(static_cast<std::size_t>(p));
+  std::vector<util::LaneBitset> masks(static_cast<std::size_t>(p));
   std::vector<std::thread> threads;
   for (int g = 0; g < p; ++g) {
     masks[static_cast<std::size_t>(g)].resize(param.bits);
@@ -66,7 +66,7 @@ TEST(MaskReduce, RepeatedIterationsStaySeparated) {
   const int p = spec.total_gpus();
 
   for (int iteration = 0; iteration < 5; ++iteration) {
-    std::vector<util::AtomicBitset> masks(static_cast<std::size_t>(p));
+    std::vector<util::LaneBitset> masks(static_cast<std::size_t>(p));
     std::vector<std::thread> threads;
     for (int g = 0; g < p; ++g) {
       masks[static_cast<std::size_t>(g)].resize(64);
@@ -96,7 +96,7 @@ TEST(MaskReduce, NonBlockingModeSameResult) {
   Transport t(spec);
   MaskReducer reducer(t, spec);
 
-  std::vector<util::AtomicBitset> masks(static_cast<std::size_t>(p));
+  std::vector<util::LaneBitset> masks(static_cast<std::size_t>(p));
   std::vector<std::thread> threads;
   for (int g = 0; g < p; ++g) {
     masks[static_cast<std::size_t>(g)].resize(128);
@@ -128,7 +128,7 @@ TEST(MaskReduce, TrafficMatchesTwoPhaseModel) {
   MaskReducer reducer(t, spec);
 
   const std::size_t bits = 64 * 100;  // 100 words = 800 bytes
-  std::vector<util::AtomicBitset> masks(static_cast<std::size_t>(p));
+  std::vector<util::LaneBitset> masks(static_cast<std::size_t>(p));
   for (int g = 0; g < p; ++g) masks[static_cast<std::size_t>(g)].resize(bits);
   std::vector<std::thread> threads;
   for (int g = 0; g < p; ++g) {
@@ -296,7 +296,7 @@ TEST(MaskReduce, SingleGpuIsNoop) {
   spec.gpus_per_rank = 1;
   Transport t(spec);
   MaskReducer reducer(t, spec);
-  util::AtomicBitset mask(64);
+  util::LaneBitset mask(64);
   mask.set_unsynchronized(5);
   reducer.reduce(sim::GpuCoord{0, 0}, mask, 0);
   EXPECT_TRUE(mask.test(5));

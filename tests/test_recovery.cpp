@@ -2,10 +2,10 @@
 // finish with the bit-identical answer of a clean run, visibly charging the
 // checkpoints it took, the rollback it performed and the iterations it
 // replayed.  The engine checkpoints by copying each algorithm's State, so
-// this covers it across state shapes: BFS (GpuState), batched BFS at W = 64
-// (LaneState, push and hybrid), the serving scheduler (LaneState plus the
-// replicated scheduler core), delta-stepping SSSP, batched SSSP,
-// betweenness and PageRank.
+// this covers it across state shapes: BFS (the one-lane LaneState, with its
+// bare-id exchange buffers), batched BFS at W = 64 (LaneState, push and
+// hybrid), the serving scheduler (LaneState plus the replicated scheduler
+// core), delta-stepping SSSP, batched SSSP, betweenness and PageRank.
 #include <gtest/gtest.h>
 
 #include <vector>
