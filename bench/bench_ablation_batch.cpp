@@ -177,9 +177,9 @@ int main(int argc, char** argv) {
                                   std::size_t{64}}) {
     for (const bool overlap : {false, true}) {
       for (const bool compress : {false, true}) {
-        core::BatchBfsOptions options;
+        core::BfsOptions options{.direction_optimized = false};
         options.run.overlap = overlap;
-        options.codec =
+        options.run.codec =
             compress ? comm::WireCodec::kVarint : comm::WireCodec::kRaw;
         core::DistributedBatchBfs bfs(dg, cluster, options);
         const std::span<const VertexId> sources(pool.data(), batch);
@@ -226,9 +226,8 @@ int main(int argc, char** argv) {
   for (const std::size_t batch : {std::size_t{1}, std::size_t{32},
                                   std::size_t{64}}) {
     for (const bool hybrid : {false, true}) {
-      core::BatchBfsOptions options;
-      options.direction = hybrid ? core::TraversalDirection::kHybrid
-                                 : core::TraversalDirection::kForcedPush;
+      core::BfsOptions options;
+      options.direction_optimized = hybrid;
       options.compute_parents = true;
       core::DistributedBatchBfs bfs(dg, cluster, options);
       const std::span<const VertexId> sources(pool.data(), batch);

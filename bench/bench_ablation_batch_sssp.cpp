@@ -267,7 +267,7 @@ int main(int argc, char** argv) {
   for (int mode = 0; mode < 3; ++mode) {
     core::PagerankOptions options;
     options.max_iterations = 10;
-    options.codec = kPrCodecs[mode];
+    options.run.codec = kPrCodecs[mode];
     core::DistributedPagerank pr(dg, cluster, options);
     const core::PagerankResult r = pr.run();
     pr_bytes[mode] = r.update_bytes_remote;

@@ -204,11 +204,11 @@ TopologyRecord dense_round(const sim::ClusterSpec& spec,
               {static_cast<LocalId>(k % 509), (k % 8191) + 1});
         }
       }
-      comm::UpdateExchangeOptions options;
+      comm::ExchangeOptions options;
       options.combine = comm::UpdateCombine::kMin;
       options.topology = topology;
       comm::ExchangeCounters ec;
-      received[static_cast<std::size_t>(g)] = comm::exchange_updates(
+      received[static_cast<std::size_t>(g)] = comm::exchange(
           transport, spec, spec.coord_of(g), bins, /*iteration=*/0, options,
           ec);
       auto& c = gpu_counters[static_cast<std::size_t>(g)];
@@ -316,9 +316,10 @@ int main(int argc, char** argv) {
     for (const bool uniquify : {false, true}) {
       for (const WireCodec codec :
            {WireCodec::kRaw, WireCodec::kVarint, WireCodec::kAdaptive}) {
-        const engine::RunOptions run{.overlap = overlap, .uniquify = uniquify};
+        const engine::RunOptions run{
+            .overlap = overlap, .uniquify = uniquify, .codec = codec};
         {  // ---- connected components (bit-exact) ----------------------
-          const core::CcOptions o{.run = run, .codec = codec};
+          const core::CcOptions o{.run = run};
           const core::CcResult r =
               core::ConnectedComponents(dg, cluster, o).run();
           const auto [enc_bins, raw_bins] = bin_choices(r.counters);
@@ -331,7 +332,6 @@ int main(int argc, char** argv) {
         {  // ---- PageRank (tolerance) -----------------------------------
           core::PagerankOptions o;
           o.run = run;
-          o.codec = codec;
           o.max_iterations = 10;
           o.tolerance = 0.0;  // fixed work per configuration
           const core::PagerankResult r =
@@ -350,7 +350,6 @@ int main(int argc, char** argv) {
         {  // ---- SSSP (bit-exact) ---------------------------------------
           core::SsspOptions o;
           o.run = run;
-          o.codec = codec;
           const core::SsspResult r =
               core::DistributedSssp(dg, cluster, o).run(source);
           const auto [enc_bins, raw_bins] = bin_choices(r.counters);
@@ -370,7 +369,7 @@ int main(int argc, char** argv) {
     // built for exactly that payload.  Run it at the best fixed settings and
     // record a fourth codec.
     core::PagerankOptions o;
-    o.codec = WireCodec::kGorilla;
+    o.run.codec = WireCodec::kGorilla;
     o.max_iterations = 10;
     o.tolerance = 0.0;
     const core::PagerankResult r =

@@ -125,7 +125,7 @@ struct Harness {
       rec.valid = clean ? r.distances == clean->bfs : r.distances == serial_bfs;
       if (fill) fill->bfs = r.distances;
     } else if (algo == "batch64") {
-      core::BatchBfsOptions o;
+      core::BfsOptions o{.direction_optimized = false};
       o.run.uniquify = true;
       o.run.resilience = res;
       const core::BatchBfsResult r =

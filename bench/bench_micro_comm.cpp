@@ -103,8 +103,11 @@ void BM_IdExchange(benchmark::State& state) {
           bin.assign(per_bin, static_cast<LocalId>(g));
         }
         comm::ExchangeCounters counters;
-        benchmark::DoNotOptimize(comm::exchange_ids(
-            t, spec, spec.coord_of(g), bins, iteration, {use_l, use_l},
+        benchmark::DoNotOptimize(comm::exchange(
+            t, spec, spec.coord_of(g), bins, iteration,
+            {.combine = use_l ? comm::UpdateCombine::kOr
+                              : comm::UpdateCombine::kNone,
+             .local_all2all = use_l},
             counters));
       });
     }

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
       order.begin(), order.begin() + static_cast<std::ptrdiff_t>(keep));
 
   // ---- One batched run builds every sketch column. ----------------------
-  core::DistributedBatchBfs batch(dg, cluster, {});
+  core::DistributedBatchBfs batch(dg, cluster);
   const core::BatchBfsResult index = batch.run(sources);
   std::printf("\nbatched index build: %zu landmarks in one run, lane width "
               "%d\n  iterations %d, modeled %.3f ms, %.1f lane bits per "

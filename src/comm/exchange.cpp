@@ -234,15 +234,13 @@ struct EncodedBin {
 /// Bare destination-local ids, packed two per 64-bit word behind a count
 /// header.  The 4-bytes-per-vertex wire format is what makes the paper's
 /// 4|Enn| communication volume hold; tests check the byte counters against
-/// it.  The merge is the U option's uniquify.
+/// it.  Any combine but kNone merges by the U option's uniquify.
 struct IdRecords {
   using Record = LocalId;
   const ExchangeOptions& opt;
 
-  bool local_all2all() const { return opt.local_all2all; }
   std::uint64_t record_bytes() const { return 4; }
-  bool coalesces() const { return opt.uniquify; }
-  bool mergeable() const { return opt.uniquify; }
+  bool mergeable() const { return opt.combine != UpdateCombine::kNone; }
 
   std::uint64_t merge(std::vector<LocalId>& ids) const {
     const std::size_t before = ids.size();
@@ -292,16 +290,14 @@ struct IdRecords {
 /// candidate, so those forward per-source segments intact.
 struct UpdateRecords {
   using Record = VertexUpdate;
-  const UpdateExchangeOptions& opt;
+  const ExchangeOptions& opt;
 
-  bool local_all2all() const { return false; }
   /// Wire width of one uncompressed update: 4-byte id + the value field.
   /// value_bytes = 8 is the historic (id, 64-bit value) record; lane-word
-  /// senders narrow it to their batch width (0 at W = 1).
+  /// senders narrow it to their batch width.
   std::uint64_t record_bytes() const {
     return 4 + static_cast<std::uint64_t>(opt.value_bytes);
   }
-  bool coalesces() const { return opt.combine != UpdateCombine::kNone; }
   bool mergeable() const {
     return opt.combine == UpdateCombine::kMin ||
            opt.combine == UpdateCombine::kOr ||
@@ -441,9 +437,11 @@ struct UpdateRecords {
 
 /// Per-bin merge with the uniquify counter charges (U for ids, the
 /// combine's coalescing for updates); leaves the bin sorted by vertex id.
+/// A no-op under UpdateCombine::kNone.
 template <class Kind>
 void coalesce(const Kind& kind, std::vector<typename Kind::Record>& recs,
               ExchangeCounters& counters) {
+  if (kind.opt.combine == UpdateCombine::kNone) return;
   counters.uniquify_vertices += recs.size();
   counters.uniquify_bytes += recs.size() * kind.record_bytes();
   counters.duplicates_removed += kind.merge(recs);
@@ -779,7 +777,7 @@ std::vector<typename Kind::Record> multi_hop_exchange(
     Segment s;
     s.dest = static_cast<std::uint32_t>(dest);
     s.src = static_cast<std::uint32_t>(me_global);
-    if (kind.coalesces()) coalesce(kind, bin, counters);
+    coalesce(kind, bin, counters);
     s.words = kind.encode(bin, counters).words;
     bin.clear();
     if (spec.node_of(dest) == my_node) {
@@ -1031,7 +1029,7 @@ std::vector<typename Kind::Record> exchange_records(
   for (const auto& bin : bins) counters.bin_vertices += bin.size();
 
   std::vector<int> partners;
-  if (kind.local_all2all()) {
+  if (kind.opt.local_all2all) {
     gather_column(transport, spec, me, bins, iteration, kind, counters);
     for (int r = 0; r < spec.num_ranks; ++r) {
       if (r != me.rank) partners.push_back(spec.global_gpu({r, me.gpu}));
@@ -1044,7 +1042,7 @@ std::vector<typename Kind::Record> exchange_records(
 
   for (const int g : partners) {
     auto& bin = bins[static_cast<std::size_t>(g)];
-    if (kind.coalesces()) coalesce(kind, bin, counters);
+    coalesce(kind, bin, counters);
     EncodedBin encoded = kind.encode(bin, counters);
     if (spec.coord_of(g).rank != me.rank) {
       counters.send_bytes_remote += encoded.payload_bytes + frame_bytes;
@@ -1291,20 +1289,19 @@ void decode_updates_gorilla(std::span<const std::uint64_t> words,
   }
 }
 
-std::vector<LocalId> exchange_ids(Transport& transport,
-                                  const sim::ClusterSpec& spec,
-                                  sim::GpuCoord me,
-                                  std::vector<std::vector<LocalId>>& bins,
-                                  int iteration, const ExchangeOptions& options,
-                                  ExchangeCounters& counters) {
+std::vector<LocalId> exchange(Transport& transport,
+                              const sim::ClusterSpec& spec, sim::GpuCoord me,
+                              std::vector<std::vector<LocalId>>& bins,
+                              int iteration, const ExchangeOptions& options,
+                              ExchangeCounters& counters) {
   return exchange_records(transport, spec, me, bins, iteration,
                           IdRecords{options}, counters);
 }
 
-std::vector<VertexUpdate> exchange_updates(
+std::vector<VertexUpdate> exchange(
     Transport& transport, const sim::ClusterSpec& spec, sim::GpuCoord me,
     std::vector<std::vector<VertexUpdate>>& bins, int iteration,
-    const UpdateExchangeOptions& options, ExchangeCounters& counters) {
+    const ExchangeOptions& options, ExchangeCounters& counters) {
   return exchange_records(transport, spec, me, bins, iteration,
                           UpdateRecords{options}, counters);
 }

@@ -15,34 +15,20 @@
 /// Destinations of nn-edge visits are normal vertices owned by other GPUs.
 /// Senders bin records by destination GPU, keyed by the destination's
 /// 32-bit local id (the owner's local index is v / p, computable anywhere);
-/// receivers fold them into the next round.  One pipeline serves both
-/// record kinds -- bare ids (exchange_ids, 4 bytes each) and (id, value)
-/// updates (exchange_updates): bin, merge, encode, route, decode.
-///   * merge: uniquify (U) for ids, the algorithm's combine for updates --
-///     duplicate removal inside each outbound bin;
-///   * local all2all (L, ids): vertices bound for GPU j of any rank are
-///     first gathered on the local GPU j over NVLink, cutting the remote
-///     pair count from p^2 to p^2/pgpu (U then concentrates on the
+/// receivers fold them into the next round.  One pipeline -- one entry
+/// point, `exchange`, overloaded on the record type -- serves both record
+/// kinds, bare ids (4 bytes each) and (id, value) updates: bin, merge,
+/// encode, route, decode.
+///   * merge: duplicate removal inside each outbound bin by the options'
+///     combine -- for ids any combine is the uniquify (U), for updates the
+///     algorithm's associative fold;
+///   * local all2all (L): records bound for GPU j of any rank are first
+///     gathered on the local GPU j over NVLink, cutting the remote pair
+///     count from p^2 to p^2/pgpu (the merge then concentrates on the
 ///     gathered bins);
 ///   * routing: the flat all-to-all, or the multi-hop hierarchical and
 ///     butterfly topologies (sim/topology.hpp), which re-merge per hop.
 namespace dsbfs::comm {
-
-struct ExchangeOptions {
-  bool local_all2all = false;
-  bool uniquify = false;
-  /// Routing mode (see sim/topology.hpp).  kFlat is the historic per-bin
-  /// all-to-all, bit- and counter-identical to every prior release;
-  /// kHierarchical and kButterfly route through node leaders in multiple
-  /// hops, re-applying the uniquify machinery per hop, and record their
-  /// wire activity in ExchangeCounters::hops.  local_all2all is a
-  /// flat-topology concept and is ignored by the multi-hop modes (the
-  /// gather hop subsumes it).
-  sim::ExchangeTopology topology = sim::ExchangeTopology::kFlat;
-  /// NACK/retransmit knobs of the hardened wire protocol; consulted only
-  /// when the transport is lossy (a fault plan with message faults).
-  sim::RetryPolicy retry{};
-};
 
 /// Malformed wire payload: a decoder hit truncated, over-long or otherwise
 /// inconsistent input.  On a lossy transport the reliable receive loop
@@ -141,24 +127,13 @@ struct ExchangeCounters {
   std::vector<sim::HopCounters> hops;
 };
 
-/// Collective exchange of bare-id bins (indexed by destination global GPU,
-/// holding destination-local 32-bit ids; packed two per wire word).
-/// Returns the ids received by this GPU, its own loopback bin first.  Bins
-/// are consumed.  All GPUs must pass identical `options`.
-std::vector<LocalId> exchange_ids(Transport& transport,
-                                  const sim::ClusterSpec& spec,
-                                  sim::GpuCoord me,
-                                  std::vector<std::vector<LocalId>>& bins,
-                                  int iteration, const ExchangeOptions& options,
-                                  ExchangeCounters& counters);
-
-/// How the update exchange coalesces several candidates for the same
-/// destination vertex inside one outbound bin (the value-carrying analogue
-/// of the id exchange's U option): algorithms whose receivers fold updates
-/// with an associative combine can apply the same combine before the send,
-/// shrinking dense-round wire volume without changing the result.
+/// How the exchange merges several records for the same destination vertex
+/// inside one outbound bin.  Receivers that fold with an associative
+/// combine get the same result from records merged before the send, and
+/// dense rounds ship fewer of them.  For bare ids every combine other than
+/// kNone is the uniquify (U): an id is a one-lane OR of its presence bit.
 enum class UpdateCombine {
-  kNone,       // ship every candidate (historic behavior)
+  kNone,       // ship every record (historic behavior)
   kMin,        // keep the smallest value per vertex (SSSP distances, CC labels)
   kSumDouble,  // IEEE-double sum per vertex (PageRank contributions)
   kOr,         // bitwise OR per vertex (batched-BFS lane words)
@@ -185,15 +160,22 @@ enum class WireCodec {
               // contributions); never exceeds raw on the wire
 };
 
-/// Whether `codec` subtracts UpdateExchangeOptions::value_bias before
+/// Whether `codec` subtracts ExchangeOptions::value_bias before
 /// encoding (the varint codecs; raw needs no floor, an XOR window neither).
 constexpr bool uses_value_bias(WireCodec codec) noexcept {
   return codec == WireCodec::kVarint || codec == WireCodec::kAdaptive;
 }
 
-struct UpdateExchangeOptions {
-  /// Per-bin coalescing combine; kNone disables the pass.
+/// The wire format of one exchange round.  Every field defines the wire,
+/// so all GPUs must pass identical options each round.  Engine-run
+/// algorithms set only the record fields (combine, value_bias, value_bytes,
+/// lane_value_bits, local_all2all); engine::CommContext fills in the run's
+/// codec, topology and retry policy and drops the combine when the run
+/// does not merge.
+struct ExchangeOptions {
+  /// Per-bin merge; kNone disables the pass.
   UpdateCombine combine = UpdateCombine::kNone;
+  /// Encoding of update records; bare ids always ship as packed ids.
   WireCodec codec = WireCodec::kRaw;
   /// Bucket tag for the varint codecs: a value floor subtracted (mod 2^64)
   /// from every value before varint encoding and added back after
@@ -201,17 +183,13 @@ struct UpdateExchangeOptions {
   /// values of the round are >= the bias.  Bucketed senders
   /// (delta-stepping) set it to the open bucket's base distance; flat SSSP
   /// derives a per-round floor from a min-allreduce of active distances.
-  /// Ignored unless uses_value_bias(codec); like every field here it
-  /// defines the wire format, so all GPUs must pass the identical value
-  /// each round.
+  /// Ignored unless uses_value_bias(codec).
   std::uint64_t value_bias = 0;
-  /// Uncompressed wire width of the value field, in bytes.  The historic
-  /// (id, 64-bit value) updates are 4 + 8 bytes; lane-word updates carry
-  /// only the batch's lane width (W/8 bytes, and 0 at W = 1, where the
-  /// single lane is implicit and the update degenerates to the id
-  /// exchange's bare 4-byte vertex id).  Affects the byte *counters* (and
-  /// the adaptive raw-vs-encoded comparison), not the simulated transport,
-  /// which always moves whole words.
+  /// Uncompressed wire width of an update's value field, in bytes.  The
+  /// historic (id, 64-bit value) updates are 4 + 8 bytes; lane-word updates
+  /// carry only the batch's lane width (W/8 bytes).  Affects the byte
+  /// *counters* (and the adaptive raw-vs-encoded comparison), not the
+  /// simulated transport, which always moves whole words.  Ids are 4 bytes.
   int value_bytes = 8;
   /// Sub-lane width (bits, one of {8, 16, 32, 64}) of the packed value
   /// words the kLaneMin/kLaneSum combines fold -- see util::LaneValueSlab.
@@ -220,24 +198,38 @@ struct UpdateExchangeOptions {
   /// the wire still subtracts/adds the single 64-bit bias word, which is
   /// per-lane exact as long as every lane is >= its bias lane.
   int lane_value_bits = 64;
-  /// Routing mode (see sim/topology.hpp and ExchangeOptions::topology).
-  /// The multi-hop modes re-coalesce across gathered sources only for the
-  /// order-insensitive combines (kMin, kOr, kLaneMin, kLaneSum); kSumDouble
-  /// and kNone forward per-source segments and deliver them in source
-  /// order, which keeps the receiver's fold -- including non-associative
-  /// double addition -- bit-identical to the flat exchange.
+  /// Local all2all (L): gather same-column bins inside the rank over NVLink
+  /// before the remote stage.  A flat-topology concept, ignored by the
+  /// multi-hop modes (their gather hop subsumes it).
+  bool local_all2all = false;
+  /// Routing mode (see sim/topology.hpp).  kFlat is the historic per-bin
+  /// all-to-all, bit- and counter-identical to every prior release;
+  /// kHierarchical and kButterfly route through node leaders in multiple
+  /// hops, re-merging per hop, and record their wire activity in
+  /// ExchangeCounters::hops.  They re-merge across gathered sources only
+  /// for the order-insensitive merges (ids, kMin, kOr, kLaneMin, kLaneSum);
+  /// kSumDouble and kNone forward per-source segments and deliver them in
+  /// source order, which keeps the receiver's fold -- including
+  /// non-associative double addition -- bit-identical to the flat exchange.
   sim::ExchangeTopology topology = sim::ExchangeTopology::kFlat;
-  /// NACK/retransmit knobs; consulted only on a lossy transport.
+  /// NACK/retransmit knobs of the hardened wire protocol; consulted only
+  /// when the transport is lossy (a fault plan with message faults).
   sim::RetryPolicy retry{};
 };
 
-/// Collective fixed-pattern exchange of VertexUpdate bins (12 bytes of
-/// payload per update on the wire uncompressed; packed as 1.5 words).
-/// Returns the updates destined for this GPU, including the loopback bin.
-/// All GPUs must pass identical `options` (they define the wire format).
-std::vector<VertexUpdate> exchange_updates(
+/// Collective exchange of binned records (bins indexed by destination
+/// global GPU, holding destination-local ids or (id, value) updates).
+/// Returns the records received by this GPU, its own loopback bin first.
+/// Bins are consumed.  Ids pack two per wire word; raw updates take 1.5
+/// words (12 bytes of payload) each.
+std::vector<LocalId> exchange(Transport& transport,
+                              const sim::ClusterSpec& spec, sim::GpuCoord me,
+                              std::vector<std::vector<LocalId>>& bins,
+                              int iteration, const ExchangeOptions& options,
+                              ExchangeCounters& counters);
+std::vector<VertexUpdate> exchange(
     Transport& transport, const sim::ClusterSpec& spec, sim::GpuCoord me,
     std::vector<std::vector<VertexUpdate>>& bins, int iteration,
-    const UpdateExchangeOptions& options, ExchangeCounters& counters);
+    const ExchangeOptions& options, ExchangeCounters& counters);
 
 }  // namespace dsbfs::comm

@@ -50,10 +50,9 @@ class LaneBfsAlgorithm : public LanePipeline<LaneState> {
   static constexpr const char* kStateLabel = "bfs.state";
 
   LaneBfsAlgorithm(const graph::DistributedGraph& graph,
-                   const BatchBfsOptions& options,
-                   std::span<const VertexId> sources, bool local_all2all)
-      : LanePipeline(options.run, options.reduce_mode, options.codec,
-                     local_all2all),
+                   const BfsOptions& options,
+                   std::span<const VertexId> sources)
+      : LanePipeline(options.reduce_mode, options.local_all2all),
         graph_(graph),
         options_(options),
         sources_(sources) {}
@@ -63,7 +62,7 @@ class LaneBfsAlgorithm : public LanePipeline<LaneState> {
         graph_.local(ctx.gpu), ctx.total_gpus,
         util::lane_width_for(sources_.size()), options_.compute_parents);
     LaneState& s = *state;
-    s.direction_optimized = options_.direction == TraversalDirection::kHybrid;
+    s.direction_optimized = options_.direction_optimized;
     s.adaptive_direction = options_.adaptive_direction;
     s.dd_seed = options_.dd_factors;
     s.dn_seed = options_.dn_factors;
@@ -182,7 +181,7 @@ class LaneBfsAlgorithm : public LanePipeline<LaneState> {
 
  private:
   const graph::DistributedGraph& graph_;
-  const BatchBfsOptions& options_;
+  const BfsOptions& options_;
   std::span<const VertexId> sources_;
 };
 
@@ -381,11 +380,10 @@ BatchBfsResult gather_lanes(const graph::DistributedGraph& graph,
 
 BatchBfsResult run_lane_bfs(const graph::DistributedGraph& graph,
                             sim::Cluster& cluster,
-                            const BatchBfsOptions& options,
-                            std::span<const VertexId> sources,
-                            bool local_all2all) {
+                            const BfsOptions& options,
+                            std::span<const VertexId> sources) {
   const int lane_bits = util::lane_width_for(sources.size());
-  LaneBfsAlgorithm algo(graph, options, sources, local_all2all);
+  LaneBfsAlgorithm algo(graph, options, sources);
   engine::IterativeEngine<LaneBfsAlgorithm> engine(graph, cluster,
                                                    options.run);
   auto run = engine.run(algo);
@@ -410,7 +408,7 @@ BatchBfsResult run_lane_bfs(const graph::DistributedGraph& graph,
 
 DistributedBatchBfs::DistributedBatchBfs(const graph::DistributedGraph& graph,
                                          sim::Cluster& cluster,
-                                         BatchBfsOptions options)
+                                         BfsOptions options)
     : graph_(graph), cluster_(cluster), options_(options) {
   engine::check_specs_match(graph, cluster);
 }
@@ -428,8 +426,7 @@ BatchBfsResult DistributedBatchBfs::run(std::span<const VertexId> sources) {
       throw std::out_of_range("batch bfs source out of range");
     }
   }
-  return run_lane_bfs(graph_, cluster_, options_, sources,
-                      /*local_all2all=*/false);
+  return run_lane_bfs(graph_, cluster_, options_, sources);
 }
 
 }  // namespace dsbfs::core

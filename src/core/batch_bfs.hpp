@@ -29,7 +29,7 @@
 /// BFS: DistributedBfs is its one-lane instance (run_lane_bfs below).
 ///
 /// Traversal direction: forced push by default, with an opt-in hybrid
-/// (BatchBfsOptions::direction) that generalizes the paper's
+/// (BfsOptions::direction_optimized) that generalizes the paper's
 /// direction-optimized traversal to the *union* frontier.  Per-lane
 /// direction decisions would disagree between lanes sharing one sweep, so
 /// the decision is taken once per switchable kernel for all lanes together:
@@ -42,40 +42,12 @@
 /// makes the single-source decisions.
 namespace dsbfs::core {
 
-struct BatchBfsOptions {
-  /// Overlap (delegate-mask reduction concurrent with the lane-update
-  /// exchange), routing, resilience, and uniquify: OR-coalesce outbound
-  /// (id, lane-word) updates per bin before the send (the lane analogue of
-  /// the id exchange's U option); bit-exact, strictly fewer records
-  /// whenever several frontier vertices push the same destination.
-  engine::RunOptions run{};
-  /// Wire encoding of the (id, lane-word) payload (W > 1; the bare ids of
-  /// a one-lane run are not encoded).
-  comm::WireCodec codec = comm::WireCodec::kRaw;
-  /// Blocking vs non-blocking delegate-mask reduction (Section VI-B).
-  comm::ReduceMode reduce_mode = comm::ReduceMode::kBlocking;
-  /// Traversal direction policy.  kForcedPush keeps the MS-BFS default;
-  /// kHybrid enables union-frontier bottom-up rounds (see the header
-  /// comment) decided per iteration per switchable kernel.
-  TraversalDirection direction = TraversalDirection::kForcedPush;
-  /// Hysteresis factor seeds per switchable kernel (docs/TUNING.md); only
-  /// consulted with direction == kHybrid.
-  DirectionFactors dd_factors = kBfsDirectionSeeds.dd;
-  DirectionFactors dn_factors = kBfsDirectionSeeds.dn;
-  DirectionFactors nd_factors = kBfsDirectionSeeds.nd;
-  /// Online factor self-tuning (core::DirectionController), seeded from the
-  /// static factors above; only consulted with direction == kHybrid.
-  bool adaptive_direction = true;
-  /// Also produce one Graph500 BFS tree per lane (BatchBfsResult::parents).
-  bool compute_parents = false;
-};
-
 struct BatchBfsResult {
   /// distances[lane][v]: hop distance of vertex v from sources[lane]
   /// (kUnvisited when unreachable) -- per lane, exactly the single-source
   /// result for that source.
   std::vector<std::vector<Depth>> distances;
-  /// parents[lane][v] (only with BatchBfsOptions::compute_parents): a
+  /// parents[lane][v] (only with BfsOptions::compute_parents): a
   /// Graph500 BFS tree per lane, same conventions as BfsResult::parents.
   std::vector<std::vector<VertexId>> parents;
   /// Shared-run metrics: one iteration history covers every lane (the
@@ -88,23 +60,20 @@ struct BatchBfsResult {
 
 /// One engine run of the BFS pipeline over sources.size() lanes, W =
 /// util::lane_width_for(sources.size()) -- the lane engine behind both BFS
-/// facades (sources must hold 1..64 in-range vertices).  `local_all2all` is
-/// the id exchange's L option (BfsOptions::local_all2all), which only the
-/// one-lane runs ship through; DistributedBatchBfs passes false.
+/// facades (sources must hold 1..64 in-range vertices).
 BatchBfsResult run_lane_bfs(const graph::DistributedGraph& graph,
-                            sim::Cluster& cluster,
-                            const BatchBfsOptions& options,
-                            std::span<const VertexId> sources,
-                            bool local_all2all);
+                            sim::Cluster& cluster, const BfsOptions& options,
+                            std::span<const VertexId> sources);
 
 class DistributedBatchBfs {
  public:
   /// `graph` and `cluster` must outlive the DistributedBatchBfs and share
-  /// spec.
+  /// spec.  The default options are forced push (see the header comment).
   DistributedBatchBfs(const graph::DistributedGraph& graph,
-                      sim::Cluster& cluster, BatchBfsOptions options = {});
+                      sim::Cluster& cluster,
+                      BfsOptions options = {.direction_optimized = false});
 
-  const BatchBfsOptions& options() const noexcept { return options_; }
+  const BfsOptions& options() const noexcept { return options_; }
 
   /// One batched BFS from 1..64 sources (lane l = sources[l]; duplicates
   /// allowed).  Collective over all simulated GPUs; callable repeatedly.
@@ -117,7 +86,7 @@ class DistributedBatchBfs {
  private:
   const graph::DistributedGraph& graph_;
   sim::Cluster& cluster_;
-  BatchBfsOptions options_;
+  BfsOptions options_;
 };
 
 }  // namespace dsbfs::core

@@ -233,7 +233,7 @@ class BatchSsspAlgorithm {
     const bool open = s.mode == Mode::kLight;
     s.iter.bucket_plus_one = open ? s.current_bucket + 1 : 0;
     s.iter.heavy_phase = s.heavy_round;
-    s.value_bias = (open && comm::uses_value_bias(options_.codec))
+    s.value_bias = (open && comm::uses_value_bias(options_.run.codec))
                        ? util::LaneValueSlab::replicate(
                              s.normal_buckets.bucket_base(s.current_bucket),
                              kBits)
@@ -338,15 +338,11 @@ class BatchSsspAlgorithm {
     // Normal stream, concurrent with `reduce` on the delegate stream, and
     // touches only normal-distance state: one record per (destination,
     // lane group), min-coalesced per sub-lane.
-    const auto updates = ctx.comm.exchange_value_updates(
+    const auto updates = ctx.comm.exchange(
         ctx.me, s.bins, iteration,
-        {.combine = options_.run.uniquify ? comm::UpdateCombine::kLaneMin
-                                          : comm::UpdateCombine::kNone,
-         .codec = options_.codec,
+        {.combine = comm::UpdateCombine::kLaneMin,
          .value_bias = s.value_bias,
-         .lane_value_bits = kBits,
-         .topology = options_.run.exchange_topology,
-         .retry = options_.run.resilience.retry},
+         .lane_value_bits = kBits},
         s.iter);
     const auto groups = static_cast<LocalId>(groups_);
     for (const comm::VertexUpdate& u : updates) {

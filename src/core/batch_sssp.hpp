@@ -92,12 +92,11 @@ struct BatchSsspOptions {
   /// Overlap (delegate candidate reduction concurrent with the lane-word
   /// update exchange), routing (bit-exact across all three: kLaneMin
   /// re-merges at intermediate hops), resilience, and uniquify:
-  /// min-coalesce outbound lane-word records per bin before the send.
+  /// min-coalesce outbound lane-word records per bin before the send.  The
+  /// varint codecs ship the (id, lane word) values biased by the open
+  /// bucket's base distance replicated into every lane position
+  /// (util::LaneValueSlab::replicate); bit-exact.
   engine::RunOptions run{.uniquify = true};
-  /// Wire encoding of the (id, lane word) payload.  The varint codecs ship
-  /// values biased by the open bucket's base distance replicated into
-  /// every lane position (util::LaneValueSlab::replicate); bit-exact.
-  comm::WireCodec codec = comm::WireCodec::kRaw;
 };
 
 /// Per-lane distances plus the run's report: buckets are the union buckets

@@ -22,11 +22,48 @@ struct ForwardField {
   std::vector<std::vector<std::uint64_t>> sigma;  // [lane][vertex]
 };
 
+/// The (vertex, lane) slot layout both Brandes runs share -- slot
+/// v * lanes + lane -- and the per-round grouping of active slots by
+/// vertex.
+class LaneSlots {
+ protected:
+  explicit LaneSlots(int lanes) : lanes_(lanes) {}
+
+  LocalId slot_of(LocalId v, int lane) const noexcept {
+    return static_cast<LocalId>(
+        static_cast<std::uint64_t>(v) * static_cast<std::uint64_t>(lanes_) +
+        static_cast<std::uint64_t>(lane));
+  }
+
+  /// The distinct vertices of `slots` in first-seen order; each one's
+  /// active lanes land in mask[v] (stamp[v] == round marks it seen this
+  /// round, so the scratch needs no clearing between rounds).
+  std::vector<LocalId> group_by_vertex(const std::vector<LocalId>& slots,
+                                       std::vector<std::uint64_t>& mask,
+                                       std::vector<std::uint64_t>& stamp,
+                                       std::uint64_t round) const {
+    std::vector<LocalId> verts;
+    for (const LocalId sl : slots) {
+      const LocalId v = sl / static_cast<LocalId>(lanes_);
+      const int lane = static_cast<int>(sl % static_cast<LocalId>(lanes_));
+      if (stamp[v] != round) {
+        stamp[v] = round;
+        mask[v] = 0;
+        verts.push_back(v);
+      }
+      mask[v] |= 1ULL << lane;
+    }
+    return verts;
+  }
+
+  int lanes_;
+};
+
 /// Forward MS-BFS lane sweep recording per-lane depths and sigma counts.
 /// Sigma records subsume discovery: one (slot, contribution) record per
 /// cross-GPU edge, kLaneSum-coalesced; the receiver discovers the slot on
 /// first contact and keeps summing contributions addressed to its depth.
-class BcForwardAlgorithm {
+class BcForwardAlgorithm : LaneSlots {
  public:
   static constexpr const char* kStateLabel = "bc_forward.state";
 
@@ -53,10 +90,10 @@ class BcForwardAlgorithm {
   };
 
   BcForwardAlgorithm(const graph::DistributedGraph& graph,
-                     const BetweennessOptions& options,
                      const std::vector<VertexId>& sources)
-      : graph_(graph), options_(options), sources_(sources),
-        lanes_(static_cast<int>(sources.size())) {}
+      : LaneSlots(static_cast<int>(sources.size())),
+        graph_(graph),
+        sources_(sources) {}
 
   std::unique_ptr<State> init(engine::GpuContext& ctx) {
     const sim::ClusterSpec& spec = graph_.spec();
@@ -245,13 +282,9 @@ class BcForwardAlgorithm {
   }
 
   void exchange(engine::GpuContext& ctx, State& s, int iteration) {
-    const auto updates = ctx.comm.exchange_value_updates(
+    const auto updates = ctx.comm.exchange(
         ctx.me, s.bins, iteration,
-        {.combine = options_.run.uniquify ? comm::UpdateCombine::kLaneSum
-                                          : comm::UpdateCombine::kNone,
-         .lane_value_bits = 64,
-         .topology = options_.run.exchange_topology,
-         .retry = options_.run.resilience.retry},
+        {.combine = comm::UpdateCombine::kLaneSum, .lane_value_bits = 64},
         s.iter);
     const Depth next_level = s.level + 1;
     for (const comm::VertexUpdate& u : updates) {
@@ -290,30 +323,6 @@ class BcForwardAlgorithm {
   void finalize(engine::GpuContext&, State&, int) {}
 
  private:
-  LocalId slot_of(LocalId v, int lane) const noexcept {
-    return static_cast<LocalId>(
-        static_cast<std::uint64_t>(v) * static_cast<std::uint64_t>(lanes_) +
-        static_cast<std::uint64_t>(lane));
-  }
-
-  std::vector<LocalId> group_by_vertex(const std::vector<LocalId>& slots,
-                                       std::vector<std::uint64_t>& mask,
-                                       std::vector<std::uint64_t>& stamp,
-                                       std::uint64_t round) const {
-    std::vector<LocalId> verts;
-    for (const LocalId sl : slots) {
-      const LocalId v = sl / static_cast<LocalId>(lanes_);
-      const int lane = static_cast<int>(sl % static_cast<LocalId>(lanes_));
-      if (stamp[v] != round) {
-        stamp[v] = round;
-        mask[v] = 0;
-        verts.push_back(v);
-      }
-      mask[v] |= 1ULL << lane;
-    }
-    return verts;
-  }
-
   void load_lane_sigma(const std::vector<std::uint64_t>& sigma, LocalId v,
                        std::uint64_t lanes,
                        std::array<std::uint64_t, 64>& out) const {
@@ -324,9 +333,7 @@ class BcForwardAlgorithm {
   }
 
   const graph::DistributedGraph& graph_;
-  const BetweennessOptions& options_;
   const std::vector<VertexId>& sources_;
-  int lanes_;
 };
 
 /// One dependency contribution: `coef` (bit-cast double) from successor
@@ -342,7 +349,7 @@ struct Contribution {
 };
 
 /// Reverse dependency pass over levels D -> 1 (see betweenness.hpp).
-class BcReverseAlgorithm {
+class BcReverseAlgorithm : LaneSlots {
  public:
   static constexpr const char* kStateLabel = "bc_reverse.state";
 
@@ -370,8 +377,10 @@ class BcReverseAlgorithm {
 
   BcReverseAlgorithm(const graph::DistributedGraph& graph,
                      const ForwardField& fwd, Depth max_depth)
-      : graph_(graph), fwd_(fwd), max_depth_(max_depth),
-        lanes_(static_cast<int>(fwd.depth.size())) {}
+      : LaneSlots(static_cast<int>(fwd.depth.size())),
+        graph_(graph),
+        fwd_(fwd),
+        max_depth_(max_depth) {}
 
   std::unique_ptr<State> init(engine::GpuContext& ctx) {
     const sim::ClusterSpec& spec = graph_.spec();
@@ -657,34 +666,9 @@ class BcReverseAlgorithm {
   void finalize(engine::GpuContext&, State&, int) {}
 
  private:
-  LocalId slot_of(LocalId v, int lane) const noexcept {
-    return static_cast<LocalId>(
-        static_cast<std::uint64_t>(v) * static_cast<std::uint64_t>(lanes_) +
-        static_cast<std::uint64_t>(lane));
-  }
-
-  std::vector<LocalId> group_by_vertex(const std::vector<LocalId>& slots,
-                                       std::vector<std::uint64_t>& mask,
-                                       std::vector<std::uint64_t>& stamp,
-                                       std::uint64_t round) const {
-    std::vector<LocalId> verts;
-    for (const LocalId sl : slots) {
-      const LocalId v = sl / static_cast<LocalId>(lanes_);
-      const int lane = static_cast<int>(sl % static_cast<LocalId>(lanes_));
-      if (stamp[v] != round) {
-        stamp[v] = round;
-        mask[v] = 0;
-        verts.push_back(v);
-      }
-      mask[v] |= 1ULL << lane;
-    }
-    return verts;
-  }
-
   const graph::DistributedGraph& graph_;
   const ForwardField& fwd_;
   Depth max_depth_;
-  int lanes_;
 };
 
 }  // namespace
@@ -715,7 +699,7 @@ BetweennessResult BetweennessCentrality::run(
   BetweennessResult result;
 
   // ---- Run 1: forward MS-BFS lane sweep. --------------------------------
-  BcForwardAlgorithm forward(graph_, options_, sources);
+  BcForwardAlgorithm forward(graph_, sources);
   engine::IterativeEngine<BcForwardAlgorithm> fwd_engine(graph_, cluster_,
                                                          options_.run);
   auto fwd_run = fwd_engine.run(forward);

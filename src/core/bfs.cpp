@@ -38,22 +38,9 @@ BfsResult DistributedBfs::run(VertexId source) {
   if (source >= graph_.num_vertices()) {
     throw std::out_of_range("bfs source out of range");
   }
-  // The one-lane run of the lane engine; the single-source options map
-  // onto the batch options field for field.
-  const BatchBfsOptions lane_options{
-      .run = options_.run,
-      .reduce_mode = options_.reduce_mode,
-      .direction = options_.direction_optimized
-                       ? TraversalDirection::kHybrid
-                       : TraversalDirection::kForcedPush,
-      .dd_factors = options_.dd_factors,
-      .dn_factors = options_.dn_factors,
-      .nd_factors = options_.nd_factors,
-      .adaptive_direction = options_.adaptive_direction,
-      .compute_parents = options_.compute_parents};
+  // The one-lane run of the lane engine.
   const VertexId sources[] = {source};
-  BatchBfsResult lanes = run_lane_bfs(graph_, cluster_, lane_options, sources,
-                                      options_.local_all2all);
+  BatchBfsResult lanes = run_lane_bfs(graph_, cluster_, options_, sources);
   BfsResult result;
   result.distances = std::move(lanes.distances[0]);
   if (options_.compute_parents) result.parents = std::move(lanes.parents[0]);

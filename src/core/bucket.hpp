@@ -51,7 +51,7 @@ class BucketState {
 
   /// Smallest distance a vertex in bucket `b` can have -- the value floor of
   /// every candidate generated while processing `b` (bucket-tagged exchange
-  /// payloads are biased by it, see comm::UpdateExchangeOptions).
+  /// payloads are biased by it, see comm::ExchangeOptions).
   std::uint64_t bucket_base(std::uint64_t b) const noexcept {
     return b * delta_;
   }

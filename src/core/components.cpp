@@ -31,8 +31,8 @@ class CcAlgorithm {
     sim::GpuIterationCounters iter;
   };
 
-  CcAlgorithm(const graph::DistributedGraph& graph, const CcOptions& options)
-      : graph_(graph), options_(options) {}
+  explicit CcAlgorithm(const graph::DistributedGraph& graph)
+      : graph_(graph) {}
 
   std::unique_ptr<State> init(engine::GpuContext& ctx) {
     const sim::ClusterSpec& spec = graph_.spec();
@@ -140,13 +140,8 @@ class CcAlgorithm {
   void exchange(engine::GpuContext& ctx, State& s, int iteration) {
     // Runs on the normal stream, concurrent with `reduce` on the delegate
     // stream: touches only normal-label state.
-    const auto updates = ctx.comm.exchange_value_updates(
-        ctx.me, s.bins, iteration,
-        {.combine = options_.run.uniquify ? comm::UpdateCombine::kMin
-                                          : comm::UpdateCombine::kNone,
-         .codec = options_.codec,
-         .topology = options_.run.exchange_topology,
-         .retry = options_.run.resilience.retry},
+    const auto updates = ctx.comm.exchange(
+        ctx.me, s.bins, iteration, {.combine = comm::UpdateCombine::kMin},
         s.iter);
     for (const comm::VertexUpdate& u : updates) {
       if (u.value < s.label_normal[u.vertex]) {
@@ -187,7 +182,6 @@ class CcAlgorithm {
 
  private:
   const graph::DistributedGraph& graph_;
-  const CcOptions& options_;
 };
 
 }  // namespace
@@ -204,7 +198,7 @@ CcResult ConnectedComponents::run() {
   const int p = spec.total_gpus();
   const LocalId d = graph_.num_delegates();
 
-  CcAlgorithm algo(graph_, options_);
+  CcAlgorithm algo(graph_);
   engine::IterativeEngine<CcAlgorithm> engine(graph_, cluster_, options_.run);
   auto run = engine.run(algo);
 

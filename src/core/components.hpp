@@ -26,12 +26,10 @@ namespace dsbfs::core {
 
 struct CcOptions {
   /// Overlap (delegate label min-reduction concurrent with the normal label
-  /// exchange), routing, resilience, and uniquify: min-coalesce outbound
-  /// label updates per bin before the send; bit-exact, strictly fewer
-  /// bytes.
+  /// exchange), the codec of the (id, label) payload, routing, resilience,
+  /// and uniquify: min-coalesce outbound label updates per bin before the
+  /// send; bit-exact, strictly fewer bytes.
   engine::RunOptions run{.uniquify = true};
-  /// Wire encoding of the (id, label) payload.
-  comm::WireCodec codec = comm::WireCodec::kRaw;
 };
 
 /// The labeling plus the run's ValueRunReport (update_bytes_remote is the

@@ -11,8 +11,7 @@ BatchSsspOptions batch_options(const DeltaSsspOptions& o) {
   return {.delta = o.delta,
           .max_weight = o.max_weight,
           .value_bits = 64,
-          .run = o.run,
-          .codec = o.codec};
+          .run = o.run};
 }
 
 }  // namespace

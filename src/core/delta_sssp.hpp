@@ -47,11 +47,10 @@ struct DeltaSsspOptions {
   /// Overlap (delegate distance min-reduction concurrent with the
   /// tentative-distance exchange), routing, resilience, and uniquify:
   /// min-coalesce outbound distance candidates per bin before the send.
+  /// Under the varint codecs the (id, distance) values ride the wire biased
+  /// by the open bucket's base distance (the bucket-tagged exchange,
+  /// comm::ExchangeOptions::value_bias).
   engine::RunOptions run{.uniquify = true};
-  /// Wire encoding of the (id, distance) payload.  Under the varint codecs
-  /// values ride the wire biased by the open bucket's base distance (the
-  /// bucket-tagged exchange, comm::UpdateExchangeOptions::value_bias).
-  comm::WireCodec codec = comm::WireCodec::kRaw;
 };
 
 /// The distances plus the report of the W = 1 batched run it is.

@@ -86,8 +86,8 @@ struct DirectionSeeds {
 
 /// The paper's near-optimal BFS setting on RMAT across the weak-scaling
 /// curve (Fig. 7): (0.5, 0.05, 1e-7) for dd, dn, nd, no switch-back.
-/// Single source of truth -- BfsOptions and BatchBfsOptions default to this
-/// table, and the DirectionController treats it as its seed.
+/// Single source of truth -- BfsOptions defaults to this table, and the
+/// DirectionController treats it as its seed.
 inline constexpr DirectionSeeds kBfsDirectionSeeds{
     .dd = {0.5, 0.0}, .dn = {0.05, 0.0}, .nd = {1e-7, 0.0}};
 
@@ -97,12 +97,6 @@ inline constexpr DirectionSeeds kBfsDirectionSeeds{
 /// converging tail -- docs/TUNING.md "SSSP" derives both.
 inline constexpr DirectionSeeds kSsspDirectionSeeds{
     .dd = {0.8, 0.6}, .dn = {0.65, 0.5}, .nd = {0.65, 0.5}};
-
-/// Traversal direction policy of the batched (lane) BFS.
-enum class TraversalDirection {
-  kForcedPush,  // historic MS-BFS behavior; W = 1 == forced-push BFS
-  kHybrid,      // per-kernel union-frontier direction optimization
-};
 
 /// Backward-workload estimate BV for BFS-style early-exit pull.
 inline double backward_workload(std::uint64_t unvisited_reverse_sources,

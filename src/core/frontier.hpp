@@ -251,7 +251,7 @@ class LaneState {
   std::vector<Depth> depth_delegate;  // indexed by slot(t, lane)
   std::vector<LocalId> delegate_queue;
 
-  // --- direction optimization (TraversalDirection::kHybrid) -----------------
+  // --- direction optimization (BfsOptions::direction_optimized) ------------
   // One DirectionState per switchable kernel deciding for the *union*
   // frontier (one pull sweep serves every live lane), unvisited pools
   // counting items untouched in every lane (the single-source pools at

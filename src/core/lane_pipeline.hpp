@@ -25,14 +25,11 @@ class LanePipeline {
  public:
   using State = S;
 
-  /// `codec` applies to the update records of W > 1 runs, `local_all2all`
-  /// (L) to the bare ids of W = 1 runs; `run.uniquify` merges either kind.
-  LanePipeline(const engine::RunOptions& run, comm::ReduceMode reduce_mode,
-               comm::WireCodec codec, bool local_all2all)
-      : run_(run),
-        reduce_mode_(reduce_mode),
-        codec_(codec),
-        local_all2all_(local_all2all) {}
+  /// `local_all2all` is the L option of the nn exchange at every width;
+  /// the run's wire policy (merge, codec, routing) comes with the engine's
+  /// CommContext.
+  LanePipeline(comm::ReduceMode reduce_mode, bool local_all2all)
+      : reduce_mode_(reduce_mode), local_all2all_(local_all2all) {}
 
   std::uint64_t state_bytes(const engine::GpuContext&, const State& s) const {
     return s.device_bytes();
@@ -66,34 +63,25 @@ class LanePipeline {
   void reduce(engine::GpuContext&, State&, int) {}  // post-control only
 
   /// The nn exchange (Section V-B), on the normal stream behind the visits.
-  /// At W = 1 the bins go through the id exchange as 4-byte ids; wider
-  /// lanes go through the update exchange as (id, W/8-byte lane word)
-  /// records with OR merging.  The arrivals land in `id_received` /
-  /// `received` for the next normal previsit, and the consumed receive
-  /// buffer becomes the next round's loopback bin.
+  /// At W = 1 the bins ship as bare 4-byte ids; wider lanes ship as (id,
+  /// W/8-byte lane word) records.  Both merge by OR (for ids, the
+  /// uniquify).  The arrivals land in `id_received` / `received` for the
+  /// next normal previsit, and the consumed receive buffer becomes the next
+  /// round's loopback bin.
   void exchange(engine::GpuContext& ctx, State& s, int iteration) {
+    const comm::ExchangeOptions records{
+        .combine = comm::UpdateCombine::kOr,
+        .value_bytes = s.lane_bits() / 8,
+        .local_all2all = local_all2all_};
     if (s.lane_bits() == 1) {
       engine::adopt_received(
           s.id_bins, ctx.gpu, s.id_received,
-          ctx.comm.exchange_ids(ctx.me, s.id_bins, iteration,
-                                {.local_all2all = local_all2all_,
-                                 .uniquify = run_.uniquify,
-                                 .topology = run_.exchange_topology,
-                                 .retry = run_.resilience.retry},
-                                s.iter));
-      return;
+          ctx.comm.exchange(ctx.me, s.id_bins, iteration, records, s.iter));
+    } else {
+      engine::adopt_received(
+          s.bins, ctx.gpu, s.received,
+          ctx.comm.exchange(ctx.me, s.bins, iteration, records, s.iter));
     }
-    engine::adopt_received(
-        s.bins, ctx.gpu, s.received,
-        ctx.comm.exchange_value_updates(
-            ctx.me, s.bins, iteration,
-            {.combine = run_.uniquify ? comm::UpdateCombine::kOr
-                                      : comm::UpdateCombine::kNone,
-             .codec = codec_,
-             .value_bytes = s.lane_bits() / 8,
-             .topology = run_.exchange_topology,
-             .retry = run_.resilience.retry},
-            s.iter));
   }
 
   /// Joins the delegate stream and the nn visit -- the exchange keeps
@@ -134,9 +122,7 @@ class LanePipeline {
   }
 
  private:
-  engine::RunOptions run_;
   comm::ReduceMode reduce_mode_;
-  comm::WireCodec codec_;
   bool local_all2all_;
 };
 

@@ -156,14 +156,9 @@ class PagerankAlgorithm {
   void exchange(engine::GpuContext& ctx, State& s, int iteration) {
     // nn inflow exchange; runs on the normal stream, concurrent with the
     // delegate inflow reduction: touches only acc_normal.
-    const auto updates = ctx.comm.exchange_value_updates(
+    const auto updates = ctx.comm.exchange(
         ctx.me, s.bins, iteration,
-        {.combine = options_.run.uniquify ? comm::UpdateCombine::kSumDouble
-                                          : comm::UpdateCombine::kNone,
-         .codec = options_.codec,
-         .topology = options_.run.exchange_topology,
-         .retry = options_.run.resilience.retry},
-        s.iter);
+        {.combine = comm::UpdateCombine::kSumDouble}, s.iter);
     for (const comm::VertexUpdate& u : updates) {
       s.acc_normal[u.vertex] += std::bit_cast<double>(u.value);
     }

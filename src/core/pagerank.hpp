@@ -35,14 +35,13 @@ struct PagerankOptions {
   /// contributions per bin before the send.  The receiver sums anyway, so
   /// only the floating-point addition order moves (well inside the
   /// iteration tolerance); dense rounds send far fewer (id, share) pairs.
-  engine::RunOptions run{.uniquify = true};
-  /// Wire encoding of the (id, share) payload.  Bit-cast doubles
+  /// The codec encodes the (id, share) payload.  Bit-cast doubles
   /// varint-encode *larger* than raw, so kVarint mostly shows the cost and
   /// kAdaptive ships nearly every bin raw.  kGorilla is the codec built
   /// for them: successive shares from one source share sign, exponent and
   /// most mantissa bits, so the XOR stream compresses where varint
   /// inflates, and the per-bin choice keeps the wire never worse than raw.
-  comm::WireCodec codec = comm::WireCodec::kRaw;
+  engine::RunOptions run{.uniquify = true};
 };
 
 /// The ranks plus the run's ValueRunReport (update_bytes_remote is the

@@ -12,7 +12,7 @@
 ///     frontier and stamps its lanes into the depth planes.
 /// Queue membership is "any lane active", the per-item lane word rides
 /// along, and the lane-bit counters feed the batch occupancy metrics.
-/// Under TraversalDirection::kHybrid both also fix their stream's
+/// Under BfsOptions::direction_optimized both also fix their stream's
 /// traversal direction for the union frontier: FV sums ride the queue scans
 /// that run anyway (so the replay charges no extra estimation launches),
 /// BV comes from the all-lane unvisited pools scaled by the live-lane

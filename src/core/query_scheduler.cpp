@@ -144,8 +144,7 @@ class ServingAlgorithm : public LanePipeline<ServingState> {
   ServingAlgorithm(const graph::DistributedGraph& graph,
                    const SchedulerOptions& options,
                    std::span<const QueryArrival> trace)
-      : LanePipeline(options.run, options.reduce_mode, options.codec,
-                     /*local_all2all=*/false),
+      : LanePipeline(options.reduce_mode, /*local_all2all=*/false),
         graph_(graph), options_(options), trace_(trace),
         lane_budget_mask_(options.width >= 64
                               ? ~0ULL

@@ -80,11 +80,10 @@ struct SchedulerOptions {
   /// waiting query at the same boundary.  Off = batch-drain admission (the
   /// ablation baseline): new queries start only once every lane drained.
   bool recycle = true;
-  /// Overlap, routing, resilience and the lane-update exchange's OR
-  /// coalescing (see BatchBfsOptions).
+  /// Overlap, the codec of the (id, lane-word) payload, routing,
+  /// resilience and the lane-update exchange's OR coalescing (see
+  /// BfsOptions::run).
   engine::RunOptions run{};
-  /// Wire encoding of the (id, lane-word) payload.
-  comm::WireCodec codec = comm::WireCodec::kRaw;
   /// Blocking vs non-blocking delegate-mask reduction.
   comm::ReduceMode reduce_mode = comm::ReduceMode::kBlocking;
 };

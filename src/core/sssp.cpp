@@ -98,7 +98,7 @@ class SsspAlgorithm {
     s.next_normals.clear();
     s.next_delegates.clear();
 
-    // Wire bias (varint codecs only; comm::UpdateExchangeOptions::value_bias):
+    // Wire bias (varint codecs only; comm::ExchangeOptions::value_bias):
     // every candidate this round is an active distance plus a positive
     // weight, so the cluster-wide minimum active distance is a true floor
     // -- the generalization of delta-stepping's bucket-base bias to the
@@ -106,7 +106,7 @@ class SsspAlgorithm {
     // identical on every GPU -- the same agreement-collective shape (and
     // modeled cost) as delta-stepping's bucket coordination.
     s.value_bias = 0;
-    if (comm::uses_value_bias(options_.codec)) {
+    if (comm::uses_value_bias(options_.run.codec)) {
       std::uint64_t floor = kInfiniteDistance;
       for (const LocalId v : s.active_normals) {
         floor = std::min(floor, s.dist_normal[v]);
@@ -344,14 +344,9 @@ class SsspAlgorithm {
   void exchange(engine::GpuContext& ctx, State& s, int iteration) {
     // Runs on the normal stream, concurrent with `reduce` on the delegate
     // stream: touches only normal-distance state.
-    const auto updates = ctx.comm.exchange_value_updates(
+    const auto updates = ctx.comm.exchange(
         ctx.me, s.bins, iteration,
-        {.combine = options_.run.uniquify ? comm::UpdateCombine::kMin
-                                          : comm::UpdateCombine::kNone,
-         .codec = options_.codec,
-         .value_bias = s.value_bias,
-         .topology = options_.run.exchange_topology,
-         .retry = options_.run.resilience.retry},
+        {.combine = comm::UpdateCombine::kMin, .value_bias = s.value_bias},
         s.iter);
     for (const comm::VertexUpdate& u : updates) {
       if (u.value < s.dist_normal[u.vertex]) {

@@ -14,7 +14,7 @@
 /// to it, exercising the paper's Section VI-D generalization end to end:
 /// delegates carry a 64-bit distance combined by global MIN reductions, and
 /// normal vertices exchange (id, tentative distance) updates through
-/// exchange_updates.
+/// comm::exchange.
 ///
 /// ## Edge weights
 ///
@@ -84,11 +84,10 @@ struct SsspOptions {
   /// Overlap (delegate distance min-reduction concurrent with the
   /// tentative-distance exchange), routing, resilience, and uniquify:
   /// min-coalesce outbound distance candidates per bin before the send;
-  /// bit-exact, strictly fewer bytes on dense rounds.
+  /// bit-exact, strictly fewer bytes on dense rounds.  The varint codecs
+  /// ship the (id, distance) values biased by a per-round floor of the
+  /// active distances.
   engine::RunOptions run{.uniquify = true};
-  /// Wire encoding of the (id, distance) payload.  The varint codecs ship
-  /// values biased by a per-round floor of the active distances.
-  comm::WireCodec codec = comm::WireCodec::kRaw;
 };
 
 /// The distances plus the run's ValueRunReport (update_bytes_remote is the

@@ -2,12 +2,8 @@
 
 namespace dsbfs::engine {
 
-namespace {
-
-/// Copy one exchange's counters into the iteration row the perf model
-/// replays.
-void record_exchange(comm::ExchangeCounters& ec,
-                     sim::GpuIterationCounters& iter) {
+void CommContext::record_exchange(comm::ExchangeCounters& ec,
+                                  sim::GpuIterationCounters& iter) {
   iter.bin_vertices = ec.bin_vertices;
   iter.uniquify_vertices = ec.uniquify_vertices;
   iter.uniquify_bytes = ec.uniquify_bytes;
@@ -25,14 +21,16 @@ void record_exchange(comm::ExchangeCounters& ec,
   iter.hops = std::move(ec.hops);
 }
 
-}  // namespace
-
-CommContext::CommContext(const sim::ClusterSpec& spec)
+CommContext::CommContext(const sim::ClusterSpec& spec, const RunOptions& run)
     : spec_(spec),
       transport_(spec),
       mask_reducer_(transport_, spec),
       value_reducer_(transport_, spec),
-      everyone_(static_cast<std::size_t>(spec.total_gpus())) {
+      everyone_(static_cast<std::size_t>(spec.total_gpus())),
+      merge_(run.uniquify),
+      wire_{.codec = run.codec,
+            .topology = run.exchange_topology,
+            .retry = run.resilience.retry} {
   for (int g = 0; g < spec.total_gpus(); ++g) {
     everyone_[static_cast<std::size_t>(g)] = g;
   }
@@ -59,25 +57,13 @@ void CommContext::allreduce_or_words(int gpu, std::span<std::uint64_t> words,
   comm::allreduce_or_words(transport_, everyone_, gpu, words, tag);
 }
 
-std::vector<LocalId> CommContext::exchange_ids(
-    sim::GpuCoord me, std::vector<std::vector<LocalId>>& bins, int iteration,
-    const comm::ExchangeOptions& options, sim::GpuIterationCounters& iter) {
-  comm::ExchangeCounters ec;
-  auto ids = comm::exchange_ids(transport_, spec_, me, bins, iteration,
-                                options, ec);
-  record_exchange(ec, iter);
-  return ids;
-}
-
-std::vector<comm::VertexUpdate> CommContext::exchange_value_updates(
-    sim::GpuCoord me, std::vector<std::vector<comm::VertexUpdate>>& bins,
-    int iteration, const comm::UpdateExchangeOptions& options,
-    sim::GpuIterationCounters& iter) {
-  comm::ExchangeCounters ec;
-  auto updates = comm::exchange_updates(transport_, spec_, me, bins,
-                                        iteration, options, ec);
-  record_exchange(ec, iter);
-  return updates;
+comm::ExchangeOptions CommContext::on_wire(
+    comm::ExchangeOptions records) const {
+  if (!merge_) records.combine = comm::UpdateCombine::kNone;
+  records.codec = wire_.codec;
+  records.topology = wire_.topology;
+  records.retry = wire_.retry;
+  return records;
 }
 
 }  // namespace dsbfs::engine

@@ -11,17 +11,19 @@
 #include "comm/mask_reduce.hpp"
 #include "comm/transport.hpp"
 #include "sim/cluster.hpp"
+#include "sim/fault.hpp"
 #include "sim/perf_model.hpp"
+#include "sim/topology.hpp"
 
 /// Shared communication context for distributed algorithms.
 ///
 /// Every algorithm on the cluster needs the same bundle: a Transport, the
-/// two reducers, the normal exchanges, and the `everyone` participant list
-/// for whole-cluster collectives.  CommContext owns all of them for the
-/// duration of one algorithm run so drivers stop hand-rolling the bundle,
-/// and TagBlocks centralizes the tag arithmetic that used to be scattered
-/// as `kTagControl + iteration * kTagBlock` / `kTagUser + (depth + 2) *
-/// kTagBlock` expressions across the drivers.
+/// two reducers, the normal exchange under the run's wire policy, and the
+/// `everyone` participant list for whole-cluster collectives.  CommContext
+/// owns all of them for the duration of one algorithm run so drivers stop
+/// hand-rolling the bundle, and TagBlocks centralizes the tag arithmetic
+/// that used to be scattered as `kTagControl + iteration * kTagBlock` /
+/// `kTagUser + (depth + 2) * kTagBlock` expressions across the drivers.
 namespace dsbfs::engine {
 
 /// Allocator for disjoint tag blocks (see comm::Tag): iteration `i` of the
@@ -67,9 +69,39 @@ void adopt_received(std::vector<std::vector<Record>>& bins, int me_global,
   received = std::move(fresh);
 }
 
+/// The run options every facade shares (each holds one as `run`): the
+/// engine's scheduling and fault knobs plus the wire policy of the normal
+/// exchange -- merge, codec and routing -- which CommContext applies to
+/// every exchange of the run.  None changes an answer; each moves counters
+/// and modeled time.
+struct RunOptions {
+  /// Run `reduce` (delegate stream) concurrently with `exchange` (normal
+  /// stream).  Off = the historic sequential per-GPU phase order.
+  bool overlap = true;
+  /// Merge outbound exchange records per bin before the send with the
+  /// exchange's combine: the uniquify (U) for bare ids, the algorithm's
+  /// fold (MIN, SUM, OR) for update records.  Facades set their own
+  /// default.
+  bool uniquify = false;
+  /// Wire encoding of update records (comm::WireCodec); bare ids always
+  /// ship as packed ids, so a one-lane BFS run ships raw whatever this
+  /// says.
+  comm::WireCodec codec = comm::WireCodec::kRaw;
+  /// Exchange routing mode (sim/topology.hpp): flat per-bin all-to-all
+  /// (historic default), hierarchical node-leader aggregation, or butterfly
+  /// recursive halving.  Results are bit-identical across all three; the
+  /// wire pattern, byte counters and modeled NIC/NVLink occupancy differ.
+  sim::ExchangeTopology exchange_topology = sim::ExchangeTopology::kFlat;
+  /// Fault schedule, wire retry policy and checkpoint cadence.  Defaults to
+  /// a clean run with checkpointing off; see sim::ResilienceOptions.
+  sim::ResilienceOptions resilience{};
+};
+
 class CommContext {
  public:
-  explicit CommContext(const sim::ClusterSpec& spec);
+  /// `run` supplies the wire policy every exchange() applies.
+  explicit CommContext(const sim::ClusterSpec& spec,
+                       const RunOptions& run = {});
 
   CommContext(const CommContext&) = delete;
   CommContext& operator=(const CommContext&) = delete;
@@ -97,20 +129,25 @@ class CommContext {
   /// (e.g. the serving scheduler's one-word lane-drain agreement).
   void allreduce_or_words(int gpu, std::span<std::uint64_t> words, int tag);
 
-  /// Shared exchange-hook bodies: run the id exchange (BFS) or the update
-  /// exchange (the value algorithms, with their coalesce/codec/bias
-  /// choice) and record the exchange counters into the iteration row.
-  /// Return the received records; `bins` are consumed.  `options` define
-  /// the wire format and must be identical on every GPU in a round.
-  std::vector<LocalId> exchange_ids(sim::GpuCoord me,
-                                    std::vector<std::vector<LocalId>>& bins,
-                                    int iteration,
-                                    const comm::ExchangeOptions& options,
-                                    sim::GpuIterationCounters& iter);
-  std::vector<comm::VertexUpdate> exchange_value_updates(
-      sim::GpuCoord me, std::vector<std::vector<comm::VertexUpdate>>& bins,
-      int iteration, const comm::UpdateExchangeOptions& options,
-      sim::GpuIterationCounters& iter);
+  /// The shared exchange-hook body: run the normal exchange of ids (BFS)
+  /// or updates (the value algorithms) under the run's wire policy and
+  /// record its counters into the iteration row.  `records` describes the
+  /// hook's records -- combine, value width, lane bits, bias and L; the
+  /// run's codec, topology and retry policy replace whatever it says, and
+  /// its combine drops to kNone when the run does not merge.  Returns the
+  /// received records; `bins` are consumed.  Every GPU must pass identical
+  /// `records` in a round.
+  template <class Record>
+  std::vector<Record> exchange(sim::GpuCoord me,
+                               std::vector<std::vector<Record>>& bins,
+                               int iteration, comm::ExchangeOptions records,
+                               sim::GpuIterationCounters& iter) {
+    comm::ExchangeCounters ec;
+    auto received = comm::exchange(transport_, spec_, me, bins, iteration,
+                                   on_wire(records), ec);
+    record_exchange(ec, iter);
+    return received;
+  }
 
  private:
   sim::ClusterSpec spec_;
@@ -118,6 +155,15 @@ class CommContext {
   comm::MaskReducer mask_reducer_;
   comm::ValueReducer value_reducer_;
   std::vector<int> everyone_;
+  bool merge_;
+  comm::ExchangeOptions wire_;  // the run's codec, topology and retry
+
+  /// `records` under the run's wire policy.
+  comm::ExchangeOptions on_wire(comm::ExchangeOptions records) const;
+  /// Copy one exchange's counters into the iteration row the perf model
+  /// replays.
+  static void record_exchange(comm::ExchangeCounters& ec,
+                              sim::GpuIterationCounters& iter);
 };
 
 }  // namespace dsbfs::engine

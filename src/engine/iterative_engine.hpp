@@ -12,7 +12,6 @@
 #include "sim/fault.hpp"
 #include "sim/perf_model.hpp"
 #include "sim/stream.hpp"
-#include "sim/topology.hpp"
 #include "util/timer.hpp"
 
 /// Shared driver skeleton for iterative distributed algorithms.
@@ -66,27 +65,6 @@ struct GpuContext {
   /// because replayed iterations append rows.  Set by the engine at each
   /// iteration top.
   std::size_t history_row = 0;
-};
-
-/// The run options every facade shares (each holds one as `run`): the
-/// engine's scheduling and fault knobs plus the normal exchange's merge and
-/// routing.  None changes an answer; each moves counters and modeled time.
-struct RunOptions {
-  /// Run `reduce` (delegate stream) concurrently with `exchange` (normal
-  /// stream).  Off = the historic sequential per-GPU phase order.
-  bool overlap = true;
-  /// Merge outbound exchange records per bin before the send: the id
-  /// exchange's uniquify (U) for BFS, the algorithm's combine (MIN, SUM,
-  /// OR) for update records.  Facades set their own default.
-  bool uniquify = false;
-  /// Exchange routing mode (sim/topology.hpp): flat per-bin all-to-all
-  /// (historic default), hierarchical node-leader aggregation, or butterfly
-  /// recursive halving.  Results are bit-identical across all three; the
-  /// wire pattern, byte counters and modeled NIC/NVLink occupancy differ.
-  sim::ExchangeTopology exchange_topology = sim::ExchangeTopology::kFlat;
-  /// Fault schedule, wire retry policy and checkpoint cadence.  Defaults to
-  /// a clean run with checkpointing off; see sim::ResilienceOptions.
-  sim::ResilienceOptions resilience{};
 };
 
 /// The phase-hook interface an algorithm implements to run on the engine.
@@ -175,7 +153,7 @@ class IterativeEngine {
     const int p = spec.total_gpus();
     const sim::FaultPlanConfig& fc = options_.resilience.faults;
 
-    CommContext comm(spec);
+    CommContext comm(spec, options_);
     sim::FaultPlan plan(fc);
     if (fc.message_faults()) comm.transport().set_fault_plan(&plan);
     // Rollback needs a recovery point: a scheduled permanent failure forces

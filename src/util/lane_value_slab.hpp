@@ -11,7 +11,7 @@
 /// relaxes all W sources' distances in one edge sweep, and the exchange
 /// ships one wire record per storage word instead of one per (vertex,
 /// source) pair -- W * value_bits bits of payload per vertex, exactly the
-/// `value_bytes = W * value_width` accounting comm::UpdateExchangeOptions
+/// `value_bytes = W * value_width` accounting comm::ExchangeOptions
 /// expects.
 ///
 /// Layout: `value_bits` in {8, 16, 32, 64}; 64/value_bits lanes share one

@@ -68,9 +68,9 @@ TEST_P(BatchBfsProperty, EveryLaneMatchesSerialWithValidParents) {
   const graph::DistributedGraph dg = build_distributed(g, spec, c.threshold);
   const graph::HostCsr csr = graph::build_host_csr(g);
 
-  BatchBfsOptions options;
+  BfsOptions options{.direction_optimized = false};
   options.run.uniquify = c.uniquify;
-  options.codec = c.codec;
+  options.run.codec = c.codec;
   options.compute_parents = true;
   DistributedBatchBfs bfs(dg, cluster, options);
   const std::vector<VertexId> sources = pick_sources(bfs, c.batch);
@@ -136,7 +136,7 @@ TEST(BatchBfsRegression, WidthOneReproducesSingleSourceCountersExactly) {
   golden::BfsGoldenSetup setup;
   const golden::BfsGolden& gold = golden::kBfsGoldens[1];
   ASSERT_FALSE(gold.direction_optimized);
-  DistributedBatchBfs batch(setup.dg, setup.cluster, {});
+  DistributedBatchBfs batch(setup.dg, setup.cluster);
   const std::vector<VertexId> sources{
       batch.sample_source(golden::BfsGoldenSetup::kSourceIndex)};
   const BatchBfsResult br = batch.run(sources);
@@ -181,7 +181,7 @@ TEST(BatchBfsGolden, CountersAndModeledTimeArePinned) {
   struct Golden {
     const char* name;
     std::size_t batch;
-    TraversalDirection direction;
+    bool direction_optimized;
     bool parents;
     int lane_bits, iterations;
     std::uint64_t edges[4], vertices[4];  // dd, dn, nd, nn
@@ -190,13 +190,13 @@ TEST(BatchBfsGolden, CountersAndModeledTimeArePinned) {
     std::uint64_t remote_bytes_before;
   };
   const Golden goldens[] = {
-      {"w64_push", 64, TraversalDirection::kForcedPush, false, 64, 7,
+      {"w64_push", 64, false, false, 64, 7,
        {274289, 45255, 42290, 5944}, {8070, 8070, 7076, 7076}, 32532, 100992,
        0.45007990098317535, 36300},
-      {"w8_hybrid", 8, TraversalDirection::kHybrid, false, 8, 7,
+      {"w8_hybrid", 8, true, false, 8, 7,
        {104262, 22013, 38376, 4469}, {4868, 5643, 7363, 5204}, 9840, 9468,
        0.3677218523447171, 11265},
-      {"w64_parents", 64, TraversalDirection::kForcedPush, true, 64, 7,
+      {"w64_parents", 64, false, true, 64, 7,
        {274289, 45255, 42290, 5944}, {8070, 8070, 7076, 7076}, 32532, 100992,
        0.45007990098317535, 36300},
   };
@@ -208,8 +208,8 @@ TEST(BatchBfsGolden, CountersAndModeledTimeArePinned) {
   const graph::DistributedGraph dg = build_distributed(g, spec, 32);
   for (const Golden& gold : goldens) {
     SCOPED_TRACE(gold.name);
-    BatchBfsOptions options;
-    options.direction = gold.direction;
+    BfsOptions options;
+    options.direction_optimized = gold.direction_optimized;
     options.compute_parents = gold.parents;
     DistributedBatchBfs bfs(dg, cluster, options);
     const BatchBfsResult r = bfs.run(pick_sources(bfs, gold.batch));
@@ -253,7 +253,7 @@ TEST(BatchBfs, ParentStorageOnlyWhenRecordingParents) {
   // counter the model replays.
   std::vector<BatchBfsResult> runs;
   for (const bool parents : {false, true}) {
-    BatchBfsOptions options;
+    BfsOptions options{.direction_optimized = false};
     options.compute_parents = parents;
     DistributedBatchBfs bfs(dg, cluster, options);
     runs.push_back(bfs.run(pick_sources(bfs, 64)));
@@ -286,7 +286,7 @@ TEST(BatchBfs, LaneOccupancyCountersAndScaledMaskBytes) {
   spec.gpus_per_rank = 2;
   sim::Cluster cluster(spec);
   const graph::DistributedGraph dg = build_distributed(g, spec, 16);
-  DistributedBatchBfs bfs(dg, cluster, {});
+  DistributedBatchBfs bfs(dg, cluster);
   const std::vector<VertexId> sources = pick_sources(bfs, 64);
   const BatchBfsResult r = bfs.run(sources);
 
@@ -314,7 +314,7 @@ TEST(BatchBfs, DuplicateSourcesProduceIdenticalLanes) {
   spec.gpus_per_rank = 1;
   sim::Cluster cluster(spec);
   const graph::DistributedGraph dg = build_distributed(g, spec, 16);
-  DistributedBatchBfs bfs(dg, cluster, {});
+  DistributedBatchBfs bfs(dg, cluster);
   const VertexId s = bfs.sample_source(5);
   const std::vector<VertexId> sources{s, s, s};
   const BatchBfsResult r = bfs.run(sources);
@@ -336,7 +336,7 @@ TEST(BatchBfs, EachSenderShipsEachNnTargetOnce) {
   sim::Cluster cluster(spec);
   const graph::DistributedGraph dg = build_distributed(g, spec, 64);
   const std::uint64_t normals = dg.num_vertices() - dg.num_delegates();
-  DistributedBatchBfs bfs(dg, cluster, {});
+  DistributedBatchBfs bfs(dg, cluster);
   const VertexId source = bfs.sample_source(2);
   const std::vector<VertexId> sources(64, source);
   const BatchBfsResult r = bfs.run(sources);
@@ -371,7 +371,7 @@ TEST(BatchBfs, SampleSourceRejectsGraphsWithoutEdges) {
   const graph::DistributedGraph dg = build_distributed(g, spec, 16);
   EXPECT_THROW(DistributedBfs(dg, cluster).sample_source(1),
                std::invalid_argument);
-  EXPECT_THROW(DistributedBatchBfs(dg, cluster, {}).sample_source(1),
+  EXPECT_THROW(DistributedBatchBfs(dg, cluster).sample_source(1),
                std::invalid_argument);
 
   // One edge is enough: every draw lands on one of its endpoints.
@@ -381,7 +381,7 @@ TEST(BatchBfs, SampleSourceRejectsGraphsWithoutEdges) {
   for (std::uint64_t k = 0; k < 8; ++k) {
     const VertexId s = DistributedBfs(one_edge, cluster).sample_source(k);
     EXPECT_TRUE(s == 2 || s == 5) << s;
-    EXPECT_EQ(DistributedBatchBfs(one_edge, cluster, {}).sample_source(k), s);
+    EXPECT_EQ(DistributedBatchBfs(one_edge, cluster).sample_source(k), s);
   }
 }
 
@@ -396,7 +396,7 @@ TEST(BatchBfs, UniquifyCutsWireBytesAndStaysBitExact) {
   std::uint64_t bytes_on = 0, bytes_off = 0;
   std::vector<std::vector<Depth>> dist_on, dist_off;
   for (const bool uniquify : {false, true}) {
-    BatchBfsOptions options;
+    BfsOptions options{.direction_optimized = false};
     options.run.uniquify = uniquify;
     DistributedBatchBfs bfs(dg, cluster, options);
     const std::vector<VertexId> sources = pick_sources(bfs, 64);
@@ -410,6 +410,42 @@ TEST(BatchBfs, UniquifyCutsWireBytesAndStaysBitExact) {
   EXPECT_LT(bytes_on, bytes_off);
 }
 
+TEST(BatchBfs, LocalAll2AllGathersLaneWordsToo) {
+  // L means the same at every width: the (id, lane-word) bins bound for
+  // another rank are first gathered on the same-column local GPU, so each
+  // GPU talks to one remote peer per round instead of two.
+  const graph::EdgeList g = graph::rmat_graph500({.scale = 10, .seed = 85});
+  sim::ClusterSpec spec;
+  spec.num_ranks = 2;
+  spec.gpus_per_rank = 2;
+  sim::Cluster cluster(spec);
+  const graph::DistributedGraph dg = build_distributed(g, spec, 16);
+  const graph::HostCsr csr = graph::build_host_csr(g);
+
+  std::uint64_t dest_ranks[2] = {0, 0};
+  for (const bool local_all2all : {false, true}) {
+    SCOPED_TRACE(local_all2all ? "L on" : "L off");
+    BfsOptions options{.direction_optimized = false};
+    options.local_all2all = local_all2all;
+    DistributedBatchBfs bfs(dg, cluster, options);
+    const std::vector<VertexId> sources = pick_sources(bfs, 8);
+    const BatchBfsResult r = bfs.run(sources);
+    ASSERT_EQ(r.metrics.lane_bits, 8);
+    for (std::size_t lane = 0; lane < sources.size(); ++lane) {
+      EXPECT_EQ(r.distances[lane], baseline::serial_bfs(csr, sources[lane]))
+          << "lane " << lane;
+    }
+    for (const sim::IterationCounters& row : r.metrics.counters.iterations) {
+      for (const sim::GpuIterationCounters& c : row.gpu) {
+        dest_ranks[local_all2all] +=
+            static_cast<std::uint64_t>(c.send_dest_ranks);
+      }
+    }
+  }
+  EXPECT_GT(dest_ranks[true], 0u);
+  EXPECT_LT(dest_ranks[true], dest_ranks[false]);
+}
+
 TEST(BatchBfs, RejectsBadBatches) {
   const graph::EdgeList g = graph::path_graph(8);
   sim::ClusterSpec spec;
@@ -417,7 +453,7 @@ TEST(BatchBfs, RejectsBadBatches) {
   spec.gpus_per_rank = 1;
   sim::Cluster cluster(spec);
   const graph::DistributedGraph dg = build_distributed(g, spec, 4);
-  DistributedBatchBfs bfs(dg, cluster, {});
+  DistributedBatchBfs bfs(dg, cluster);
   EXPECT_THROW(bfs.run(std::vector<VertexId>{}), std::invalid_argument);
   EXPECT_THROW(bfs.run(std::vector<VertexId>(65, 0)), std::invalid_argument);
   EXPECT_THROW(bfs.run(std::vector<VertexId>{999}), std::out_of_range);
@@ -577,7 +613,7 @@ class DeepGraph : public ::testing::Test {
 TEST_F(DeepGraph, EveryLaneMatchesSerialPastSeveralPowersOfTwo) {
   sim::Cluster cluster(spec_);
   for (const std::size_t batch : {std::size_t{8}, std::size_t{64}}) {
-    BatchBfsOptions options;
+    BfsOptions options{.direction_optimized = false};
     options.compute_parents = true;
     const std::vector<VertexId> sources = deep_sources(batch);
     const BatchBfsResult r =
@@ -620,7 +656,7 @@ TEST_F(DeepGraph, RollbackToACheckpointTakenBeforeAPlaneWasAdded) {
   // it again and end bit-exact.
   sim::Cluster cluster(spec_);
   const std::vector<VertexId> sources = deep_sources(8);
-  BatchBfsOptions options;
+  BfsOptions options{.direction_optimized = false};
   options.compute_parents = true;
   const BatchBfsResult clean =
       DistributedBatchBfs(dg_, cluster, options).run(sources);

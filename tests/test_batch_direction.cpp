@@ -54,8 +54,7 @@ TEST_P(HybridBatchBfs, EveryLaneBitExactWithValidParents) {
       graph::build_distributed(setup.edges, setup.spec, 16);
   const graph::HostCsr csr = graph::build_host_csr(setup.edges);
 
-  BatchBfsOptions options;
-  options.direction = TraversalDirection::kHybrid;
+  BfsOptions options;  // direction-optimized: the union-frontier hybrid
   options.compute_parents = true;
   DistributedBatchBfs bfs(dg, cluster, options);
   const std::vector<VertexId> sources = pick_sources(bfs, batch);
@@ -90,8 +89,7 @@ TEST(HybridBatchBfsRegression, WideBatchesTakePullRoundsAndCountLiveLanes) {
   sim::Cluster cluster(setup.spec);
   const graph::DistributedGraph dg =
       graph::build_distributed(setup.edges, setup.spec, 16);
-  BatchBfsOptions options;
-  options.direction = TraversalDirection::kHybrid;
+  BfsOptions options;  // direction-optimized: the union-frontier hybrid
   DistributedBatchBfs bfs(dg, cluster, options);
   const std::vector<VertexId> sources = pick_sources(bfs, 64);
   const BatchBfsResult r = bfs.run(sources);
@@ -142,8 +140,7 @@ TEST(HybridBatchBfsRegression, WidthOneReproducesSingleSourceHybridExactly) {
   for (const golden::BfsGolden& gold : golden::kBfsGoldens) {
     if (!gold.direction_optimized) continue;
     SCOPED_TRACE(gold.name);
-    BatchBfsOptions options;
-    options.direction = TraversalDirection::kHybrid;
+    BfsOptions options;  // direction-optimized: the union-frontier hybrid
     options.compute_parents = gold.parents;
     DistributedBatchBfs batch(setup.dg, setup.cluster, options);
     const std::vector<VertexId> sources{source};
@@ -167,8 +164,7 @@ TEST(HybridBatchBfsRegression, ControllerDecisionsAreDeterministic) {
   sim::Cluster cluster(setup.spec);
   const graph::DistributedGraph dg =
       graph::build_distributed(setup.edges, setup.spec, 16);
-  BatchBfsOptions options;
-  options.direction = TraversalDirection::kHybrid;
+  BfsOptions options;  // direction-optimized: the union-frontier hybrid
   DistributedBatchBfs bfs(dg, cluster, options);
   const std::vector<VertexId> sources = pick_sources(bfs, 32);
 
@@ -188,7 +184,7 @@ TEST(HybridBatchBfsRegression, ForcedPushDefaultTakesNoPullRounds) {
   sim::Cluster cluster(setup.spec);
   const graph::DistributedGraph dg =
       graph::build_distributed(setup.edges, setup.spec, 16);
-  DistributedBatchBfs bfs(dg, cluster, {});
+  DistributedBatchBfs bfs(dg, cluster);
   const std::vector<VertexId> sources = pick_sources(bfs, 64);
   const BatchBfsResult r = bfs.run(sources);
   for (const IterationStats& it : r.metrics.per_iteration) {

@@ -120,7 +120,9 @@ TEST(BatchSssp, NarrowLanesMatchWideLanesAndCompressIsBitExact) {
         comm::WireCodec::kGorilla}) {
     const BatchSsspResult packed =
         DistributedBatchSssp(dg, cluster,
-                             {.delta = 5, .value_bits = 16, .codec = codec})
+                             {.delta = 5,
+                              .value_bits = 16,
+                              .run = {.uniquify = true, .codec = codec}})
             .run(sources);
     ASSERT_EQ(wide.distances, packed.distances) << static_cast<int>(codec);
   }

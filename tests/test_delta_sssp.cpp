@@ -234,7 +234,8 @@ TEST(DeltaSssp, ExchangeOptionsAreBitExactAndBiasedWireIsPinned) {
   for (const comm::WireCodec codec :
        {comm::WireCodec::kVarint, comm::WireCodec::kAdaptive,
         comm::WireCodec::kGorilla}) {
-    const DeltaSsspOptions tagged{.delta = 5, .codec = codec};
+    const DeltaSsspOptions tagged{
+        .delta = 5, .run = {.uniquify = true, .codec = codec}};
     const DeltaSsspResult r =
         DistributedDeltaSssp(dg, cluster, tagged).run(source);
     ASSERT_EQ(r.distances, r0.distances) << static_cast<int>(codec);
@@ -260,7 +261,8 @@ TEST(DeltaSssp, GoldenCountersAcrossExchangeVariants) {
   const Golden goldens[] = {
       {"default", {.delta = 5}, 564, 0.83735765028507281},
       {"compress_bucket_bias",
-       {.delta = 5, .codec = comm::WireCodec::kVarint},
+       {.delta = 5,
+        .run = {.uniquify = true, .codec = comm::WireCodec::kVarint}},
        94,
        0.84697513230698085},
       {"butterfly",

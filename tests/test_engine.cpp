@@ -137,11 +137,11 @@ TEST(CommContext, ConsumedReceiveBufferBecomesTheNextLoopbackBin) {
     EXPECT_EQ(bins[0].data(), round0);
   };
   check(LocalId{7}, [&](std::vector<std::vector<LocalId>>& bins, int it) {
-    return comm.exchange_ids(me, bins, it, {}, iter);
+    return comm.exchange(me, bins, it, {}, iter);
   });
   check(comm::VertexUpdate{7, 1},
         [&](std::vector<std::vector<comm::VertexUpdate>>& bins, int it) {
-          return comm.exchange_value_updates(me, bins, it, {}, iter);
+          return comm.exchange(me, bins, it, {}, iter);
         });
 }
 

@@ -42,9 +42,9 @@ std::vector<std::vector<LocalId>> run_exchange(
         }
       }
       received[static_cast<std::size_t>(g)] =
-          exchange_ids(t, setup.spec, setup.spec.coord_of(g), bins,
-                       /*iteration=*/0, setup.options,
-                       counters[static_cast<std::size_t>(g)]);
+          exchange(t, setup.spec, setup.spec.coord_of(g), bins,
+                   /*iteration=*/0, setup.options,
+                   counters[static_cast<std::size_t>(g)]);
     });
   }
   for (auto& th : threads) th.join();
@@ -83,7 +83,9 @@ TEST_P(ExchangePatterns, EveryIdReachesItsOwner) {
   ExchangeSetup setup;
   setup.spec.num_ranks = c.ranks;
   setup.spec.gpus_per_rank = c.gpus;
-  setup.options = {c.local_all2all, c.uniquify};
+  setup.options = {
+      .combine = c.uniquify ? UpdateCombine::kOr : UpdateCombine::kNone,
+      .local_all2all = c.local_all2all};
   auto received = run_exchange(setup, nullptr);
   expect_correct_delivery(setup.spec, std::move(received));
 }
@@ -107,7 +109,7 @@ TEST(Exchange, UniquifyRemovesDuplicates) {
   ExchangeSetup setup;
   setup.spec.num_ranks = 2;
   setup.spec.gpus_per_rank = 2;
-  setup.options = {true, true};
+  setup.options = {.combine = UpdateCombine::kOr, .local_all2all = true};
   std::vector<ExchangeCounters> counters;
   auto received = run_exchange(setup, &counters, /*duplicates=*/3);
   // Remote bins deduplicate to one copy; the local loopback bin and
@@ -130,7 +132,7 @@ TEST(Exchange, NoUniquifyKeepsDuplicates) {
   ExchangeSetup setup;
   setup.spec.num_ranks = 2;
   setup.spec.gpus_per_rank = 1;
-  setup.options = {false, false};
+  setup.options = {};
   auto received = run_exchange(setup, nullptr, /*duplicates=*/2);
   expect_correct_delivery(setup.spec, std::move(received), /*copies=*/2);
 }
@@ -142,10 +144,10 @@ TEST(Exchange, LocalAll2AllEliminatesCrossColumnRemotePairs) {
   ExchangeSetup direct;
   direct.spec.num_ranks = 4;
   direct.spec.gpus_per_rank = 4;
-  direct.options = {false, false};
+  direct.options = {};
 
   ExchangeSetup with_l = direct;
-  with_l.options = {true, false};
+  with_l.options = {.local_all2all = true};
 
   Transport td(direct.spec);
   {
@@ -156,8 +158,8 @@ TEST(Exchange, LocalAll2AllEliminatesCrossColumnRemotePairs) {
             static_cast<std::size_t>(direct.spec.total_gpus()));
         for (auto& b : bins) b.push_back(1);
         ExchangeCounters c;
-        exchange_ids(td, direct.spec, direct.spec.coord_of(g), bins, 0,
-                     direct.options, c);
+        exchange(td, direct.spec, direct.spec.coord_of(g), bins, 0,
+                 direct.options, c);
       });
     }
     for (auto& th : threads) th.join();
@@ -172,8 +174,8 @@ TEST(Exchange, LocalAll2AllEliminatesCrossColumnRemotePairs) {
             static_cast<std::size_t>(with_l.spec.total_gpus()));
         for (auto& b : bins) b.push_back(1);
         ExchangeCounters c;
-        exchange_ids(tl, with_l.spec, with_l.spec.coord_of(g), bins, 0,
-                     with_l.options, c);
+        exchange(tl, with_l.spec, with_l.spec.coord_of(g), bins, 0,
+                 with_l.options, c);
       });
     }
     for (auto& th : threads) th.join();
@@ -190,7 +192,7 @@ TEST(Exchange, CountersTrackRemoteBytes) {
   ExchangeSetup setup;
   setup.spec.num_ranks = 2;
   setup.spec.gpus_per_rank = 1;
-  setup.options = {false, false};
+  setup.options = {};
   std::vector<ExchangeCounters> counters;
   run_exchange(setup, &counters);
   // GPU 0 sends exactly one id (4 bytes) to GPU 1 (other rank) and vice
@@ -207,7 +209,7 @@ TEST(Exchange, LoopbackOnlySingleGpu) {
   ExchangeSetup setup;
   setup.spec.num_ranks = 1;
   setup.spec.gpus_per_rank = 1;
-  setup.options = {false, false};
+  setup.options = {};
   std::vector<ExchangeCounters> counters;
   auto received = run_exchange(setup, &counters);
   ASSERT_EQ(received[0].size(), 1u);
@@ -227,8 +229,9 @@ TEST(Exchange, EmptyBinsStillCompleteCollectively) {
     threads.emplace_back([&, g] {
       std::vector<std::vector<LocalId>> bins(static_cast<std::size_t>(p));
       ExchangeCounters c;
-      const auto r = exchange_ids(t, setup.spec, setup.spec.coord_of(g),
-                                  bins, 0, {true, true}, c);
+      const auto r = exchange(
+          t, setup.spec, setup.spec.coord_of(g), bins, 0,
+          {.combine = UpdateCombine::kOr, .local_all2all = true}, c);
       EXPECT_TRUE(r.empty());
       completed.fetch_add(1);
     });
@@ -256,7 +259,7 @@ TEST(UpdateExchange, PairsReachOwners) {
       }
       ExchangeCounters c;
       received[static_cast<std::size_t>(g)] =
-          exchange_updates(t, spec, spec.coord_of(g), bins, 0, {}, c);
+          exchange(t, spec, spec.coord_of(g), bins, 0, {}, c);
     });
   }
   for (auto& th : threads) th.join();
@@ -288,8 +291,8 @@ TEST(UpdateExchange, CountersUseTwelveBytesPerUpdate) {
     threads.emplace_back([&, g] {
       std::vector<std::vector<VertexUpdate>> bins(2);
       bins[static_cast<std::size_t>(1 - g)].assign(10, VertexUpdate{1, 2});
-      exchange_updates(t, spec, spec.coord_of(g), bins, 0, {},
-                       counters[static_cast<std::size_t>(g)]);
+      exchange(t, spec, spec.coord_of(g), bins, 0, {},
+               counters[static_cast<std::size_t>(g)]);
     });
   }
   for (auto& th : threads) th.join();
@@ -314,8 +317,9 @@ TEST(Exchange, UniquifyCountersCountScannedAndRemoved) {
     threads.emplace_back([&, g] {
       std::vector<std::vector<LocalId>> bins(2);
       bins[static_cast<std::size_t>(1 - g)].assign(5, LocalId{7});
-      exchange_ids(t, spec, spec.coord_of(g), bins, 0, {false, true},
-                   counters[static_cast<std::size_t>(g)]);
+      exchange(t, spec, spec.coord_of(g), bins, 0,
+               {.combine = UpdateCombine::kOr},
+               counters[static_cast<std::size_t>(g)]);
     });
   }
   for (auto& th : threads) th.join();
@@ -348,8 +352,8 @@ TEST(UpdateExchange, CountersSplitLocalAndRemoteBytes) {
         bins[static_cast<std::size_t>(dest)].assign(
             static_cast<std::size_t>(g + 1), VertexUpdate{3, 9});
       }
-      exchange_updates(t, spec, spec.coord_of(g), bins, 0, {},
-                       counters[static_cast<std::size_t>(g)]);
+      exchange(t, spec, spec.coord_of(g), bins, 0, {},
+               counters[static_cast<std::size_t>(g)]);
     });
   }
   for (auto& th : threads) th.join();
@@ -385,7 +389,7 @@ TEST(UpdateExchange, EmptyBinsComplete) {
       std::vector<std::vector<VertexUpdate>> bins(3);
       ExchangeCounters c;
       EXPECT_TRUE(
-          exchange_updates(t, spec, spec.coord_of(g), bins, 0, {}, c).empty());
+          exchange(t, spec, spec.coord_of(g), bins, 0, {}, c).empty());
       done.fetch_add(1);
     });
   }
@@ -409,7 +413,7 @@ TEST(Exchange, OddIdValuesSurvivePacking) {
       }
       ExchangeCounters c;
       received[static_cast<std::size_t>(g)] =
-          exchange_ids(t, spec, spec.coord_of(g), bins, 0, {}, c);
+          exchange(t, spec, spec.coord_of(g), bins, 0, {}, c);
     });
   }
   for (auto& th : threads) th.join();
@@ -422,7 +426,7 @@ TEST(Exchange, OddIdValuesSurvivePacking) {
 /// Run one collective update exchange on `spec` where every GPU fills its
 /// bins via `fill(gpu, bins)`; returns everyone's received vectors.
 std::vector<std::vector<VertexUpdate>> run_update_exchange(
-    const sim::ClusterSpec& spec, const UpdateExchangeOptions& options,
+    const sim::ClusterSpec& spec, const ExchangeOptions& options,
     std::vector<ExchangeCounters>* counters_out,
     const std::function<void(int, std::vector<std::vector<VertexUpdate>>&)>&
         fill) {
@@ -436,8 +440,8 @@ std::vector<std::vector<VertexUpdate>> run_update_exchange(
       std::vector<std::vector<VertexUpdate>> bins(static_cast<std::size_t>(p));
       fill(g, bins);
       received[static_cast<std::size_t>(g)] =
-          exchange_updates(t, spec, spec.coord_of(g), bins, 0, options,
-                           counters[static_cast<std::size_t>(g)]);
+          exchange(t, spec, spec.coord_of(g), bins, 0, options,
+                   counters[static_cast<std::size_t>(g)]);
     });
   }
   for (auto& th : threads) th.join();
@@ -656,7 +660,7 @@ TEST(UpdateExchange, ValueBytesScalesTheWireCounters) {
   spec.gpus_per_rank = 1;
   for (const int value_bytes : {0, 1, 4, 8}) {
     std::vector<ExchangeCounters> counters;
-    UpdateExchangeOptions options;
+    ExchangeOptions options;
     options.combine = UpdateCombine::kOr;
     options.value_bytes = value_bytes;
     auto received = run_update_exchange(
@@ -686,7 +690,7 @@ TEST(UpdateExchange, AdaptiveCompressionPicksTheSmallerPathPerBin) {
   sim::ClusterSpec spec;
   spec.num_ranks = 3;
   spec.gpus_per_rank = 1;
-  UpdateExchangeOptions options;
+  ExchangeOptions options;
   options.codec = WireCodec::kAdaptive;
   const std::vector<VertexUpdate> wins = {
       {0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}};
@@ -873,7 +877,7 @@ TEST(UpdateExchange, SsspBitExactWithUniquifyOnAndOff) {
                                   WireCodec::kAdaptive, WireCodec::kGorilla}) {
       core::SsspOptions options;
       options.run.uniquify = uniquify;
-      options.codec = codec;
+      options.run.codec = codec;
       core::DistributedSssp sssp(dg, cluster, options);
       const core::SsspResult r = sssp.run(3);
       ASSERT_EQ(r.distances.size(), expected.size());
@@ -932,7 +936,7 @@ TEST(UpdateExchange, SsspCompressedBiasBitExactAndPinned) {
 
   core::SsspOptions options;
   options.max_weight = kWideWeights;
-  options.codec = WireCodec::kVarint;
+  options.run.codec = WireCodec::kVarint;
   core::DistributedSssp sssp(dg, cluster, options);
   const core::SsspResult r = sssp.run(3);
   ASSERT_EQ(r.distances.size(), expected_wide.size());

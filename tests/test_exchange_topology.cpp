@@ -76,9 +76,9 @@ std::vector<std::vector<LocalId>> run_id_exchange(
         std::vector<std::vector<LocalId>> bins(static_cast<std::size_t>(p));
         fill(g, bins);
         received[static_cast<std::size_t>(g)] =
-            comm::exchange_ids(t, spec, spec.coord_of(g), bins,
-                               /*iteration=*/0, options,
-                               counters[static_cast<std::size_t>(g)]);
+            comm::exchange(t, spec, spec.coord_of(g), bins,
+                           /*iteration=*/0, options,
+                           counters[static_cast<std::size_t>(g)]);
       } catch (...) {
         errors[static_cast<std::size_t>(g)] = std::current_exception();
       }
@@ -94,7 +94,7 @@ std::vector<std::vector<LocalId>> run_id_exchange(
 
 /// Same harness for the (id, value) update exchange.
 std::vector<std::vector<VertexUpdate>> run_update_exchange(
-    const sim::ClusterSpec& spec, const comm::UpdateExchangeOptions& options,
+    const sim::ClusterSpec& spec, const comm::ExchangeOptions& options,
     std::vector<ExchangeCounters>* counters_out,
     const std::function<void(int, std::vector<std::vector<VertexUpdate>>&)>&
         fill) {
@@ -110,7 +110,7 @@ std::vector<std::vector<VertexUpdate>> run_update_exchange(
         std::vector<std::vector<VertexUpdate>> bins(
             static_cast<std::size_t>(p));
         fill(g, bins);
-        received[static_cast<std::size_t>(g)] = comm::exchange_updates(
+        received[static_cast<std::size_t>(g)] = comm::exchange(
             t, spec, spec.coord_of(g), bins, /*iteration=*/0, options,
             counters[static_cast<std::size_t>(g)]);
       } catch (...) {
@@ -200,8 +200,8 @@ TEST_P(CommTopologyEquivalence, IdMultisetsMatchFlat) {
       nodes_spec(tc.nodes, tc.gpus, tc.ranks_per_node);
   for (const bool uniquify : {false, true}) {
     comm::ExchangeOptions options;
+    options.combine = uniquify ? UpdateCombine::kOr : UpdateCombine::kNone;
     options.local_all2all = false;
-    options.uniquify = uniquify;
     options.topology = ExchangeTopology::kFlat;
     auto flat = run_id_exchange(spec, options, nullptr, id_fill(1));
     for (const ExchangeTopology topo :
@@ -248,7 +248,7 @@ TEST_P(CommTopologyEquivalence, UpdateFoldsMatchFlatAcrossWireOptions) {
       {UpdateCombine::kSumDouble, WireCodec::kGorilla, 0},
   };
   for (const WireCase& wc : wire_cases) {
-    comm::UpdateExchangeOptions options;
+    comm::ExchangeOptions options;
     options.combine = wc.combine;
     options.codec = wc.codec;
     options.value_bias = wc.value_bias;
@@ -307,7 +307,7 @@ TEST(CommTopology, SingleNodeDegeneratesToIntraNodeOnly) {
   // One node: no inter hops; every topology reduces to the NVLink domain
   // and the flat result, and the hop trace carries no inter-node entries.
   const sim::ClusterSpec spec = nodes_spec(1, 4);
-  comm::UpdateExchangeOptions options;
+  comm::ExchangeOptions options;
   options.combine = UpdateCombine::kNone;
   auto flat = run_update_exchange(spec, options, nullptr, update_fill(3));
   for (const ExchangeTopology topo :
@@ -346,7 +346,7 @@ TEST(CommTopology, FlatRunsCarryNoHopTrace) {
 
 TEST(GoldenWire, HierarchicalFourNodes) {
   const sim::ClusterSpec spec = nodes_spec(4, 2);
-  comm::UpdateExchangeOptions options;
+  comm::ExchangeOptions options;
   options.combine = UpdateCombine::kMin;
   options.topology = ExchangeTopology::kHierarchical;
   std::vector<ExchangeCounters> counters;
@@ -382,7 +382,7 @@ TEST(GoldenWire, HierarchicalFourNodes) {
 TEST(GoldenWire, ButterflyFourNodes) {
   const sim::ClusterSpec spec = nodes_spec(4, 2);
   comm::ExchangeOptions options;
-  options.uniquify = true;
+  options.combine = UpdateCombine::kOr;
   options.topology = ExchangeTopology::kButterfly;
   std::vector<ExchangeCounters> counters;
   run_id_exchange(spec, options, &counters, id_fill(6));
@@ -418,7 +418,7 @@ TEST(GoldenWire, LegacyCountersMapToHopClasses) {
   // inter-node hop bytes, local bytes = intra-node hop bytes (plus the
   // lossless-wire frame overhead charged per message on remote sends).
   const sim::ClusterSpec spec = nodes_spec(4, 2);
-  comm::UpdateExchangeOptions options;
+  comm::ExchangeOptions options;
   options.combine = UpdateCombine::kMin;
   for (const ExchangeTopology topo :
        {ExchangeTopology::kHierarchical, ExchangeTopology::kButterfly}) {
@@ -507,7 +507,7 @@ TEST_P(FacadeTopologyEquivalence, BfsBitExact) {
 TEST_P(FacadeTopologyEquivalence, BatchBfsBitExactAtBothLaneWidths) {
   sim::Cluster cluster(spec_);
   for (const std::size_t width : {std::size_t{1}, std::size_t{64}}) {
-    core::BatchBfsOptions options;
+    core::BfsOptions options{.direction_optimized = false};
     options.run.uniquify = true;
     core::DistributedBatchBfs probe(dg_, cluster, options);
     std::vector<VertexId> sources;
@@ -535,7 +535,7 @@ TEST_P(FacadeTopologyEquivalence, SsspBitExact) {
   const auto expected = baseline::serial_sssp(host_, 3);
   core::SsspOptions options;
   options.run.uniquify = true;
-  options.codec = WireCodec::kVarint;
+  options.run.codec = WireCodec::kVarint;
   std::vector<std::vector<std::uint64_t>> all;
   for (const ExchangeTopology topo : kAllTopologies) {
     options.run.exchange_topology = topo;
@@ -549,7 +549,7 @@ TEST_P(FacadeTopologyEquivalence, DeltaSsspBitExact) {
   sim::Cluster cluster(spec_);
   const auto expected = baseline::serial_sssp(host_, 3);
   core::DeltaSsspOptions options;
-  options.codec = WireCodec::kVarint;
+  options.run.codec = WireCodec::kVarint;
   for (const ExchangeTopology topo : kAllTopologies) {
     options.run.exchange_topology = topo;
     core::DistributedDeltaSssp sssp(dg_, cluster, options);
@@ -643,7 +643,7 @@ TEST(TopologySoak, CommLayerSeedSweep) {
           TopologyCase{"", 8, 2, 1}, TopologyCase{"", 4, 2, 2}}) {
       const sim::ClusterSpec spec =
           nodes_spec(tc.nodes, tc.gpus, tc.ranks_per_node);
-      comm::UpdateExchangeOptions options;
+      comm::ExchangeOptions options;
       options.combine = UpdateCombine::kMin;
       options.codec = seed % 2 == 0 ? WireCodec::kVarint : WireCodec::kRaw;
       auto flat = run_update_exchange(spec, options, nullptr,
@@ -692,7 +692,7 @@ TEST(TopologySoak, AlgorithmsSeedSweep) {
         core::SsspOptions sssp_options;
         sssp_options.run.uniquify = true;
         sssp_options.run.exchange_topology = topo;
-        sssp_options.codec = WireCodec::kVarint;
+        sssp_options.run.codec = WireCodec::kVarint;
         core::DistributedSssp sssp(dg, cluster, sssp_options);
         ASSERT_EQ(sssp.run(source).distances, sssp_expected)
             << sim::to_string(topo) << " seed " << seed << " nodes " << nodes;

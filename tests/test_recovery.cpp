@@ -103,16 +103,13 @@ TEST_F(RecoveryTest, BatchBfs64SurvivesGpuFailureBitExact) {
   // them on the rollback must restore every lane's tree candidates.  Under
   // hybrid direction it must also restore the direction states, the
   // controller, the factor seeds and the pull kernels' batch_mask.
-  using core::TraversalDirection;
-  for (const TraversalDirection direction :
-       {TraversalDirection::kForcedPush, TraversalDirection::kHybrid}) {
+  for (const bool hybrid : {false, true}) {
     for (const bool parents : {false, true}) {
       SCOPED_TRACE(parents ? "parents" : "no parents");
-      SCOPED_TRACE(direction == TraversalDirection::kHybrid ? "hybrid"
-                                                            : "push");
-      core::BatchBfsOptions options;
+      SCOPED_TRACE(hybrid ? "hybrid" : "push");
+      core::BfsOptions options;
       options.compute_parents = parents;
-      options.direction = direction;
+      options.direction_optimized = hybrid;
       const core::BatchBfsResult clean =
           core::DistributedBatchBfs(dg_, cluster, options).run(sources);
       ASSERT_EQ(clean.metrics.lane_bits, 64);
