@@ -2,7 +2,9 @@
 // *two-phase* (NVLink gather to GPU0, tree allreduce among rank leaders,
 // NVLink broadcast) rather than a flat tree over all p GPUs.  This bench
 // measures actual cross-rank traffic for both schemes on the in-process
-// transport and models the time difference.
+// transport and models the time difference.  The two-phase runs also check
+// the reduction itself: every GPU must end with the union of all GPUs'
+// masks, or the bench exits 1.
 #include <iostream>
 #include <thread>
 
@@ -11,30 +13,52 @@
 #include "comm/mask_reduce.hpp"
 #include "comm/transport.hpp"
 #include "sim/net_model.hpp"
+#include "util/bitset.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 using namespace dsbfs;
 
-std::uint64_t run_two_phase(sim::ClusterSpec spec, std::size_t bits) {
+struct TwoPhaseRun {
+  std::uint64_t cross_rank_bytes = 0;
+  bool union_everywhere = true;  // every GPU holds the OR of all inputs
+};
+
+TwoPhaseRun run_two_phase(sim::ClusterSpec spec, std::size_t bits) {
   comm::Transport t(spec);
-  comm::MaskReducer reducer(t, spec);
+  comm::ValueReducer reducer(t, spec);
   const int p = spec.total_gpus();
+  // GPU g sets bit g and bit bits-1-g, so the union spans the first and the
+  // last word of the mask.
   std::vector<util::LaneBitset> masks(static_cast<std::size_t>(p));
+  util::LaneBitset expected(bits);
   for (int g = 0; g < p; ++g) {
-    masks[static_cast<std::size_t>(g)].resize(bits);
-    masks[static_cast<std::size_t>(g)].set_unsynchronized(
-        static_cast<std::size_t>(g));
+    util::LaneBitset& mask = masks[static_cast<std::size_t>(g)];
+    mask.resize(bits);
+    for (const std::size_t i : {static_cast<std::size_t>(g),
+                                bits - 1 - static_cast<std::size_t>(g)}) {
+      mask.set(i);
+      expected.set(i);
+    }
   }
   std::vector<std::thread> threads;
   for (int g = 0; g < p; ++g) {
     threads.emplace_back([&, g] {
-      reducer.reduce(spec.coord_of(g), masks[static_cast<std::size_t>(g)], 0);
+      reducer.reduce(spec.coord_of(g),
+                     masks[static_cast<std::size_t>(g)].words(),
+                     comm::ValueReducer::Op::kOr, 0);
     });
   }
   for (auto& th : threads) th.join();
-  return t.bytes_cross_rank();
+  TwoPhaseRun run{.cross_rank_bytes = t.bytes_cross_rank()};
+  for (int g = 0; g < p; ++g) {
+    if (masks[static_cast<std::size_t>(g)] == expected) continue;
+    std::cerr << "two-phase reduce on " << spec.to_string() << ": gpu " << g
+              << " does not hold the union of the inputs\n";
+    run.union_everywhere = false;
+  }
+  return run;
 }
 
 std::uint64_t run_flat(sim::ClusterSpec spec, std::size_t bits) {
@@ -83,9 +107,12 @@ int main(int argc, char** argv) {
   util::Table table({"cluster", "two_phase_cross_rank", "flat_cross_rank",
                      "traffic_ratio", "two_phase_modeled_us",
                      "flat_modeled_us"});
+  bool all_reduced = true;
   for (const std::string shape : {"2x2x2", "4x2x2", "8x2x2", "4x1x4", "8x1x4"}) {
     const sim::ClusterSpec spec = sim::ClusterSpec::parse(shape);
-    const std::uint64_t two_phase = run_two_phase(spec, bits);
+    const TwoPhaseRun run = run_two_phase(spec, bits);
+    all_reduced = all_reduced && run.union_everywhere;
+    const std::uint64_t two_phase = run.cross_rank_bytes;
     const std::uint64_t flat = run_flat(spec, bits);
     // Model: two-phase = NVLink gather+bcast + leader tree; flat = tree over
     // all p GPUs whose messages mostly cross ranks (and still stage through
@@ -108,5 +135,5 @@ int main(int argc, char** argv) {
             << "\ncontributions over NVLink, so the flat tree pushes more"
             << "\nbytes across the network and pays more tree rounds on the"
             << "\nNIC -- the reason Section V-A reduces hierarchically.\n";
-  return 0;
+  return all_reduced ? 0 : 1;
 }

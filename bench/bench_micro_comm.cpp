@@ -1,5 +1,6 @@
 // Microbenchmarks of the communication substrate: transport point-to-point,
-// tree collectives, the two-phase mask reducer and the normal exchange.
+// tree collectives, the two-phase delegate-mask OR reduce and the normal
+// exchange.
 #include <benchmark/benchmark.h>
 
 #include <thread>
@@ -8,6 +9,7 @@
 #include "comm/exchange.hpp"
 #include "comm/mask_reduce.hpp"
 #include "comm/transport.hpp"
+#include "util/bitset.hpp"
 
 namespace {
 
@@ -61,24 +63,26 @@ BENCHMARK(BM_AllreduceSum)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 void BM_MaskReduce(benchmark::State& state) {
   const auto spec = spec_of(4, 2);
   comm::Transport t(spec);
-  comm::MaskReducer reducer(t, spec);
+  comm::ValueReducer reducer(t, spec);
   const std::size_t bits = static_cast<std::size_t>(state.range(0));
   int iteration = 0;
   for (auto _ : state) {
     std::vector<util::LaneBitset> masks(8);
     for (int g = 0; g < 8; ++g) {
       masks[static_cast<std::size_t>(g)].resize(bits);
-      masks[static_cast<std::size_t>(g)].set_unsynchronized(
-          static_cast<std::size_t>(g * 5) % bits);
+      masks[static_cast<std::size_t>(g)].set(static_cast<std::size_t>(g * 5) %
+                                             bits);
     }
     std::vector<std::thread> threads;
     for (int g = 1; g < 8; ++g) {
       threads.emplace_back([&, g] {
-        reducer.reduce(spec.coord_of(g), masks[static_cast<std::size_t>(g)],
-                       iteration);
+        reducer.reduce(spec.coord_of(g),
+                       masks[static_cast<std::size_t>(g)].words(),
+                       comm::ValueReducer::Op::kOr, iteration);
       });
     }
-    reducer.reduce(spec.coord_of(0), masks[0], iteration);
+    reducer.reduce(spec.coord_of(0), masks[0].words(),
+                   comm::ValueReducer::Op::kOr, iteration);
     for (auto& th : threads) th.join();
     ++iteration;
     benchmark::DoNotOptimize(masks[0]);

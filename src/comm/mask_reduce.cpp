@@ -44,62 +44,13 @@ void combine_words(ValueReducer::Op op, std::span<std::uint64_t> acc,
                                                     lane_value_bits);
       }
       break;
+    case ValueReducer::Op::kOr:
+      for (std::size_t i = 0; i < acc.size(); ++i) acc[i] |= in[i];
+      break;
   }
 }
 
 }  // namespace
-
-MaskReducer::MaskReducer(Transport& transport, sim::ClusterSpec spec)
-    : transport_(transport), spec_(spec) {
-  rank_leaders_.reserve(static_cast<std::size_t>(spec_.num_ranks));
-  for (int r = 0; r < spec_.num_ranks; ++r) {
-    rank_leaders_.push_back(spec_.global_gpu(sim::GpuCoord{r, 0}));
-  }
-}
-
-void MaskReducer::reduce(sim::GpuCoord me, util::LaneBitset& mask,
-                         int iteration, ReduceMode mode, int channel) {
-  (void)mode;  // functionally identical; the perf model differentiates cost
-  const int me_global = spec_.global_gpu(me);
-  const int leader = spec_.global_gpu(sim::GpuCoord{me.rank, 0});
-  const std::size_t nw = mask.word_count();
-  // Distinct tag block per iteration keeps phases separated; FIFO matching
-  // per (src, dst, tag) would be safe even without it, but this is clearer.
-  const int tag = reduce_tag(iteration, channel);
-
-  if (me.gpu != 0) {
-    // Phase 1, non-leader: push my mask to GPU0, then wait for the result.
-    std::vector<std::uint64_t> words(nw);
-    for (std::size_t w = 0; w < nw; ++w) words[w] = mask.word(w);
-    transport_.send(me_global, leader, tag, std::move(words));
-    const auto reduced = transport_.recv(me_global, leader, tag + 1);
-    for (std::size_t w = 0; w < nw; ++w) mask.set_word(w, reduced[w]);
-    return;
-  }
-
-  // Phase 1, leader: OR in every local GPU's mask.
-  for (int lg = 1; lg < spec_.gpus_per_rank; ++lg) {
-    const int peer = spec_.global_gpu(sim::GpuCoord{me.rank, lg});
-    const auto words = transport_.recv(me_global, peer, tag);
-    for (std::size_t w = 0; w < nw; ++w) mask.or_word(w, words[w]);
-  }
-
-  // Phase 2: tree OR-allreduce among rank leaders.
-  if (spec_.num_ranks > 1) {
-    std::vector<std::uint64_t> words(nw);
-    for (std::size_t w = 0; w < nw; ++w) words[w] = mask.word(w);
-    allreduce_or_words(transport_, rank_leaders_, me.rank, words, tag + 2);
-    for (std::size_t w = 0; w < nw; ++w) mask.set_word(w, words[w]);
-  }
-
-  // Local broadcast of the reduced mask.
-  std::vector<std::uint64_t> result(nw);
-  for (std::size_t w = 0; w < nw; ++w) result[w] = mask.word(w);
-  for (int lg = 1; lg < spec_.gpus_per_rank; ++lg) {
-    const int peer = spec_.global_gpu(sim::GpuCoord{me.rank, lg});
-    transport_.send(me_global, peer, tag + 1, result);
-  }
-}
 
 ValueReducer::ValueReducer(Transport& transport, sim::ClusterSpec spec)
     : transport_(transport), spec_(spec) {
@@ -140,6 +91,9 @@ void ValueReducer::reduce(sim::GpuCoord me, std::span<std::uint64_t> values,
     switch (op) {
       case Op::kMin:
         allreduce_min_words(transport_, rank_leaders_, me.rank, data, tag + 2);
+        break;
+      case Op::kOr:
+        allreduce_or_words(transport_, rank_leaders_, me.rank, data, tag + 2);
         break;
       case Op::kSum:
       case Op::kSumDouble:

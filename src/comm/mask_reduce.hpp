@@ -5,34 +5,36 @@
 #include <vector>
 
 #include "comm/transport.hpp"
-#include "util/bitset.hpp"
 
-/// Two-phase delegate-mask reduction (paper Section V-A), lane-generalized.
+/// Two-phase reduction of per-delegate state (paper Section V-A).
 ///
-/// The visited status of delegates may be updated by any GPU and consumed by
-/// any GPU, so each iteration with delegate updates runs a global bitwise-OR
-/// reduction of the delegate masks:
-///   phase 1 (local):  every GPU in a rank pushes its updated mask to GPU0
-///                     of the rank over NVLink; GPU0 ORs them;
+/// The state of delegates may be updated by any GPU and consumed by any
+/// GPU, so each iteration with delegate updates combines it globally:
+///   phase 1 (local):  every GPU in a rank pushes its words to GPU0 of the
+///                     rank over NVLink; GPU0 combines them;
 ///   phase 2 (global): GPU0s of all ranks run an (I)Allreduce-equivalent
-///                     tree OR; the result is broadcast back to the rank's
-///                     GPUs, which consume it next iteration.
-/// The mask is a util::LaneBitset: W = 1 bit per delegate for single-source
-/// BFS, W lanes per delegate for batched (MS-BFS-style) traversals.  OR is
-/// word-wise, so the reduction is lane-width agnostic -- only the payload
-/// scales, d*W/8 bytes per mask.  Communication volume per reduction:
-/// 2 * d*W/8 * prank bytes at the rank level, d*W/8 * (pgpu-1) * 2 within
-/// each rank -- the tests check the Transport counters against these
-/// formulas (the historic W = 1 numbers unchanged).
+///                     tree combine; the result is broadcast back to the
+///                     rank's GPUs, which consume it next iteration.
+/// The BFS reduces its delegate visited mask, a util::LaneBitset, with the
+/// OR combine: W = 1 bit per delegate for single-source BFS, W lanes per
+/// delegate for batched (MS-BFS-style) traversals.  OR is word-wise, so the
+/// reduction is lane-width agnostic -- only the payload scales, d*W/8 bytes
+/// per mask.  Communication volume per mask reduction: 2 * d*W/8 * prank
+/// bytes at the rank level, d*W/8 * (pgpu-1) * 2 within each rank -- the
+/// tests check the Transport counters against these formulas.  The other
+/// combines carry the "more bits of state for delegates" generalization the
+/// paper sketches for algorithms beyond BFS (Section VI-D): component labels
+/// use MIN, PageRank contributions SUM over doubles.
 namespace dsbfs::comm {
 
+/// How the global phase is issued.  The result is the same; only the
+/// performance model charges it differently (Section VI-B, Fig. 8).
 enum class ReduceMode {
   kBlocking,     // MPI_Allreduce analogue
-  kNonBlocking,  // MPI_Iallreduce analogue (same result; the performance
-                 // model charges it differently, Section VI-B)
+  kNonBlocking,  // MPI_Iallreduce analogue
 };
 
-/// Reducers take an *iteration index* plus an optional *channel*.  Channels
+/// The reducer takes an *iteration index* plus an optional *channel*.  Channels
 /// let one algorithm run several concurrent reductions per engine iteration
 /// on disjoint tags: channel `c` claims the tag block of virtual iteration
 /// `iteration + c * kReduceChannelStride`.  (Historically the engine's
@@ -51,31 +53,9 @@ static_assert(static_cast<long long>(kMaxReduceChannels) *
               static_cast<long long>(2147483647),
               "reduction channel tags overflow the int tag space");
 
-class MaskReducer {
- public:
-  MaskReducer(Transport& transport, sim::ClusterSpec spec);
-
-  /// Collective: every GPU calls with its own out-mask; on return every
-  /// GPU's `mask` holds the OR across all GPUs.  `iteration` separates
-  /// successive reductions' traffic; `channel` separates concurrent
-  /// reductions within one iteration (see kReduceChannelStride).
-  void reduce(sim::GpuCoord me, util::LaneBitset& mask, int iteration,
-              ReduceMode mode = ReduceMode::kBlocking, int channel = 0);
-
- private:
-  Transport& transport_;
-  sim::ClusterSpec spec_;
-  std::vector<int> rank_leaders_;  // global GPU index of each rank's GPU0
-};
-
-/// Two-phase reduction of per-delegate *values* (same communication shape
-/// as the mask reduction, 64-bit payload per delegate instead of one bit).
-/// This is the "more bits of state for delegates" generalization the paper
-/// sketches for algorithms beyond BFS (Section VI-D): component labels use
-/// the MIN combiner, PageRank contributions use SUM over doubles.
 class ValueReducer {
  public:
-  enum class Op { kMin, kSum, kSumDouble, kLaneMin };
+  enum class Op { kMin, kSum, kSumDouble, kLaneMin, kOr };
 
   ValueReducer(Transport& transport, sim::ClusterSpec spec);
 
@@ -85,8 +65,9 @@ class ValueReducer {
   /// util::LaneValueSlab word combined per sub-lane of `lane_value_bits`
   /// bits (at 64 it degenerates to kMin, taking the identical code path so
   /// W = 1 lane-valued runs reproduce the scalar reducer's traffic
-  /// bit-exactly).  `channel` keeps concurrent reductions within one
-  /// iteration on disjoint tags.
+  /// bit-exactly); kOr is the bitwise OR of the delegate visited masks.
+  /// `channel` keeps concurrent reductions within one iteration on disjoint
+  /// tags.
   void reduce(sim::GpuCoord me, std::span<std::uint64_t> values, Op op,
               int iteration, int channel = 0, int lane_value_bits = 64);
 

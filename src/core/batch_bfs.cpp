@@ -52,7 +52,7 @@ class LaneBfsAlgorithm : public LanePipeline<LaneState> {
   LaneBfsAlgorithm(const graph::DistributedGraph& graph,
                    const BfsOptions& options,
                    std::span<const VertexId> sources)
-      : LanePipeline(options.reduce_mode, options.local_all2all),
+      : LanePipeline(options.local_all2all),
         graph_(graph),
         options_(options),
         sources_(sources) {}
@@ -64,12 +64,9 @@ class LaneBfsAlgorithm : public LanePipeline<LaneState> {
     LaneState& s = *state;
     s.direction_optimized = options_.direction_optimized;
     s.adaptive_direction = options_.adaptive_direction;
-    s.dd_seed = options_.dd_factors;
-    s.dn_seed = options_.dn_factors;
-    s.nd_seed = options_.nd_factors;
-    s.dir_dd = DirectionState(options_.dd_factors);
-    s.dir_dn = DirectionState(options_.dn_factors);
-    s.dir_nd = DirectionState(options_.nd_factors);
+    s.dir_dd = DirectionState(kBfsDirectionSeeds.dd);
+    s.dir_dn = DirectionState(kBfsDirectionSeeds.dn);
+    s.dir_nd = DirectionState(kBfsDirectionSeeds.nd);
     s.batch_mask = sources_.size() >= 64 ? ~0ULL
                                          : (1ULL << sources_.size()) - 1;
     for (std::size_t lane = 0; lane < sources_.size(); ++lane) {

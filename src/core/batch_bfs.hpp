@@ -16,8 +16,9 @@
 ///
 /// One engine run advances up to 64 sources in lockstep: every vertex's
 /// visited state is a W-bit lane word (util::LaneBitset, W in {1, 8, 32,
-/// 64} chosen from the batch size), the delegate mask reduction ORs d*W/8
-/// bytes per round instead of d/8, and the normal exchange ships (id,
+/// 64} chosen from the batch size), the delegate mask reduction
+/// (comm::ValueReducer::Op::kOr over the mask's words) ORs d*W/8 bytes per
+/// round instead of d/8, and the normal exchange ships (id,
 /// lane-word) updates through the same uniquify/codec machinery the
 /// value algorithms use (UpdateCombine::kOr, W/8-byte values on the wire);
 /// at W = 1 it ships bare 4-byte ids through the id exchange.  The payoff

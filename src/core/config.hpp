@@ -34,24 +34,19 @@ struct BfsOptions {
   bool local_all2all = false;
 
   /// Blocking (BR, MPI_Allreduce) vs non-blocking (IR, MPI_Iallreduce)
-  /// global delegate-mask reduction.  Functionally identical; the modeled
-  /// cost differs (Section VI-B, Fig. 8).
+  /// global delegate-mask reduction.  The run is the same either way; only
+  /// the performance model (assemble_metrics) charges them differently
+  /// (Section VI-B, Fig. 8).
   comm::ReduceMode reduce_mode = comm::ReduceMode::kBlocking;
 
-  /// Switching-factor seeds, defaulting to the tuned table in
-  /// core/direction.hpp.  With `adaptive_direction` these seed the
-  /// DirectionController; without it they are used verbatim.
-  DirectionFactors dd_factors = kBfsDirectionSeeds.dd;
-  DirectionFactors dn_factors = kBfsDirectionSeeds.dn;
-  DirectionFactors nd_factors = kBfsDirectionSeeds.nd;
-
   /// Online self-tuning of the direction factors (core::DirectionController,
-  /// seeded from the *_factors above): realized push/pull round costs
-  /// measured from the iteration counters rescale the switching thresholds
-  /// as the run executes.  Until the observed edge mass rivals the
-  /// controller's prior, decisions are exactly the static factors', so this
-  /// is safe to leave on; turn it off to pin the static TUNING.md factors
-  /// for paper-figure reproduction.
+  /// seeded from the tuned kBfsDirectionSeeds table; without it that table
+  /// is used verbatim): realized push/pull round costs measured from the
+  /// iteration counters rescale the switching thresholds as the run
+  /// executes.  Until the observed edge mass rivals the controller's prior,
+  /// decisions are exactly the static factors', so this is safe to leave
+  /// on; turn it off to pin the static TUNING.md factors for paper-figure
+  /// reproduction.
   bool adaptive_direction = true;
 
   /// Also produce the Graph500 BFS tree per source (BfsResult::parents,

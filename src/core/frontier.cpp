@@ -102,9 +102,8 @@ void LaneState::clear_arrival_lanes(std::uint64_t bit) noexcept {
   for (comm::VertexUpdate& u : received) u.value &= ~bit;
 }
 
-void LaneState::reduce_delegate_updates(comm::MaskReducer& reducer,
+void LaneState::reduce_delegate_updates(comm::ValueReducer& reducer,
                                         sim::GpuCoord me, int iteration,
-                                        comm::ReduceMode mode,
                                         bool any_updates) {
   if (!any_updates) {
     delegate_new.clear_all();
@@ -116,7 +115,7 @@ void LaneState::reduce_delegate_updates(comm::MaskReducer& reducer,
   util::LaneBitset reduced = delegate_visited;
   reduced.or_with(delegate_out_dd);
   reduced.or_with(delegate_out_nd);
-  reducer.reduce(me, reduced, iteration, mode);
+  reducer.reduce(me, reduced.words(), comm::ValueReducer::Op::kOr, iteration);
   util::LaneBitset::diff_into(reduced, delegate_visited, delegate_new);
 
   // Depths and pools are settled before the old visited mask is replaced.

@@ -150,9 +150,9 @@ decltype(auto) with_lane_width(int lane_bits, Fn&& fn) {
 /// bare ids (`id_bins`, exchanged as 4-byte ids, with the local all2all
 /// option available) in place of (id, lane word) updates (`bins`).
 ///
-/// Every mask the visits or previsits write has exactly one writer per
-/// phase, so those masks are util::PlainLaneBitset (plain words, no locked
-/// read-modify-write; ThreadSanitizer reports a second writer):
+/// Every mask and per-lane array has exactly one writer per phase, so the
+/// masks are plain-word util::LaneBitsets (no locked read-modify-write;
+/// ThreadSanitizer reports a second writer):
 ///   * `seen_normal`, `frontier_normal`, `frontier_words` and
 ///     `depth_planes` -- the normal previsit, on the GPU thread while both
 ///     streams are idle;
@@ -165,14 +165,16 @@ decltype(auto) with_lane_width(int lane_bits, Fn&& fn) {
 ///     normal stream;
 ///   * `sent`, `bins`, `id_bins` and `bins_total` -- the nn visit, on the
 ///     normal stream;
+///   * `delegate_visited` and `delegate_new` -- the post-control delegate
+///     step, on the GPU thread once every visit has joined (the exchange
+///     still running on the normal stream touches neither); the visits
+///     only read them;
 ///   * seeding and lane recycling write between iterations, with both
 ///     streams idle.
 /// The delegate out-mask and parent candidates are split per stream
 /// because dd and nd run concurrently; `has_delegate_updates` tests both
 /// masks, `reduce_delegate_updates` ORs both into the reduced mask and the
-/// parent finalize min-folds both candidate arrays.  The delegate visited
-/// masks stay util::LaneBitset: they are what the mask reducer combines,
-/// and visits only read them.
+/// parent finalize min-folds both candidate arrays.
 ///
 /// The state is a plain value: the engine checkpoints it by copy.
 class LaneState {
@@ -193,14 +195,14 @@ class LaneState {
   }
 
   // --- normal vertices -------------------------------------------------
-  util::PlainLaneBitset seen_normal;      // visited; stable within an iter
+  util::LaneBitset seen_normal;      // visited; stable within an iter
   /// Lanes expanded this iteration.  At W = 1 the previsit clears it again
   /// as it extracts the frontier (all-zero outside the previsit), so
   /// `frontier_words` lists the words it turned non-zero; the one-lane
   /// visits know every frontier item's lane word is 1.
-  util::PlainLaneBitset frontier_normal;
+  util::LaneBitset frontier_normal;
   std::vector<std::size_t> frontier_words;
-  util::PlainLaneBitset next_normal;      // dn-visit discoveries (depth + 1)
+  util::LaneBitset next_normal;      // dn-visit discoveries (depth + 1)
   /// Items with nonzero frontier lanes (ascending at W = 1).
   std::vector<LocalId> frontier;
   std::vector<LocalId> next_local;  // items first touched by the dn visit
@@ -216,7 +218,7 @@ class LaneState {
   /// kernel writes a depth.  Planes are added as the depth first needs them
   /// (bit_width(depth) planes); a lane whose `seen_normal` bit is clear is
   /// unvisited and reads zero in every plane.
-  std::vector<util::PlainLaneBitset> depth_planes;
+  std::vector<util::LaneBitset> depth_planes;
 
   /// Distance of v in `lane` (visited lanes only: an unvisited lane reads 0).
   Depth lane_depth(std::size_t v, int lane) const noexcept {
@@ -246,8 +248,8 @@ class LaneState {
   util::LaneBitset delegate_visited;  // stable within an iteration
   util::LaneBitset delegate_new;      // lanes that became visited at reduce
   // This iteration's updates, one mask per writing stream.
-  util::PlainLaneBitset delegate_out_dd;  // dd visit (delegate stream)
-  util::PlainLaneBitset delegate_out_nd;  // nd visit (normal stream)
+  util::LaneBitset delegate_out_dd;  // dd visit (delegate stream)
+  util::LaneBitset delegate_out_nd;  // nd visit (normal stream)
   std::vector<Depth> depth_delegate;  // indexed by slot(t, lane)
   std::vector<LocalId> delegate_queue;
 
@@ -261,7 +263,6 @@ class LaneState {
   bool adaptive_direction = false;
   DirectionState dir_dd, dir_dn, dir_nd;
   DirectionController controller;
-  DirectionFactors dd_seed, dn_seed, nd_seed;
   /// Lanes that carry a source: the low `batch size` bits for a batch, the
   /// occupied lanes for the serving scheduler (updated at admit and
   /// retire).  Unused lanes of the lane word stay excluded so pull early
@@ -287,7 +288,7 @@ class LaneState {
   /// first shipment already gives the target a distance of at most the next
   /// depth, so a later one cannot change it (parents come from the
   /// finalize's own nn probes).  Lane recycling clears the column.
-  util::PlainLaneBitset sent;
+  util::LaneBitset sent;
 
   // --- BFS trees (optional; one per lane) --------------------------------
   bool record_parents;  // run constant
@@ -336,16 +337,16 @@ class LaneState {
 
   /// Post-control delegate step.  With `any_updates` (some GPU set the
   /// delegate flag of the control word): OR both per-stream out-masks into
-  /// a copy of `delegate_visited`, reduce it across GPUs, extract the newly
-  /// visited lanes into `delegate_new`, assign them depth + 1 and adopt the
-  /// reduced mask.  Under direction optimization it also takes a delegate
-  /// out of the all-lane unvisited pools at its first visited lane (the
-  /// single-source pool decrement at W = 1).  Without updates it only
-  /// clears `delegate_new`.  Runs on the GPU thread; the normal stream may
+  /// a copy of `delegate_visited`, OR-reduce its words across GPUs
+  /// (ValueReducer::Op::kOr), extract the newly visited lanes into
+  /// `delegate_new`, assign them depth + 1 and adopt the reduced mask.
+  /// Under direction optimization it also takes a delegate out of the
+  /// all-lane unvisited pools at its first visited lane (the single-source
+  /// pool decrement at W = 1).  Without updates it only clears
+  /// `delegate_new`.  Runs on the GPU thread; the normal stream may
   /// still be exchanging, which touches none of these fields.
-  void reduce_delegate_updates(comm::MaskReducer& reducer, sim::GpuCoord me,
-                               int iteration, comm::ReduceMode mode,
-                               bool any_updates);
+  void reduce_delegate_updates(comm::ValueReducer& reducer, sim::GpuCoord me,
+                               int iteration, bool any_updates);
 
  private:
   const graph::LocalGraph* graph_;

@@ -28,8 +28,7 @@ class LanePipeline {
   /// `local_all2all` is the L option of the nn exchange at every width;
   /// the run's wire policy (merge, codec, routing) comes with the engine's
   /// CommContext.
-  LanePipeline(comm::ReduceMode reduce_mode, bool local_all2all)
-      : reduce_mode_(reduce_mode), local_all2all_(local_all2all) {}
+  explicit LanePipeline(bool local_all2all) : local_all2all_(local_all2all) {}
 
   std::uint64_t state_bytes(const engine::GpuContext&, const State& s) const {
     return s.device_bytes();
@@ -98,8 +97,8 @@ class LanePipeline {
 
   void post_reduce(engine::GpuContext& ctx, State& s, int iteration,
                    std::uint64_t control) {
-    s.reduce_delegate_updates(ctx.comm.mask_reducer(), ctx.me, iteration,
-                              reduce_mode_, control >= kDelegateFlagUnit);
+    s.reduce_delegate_updates(ctx.comm.value_reducer(), ctx.me, iteration,
+                              control >= kDelegateFlagUnit);
   }
 
   sim::GpuIterationCounters iteration_counters(const State& s) const {
@@ -122,7 +121,6 @@ class LanePipeline {
   }
 
  private:
-  comm::ReduceMode reduce_mode_;
   bool local_all2all_;
 };
 

@@ -48,8 +48,8 @@ void delegate_previsit_lanes(LaneState& s) {
   s.bv_dn = lane_backward_workload(s.unvisited_nd_sources, q,
                                    s.unvisited_dn_sources, live);
   if (s.adaptive_direction) {
-    s.dir_dd.set_factors(s.controller.factors(s.dd_seed, true));
-    s.dir_dn.set_factors(s.controller.factors(s.dn_seed, false));
+    s.dir_dd.set_factors(s.controller.factors(kBfsDirectionSeeds.dd, true));
+    s.dir_dn.set_factors(s.controller.factors(kBfsDirectionSeeds.dn, false));
   }
   if (q > 0) {
     s.dir_dd.update(s.fv_dd, s.bv_dd, true);
@@ -195,7 +195,7 @@ void normal_previsit_lanes(LaneState& s) {
   s.bv_nd = lane_backward_workload(s.unvisited_dn_sources, q,
                                    s.unvisited_nd_sources, live);
   if (s.adaptive_direction) {
-    s.dir_nd.set_factors(s.controller.factors(s.nd_seed, false));
+    s.dir_nd.set_factors(s.controller.factors(kBfsDirectionSeeds.nd, false));
   }
   if (q > 0) s.dir_nd.update(s.fv_nd, s.bv_nd, true);
 }

@@ -144,7 +144,7 @@ class ServingAlgorithm : public LanePipeline<ServingState> {
   ServingAlgorithm(const graph::DistributedGraph& graph,
                    const SchedulerOptions& options,
                    std::span<const QueryArrival> trace)
-      : LanePipeline(options.reduce_mode, /*local_all2all=*/false),
+      : LanePipeline(/*local_all2all=*/false),
         graph_(graph), options_(options), trace_(trace),
         lane_budget_mask_(options.width >= 64
                               ? ~0ULL
@@ -303,7 +303,7 @@ class ServingAlgorithm : public LanePipeline<ServingState> {
       s.sent.clear_lanes(bit);
       s.delegate_visited.clear_lanes(bit);
       s.delegate_new.clear_lanes(bit);
-      for (util::PlainLaneBitset& plane : s.depth_planes) {
+      for (util::LaneBitset& plane : s.depth_planes) {
         plane.clear_lanes(bit);
       }
       s.clear_arrival_lanes(bit);
@@ -378,7 +378,7 @@ SchedulerOutcome QueryScheduler::run(std::span<const QueryArrival> trace) {
 
   // ---- Model replay first: the per-query timestamps come from it. -------
   RunMetrics rm = assemble_metrics(graph_, options_.run.overlap,
-                                   options_.reduce_mode,
+                                   comm::ReduceMode::kBlocking,
                                    std::move(run.histories), run.measured_ms,
                                    std::move(run.fault), lane_bits);
 

@@ -84,8 +84,6 @@ struct SchedulerOptions {
   /// resilience and the lane-update exchange's OR coalescing (see
   /// BfsOptions::run).
   engine::RunOptions run{};
-  /// Blocking vs non-blocking delegate-mask reduction.
-  comm::ReduceMode reduce_mode = comm::ReduceMode::kBlocking;
 };
 
 /// Replicated audit log of lane ownership transitions: every GPU derives

@@ -24,7 +24,6 @@ void CommContext::record_exchange(comm::ExchangeCounters& ec,
 CommContext::CommContext(const sim::ClusterSpec& spec, const RunOptions& run)
     : spec_(spec),
       transport_(spec),
-      mask_reducer_(transport_, spec),
       value_reducer_(transport_, spec),
       everyone_(static_cast<std::size_t>(spec.total_gpus())),
       merge_(run.uniquify),

@@ -18,19 +18,20 @@
 /// Shared communication context for distributed algorithms.
 ///
 /// Every algorithm on the cluster needs the same bundle: a Transport, the
-/// two reducers, the normal exchange under the run's wire policy, and the
-/// `everyone` participant list for whole-cluster collectives.  CommContext
-/// owns all of them for the duration of one algorithm run so drivers stop
-/// hand-rolling the bundle, and TagBlocks centralizes the tag arithmetic
-/// that used to be scattered as `kTagControl + iteration * kTagBlock` /
-/// `kTagUser + (depth + 2) * kTagBlock` expressions across the drivers.
+/// two-phase delegate reducer, the normal exchange under the run's wire
+/// policy, and the `everyone` participant list for whole-cluster
+/// collectives.  CommContext owns all of them for the duration of one
+/// algorithm run so drivers stop hand-rolling the bundle, and TagBlocks
+/// centralizes the tag arithmetic that used to be scattered as
+/// `kTagControl + iteration * kTagBlock` / `kTagUser + (depth + 2) *
+/// kTagBlock` expressions across the drivers.
 namespace dsbfs::engine {
 
 /// Allocator for disjoint tag blocks (see comm::Tag): iteration `i` of the
 /// engine loop owns tag block `i`; post-loop phases allocate blocks past the
 /// loop.  Algorithms running several value reductions per iteration keep
-/// them disjoint with the reducers' own `channel` parameter
-/// (comm::kReduceChannelStride) -- the spacing lives with the reducers' tag
+/// them disjoint with the reducer's own `channel` parameter
+/// (comm::kReduceChannelStride) -- the spacing lives with the reducer's tag
 /// computation, not here.
 struct TagBlocks {
   /// Tag of the engine's per-iteration termination allreduce.
@@ -108,7 +109,6 @@ class CommContext {
 
   const sim::ClusterSpec& spec() const noexcept { return spec_; }
   comm::Transport& transport() noexcept { return transport_; }
-  comm::MaskReducer& mask_reducer() noexcept { return mask_reducer_; }
   comm::ValueReducer& value_reducer() noexcept { return value_reducer_; }
 
   /// All global GPU indices, the participant list of whole-cluster
@@ -152,7 +152,6 @@ class CommContext {
  private:
   sim::ClusterSpec spec_;
   comm::Transport transport_;
-  comm::MaskReducer mask_reducer_;
   comm::ValueReducer value_reducer_;
   std::vector<int> everyone_;
   bool merge_;

@@ -68,18 +68,18 @@ LocalGraph::LocalGraph(sim::ClusterSpec spec, sim::GpuCoord me,
   for (std::uint64_t v = 0; v < num_local_; ++v) {
     if (nd_.row_length(v) > 0) {
       nd_sources_.push_back(static_cast<LocalId>(v));
-      nd_source_mask_.set_unsynchronized(v);
+      nd_source_mask_.set(v);
     }
   }
   dd_source_mask_.resize(num_delegates_);
   dn_source_mask_.resize(num_delegates_);
   for (LocalId t = 0; t < num_delegates_; ++t) {
     if (dd_.row_length(t) > 0) {
-      dd_source_mask_.set_unsynchronized(t);
+      dd_source_mask_.set(t);
       ++dd_source_count_;
     }
     if (dn_.row_length(t) > 0) {
-      dn_source_mask_.set_unsynchronized(t);
+      dn_source_mask_.set(t);
       ++dn_source_count_;
     }
   }

@@ -76,13 +76,13 @@ class LocalGraph {
   const std::vector<LocalId>& nd_source_list() const noexcept {
     return nd_sources_;
   }
-  const util::PlainLaneBitset& nd_source_mask() const noexcept {
+  const util::LaneBitset& nd_source_mask() const noexcept {
     return nd_source_mask_;
   }
-  const util::PlainLaneBitset& dd_source_mask() const noexcept {
+  const util::LaneBitset& dd_source_mask() const noexcept {
     return dd_source_mask_;
   }
-  const util::PlainLaneBitset& dn_source_mask() const noexcept {
+  const util::LaneBitset& dn_source_mask() const noexcept {
     return dn_source_mask_;
   }
 
@@ -117,9 +117,9 @@ class LocalGraph {
   std::vector<std::uint32_t> dd_w_;
 
   std::vector<LocalId> nd_sources_;
-  util::PlainLaneBitset nd_source_mask_;
-  util::PlainLaneBitset dd_source_mask_;
-  util::PlainLaneBitset dn_source_mask_;
+  util::LaneBitset nd_source_mask_;
+  util::LaneBitset dd_source_mask_;
+  util::LaneBitset dn_source_mask_;
   std::uint64_t dd_source_count_ = 0;
   std::uint64_t dn_source_count_ = 0;
 };

@@ -1,8 +1,8 @@
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/types.hpp"
@@ -24,19 +24,16 @@
 ///
 /// Three access patterns coexist:
 ///   * per-bit `set()` / per-item `or_lanes()` from visit kernels,
-///   * word-level bulk operations for reduction/broadcast (or_with, diff) --
-///     lane-width agnostic, which is what keeps the two-phase mask reduce
-///     unchanged across widths,
+///   * word-level bulk operations for reduction/broadcast (or_with, diff,
+///     `words()`) -- lane-width agnostic, which is what keeps the two-phase
+///     OR reduce unchanged across widths,
 ///   * read-only tests from backward-pull kernels against a *stable*
 ///     snapshot.
 ///
-/// Two storage flavours share that interface.  LaneBitset keeps relaxed
-/// atomic words, so concurrent writers merge losslessly (every mask the
-/// reducers touch).  PlainLaneBitset keeps plain words for masks with one
-/// writer per phase (the traversal's normal-side masks, its per-stream
-/// delegate out-masks and the graph's read-only source masks): `or_lanes`
-/// is then an ordinary load-OR-store with no locked read-modify-write, and
-/// a second concurrent writer is a data race that ThreadSanitizer reports.
+/// The words are plain: every mask has one writer per phase (see
+/// core/frontier.hpp), so `or_lanes` is an ordinary load-OR-store with no
+/// locked read-modify-write, and a second concurrent writer is a data race
+/// that ThreadSanitizer reports.
 ///
 /// `lanes<W>` and `or_lanes<W>` are the lane accessors with the width fixed
 /// at compile time (W must equal lane_bits()): the kernels dispatch on the
@@ -44,50 +41,11 @@
 /// W = 1 is a plain bit test.
 namespace dsbfs::util {
 
-namespace detail {
-
-/// Storage word of LaneBitset: a relaxed atomic that copies by value, so
-/// the word vector (and the bitset) stays copyable.
-struct AtomicLaneWord {
-  std::atomic<std::uint64_t> v{0};
-  AtomicLaneWord() = default;
-  AtomicLaneWord(std::uint64_t x) : v(x) {}
-  AtomicLaneWord(const AtomicLaneWord& o)
-      : v(o.v.load(std::memory_order_relaxed)) {}
-  AtomicLaneWord& operator=(const AtomicLaneWord& o) {
-    v.store(o.v.load(std::memory_order_relaxed), std::memory_order_relaxed);
-    return *this;
-  }
-};
-
-inline std::uint64_t load_word(const AtomicLaneWord& w) noexcept {
-  return w.v.load(std::memory_order_relaxed);
-}
-inline std::uint64_t load_word(const std::uint64_t& w) noexcept { return w; }
-inline void store_word(AtomicLaneWord& w, std::uint64_t x) noexcept {
-  w.v.store(x, std::memory_order_relaxed);
-}
-inline void store_word(std::uint64_t& w, std::uint64_t x) noexcept { w = x; }
-/// OR `x` into `w`; returns the previous word.
-inline std::uint64_t fetch_or_word(AtomicLaneWord& w,
-                                   std::uint64_t x) noexcept {
-  return w.v.fetch_or(x, std::memory_order_relaxed);
-}
-inline std::uint64_t fetch_or_word(std::uint64_t& w,
-                                   std::uint64_t x) noexcept {
-  const std::uint64_t prev = w;
-  w = prev | x;
-  return prev;
-}
-
-}  // namespace detail
-
-template <typename Word>
-class BasicLaneBitset {
+class LaneBitset {
  public:
-  BasicLaneBitset() = default;
+  LaneBitset() = default;
   /// `items` entries of `lane_bits` bits each; lane_bits must divide 64.
-  explicit BasicLaneBitset(std::size_t items, int lane_bits = 1) {
+  explicit LaneBitset(std::size_t items, int lane_bits = 1) {
     resize(items, lane_bits);
   }
 
@@ -110,17 +68,11 @@ class BasicLaneBitset {
   /// Set bit i.  Returns true when this call flipped it from 0 to 1.
   bool set(std::size_t i) noexcept {
     const std::uint64_t mask = 1ULL << (i & 63);
-    return (detail::fetch_or_word(words_[i >> 6], mask) & mask) == 0;
-  }
-
-  /// Unlocked set for single-threaded construction phases.
-  void set_unsynchronized(std::size_t i) noexcept {
-    Word& w = words_[i >> 6];
-    detail::store_word(w, detail::load_word(w) | (1ULL << (i & 63)));
+    return (fetch_or(words_[i >> 6], mask) & mask) == 0;
   }
 
   bool test(std::size_t i) const noexcept {
-    return (detail::load_word(words_[i >> 6]) >> (i & 63)) & 1;
+    return (words_[i >> 6] >> (i & 63)) & 1;
   }
 
   // ---- lane interface ----------------------------------------------------
@@ -128,17 +80,15 @@ class BasicLaneBitset {
   /// Item v's lane word (bits [v*W, (v+1)*W) right-aligned).
   std::uint64_t lanes(std::size_t v) const noexcept {
     const std::size_t bit = v * static_cast<std::size_t>(lane_bits_);
-    return (detail::load_word(words_[bit >> 6]) >> (bit & 63)) & lane_mask_;
+    return (words_[bit >> 6] >> (bit & 63)) & lane_mask_;
   }
 
-  /// OR `bits` (right-aligned, must fit the lane) into item v's lane word
-  /// (atomically in LaneBitset); returns the lane word *before* the OR, so
-  /// callers can compute newly-set bits (`bits & ~prev`) and first-touch
-  /// (`prev == 0`).
+  /// OR `bits` (right-aligned, must fit the lane) into item v's lane word;
+  /// returns the lane word *before* the OR, so callers can compute
+  /// newly-set bits (`bits & ~prev`) and first-touch (`prev == 0`).
   std::uint64_t or_lanes(std::size_t v, std::uint64_t bits) noexcept {
     const std::size_t bit = v * static_cast<std::size_t>(lane_bits_);
-    const std::uint64_t prev =
-        detail::fetch_or_word(words_[bit >> 6], bits << (bit & 63));
+    const std::uint64_t prev = fetch_or(words_[bit >> 6], bits << (bit & 63));
     return (prev >> (bit & 63)) & lane_mask_;
   }
 
@@ -147,11 +97,10 @@ class BasicLaneBitset {
   std::uint64_t lanes(std::size_t v) const noexcept {
     assert(W == lane_bits_);
     if constexpr (W == 64) {
-      return detail::load_word(words_[v]);
+      return words_[v];
     } else {
       const std::size_t bit = v * W;
-      return (detail::load_word(words_[bit >> 6]) >> (bit & 63)) &
-             ((1ULL << W) - 1);
+      return (words_[bit >> 6] >> (bit & 63)) & ((1ULL << W) - 1);
     }
   }
 
@@ -160,17 +109,16 @@ class BasicLaneBitset {
   std::uint64_t or_lanes(std::size_t v, std::uint64_t bits) noexcept {
     assert(W == lane_bits_);
     if constexpr (W == 64) {
-      return detail::fetch_or_word(words_[v], bits);
+      return fetch_or(words_[v], bits);
     } else {
       const std::size_t bit = v * W;
-      const std::uint64_t prev =
-          detail::fetch_or_word(words_[bit >> 6], bits << (bit & 63));
+      const std::uint64_t prev = fetch_or(words_[bit >> 6], bits << (bit & 63));
       return (prev >> (bit & 63)) & ((1ULL << W) - 1);
     }
   }
 
   void clear_all() noexcept {
-    for (auto& w : words_) detail::store_word(w, 0);
+    for (auto& w : words_) w = 0;
   }
 
   /// Clear lane `bits` (right-aligned lane word) of *every* item in one
@@ -180,23 +128,22 @@ class BasicLaneBitset {
   /// of bits cleared.
   std::size_t clear_lanes(std::uint64_t bits) noexcept;
 
-  std::uint64_t word(std::size_t w) const noexcept {
-    return detail::load_word(words_[w]);
-  }
+  std::uint64_t word(std::size_t w) const noexcept { return words_[w]; }
   void set_word(std::size_t w, std::uint64_t value) noexcept {
-    detail::store_word(words_[w], value);
+    words_[w] = value;
   }
   void or_word(std::size_t w, std::uint64_t value) noexcept {
-    if (value != 0) detail::fetch_or_word(words_[w], value);
+    words_[w] |= value;
   }
+  /// The storage words, for word-level collectives (the two-phase OR
+  /// reduce combines them in place).
+  std::span<std::uint64_t> words() noexcept { return words_; }
 
-  /// this |= other  (word-parallel; item counts and widths must match; the
-  /// other mask may use either storage flavour).
-  template <typename OtherWord>
-  void or_with(const BasicLaneBitset<OtherWord>& other) noexcept {
-    assert(items_ == other.size() && lane_bits_ == other.lane_bits());
+  /// this |= other  (word-parallel; item counts and widths must match).
+  void or_with(const LaneBitset& other) noexcept {
+    assert(items_ == other.items_ && lane_bits_ == other.lane_bits_);
     const std::size_t nw = word_count();
-    for (std::size_t w = 0; w < nw; ++w) or_word(w, other.word(w));
+    for (std::size_t w = 0; w < nw; ++w) words_[w] |= other.words_[w];
   }
 
   /// Number of set bits (across all lanes).
@@ -209,9 +156,8 @@ class BasicLaneBitset {
   /// (out = next & ~prev).  All three must share size and width.  This
   /// extracts "newly visited delegates" (or newly occupied lanes) after a
   /// mask reduction.
-  static void diff_into(const BasicLaneBitset& next,
-                        const BasicLaneBitset& prev,
-                        BasicLaneBitset& out) noexcept;
+  static void diff_into(const LaneBitset& next, const LaneBitset& prev,
+                        LaneBitset& out) noexcept;
 
   /// Call `fn(index)` for every set bit (flat bit indices).
   template <typename Fn>
@@ -251,22 +197,21 @@ class BasicLaneBitset {
     }
   }
 
-  bool operator==(const BasicLaneBitset& other) const noexcept;
+  bool operator==(const LaneBitset& other) const = default;
 
  private:
   std::size_t items_ = 0;
   int lane_bits_ = 1;
   std::uint64_t lane_mask_ = 1;
-  std::vector<Word> words_;
+  std::vector<std::uint64_t> words_;
+
+  /// OR `x` into `w`; returns the previous word.
+  static std::uint64_t fetch_or(std::uint64_t& w, std::uint64_t x) noexcept {
+    const std::uint64_t prev = w;
+    w = prev | x;
+    return prev;
+  }
 };
-
-/// Concurrent lane bitset (relaxed atomic words).
-using LaneBitset = BasicLaneBitset<detail::AtomicLaneWord>;
-/// Single-writer lane bitset (plain words; see the header comment).
-using PlainLaneBitset = BasicLaneBitset<std::uint64_t>;
-
-extern template class BasicLaneBitset<detail::AtomicLaneWord>;
-extern template class BasicLaneBitset<std::uint64_t>;
 
 /// Smallest supported lane width that fits `lanes` concurrent lanes.
 int lane_width_for(std::size_t lanes) noexcept;

@@ -336,7 +336,7 @@ TEST(BfsGolden, CheckpointBytesArePinned) {
   std::uint64_t masks_per_round = 0;  // three visited masks on every GPU
   for (int g = 0; g < p; ++g) {
     masks_per_round +=
-        3 * util::PlainLaneBitset(setup.dg.local(g).num_local_normals())
+        3 * util::LaneBitset(setup.dg.local(g).num_local_normals())
                 .byte_size();
   }
   for (const Pin& pin : pins) {

@@ -4,8 +4,7 @@
 
 #include "util/lane_value_slab.hpp"
 
-#include <atomic>
-#include <thread>
+#include <span>
 #include <vector>
 
 namespace dsbfs::util {
@@ -135,41 +134,6 @@ TEST(Bitset, WordLevelAccess) {
   EXPECT_EQ(b.word(1), 0xff01ULL);
 }
 
-TEST(Bitset, ConcurrentSetsAreLossless) {
-  // The delegate visit kernels set bits from several GPU threads at once;
-  // every set must land.
-  LaneBitset b(1 << 16);
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&b, t] {
-      for (std::size_t i = static_cast<std::size_t>(t); i < (1 << 16);
-           i += kThreads) {
-        b.set(i);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(b.count(), static_cast<std::size_t>(1 << 16));
-}
-
-TEST(Bitset, ConcurrentSetSameBitsCountOnce) {
-  LaneBitset b(1024);
-  std::atomic<std::size_t> first_flips{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&] {
-      std::size_t mine = 0;
-      for (std::size_t i = 0; i < 1024; ++i) mine += b.set(i) ? 1 : 0;
-      first_flips.fetch_add(mine);
-    });
-  }
-  for (auto& th : threads) th.join();
-  // Exactly one thread wins each bit.
-  EXPECT_EQ(first_flips.load(), 1024u);
-  EXPECT_EQ(b.count(), 1024u);
-}
-
 class BitsetSizes : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BitsetSizes, CountMatchesSetPattern) {
@@ -258,7 +222,7 @@ TEST(LaneBitset, ForEachNonzeroLanesVisitsOccupiedItems) {
 
 template <int W>
 void expect_fixed_width_accessors_match() {
-  PlainLaneBitset fixed(130, W), runtime(130, W);
+  LaneBitset fixed(130, W), runtime(130, W);
   const std::uint64_t mask = W == 64 ? ~0ULL : (1ULL << W) - 1;
   for (std::size_t v = 0; v < 130; v += 3) {
     const std::uint64_t bits = (0x9e3779b97f4a7c15ULL * (v + 1)) & mask;
@@ -281,7 +245,7 @@ TEST(LaneBitset, FixedWidthAccessorsMatchTheRuntimeWidthOnes) {
 TEST(LaneBitset, ForEachNonzeroLanesIsAscendingAtEveryWidth) {
   for (const int w : {1, 8, 32, 64}) {
     SCOPED_TRACE(w);
-    PlainLaneBitset b(200, w);
+    LaneBitset b(200, w);
     const std::vector<std::size_t> items{0, 1, 2, 63, 64, 65, 130, 199};
     for (const std::size_t v : items) b.or_lanes(v, b.lane_mask());
     b.or_lanes(100, 1ULL << (w - 1));  // top lane only
@@ -293,24 +257,6 @@ TEST(LaneBitset, ForEachNonzeroLanesIsAscendingAtEveryWidth) {
     EXPECT_EQ(visited, (std::vector<std::size_t>{0, 1, 2, 63, 64, 65, 100, 130,
                                                  199}));
   }
-}
-
-TEST(LaneBitset, ConcurrentOrLanesLossless) {
-  // Two threads OR disjoint lane sets of the same items; every bit must
-  // land and first-touch must be claimed exactly once per item.
-  LaneBitset b(256, 8);
-  std::atomic<int> first_touches{0};
-  auto worker = [&](std::uint64_t lanes) {
-    for (std::size_t v = 0; v < 256; ++v) {
-      if (b.or_lanes(v, lanes) == 0) first_touches.fetch_add(1);
-    }
-  };
-  std::thread t1(worker, 0x0f);
-  std::thread t2(worker, 0xf0);
-  t1.join();
-  t2.join();
-  for (std::size_t v = 0; v < 256; ++v) EXPECT_EQ(b.lanes(v), 0xffu);
-  EXPECT_EQ(first_touches.load(), 256);
 }
 
 TEST(LaneBitset, ClearLanesSweepsOnlyTheNamedLanes) {
@@ -346,34 +292,18 @@ TEST(LaneBitset, ClearLanesFullWidth) {
   EXPECT_EQ(b.lanes(4), 0u);
 }
 
-TEST(PlainLaneBitset, SameLayoutAndClaimsAsTheAtomicFlavour) {
-  // The single-writer flavour keeps LaneBitset's layout and semantics:
-  // or_lanes returns the pre-OR word, and word operations mix flavours.
-  for (const int w : {1, 8, 64}) {
-    PlainLaneBitset plain(100, w);
-    LaneBitset atomic(100, w);
-    EXPECT_EQ(plain.word_count(), atomic.word_count());
-    EXPECT_EQ(plain.byte_size(), atomic.byte_size());
-  }
-  PlainLaneBitset plain(10, 8);
-  EXPECT_EQ(plain.or_lanes(3, 0b0011), 0u);       // first touch
-  EXPECT_EQ(plain.or_lanes(3, 0b0110), 0b0011u);  // previous word back
-  EXPECT_EQ(plain.lanes(3), 0b0111u);
-  EXPECT_EQ(plain.lanes(2), 0u);
-  EXPECT_EQ(plain.lanes(4), 0u);
-  plain.or_lanes(9, 0x80);
-
-  LaneBitset merged(10, 8);
-  merged.or_lanes(3, 0b1000);
-  merged.or_with(plain);
-  EXPECT_EQ(merged.lanes(3), 0b1111u);
-  EXPECT_EQ(merged.lanes(9), 0x80u);
-  EXPECT_EQ(merged.count(), 5u);
-
-  EXPECT_EQ(plain.clear_lanes(0b0001), 1u);
-  EXPECT_EQ(plain.lanes(3), 0b0110u);
-  plain.clear_all();
-  EXPECT_TRUE(plain.none());
+TEST(LaneBitset, WordsSpanViewsTheStorage) {
+  // Word-level collectives combine the storage in place through words().
+  LaneBitset b(100, 8);
+  b.or_lanes(3, 0b0011);
+  std::span<std::uint64_t> words = b.words();
+  ASSERT_EQ(words.size(), b.word_count());
+  EXPECT_EQ(words[0], 0b0011ULL << 24);
+  words[0] |= 0b0100ULL << 24;
+  words[12] = 0x80;
+  EXPECT_EQ(b.lanes(3), 0b0111u);
+  EXPECT_EQ(b.lanes(96), 0x80u);
+  EXPECT_EQ(b.count(), 4u);
 }
 
 TEST(LaneBitset, LaneWidthForQuantizesToSupportedWidths) {

@@ -107,8 +107,8 @@ void expect_same_csr(const Csr& a, const Csr& b) {
   EXPECT_EQ(a.cols(), b.cols());
 }
 
-void expect_same_mask(const util::PlainLaneBitset& a,
-                      const util::PlainLaneBitset& b) {
+void expect_same_mask(const util::LaneBitset& a,
+                      const util::LaneBitset& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a.test(i), b.test(i)) << "bit " << i;

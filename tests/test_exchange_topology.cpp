@@ -27,6 +27,7 @@
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/rmat.hpp"
+#include "util/lane_value_slab.hpp"
 
 /// Exchange-topology lockdown: the flat, hierarchical and butterfly routing
 /// modes must be indistinguishable to every algorithm (bit-exact results,
@@ -160,10 +161,25 @@ std::function<void(int, std::vector<std::vector<VertexUpdate>>&)> update_fill(
   };
 }
 
+/// update_fill's records with each value spread over the whole word (an odd
+/// multiplier), so every sub-lane of a packed lane word carries a value.
+std::function<void(int, std::vector<std::vector<VertexUpdate>>&)>
+lane_update_fill(std::uint64_t seed) {
+  return [base = update_fill(seed)](
+             int g, std::vector<std::vector<VertexUpdate>>& bins) {
+    base(g, bins);
+    for (auto& bin : bins) {
+      for (VertexUpdate& u : bin) u.value *= 0x9E3779B97F4A7C15ULL;
+    }
+  };
+}
+
 /// Fold a delivered update stream by the combine op: the logical content an
 /// algorithm extracts, invariant to segment merging and delivery order.
+/// The lane combines fold per sub-lane of `lane_value_bits` bits.
 std::map<LocalId, std::uint64_t> fold_updates(
-    const std::vector<VertexUpdate>& updates, UpdateCombine combine) {
+    const std::vector<VertexUpdate>& updates, UpdateCombine combine,
+    int lane_value_bits = 64) {
   std::map<LocalId, std::uint64_t> folded;
   for (const VertexUpdate& u : updates) {
     auto [it, fresh] = folded.emplace(u.vertex, u.value);
@@ -178,6 +194,14 @@ std::map<LocalId, std::uint64_t> fold_updates(
       case UpdateCombine::kSumDouble:
         it->second = std::bit_cast<std::uint64_t>(
             std::bit_cast<double>(it->second) + std::bit_cast<double>(u.value));
+        break;
+      case UpdateCombine::kLaneMin:
+        it->second = util::LaneValueSlab::lane_min_word(it->second, u.value,
+                                                        lane_value_bits);
+        break;
+      case UpdateCombine::kLaneSum:
+        it->second = util::LaneValueSlab::lane_add_word(it->second, u.value,
+                                                        lane_value_bits);
         break;
       case UpdateCombine::kNone:
         break;  // multiset compare handled by the caller
@@ -234,6 +258,7 @@ TEST_P(CommTopologyEquivalence, UpdateFoldsMatchFlatAcrossWireOptions) {
     UpdateCombine combine;
     WireCodec codec;
     std::uint64_t value_bias;
+    int lane_value_bits = 64;
   };
   const WireCase wire_cases[] = {
       {UpdateCombine::kNone, WireCodec::kRaw, 0},
@@ -246,18 +271,25 @@ TEST_P(CommTopologyEquivalence, UpdateFoldsMatchFlatAcrossWireOptions) {
       {UpdateCombine::kOr, WireCodec::kAdaptive, 0},
       {UpdateCombine::kSumDouble, WireCodec::kRaw, 0},
       {UpdateCombine::kSumDouble, WireCodec::kGorilla, 0},
+      {UpdateCombine::kLaneMin, WireCodec::kRaw, 0, 16},
+      {UpdateCombine::kLaneMin, WireCodec::kVarint, 0, 8},
+      {UpdateCombine::kLaneSum, WireCodec::kRaw, 0, 8},
+      {UpdateCombine::kLaneSum, WireCodec::kAdaptive, 0, 16},
   };
   for (const WireCase& wc : wire_cases) {
     comm::ExchangeOptions options;
     options.combine = wc.combine;
     options.codec = wc.codec;
     options.value_bias = wc.value_bias;
+    options.lane_value_bits = wc.lane_value_bits;
     options.topology = ExchangeTopology::kFlat;
-    auto flat = run_update_exchange(spec, options, nullptr, update_fill(2));
+    const auto fill = wc.lane_value_bits < 64 ? lane_update_fill(2)
+                                              : update_fill(2);
+    auto flat = run_update_exchange(spec, options, nullptr, fill);
     for (const ExchangeTopology topo :
          {ExchangeTopology::kHierarchical, ExchangeTopology::kButterfly}) {
       options.topology = topo;
-      auto got = run_update_exchange(spec, options, nullptr, update_fill(2));
+      auto got = run_update_exchange(spec, options, nullptr, fill);
       for (int g = 0; g < spec.total_gpus(); ++g) {
         const auto& a = flat[static_cast<std::size_t>(g)];
         const auto& b = got[static_cast<std::size_t>(g)];
@@ -274,7 +306,8 @@ TEST_P(CommTopologyEquivalence, UpdateFoldsMatchFlatAcrossWireOptions) {
                 << sim::to_string(topo) << " gpu " << g << " record " << i;
           }
         } else {
-          EXPECT_EQ(fold_updates(a, wc.combine), fold_updates(b, wc.combine))
+          EXPECT_EQ(fold_updates(a, wc.combine, wc.lane_value_bits),
+                    fold_updates(b, wc.combine, wc.lane_value_bits))
               << sim::to_string(topo) << " gpu " << g;
         }
       }

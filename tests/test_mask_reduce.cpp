@@ -5,8 +5,25 @@
 #include <bit>
 #include <thread>
 
+#include "util/bitset.hpp"
+
 namespace dsbfs::comm {
 namespace {
+
+/// The BFS delegate-mask reduction: every GPU OR-reduces its mask's words
+/// in place, one thread per GPU.
+void or_reduce_masks(ValueReducer& reducer, const sim::ClusterSpec& spec,
+                     std::vector<util::LaneBitset>& masks, int iteration) {
+  std::vector<std::thread> threads;
+  for (int g = 0; g < spec.total_gpus(); ++g) {
+    threads.emplace_back([&, g] {
+      reducer.reduce(spec.coord_of(g),
+                     masks[static_cast<std::size_t>(g)].words(),
+                     ValueReducer::Op::kOr, iteration);
+    });
+  }
+  for (auto& th : threads) th.join();
+}
 
 struct ReduceCase {
   int ranks;
@@ -24,25 +41,18 @@ TEST_P(MaskReduceShapes, ReduceEqualsUnionEverywhere) {
   const int p = spec.total_gpus();
 
   Transport t(spec);
-  MaskReducer reducer(t, spec);
+  ValueReducer reducer(t, spec);
 
   // GPU g sets bits g, g + p, g + 2p, ... -- all distinct.
   std::vector<util::LaneBitset> masks(static_cast<std::size_t>(p));
-  std::vector<std::thread> threads;
   for (int g = 0; g < p; ++g) {
     masks[static_cast<std::size_t>(g)].resize(param.bits);
     for (std::size_t i = static_cast<std::size_t>(g); i < param.bits;
          i += static_cast<std::size_t>(p)) {
-      masks[static_cast<std::size_t>(g)].set_unsynchronized(i);
+      masks[static_cast<std::size_t>(g)].set(i);
     }
   }
-  for (int g = 0; g < p; ++g) {
-    threads.emplace_back([&, g] {
-      reducer.reduce(spec.coord_of(g), masks[static_cast<std::size_t>(g)],
-                     /*iteration=*/0);
-    });
-  }
-  for (auto& th : threads) th.join();
+  or_reduce_masks(reducer, spec, masks, /*iteration=*/0);
 
   for (int g = 0; g < p; ++g) {
     EXPECT_EQ(masks[static_cast<std::size_t>(g)].count(), param.bits)
@@ -62,57 +72,22 @@ TEST(MaskReduce, RepeatedIterationsStaySeparated) {
   spec.num_ranks = 2;
   spec.gpus_per_rank = 2;
   Transport t(spec);
-  MaskReducer reducer(t, spec);
+  ValueReducer reducer(t, spec);
   const int p = spec.total_gpus();
 
   for (int iteration = 0; iteration < 5; ++iteration) {
     std::vector<util::LaneBitset> masks(static_cast<std::size_t>(p));
-    std::vector<std::thread> threads;
     for (int g = 0; g < p; ++g) {
       masks[static_cast<std::size_t>(g)].resize(64);
-      masks[static_cast<std::size_t>(g)].set_unsynchronized(
+      masks[static_cast<std::size_t>(g)].set(
           static_cast<std::size_t>(g + iteration * p));
     }
-    for (int g = 0; g < p; ++g) {
-      threads.emplace_back([&, g, iteration] {
-        reducer.reduce(spec.coord_of(g), masks[static_cast<std::size_t>(g)],
-                       iteration);
-      });
-    }
-    for (auto& th : threads) th.join();
+    or_reduce_masks(reducer, spec, masks, iteration);
     for (int g = 0; g < p; ++g) {
       EXPECT_EQ(masks[static_cast<std::size_t>(g)].count(),
                 static_cast<std::size_t>(p))
           << "iteration " << iteration;
     }
-  }
-}
-
-TEST(MaskReduce, NonBlockingModeSameResult) {
-  sim::ClusterSpec spec;
-  spec.num_ranks = 4;
-  spec.gpus_per_rank = 2;
-  const int p = spec.total_gpus();
-  Transport t(spec);
-  MaskReducer reducer(t, spec);
-
-  std::vector<util::LaneBitset> masks(static_cast<std::size_t>(p));
-  std::vector<std::thread> threads;
-  for (int g = 0; g < p; ++g) {
-    masks[static_cast<std::size_t>(g)].resize(128);
-    masks[static_cast<std::size_t>(g)].set_unsynchronized(
-        static_cast<std::size_t>(g * 16));
-  }
-  for (int g = 0; g < p; ++g) {
-    threads.emplace_back([&, g] {
-      reducer.reduce(spec.coord_of(g), masks[static_cast<std::size_t>(g)], 0,
-                     ReduceMode::kNonBlocking);
-    });
-  }
-  for (auto& th : threads) th.join();
-  for (int g = 0; g < p; ++g) {
-    EXPECT_EQ(masks[static_cast<std::size_t>(g)].count(),
-              static_cast<std::size_t>(p));
   }
 }
 
@@ -125,18 +100,12 @@ TEST(MaskReduce, TrafficMatchesTwoPhaseModel) {
   spec.gpus_per_rank = 2;
   const int p = spec.total_gpus();
   Transport t(spec);
-  MaskReducer reducer(t, spec);
+  ValueReducer reducer(t, spec);
 
   const std::size_t bits = 64 * 100;  // 100 words = 800 bytes
   std::vector<util::LaneBitset> masks(static_cast<std::size_t>(p));
   for (int g = 0; g < p; ++g) masks[static_cast<std::size_t>(g)].resize(bits);
-  std::vector<std::thread> threads;
-  for (int g = 0; g < p; ++g) {
-    threads.emplace_back([&, g] {
-      reducer.reduce(spec.coord_of(g), masks[static_cast<std::size_t>(g)], 0);
-    });
-  }
-  for (auto& th : threads) th.join();
+  or_reduce_masks(reducer, spec, masks, 0);
 
   const std::uint64_t mask_bytes = 800;
   const std::uint64_t local_expected =
@@ -295,10 +264,10 @@ TEST(MaskReduce, SingleGpuIsNoop) {
   spec.num_ranks = 1;
   spec.gpus_per_rank = 1;
   Transport t(spec);
-  MaskReducer reducer(t, spec);
+  ValueReducer reducer(t, spec);
   util::LaneBitset mask(64);
-  mask.set_unsynchronized(5);
-  reducer.reduce(sim::GpuCoord{0, 0}, mask, 0);
+  mask.set(5);
+  reducer.reduce(sim::GpuCoord{0, 0}, mask.words(), ValueReducer::Op::kOr, 0);
   EXPECT_TRUE(mask.test(5));
   EXPECT_EQ(mask.count(), 1u);
   EXPECT_EQ(t.messages_sent(), 0u);
