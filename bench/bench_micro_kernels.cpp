@@ -155,7 +155,7 @@ void BM_VisitNnForward(benchmark::State& state) {
       if (W > 1) s.frontier_normal.or_lanes(v, s.batch_mask);
     }
     state.ResumeTiming();
-    core::visit_nn_lanes<W>(s, f.spec);
+    core::visit_nn_lanes<W>(s);
     benchmark::DoNotOptimize(s.bins);
     benchmark::DoNotOptimize(s.id_bins);
   }

@@ -90,12 +90,12 @@ class LaneBfsAlgorithm : public LanePipeline<LaneState> {
   void finalize(engine::GpuContext& ctx, State& s, int iterations) {
     if (!options_.compute_parents) return;
     const sim::ClusterSpec& spec = graph_.spec();
-    const sim::VertexRouter router(spec);
     const int p = ctx.total_gpus;
     const int g = ctx.gpu;
     const sim::GpuCoord me = ctx.me;
     comm::Transport& transport = ctx.comm.transport();
     const graph::LocalGraph& lg = graph_.local(g);
+    const graph::GhostTable& ghosts = lg.ghosts();
     const std::uint64_t n_local = lg.num_local_normals();
     const int parent_block = engine::TagBlocks::after_loop(iterations);
     const int parent_tag = engine::TagBlocks::user(parent_block);
@@ -111,9 +111,9 @@ class LaneBfsAlgorithm : public LanePipeline<LaneState> {
       if (lanes == 0) continue;
       s.decode_depths(v, lane_depths.data());
       const VertexId v_global = spec.global_vertex(me.rank, me.gpu, v);
-      for (const VertexId dst : lg.nn().row(v)) {
-        const auto [owner, local] = router.split(dst);
-        auto& bin = tuples[static_cast<std::size_t>(owner)];
+      for (const LocalId ghost : lg.nn().row(v)) {
+        const LocalId local = ghosts.local(ghost);
+        auto& bin = tuples[static_cast<std::size_t>(ghosts.owner(ghost))];
         for (std::uint64_t b = lanes; b != 0; b &= b - 1) {
           const int lane = std::countr_zero(b);
           bin.push_back(pack_lane_parent_probe(local, lane,

@@ -134,8 +134,8 @@ class BatchSsspAlgorithm {
     const std::uint64_t delta = options_.delta;
     s.part_nn = EdgePartition::build(
         lg.nn(), delta, [&](std::size_t r, std::uint64_t e) {
-          return weight(lg.nn_weights(), e,
-                        global_of(static_cast<LocalId>(r)), lg.nn().col(e));
+          return weight(lg.nn_weights(), e, global_of(static_cast<LocalId>(r)),
+                        lg.ghosts().global(lg.nn().col(e)));
         });
     s.part_nd = EdgePartition::build(
         lg.nd(), delta, [&](std::size_t r, std::uint64_t e) {
@@ -258,7 +258,7 @@ class BatchSsspAlgorithm {
     const sim::ClusterSpec& spec = graph_.spec();
     const graph::LocalGraph& lg = graph_.local(ctx.gpu);
     const graph::DelegateInfo& delegates = graph_.delegates();
-    const sim::VertexRouter router(spec);
+    const graph::GhostTable& ghosts = lg.ghosts();
     const auto global_of = [&](LocalId v) {
       return spec.global_vertex(ctx.me.rank, ctx.me.gpu, v);
     };
@@ -279,11 +279,12 @@ class BatchSsspAlgorithm {
     sweep(s, normals, s.dist_normal, s.part_nn,
           s.iter.nn, global_of,
           [&](VertexId u, EdgeId e, const auto& active) {
-            const VertexId dst = lg.nn().col(e);
-            const auto [owner, local] = router.split(dst);
-            relax_to_bin(s, active, weight(lg.nn_weights(), e, u, dst),
-                         static_cast<LocalId>(local),
-                         s.bins[static_cast<std::size_t>(owner)]);
+            const LocalId ghost = lg.nn().col(e);
+            relax_to_bin(
+                s, active,
+                weight(lg.nn_weights(), e, u, ghosts.global(ghost)),
+                ghosts.local(ghost),
+                s.bins[static_cast<std::size_t>(ghosts.owner(ghost))]);
           });
     // nd: normals push into the replicated candidates.
     sweep(s, normals, s.dist_normal, s.part_nd,

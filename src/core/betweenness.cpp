@@ -152,9 +152,8 @@ class BcForwardAlgorithm : LaneSlots {
   }
 
   void visit(engine::GpuContext& ctx, State& s, int) {
-    const sim::ClusterSpec& spec = graph_.spec();
     const graph::LocalGraph& lg = graph_.local(ctx.gpu);
-    const sim::VertexRouter router(spec);
+    const graph::GhostTable& ghosts = lg.ghosts();
     const Depth next_level = s.level + 1;
 
     ++s.group_round;
@@ -174,10 +173,9 @@ class BcForwardAlgorithm : LaneSlots {
       for (const LocalId v : verts_n) {
         const std::uint64_t lanes = s.group_mask_normal[v];
         load_lane_sigma(s.sigma_normal, v, lanes, lane_sigma);
-        for (const VertexId dst : lg.nn().row(v)) {
-          const auto [owner_gpu, local] = router.split(dst);
-          const auto owner = static_cast<std::size_t>(owner_gpu);
-          const auto dst_local = static_cast<LocalId>(local);
+        for (const LocalId ghost : lg.nn().row(v)) {
+          const auto owner = static_cast<std::size_t>(ghosts.owner(ghost));
+          const LocalId dst_local = ghosts.local(ghost);
           for (std::uint64_t mm = lanes; mm != 0; mm &= mm - 1) {
             const int lane = std::countr_zero(mm);
             s.bins[owner].push_back(comm::VertexUpdate{
@@ -458,7 +456,7 @@ class BcReverseAlgorithm : LaneSlots {
     const sim::ClusterSpec& spec = graph_.spec();
     const graph::LocalGraph& lg = graph_.local(ctx.gpu);
     const graph::DelegateInfo& delegates = graph_.delegates();
-    const sim::VertexRouter router(spec);
+    const graph::GhostTable& ghosts = lg.ghosts();
     const std::size_t d_lvl = static_cast<std::size_t>(s.current);
 
     ++s.group_round;
@@ -495,10 +493,9 @@ class BcReverseAlgorithm : LaneSlots {
                  s.delta_normal.data(), v);
         const VertexId w_global =
             spec.global_vertex(ctx.me.rank, ctx.me.gpu, v);
-        for (const VertexId dst : lg.nn().row(v)) {
-          const auto [owner_gpu, local] = router.split(dst);
-          const auto owner = static_cast<std::size_t>(owner_gpu);
-          const auto dst_local = static_cast<LocalId>(local);
+        for (const LocalId ghost : lg.nn().row(v)) {
+          const auto owner = static_cast<std::size_t>(ghosts.owner(ghost));
+          const LocalId dst_local = ghosts.local(ghost);
           for (std::uint64_t mm = lanes; mm != 0; mm &= mm - 1) {
             const int lane = std::countr_zero(mm);
             auto& bin = s.tuples[owner];

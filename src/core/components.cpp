@@ -72,9 +72,8 @@ class CcAlgorithm {
   }
 
   void visit(engine::GpuContext& ctx, State& s, int) {
-    const sim::ClusterSpec& spec = graph_.spec();
     const graph::LocalGraph& lg = graph_.local(ctx.gpu);
-    const sim::VertexRouter router(spec);
+    const graph::GhostTable& ghosts = lg.ghosts();
 
     // Normal pushes: nn updates travel, nd updates land in candidates.
     s.iter.nprev_vertices = s.active_normals.size();
@@ -83,13 +82,12 @@ class CcAlgorithm {
       const VertexId lbl = s.label_normal[v];
       const auto nn_row = lg.nn().row(v);
       s.iter.nn.edges += nn_row.size();
-      for (const VertexId dst : nn_row) {
+      for (const LocalId ghost : nn_row) {
         // Send only improving candidates coarsely: the label might not
         // beat the destination's, the receiver checks.
-        if (lbl < dst) {
-          const auto [owner, local] = router.split(dst);
-          s.bins[static_cast<std::size_t>(owner)].push_back(
-              comm::VertexUpdate{static_cast<LocalId>(local), lbl});
+        if (lbl < ghosts.global(ghost)) {
+          s.bins[static_cast<std::size_t>(ghosts.owner(ghost))].push_back(
+              comm::VertexUpdate{ghosts.local(ghost), lbl});
         }
       }
       const auto nd_row = lg.nd().row(v);

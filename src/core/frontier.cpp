@@ -24,7 +24,8 @@ LaneState::LaneState(const graph::LocalGraph& graph, int total_gpus,
   delegate_out_dd.resize(d, lane_bits);
   delegate_out_nd.resize(d, lane_bits);
   depth_delegate.assign(static_cast<std::size_t>(d) * w, kUnvisited);
-  sent.resize(graph.num_global_vertices(), lane_bits);
+  sent.resize(graph.ghosts().slots(), lane_bits);
+  pending.resize(graph.ghosts().slots(), lane_bits);
 
   if (record_parents) {
     parent_normal.assign(n_local * w, kParentNone);

@@ -163,8 +163,8 @@ decltype(auto) with_lane_width(int lane_bits, Fn&& fn) {
 ///     delegate stream;
 ///   * `delegate_out_nd` and `parent_delegate_nd` -- the nd visit, on the
 ///     normal stream;
-///   * `sent`, `bins`, `id_bins` and `bins_total` -- the nn visit, on the
-///     normal stream;
+///   * `sent`, `pending`, `bins`, `id_bins` and `bins_total` -- the nn
+///     visit, on the normal stream;
 ///   * `delegate_visited` and `delegate_new` -- the post-control delegate
 ///     step, on the GPU thread once every visit has joined (the exchange
 ///     still running on the normal stream touches neither); the visits
@@ -283,12 +283,17 @@ class LaneState {
   /// stream behind the visit, ahead of the exchange that consumes the bins.
   std::uint64_t bins_total = 0;
   sim::Event bins_ready;
-  /// Lanes this GPU has binned per nn target, one lane word per global
-  /// vertex id: the nn visit ships each (target, lane) once per run.  The
-  /// first shipment already gives the target a distance of at most the next
-  /// depth, so a later one cannot change it (parents come from the
-  /// finalize's own nn probes).  Lane recycling clears the column.
+  /// Lanes this GPU has binned per nn target, one lane word per ghost
+  /// (graph::GhostTable): the nn visit ships each (target, lane) once per
+  /// run.  The first shipment already gives the target a distance of at
+  /// most the next depth, so a later one cannot change it (parents come
+  /// from the finalize's own nn probes).  Lane recycling clears the column.
   util::LaneBitset sent;
+  /// The frontier lanes that reach each ghost in this iteration: the nn
+  /// visit ORs every edge's lanes in, then bins `pending & ~sent` owner by
+  /// owner and clears it.  Scratch like `bins`: all-zero at every
+  /// iteration boundary.
+  util::LaneBitset pending;
 
   // --- BFS trees (optional; one per lane) --------------------------------
   bool record_parents;  // run constant
@@ -320,7 +325,8 @@ class LaneState {
 
   /// Bytes of the modeled device state, what a checkpoint copies: 4-byte
   /// depth slots per (item, lane), the three lane masks on each side and
-  /// the nn sent mask.  The host's bit-sliced depth planes do not count.
+  /// the nn sent mask.  The host's bit-sliced depth planes and the
+  /// iteration scratch (`pending`, the bins) do not count.
   std::uint64_t device_bytes() const noexcept;
 
   /// Seeds `lane` at global vertex `source` at `depth`.  A delegate source

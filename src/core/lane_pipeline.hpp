@@ -48,13 +48,12 @@ class LanePipeline {
   /// then `bins_ready`, ahead of the exchange hook the engine enqueues
   /// behind them.
   void visit(engine::GpuContext& ctx, State& s, int) {
-    const sim::ClusterSpec& spec = ctx.comm.spec();
     with_lane_width(s.lane_bits(), [&](auto w) {
       constexpr int W = decltype(w)::value;
       ctx.delegate_stream.enqueue([&s] { visit_dd_lanes<W>(s); });
       ctx.delegate_stream.enqueue([&s] { visit_dn_lanes<W>(s); });
       ctx.normal_stream.enqueue([&s] { visit_nd_lanes<W>(s); });
-      ctx.normal_stream.enqueue([&s, &spec] { visit_nn_lanes<W>(s, spec); });
+      ctx.normal_stream.enqueue([&s] { visit_nn_lanes<W>(s); });
     });
     s.bins_ready = ctx.normal_stream.record([] {});
   }

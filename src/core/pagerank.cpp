@@ -89,11 +89,10 @@ class PagerankAlgorithm {
   }
 
   void visit(engine::GpuContext& ctx, State& s, int) {
-    const sim::ClusterSpec& spec = graph_.spec();
     const graph::LocalGraph& lg = graph_.local(ctx.gpu);
     const std::uint64_t n_local = lg.num_local_normals();
     const LocalId d = graph_.num_delegates();
-    const sim::VertexRouter router(spec);
+    const graph::GhostTable& ghosts = lg.ghosts();
 
     // Normal vertices: full adjacency lives here (nn + nd rows).
     s.iter.nprev_vertices = n_local;
@@ -110,10 +109,9 @@ class PagerankAlgorithm {
       const double share = s.rank_normal[v] / degree;
       const auto nn_row = lg.nn().row(v);
       s.iter.nn.edges += nn_row.size();
-      for (const VertexId dst : nn_row) {
-        const auto [owner, local] = router.split(dst);
-        s.bins[static_cast<std::size_t>(owner)].push_back(
-            comm::VertexUpdate{static_cast<LocalId>(local),
+      for (const LocalId ghost : nn_row) {
+        s.bins[static_cast<std::size_t>(ghosts.owner(ghost))].push_back(
+            comm::VertexUpdate{ghosts.local(ghost),
                                std::bit_cast<std::uint64_t>(share)});
       }
       const auto nd_row = lg.nd().row(v);

@@ -155,7 +155,7 @@ class SsspAlgorithm {
     const sim::ClusterSpec& spec = graph_.spec();
     const graph::LocalGraph& lg = graph_.local(ctx.gpu);
     const graph::DelegateInfo& delegates = graph_.delegates();
-    const sim::VertexRouter router(spec);
+    const graph::GhostTable& ghosts = lg.ghosts();
     const auto global_of = [&](LocalId v) {
       return spec.global_vertex(ctx.me.rank, ctx.me.gpu, v);
     };
@@ -170,12 +170,11 @@ class SsspAlgorithm {
         const VertexId v_global = global_of(v);
         for (std::uint64_t e = lg.nn().row_begin(v); e < lg.nn().row_end(v);
              ++e) {
-          const VertexId dst = lg.nn().col(e);
+          const LocalId ghost = lg.nn().col(e);
           const std::uint64_t cand =
-              dist + weight(lg.nn_weights(), e, v_global, dst);
-          const auto [owner, local] = router.split(dst);
-          s.bins[static_cast<std::size_t>(owner)].push_back(
-              comm::VertexUpdate{static_cast<LocalId>(local), cand});
+              dist + weight(lg.nn_weights(), e, v_global, ghosts.global(ghost));
+          s.bins[static_cast<std::size_t>(ghosts.owner(ghost))].push_back(
+              comm::VertexUpdate{ghosts.local(ghost), cand});
           ++k.edges;
         }
       }

@@ -228,38 +228,50 @@ void visit_nd_lanes(LaneState& s) {
 }
 
 template <int W>
-void visit_nn_lanes(LaneState& s, const sim::ClusterSpec& spec) {
+void visit_nn_lanes(LaneState& s) {
   const graph::LocalGraph& g = s.graph();
   sim::KernelCounters& k = s.iter.nn;
   k.backward = false;
   s.bins_total = 0;
   if (s.frontier.empty()) return;
   k.launched = true;
-  const sim::VertexRouter router(spec);
-  std::uint64_t edges = 0, binned = 0;
+  // Every edge ORs its frontier lanes into its ghost's pending word: no
+  // test and no routing per edge.
+  std::uint64_t edges = 0;
   for (const LocalId v : s.frontier) {
     const auto row = g.nn().row(v);
     edges += row.size();
-    if constexpr (W == 1) {
-      for (const VertexId dst : row) {
-        if (!s.sent.set(dst)) continue;  // already shipped
-        const auto [owner, local] = router.split(dst);
-        s.id_bins[static_cast<std::size_t>(owner)].push_back(
-            static_cast<LocalId>(local));
-        ++binned;
-      }
-    } else {
-      const std::uint64_t f = s.frontier_normal.lanes<W>(v);
-      for (const VertexId dst : row) {
-        // Only the lanes not yet shipped to dst: a shipped lane reaches dst
-        // at this depth + 1 or earlier, so shipping it again changes
-        // nothing.
-        const std::uint64_t rem = f & ~s.sent.or_lanes<W>(dst, f);
-        if (rem == 0) continue;
-        const auto [owner, local] = router.split(dst);
-        s.bins[static_cast<std::size_t>(owner)].push_back(
-            comm::VertexUpdate{static_cast<LocalId>(local), rem});
-        ++binned;
+    const std::uint64_t f = W == 1 ? 1 : s.frontier_normal.lanes<W>(v);
+    for (const LocalId ghost : row) s.pending.or_lanes<W>(ghost, f);
+  }
+  // Then one pass over the owner ranges bins the lanes not shipped before
+  // (a shipped lane reaches its target at this depth + 1 or earlier, so
+  // shipping it again changes nothing), one record per target in
+  // ascending local id.  Each range covers whole storage words.
+  constexpr std::uint64_t kLane = W == 64 ? ~0ULL : (1ULL << W) - 1;
+  const graph::GhostTable& ghosts = g.ghosts();
+  std::uint64_t binned = 0;
+  for (int owner = 0; owner < ghosts.num_owners(); ++owner) {
+    const std::size_t first = std::size_t{ghosts.begin(owner)} * W / 64;
+    const std::size_t last = std::size_t{ghosts.end(owner)} * W / 64;
+    for (std::size_t w = first; w < last; ++w) {
+      const std::uint64_t reached = s.pending.word(w);
+      if (reached == 0) continue;
+      s.pending.set_word(w, 0);
+      std::uint64_t rem = reached & ~s.sent.word(w);
+      s.sent.or_word(w, rem);
+      const auto first_ghost = static_cast<LocalId>(w * (64 / W));
+      for (; rem != 0; ++binned) {
+        const int bit = std::countr_zero(rem) / W * W;
+        const LocalId local =
+            ghosts.local(first_ghost + static_cast<LocalId>(bit / W));
+        if constexpr (W == 1) {
+          s.id_bins[static_cast<std::size_t>(owner)].push_back(local);
+        } else {
+          s.bins[static_cast<std::size_t>(owner)].push_back(
+              comm::VertexUpdate{local, (rem >> bit) & kLane});
+        }
+        rem &= ~(kLane << bit);
       }
     }
   }
@@ -272,7 +284,7 @@ void visit_nn_lanes(LaneState& s, const sim::ClusterSpec& spec) {
   template void visit_dd_lanes<W>(LaneState&);                         \
   template void visit_dn_lanes<W>(LaneState&);                         \
   template void visit_nd_lanes<W>(LaneState&);                         \
-  template void visit_nn_lanes<W>(LaneState&, const sim::ClusterSpec&);
+  template void visit_nn_lanes<W>(LaneState&);
 DSBFS_LANE_KERNELS(1)
 DSBFS_LANE_KERNELS(8)
 DSBFS_LANE_KERNELS(32)

@@ -1,7 +1,6 @@
 #pragma once
 
 #include "core/frontier.hpp"
-#include "sim/cluster.hpp"
 
 /// Visit kernels (paper Section IV).
 ///
@@ -25,8 +24,8 @@
 ///   * dn claims lanes in `next_normal` and appends first-touched vertices
 ///     to `next_local`; it writes no depth (the next normal previsit stamps
 ///     the claimed lanes at the depth they enter the frontier);
-///   * nn writes only this GPU's outbound bins, routed by sim::VertexRouter,
-///     and its `sent` mask;
+///   * nn writes only this GPU's outbound bins, routed by the ghost table,
+///     and its `pending` and `sent` masks;
 ///   * all reads of visited state go to the stable snapshots
 ///     (`delegate_visited`, `seen_normal` == {distance <= depth}).
 namespace dsbfs::core {
@@ -50,12 +49,13 @@ void visit_dn_lanes(LaneState& s);
 template <int W>
 void visit_nd_lanes(LaneState& s);
 
-/// normal -> normal: bins each (target, lane) once per run (`sent`) and
-/// counts the records in `bins_total`.  At W = 1 the bins hold bare 32-bit
-/// destination-local ids (`id_bins`), and the ascending frontier leaves
-/// every bin sorted by source; wider lanes bin (id, lane word) updates
-/// whose word carries the frontier lanes not shipped before.
+/// normal -> normal: ORs each edge's frontier lanes into its ghost's
+/// `pending` word, then bins each ghost's `pending & ~sent` lanes (each
+/// (target, lane) once per run) owner by owner in ascending local id,
+/// marks them in `sent` and clears `pending`.  One record per target per
+/// iteration, counted in `bins_total`: bare 32-bit destination-local ids
+/// at W = 1 (`id_bins`), (id, lane word) updates for wider lanes (`bins`).
 template <int W>
-void visit_nn_lanes(LaneState& s, const sim::ClusterSpec& spec);
+void visit_nn_lanes(LaneState& s);
 
 }  // namespace dsbfs::core

@@ -17,7 +17,8 @@ std::uint64_t DistributedGraph::total_subgraph_bytes() const noexcept {
 std::uint64_t DistributedGraph::table1_predicted_bytes() const noexcept {
   // Table I: row offsets 8n (nn + nd arrays over all GPUs: n/p * 4 each,
   // summed over p GPUs twice) + 8dp (dn + dd offsets: d * 4 each per GPU)
-  // + 4m + 4|Enn| for the columns (nn columns are 8 bytes, others 4).
+  // + 4m + 4|Enn| for the columns (the paper's nn columns are 8 bytes,
+  // others 4; ours are 4-byte ghost ids plus a ghost table).
   const std::uint64_t n = num_vertices_;
   const std::uint64_t d = num_delegates();
   const std::uint64_t p = static_cast<std::uint64_t>(spec_.total_gpus());

@@ -41,10 +41,13 @@ class DistributedGraph {
   std::uint64_t edn() const noexcept { return edn_; }
   std::uint64_t edd() const noexcept { return edd_; }
 
-  /// Sum of all subgraph storage across GPUs (Table I "Total" row).
+  /// Sum of all subgraph storage across GPUs (Table I "Total" row),
+  /// including the nn ghost tables.
   std::uint64_t total_subgraph_bytes() const noexcept;
 
-  /// Table I's closed-form prediction: 8n + 8dp + 4m + 4|Enn| bytes.
+  /// Table I's closed-form prediction: 8n + 8dp + 4m + 4|Enn| bytes, the
+  /// paper's layout with 8-byte nn columns.  The stored layout replaces
+  /// the 4|Enn| term by the ghost tables (MemoryUsage::ghost_bytes).
   std::uint64_t table1_predicted_bytes() const noexcept;
 
   friend DistributedGraph build_distributed(const EdgeList&, sim::ClusterSpec,

@@ -129,7 +129,8 @@ using HostCsr = Csr<VertexId, EdgeId>;
 
 /// Local subgraph CSR with the paper's 32-bit local encoding.
 using LocalCsrU32 = Csr<LocalId, std::uint32_t>;
-/// Local nn CSR: 32-bit offsets but 64-bit global destinations.
+/// 32-bit offsets but 64-bit global destinations (the 1D baseline's
+/// per-GPU partitions; the nn subgraph stores 32-bit ghost ids).
 using LocalCsrU64 = Csr<VertexId, std::uint32_t>;
 
 struct EdgeList;  // graph/edge_list.hpp

@@ -25,7 +25,8 @@ enum class EdgeKind : std::uint8_t { kNN = 0, kND = 1, kDN = 2, kDD = 3 };
 /// rows of nn/nd are local normal indices; rows of dn/dd are delegate ids;
 /// nn columns are global vertex ids; nd/dd columns are delegate ids; dn
 /// columns are local normal indices.  Every row space is a 32-bit LocalId
-/// (build_distributed rejects n/p >= 2^32), so only nn columns are 64-bit.
+/// (build_distributed rejects n/p >= 2^32), so only nn columns are 64-bit;
+/// LocalGraph maps them to 32-bit ghost ids (GhostTable).
 /// On weighted inputs the per-subgraph weight arrays are parallel to the
 /// row/col arrays (each edge carries its stored weight to the one GPU that
 /// owns it); unweighted inputs leave them empty and `weighted` false.

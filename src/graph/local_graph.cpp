@@ -1,5 +1,6 @@
 #include "graph/local_graph.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <type_traits>
 
@@ -22,6 +23,47 @@ std::uint64_t local_normal_count(const sim::ClusterSpec& spec, sim::GpuCoord me,
       static_cast<std::uint64_t>(me.rank);
   if (num_vertices <= residue) return 0;
   return (num_vertices - residue + p - 1) / p;
+}
+
+GhostTable::GhostTable(const sim::ClusterSpec& spec, VertexId num_vertices,
+                       std::span<const VertexId> targets,
+                       std::vector<LocalId>& ghost_ids)
+    : spec_(spec) {
+  // Mark every target in an n-entry map, number the marks owner by owner
+  // in ascending local id, then look each target's number up.
+  constexpr LocalId kTarget = 0;
+  std::vector<LocalId> ghost_of(num_vertices, kInvalidLocal);
+  for (const VertexId v : targets) ghost_of[v] = kTarget;
+  const int p = spec.total_gpus();
+  offsets_.reserve(static_cast<std::size_t>(p) + 1);
+  std::uint64_t next = 0;
+  for (int owner = 0; owner < p; ++owner) {
+    offsets_.push_back(static_cast<LocalId>(next));
+    const sim::GpuCoord o = spec.coord_of(owner);
+    const std::uint64_t n_owner = local_normal_count(spec, o, num_vertices);
+    for (std::uint64_t l = 0; l < n_owner; ++l) {
+      LocalId& slot = ghost_of[spec.global_vertex(o.rank, o.gpu, l)];
+      if (slot != kTarget) continue;
+      slot = static_cast<LocalId>(next++);
+      locals_.push_back(static_cast<LocalId>(l));
+    }
+    count_ += next - offsets_.back();
+    for (; next % 64 != 0; ++next) locals_.push_back(kInvalidLocal);
+    if (next >= kInvalidLocal) {
+      throw std::invalid_argument("nn ghost count exceeds 32-bit id space");
+    }
+  }
+  offsets_.push_back(static_cast<LocalId>(next));
+  ghost_ids.resize(targets.size());
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    ghost_ids[i] = ghost_of[targets[i]];
+  }
+}
+
+int GhostTable::owner(LocalId g) const noexcept {
+  return static_cast<int>(
+      std::upper_bound(offsets_.begin() + 1, offsets_.end(), g) -
+      offsets_.begin() - 1);
 }
 
 LocalGraph::LocalGraph(sim::ClusterSpec spec, sim::GpuCoord me,
@@ -56,7 +98,12 @@ LocalGraph::LocalGraph(sim::ClusterSpec spec, sim::GpuCoord me,
     release(cols);
     release(weights);
   };
-  build(nn_, num_local_, edges.nn_rows, edges.nn_cols, edges.nn_weights, nn_w_);
+  // nn columns become ghost ids, and the 8-byte staging columns go before
+  // the CSR is built.
+  std::vector<LocalId> nn_ghosts;
+  ghosts_ = GhostTable(spec, num_vertices, edges.nn_cols, nn_ghosts);
+  release(edges.nn_cols);
+  build(nn_, num_local_, edges.nn_rows, nn_ghosts, edges.nn_weights, nn_w_);
   build(nd_, num_local_, edges.nd_rows, edges.nd_cols, edges.nd_weights, nd_w_);
   build(dn_, num_delegates_, edges.dn_rows, edges.dn_cols, edges.dn_weights,
         dn_w_);
@@ -88,6 +135,7 @@ LocalGraph::LocalGraph(sim::ClusterSpec spec, sim::GpuCoord me,
 MemoryUsage LocalGraph::memory_usage() const noexcept {
   MemoryUsage m;
   m.nn_bytes = nn_.storage_bytes();
+  m.ghost_bytes = ghosts_.storage_bytes();
   m.nd_bytes = nd_.storage_bytes();
   m.dn_bytes = dn_.storage_bytes();
   m.dd_bytes = dd_.storage_bytes();
@@ -103,6 +151,7 @@ MemoryUsage LocalGraph::memory_usage() const noexcept {
 void LocalGraph::register_on(sim::Device& device) const {
   const MemoryUsage m = memory_usage();
   device.allocate("graph.nn", m.nn_bytes);
+  device.allocate("graph.ghosts", m.ghost_bytes);
   device.allocate("graph.nd", m.nd_bytes);
   device.allocate("graph.dn", m.dn_bytes);
   device.allocate("graph.dd", m.dd_bytes);

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -12,7 +13,7 @@
 /// Per-GPU subgraph bundle (paper Sections III-B/C, IV-B).
 ///
 /// Each GPU holds four CSR subgraphs:
-///   nn  rows = local normal vertices, cols = 64-bit global vertex ids
+///   nn  rows = local normal vertices, cols = ghost ids (32-bit)
 ///   nd  rows = local normal vertices, cols = delegate ids (32-bit)
 ///   dn  rows = delegates,             cols = local normal ids (32-bit)
 ///   dd  rows = delegates,             cols = delegate ids (32-bit)
@@ -22,13 +23,86 @@
 ///     visits, since nd is the reverse of dn on the same GPU;
 ///   * *source masks* for dd and dn -- delegates with local dd/dn edges,
 ///     the pull candidates for backward dd and nd visits.
+///
+/// The paper stores nn columns as 64-bit global ids (Table I's 4|Enn|
+/// term), so every nn edge is split into (owner GPU, local index) at run
+/// time.  Here each GPU's distinct nn targets, its *ghosts*, get dense
+/// 32-bit ids at build time instead (the ghost relabeling of distributed
+/// BFS codes, Buluc-Madduri): grouped by owner GPU, each owner's range
+/// padded to a multiple of 64 and ordered by the owner's local id.  The
+/// GhostTable maps a ghost back to (owner, local id, global id), and masks
+/// indexed by ghost id (the nn visit's `sent` and `pending`) cost the
+/// ghost count, not n.
 namespace dsbfs::graph {
+
+/// The ghost table of one GPU's nn subgraph: p + 1 owner offsets and one
+/// owner-local id per ghost slot.  Ghosts of owner GPU o occupy
+/// [begin(o), end(o)); the ranges are ascending in o, each starts at a
+/// multiple of 64, and within one the ghosts ascend by local id.  Slots
+/// past an owner's last ghost (the padding up to the next multiple of 64)
+/// hold kInvalidLocal and are the target of no edge.  Global ids are
+/// computed from (owner, local id), not stored.  A 64-ghost block of a
+/// lane mask thus belongs to one owner, so a mask over the ghosts can be
+/// walked owner by owner a storage word at a time.
+class GhostTable {
+ public:
+  GhostTable() = default;
+
+  /// Numbers the distinct entries of `targets` (global ids of normal
+  /// vertices of a `num_vertices`-vertex graph on `spec`) and writes
+  /// entry i's ghost id to ghost_ids[i].  Uses one n-entry map.
+  GhostTable(const sim::ClusterSpec& spec, VertexId num_vertices,
+             std::span<const VertexId> targets,
+             std::vector<LocalId>& ghost_ids);
+
+  /// Owner GPUs (p), including this one.
+  int num_owners() const noexcept {
+    return static_cast<int>(offsets_.size()) - 1;
+  }
+  /// Ghost range of owner global GPU `owner`.
+  LocalId begin(int owner) const noexcept {
+    return offsets_[static_cast<std::size_t>(owner)];
+  }
+  LocalId end(int owner) const noexcept {
+    return offsets_[static_cast<std::size_t>(owner) + 1];
+  }
+  /// Ghost slots, padding included: the item count of a ghost-indexed mask.
+  std::size_t slots() const noexcept { return locals_.size(); }
+  /// Distinct nn targets (padding excluded).
+  std::uint64_t count() const noexcept { return count_; }
+
+  /// Owner-local id of ghost `g` (kInvalidLocal on a padding slot).
+  LocalId local(LocalId g) const noexcept { return locals_[g]; }
+  /// Owner global GPU of ghost `g`.
+  int owner(LocalId g) const noexcept;
+  /// Global vertex id of ghost `g`.
+  VertexId global(LocalId g) const noexcept {
+    const sim::GpuCoord o = spec_.coord_of(owner(g));
+    return spec_.global_vertex(o.rank, o.gpu, locals_[g]);
+  }
+
+  /// Offsets and ids, 4 bytes each: the table's device footprint.
+  std::uint64_t storage_bytes() const noexcept {
+    return (offsets_.size() + locals_.size()) * sizeof(LocalId);
+  }
+
+  const std::vector<LocalId>& offsets() const noexcept { return offsets_; }
+  const std::vector<LocalId>& locals() const noexcept { return locals_; }
+
+ private:
+  sim::ClusterSpec spec_;
+  std::vector<LocalId> offsets_;  // p + 1, multiples of 64
+  std::vector<LocalId> locals_;   // one per slot
+  std::uint64_t count_ = 0;
+};
 
 struct MemoryUsage {
   std::uint64_t nn_bytes = 0;
   std::uint64_t nd_bytes = 0;
   std::uint64_t dn_bytes = 0;
   std::uint64_t dd_bytes = 0;
+  /// The nn ghost table (GhostTable::storage_bytes).
+  std::uint64_t ghost_bytes = 0;
   std::uint64_t aux_bytes = 0;  // source lists/masks + level arrays + masks
   /// Stored per-edge weights (4 B per local edge; 0 on unweighted graphs).
   /// Kept out of subgraph_bytes() so Table I's unweighted accounting is
@@ -36,7 +110,7 @@ struct MemoryUsage {
   std::uint64_t weight_bytes = 0;
 
   std::uint64_t subgraph_bytes() const noexcept {
-    return nn_bytes + nd_bytes + dn_bytes + dd_bytes;
+    return nn_bytes + nd_bytes + dn_bytes + dd_bytes + ghost_bytes;
   }
   std::uint64_t total_bytes() const noexcept {
     return subgraph_bytes() + aux_bytes + weight_bytes;
@@ -58,7 +132,9 @@ class LocalGraph {
   LocalId num_delegates() const noexcept { return num_delegates_; }
   VertexId num_global_vertices() const noexcept { return num_vertices_; }
 
-  const LocalCsrU64& nn() const noexcept { return nn_; }
+  /// nn columns are ghost ids; ghosts() maps them to their targets.
+  const LocalCsrU32& nn() const noexcept { return nn_; }
+  const GhostTable& ghosts() const noexcept { return ghosts_; }
   const LocalCsrU32& nd() const noexcept { return nd_; }
   const LocalCsrU32& dn() const noexcept { return dn_; }
   const LocalCsrU32& dd() const noexcept { return dd_; }
@@ -105,7 +181,8 @@ class LocalGraph {
   std::uint64_t num_local_ = 0;
   LocalId num_delegates_ = 0;
 
-  LocalCsrU64 nn_;
+  LocalCsrU32 nn_;
+  GhostTable ghosts_;
   LocalCsrU32 nd_;
   LocalCsrU32 dn_;
   LocalCsrU32 dd_;

@@ -90,7 +90,8 @@ struct ClusterSpec {
   }
 };
 
-/// Division-free vertex routing for the nn sweeps: `split(v)` equals
+/// Division-free vertex routing (the BFS result gather; nn loops route
+/// through their ghost table instead): `split(v)` equals
 /// {owner_global_gpu(v), local_index(v)} (the ClusterSpec formulas stay the
 /// reference) for every 64-bit v, at the cost of one 128-bit multiply-high
 /// instead of four 64-bit divisions.  The quotient q = v / p uses the

@@ -188,7 +188,10 @@ ModeledBreakdown PerfModel::replay(const RunCounters& run) const {
                                      visit_us(dev_, c.nn, /*merge_based=*/false),
                                      gr, {ndv});
 
-      // Bin + 64->32 conversion of nn outputs (on-GPU computation).
+      // Bin + 64->32 conversion of nn outputs (on-GPU computation).  This
+      // still prices the paper's 8-byte global nn columns; the host stores
+      // 4-byte ghost ids and bins from the ghost table, which the device
+      // model does not credit, so modeled times stay the paper's.
       bin_done[gi] = tl.add_task(
           "bin_convert", kCatComputation,
           dev_.kernel_us(KernelClass::kBinConvert, 0, c.bin_vertices,

@@ -9,8 +9,9 @@
 /// separation and Algorithm-1 edge distribution, almost all vertex indices fit
 /// in 32 bits *locally*: local normal vertices are bounded by n/p and
 /// delegates by d.  Only destinations of normal-to-normal edges need global
-/// 64-bit ids.  We therefore keep both widths as distinct named types so the
-/// narrowing points are explicit and testable.
+/// 64-bit ids in the paper; here they are 32-bit per-GPU ghost ids too
+/// (graph::GhostTable).  We keep both widths as distinct named types so
+/// the narrowing points are explicit and testable.
 namespace dsbfs {
 
 /// Global vertex identifier (may exceed 2^32 at Graph500 scales >= 32).

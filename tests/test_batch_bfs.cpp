@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "core/frontier.hpp"
 #include "core/query_scheduler.hpp"
 #include "core/validate.hpp"
+#include "core/visit.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/rmat.hpp"
@@ -177,7 +180,10 @@ TEST(BatchBfsGolden, CountersAndModeledTimeArePinned) {
   // `remote_bytes_before` is the pin from before the nn visit shipped each
   // (target, lane) once per sender (modeled 0.45064991155990425 ms for both
   // w64 runs, 0.36811980969644742 ms for w8_hybrid): that filter may only
-  // remove bytes.
+  // remove bytes.  `remote_bytes_per_edge` and `modeled_ms_per_edge` are
+  // the pins from before the nn visit merged the lanes that reach one
+  // target in one iteration into one record (it binned one record per
+  // edge): that merge may only remove bytes and modeled time.
   struct Golden {
     const char* name;
     std::size_t batch;
@@ -188,17 +194,19 @@ TEST(BatchBfsGolden, CountersAndModeledTimeArePinned) {
     std::uint64_t remote_bytes, mask_bytes;
     double modeled_ms;
     std::uint64_t remote_bytes_before;
+    std::uint64_t remote_bytes_per_edge;
+    double modeled_ms_per_edge;
   };
   const Golden goldens[] = {
       {"w64_push", 64, false, false, 64, 7,
-       {274289, 45255, 42290, 5944}, {8070, 8070, 7076, 7076}, 32532, 100992,
-       0.45007990098317535, 36300},
+       {274289, 45255, 42290, 5944}, {8070, 8070, 7076, 7076}, 30144, 100992,
+       0.44973117001245322, 36300, 32532, 0.45007990098317535},
       {"w8_hybrid", 8, true, false, 8, 7,
-       {104262, 22013, 38376, 4469}, {4868, 5643, 7363, 5204}, 9840, 9468,
-       0.3677218523447171, 11265},
+       {104262, 22013, 38376, 4469}, {4868, 5643, 7363, 5204}, 9380, 9468,
+       0.3675881665214944, 11265, 9840, 0.3677218523447171},
       {"w64_parents", 64, false, true, 64, 7,
-       {274289, 45255, 42290, 5944}, {8070, 8070, 7076, 7076}, 32532, 100992,
-       0.45007990098317535, 36300},
+       {274289, 45255, 42290, 5944}, {8070, 8070, 7076, 7076}, 30144, 100992,
+       0.44973117001245322, 36300, 32532, 0.45007990098317535},
   };
   const graph::EdgeList g = graph::rmat_graph500({.scale = 12, .seed = 91});
   sim::ClusterSpec spec;
@@ -222,10 +230,80 @@ TEST(BatchBfsGolden, CountersAndModeledTimeArePinned) {
       EXPECT_EQ(k.vertices[i], gold.vertices[i]) << "kernel " << i;
     }
     EXPECT_LE(gold.remote_bytes, gold.remote_bytes_before);
+    EXPECT_LE(gold.remote_bytes, gold.remote_bytes_per_edge);
+    EXPECT_LE(gold.modeled_ms, gold.modeled_ms_per_edge);
     EXPECT_EQ(m.exchange_remote_bytes, gold.remote_bytes);
     EXPECT_EQ(m.mask_reduce_bytes, gold.mask_bytes);
     EXPECT_NEAR(m.modeled_ms, gold.modeled_ms, 1e-12 * gold.modeled_ms);
   }
+}
+
+/// Drives the nn visit at width W over two rounds whose frontier holds
+/// every local normal, each in one lane (a different lane pattern per
+/// round), so many frontier vertices reach the same target in different
+/// lanes.  Each round must bin every (owner, local) target at most once,
+/// carrying the OR of the lanes that reach it this round and were not
+/// shipped to it before, and leave `pending` clear.
+template <int W>
+void expect_nn_visit_bins_each_target_once() {
+  const graph::EdgeList g = graph::rmat_graph500({.scale = 10, .seed = 83});
+  sim::ClusterSpec spec;
+  spec.num_ranks = 2;
+  spec.gpus_per_rank = 1;
+  const graph::DistributedGraph dg = build_distributed(g, spec, 64);
+  const graph::LocalGraph& lg = dg.local(1);
+  const graph::GhostTable& ghosts = lg.ghosts();
+  LaneState s(lg, spec.total_gpus(), W, /*record_parents=*/false);
+  std::map<VertexId, std::uint64_t> shipped;  // by global target
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    s.frontier.clear();
+    s.frontier_normal.clear_all();
+    std::map<VertexId, std::uint64_t> reached;
+    std::uint64_t edges = 0;
+    for (LocalId v = 0; v < lg.num_local_normals(); ++v) {
+      const std::uint64_t f = 1ULL << ((round == 0 ? v : v / 3) % W);
+      s.frontier.push_back(v);
+      s.frontier_normal.or_lanes(v, f);
+      for (const LocalId ghost : lg.nn().row(v)) {
+        reached[ghosts.global(ghost)] |= f;
+        ++edges;
+      }
+    }
+    std::map<VertexId, std::uint64_t> expected;
+    for (const auto& [target, lanes] : reached) {
+      const std::uint64_t fresh = lanes & ~shipped[target];
+      if (fresh != 0) expected[target] = fresh;
+      shipped[target] |= lanes;
+    }
+
+    visit_nn_lanes<W>(s);
+    std::set<std::pair<int, LocalId>> binned;
+    std::map<VertexId, std::uint64_t> got;
+    for (int o = 0; o < spec.total_gpus(); ++o) {
+      const sim::GpuCoord owner = spec.coord_of(o);
+      for (const comm::VertexUpdate& u : s.bins[static_cast<std::size_t>(o)]) {
+        EXPECT_TRUE(binned.insert({o, u.vertex}).second)
+            << "target (" << o << ", " << u.vertex << ") binned twice";
+        got[spec.global_vertex(owner.rank, owner.gpu, u.vertex)] = u.value;
+      }
+      s.bins[static_cast<std::size_t>(o)].clear();
+    }
+    EXPECT_EQ(got, expected);
+    EXPECT_EQ(s.bins_total, binned.size());
+    EXPECT_EQ(s.iter.nn.edges, edges);
+    EXPECT_TRUE(s.pending.none());
+    // Shared targets: one record per edge would be more records.
+    if (round == 0) EXPECT_LT(2 * got.size(), edges) << got.size();
+  }
+}
+
+TEST(NnVisit, BinsEachTargetOncePerIterationAtWidth8) {
+  expect_nn_visit_bins_each_target_once<8>();
+}
+
+TEST(NnVisit, BinsEachTargetOncePerIterationAtWidth64) {
+  expect_nn_visit_bins_each_target_once<64>();
 }
 
 TEST(BatchBfs, ParentStorageOnlyWhenRecordingParents) {
@@ -393,21 +471,32 @@ TEST(BatchBfs, UniquifyCutsWireBytesAndStaysBitExact) {
   sim::Cluster cluster(spec);
   const graph::DistributedGraph dg = build_distributed(g, spec, 16);
 
-  std::uint64_t bytes_on = 0, bytes_off = 0;
-  std::vector<std::vector<Depth>> dist_on, dist_off;
-  for (const bool uniquify : {false, true}) {
-    BfsOptions options{.direction_optimized = false};
-    options.run.uniquify = uniquify;
-    DistributedBatchBfs bfs(dg, cluster, options);
-    const std::vector<VertexId> sources = pick_sources(bfs, 64);
-    const BatchBfsResult r = bfs.run(sources);
-    (uniquify ? bytes_on : bytes_off) = r.metrics.exchange_remote_bytes;
-    (uniquify ? dist_on : dist_off) = r.distances;
+  // The nn visit already bins one record per target per round, so a
+  // sender's own bins hold no duplicates: U merges only what L's column
+  // gather brings together from two senders.
+  for (const bool local_all2all : {false, true}) {
+    SCOPED_TRACE(local_all2all ? "L on" : "L off");
+    std::uint64_t bytes_on = 0, bytes_off = 0;
+    std::vector<std::vector<Depth>> dist_on, dist_off;
+    for (const bool uniquify : {false, true}) {
+      BfsOptions options{.direction_optimized = false};
+      options.local_all2all = local_all2all;
+      options.run.uniquify = uniquify;
+      DistributedBatchBfs bfs(dg, cluster, options);
+      const std::vector<VertexId> sources = pick_sources(bfs, 64);
+      const BatchBfsResult r = bfs.run(sources);
+      (uniquify ? bytes_on : bytes_off) = r.metrics.exchange_remote_bytes;
+      (uniquify ? dist_on : dist_off) = r.distances;
+    }
+    EXPECT_EQ(dist_on, dist_off);
+    if (local_all2all) {
+      // Dense RMAT rounds send both column GPUs' records to many of the
+      // same targets; the OR coalesce must strictly shrink the wire volume.
+      EXPECT_LT(bytes_on, bytes_off);
+    } else {
+      EXPECT_EQ(bytes_on, bytes_off);
+    }
   }
-  EXPECT_EQ(dist_on, dist_off);
-  // Dense RMAT rounds bin several updates per destination vertex; the OR
-  // coalesce must strictly shrink the wire volume.
-  EXPECT_LT(bytes_on, bytes_off);
 }
 
 TEST(BatchBfs, LocalAll2AllGathersLaneWordsToo) {

@@ -319,25 +319,34 @@ TEST(BfsGolden, CheckpointBytesArePinned) {
   // The pinned runs with a checkpoint every 2 iterations.  The lane state
   // charges its three normal-side lane masks (visited, frontier, next) as
   // device state, which the single-source state before the lane engine
-  // left out, so each checkpoint copies three visited-mask sizes more than
-  // `bytes_before`; nothing else moved.
+  // left out, so `bytes_n_sent` (and each checkpoint) copies three
+  // visited-mask sizes more than `bytes_before`.  `bytes_n_sent` and
+  // `modeled_ms_n_sent` are the pins from before the nn `sent` mask was
+  // indexed by ghost id instead of global vertex id: each checkpoint now
+  // copies the smaller mask, and only the checkpoint charge may move.
   struct Pin {
     bool direction_optimized;
     int checkpoints;
-    std::uint64_t bytes, bytes_before;
-    double modeled_ms;
+    std::uint64_t bytes, bytes_before, bytes_n_sent;
+    double modeled_ms, modeled_ms_n_sent;
   };
   const Pin pins[] = {
-      {true, 12, 101424, 96816, 0.30028133992987111},
-      {false, 12, 101424, 96816, 0.30961308495324324},
+      {true, 12, 96072, 96816, 101424, 0.30026673192987108,
+       0.30028133992987111},
+      {false, 12, 96072, 96816, 101424, 0.30959838895324321,
+       0.30961308495324324},
   };
   golden::BfsGoldenSetup setup;
   const int p = setup.spec.total_gpus();
   std::uint64_t masks_per_round = 0;  // three visited masks on every GPU
+  std::uint64_t sent_shrink_per_round = 0;  // n-bit minus ghost-bit masks
   for (int g = 0; g < p; ++g) {
+    const graph::LocalGraph& lg = setup.dg.local(g);
     masks_per_round +=
-        3 * util::LaneBitset(setup.dg.local(g).num_local_normals())
-                .byte_size();
+        3 * util::LaneBitset(lg.num_local_normals()).byte_size();
+    sent_shrink_per_round +=
+        util::LaneBitset(lg.num_global_vertices()).byte_size() -
+        util::LaneBitset(lg.ghosts().slots()).byte_size();
   }
   for (const Pin& pin : pins) {
     SCOPED_TRACE(pin.direction_optimized ? "hybrid" : "push");
@@ -350,9 +359,11 @@ TEST(BfsGolden, CheckpointBytesArePinned) {
     const sim::FaultReport& f = r.metrics.fault;
     EXPECT_EQ(f.checkpoints, pin.checkpoints);
     EXPECT_EQ(f.checkpoint_bytes, pin.bytes);
-    EXPECT_EQ(pin.bytes - pin.bytes_before,
-              static_cast<std::uint64_t>(pin.checkpoints / p) *
-                  masks_per_round);
+    const auto rounds = static_cast<std::uint64_t>(pin.checkpoints / p);
+    EXPECT_EQ(pin.bytes_n_sent - pin.bytes_before, rounds * masks_per_round);
+    EXPECT_LE(pin.bytes, pin.bytes_n_sent);
+    EXPECT_EQ(pin.bytes_n_sent - pin.bytes, rounds * sent_shrink_per_round);
+    EXPECT_LE(pin.modeled_ms, pin.modeled_ms_n_sent);
     EXPECT_NEAR(r.metrics.modeled_ms, pin.modeled_ms, 1e-12 * pin.modeled_ms);
   }
 }

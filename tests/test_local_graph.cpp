@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/rmat.hpp"
@@ -120,7 +122,83 @@ TEST_F(LocalGraphFixture, RegisterOnDeviceAccountsBytes) {
   const LocalGraph& lg = built_.local(0);
   lg.register_on(device);
   EXPECT_EQ(device.allocated_bytes(), lg.memory_usage().total_bytes());
-  EXPECT_EQ(device.allocations().size(), 5u);
+  EXPECT_EQ(device.allocations().size(), 6u);
+}
+
+TEST(LocalGraph, GhostTableMapsBackToTargets) {
+  // Every nn column is a ghost id that maps back to the edge's original
+  // global target, and the table's owner ranges are 64-aligned, one owner
+  // each, ascending, with each range's ghosts ascending by local id.
+  const EdgeList g = rmat_graph500({.scale = 11, .seed = 17});
+  const auto spec_of = [](int ranks, int gpus, int ranks_per_node) {
+    sim::ClusterSpec s;
+    s.num_ranks = ranks;
+    s.gpus_per_rank = gpus;
+    s.ranks_per_node = ranks_per_node;
+    return s;
+  };
+  // 1x1x1, 2x1x1, 2x2x2, and three ranks on two-rank nodes (a partial
+  // last node, and p not a power of two).
+  for (const sim::ClusterSpec& spec :
+       {spec_of(1, 1, 1), spec_of(2, 1, 1), spec_of(4, 2, 2),
+        spec_of(3, 1, 2)}) {
+    SCOPED_TRACE(spec.to_string());
+    const DistributedGraph dg = build_distributed(g, spec, 16);
+    // The distributor's staging columns, in edge order within each row
+    // (the CSR's counting sort keeps that order).
+    DistributedEdges staged =
+        distribute_edges(g, dg.degrees(), dg.delegates(), spec);
+    const int p = spec.total_gpus();
+    for (int gi = 0; gi < p; ++gi) {
+      SCOPED_TRACE(gi);
+      const LocalGraph& lg = dg.local(gi);
+      const GhostTable& ghosts = lg.ghosts();
+      const GpuEdgeSets& e = staged.gpus[static_cast<std::size_t>(gi)];
+      const LocalCsrU64 targets = LocalCsrU64::from_edges(
+          lg.num_local_normals(), e.nn_cols, e.nn_rows);
+      ASSERT_EQ(lg.nn().num_edges(), targets.num_edges());
+      ASSERT_EQ(lg.nn().offsets(), targets.offsets());
+      std::set<VertexId> distinct;
+      for (std::uint64_t i = 0; i < targets.num_edges(); ++i) {
+        const LocalId ghost = lg.nn().col(i);
+        const VertexId target = targets.col(i);
+        ASSERT_LT(ghost, ghosts.slots());
+        EXPECT_EQ(ghosts.global(ghost), target);
+        EXPECT_EQ(ghosts.owner(ghost), spec.owner_global_gpu(target));
+        EXPECT_EQ(ghosts.local(ghost), spec.local_index(target));
+        distinct.insert(target);
+      }
+      EXPECT_EQ(ghosts.count(), distinct.size());
+
+      ASSERT_EQ(ghosts.num_owners(), p);
+      EXPECT_EQ(ghosts.begin(0), 0u);
+      EXPECT_EQ(ghosts.end(p - 1), ghosts.slots());
+      std::uint64_t real = 0;
+      for (int o = 0; o < p; ++o) {
+        SCOPED_TRACE(o);
+        EXPECT_EQ(ghosts.begin(o) % 64, 0u);
+        EXPECT_LE(ghosts.begin(o), ghosts.end(o));
+        if (o > 0) EXPECT_EQ(ghosts.begin(o), ghosts.end(o - 1));
+        LocalId slot = ghosts.begin(o);
+        for (; slot < ghosts.end(o) && ghosts.local(slot) != kInvalidLocal;
+             ++slot) {
+          EXPECT_EQ(ghosts.owner(slot), o);
+          if (slot > ghosts.begin(o)) {
+            EXPECT_LT(ghosts.local(slot - 1), ghosts.local(slot));
+          }
+          ++real;
+        }
+        // Padding only up to the next multiple of 64.
+        EXPECT_EQ(ghosts.end(o) - slot, (64 - slot % 64) % 64);
+        for (; slot < ghosts.end(o); ++slot) {
+          EXPECT_EQ(ghosts.local(slot), kInvalidLocal);
+        }
+      }
+      EXPECT_EQ(real, ghosts.count());
+      EXPECT_EQ(lg.memory_usage().ghost_bytes,
+                (p + 1 + ghosts.slots()) * sizeof(LocalId));
+    }
+  }
 }
 
 TEST(LocalGraph, Rejects33BitLocalSpace) {

@@ -171,8 +171,8 @@ TEST(WeightedDistribution, WeightsLandOnTheOwningGpuForEverySubgraph) {
 
     for (std::uint64_t v = 0; v < lg.num_local_normals(); ++v) {
       for (std::uint64_t e = lg.nn().row_begin(v); e < lg.nn().row_end(v); ++e) {
-        expect_weight(global_of(static_cast<LocalId>(v)), lg.nn().col(e),
-                      lg.nn_weights()[e]);
+        expect_weight(global_of(static_cast<LocalId>(v)),
+                      lg.ghosts().global(lg.nn().col(e)), lg.nn_weights()[e]);
       }
       for (std::uint64_t e = lg.nd().row_begin(v); e < lg.nd().row_end(v); ++e) {
         expect_weight(global_of(static_cast<LocalId>(v)),
