@@ -2,8 +2,8 @@
 // plan (sim::FaultPlan), the self-healing checksummed/NACK wire protocol in
 // comm::exchange, and the engine's epoch checkpoint + rollback recovery.
 //
-// Three claims are asserted, per algorithm (BFS, batched BFS at W = 64,
-// SSSP, delta-stepping SSSP, CC, PageRank):
+// Three claims are asserted, per algorithm (BFS with its Graph500 tree,
+// batched BFS at W = 64, SSSP, delta-stepping SSSP, CC, PageRank):
 //
 //   1. zero-cost-when-disabled: a run with the resilience machinery armed
 //      (non-default retry policy) but every fault rate zero and
@@ -13,7 +13,9 @@
 //   2. self-healing: under a hostile schedule (drop + corrupt + duplicate +
 //      delay on every data-plane link, one transient stall, one mid-run
 //      permanent GPU failure) the final answer is bit-identical to the
-//      clean run, which itself is checked against the serial oracles;
+//      clean run, which itself is checked against the serial oracles (the
+//      BFS tree, computed by one exchange round after the loop, against
+//      the Graph500 tree validator);
 //   3. recovery is visible and charged: the hostile run logs injected
 //      faults, requests retransmissions, rolls back at least once, replays
 //      iterations, and its modeled time strictly exceeds the clean run's.
@@ -39,6 +41,7 @@
 #include "core/delta_sssp.hpp"
 #include "core/pagerank.hpp"
 #include "core/sssp.hpp"
+#include "core/validate.hpp"
 #include "graph/csr.hpp"
 #include "graph/rmat.hpp"
 #include "util/cli.hpp"
@@ -64,6 +67,7 @@ struct RunRecord {
 /// Everything a faulty run must reproduce bit for bit.
 struct CleanRef {
   std::vector<Depth> bfs;
+  std::vector<VertexId> bfs_parents;
   std::vector<std::vector<Depth>> batch;
   std::vector<std::uint64_t> sssp;
   std::vector<std::uint64_t> delta;
@@ -83,6 +87,7 @@ const std::vector<std::string> kAlgos = {"bfs",   "batch64", "sssp",
 /// `clean` is null only for the clean pass itself (validity then means
 /// "matches the serial oracle").
 struct Harness {
+  const graph::EdgeList& edges;
   const graph::DistributedGraph& dg;
   sim::Cluster& cluster;
   VertexId source;
@@ -119,11 +124,20 @@ struct Harness {
 
     if (algo == "bfs") {
       core::BfsOptions o;
+      o.compute_parents = true;
       o.run.resilience = res;
       const core::BfsResult r = core::DistributedBfs(dg, cluster, o).run(source);
       fold(r.metrics);
-      rec.valid = clean ? r.distances == clean->bfs : r.distances == serial_bfs;
-      if (fill) fill->bfs = r.distances;
+      rec.valid =
+          clean ? r.distances == clean->bfs && r.parents == clean->bfs_parents
+                : r.distances == serial_bfs &&
+                      core::validate_parents(edges, source, r.distances,
+                                             r.parents)
+                          .ok;
+      if (fill) {
+        fill->bfs = r.distances;
+        fill->bfs_parents = r.parents;
+      }
     } else if (algo == "batch64") {
       core::BfsOptions o{.direction_optimized = false};
       o.run.uniquify = true;
@@ -243,7 +257,7 @@ int main(int argc, char** argv) {
       graph::build_distributed(g, spec, static_cast<std::uint32_t>(th));
   sim::Cluster cluster(spec);
 
-  Harness h{dg, cluster, /*source=*/3, {}, {}, {}, {}, {}, {}, {}};
+  Harness h{g, dg, cluster, /*source=*/3, {}, {}, {}, {}, {}, {}, {}};
   {
     core::DistributedBfs sampler(dg, cluster);
     for (std::uint64_t k = 0; k < 64; ++k) {

@@ -220,8 +220,9 @@ struct ExchangeOptions {
 /// Collective exchange of binned records (bins indexed by destination
 /// global GPU, holding destination-local ids or (id, value) updates).
 /// Returns the records received by this GPU, its own loopback bin first.
-/// Bins are consumed.  Ids pack two per wire word; raw updates take 1.5
-/// words (12 bytes of payload) each.
+/// Bins are consumed.  Ids pack two per wire word; a raw update takes two
+/// words on the simulated wire, and the byte counters charge it 4 +
+/// `value_bytes` bytes.
 std::vector<LocalId> exchange(Transport& transport,
                               const sim::ClusterSpec& spec, sim::GpuCoord me,
                               std::vector<std::vector<LocalId>>& bins,

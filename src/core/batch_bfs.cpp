@@ -10,7 +10,6 @@
 #include "core/bfs.hpp"
 #include "core/frontier.hpp"
 #include "core/lane_pipeline.hpp"
-#include "core/packing.hpp"
 #include "util/parallel.hpp"
 
 namespace dsbfs::core {
@@ -55,7 +54,13 @@ class LaneBfsAlgorithm : public LanePipeline<LaneState> {
       : LanePipeline(options.local_all2all),
         graph_(graph),
         options_(options),
-        sources_(sources) {}
+        sources_(sources) {
+    if (options.compute_parents) {
+      check_slot_ids_fit(graph.max_local_normals(),
+                         static_cast<std::uint64_t>(
+                             util::lane_width_for(sources.size())));
+    }
+  }
 
   std::unique_ptr<State> init(engine::GpuContext& ctx) {
     auto state = std::make_unique<State>(
@@ -84,27 +89,38 @@ class LaneBfsAlgorithm : public LanePipeline<LaneState> {
 
   /// Per-lane BFS-tree completion, the lane generalization of Section
   /// VI-A3: traversal shipped (id, lane word) only, so (vertex, lane) pairs
-  /// discovered through nn edges do not know their parent yet; one extra
-  /// exchange of lane probes resolves them, and one min-reduction of the
-  /// d*W delegate-parent words settles every replica identically.
+  /// discovered through nn edges do not know their parent yet.  One update
+  /// round through the run's exchange resolves them, and one min-reduction
+  /// of the d*W delegate-parent words settles every replica identically.
   void finalize(engine::GpuContext& ctx, State& s, int iterations) {
     if (!options_.compute_parents) return;
     const sim::ClusterSpec& spec = graph_.spec();
     const int p = ctx.total_gpus;
     const int g = ctx.gpu;
     const sim::GpuCoord me = ctx.me;
-    comm::Transport& transport = ctx.comm.transport();
     const graph::LocalGraph& lg = graph_.local(g);
     const graph::GhostTable& ghosts = lg.ghosts();
     const std::uint64_t n_local = lg.num_local_normals();
     const int parent_block = engine::TagBlocks::after_loop(iterations);
-    const int parent_tag = engine::TagBlocks::user(parent_block);
 
-    // Pack (dest_local, lane, my_level_in_lane) + my_global for every nn
-    // edge out of each visited (vertex, lane); the receiver keeps the
-    // smallest sender exactly one level above it in that lane.  A vertex's
-    // lane depths are decoded once, not once per edge.
-    std::vector<std::vector<std::uint64_t>> tuples(static_cast<std::size_t>(p));
+    // Every nn edge out of a visited (vertex, lane) ships one update to the
+    // target's slot carrying (sender level, sender id), packed high to low,
+    // so a kMin merge keeps the lowest level and the smallest id in it.
+    // The nn subgraph is symmetric and adjacent levels differ by at most
+    // one, so every record for a slot at depth D carries a level >= D - 1:
+    // the minimum is the smallest sender at D - 1, in any arrival order
+    // and under any topology.  Levels stay below `iterations`.
+    const auto id_bits =
+        static_cast<int>(std::bit_width(graph_.num_vertices() - 1));
+    const auto level_bits =
+        static_cast<int>(std::bit_width(static_cast<unsigned>(iterations)));
+    if (level_bits + id_bits > 64) {
+      throw std::overflow_error(
+          "bfs parent round: level and id exceed 64 bits");
+    }
+    const std::uint64_t id_mask = (std::uint64_t{1} << id_bits) - 1;
+    std::vector<std::vector<comm::VertexUpdate>> bins(
+        static_cast<std::size_t>(p));
     std::array<Depth, 64> lane_depths{};
     for (std::uint64_t v = 0; v < n_local; ++v) {
       const std::uint64_t lanes = s.seen_normal.lanes(v);
@@ -113,52 +129,45 @@ class LaneBfsAlgorithm : public LanePipeline<LaneState> {
       const VertexId v_global = spec.global_vertex(me.rank, me.gpu, v);
       for (const LocalId ghost : lg.nn().row(v)) {
         const LocalId local = ghosts.local(ghost);
-        auto& bin = tuples[static_cast<std::size_t>(ghosts.owner(ghost))];
+        auto& bin = bins[static_cast<std::size_t>(ghosts.owner(ghost))];
         for (std::uint64_t b = lanes; b != 0; b &= b - 1) {
           const int lane = std::countr_zero(b);
-          bin.push_back(pack_lane_parent_probe(local, lane,
-                                               lane_depths[lane]));
-          bin.push_back(v_global);
+          const auto level = static_cast<std::uint64_t>(lane_depths[lane]);
+          bin.push_back({static_cast<LocalId>(s.slot(local, lane)),
+                         level << id_bits | v_global});
         }
       }
     }
-    auto apply_tuples = [&](const std::vector<std::uint64_t>& words) {
-      for (std::size_t i = 0; i + 1 < words.size(); i += 2) {
-        const LocalId local = lane_parent_probe_local(words[i]);
-        const int lane = lane_parent_probe_lane(words[i]);
-        const Depth lvl = lane_parent_probe_level(words[i]);
-        const std::size_t sl = s.slot(local, lane);
-        // Min over all senders one level up, not first-sender-wins: probe
-        // arrival order depends on the exchange topology, the id minimum
-        // does not.  Eligible slots are unresolved nn discoveries
-        // (kParentViaNn) or already probe-resolved untagged ids; a
-        // delegate-claimed parent (tag bit set) keeps its deterministic
-        // claim.  A seeded source is safe: its depth 0 never matches
-        // lvl + 1.  The depth is decoded last, for the probes that pass the
-        // parent tests.
-        const VertexId cur = s.parent_normal[sl];
-        if ((cur == kParentViaNn || (cur & kParentDelegateTag) == 0) &&
-            words[i + 1] < cur && s.lane_depth(local, lane) == lvl + 1) {
-          s.parent_normal[sl] = words[i + 1];
-        }
+    // The round rides the run's merge, codec, routing and retry policy;
+    // its counters stay off the model, like the rest of tree building.
+    sim::GpuIterationCounters unmodeled;
+    const std::vector<comm::VertexUpdate> received = ctx.comm.exchange(
+        me, bins, parent_block,
+        {.combine = comm::UpdateCombine::kMin,
+         .local_all2all = options_.local_all2all},
+        unmodeled);
+    const auto w = static_cast<std::size_t>(s.lane_bits());
+    for (const comm::VertexUpdate& u : received) {
+      const std::size_t sl = u.vertex;
+      const VertexId id = u.value & id_mask;
+      const auto level = static_cast<Depth>(u.value >> id_bits);
+      // Eligible slots are unresolved nn discoveries (kParentViaNn) or ids
+      // an earlier record of this round resolved; a delegate-claimed parent
+      // (tag bit set) keeps its deterministic claim.  A seeded source is
+      // safe: its depth 0 never matches level + 1.  The depth is decoded
+      // last, for the records that pass the parent tests.
+      const VertexId cur = s.parent_normal[sl];
+      if ((cur == kParentViaNn || (cur & kParentDelegateTag) == 0) &&
+          id < cur &&
+          s.lane_depth(sl / w, static_cast<int>(sl % w)) == level + 1) {
+        s.parent_normal[sl] = id;
       }
-    };
-    for (int o = 0; o < p; ++o) {
-      if (o == g) continue;
-      transport.send(g, o, parent_tag,
-                     std::move(tuples[static_cast<std::size_t>(o)]));
-    }
-    apply_tuples(tuples[static_cast<std::size_t>(g)]);
-    for (int o = 0; o < p; ++o) {
-      if (o == g) continue;
-      apply_tuples(transport.recv(g, o, parent_tag));
     }
 
     // Delegate parents: the min of the two streams' encoded candidates ->
     // global ids -> min-reduce over every (delegate, lane) slot, left in
     // parent_delegate_dd.
     const std::size_t d = graph_.num_delegates();
-    const std::size_t w = static_cast<std::size_t>(s.lane_bits());
     std::vector<std::uint64_t> parents(d * w);
     for (std::size_t i = 0; i < d * w; ++i) {
       VertexId enc =

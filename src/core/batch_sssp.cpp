@@ -104,7 +104,11 @@ class BatchSsspAlgorithm {
         options_(options),
         sources_(sources),
         lane_bits_(std::bit_width(sources.size() - 1)),
-        groups_((sources.size() + kLanesPerWord - 1) / kLanesPerWord) {}
+        groups_((sources.size() + kLanesPerWord - 1) / kLanesPerWord) {
+    check_slot_ids_fit(std::max<std::uint64_t>(graph.max_local_normals(),
+                                               graph.num_delegates()),
+                       std::uint64_t{1} << lane_bits_);
+  }
 
   std::unique_ptr<State> init(engine::GpuContext& ctx) {
     const sim::ClusterSpec& spec = graph_.spec();
@@ -366,8 +370,6 @@ class BatchSsspAlgorithm {
            heavy_pending;
   }
 
-  void post_reduce(engine::GpuContext&, State&, int, std::uint64_t) {}
-
   bool end_iteration(engine::GpuContext&, State& s, int,
                      std::uint64_t control) {
     if (s.mode == Mode::kLight) {
@@ -392,12 +394,6 @@ class BatchSsspAlgorithm {
     s.next_delegates.clear();
     return control == 0;
   }
-
-  sim::GpuIterationCounters iteration_counters(const State& s) const {
-    return s.iter;
-  }
-
-  void finalize(engine::GpuContext&, State&, int) {}
 
   std::size_t groups_per_item() const noexcept { return groups_; }
 

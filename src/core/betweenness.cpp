@@ -27,7 +27,13 @@ struct ForwardField {
 /// vertex.
 class LaneSlots {
  protected:
-  explicit LaneSlots(int lanes) : lanes_(lanes) {}
+  /// Throws std::overflow_error when the graph's normal or delegate slots
+  /// do not fit 32 bits.
+  LaneSlots(const graph::DistributedGraph& graph, int lanes) : lanes_(lanes) {
+    check_slot_ids_fit(std::max<std::uint64_t>(graph.max_local_normals(),
+                                               graph.num_delegates()),
+                       static_cast<std::uint64_t>(lanes));
+  }
 
   LocalId slot_of(LocalId v, int lane) const noexcept {
     return static_cast<LocalId>(
@@ -91,7 +97,7 @@ class BcForwardAlgorithm : LaneSlots {
 
   BcForwardAlgorithm(const graph::DistributedGraph& graph,
                      const std::vector<VertexId>& sources)
-      : LaneSlots(static_cast<int>(sources.size())),
+      : LaneSlots(graph, static_cast<int>(sources.size())),
         graph_(graph),
         sources_(sources) {}
 
@@ -302,8 +308,6 @@ class BcForwardAlgorithm : LaneSlots {
     return s.next_normals.size() + s.next_delegates.size();
   }
 
-  void post_reduce(engine::GpuContext&, State&, int, std::uint64_t) {}
-
   bool end_iteration(engine::GpuContext&, State& s, int,
                      std::uint64_t control) {
     s.frontier_normals = std::move(s.next_normals);
@@ -313,12 +317,6 @@ class BcForwardAlgorithm : LaneSlots {
     ++s.level;
     return control == 0;
   }
-
-  sim::GpuIterationCounters iteration_counters(const State& s) const {
-    return s.iter;
-  }
-
-  void finalize(engine::GpuContext&, State&, int) {}
 
  private:
   void load_lane_sigma(const std::vector<std::uint64_t>& sigma, LocalId v,
@@ -375,7 +373,7 @@ class BcReverseAlgorithm : LaneSlots {
 
   BcReverseAlgorithm(const graph::DistributedGraph& graph,
                      const ForwardField& fwd, Depth max_depth)
-      : LaneSlots(static_cast<int>(fwd.depth.size())),
+      : LaneSlots(graph, static_cast<int>(fwd.depth.size())),
         graph_(graph),
         fwd_(fwd),
         max_depth_(max_depth) {}
@@ -555,8 +553,6 @@ class BcReverseAlgorithm : LaneSlots {
     }
   }
 
-  void reduce(engine::GpuContext&, State&, int) {}
-
   void exchange(engine::GpuContext& ctx, State& s, int iteration) {
     if (s.current < 1) return;
     const sim::ClusterSpec& spec = graph_.spec();
@@ -648,19 +644,11 @@ class BcReverseAlgorithm : LaneSlots {
     return s.current > 1 ? static_cast<std::uint64_t>(s.current - 1) : 0;
   }
 
-  void post_reduce(engine::GpuContext&, State&, int, std::uint64_t) {}
-
   bool end_iteration(engine::GpuContext&, State& s, int,
                      std::uint64_t control) {
     if (s.current >= 1) --s.current;
     return control == 0;
   }
-
-  sim::GpuIterationCounters iteration_counters(const State& s) const {
-    return s.iter;
-  }
-
-  void finalize(engine::GpuContext&, State&, int) {}
 
  private:
   const graph::DistributedGraph& graph_;

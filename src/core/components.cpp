@@ -161,8 +161,6 @@ class CcAlgorithm {
     return s.next_normals.size() + s.next_delegates.size();
   }
 
-  void post_reduce(engine::GpuContext&, State&, int, std::uint64_t) {}
-
   bool end_iteration(engine::GpuContext&, State& s, int,
                      std::uint64_t control) {
     s.active_normals = std::move(s.next_normals);
@@ -171,12 +169,6 @@ class CcAlgorithm {
     s.next_delegates = {};
     return control == 0;
   }
-
-  sim::GpuIterationCounters iteration_counters(const State& s) const {
-    return s.iter;
-  }
-
-  void finalize(engine::GpuContext&, State&, int) {}
 
  private:
   const graph::DistributedGraph& graph_;

@@ -58,8 +58,6 @@ class LanePipeline {
     s.bins_ready = ctx.normal_stream.record([] {});
   }
 
-  void reduce(engine::GpuContext&, State&, int) {}  // post-control only
-
   /// The nn exchange (Section V-B), on the normal stream behind the visits.
   /// At W = 1 the bins ship as bare 4-byte ids; wider lanes ship as (id,
   /// W/8-byte lane word) records.  Both merge by OR (for ids, the
@@ -98,10 +96,6 @@ class LanePipeline {
                    std::uint64_t control) {
     s.reduce_delegate_updates(ctx.comm.value_reducer(), ctx.me, iteration,
                               control >= kDelegateFlagUnit);
-  }
-
-  sim::GpuIterationCounters iteration_counters(const State& s) const {
-    return s.iter;
   }
 
  protected:

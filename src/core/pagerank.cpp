@@ -211,17 +211,9 @@ class PagerankAlgorithm {
     return stop ? 0 : 1;
   }
 
-  void post_reduce(engine::GpuContext&, State&, int, std::uint64_t) {}
-
   bool end_iteration(engine::GpuContext&, State&, int, std::uint64_t control) {
     return control == 0;
   }
-
-  sim::GpuIterationCounters iteration_counters(const State& s) const {
-    return s.iter;
-  }
-
-  void finalize(engine::GpuContext&, State&, int) {}
 
  private:
   const graph::DistributedGraph& graph_;

@@ -214,8 +214,6 @@ class ServingAlgorithm : public LanePipeline<ServingState> {
     return q.occupied == 0 && q.next_admit == q.queries.size();
   }
 
-  void finalize(engine::GpuContext&, State&, int) {}
-
  private:
   /// Harvest the retiring lane's distances into the query's fragment list
   /// (this GPU's normal slice; GPU 0 also the replicated delegates), then

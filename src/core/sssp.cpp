@@ -367,8 +367,6 @@ class SsspAlgorithm {
     return s.next_normals.size() + s.next_delegates.size();
   }
 
-  void post_reduce(engine::GpuContext&, State&, int, std::uint64_t) {}
-
   bool end_iteration(engine::GpuContext&, State& s, int,
                      std::uint64_t control) {
     if (options_.direction_optimized && options_.adaptive_direction) {
@@ -382,12 +380,6 @@ class SsspAlgorithm {
     s.next_delegates = {};
     return control == 0;
   }
-
-  sim::GpuIterationCounters iteration_counters(const State& s) const {
-    return s.iter;
-  }
-
-  void finalize(engine::GpuContext&, State&, int) {}
 
  private:
   /// Weight of subgraph edge `e`: the stored per-edge array when the graph

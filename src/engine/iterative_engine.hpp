@@ -31,7 +31,8 @@
 /// `reduce` runs before the control allreduce (CC labels, PageRank inflows);
 /// `post_reduce` runs after it, which is what lets BFS condition its mask
 /// reduction on the control word and overlap it with the in-flight normal
-/// exchange.  Hooks an algorithm does not need are empty.
+/// exchange.  `reduce`, `post_reduce` and `finalize` are optional: an
+/// algorithm that has nothing to do there leaves them out.
 ///
 /// The engine owns a *delegate stream* and a *normal stream* per GPU (the
 /// paper's Fig. 3 pipeline), exposed through the GpuContext.  With
@@ -86,21 +87,40 @@ concept IterativeAlgorithm =
   a.previsit(ctx, s, iteration);
   /// The compute kernels (may enqueue on streams owned by the State).
   a.visit(ctx, s, iteration);
-  /// Pre-control value reductions (delegate labels, inflows).
-  a.reduce(ctx, s, iteration);
   /// Normal-vertex communication (ids or (id, value) updates).
   a.exchange(ctx, s, iteration);
   /// This GPU's word for the termination allreduce; also the
   /// synchronization point for anything `contribution` needs finished.
   { a.contribution(ctx, s, iteration) } -> std::convertible_to<std::uint64_t>;
-  /// Post-control reductions (may overlap communication still in flight).
-  a.post_reduce(ctx, s, iteration, control);
   /// Close the iteration; true when the cluster has converged.
   { a.end_iteration(ctx, s, iteration, control) } -> std::convertible_to<bool>;
-  /// The just-ended iteration's counters (engine owns the history).
-  { ca.iteration_counters(cs) } -> std::convertible_to<sim::GpuIterationCounters>;
-  /// Post-loop work (e.g. the BFS parent exchange); `iteration` here is the
-  /// total iteration count, identical on every GPU.
+  /// The iteration's counters; the engine appends them to its history
+  /// after every iteration.
+  { cs.iter } -> std::convertible_to<sim::GpuIterationCounters>;
+};
+
+// The optional hooks; the engine skips each one an algorithm leaves out.
+
+/// Pre-control value reductions (delegate labels, inflows).
+template <typename A>
+concept HasReduce =
+    requires(A a, typename A::State& s, GpuContext& ctx, int iteration) {
+  a.reduce(ctx, s, iteration);
+};
+
+/// Post-control reductions (may overlap communication still in flight).
+template <typename A>
+concept HasPostReduce =
+    requires(A a, typename A::State& s, GpuContext& ctx, int iteration,
+             std::uint64_t control) {
+  a.post_reduce(ctx, s, iteration, control);
+};
+
+/// Post-loop work (e.g. the BFS parent round); `iteration` here is the
+/// total iteration count, identical on every GPU.
+template <typename A>
+concept HasFinalize =
+    requires(A a, typename A::State& s, GpuContext& ctx, int iteration) {
   a.finalize(ctx, s, iteration);
 };
 
@@ -260,27 +280,32 @@ class IterativeEngine {
         if (options_.overlap) {
           // Delegate-side reduction and normal-side exchange run
           // concurrently; `contribution` joins what the control word needs.
-          delegate_stream.enqueue(
-              [&algo, &ctx, &s, iteration] { algo.reduce(ctx, s, iteration); });
+          if constexpr (HasReduce<Algo>) {
+            delegate_stream.enqueue([&algo, &ctx, &s, iteration] {
+              algo.reduce(ctx, s, iteration);
+            });
+          }
           normal_stream.enqueue([&algo, &ctx, &s, iteration] {
             algo.exchange(ctx, s, iteration);
           });
         } else {
           delegate_stream.synchronize();
           normal_stream.synchronize();
-          algo.reduce(ctx, s, iteration);
+          if constexpr (HasReduce<Algo>) algo.reduce(ctx, s, iteration);
           algo.exchange(ctx, s, iteration);
         }
         const std::uint64_t local = algo.contribution(ctx, s, iteration);
         const std::uint64_t control =
             comm.control_allreduce(g, local, iteration);
-        algo.post_reduce(ctx, s, iteration, control);
+        if constexpr (HasPostReduce<Algo>) {
+          algo.post_reduce(ctx, s, iteration, control);
+        }
         done = algo.end_iteration(ctx, s, iteration, control);
         // Iteration barrier: counters and carried state must be settled
         // before the engine snapshots history and previsit mutates again.
         delegate_stream.synchronize();
         normal_stream.synchronize();
-        sim::GpuIterationCounters row = algo.iteration_counters(s);
+        sim::GpuIterationCounters row = s.iter;
         row.stall_ns += pending_stall_ns;
         row.recovery_ns += pending_recovery_ns;
         row.checkpoint_bytes += pending_checkpoint_bytes;
@@ -292,7 +317,7 @@ class IterativeEngine {
       }
       iterations[gi] = iteration;
 
-      algo.finalize(ctx, s, iteration);
+      if constexpr (HasFinalize<Algo>) algo.finalize(ctx, s, iteration);
       device.release(Algo::kStateLabel);
     });
     out.measured_ms = wall.elapsed_ms();

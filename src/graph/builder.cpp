@@ -39,7 +39,7 @@ DistributedGraph build_distributed(const EdgeList& g, sim::ClusterSpec spec,
   }
 
   const std::uint64_t p = static_cast<std::uint64_t>(spec.total_gpus());
-  if ((g.num_vertices + p - 1) / p > static_cast<std::uint64_t>(kInvalidLocal)) {
+  if (out.max_local_normals() > static_cast<std::uint64_t>(kInvalidLocal)) {
     throw std::invalid_argument("n/p exceeds 32-bit local id space");
   }
 

@@ -35,6 +35,12 @@ class DistributedGraph {
     return locals_.at(static_cast<std::size_t>(global_gpu));
   }
   std::size_t num_locals() const noexcept { return locals_.size(); }
+  /// Local normals of the fullest GPU, ceil(n/p): every GPU's local ids
+  /// stay below it.
+  std::uint64_t max_local_normals() const noexcept {
+    const auto p = static_cast<std::uint64_t>(spec_.total_gpus());
+    return (num_vertices_ + p - 1) / p;
+  }
 
   std::uint64_t enn() const noexcept { return enn_; }
   std::uint64_t end() const noexcept { return end_; }

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 
 /// Fundamental integer types shared across the library.
 ///
@@ -38,5 +39,15 @@ inline constexpr VertexId kInvalidVertex = static_cast<VertexId>(-1);
 /// Unreached distance for weighted traversals (the identity of min, so
 /// unreached vertices fall out of min-reductions automatically).
 inline constexpr std::uint64_t kInfiniteDistance = static_cast<std::uint64_t>(-1);
+
+/// Lane-batched algorithms key (item, lane) pairs by a 32-bit slot id,
+/// item * stride + lane.  Throws std::overflow_error unless every slot of
+/// `items` items at `stride` lanes each stays below kInvalidLocal; past
+/// that bound slots would alias.
+inline void check_slot_ids_fit(std::uint64_t items, std::uint64_t stride) {
+  if (items > kInvalidLocal / stride) {
+    throw std::overflow_error("(vertex, lane) slot ids exceed 32 bits");
+  }
+}
 
 }  // namespace dsbfs

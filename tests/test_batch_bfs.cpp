@@ -563,6 +563,18 @@ void expect_all_queries_serial_exact(const graph::EdgeList& g,
   }
 }
 
+TEST(BatchBfs, SlotIdsOverflowLoudlyAtThe32BitBoundary) {
+  // The parent round, betweenness and batched SSSP key (vertex, lane)
+  // pairs by item * stride + lane in a 32-bit id.  2^26 local items at
+  // W = 64 reach slot 2^32 - 1 == kInvalidLocal; one item fewer does not.
+  constexpr std::uint64_t kItems = std::uint64_t{1} << 26;
+  EXPECT_THROW(check_slot_ids_fit(kItems, 64), std::overflow_error);
+  EXPECT_NO_THROW(check_slot_ids_fit(kItems - 1, 64));
+  EXPECT_THROW(check_slot_ids_fit(std::uint64_t{1} << 32, 1),
+               std::overflow_error);
+  EXPECT_NO_THROW(check_slot_ids_fit(kInvalidLocal, 1));
+}
+
 TEST(BatchBfs, ReseedingAFullyCoveredLaneStaysExact) {
   // The grid is connected: each query visits *every* vertex, so every
   // successive occupant of the single lane re-seeds a lane whose visited

@@ -11,7 +11,6 @@
 #include "baseline/serial_bfs.hpp"
 #include "core/bfs.hpp"
 #include "core/components.hpp"
-#include "core/packing.hpp"
 #include "core/pagerank.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
@@ -34,7 +33,7 @@ TEST(TagBlocks, MatchesTheHistoricTagArithmetic) {
   EXPECT_EQ(TagBlocks::control(3), comm::kTagControl + 3 * comm::kTagBlock);
   EXPECT_EQ(TagBlocks::user(5), comm::kTagUser + 5 * comm::kTagBlock);
   EXPECT_EQ(TagBlocks::user(5, 4), comm::kTagUser + 5 * comm::kTagBlock + 4);
-  // The BFS parent exchange historically ran on block depth + 2.
+  // Post-loop phases (the BFS parent round) start at block depth + 2.
   EXPECT_EQ(TagBlocks::user(TagBlocks::after_loop(7)),
             comm::kTagUser + (7 + 2) * comm::kTagBlock);
   // Channel spacing lives with the reducers now (comm::kReduceChannelStride);
@@ -53,34 +52,6 @@ TEST(TagBlocks, PostLoopBlocksStayDisjointFromIterations) {
     if (phase > 0) {
       EXPECT_GT(block, TagBlocks::after_loop(iterations, phase - 1));
     }
-  }
-}
-
-// ---- parent-probe packing (core/packing.hpp) -----------------------------
-
-TEST(ParentPacking, RoundTripsAtMaximumLocalIdWidth) {
-  // The exchange delivers any 32-bit local id; neither the deepest
-  // representable level nor the highest lane may bleed into it (and vice
-  // versa).
-  const std::uint64_t max_local = kInvalidLocal;  // 0xffffffff
-  const Depth max_level = static_cast<Depth>(core::kParentDepthMask);
-  for (const int lane : {0, 1, 63}) {
-    SCOPED_TRACE(lane);
-    const std::uint64_t word =
-        core::pack_lane_parent_probe(max_local, lane, max_level);
-    EXPECT_EQ(core::lane_parent_probe_local(word), max_local);
-    EXPECT_EQ(core::lane_parent_probe_lane(word), lane);
-    EXPECT_EQ(core::lane_parent_probe_level(word), max_level);
-
-    const std::uint64_t word2 = core::pack_lane_parent_probe(max_local, lane, 0);
-    EXPECT_EQ(core::lane_parent_probe_local(word2), max_local);
-    EXPECT_EQ(core::lane_parent_probe_lane(word2), lane);
-    EXPECT_EQ(core::lane_parent_probe_level(word2), 0);
-
-    const std::uint64_t word3 = core::pack_lane_parent_probe(0, lane, max_level);
-    EXPECT_EQ(core::lane_parent_probe_local(word3), 0u);
-    EXPECT_EQ(core::lane_parent_probe_lane(word3), lane);
-    EXPECT_EQ(core::lane_parent_probe_level(word3), max_level);
   }
 }
 
@@ -233,6 +204,59 @@ TEST(IterativeEngine, RunsPhasesInOrderUntilControlConverges) {
     ASSERT_EQ(history.size(), 5u);
     for (std::size_t it = 0; it < history.size(); ++it) {
       EXPECT_EQ(history[it].nn.edges, it);
+    }
+  }
+}
+
+/// An algorithm with only the required hooks: no reduce, post_reduce or
+/// finalize, and no counters accessor beside State::iter.
+class MinimalAlgorithm {
+ public:
+  static constexpr const char* kStateLabel = "minimal.state";
+
+  struct State {
+    int rounds = 0;
+    sim::GpuIterationCounters iter;
+  };
+
+  std::unique_ptr<State> init(GpuContext&) { return std::make_unique<State>(); }
+  std::uint64_t state_bytes(const GpuContext&, const State&) const {
+    return 8;
+  }
+  void previsit(GpuContext&, State& s, int) { s.iter = {}; }
+  void visit(GpuContext&, State& s, int) { s.iter.nn.edges = 7; }
+  void exchange(GpuContext&, State&, int) {}
+  std::uint64_t contribution(GpuContext&, State& s, int) {
+    return s.rounds < 2 ? 1 : 0;
+  }
+  bool end_iteration(GpuContext&, State& s, int, std::uint64_t control) {
+    ++s.rounds;
+    return control == 0;
+  }
+};
+static_assert(IterativeAlgorithm<MinimalAlgorithm>);
+static_assert(!HasReduce<MinimalAlgorithm> &&
+              !HasPostReduce<MinimalAlgorithm> &&
+              !HasFinalize<MinimalAlgorithm>);
+static_assert(HasReduce<CountdownAlgorithm> &&
+              HasPostReduce<CountdownAlgorithm> &&
+              HasFinalize<CountdownAlgorithm>);
+
+TEST(IterativeEngine, RunsAlgorithmsWithoutTheOptionalHooks) {
+  const auto spec = spec_of(2, 1);
+  sim::Cluster cluster(spec);
+  const graph::DistributedGraph dg =
+      graph::build_distributed(graph::path_graph(16), spec, 4);
+  MinimalAlgorithm algo;
+  for (const bool overlap : {false, true}) {
+    SCOPED_TRACE(overlap ? "overlap" : "sequential");
+    IterativeEngine<MinimalAlgorithm> engine(dg, cluster,
+                                             {.overlap = overlap});
+    const auto run = engine.run(algo);
+    EXPECT_EQ(run.iterations, 3);
+    for (const auto& history : run.histories) {
+      ASSERT_EQ(history.size(), 3u);
+      for (const auto& row : history) EXPECT_EQ(row.nn.edges, 7u);
     }
   }
 }

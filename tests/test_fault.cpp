@@ -6,8 +6,11 @@
 #include <thread>
 #include <vector>
 
+#include "comm/transport.hpp"
+#include "core/batch_bfs.hpp"
 #include "core/bfs.hpp"
 #include "core/sssp.hpp"
+#include "core/validate.hpp"
 #include "graph/builder.hpp"
 #include "graph/rmat.hpp"
 #include "sim/cluster.hpp"
@@ -237,6 +240,71 @@ TEST_F(FaultReplayTest, DifferentSeedsChangeTheLogNotTheAnswer) {
 
   EXPECT_NE(a.metrics.fault.events, b.metrics.fault.events);
   EXPECT_EQ(a.distances, b.distances);  // self-healing: answers never move
+}
+
+TEST_F(FaultReplayTest, BfsTreeRoundHealsOnTheLossyWire) {
+  // The BFS-tree round after the loop rides the run's exchange: under a
+  // lossy wire its messages draw faults in a tag block past the loop, the
+  // hardened protocol heals them, and the trees stay the clean run's on
+  // the flat and the butterfly topology, at one lane and at eight.
+  sim::Cluster cluster(spec_);
+  std::vector<VertexId> sources;
+  const core::DistributedBatchBfs sampler(dg_, cluster);
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    sources.push_back(sampler.sample_source(k));
+  }
+  const auto faults_past_loop = [](const sim::FaultReport& fault,
+                                   int iterations) {
+    int n = 0;
+    for (const sim::FaultEvent& e : fault.events) {
+      if (e.tag >= 0 && e.tag / comm::kTagBlock >= iterations) ++n;
+    }
+    return n;
+  };
+  for (const auto topology :
+       {sim::ExchangeTopology::kFlat, sim::ExchangeTopology::kButterfly}) {
+    SCOPED_TRACE(sim::to_string(topology));
+    core::BfsOptions single;
+    single.compute_parents = true;
+    single.run.exchange_topology = topology;
+    core::BfsOptions batch{.direction_optimized = false};
+    batch.compute_parents = true;
+    batch.run.exchange_topology = topology;
+    const core::BfsResult clean =
+        core::DistributedBfs(dg_, cluster, single).run(3);
+    const core::BatchBfsResult clean_batch =
+        core::DistributedBatchBfs(dg_, cluster, batch).run(sources);
+
+    for (core::BfsOptions* options : {&single, &batch}) {
+      options->run.resilience.faults.seed = 41;
+      options->run.resilience.faults.drop_rate = 0.1;
+      options->run.resilience.faults.corrupt_rate = 0.1;
+    }
+    const core::BfsResult hurt =
+        core::DistributedBfs(dg_, cluster, single).run(3);
+    EXPECT_EQ(hurt.distances, clean.distances);
+    EXPECT_EQ(hurt.parents, clean.parents);
+    const core::ValidationReport report =
+        core::validate_parents(edges_, 3, hurt.distances, hurt.parents);
+    EXPECT_TRUE(report.ok) << report.error;
+    EXPECT_GT(faults_past_loop(hurt.metrics.fault, hurt.metrics.iterations), 0);
+
+    const core::BatchBfsResult hurt_batch =
+        core::DistributedBatchBfs(dg_, cluster, batch).run(sources);
+    EXPECT_EQ(hurt_batch.distances, clean_batch.distances);
+    EXPECT_EQ(hurt_batch.parents, clean_batch.parents);
+    for (std::size_t lane = 0; lane < sources.size(); ++lane) {
+      const core::ValidationReport lane_report =
+          core::validate_parents(edges_, sources[lane],
+                                 hurt_batch.distances[lane],
+                                 hurt_batch.parents[lane]);
+      EXPECT_TRUE(lane_report.ok) << "lane " << lane << ": "
+                                  << lane_report.error;
+    }
+    EXPECT_GT(faults_past_loop(hurt_batch.metrics.fault,
+                               hurt_batch.metrics.iterations),
+              0);
+  }
 }
 
 }  // namespace
