@@ -138,14 +138,15 @@ class LaneBfsAlgorithm : public LanePipeline<LaneState> {
         }
       }
     }
-    // The round rides the run's merge, codec, routing and retry policy;
-    // its counters stay off the model, like the rest of tree building.
-    sim::GpuIterationCounters unmodeled;
+    // The round rides the run's merge, codec, routing and retry policy.
+    // Its counters go to the post-loop row: its faults and retries count in
+    // the run's fault report, its traffic stays off the model, like the
+    // rest of tree building.
     const std::vector<comm::VertexUpdate> received = ctx.comm.exchange(
         me, bins, parent_block,
         {.combine = comm::UpdateCombine::kMin,
          .local_all2all = options_.local_all2all},
-        unmodeled);
+        ctx.post_loop);
     const auto w = static_cast<std::size_t>(s.lane_bits());
     for (const comm::VertexUpdate& u : received) {
       const std::size_t sl = u.vertex;

@@ -39,8 +39,8 @@
 /// estimate scales the remaining-unvisited pull mass by the live-lane
 /// population (core::lane_backward_workload) -- a pull candidate early-exits
 /// per lane, so the expected scan grows only harmonically in the number of
-/// live lanes.  At W = 1 the live-lane population is 1, so either mode
-/// makes the single-source decisions.
+/// live lanes, up to the candidates' full rows.  At W = 1 the live-lane
+/// population is 1, so either mode makes the single-source decisions.
 namespace dsbfs::core {
 
 struct BatchBfsResult {

@@ -40,13 +40,14 @@ struct BfsOptions {
   comm::ReduceMode reduce_mode = comm::ReduceMode::kBlocking;
 
   /// Online self-tuning of the direction factors (core::DirectionController,
-  /// seeded from the tuned kBfsDirectionSeeds table; without it that table
-  /// is used verbatim): realized push/pull round costs measured from the
-  /// iteration counters rescale the switching thresholds as the run
-  /// executes.  Until the observed edge mass rivals the controller's prior,
-  /// decisions are exactly the static factors', so this is safe to leave
-  /// on; turn it off to pin the static TUNING.md factors for paper-figure
-  /// reproduction.
+  /// seeded from kBfsDirectionSeeds, the device model's pull/push kernel
+  /// rate ratios; without it that table is used verbatim): realized
+  /// push/pull round costs measured from the iteration counters rescale the
+  /// switching thresholds as the run executes, so the installed factor is
+  /// the realized pull/push cost ratio.  Until the observed edge mass rivals
+  /// the controller's prior, decisions are exactly the static factors', so
+  /// this is safe to leave on; turn it off to pin the static rate-ratio
+  /// factors (docs/TUNING.md) for paper-figure reproduction.
   bool adaptive_direction = true;
 
   /// Also produce the Graph500 BFS tree per source (BfsResult::parents,

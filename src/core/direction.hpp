@@ -40,8 +40,16 @@
 ///   s = unvisited sources in the forward subgraph,
 ///   a = q / (q + s)  (probability a potential parent is newly visited),
 ///   U = unvisited sources of the reversed subgraph,
-/// the expected pull cost is sum over U of (1 - (1-a)^od(u)) / a, which for
-/// large out-degrees approximates |U| / a = |U| (q + s) / q.
+/// the expected pull cost is sum over U of (1 - (1-a)^od(u)) / a.  Each
+/// term is at most min(1/a, od(u)): a candidate never scans past the end
+/// of its row.  BFS takes |U| / a = |U| (q + s) / q (backward_workload),
+/// capped at the candidates' edge mass, the sum of od(u) over U, which the
+/// traversal keeps as a running pool beside the unvisited counts.  Uncapped,
+/// |U| / a far exceeds that mass whenever a is small (a one-vertex
+/// frontier), and only a near-zero factor let a pull win at all; capped,
+/// FV and BV are both edge counts, so the factors are the kernel-rate
+/// ratios.  The mass falls to 0 once every candidate is visited, so a late
+/// pull costs a launch and nothing else.
 ///
 /// BFS pull stops a row scan at the first visited parent, which is what the
 /// early-exit expectation above models.  Weighted SSSP pull cannot early-exit
@@ -55,14 +63,17 @@
 /// ## Static seeds vs the online controller
 ///
 /// The per-kernel factors below (kBfsDirectionSeeds / kSsspDirectionSeeds)
-/// encode the device model's push/pull kernel-rate crossovers, derived in
-/// docs/TUNING.md.  With `adaptive_direction` (on by default), they are only
-/// the *seeds*: a per-GPU DirectionController measures the realized
-/// effective cost per edge of the push and pull kernels as the run executes
-/// -- launch overhead and per-vertex cost amortized over the actual round
-/// shapes, not the asymptotic rates -- and rescales the factors by how far
-/// the realized pull/push cost ratio drifts from the assumed one.  On dense
-/// RMAT cores the estimates stay at the asymptotic rates and the controller
+/// sit at the device model's push/pull kernel-rate crossovers: with honest
+/// FV and BV, pulling pays once FV * (push ns/edge) > BV * (pull ns/edge),
+/// i.e. FV > (pull rate / push rate) * BV (docs/TUNING.md).  With
+/// `adaptive_direction` (on by default), they are only the *seeds*: a
+/// per-GPU DirectionController measures the realized effective cost per
+/// edge of the push and pull kernels as the run executes -- launch overhead
+/// and per-vertex cost amortized over the actual round shapes, not the
+/// asymptotic rates -- and rescales the factors by how far the realized
+/// pull/push cost ratio drifts from the assumed one, so the BFS factor it
+/// installs is simply the realized pull/push cost ratio.  On dense RMAT
+/// cores the estimates stay at the asymptotic rates and the controller
 /// reproduces the static decisions; on long-tail graphs the tiny pull
 /// kernels' fixed overhead inflates the realized pull cost and the
 /// controller backs off the switch -- the Section VI-D failure mode, handled
@@ -84,12 +95,22 @@ struct DirectionSeeds {
   DirectionFactors dd, dn, nd;
 };
 
-/// The paper's near-optimal BFS setting on RMAT across the weak-scaling
-/// curve (Fig. 7): (0.5, 0.05, 1e-7) for dd, dn, nd, no switch-back.
-/// Single source of truth -- BfsOptions defaults to this table, and the
-/// DirectionController treats it as its seed.
-inline constexpr DirectionSeeds kBfsDirectionSeeds{
-    .dd = {0.5, 0.0}, .dn = {0.05, 0.0}, .nd = {1e-7, 0.0}};
+/// BFS factors at the device model's kernel-rate crossover: a pull edge
+/// costs ns_per_edge_backward / ns_per_edge_forward_* of a push edge (dd
+/// pushes merge-based, dn and nd dynamically), and with the capped BV the
+/// estimates are edge counts on both sides, so the ratio is the factor.
+/// No switch-back, the paper's BFS setting.  Single source of truth: the
+/// BFS previsits read this table, and the DirectionController treats it as
+/// its seed.
+inline constexpr DirectionSeeds kBfsDirectionSeeds = [] {
+  constexpr sim::DeviceModelConfig rates{};
+  constexpr double merge =
+      rates.ns_per_edge_backward / rates.ns_per_edge_forward_merge;
+  constexpr double dynamic =
+      rates.ns_per_edge_backward / rates.ns_per_edge_forward_dynamic;
+  return DirectionSeeds{
+      .dd = {merge, 0.0}, .dn = {dynamic, 0.0}, .nd = {dynamic, 0.0}};
+}();
 
 /// SSSP factors sit at the modeled kernel-rate crossover (pull edges cost
 /// ns_per_edge_backward / ns_per_edge_forward_* of a push edge, and SSSP
@@ -111,20 +132,27 @@ inline double backward_workload(std::uint64_t unvisited_reverse_sources,
 /// Lane-aware BV for batched pulls: a pull candidate keeps scanning until
 /// *every* one of its unvisited live lanes has found a parent, so the
 /// expected scan length is the maximum of `live_lanes` early-exit
-/// (geometric) scans -- the harmonic number H_L times the scalar estimate.
-/// L = 1 reproduces backward_workload exactly (H_1 = 1), which is what makes
+/// (geometric) scans -- the harmonic number H_L times the scalar estimate
+/// -- and never more than the candidates' rows, `candidate_edges` (the
+/// edge mass of the unvisited reversed-subgraph sources).  L = 1 below the
+/// cap reproduces backward_workload exactly (H_1 = 1), which is what makes
 /// the W = 1 hybrid batch reproduce single-source decisions bit for bit; an
 /// empty union frontier (q = 0 or no live lanes) is infinite, pinning the
 /// kernel forward.
 inline double lane_backward_workload(std::uint64_t unvisited_reverse_sources,
                                      std::uint64_t frontier_len,
                                      std::uint64_t unvisited_forward_sources,
-                                     int live_lanes) {
-  if (live_lanes <= 0) return std::numeric_limits<double>::infinity();
+                                     int live_lanes,
+                                     std::uint64_t candidate_edges) {
+  if (live_lanes <= 0 || frontier_len == 0) {
+    return std::numeric_limits<double>::infinity();
+  }
   double harmonic = 0;
   for (int i = 1; i <= live_lanes; ++i) harmonic += 1.0 / i;
-  return harmonic * backward_workload(unvisited_reverse_sources, frontier_len,
-                                      unvisited_forward_sources);
+  return std::min(harmonic * backward_workload(unvisited_reverse_sources,
+                                               frontier_len,
+                                               unvisited_forward_sources),
+                  static_cast<double>(candidate_edges));
 }
 
 /// Backward-workload estimate for weighted SSSP pull: a pull round scans

@@ -36,6 +36,9 @@ LaneState::LaneState(const graph::LocalGraph& graph, int total_gpus,
   unvisited_nd_sources = graph.nd_source_count();
   unvisited_dd_sources = graph.dd_source_count();
   unvisited_dn_sources = graph.dn_source_count();
+  unvisited_nd_edges = graph.nd().num_edges();
+  unvisited_dd_edges = graph.dd().num_edges();
+  unvisited_dn_edges = graph.dn().num_edges();
 
   if (lane_bits == 1) {
     id_bins.resize(static_cast<std::size_t>(total_gpus));
@@ -75,8 +78,7 @@ void LaneState::seed(int lane, VertexId source, LocalId delegate,
     // First touch in any lane leaves the all-lane unvisited pools
     // (duplicate sources only decrement once).
     if (delegate_visited.or_lanes(delegate, bit) == 0 && direction_optimized) {
-      if (graph_->dd_source_mask().test(delegate)) --unvisited_dd_sources;
-      if (graph_->dn_source_mask().test(delegate)) --unvisited_dn_sources;
+      leave_delegate_pools(delegate);
     }
     depth_delegate[slot(delegate, lane)] = depth;
     if (record_parents) parent_delegate_dd[slot(delegate, lane)] = source;
@@ -87,6 +89,13 @@ void LaneState::seed(int lane, VertexId source, LocalId delegate,
   const auto local = static_cast<LocalId>(spec.local_index(source));
   if (record_parents) parent_normal[slot(local, lane)] = source;
   if (next_normal.or_lanes(local, bit) == 0) next_local.push_back(local);
+}
+
+void LaneState::leave_delegate_pools(std::size_t t) noexcept {
+  if (graph_->dd_source_mask().test(t)) --unvisited_dd_sources;
+  if (graph_->dn_source_mask().test(t)) --unvisited_dn_sources;
+  unvisited_dd_edges -= graph_->dd().row_length(t);
+  unvisited_dn_edges -= graph_->dn().row_length(t);
 }
 
 std::uint64_t LaneState::unseen_arrival_lanes() const noexcept {
@@ -123,8 +132,7 @@ void LaneState::reduce_delegate_updates(comm::ValueReducer& reducer,
   const Depth next_depth = depth + 1;
   delegate_new.for_each_nonzero_lanes([&](std::size_t t, std::uint64_t w) {
     if (direction_optimized && delegate_visited.lanes(t) == 0) {
-      if (graph_->dd_source_mask().test(t)) --unvisited_dd_sources;
-      if (graph_->dn_source_mask().test(t)) --unvisited_dn_sources;
+      leave_delegate_pools(t);
     }
     for (std::uint64_t b = w; b != 0; b &= b - 1) {
       depth_delegate[slot(t, std::countr_zero(b))] = next_depth;

@@ -257,8 +257,11 @@ class LaneState {
   // One DirectionState per switchable kernel deciding for the *union*
   // frontier (one pull sweep serves every live lane), unvisited pools
   // counting items untouched in every lane (the single-source pools at
-  // W = 1), and the constant all-active-lanes word the pull kernels mask
-  // their candidates with.
+  // W = 1) beside the edge mass of their rows (the cap on an early-exit
+  // pull's scan, lane_backward_workload), and the constant
+  // all-active-lanes word the pull kernels mask their candidates with.
+  // The pools are host scalars, settled at the sites that take an item
+  // out of its count.
   bool direction_optimized = false;   // kHybrid
   bool adaptive_direction = false;
   DirectionState dir_dd, dir_dn, dir_nd;
@@ -271,6 +274,9 @@ class LaneState {
   std::uint64_t unvisited_nd_sources = 0;  // normals with nd edges
   std::uint64_t unvisited_dd_sources = 0;  // delegates with dd edges
   std::uint64_t unvisited_dn_sources = 0;  // delegates with dn edges
+  std::uint64_t unvisited_nd_edges = 0;    // their nd row mass
+  std::uint64_t unvisited_dd_edges = 0;    // their dd row mass
+  std::uint64_t unvisited_dn_edges = 0;    // their dn row mass
   double fv_dd = 0, fv_dn = 0, fv_nd = 0;
   double bv_dd = 0, bv_dn = 0, bv_nd = 0;
 
@@ -346,15 +352,19 @@ class LaneState {
   /// a copy of `delegate_visited`, OR-reduce its words across GPUs
   /// (ValueReducer::Op::kOr), extract the newly visited lanes into
   /// `delegate_new`, assign them depth + 1 and adopt the reduced mask.
-  /// Under direction optimization it also takes a delegate out of the
-  /// all-lane unvisited pools at its first visited lane (the single-source
-  /// pool decrement at W = 1).  Without updates it only clears
-  /// `delegate_new`.  Runs on the GPU thread; the normal stream may
+  /// Under direction optimization it also takes a delegate and its row
+  /// mass out of the all-lane unvisited pools at its first visited lane
+  /// (the single-source pool decrement at W = 1).  Without updates it only
+  /// clears `delegate_new`.  Runs on the GPU thread; the normal stream may
   /// still be exchanging, which touches none of these fields.
   void reduce_delegate_updates(comm::ValueReducer& reducer, sim::GpuCoord me,
                                int iteration, bool any_updates);
 
  private:
+  /// Takes delegate t, at its first visited lane, out of the dd and dn
+  /// unvisited pools and their edge masses.
+  void leave_delegate_pools(std::size_t t) noexcept;
+
   const graph::LocalGraph* graph_;
   int lane_bits_ = 1;
 };

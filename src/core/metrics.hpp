@@ -41,7 +41,9 @@ struct RunReport {
   double modeled_ms = 0;
   /// Fault log, checkpoint and rollback accounting (empty on a clean,
   /// checkpoint-free run).  Its retries / corrupt_bins / recovery_ns are the
-  /// sums of the same fields over the counter rows.
+  /// sums of the same fields over the counter rows and the engine's
+  /// post-loop rows (engine::EngineRun::post_loop, which the replay does
+  /// not charge).
   sim::FaultReport fault;
   sim::RunCounters counters;  // full trace for re-modeling
 };

@@ -38,15 +38,18 @@ void delegate_previsit_lanes(LaneState& s) {
   s.fv_dn = fv_dn;
   // The union frontier pulls for every live lane at once: one sweep of the
   // reverse rows, each candidate early-exiting per lane (the harmonic
-  // scaling inside lane_backward_workload).  Pools count items untouched in
-  // every lane, so at W = 1 these are the single-source estimates.  dd's
-  // reversed graph is dd itself (locally symmetric); dn's is nd, so its
-  // pull candidates are unvisited nd sources and its potential parents
-  // delegates with dn edges.
+  // scaling inside lane_backward_workload) and never past its row (the
+  // candidates' edge-mass cap).  Pools count items untouched in every lane,
+  // so at W = 1 these are the single-source estimates.  dd's reversed
+  // graph is dd itself (locally symmetric); dn's is nd, so its pull
+  // candidates are unvisited nd sources scanning their nd rows, and its
+  // potential parents delegates with dn edges.
   s.bv_dd = lane_backward_workload(s.unvisited_dd_sources, q,
-                                   s.unvisited_dd_sources, live);
+                                   s.unvisited_dd_sources, live,
+                                   s.unvisited_dd_edges);
   s.bv_dn = lane_backward_workload(s.unvisited_nd_sources, q,
-                                   s.unvisited_dn_sources, live);
+                                   s.unvisited_dn_sources, live,
+                                   s.unvisited_nd_edges);
   if (s.adaptive_direction) {
     s.dir_dd.set_factors(s.controller.factors(kBfsDirectionSeeds.dd, true));
     s.dir_dn.set_factors(s.controller.factors(kBfsDirectionSeeds.dn, false));
@@ -106,7 +109,8 @@ void normal_previsit_lanes(LaneState& s) {
     // their CSR rows in order, and stamp each word's depth at once.  Sorting
     // the touched words keeps the cost proportional to the frontier rather
     // than to n/64.  Every frontier vertex is newly visited, so the nd
-    // sources among them leave the unvisited pool.
+    // sources among them, and their nd edges (fv_nd), leave the unvisited
+    // pools.
     std::sort(s.frontier_words.begin(), s.frontier_words.end());
     std::uint64_t newly_in_pool = 0;
     for (const std::size_t w : s.frontier_words) {
@@ -126,6 +130,7 @@ void normal_previsit_lanes(LaneState& s) {
     }
     s.frontier_words.clear();
     s.unvisited_nd_sources -= newly_in_pool;
+    s.unvisited_nd_edges -= static_cast<std::uint64_t>(fv_nd);
     frontier_bits = s.frontier.size();
     lane_union = s.frontier.empty() ? 0 : 1;
   } else {
@@ -133,13 +138,16 @@ void normal_previsit_lanes(LaneState& s) {
     // them into the visited mask and the frontier.  `or_lanes` returning 0
     // means first touch, which keeps the frontier queue duplicate-free.  An
     // item first touched in *any* lane leaves the unvisited nd-source pool
-    // (all-lane pools, the single-source pools at W = 1).
+    // and takes its nd row out of the pool's edge mass (all-lane pools, the
+    // single-source pools at W = 1).
+    const auto leave_nd_pool = [&s, &g](LocalId v) {
+      if (!g.nd_source_mask().test(v)) return;
+      --s.unvisited_nd_sources;
+      s.unvisited_nd_edges -= g.nd().row_length(v);
+    };
     for (const LocalId v : s.next_local) {
       const std::uint64_t lanes = s.next_normal.lanes<W>(v);
-      if (s.seen_normal.or_lanes<W>(v, lanes) == 0 &&
-          g.nd_source_mask().test(v)) {
-        --s.unvisited_nd_sources;
-      }
+      if (s.seen_normal.or_lanes<W>(v, lanes) == 0) leave_nd_pool(v);
       if (s.frontier_normal.or_lanes<W>(v, lanes) == 0) {
         s.frontier.push_back(v);
       }
@@ -153,9 +161,7 @@ void normal_previsit_lanes(LaneState& s) {
     for (const comm::VertexUpdate& u : s.received) {
       const std::uint64_t prev_seen =
           s.seen_normal.or_lanes<W>(u.vertex, u.value);
-      if (prev_seen == 0 && g.nd_source_mask().test(u.vertex)) {
-        --s.unvisited_nd_sources;
-      }
+      if (prev_seen == 0) leave_nd_pool(u.vertex);
       const std::uint64_t fresh = u.value & ~prev_seen;
       if (fresh == 0) continue;
       if (s.record_parents) {
@@ -189,11 +195,12 @@ void normal_previsit_lanes(LaneState& s) {
   if (!s.direction_optimized) return;
 
   // nd: reversed subgraph is dn; pull candidates are unvisited delegates
-  // with dn edges, potential parents are normals with nd edges.
+  // scanning their dn rows, potential parents are normals with nd edges.
   const std::uint64_t q = s.frontier.size();
   s.fv_nd = fv_nd;
   s.bv_nd = lane_backward_workload(s.unvisited_dn_sources, q,
-                                   s.unvisited_nd_sources, live);
+                                   s.unvisited_nd_sources, live,
+                                   s.unvisited_dn_edges);
   if (s.adaptive_direction) {
     s.dir_nd.set_factors(s.controller.factors(kBfsDirectionSeeds.nd, false));
   }

@@ -16,9 +16,9 @@
 /// traversal direction for the union frontier: FV sums ride the queue scans
 /// that run anyway (so the replay charges no extra estimation launches),
 /// BV comes from the all-lane unvisited pools scaled by the live-lane
-/// population (lane_backward_workload, the single-source estimate at
-/// W = 1), and the optional DirectionController re-seeds the factors each
-/// iteration.
+/// population and capped at the pools' edge mass (lane_backward_workload,
+/// the single-source estimate at W = 1), and the optional
+/// DirectionController re-seeds the factors each iteration.
 namespace dsbfs::core {
 
 /// Delegate-stream previsit.  Reads `delegate_new` lane words; fills

@@ -61,6 +61,9 @@ struct GpuContext {
   CommContext& comm;
   sim::Stream& delegate_stream;
   sim::Stream& normal_stream;
+  /// This GPU's post-loop row (EngineRun::post_loop): `finalize` counts the
+  /// exchanges it runs here.
+  sim::GpuIterationCounters& post_loop;
   /// Index of the current iteration's row in the engine's counter history.
   /// Equals the iteration on a clean run; after a rollback it runs ahead,
   /// because replayed iterations append rows.  Set by the engine at each
@@ -117,7 +120,8 @@ concept HasPostReduce =
 };
 
 /// Post-loop work (e.g. the BFS parent round); `iteration` here is the
-/// total iteration count, identical on every GPU.
+/// total iteration count, identical on every GPU.  Its counters go to
+/// GpuContext::post_loop.
 template <typename A>
 concept HasFinalize =
     requires(A a, typename A::State& s, GpuContext& ctx, int iteration) {
@@ -136,6 +140,10 @@ struct EngineRun {
   /// iteration -- replayed rows append -- while `iterations` stays the
   /// logical count; the modeled time then honestly includes the replays.
   sim::FaultReport fault;
+  /// One row per GPU for the work after the loop (`finalize`).  Its
+  /// retries, rejects and recovery time count into `fault`; it stays out of
+  /// `histories`, so the model replay never charges it.
+  std::vector<sim::GpuIterationCounters> post_loop;
 
   const State& state(int gpu) const {
     return *states[static_cast<std::size_t>(gpu)];
@@ -186,6 +194,7 @@ class IterativeEngine {
     EngineRun<State> out;
     out.states.resize(static_cast<std::size_t>(p));
     out.histories.resize(static_cast<std::size_t>(p));
+    out.post_loop.resize(static_cast<std::size_t>(p));
     std::vector<int> iterations(static_cast<std::size_t>(p), 0);
     std::vector<int> checkpoints(static_cast<std::size_t>(p), 0);
     std::vector<int> rollbacks(static_cast<std::size_t>(p), 0);
@@ -194,11 +203,12 @@ class IterativeEngine {
     util::Timer wall;
     cluster_.run([&](sim::GpuCoord me, sim::Device& device) {
       const int g = spec.global_gpu(me);
+      const auto gi = static_cast<std::size_t>(g);
       // Engine-owned two-stream pipeline.
       sim::Stream delegate_stream;
       sim::Stream normal_stream;
-      GpuContext ctx{me,     device, g,    p, graph_, comm, delegate_stream,
-                     normal_stream};
+      GpuContext ctx{me, device, g, p, graph_, comm, delegate_stream,
+                     normal_stream, out.post_loop[gi]};
       // Queued hook tasks reference ctx (and the algorithm state); drain
       // both streams before ctx goes out of scope on every path, including
       // exception unwinding out of a hook.
@@ -216,8 +226,7 @@ class IterativeEngine {
       out.states[static_cast<std::size_t>(g)] = std::move(state_ptr);
       device.allocate(Algo::kStateLabel, algo.state_bytes(ctx, s));
 
-      auto& history = out.histories[static_cast<std::size_t>(g)];
-      const auto gi = static_cast<std::size_t>(g);
+      auto& history = out.histories[gi];
       std::optional<State> snap;  // epoch checkpoint: a copy of the state
       int snap_iteration = -1;
       bool stall_done = false;    // transient events fire once, not on replay
@@ -324,15 +333,19 @@ class IterativeEngine {
     out.iterations = iterations[0];
     if (fc.enabled() || checkpoint_interval > 0) {
       out.fault.events = plan.log();
+      const auto add = [&out](const sim::GpuIterationCounters& row) {
+        out.fault.retries += row.retries;
+        out.fault.corrupt_bins += row.corrupt_bins;
+        out.fault.recovery_ns += row.recovery_ns;
+        out.fault.checkpoint_bytes += row.checkpoint_bytes;
+      };
       for (int g = 0; g < p; ++g) {
         const auto gi = static_cast<std::size_t>(g);
         out.fault.checkpoints += checkpoints[gi];
         for (const sim::GpuIterationCounters& row : out.histories[gi]) {
-          out.fault.retries += row.retries;
-          out.fault.corrupt_bins += row.corrupt_bins;
-          out.fault.recovery_ns += row.recovery_ns;
-          out.fault.checkpoint_bytes += row.checkpoint_bytes;
+          add(row);
         }
+        add(out.post_loop[gi]);
       }
       // Rollbacks are cluster-wide events every thread observes identically.
       out.fault.rollbacks = rollbacks[0];

@@ -184,6 +184,11 @@ TEST(BatchBfsGolden, CountersAndModeledTimeArePinned) {
   // the pins from before the nn visit merged the lanes that reach one
   // target in one iteration into one record (it binned one record per
   // edge): that merge may only remove bytes and modeled time.
+  // `modeled_ms_before_cap` is the pin from before the early-exit pull
+  // estimate was capped at its candidates' edge mass and the direction
+  // factors became the device model's rate ratios (w8_hybrid then scanned
+  // dn 22013 / nd 38376 edges over 5643 / 7363 vertices): that may only
+  // remove modeled time, and forced push must not move.
   struct Golden {
     const char* name;
     std::size_t batch;
@@ -196,17 +201,21 @@ TEST(BatchBfsGolden, CountersAndModeledTimeArePinned) {
     std::uint64_t remote_bytes_before;
     std::uint64_t remote_bytes_per_edge;
     double modeled_ms_per_edge;
+    double modeled_ms_before_cap;
   };
   const Golden goldens[] = {
       {"w64_push", 64, false, false, 64, 7,
        {274289, 45255, 42290, 5944}, {8070, 8070, 7076, 7076}, 30144, 100992,
-       0.44973117001245322, 36300, 32532, 0.45007990098317535},
+       0.44973117001245322, 36300, 32532, 0.45007990098317535,
+       0.44973117001245322},
       {"w8_hybrid", 8, true, false, 8, 7,
-       {104262, 22013, 38376, 4469}, {4868, 5643, 7363, 5204}, 9380, 9468,
-       0.3675881665214944, 11265, 9840, 0.3677218523447171},
+       {104262, 11967, 10634, 4469}, {4868, 3552, 2585, 5204}, 9380, 9468,
+       0.36351312652149442, 11265, 9840, 0.3677218523447171,
+       0.3675881665214944},
       {"w64_parents", 64, false, true, 64, 7,
        {274289, 45255, 42290, 5944}, {8070, 8070, 7076, 7076}, 30144, 100992,
-       0.44973117001245322, 36300, 32532, 0.45007990098317535},
+       0.44973117001245322, 36300, 32532, 0.45007990098317535,
+       0.44973117001245322},
   };
   const graph::EdgeList g = graph::rmat_graph500({.scale = 12, .seed = 91});
   sim::ClusterSpec spec;
@@ -232,6 +241,10 @@ TEST(BatchBfsGolden, CountersAndModeledTimeArePinned) {
     EXPECT_LE(gold.remote_bytes, gold.remote_bytes_before);
     EXPECT_LE(gold.remote_bytes, gold.remote_bytes_per_edge);
     EXPECT_LE(gold.modeled_ms, gold.modeled_ms_per_edge);
+    EXPECT_LE(gold.modeled_ms, gold.modeled_ms_before_cap);
+    if (!gold.direction_optimized) {
+      EXPECT_EQ(gold.modeled_ms, gold.modeled_ms_before_cap);
+    }
     EXPECT_EQ(m.exchange_remote_bytes, gold.remote_bytes);
     EXPECT_EQ(m.mask_reduce_bytes, gold.mask_bytes);
     EXPECT_NEAR(m.modeled_ms, gold.modeled_ms, 1e-12 * gold.modeled_ms);

@@ -211,18 +211,22 @@ TEST(BfsSmall, LocalAll2AllGoldenCounters) {
   // BFS ran on the lane engine, whose previsits fuse the direction
   // estimates into their queue scans (direction_decisions_fused): the
   // model may only charge less for the same traversal.
+  // `modeled_ms_before_cap` is the pin from before the early-exit pull
+  // estimate was capped at its candidates' edge mass and the direction
+  // factors became the device model's rate ratios: the model may only
+  // charge less, and the bytes did not move.
   struct Golden {
     bool uniquify;
     std::uint64_t remote_bytes, local_bytes, send_dest_ranks, uniquified;
     double modeled_ms;
     std::uint64_t remote_bytes_before, local_bytes_before;
-    double modeled_ms_before;
+    double modeled_ms_before, modeled_ms_before_cap;
   };
   const Golden goldens[] = {
-      {false, 360, 404, 24, 0, 0.26211252836490251, 376, 432,
-       0.34362461077781303},
-      {true, 340, 404, 24, 90, 0.26912165089845852, 344, 432,
-       0.35063373331136899},
+      {false, 360, 404, 24, 0, 0.26176162836490247, 376, 432,
+       0.34362461077781303, 0.26211252836490251},
+      {true, 340, 404, 24, 90, 0.26877075089845853, 344, 432,
+       0.35063373331136899, 0.26912165089845852},
   };
   const graph::EdgeList g = graph::rmat_graph500({.scale = 10, .seed = 5});
   const auto spec = spec_of(2, 2);
@@ -248,6 +252,7 @@ TEST(BfsSmall, LocalAll2AllGoldenCounters) {
     EXPECT_LE(gold.remote_bytes, gold.remote_bytes_before);
     EXPECT_LE(gold.local_bytes, gold.local_bytes_before);
     EXPECT_LE(gold.modeled_ms, gold.modeled_ms_before);
+    EXPECT_LE(gold.modeled_ms, gold.modeled_ms_before_cap);
     EXPECT_EQ(r.metrics.exchange_remote_bytes, gold.remote_bytes);
     EXPECT_EQ(r.metrics.exchange_local_bytes, gold.local_bytes);
     EXPECT_EQ(send_dest_ranks, gold.send_dest_ranks);
@@ -324,17 +329,21 @@ TEST(BfsGolden, CheckpointBytesArePinned) {
   // `modeled_ms_n_sent` are the pins from before the nn `sent` mask was
   // indexed by ghost id instead of global vertex id: each checkpoint now
   // copies the smaller mask, and only the checkpoint charge may move.
+  // `modeled_ms_before_cap` is the pin from before the early-exit pull
+  // estimate was capped at its candidates' edge mass: its pools are host
+  // scalars, so the checkpoint bytes did not move, and the hybrid run's
+  // modeled time fell by exactly the uncheckpointed hybrid pin's drop.
   struct Pin {
     bool direction_optimized;
     int checkpoints;
     std::uint64_t bytes, bytes_before, bytes_n_sent;
-    double modeled_ms, modeled_ms_n_sent;
+    double modeled_ms, modeled_ms_n_sent, modeled_ms_before_cap;
   };
   const Pin pins[] = {
-      {true, 12, 96072, 96816, 101424, 0.30026673192987108,
-       0.30028133992987111},
+      {true, 12, 96072, 96816, 101424, 0.29832080095324326,
+       0.30028133992987111, 0.30026673192987108},
       {false, 12, 96072, 96816, 101424, 0.30959838895324321,
-       0.30961308495324324},
+       0.30961308495324324, 0.30959838895324321},
   };
   golden::BfsGoldenSetup setup;
   const int p = setup.spec.total_gpus();
@@ -364,6 +373,7 @@ TEST(BfsGolden, CheckpointBytesArePinned) {
     EXPECT_LE(pin.bytes, pin.bytes_n_sent);
     EXPECT_EQ(pin.bytes_n_sent - pin.bytes, rounds * sent_shrink_per_round);
     EXPECT_LE(pin.modeled_ms, pin.modeled_ms_n_sent);
+    EXPECT_LE(pin.modeled_ms, pin.modeled_ms_before_cap);
     EXPECT_NEAR(r.metrics.modeled_ms, pin.modeled_ms, 1e-12 * pin.modeled_ms);
   }
 }

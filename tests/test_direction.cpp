@@ -58,8 +58,8 @@ TEST(DirectionState, NeverSwitchesBackWithZeroFactor1) {
 }
 
 TEST(DirectionState, TinyFactorSwitchesAlmostImmediately) {
-  // The nd subgraph's 1e-7 factor: any nonzero forward workload triggers
-  // the pull direction once BV is finite.
+  // A near-zero factor: any nonzero forward workload triggers the pull
+  // direction once BV is finite.
   DirectionState s(DirectionFactors{1e-7, 0.0});
   EXPECT_TRUE(s.update(1.0, 1000.0, true));
 }
@@ -99,35 +99,99 @@ TEST(DirectionState, SetFactorsKeepsPosition) {
 
 // ---- lane-aware backward workload (batched union-frontier pulls) ---------
 
+/// A candidate edge mass no estimate below reaches: the cap is inactive.
+constexpr std::uint64_t kLargeMass = std::uint64_t{1} << 40;
+
 TEST(LaneBackwardWorkload, OneLiveLaneIsExactlyScalar) {
   // H_1 = 1: the W = 1 hybrid batch must reproduce single-source estimates
   // bit for bit.
-  EXPECT_EQ(lane_backward_workload(100, 10, 90, 1),
+  EXPECT_EQ(lane_backward_workload(100, 10, 90, 1, kLargeMass),
             backward_workload(100, 10, 90));
-  EXPECT_EQ(lane_backward_workload(1, 1, 0, 1), backward_workload(1, 1, 0));
+  EXPECT_EQ(lane_backward_workload(1, 1, 0, 1, kLargeMass),
+            backward_workload(1, 1, 0));
 }
 
 TEST(LaneBackwardWorkload, AllLanesLiveScalesByHarmonic) {
   double h64 = 0;
   for (int i = 1; i <= 64; ++i) h64 += 1.0 / i;
-  EXPECT_DOUBLE_EQ(lane_backward_workload(100, 10, 90, 64),
+  EXPECT_DOUBLE_EQ(lane_backward_workload(100, 10, 90, 64, kLargeMass),
                    h64 * backward_workload(100, 10, 90));
   // The expected max of 64 early-exit scans is well under 64 full scans.
-  EXPECT_LT(lane_backward_workload(100, 10, 90, 64),
+  EXPECT_LT(lane_backward_workload(100, 10, 90, 64, kLargeMass),
             64.0 * backward_workload(100, 10, 90));
 }
 
 TEST(LaneBackwardWorkload, EmptyUnionFrontierIsInfinite) {
-  EXPECT_TRUE(std::isinf(lane_backward_workload(100, 0, 50, 8)));  // q = 0
-  EXPECT_TRUE(std::isinf(lane_backward_workload(100, 10, 50, 0)));  // no lanes
+  // q = 0 and no live lanes stay infinite whatever the mass, even 0.
+  for (const std::uint64_t mass : {kLargeMass, std::uint64_t{0}}) {
+    EXPECT_TRUE(std::isinf(lane_backward_workload(100, 0, 50, 8, mass)));
+    EXPECT_TRUE(std::isinf(lane_backward_workload(100, 10, 50, 0, mass)));
+  }
 }
 
 TEST(LaneBackwardWorkload, GrowsWithLiveLanes) {
-  const double one = lane_backward_workload(1000, 10, 990, 1);
-  const double some = lane_backward_workload(1000, 10, 990, 8);
-  const double all = lane_backward_workload(1000, 10, 990, 64);
+  const double one = lane_backward_workload(1000, 10, 990, 1, kLargeMass);
+  const double some = lane_backward_workload(1000, 10, 990, 8, kLargeMass);
+  const double all = lane_backward_workload(1000, 10, 990, 64, kLargeMass);
   EXPECT_LT(one, some);
   EXPECT_LT(some, all);
+}
+
+TEST(LaneBackwardWorkload, NeverExceedsTheCandidatesEdgeMass) {
+  // A one-vertex frontier prices 1000 candidates at 1000 * 1000 scans
+  // uncapped, but an early-exit pull never scans past their rows.
+  for (const int lanes : {1, 8, 64}) {
+    for (const std::uint64_t mass : {1u, 500u, 4000u, 999'999u}) {
+      const double bv = lane_backward_workload(1000, 1, 999, lanes, mass);
+      EXPECT_LE(bv, static_cast<double>(mass)) << lanes << " " << mass;
+      EXPECT_EQ(bv, static_cast<double>(mass)) << lanes << " " << mass;
+    }
+  }
+}
+
+TEST(LaneBackwardWorkload, CapIsTheIdentityBelowTheMass) {
+  // 100 candidates, q = 10, s = 90: |U| (q + s) / q = 1000 edges.
+  EXPECT_EQ(lane_backward_workload(100, 10, 90, 1, 1000),
+            backward_workload(100, 10, 90));
+  EXPECT_EQ(lane_backward_workload(100, 10, 90, 1, 1001),
+            backward_workload(100, 10, 90));
+  EXPECT_EQ(lane_backward_workload(100, 10, 90, 1, 999), 999.0);
+  double h8 = 0;
+  for (int i = 1; i <= 8; ++i) h8 += 1.0 / i;
+  EXPECT_DOUBLE_EQ(lane_backward_workload(100, 10, 90, 8, 1'000'000),
+                   h8 * backward_workload(100, 10, 90));
+}
+
+TEST(LaneBackwardWorkload, NoCandidateEdgesLeftMakesThePullFree) {
+  // Every candidate visited: the mass is 0, so BV is 0 and any forward
+  // work switches the kernel to a pull that scans nothing.
+  EXPECT_EQ(lane_backward_workload(0, 10, 90, 1, 0), 0.0);
+  EXPECT_EQ(lane_backward_workload(100, 10, 90, 64, 0), 0.0);
+  DirectionState s(kBfsDirectionSeeds.nd);
+  EXPECT_TRUE(s.update(1.0, lane_backward_workload(5, 3, 7, 1, 0), true));
+}
+
+// ---- static seeds ---------------------------------------------------------
+
+TEST(DirectionSeeds, BfsSeedsAreTheDeviceModelRateRatios) {
+  // dd pushes merge-based, dn and nd dynamically; every BFS pull runs the
+  // backward class.  No switch-back.
+  const sim::DeviceModelConfig rates{};
+  EXPECT_DOUBLE_EQ(
+      kBfsDirectionSeeds.dd.to_backward,
+      rates.ns_per_edge_backward / rates.ns_per_edge_forward_merge);
+  EXPECT_DOUBLE_EQ(
+      kBfsDirectionSeeds.dn.to_backward,
+      rates.ns_per_edge_backward / rates.ns_per_edge_forward_dynamic);
+  EXPECT_DOUBLE_EQ(
+      kBfsDirectionSeeds.nd.to_backward,
+      rates.ns_per_edge_backward / rates.ns_per_edge_forward_dynamic);
+  EXPECT_NEAR(kBfsDirectionSeeds.dd.to_backward, 0.786, 1e-3);
+  EXPECT_NEAR(kBfsDirectionSeeds.nd.to_backward, 0.611, 1e-3);
+  for (const DirectionFactors& f :
+       {kBfsDirectionSeeds.dd, kBfsDirectionSeeds.dn, kBfsDirectionSeeds.nd}) {
+    EXPECT_EQ(f.to_forward, 0.0);
+  }
 }
 
 // ---- online direction controller -----------------------------------------

@@ -129,6 +129,16 @@ void expect_fault_totals_match_rows(const sim::FaultReport& fault,
   EXPECT_EQ(fault.recovery_ns, recovery_ns);
 }
 
+/// Fault events drawn by messages tagged past the loop's `iterations`
+/// blocks: the post-loop work's exchanges.
+int faults_past_loop(const sim::FaultReport& fault, int iterations) {
+  int n = 0;
+  for (const sim::FaultEvent& e : fault.events) {
+    if (e.tag >= 0 && e.tag / comm::kTagBlock >= iterations) ++n;
+  }
+  return n;
+}
+
 class FaultReplayTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -253,14 +263,6 @@ TEST_F(FaultReplayTest, BfsTreeRoundHealsOnTheLossyWire) {
   for (std::uint64_t k = 0; k < 8; ++k) {
     sources.push_back(sampler.sample_source(k));
   }
-  const auto faults_past_loop = [](const sim::FaultReport& fault,
-                                   int iterations) {
-    int n = 0;
-    for (const sim::FaultEvent& e : fault.events) {
-      if (e.tag >= 0 && e.tag / comm::kTagBlock >= iterations) ++n;
-    }
-    return n;
-  };
   for (const auto topology :
        {sim::ExchangeTopology::kFlat, sim::ExchangeTopology::kButterfly}) {
     SCOPED_TRACE(sim::to_string(topology));
@@ -305,6 +307,38 @@ TEST_F(FaultReplayTest, BfsTreeRoundHealsOnTheLossyWire) {
                                hurt_batch.metrics.iterations),
               0);
   }
+}
+
+TEST_F(FaultReplayTest, PostLoopRetriesCountInTheFaultReport) {
+  // The parent round runs after the loop, so its retransmissions and
+  // rejects land in the engine's post-loop row.  The fault report must
+  // count them: under the same plan, a run with parents reports the loop's
+  // retries plus the round's, while the model replays the loop rows only,
+  // so the modeled time does not move.
+  sim::Cluster cluster(spec_);
+  int seeds_with_faults_past_loop = 0;
+  for (const std::uint64_t seed : {41u, 42u, 43u}) {
+    SCOPED_TRACE(seed);
+    core::BfsOptions plain;
+    plain.run.resilience.faults.seed = seed;
+    plain.run.resilience.faults.drop_rate = 0.1;
+    plain.run.resilience.faults.corrupt_rate = 0.1;
+    core::BfsOptions parents = plain;
+    parents.compute_parents = true;
+    const core::BfsResult a = core::DistributedBfs(dg_, cluster, plain).run(3);
+    const core::BfsResult b =
+        core::DistributedBfs(dg_, cluster, parents).run(3);
+    ASSERT_EQ(a.distances, b.distances);
+    expect_fault_totals_match_rows(a.metrics.fault, a.metrics.counters);
+    EXPECT_EQ(a.metrics.modeled_ms, b.metrics.modeled_ms);
+    EXPECT_EQ(faults_past_loop(a.metrics.fault, a.metrics.iterations), 0);
+    if (faults_past_loop(b.metrics.fault, b.metrics.iterations) == 0) continue;
+    ++seeds_with_faults_past_loop;
+    EXPECT_GT(b.metrics.fault.retries, a.metrics.fault.retries);
+    EXPECT_GE(b.metrics.fault.corrupt_bins, a.metrics.fault.corrupt_bins);
+    EXPECT_GT(b.metrics.fault.recovery_ns, a.metrics.fault.recovery_ns);
+  }
+  EXPECT_GT(seeds_with_faults_past_loop, 0);
 }
 
 }  // namespace
