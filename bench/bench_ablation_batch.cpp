@@ -11,9 +11,10 @@
 // Exit status is non-zero when any lane diverges from its serial
 // reference, when the W = 1 batch fails to reproduce the single-source
 // engine's iteration count and wire bytes, when the full-width batch fails
-// to beat W sequential runs in modeled time, when the wide hybrid takes no
-// bottom-up round, or when the hybrid fails to beat forced push at W = 64
-// -- CI runs this on a tiny graph as a smoke test.
+// to beat W sequential runs in modeled time, when a compressed run ships
+// more bytes than its raw twin, when the wide hybrid takes no bottom-up
+// round, or when the hybrid fails to beat forced push at W = 64 -- CI runs
+// this on a tiny graph as a smoke test.
 #include <iostream>
 #include <string>
 #include <type_traits>
@@ -180,7 +181,7 @@ int main(int argc, char** argv) {
         core::BfsOptions options{.direction_optimized = false};
         options.run.overlap = overlap;
         options.run.codec =
-            compress ? comm::WireCodec::kVarint : comm::WireCodec::kRaw;
+            compress ? comm::WireCodec::kAdaptive : comm::WireCodec::kRaw;
         core::DistributedBatchBfs bfs(dg, cluster, options);
         const std::span<const VertexId> sources(pool.data(), batch);
         const core::BatchBfsResult r = bfs.run(sources);
@@ -306,6 +307,23 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
+  // The adaptive codec ships each bin in the smallest of raw and two
+  // encoded forms, so a compressed run never ships more than its raw twin.
+  for (const RunRecord& coded : runs) {
+    if (!coded.compress) continue;
+    for (const RunRecord& raw : runs) {
+      if (raw.compress || raw.batch != coded.batch ||
+          raw.overlap != coded.overlap) {
+        continue;
+      }
+      if (coded.exchange_remote_bytes > raw.exchange_remote_bytes) {
+        std::cerr << "FAIL: batch " << coded.batch << " adaptive wire "
+                  << coded.exchange_remote_bytes << " bytes exceeds raw "
+                  << raw.exchange_remote_bytes << "\n";
+        ok = false;
+      }
+    }
+  }
   // Wide hybrids must actually take bottom-up rounds (the union frontier
   // saturates RMAT cores fast), and at full width the hybrid must beat
   // forced push in modeled time -- the tentpole claim.
@@ -326,7 +344,8 @@ int main(int argc, char** argv) {
   if (ok) {
     std::cerr << "checks passed: every lane matches serial BFS (valid trees"
               << " in the direction sweep), W=1 reproduces the single-source"
-              << " run, batched runs beat sequential singles, and the W=64"
+              << " run, batched runs beat sequential singles, compression"
+              << " never ships more than raw, and the W=64"
               << " hybrid pulls and beats forced push in modeled time\n";
   }
 

@@ -87,17 +87,6 @@ std::uint64_t allreduce_sum(Transport& t, std::span<const int> participants,
   return data[0];
 }
 
-std::uint64_t allreduce_max(Transport& t, std::span<const int> participants,
-                            int me_index, std::uint64_t value, int tag) {
-  std::vector<std::uint64_t> data{value};
-  tree_allreduce(t, participants, me_index, tag, data,
-                 [](std::vector<std::uint64_t>& acc,
-                    const std::vector<std::uint64_t>& in) {
-                   acc[0] = std::max(acc[0], in[0]);
-                 });
-  return data[0];
-}
-
 void broadcast_words(Transport& t, std::span<const int> participants,
                      int me_index, std::span<std::uint64_t> words, int tag) {
   const int n = static_cast<int>(participants.size());

@@ -34,10 +34,6 @@ std::uint64_t allreduce_sum(Transport& t, std::span<const int> participants,
 void allreduce_min_words(Transport& t, std::span<const int> participants,
                          int me_index, std::span<std::uint64_t> words, int tag);
 
-/// Max allreduce of a single value.
-std::uint64_t allreduce_max(Transport& t, std::span<const int> participants,
-                            int me_index, std::uint64_t value, int tag);
-
 /// Broadcast `words` from participants[0] to all (in place).
 void broadcast_words(Transport& t, std::span<const int> participants,
                      int me_index, std::span<std::uint64_t> words, int tag);

@@ -68,24 +68,13 @@ std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
 }
 
-/// Wire format: [count, payload_byte_count, payload bytes packed LE].  Ids
-/// travel as zigzag varint deltas from the previous id (ascending after
-/// coalescing, so deltas are small non-negatives), values as plain varints
-/// after subtracting the caller's bias (mod 2^64; the receiver adds it
-/// back, so any bias round-trips bit-exactly).
-std::vector<std::uint64_t> pack_updates_compressed(
-    const std::vector<VertexUpdate>& updates, std::uint64_t value_bias) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(updates.size() * 3);
-  std::int64_t prev = 0;
-  for (const VertexUpdate& u : updates) {
-    put_varint(bytes, zigzag(static_cast<std::int64_t>(u.vertex) - prev));
-    prev = static_cast<std::int64_t>(u.vertex);
-    put_varint(bytes, u.value - value_bias);
-  }
+/// The header both encoded update forms share: [count, byte_count, bytes
+/// packed LE].
+std::vector<std::uint64_t> pack_bytes(std::uint64_t count,
+                                      const std::vector<std::uint8_t>& bytes) {
   std::vector<std::uint64_t> words;
   words.reserve(2 + (bytes.size() + 7) / 8);
-  words.push_back(updates.size());
+  words.push_back(count);
   words.push_back(bytes.size());
   for (std::size_t i = 0; i < bytes.size(); i += 8) {
     std::uint64_t w = 0;
@@ -95,6 +84,32 @@ std::vector<std::uint64_t> pack_updates_compressed(
     words.push_back(w);
   }
   return words;
+}
+
+/// Varint form: [count, byte_count, bytes].  The
+/// bytes open with the bin's value floor -- the per-sub-lane minimum at
+/// `lane_value_bits`, the plain minimum at 64 -- as a varint.  Ids follow
+/// as zigzag varint deltas from the previous id (ascending after
+/// coalescing, so deltas are small non-negatives), values as plain varints
+/// of (value - floor); no lane is below its floor lane, so the subtraction
+/// never borrows across lanes, and the receiver adds the floor back mod
+/// 2^64.
+std::vector<std::uint64_t> pack_updates_compressed(
+    const std::vector<VertexUpdate>& updates, int lane_value_bits) {
+  std::uint64_t floor = updates.empty() ? 0 : updates[0].value;
+  for (const VertexUpdate& u : updates) {
+    floor = util::LaneValueSlab::lane_min_word(floor, u.value, lane_value_bits);
+  }
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(updates.size() * 3 + 10);
+  put_varint(bytes, floor);
+  std::int64_t prev = 0;
+  for (const VertexUpdate& u : updates) {
+    put_varint(bytes, zigzag(static_cast<std::int64_t>(u.vertex) - prev));
+    prev = static_cast<std::int64_t>(u.vertex);
+    put_varint(bytes, u.value - floor);
+  }
+  return pack_bytes(updates.size(), bytes);
 }
 
 // ---- Gorilla-style value encoding -----------------------------------------
@@ -191,18 +206,7 @@ std::vector<std::uint64_t> pack_updates_gorilla(
       win_len = len;
     }
   }
-  std::vector<std::uint64_t> words;
-  words.reserve(2 + (bytes.size() + 7) / 8);
-  words.push_back(updates.size());
-  words.push_back(bytes.size());
-  for (std::size_t i = 0; i < bytes.size(); i += 8) {
-    std::uint64_t word = 0;
-    for (std::size_t b = 0; b < 8 && i + b < bytes.size(); ++b) {
-      word |= static_cast<std::uint64_t>(bytes[i + b]) << (8 * b);
-    }
-    words.push_back(word);
-  }
-  return words;
+  return pack_bytes(updates.size(), bytes);
 }
 
 std::vector<std::uint64_t> pack_updates_raw(
@@ -282,15 +286,20 @@ struct IdRecords {
   }
 };
 
-/// (id, value) updates: merged by the caller's combine, shipped in the
-/// caller's WireCodec (raw pairs, delta+varint, or a per-bin choice between
-/// raw and varint or Gorilla behind a flag word).  Cross-source merging at
-/// forwarding hops runs only for the order-insensitive combines --
-/// kSumDouble's IEEE addition is not associative and kNone promises every
-/// candidate, so those forward per-source segments intact.
+/// (id, value) updates: merged by the caller's combine, shipped raw
+/// (kRaw) or, under kAdaptive, as the smallest of raw, varint and Gorilla
+/// behind a per-bin flag word.  Cross-source merging at forwarding hops
+/// runs only for the order-insensitive combines -- kSumDouble's IEEE
+/// addition is not associative and kNone promises every candidate, so
+/// those forward per-source segments intact.
 struct UpdateRecords {
   using Record = VertexUpdate;
   const ExchangeOptions& opt;
+
+  /// kAdaptive's flag word: which form follows it.
+  static constexpr std::uint64_t kFlagRaw = 0;
+  static constexpr std::uint64_t kFlagVarint = 1;
+  static constexpr std::uint64_t kFlagGorilla = 2;
 
   /// Wire width of one uncompressed update: 4-byte id + the value field.
   /// value_bytes = 8 is the historic (id, 64-bit value) record; lane-word
@@ -309,71 +318,66 @@ struct UpdateRecords {
     return coalesce_bin(bin, opt.combine, opt.lane_value_bits);
   }
 
-  bool encodes() const { return opt.codec != WireCodec::kRaw; }
-  /// Per-bin raw-vs-encoded choice behind a flag word.
-  bool flagged() const {
-    return opt.codec == WireCodec::kAdaptive ||
-           opt.codec == WireCodec::kGorilla;
-  }
+  bool flagged() const { return opt.codec == WireCodec::kAdaptive; }
 
-  /// Raw pairs, delta+varint, or the per-bin raw-vs-encoded choice behind a
-  /// flag word.  Charges the encode and per-bin decision counters.
+  /// Raw pairs, or the per-bin choice behind a flag word.  Charges the
+  /// encode and per-bin decision counters.
   EncodedBin encode(const std::vector<VertexUpdate>& bin,
                     ExchangeCounters& counters) const {
     EncodedBin out;
     const std::uint64_t raw_bytes = bin.size() * record_bytes();
-    if (!encodes()) {
+    if (!flagged()) {
       out.words = pack_updates_raw(bin);
       out.payload_bytes = raw_bytes;
       return out;
     }
-    // The encode kernel runs either way, so it is charged either way.
-    counters.encode_bytes += raw_bytes;
-    std::vector<std::uint64_t> body =
-        opt.codec == WireCodec::kGorilla
-            ? pack_updates_gorilla(bin)
-            : pack_updates_compressed(bin, opt.value_bias);
-    if (!flagged()) {
-      out.payload_bytes = body[1];  // encoded byte count
-      out.words = std::move(body);
-      return out;
-    }
-    // Trial-encode, ship whichever representation is smaller; a one-word
-    // header flags the choice for the receiver.
-    const bool encoded_wins = body[1] < raw_bytes;
-    if (encoded_wins) {
-      out.payload_bytes = body[1];
-    } else {
-      out.payload_bytes = raw_bytes;
-      body = pack_updates_raw(bin);
-    }
+    // Trial-encode both ways and keep whichever of the three forms is
+    // smallest; both encoders run, so both are charged.
+    std::uint64_t flag = kFlagRaw;
+    std::vector<std::uint64_t> body;
+    out.payload_bytes = raw_bytes;
     if (!bin.empty()) {
-      ++(encoded_wins ? counters.bins_compressed : counters.bins_raw);
+      counters.encode_bytes += 2 * raw_bytes;
+      std::vector<std::uint64_t> varint =
+          pack_updates_compressed(bin, opt.lane_value_bits);
+      std::vector<std::uint64_t> gorilla = pack_updates_gorilla(bin);
+      if (varint[1] < out.payload_bytes) {
+        flag = kFlagVarint;
+        out.payload_bytes = varint[1];
+        body = std::move(varint);
+      }
+      if (gorilla[1] < out.payload_bytes) {
+        flag = kFlagGorilla;
+        out.payload_bytes = gorilla[1];
+        body = std::move(gorilla);
+      }
+      ++(flag != kFlagRaw ? counters.bins_compressed : counters.bins_raw);
     }
+    if (flag == kFlagRaw) body = pack_updates_raw(bin);
     out.words.reserve(body.size() + 1);
-    out.words.push_back(encoded_wins ? 1 : 0);
+    out.words.push_back(flag);
     out.words.insert(out.words.end(), body.begin(), body.end());
     return out;
   }
 
-  /// Decode the payload starting at words[pos] (behind its flag word when
-  /// the codec chooses per bin), advance pos past it, and return its
-  /// logical bytes.
+  /// Decode the payload starting at words[pos] (behind its flag word under
+  /// kAdaptive), advance pos past it, and return its logical bytes.
   std::uint64_t decode(std::span<const std::uint64_t> words, std::size_t& pos,
                        std::vector<VertexUpdate>& out) const {
     std::span<const std::uint64_t> body = words.subspan(pos);
-    bool encoded = encodes();
+    std::uint64_t flag = kFlagRaw;
     if (flagged()) {
       if (body.empty()) {
         throw DecodeError("adaptive update payload missing its flag word");
       }
-      if (body[0] > 1) {
+      flag = body[0];
+      if (flag > kFlagGorilla) {
         throw DecodeError("adaptive update payload has an invalid flag word");
       }
-      encoded = body[0] == 1;
       body = body.subspan(1);
       ++pos;
     }
+    const bool encoded = flag != kFlagRaw;
     // The headers give the payload's length; a length past the end is
     // clamped, so the decoder below sees the truncation and rejects it.
     std::size_t len = body.size();
@@ -385,10 +389,10 @@ struct UpdateRecords {
     body = body.first(len);
     pos += len;
     const std::size_t before = out.size();
-    if (encoded && opt.codec == WireCodec::kGorilla) {
+    if (flag == kFlagGorilla) {
       decode_updates_gorilla(body, out);
-    } else if (encoded) {
-      decode_updates_compressed(body, opt.value_bias, out);
+    } else if (flag == kFlagVarint) {
+      decode_updates_compressed(body, out);
     } else {
       decode_updates_raw(body, out);
     }
@@ -410,28 +414,18 @@ struct UpdateRecords {
   }
 
   std::uint64_t logical_bytes(const std::vector<std::uint64_t>& words) const {
-    if (flagged()) {
-      if (words.size() < 2) {
-        throw DecodeError("adaptive update segment shorter than its headers");
-      }
-      if (words[0] == 1) {
-        if (words.size() < 3) {
-          throw DecodeError("compressed update segment missing its headers");
-        }
-        return words[2];  // encoded byte count
-      }
-      return words[1] * record_bytes();
+    if (!flagged()) return record_count(words) * record_bytes();
+    if (words.size() < 2) {
+      throw DecodeError("adaptive update segment shorter than its headers");
     }
-    if (encodes()) {
-      if (words.size() < 2) {
-        throw DecodeError("compressed update segment missing its headers");
-      }
-      return words[1];
+    if (words[0] > kFlagGorilla) {
+      throw DecodeError("adaptive update segment has an invalid flag word");
     }
-    if (words.empty()) {
-      throw DecodeError("update segment missing its count header");
+    if (words[0] == kFlagRaw) return words[1] * record_bytes();
+    if (words.size() < 3) {
+      throw DecodeError("compressed update segment missing its headers");
     }
-    return words[0] * record_bytes();
+    return words[2];  // encoded byte count
   }
 };
 
@@ -1159,7 +1153,6 @@ void decode_updates_raw(std::span<const std::uint64_t> words,
 }
 
 void decode_updates_compressed(std::span<const std::uint64_t> words,
-                               std::uint64_t value_bias,
                                std::vector<VertexUpdate>& out) {
   if (words.size() < 2) {
     throw DecodeError("compressed update payload missing its 2-word header");
@@ -1175,8 +1168,12 @@ void decode_updates_compressed(std::span<const std::uint64_t> words,
                       std::to_string(byte_count) + " declared bytes vs " +
                       std::to_string(body_words) + " body words");
   }
-  // Every update encodes to at least two bytes (one per varint).
-  if (count > byte_count / 2) {
+  if (byte_count == 0) {
+    throw DecodeError("compressed update payload missing its value floor");
+  }
+  // The floor takes at least one byte, every update at least two (one per
+  // varint).
+  if (count > (byte_count - 1) / 2) {
     throw DecodeError("compressed update count " + std::to_string(count) +
                       " exceeds its " + std::to_string(byte_count) +
                       "-byte payload");
@@ -1197,6 +1194,7 @@ void decode_updates_compressed(std::span<const std::uint64_t> words,
       shift += 7;
     }
   };
+  const std::uint64_t floor = get();
   out.reserve(out.size() + count);
   std::uint64_t prev = 0;  // unsigned: delta arithmetic wraps mod 2^64
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -1204,7 +1202,7 @@ void decode_updates_compressed(std::span<const std::uint64_t> words,
     if ((prev >> 32) != 0) {
       throw DecodeError("decoded vertex id overflows 32 bits");
     }
-    const std::uint64_t value = get() + value_bias;
+    const std::uint64_t value = get() + floor;
     out.push_back(VertexUpdate{static_cast<LocalId>(prev), value});
   }
   if (pos != byte_count) {
@@ -1286,6 +1284,22 @@ void decode_updates_gorilla(std::span<const std::uint64_t> words,
   }
   if (r.consumed_end() != byte_count) {
     throw DecodeError("gorilla payload has trailing bytes");
+  }
+}
+
+std::vector<std::uint64_t> encode_updates(const std::vector<VertexUpdate>& bin,
+                                          const ExchangeOptions& options) {
+  ExchangeCounters unused;
+  return UpdateRecords{options}.encode(bin, unused).words;
+}
+
+void decode_updates(std::span<const std::uint64_t> words,
+                    const ExchangeOptions& options,
+                    std::vector<VertexUpdate>& out) {
+  std::size_t pos = 0;
+  UpdateRecords{options}.decode(words, pos, out);
+  if (pos != words.size()) {
+    throw DecodeError("update payload has trailing words");
   }
 }
 

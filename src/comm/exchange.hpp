@@ -85,9 +85,9 @@ void decode_updates_raw(std::span<const std::uint64_t> words,
                         std::vector<VertexUpdate>& out);
 
 /// Decode a delta+varint compressed update payload ([count, byte_count,
-/// bytes packed LE]); `value_bias` is added back to every value (mod 2^64).
+/// bytes packed LE]).  The byte stream opens with the bin's value floor as
+/// a varint; it is added back to every value (mod 2^64).
 void decode_updates_compressed(std::span<const std::uint64_t> words,
-                               std::uint64_t value_bias,
                                std::vector<VertexUpdate>& out);
 
 /// Decode a Gorilla-compressed update payload (same [count, byte_count,
@@ -104,12 +104,13 @@ struct ExchangeCounters {
   std::uint64_t local_bytes = 0;         // NVLink payload (L phase + same-rank bins)
   std::uint64_t send_bytes_remote = 0;   // wire payload bytes, cross-rank
   std::uint64_t recv_bytes_remote = 0;
-  /// Raw payload bytes run through the encoder (0 under WireCodec::kRaw);
+  /// Raw payload bytes run through the encoders, once per trial encoding
+  /// (0 under WireCodec::kRaw; kAdaptive trials every non-empty bin twice);
   /// send/recv/local byte counters above hold the *encoded* sizes, so the
   /// perf models replay the reduced volume and charge the encode kernel.
   std::uint64_t encode_bytes = 0;
   /// Per-bin codec decisions: non-empty outbound bins that shipped encoded
-  /// vs raw this round (both 0 unless the codec is kAdaptive or kGorilla).
+  /// vs raw this round (both 0 unless the codec is kAdaptive).
   std::uint64_t bins_compressed = 0;
   std::uint64_t bins_raw = 0;
   int send_dest_ranks = 0;
@@ -145,30 +146,24 @@ enum class UpdateCombine {
                // order-insensitive like kMin/kOr
 };
 
-/// Wire encoding of an update stream, one choice per exchange.  Ids always
-/// travel as zigzag varint deltas (ascending after coalescing) once a codec
-/// encodes; the codecs differ in how they ship the values.
+/// Wire encoding of an update stream, one choice per exchange.
 enum class WireCodec {
   kRaw,       // (id, value) pairs as they are
-  kVarint,    // values as plain varints of (value - value_bias); wins on
-              // small integers (distances, labels), loses on bit-cast doubles
-  kAdaptive,  // per non-empty bin, kVarint only when smaller than raw; a
-              // one-word header flags the choice (bins_compressed/bins_raw)
-  kGorilla,   // per-bin choice like kAdaptive, but the encoded form is the
-              // Gorilla float stream (XOR vs previous value, leading/trailing
-              // zeros truncated) built for IEEE-double payloads (PageRank
-              // contributions); never exceeds raw on the wire
+  kAdaptive,  // per non-empty bin, the smallest of three forms behind a
+              // one-word flag (0 raw, 1 varint, 2 Gorilla; the choice lands
+              // in bins_compressed/bins_raw).  Both encoded forms ship ids
+              // as zigzag varint deltas (ascending after coalescing).
+              // Varint ships each value as a plain varint above the bin's
+              // own floor (its per-sub-lane minimum at lane_value_bits),
+              // which wins on clustered integers (distances, labels).
+              // Gorilla XORs each value against the previous one and
+              // truncates leading/trailing zeros, which wins on IEEE
+              // doubles (PageRank contributions).  Never exceeds raw.
 };
-
-/// Whether `codec` subtracts ExchangeOptions::value_bias before
-/// encoding (the varint codecs; raw needs no floor, an XOR window neither).
-constexpr bool uses_value_bias(WireCodec codec) noexcept {
-  return codec == WireCodec::kVarint || codec == WireCodec::kAdaptive;
-}
 
 /// The wire format of one exchange round.  Every field defines the wire,
 /// so all GPUs must pass identical options each round.  Engine-run
-/// algorithms set only the record fields (combine, value_bias, value_bytes,
+/// algorithms set only the record fields (combine, value_bytes,
 /// lane_value_bits, local_all2all); engine::CommContext fills in the run's
 /// codec, topology and retry policy and drops the combine when the run
 /// does not merge.
@@ -177,14 +172,6 @@ struct ExchangeOptions {
   UpdateCombine combine = UpdateCombine::kNone;
   /// Encoding of update records; bare ids always ship as packed ids.
   WireCodec codec = WireCodec::kRaw;
-  /// Bucket tag for the varint codecs: a value floor subtracted (mod 2^64)
-  /// from every value before varint encoding and added back after
-  /// decoding -- bit-exact for any bias, strictly smaller varints when all
-  /// values of the round are >= the bias.  Bucketed senders
-  /// (delta-stepping) set it to the open bucket's base distance; flat SSSP
-  /// derives a per-round floor from a min-allreduce of active distances.
-  /// Ignored unless uses_value_bias(codec).
-  std::uint64_t value_bias = 0;
   /// Uncompressed wire width of an update's value field, in bytes.  The
   /// historic (id, 64-bit value) updates are 4 + 8 bytes; lane-word updates
   /// carry only the batch's lane width (W/8 bytes).  Affects the byte
@@ -192,11 +179,11 @@ struct ExchangeOptions {
   /// simulated transport, which always moves whole words.  Ids are 4 bytes.
   int value_bytes = 8;
   /// Sub-lane width (bits, one of {8, 16, 32, 64}) of the packed value
-  /// words the kLaneMin/kLaneSum combines fold -- see util::LaneValueSlab.
-  /// Ignored by the other combines.  Lane-valued senders replicate any
-  /// `value_bias` per lane themselves (util::LaneValueSlab::replicate);
-  /// the wire still subtracts/adds the single 64-bit bias word, which is
-  /// per-lane exact as long as every lane is >= its bias lane.
+  /// words the kLaneMin/kLaneSum combines fold -- see util::LaneValueSlab --
+  /// and of the per-sub-lane floor kAdaptive's varint form subtracts (every
+  /// lane is >= its floor lane, so the 64-bit subtraction never borrows).
+  /// The scalar combines leave it at 64, where the floor is the plain
+  /// minimum.
   int lane_value_bits = 64;
   /// Local all2all (L): gather same-column bins inside the rank over NVLink
   /// before the remote stage.  A flat-topology concept, ignored by the
@@ -216,6 +203,16 @@ struct ExchangeOptions {
   /// when the transport is lossy (a fault plan with message faults).
   sim::RetryPolicy retry{};
 };
+
+/// One bin's update payload exactly as `exchange` ships it under `options`
+/// (kAdaptive: the flag word, then the chosen form), and its decoder, which
+/// rejects a span holding anything but that one payload.  Public so the
+/// corpus tests can mutate real payloads.
+std::vector<std::uint64_t> encode_updates(const std::vector<VertexUpdate>& bin,
+                                          const ExchangeOptions& options);
+void decode_updates(std::span<const std::uint64_t> words,
+                    const ExchangeOptions& options,
+                    std::vector<VertexUpdate>& out);
 
 /// Collective exchange of binned records (bins indexed by destination
 /// global GPU, holding destination-local ids or (id, value) updates).

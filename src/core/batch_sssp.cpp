@@ -90,7 +90,6 @@ class BatchSsspAlgorithm {
     Mode mode = Mode::kOpenBucket;
     bool heavy_round = false;      // this round relaxes heavy edges
     bool overflow = false;         // some candidate hit the width sentinel
-    std::uint64_t value_bias = 0;  // replicated wire bias for this round
     // Light/heavy edge-index split of the four subgraphs for this delta.
     EdgePartition part_nn, part_nd, part_dn, part_dd;
     std::vector<std::vector<comm::VertexUpdate>> bins;
@@ -237,11 +236,6 @@ class BatchSsspAlgorithm {
     const bool open = s.mode == Mode::kLight;
     s.iter.bucket_plus_one = open ? s.current_bucket + 1 : 0;
     s.iter.heavy_phase = s.heavy_round;
-    s.value_bias = (open && comm::uses_value_bias(options_.run.codec))
-                       ? util::LaneValueSlab::replicate(
-                             s.normal_buckets.bucket_base(s.current_bucket),
-                             kBits)
-                       : 0;
 
     // Group the round's active slots by vertex: the four sweeps of the
     // visit walk each active vertex's edge list once, serving every active
@@ -345,9 +339,7 @@ class BatchSsspAlgorithm {
     // lane group), min-coalesced per sub-lane.
     const auto updates = ctx.comm.exchange(
         ctx.me, s.bins, iteration,
-        {.combine = comm::UpdateCombine::kLaneMin,
-         .value_bias = s.value_bias,
-         .lane_value_bits = kBits},
+        {.combine = comm::UpdateCombine::kLaneMin, .lane_value_bits = kBits},
         s.iter);
     const auto groups = static_cast<LocalId>(groups_);
     for (const comm::VertexUpdate& u : updates) {

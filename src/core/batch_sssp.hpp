@@ -33,8 +33,8 @@
 ///   * `reduce` / `exchange` / termination are inherited from the engine:
 ///     delegate distance candidates MIN-reduce on the delegate stream
 ///     concurrently with the (id, lane word) update exchange on the normal
-///     stream, min-coalesced per bin and optionally compressed -- compressed
-///     values ride the wire biased by the open bucket's base distance.
+///     stream, min-coalesced per bin and optionally compressed -- the
+///     varint form ships values above each bin's own per-lane floor.
 ///
 /// Slots wait in per-GPU `core::BucketState` queues (delegate buckets are
 /// replicated and stay identical on every GPU because delegate distances
@@ -92,10 +92,9 @@ struct BatchSsspOptions {
   /// Overlap (delegate candidate reduction concurrent with the lane-word
   /// update exchange), routing (bit-exact across all three: kLaneMin
   /// re-merges at intermediate hops), resilience, and uniquify:
-  /// min-coalesce outbound lane-word records per bin before the send.  The
-  /// varint codecs ship the (id, lane word) values biased by the open
-  /// bucket's base distance replicated into every lane position
-  /// (util::LaneValueSlab::replicate); bit-exact.
+  /// min-coalesce outbound lane-word records per bin before the send.
+  /// Under kAdaptive the varint form ships each lane word above the bin's
+  /// per-lane floor (its lane-wise minimum at value_bits); bit-exact.
   engine::RunOptions run{.uniquify = true};
 };
 

@@ -49,13 +49,6 @@ class BucketState {
     return dist == kInfiniteDistance ? kNoBucket : dist / delta_;
   }
 
-  /// Smallest distance a vertex in bucket `b` can have -- the value floor of
-  /// every candidate generated while processing `b` (bucket-tagged exchange
-  /// payloads are biased by it, see comm::ExchangeOptions).
-  std::uint64_t bucket_base(std::uint64_t b) const noexcept {
-    return b * delta_;
-  }
-
   /// Queue `v` (tentative distance `dist`) into its bucket.  Lazy: any entry
   /// a previous insert left in another bucket stays behind and is dropped
   /// when that bucket is opened or scanned.

@@ -47,9 +47,8 @@ struct DeltaSsspOptions {
   /// Overlap (delegate distance min-reduction concurrent with the
   /// tentative-distance exchange), routing, resilience, and uniquify:
   /// min-coalesce outbound distance candidates per bin before the send.
-  /// Under the varint codecs the (id, distance) values ride the wire biased
-  /// by the open bucket's base distance (the bucket-tagged exchange,
-  /// comm::ExchangeOptions::value_bias).
+  /// Under kAdaptive the varint form ships each distance above its bin's
+  /// minimum, which sits at or above the open bucket's base distance.
   engine::RunOptions run{.uniquify = true};
 };
 

@@ -36,11 +36,10 @@ struct PagerankOptions {
   /// only the floating-point addition order moves (well inside the
   /// iteration tolerance); dense rounds send far fewer (id, share) pairs.
   /// The codec encodes the (id, share) payload.  Bit-cast doubles
-  /// varint-encode *larger* than raw, so kVarint mostly shows the cost and
-  /// kAdaptive ships nearly every bin raw.  kGorilla is the codec built
-  /// for them: successive shares from one source share sign, exponent and
-  /// most mantissa bits, so the XOR stream compresses where varint
-  /// inflates, and the per-bin choice keeps the wire never worse than raw.
+  /// varint-encode *larger* than raw, but successive shares from one source
+  /// share sign, exponent and most mantissa bits, so kAdaptive's Gorilla
+  /// form (an XOR stream) compresses them; the per-bin choice keeps the
+  /// wire never worse than raw.
   engine::RunOptions run{.uniquify = true};
 };
 

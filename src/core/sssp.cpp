@@ -43,7 +43,6 @@ class SsspAlgorithm {
     std::uint64_t dd_pull_edges = 0;
     std::uint64_t dn_pull_edges = 0;  // nd subgraph: reverse of dn
     std::uint64_t nd_pull_edges = 0;  // dn subgraph: reverse of nd
-    std::uint64_t value_bias = 0;  // wire bias for this round's exchange
     sim::GpuIterationCounters iter;
   };
 
@@ -91,35 +90,12 @@ class SsspAlgorithm {
            8;
   }
 
-  void previsit(engine::GpuContext& ctx, State& s, int iteration) {
+  void previsit(engine::GpuContext& ctx, State& s, int) {
     s.iter = sim::GpuIterationCounters{};
     std::copy(s.dist_delegate.begin(), s.dist_delegate.end(),
               s.delegate_cand.begin());
     s.next_normals.clear();
     s.next_delegates.clear();
-
-    // Wire bias (varint codecs only; comm::ExchangeOptions::value_bias):
-    // every candidate this round is an active distance plus a positive
-    // weight, so the cluster-wide minimum active distance is a true floor
-    // -- the generalization of delta-stepping's bucket-base bias to the
-    // flat label-correcting rounds.  One small min-allreduce makes it
-    // identical on every GPU -- the same agreement-collective shape (and
-    // modeled cost) as delta-stepping's bucket coordination.
-    s.value_bias = 0;
-    if (comm::uses_value_bias(options_.run.codec)) {
-      std::uint64_t floor = kInfiniteDistance;
-      for (const LocalId v : s.active_normals) {
-        floor = std::min(floor, s.dist_normal[v]);
-      }
-      for (const LocalId t : s.active_delegates) {
-        floor = std::min(floor, s.dist_delegate[t]);
-      }
-      ctx.comm.allreduce_min_words(ctx.gpu,
-                                   std::span<std::uint64_t>(&floor, 1),
-                                   engine::TagBlocks::user(iteration));
-      s.iter.bucket_coordination = true;
-      s.value_bias = floor == kInfiniteDistance ? 0 : floor;
-    }
 
     // Direction decisions (Section IV-B): frontier edge mass per switchable
     // kernel vs. the subgraph's pull-edge mass.  The delegate frontier is
@@ -345,7 +321,7 @@ class SsspAlgorithm {
     // stream: touches only normal-distance state.
     const auto updates = ctx.comm.exchange(
         ctx.me, s.bins, iteration,
-        {.combine = comm::UpdateCombine::kMin, .value_bias = s.value_bias},
+        {.combine = comm::UpdateCombine::kMin},
         s.iter);
     for (const comm::VertexUpdate& u : updates) {
       if (u.value < s.dist_normal[u.vertex]) {

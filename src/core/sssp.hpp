@@ -84,9 +84,9 @@ struct SsspOptions {
   /// Overlap (delegate distance min-reduction concurrent with the
   /// tentative-distance exchange), routing, resilience, and uniquify:
   /// min-coalesce outbound distance candidates per bin before the send;
-  /// bit-exact, strictly fewer bytes on dense rounds.  The varint codecs
-  /// ship the (id, distance) values biased by a per-round floor of the
-  /// active distances.
+  /// bit-exact, strictly fewer bytes on dense rounds.  Under kAdaptive the
+  /// varint form ships each distance above its bin's minimum, so the wire
+  /// needs no floor agreement between GPUs.
   engine::RunOptions run{.uniquify = true};
 };
 

@@ -132,7 +132,7 @@ class CommContext {
   /// The shared exchange-hook body: run the normal exchange of ids (BFS)
   /// or updates (the value algorithms) under the run's wire policy and
   /// record its counters into the iteration row.  `records` describes the
-  /// hook's records -- combine, value width, lane bits, bias and L; the
+  /// hook's records -- combine, value width, lane bits and L; the
   /// run's codec, topology and retry policy replace whatever it says, and
   /// its combine drops to kNone when the run does not merge.  Returns the
   /// received records; `bins` are consumed.  Every GPU must pass identical

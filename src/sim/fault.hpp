@@ -16,6 +16,27 @@
 /// hash of (seed, from, to, tag, attempt) -- independent of thread
 /// interleaving, so the same seed produces the same hostile world on every
 /// run, which is what makes chaos testing assertable.
+///
+/// Scope of the message faults: only the exchange data plane, the tags
+/// whose offset in their block lies in [kTagExchangeLocal, kTagControl)
+/// (comm::Transport::faultable_tag).  Those are the frames the hardened
+/// exchange checksums, retains and retransmits.  Four kinds of traffic sit
+/// outside that window and are never faulted:
+///   * the engine's per-iteration control allreduce (kTagControl), which
+///     decides termination;
+///   * the comm::ValueReducer phases, the delegate mask and value
+///     reductions;
+///   * the user-tag collectives (engine::TagBlocks::user), such as the
+///     delta-stepping bucket agreements;
+///   * the betweenness reverse pass's raw Transport::send/recv of its nn
+///     and delegate tuples.
+/// None of these carries a frame, a checksum or a retained copy, so a lost
+/// message there would hang or silently corrupt the run.  The model treats
+/// them as a reliable connection (InfiniBand RC: the NIC acknowledges and
+/// retransmits below the application), which is how a cluster's small
+/// control messages travel.  The faults then stand for what the software
+/// protocol must recover itself: loss in the bulk data path.  A fault run
+/// therefore charges no recovery time to the control plane.
 namespace dsbfs::sim {
 
 /// Receiver-driven NACK/retransmit knobs of the hardened wire protocol

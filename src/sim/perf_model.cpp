@@ -298,7 +298,8 @@ ModeledBreakdown PerfModel::replay(const RunCounters& run) const {
             gpu_res[gi], {stage});
       }
       if (c.encode_bytes > 0) {
-        // Varint encoding of the update payload (linear byte pass on-GPU).
+        // Trial encodings of the update payload (one linear byte pass
+        // on-GPU per encoder run).
         stage = tl.add_task(
             "encode", kCatComputation,
             dev_.kernel_us(KernelClass::kBinConvert, 0, 0, c.encode_bytes),

@@ -58,7 +58,7 @@ struct GpuIterationCounters {
   std::uint64_t bin_vertices = 0;        // nn outputs binned + converted
   std::uint64_t uniquify_vertices = 0;   // records into uniquify (0 = disabled)
   std::uint64_t uniquify_bytes = 0;      // their volume (4 B ids, 4+value_bytes updates)
-  std::uint64_t encode_bytes = 0;        // raw bytes varint-encoded (0 = off)
+  std::uint64_t encode_bytes = 0;        // raw bytes per trial encoding (0 = off)
   std::uint64_t bins_compressed = 0;     // adaptive compression: bins encoded
   std::uint64_t bins_uncompressed = 0;   // adaptive compression: bins shipped raw
   std::uint64_t local_all2all_bytes = 0; // gathered over NVLink within rank

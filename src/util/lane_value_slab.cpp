@@ -28,15 +28,6 @@ std::uint64_t LaneValueSlab::lane_add_word(std::uint64_t a, std::uint64_t b,
   return out;
 }
 
-std::uint64_t LaneValueSlab::replicate(std::uint64_t value,
-                                       int value_bits) noexcept {
-  if (value_bits == 64) return value;
-  value &= (1ULL << value_bits) - 1;
-  std::uint64_t out = 0;
-  for (int s = 0; s < 64; s += value_bits) out |= value << s;
-  return out;
-}
-
 int value_width_for(std::uint64_t max_value) noexcept {
   // The all-ones pattern of each width is the infinity sentinel, so the
   // largest representable finite value is mask - 1.

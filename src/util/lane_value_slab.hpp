@@ -33,11 +33,6 @@ struct LaneValueSlab {
   /// Per-lane wrapping SUM of two packed words at width `value_bits`.
   static std::uint64_t lane_add_word(std::uint64_t a, std::uint64_t b,
                                      int value_bits) noexcept;
-  /// Word holding `value` replicated into every lane position -- the packed
-  /// bias word for value-biased compression of lane-valued records (plain
-  /// 64-bit subtraction of a replicated bias is per-lane exact as long as
-  /// every lane is >= the bias, which bucket bases guarantee).
-  static std::uint64_t replicate(std::uint64_t value, int value_bits) noexcept;
 };
 
 /// Smallest supported value width ({8, 16, 32, 64}) representing distances

@@ -118,10 +118,8 @@ std::vector<BatchCase> batch_cases() {
   using comm::WireCodec;
   cases.push_back({"rmat_w64_u", GraphFamily::kRmat, 2, 2, 16, 64, true,
                    WireCodec::kRaw});
-  cases.push_back({"rmat_w64_uc", GraphFamily::kRmat, 2, 2, 16, 64, true,
-                   WireCodec::kVarint});
-  cases.push_back({"rmat_w64_c", GraphFamily::kRmat, 2, 2, 16, 64, false,
-                   WireCodec::kVarint});
+  cases.push_back({"rmat_w64_a", GraphFamily::kRmat, 2, 2, 16, 64, false,
+                   WireCodec::kAdaptive});
   cases.push_back({"rmat_w64_ua", GraphFamily::kRmat, 2, 2, 16, 64, true,
                    WireCodec::kAdaptive});
   return cases;

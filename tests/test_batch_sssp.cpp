@@ -100,8 +100,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BatchSssp, NarrowLanesMatchWideLanesAndCompressIsBitExact) {
   // value_bits only changes the wire/packing, never the distances; the
-  // codecs (varint with its bucket bias, adaptive, Gorilla) only change
-  // wire bytes.
+  // adaptive codec (each bin's varint form above its per-lane floor, or
+  // Gorilla) only changes wire bytes.
   const graph::EdgeList g = graph::rmat_graph500({.scale = 8, .seed = 55});
   const auto spec = spec_of(2, 2);
   sim::Cluster cluster(spec);
@@ -115,16 +115,17 @@ TEST(BatchSssp, NarrowLanesMatchWideLanesAndCompressIsBitExact) {
       DistributedBatchSssp(dg, cluster, {.delta = 5, .value_bits = 16})
           .run(sources);
   ASSERT_EQ(wide.distances, narrow.distances);
-  for (const comm::WireCodec codec :
-       {comm::WireCodec::kVarint, comm::WireCodec::kAdaptive,
-        comm::WireCodec::kGorilla}) {
+  for (const bool uniquify : {false, true}) {
     const BatchSsspResult packed =
-        DistributedBatchSssp(dg, cluster,
-                             {.delta = 5,
-                              .value_bits = 16,
-                              .run = {.uniquify = true, .codec = codec}})
+        DistributedBatchSssp(
+            dg, cluster,
+            {.delta = 5,
+             .value_bits = 16,
+             .run = {.uniquify = uniquify,
+                     .codec = comm::WireCodec::kAdaptive}})
             .run(sources);
-    ASSERT_EQ(wide.distances, packed.distances) << static_cast<int>(codec);
+    ASSERT_EQ(wide.distances, packed.distances) << "uniquify " << uniquify;
+    EXPECT_LE(packed.update_bytes_remote, narrow.update_bytes_remote);
   }
   // 16-bit lanes pack four distances per word: less update traffic than
   // one word per (vertex, lane).

@@ -318,17 +318,16 @@ TEST(LaneBitset, LaneWidthForQuantizesToSupportedWidths) {
 }
 
 TEST(LaneValueSlab, StaticLaneMinAndAddOperateLaneWise) {
-  const std::uint64_t x = LaneValueSlab::replicate(7, 16);
-  const std::uint64_t y = LaneValueSlab::replicate(9, 16);
+  const std::uint64_t x = 0x0007'0007'0007'0007ULL;
+  const std::uint64_t y = 0x0009'0009'0009'0009ULL;
   EXPECT_EQ(LaneValueSlab::lane_min_word(x, y, 16), x);
-  EXPECT_EQ(LaneValueSlab::lane_add_word(x, y, 16),
-            LaneValueSlab::replicate(16, 16));
+  EXPECT_EQ(LaneValueSlab::lane_add_word(x, y, 16), 0x0010'0010'0010'0010ULL);
+  // Lanes compare independently, with no borrow from a neighbour.
+  EXPECT_EQ(LaneValueSlab::lane_min_word(0x0001'0009ULL, 0x0002'0007ULL, 16),
+            0x0001'0007ULL);
   // Sentinel lanes stay sentinel under min.
   const std::uint64_t inf = ~0ULL;
   EXPECT_EQ(LaneValueSlab::lane_min_word(inf, y, 16), y);
-  // Replicate masks wide inputs down to the lane width.
-  EXPECT_EQ(LaneValueSlab::replicate(0x1FFFF, 16),
-            LaneValueSlab::replicate(0xFFFF, 16));
 }
 
 }  // namespace

@@ -20,7 +20,6 @@ TEST(BucketState, BucketOfMapsDistancesToWidthDeltaRanges) {
   EXPECT_EQ(b.bucket_of(4), 1u);
   EXPECT_EQ(b.bucket_of(41), 10u);
   EXPECT_EQ(b.bucket_of(kInfiniteDistance), kNoBucket);
-  EXPECT_EQ(b.bucket_base(10), 40u);
 }
 
 TEST(BucketState, InfiniteDeltaDegeneratesToSingleBucket) {

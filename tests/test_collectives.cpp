@@ -61,23 +61,6 @@ TEST_P(CollectiveSizes, AllreduceOrWordsCorrectEverywhere) {
   }
 }
 
-TEST_P(CollectiveSizes, AllreduceMax) {
-  const int n = GetParam();
-  Transport t(flat_spec(n));
-  std::vector<int> everyone(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) everyone[static_cast<std::size_t>(i)] = i;
-  std::vector<std::uint64_t> results(static_cast<std::size_t>(n));
-  run_participants(n, [&](int i) {
-    results[static_cast<std::size_t>(i)] = allreduce_max(
-        t, everyone, i, static_cast<std::uint64_t>((i * 37) % n + 1), kTagUser);
-  });
-  std::uint64_t expected = 0;
-  for (int i = 0; i < n; ++i) {
-    expected = std::max(expected, static_cast<std::uint64_t>((i * 37) % n + 1));
-  }
-  for (const auto r : results) EXPECT_EQ(r, expected);
-}
-
 TEST_P(CollectiveSizes, BroadcastFromRoot) {
   const int n = GetParam();
   Transport t(flat_spec(n));

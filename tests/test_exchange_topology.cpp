@@ -257,30 +257,26 @@ TEST_P(CommTopologyEquivalence, UpdateFoldsMatchFlatAcrossWireOptions) {
   struct WireCase {
     UpdateCombine combine;
     WireCodec codec;
-    std::uint64_t value_bias;
     int lane_value_bits = 64;
   };
   const WireCase wire_cases[] = {
-      {UpdateCombine::kNone, WireCodec::kRaw, 0},
-      {UpdateCombine::kNone, WireCodec::kVarint, 0},
-      {UpdateCombine::kMin, WireCodec::kRaw, 0},
-      {UpdateCombine::kMin, WireCodec::kVarint, 0},
-      {UpdateCombine::kMin, WireCodec::kAdaptive, 0},
-      {UpdateCombine::kMin, WireCodec::kVarint, 100},
-      {UpdateCombine::kOr, WireCodec::kRaw, 0},
-      {UpdateCombine::kOr, WireCodec::kAdaptive, 0},
-      {UpdateCombine::kSumDouble, WireCodec::kRaw, 0},
-      {UpdateCombine::kSumDouble, WireCodec::kGorilla, 0},
-      {UpdateCombine::kLaneMin, WireCodec::kRaw, 0, 16},
-      {UpdateCombine::kLaneMin, WireCodec::kVarint, 0, 8},
-      {UpdateCombine::kLaneSum, WireCodec::kRaw, 0, 8},
-      {UpdateCombine::kLaneSum, WireCodec::kAdaptive, 0, 16},
+      {UpdateCombine::kNone, WireCodec::kRaw},
+      {UpdateCombine::kNone, WireCodec::kAdaptive},
+      {UpdateCombine::kMin, WireCodec::kRaw},
+      {UpdateCombine::kMin, WireCodec::kAdaptive},
+      {UpdateCombine::kOr, WireCodec::kRaw},
+      {UpdateCombine::kOr, WireCodec::kAdaptive},
+      {UpdateCombine::kSumDouble, WireCodec::kRaw},
+      {UpdateCombine::kSumDouble, WireCodec::kAdaptive},
+      {UpdateCombine::kLaneMin, WireCodec::kRaw, 16},
+      {UpdateCombine::kLaneMin, WireCodec::kAdaptive, 8},
+      {UpdateCombine::kLaneSum, WireCodec::kRaw, 8},
+      {UpdateCombine::kLaneSum, WireCodec::kAdaptive, 16},
   };
   for (const WireCase& wc : wire_cases) {
     comm::ExchangeOptions options;
     options.combine = wc.combine;
     options.codec = wc.codec;
-    options.value_bias = wc.value_bias;
     options.lane_value_bits = wc.lane_value_bits;
     options.topology = ExchangeTopology::kFlat;
     const auto fill = wc.lane_value_bits < 64 ? lane_update_fill(2)
@@ -568,7 +564,7 @@ TEST_P(FacadeTopologyEquivalence, SsspBitExact) {
   const auto expected = baseline::serial_sssp(host_, 3);
   core::SsspOptions options;
   options.run.uniquify = true;
-  options.run.codec = WireCodec::kVarint;
+  options.run.codec = WireCodec::kAdaptive;
   std::vector<std::vector<std::uint64_t>> all;
   for (const ExchangeTopology topo : kAllTopologies) {
     options.run.exchange_topology = topo;
@@ -582,7 +578,7 @@ TEST_P(FacadeTopologyEquivalence, DeltaSsspBitExact) {
   sim::Cluster cluster(spec_);
   const auto expected = baseline::serial_sssp(host_, 3);
   core::DeltaSsspOptions options;
-  options.run.codec = WireCodec::kVarint;
+  options.run.codec = WireCodec::kAdaptive;
   for (const ExchangeTopology topo : kAllTopologies) {
     options.run.exchange_topology = topo;
     core::DistributedDeltaSssp sssp(dg_, cluster, options);
@@ -678,7 +674,7 @@ TEST(TopologySoak, CommLayerSeedSweep) {
           nodes_spec(tc.nodes, tc.gpus, tc.ranks_per_node);
       comm::ExchangeOptions options;
       options.combine = UpdateCombine::kMin;
-      options.codec = seed % 2 == 0 ? WireCodec::kVarint : WireCodec::kRaw;
+      options.codec = seed % 2 == 0 ? WireCodec::kAdaptive : WireCodec::kRaw;
       auto flat = run_update_exchange(spec, options, nullptr,
                                       update_fill(seed));
       for (const ExchangeTopology topo :
@@ -725,7 +721,7 @@ TEST(TopologySoak, AlgorithmsSeedSweep) {
         core::SsspOptions sssp_options;
         sssp_options.run.uniquify = true;
         sssp_options.run.exchange_topology = topo;
-        sssp_options.run.codec = WireCodec::kVarint;
+        sssp_options.run.codec = WireCodec::kAdaptive;
         core::DistributedSssp sssp(dg, cluster, sssp_options);
         ASSERT_EQ(sssp.run(source).distances, sssp_expected)
             << sim::to_string(topo) << " seed " << seed << " nodes " << nodes;

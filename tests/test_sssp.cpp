@@ -238,6 +238,25 @@ TEST(Sssp, CollectsCountersAndModel) {
   EXPECT_GT(r.reduce_bytes, 0u);
 }
 
+TEST(Sssp, AdaptiveCodecTakesNoFloorCollective) {
+  // Each compressed bin carries its own value floor, so a coded run needs
+  // no per-round agreement on one: no round is marked with an agreement
+  // collective, bins do ship encoded, and the distances stay exact.
+  const graph::EdgeList g = graph::rmat_graph500({.scale = 10, .seed = 78});
+  SsspOptions options;
+  options.run.codec = comm::WireCodec::kAdaptive;
+  const SsspResult r = run_sssp(g, spec_of(2, 2), 16, 3, options);
+  EXPECT_EQ(r.distances, baseline::serial_sssp(graph::build_host_csr(g), 3));
+  std::uint64_t coded_bins = 0;
+  for (const auto& ic : r.counters.iterations) {
+    for (const auto& gc : ic.gpu) {
+      EXPECT_FALSE(gc.bucket_coordination);
+      coded_bins += gc.bins_compressed;
+    }
+  }
+  EXPECT_GT(coded_bins, 0u);
+}
+
 TEST(Sssp, RejectsBadArguments) {
   const graph::EdgeList g = graph::path_graph(8);
   const auto spec = spec_of(2, 1);
