@@ -9,6 +9,7 @@
 #include "comm/transport.hpp"
 #include "core/batch_bfs.hpp"
 #include "core/bfs.hpp"
+#include "core/pagerank.hpp"
 #include "core/sssp.hpp"
 #include "core/validate.hpp"
 #include "graph/builder.hpp"
@@ -234,6 +235,52 @@ TEST_F(FaultReplayTest, LossyWireStaysBitExactUnderEveryExchangeTopology) {
     EXPECT_EQ(a.metrics.modeled_ms, b.metrics.modeled_ms)
         << sim::to_string(topology);
     EXPECT_EQ(a.distances, b.distances) << sim::to_string(topology);
+  }
+}
+
+TEST_F(FaultReplayTest, AdaptiveCodedWireHealsUnderEveryTopology) {
+  // The codec's encoded forms ride the same checksummed frames: SSSP's
+  // bins ship in the varint form and PageRank's in the Gorilla form, and
+  // under drop/corrupt/duplicate on every topology each answer must equal
+  // the clean run's bit for bit.
+  sim::Cluster cluster(spec_);
+  for (const auto topology :
+       {sim::ExchangeTopology::kFlat, sim::ExchangeTopology::kHierarchical,
+        sim::ExchangeTopology::kButterfly}) {
+    SCOPED_TRACE(sim::to_string(topology));
+    engine::RunOptions run{.uniquify = true,
+                           .codec = comm::WireCodec::kAdaptive,
+                           .exchange_topology = topology};
+    const core::SsspResult sssp_clean =
+        core::DistributedSssp(dg_, cluster, {.run = run}).run(3);
+    const core::PagerankResult pr_clean =
+        core::DistributedPagerank(dg_, cluster,
+                                  {.max_iterations = 5, .run = run})
+            .run();
+    run.resilience.faults.seed = 47;
+    run.resilience.faults.drop_rate = 0.05;
+    run.resilience.faults.corrupt_rate = 0.05;
+    run.resilience.faults.duplicate_rate = 0.02;
+    const core::SsspResult sssp =
+        core::DistributedSssp(dg_, cluster, {.run = run}).run(3);
+    const core::PagerankResult pr =
+        core::DistributedPagerank(dg_, cluster,
+                                  {.max_iterations = 5, .run = run})
+            .run();
+    EXPECT_EQ(sssp.distances, sssp_clean.distances);
+    EXPECT_EQ(pr.ranks, pr_clean.ranks);
+    for (const core::ValueRunReport* r :
+         {static_cast<const core::ValueRunReport*>(&sssp),
+          static_cast<const core::ValueRunReport*>(&pr)}) {
+      expect_fault_totals_match_rows(r->fault, r->counters);
+      std::uint64_t coded_bins = 0;
+      for (const sim::IterationCounters& ic : r->counters.iterations) {
+        for (const sim::GpuIterationCounters& c : ic.gpu) {
+          coded_bins += c.bins_compressed;
+        }
+      }
+      EXPECT_GT(coded_bins, 0u);
+    }
   }
 }
 
